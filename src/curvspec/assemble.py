@@ -17,9 +17,8 @@ import scipy.sparse as sp
 __all__ = [
     "OperatorPencil",
     "assemble_pencil",
-    "apply_operator",
     "with_potential_squared",
-    "export_coo",
+    "spectral_scale",
 ]
 
 
@@ -72,6 +71,11 @@ def assemble_pencil(mesh, field, r):
     )
 
 
+def spectral_scale(pencil):
+    """Area-weighted mean of W^2; sets the unit for verdict thresholds."""
+    return float(pencil.mass @ pencil.w**2) / float(pencil.mass.sum())
+
+
 def with_potential_squared(pencil, w_squared):
     """Same stiffness and mass, replacement potential samples (given as W^2)."""
     w2 = np.asarray(w_squared, dtype=float)
@@ -87,29 +91,3 @@ def with_potential_squared(pencil, w_squared):
         r=pencil.r,
         n=pencil.n,
     )
-
-
-def apply_operator(pencil, x):
-    """Matrix-vector product (K - M_W) x without forming the difference."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != pencil.n_vertices:
-        raise ValueError(
-            f"vector has length {x.shape[0]}, pencil has {pencil.n_vertices} vertices"
-        )
-    if x.ndim == 1:
-        return pencil.k_stiff @ x - pencil.potential * x
-    return pencil.k_stiff @ x - pencil.potential[:, None] * x
-
-
-def export_coo(pencil, path):
-    """Write K, M, M_W as labeled coordinate triplets (deterministic order)."""
-    k = pencil.k_stiff.tocoo()
-    order = np.lexsort((k.col, k.row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# pencil r={pencil.r} V={pencil.n_vertices} nnz={k.nnz}\n")
-        for i, j, v in zip(k.row[order], k.col[order], k.data[order]):
-            fh.write("K %d %d %.17g\n" % (i, j, v))
-        for i, v in enumerate(pencil.mass):
-            fh.write("M %d %d %.17g\n" % (i, i, v))
-        for i, v in enumerate(pencil.potential):
-            fh.write("MW %d %d %.17g\n" % (i, i, v))

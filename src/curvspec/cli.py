@@ -30,10 +30,7 @@ import time
 
 import numpy as np
 
-from . import birman, identities, surfaces, verify
-from .assemble import assemble_pencil
-from .curvature import compute_curvature
-from .eigen import smallest_eigenpairs
+from . import birman, surfaces, verify
 from .errors import CurvSpecError
 from .mesh import load_mesh, validate, write_off
 
@@ -245,33 +242,47 @@ def cmd_generate(args):
     return 0
 
 
-def cmd_verify(args):
+def _run(args, command, body):
+    """Shared frame of the analysis commands.
+
+    Acquires the mesh, builds one verify.Analysis and its curvature
+    summary, then lets ``body(analysis, report, timings)`` fill the rest of
+    the report and return an exit code.  A CurvSpecError becomes a JSON
+    error block and exit code 3; the report is emitted either way.
+    """
     timings = {}
-    report = {"config": _config_block(args, "verify")}
+    report = {"config": _config_block(args, command)}
     t_all = time.perf_counter()
+    analysis = error = None
     try:
         mesh = _acquire_mesh(args, timings)
         report["mesh_stats"] = _mesh_stats(mesh)
-        cfg = _verify_config(args)
+        analysis = verify.Analysis(mesh, args.r, _verify_config(args))
+        report["curvature_summary"] = _curvature_summary(
+            analysis.field, analysis.pencil)
+        code = body(analysis, report, timings)
+    except CurvSpecError as exc:
+        # keep the message, not the exception: its traceback would pin
+        # every frame's arrays (the mesh among them) until a gc pass
+        error = str(exc)
+        _error_block(report, exc)
+        code = 3
+    if analysis is not None:
+        timings.update(analysis.timings)
+    timings["total_s"] = time.perf_counter() - t_all
+    _emit(report, args, timings)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
-        t0 = time.perf_counter()
-        field = compute_curvature(mesh, r=args.r)
-        pencil = assemble_pencil(mesh, field, args.r)
-        timings["curvature_s"] = time.perf_counter() - t0
-        report["curvature_summary"] = _curvature_summary(field, pencil)
 
-        t0 = time.perf_counter()
-        theorem = verify.verify_theorem(mesh, args.r, cfg)
-        lemma = verify.lemma_two_negative(mesh, args.r, cfg)
-        corollary = verify.verify_corollary(mesh, args.r, cfg)
-        timings["verify_s"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        ident = identities.full_report(
-            mesh, field, pencil, r=args.r, mu=args.mu, trials=args.trials,
-            seed=args.seed,
-        )
-        timings["identities_s"] = time.perf_counter() - t0
+def cmd_verify(args):
+    def body(analysis, report, timings):
+        theorem = analysis.theorem()
+        lemma = analysis.lemma()
+        corollary = analysis.corollary()
+        ident = analysis.identities(mu=args.mu, trials=args.trials)
+        cfg = analysis.config
         report["identities"] = _identities_block(ident, cfg)
         report["spectrum"] = {
             "eigenvalues": [float(v) for v in theorem.eigenvalues],
@@ -308,71 +319,33 @@ def cmd_verify(args):
                 "tol_negative": lemma.tol_negative,
             },
         }
-    except CurvSpecError as exc:
-        timings["total_s"] = time.perf_counter() - t_all
-        _emit(_error_block(report, exc), args, timings)
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    timings["total_s"] = time.perf_counter() - t_all
-    _emit(report, args, timings)
-    if report["verdicts"]["theorem"]["verdict"] == verify.VIOLATION:
+        return 2 if theorem.verdict == verify.VIOLATION else 0
+
+    code = _run(args, "verify", body)
+    if code == 2:
         print("verdict Violation: lambda_2 above tolerance", file=sys.stderr)
-        return 2
-    return 0
+    return code
 
 
 def cmd_spectrum(args):
-    timings = {}
-    report = {"config": _config_block(args, "spectrum")}
-    t_all = time.perf_counter()
-    try:
-        mesh = _acquire_mesh(args, timings)
-        report["mesh_stats"] = _mesh_stats(mesh)
-        t0 = time.perf_counter()
-        field = compute_curvature(mesh, r=args.r)
-        pencil = assemble_pencil(mesh, field, args.r)
-        timings["curvature_s"] = time.perf_counter() - t0
-        report["curvature_summary"] = _curvature_summary(field, pencil)
-        t0 = time.perf_counter()
-        maxw2 = float(np.max(pencil.w**2))
-        spec = smallest_eigenpairs(
-            pencil.a_matrix(), pencil.mass, k=args.k, tol=args.eig_tol,
-            seed=args.seed, method=args.method,
-            sigma=-1.1 * maxw2 - 0.1 * (maxw2 + 1.0),
-        )
-        timings["eigen_s"] = time.perf_counter() - t0
-        report["spectrum"] = _spectrum_block(spec)
+    def body(analysis, report, timings):
+        report["spectrum"] = _spectrum_block(analysis.spectrum)
         if args.csv:
-            spec.write_csv(_resolve_out(args.csv))
-    except CurvSpecError as exc:
-        timings["total_s"] = time.perf_counter() - t_all
-        _emit(_error_block(report, exc), args, timings)
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    timings["total_s"] = time.perf_counter() - t_all
-    _emit(report, args, timings)
-    return 0
+            analysis.spectrum.write_csv(_resolve_out(args.csv))
+        return 0
+    return _run(args, "spectrum", body)
 
 
 def cmd_bs_scan(args):
     if args.mu_min is not None and args.mu_max is not None \
             and args.mu_min >= args.mu_max:
         raise UsageError("empty mu range: need mu-min < mu-max")
-    timings = {}
-    report = {"config": _config_block(args, "bs-scan")}
-    t_all = time.perf_counter()
-    try:
-        mesh = _acquire_mesh(args, timings)
-        report["mesh_stats"] = _mesh_stats(mesh)
-        t0 = time.perf_counter()
-        field = compute_curvature(mesh, r=args.r)
-        pencil = assemble_pencil(mesh, field, args.r)
-        timings["curvature_s"] = time.perf_counter() - t0
-        report["curvature_summary"] = _curvature_summary(field, pencil)
+
+    def body(analysis, report, timings):
         t0 = time.perf_counter()
         try:
             scan = birman.scan_crossings(
-                pencil, mu_min=args.mu_min, mu_max=args.mu_max,
+                analysis.pencil, mu_min=args.mu_min, mu_max=args.mu_max,
                 steps=args.steps, k=args.scan_k, seed=args.seed,
             )
         except ValueError as exc:
@@ -381,44 +354,16 @@ def cmd_bs_scan(args):
         report["birman_schwinger"] = scan.to_json_dict()
         if args.csv:
             scan.write_csv(_resolve_out(args.csv))
-    except CurvSpecError as exc:
-        timings["total_s"] = time.perf_counter() - t_all
-        _emit(_error_block(report, exc), args, timings)
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    timings["total_s"] = time.perf_counter() - t_all
-    _emit(report, args, timings)
-    return 0
+        return 0
+    return _run(args, "bs-scan", body)
 
 
 def cmd_identities(args):
-    timings = {}
-    report = {"config": _config_block(args, "identities")}
-    t_all = time.perf_counter()
-    try:
-        mesh = _acquire_mesh(args, timings)
-        report["mesh_stats"] = _mesh_stats(mesh)
-        cfg = _verify_config(args)
-        t0 = time.perf_counter()
-        field = compute_curvature(mesh, r=args.r)
-        pencil = assemble_pencil(mesh, field, args.r)
-        timings["curvature_s"] = time.perf_counter() - t0
-        report["curvature_summary"] = _curvature_summary(field, pencil)
-        t0 = time.perf_counter()
-        ident = identities.full_report(
-            mesh, field, pencil, r=args.r, mu=args.mu, trials=args.trials,
-            seed=args.seed,
-        )
-        timings["identities_s"] = time.perf_counter() - t0
-        report["identities"] = _identities_block(ident, cfg)
-    except CurvSpecError as exc:
-        timings["total_s"] = time.perf_counter() - t_all
-        _emit(_error_block(report, exc), args, timings)
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    timings["total_s"] = time.perf_counter() - t_all
-    _emit(report, args, timings)
-    return 0
+    def body(analysis, report, timings):
+        ident = analysis.identities(mu=args.mu, trials=args.trials)
+        report["identities"] = _identities_block(ident, analysis.config)
+        return 0
+    return _run(args, "identities", body)
 
 
 def _add_shape_flags(p, generate=False):

@@ -23,6 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import curvalg
+from .assemble import spectral_scale
 from .eigen import smallest_eigenpairs
 from .errors import BoundViolationError, CurvaturePositivityError
 
@@ -34,6 +35,7 @@ __all__ = [
     "test_functions",
     "d_quantities",
     "DQuantities",
+    "stiffness_lam1",
     "resolvent_bound_check",
     "resolvent_pairing_residual",
     "dirichlet_minkowski_gap",
@@ -188,6 +190,23 @@ def d_quantities(mesh, pencil, f, resolvent=None):
                        orthogonality_raw=orth_raw)
 
 
+# K is positive semidefinite and its kernel is the constants, so a shift just
+# below 0 is a valid shift-invert target for lam1(K, M).  Shift-invert
+# converges as 1/(lambda - sigma) separates the wanted eigenvalues (ARPACK
+# Users' Guide, Lehoucq-Sorensen-Yang 1998): at -0.01 of the mean W^2 it
+# takes a fraction of the iterations of a Gershgorin floor hundreds of
+# units down.
+KERNEL_SHIFT_FRACTION = 0.01
+
+
+def stiffness_lam1(pencil, seed=0):
+    """lam1 of (K, M): the smallest nonzero eigenvalue, the mean-zero floor."""
+    return float(smallest_eigenpairs(
+        pencil.k_stiff, pencil.mass, k=2, seed=seed,
+        sigma=-KERNEL_SHIFT_FRACTION * spectral_scale(pencil),
+    ).eigenvalues[1])
+
+
 def resolvent_bound_check(pencil, mu, trials=100, seed=0, lam1=None):
     """Min slack of ||R_mu g||_M <= ||g||_M / (lam1 + mu) over random g.
 
@@ -197,11 +216,7 @@ def resolvent_bound_check(pencil, mu, trials=100, seed=0, lam1=None):
     """
     if mu <= 0.0:
         raise ValueError("mu must be positive")
-    if lam1 is None:
-        lam1 = smallest_eigenpairs(
-            pencil.k_stiff, pencil.mass, k=2, seed=seed
-        ).eigenvalues[1]
-    lam1 = float(lam1)
+    lam1 = stiffness_lam1(pencil, seed) if lam1 is None else float(lam1)
     a = pencil.mass
     area = float(a.sum())
     solver = spla.splu(
@@ -272,11 +287,16 @@ def dirichlet_minkowski_gap(mesh, field, pencil, r):
 
 
 def full_report(mesh, field, pencil, r=None, mu=1.0, trials=20, seed=0,
-                lam1=None):
-    """Run every identity check once and collect an IdentityReport."""
+                lam1=None, resolvent=None):
+    """Run every identity check once and collect an IdentityReport.
+
+    ``lam1`` and ``resolvent`` (a ZeroMeanResolvent of ``pencil``) are
+    computed here unless the caller already holds them.
+    """
     if r is None:
         r = pencil.r
-    resolvent = ZeroMeanResolvent(pencil)
+    if resolvent is None:
+        resolvent = ZeroMeanResolvent(pencil)
     f = test_functions(mesh, field, r)
     dq = d_quantities(mesh, pencil, f, resolvent=resolvent)
     return IdentityReport(

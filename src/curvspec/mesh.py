@@ -139,23 +139,24 @@ class TriMesh:
         edges, inv, counts = np.unique(
             und, axis=0, return_inverse=True, return_counts=True
         )
+        inv = inv.ravel()
         self.edges = edges
-        self._edge_counts = counts
         direction = np.where(fe[:, 0] < fe[:, 1], 1, -1)
         osum = np.zeros(len(edges), dtype=np.int64)
         np.add.at(osum, inv, direction)
-        self._edge_face = np.repeat(np.arange(len(f)), 3)
-        self._edge_inv = inv
         self.boundary_edges = tuple(map(tuple, edges[counts == 1].tolist()))
         self.nonmanifold_edges = tuple(
             (tuple(e), int(c)) for e, c in zip(edges[counts > 2].tolist(), counts[counts > 2])
         )
-        mis_ids = np.nonzero((counts == 2) & (np.abs(osum) == 2))[0]
-        mis = []
-        for eid in mis_ids:
-            fs = self._edge_face[self._edge_inv == eid]
-            mis.append((tuple(edges[eid].tolist()), tuple(int(x) for x in fs)))
-        self.misoriented_edges = tuple(mis)
+        # directed edges of misoriented edges, grouped by edge in one stable
+        # sort: each group is a pair in face order, directed edge j on face j//3
+        mis = (counts == 2) & (np.abs(osum) == 2)
+        on_mis = np.nonzero(mis[inv])[0]
+        on_mis = on_mis[np.argsort(inv[on_mis], kind="stable")]
+        pairs = (on_mis // 3).reshape(-1, 2)
+        self.misoriented_edges = tuple(
+            (tuple(e.tolist()), tuple(p.tolist())) for e, p in zip(edges[mis], pairs)
+        )
 
     @property
     def n_vertices(self):
@@ -426,7 +427,11 @@ def write_off(mesh, path):
 
 
 def vertex_measures(mesh):
-    """Barycentric vertex areas and angle-weighted unit vertex normals.
+    """Barycentric vertex areas and unit vertex normals.
+
+    The normals use the mesh's ``normal_weighting``: Max's weights by
+    default (J. Graphics Tools, 1999), which are exact on a sphere, or
+    corner angles.
 
     The areas partition the surface area exactly.  Raises on degenerate
     incident geometry (zero-area faces or a vertex whose weighted normal
@@ -439,7 +444,7 @@ def vertex_measures(mesh):
         )
     if mesh._unnormalizable_vertices:
         raise DegenerateGeometryError(
-            f"vertex {mesh._unnormalizable_vertices[0]} has a zero angle-weighted normal",
+            f"vertex {mesh._unnormalizable_vertices[0]} has a zero weighted normal",
             vertex=mesh._unnormalizable_vertices[0],
         )
     return mesh.vertex_areas, mesh.vertex_normals

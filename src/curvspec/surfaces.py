@@ -27,7 +27,6 @@ __all__ = [
     "generate",
     "exact_curvatures",
     "icosahedron",
-    "box_mesh",
 ]
 
 
@@ -421,49 +420,3 @@ def generate(surface, subdiv=0, nu=None, nv=None):
     for _ in range(subdiv):
         m = subdivide_project(m, target=surface)
     return m
-
-
-def box_mesh(n=4, half_width=1.0):
-    """Closed box surface [-h, h]^3 with each side split into an n x n grid.
-
-    Planar sides with interior vertices make it the flat oracle for
-    curvature and Dirichlet-energy tests.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    h = float(half_width)
-    step = 2.0 * h / n
-    sides = [
-        ((-h, -h, +h), (1, 0, 0), (0, 1, 0)),   # +z
-        ((-h, +h, -h), (1, 0, 0), (0, -1, 0)),  # -z
-        ((+h, -h, -h), (0, 1, 0), (0, 0, 1)),   # +x
-        ((-h, -h, -h), (0, 0, 1), (0, 1, 0)),   # -x
-        ((-h, +h, -h), (0, 0, 1), (1, 0, 0)),   # +y
-        ((-h, -h, -h), (1, 0, 0), (0, 0, 1)),   # -y
-    ]
-    key_to_id = {}
-    verts = []
-    faces = []
-
-    def vid(p):
-        key = tuple(int(round(c / h * n)) for c in p)  # exact lattice key
-        if key not in key_to_id:
-            key_to_id[key] = len(verts)
-            verts.append(p)
-        return key_to_id[key]
-
-    for origin, du, dv in sides:
-        o = np.array(origin, dtype=float)
-        du = np.array(du, dtype=float) * step
-        dv = np.array(dv, dtype=float) * step
-        ids = np.empty((n + 1, n + 1), dtype=np.int64)
-        for i in range(n + 1):
-            for j in range(n + 1):
-                ids[i, j] = vid(o + i * du + j * dv)
-        for i in range(n):
-            for j in range(n):
-                a, b = ids[i, j], ids[i + 1, j]
-                c, d = ids[i + 1, j + 1], ids[i, j + 1]
-                faces.append([a, b, c])
-                faces.append([a, c, d])
-    return TriMesh(np.array(verts), np.array(faces, dtype=np.int64))

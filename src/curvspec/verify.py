@@ -9,20 +9,28 @@ reads Violation.  Violation is a tripwire, not an outcome: it never fires
 on valid convex input unless the discretization or the implementation is
 broken.  Thresholds travel inside every report; nothing is judged against
 an undisclosed constant.
+
+All checks read one Analysis per (mesh, r, config), which computes each
+shared object (curvature field, pencil, spectra, lam1(K, M), the zero-mean
+resolvent, the test functions) at most once, on first use.
 """
 
+import functools
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import curvalg
-from .assemble import assemble_pencil, with_potential_squared
+from .assemble import assemble_pencil, spectral_scale, with_potential_squared
 from .curvature import compute_curvature
 from .eigen import smallest_eigenpairs
 from .errors import BoundViolationError
-from .identities import d_quantities, test_functions
+from .identities import (ZeroMeanResolvent, d_quantities, full_report,
+                         stiffness_lam1, test_functions)
 
 __all__ = [
+    "Analysis",
     "VerifyConfig",
     "TheoremReport",
     "CorollaryReport",
@@ -101,23 +109,32 @@ class LemmaReport:
     tol_negative: float
 
 
-def _pipeline(mesh, r, config):
-    field = compute_curvature(mesh, r=r)
-    pencil = assemble_pencil(mesh, field, r)
+def _smallest(pencil, max_w2, config):
     # stiffness is positive semidefinite, so the pencil is bounded below
     # by -max(W^2); a shift just under that keeps shift-invert honest
-    maxw2 = float(np.max(pencil.w**2))
-    spectrum = smallest_eigenpairs(
+    return smallest_eigenpairs(
         pencil.a_matrix(), pencil.mass, k=config.k, tol=config.eig_tol,
         seed=config.seed, method=config.method,
-        sigma=-1.1 * maxw2 - 0.1 * (maxw2 + 1.0),
+        sigma=-1.1 * max_w2 - 0.1 * (max_w2 + 1.0),
     )
-    return field, pencil, spectrum
 
 
-def spectral_scale(pencil):
-    """Area-weighted mean of W^2; sets the unit for verdict thresholds."""
-    return float(pencil.mass @ pencil.w**2) / float(pencil.mass.sum())
+def _stage(name):
+    """Charge a method's wall time, less nested stages, to timings[name]."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def timed(self, *args, **kwargs):
+            outer, self._nested = self._nested, 0.0
+            t0 = time.perf_counter()
+            try:
+                return fn(self, *args, **kwargs)
+            finally:
+                dt = time.perf_counter() - t0
+                own = dt - self._nested
+                self.timings[name] = self.timings.get(name, 0.0) + own
+                self._nested = outer + dt
+        return timed
+    return decorate
 
 
 def sphere_distance(mesh, field):
@@ -164,126 +181,194 @@ def eigenspace_position_alignment(mesh, pencil, spectrum, cluster):
     return total / max(count, 1)
 
 
+class Analysis:
+    """The objects every check shares, each computed once, on first use.
+
+    ``timings`` maps a stage (curvature_s, spectrum_s, corollary_s,
+    lemma_s, lam1_s, identities_s) to the wall time spent in it so far.
+    """
+
+    def __init__(self, mesh, r, config=None):
+        self.mesh = mesh
+        self.r = r
+        self.config = VerifyConfig() if config is None else config
+        self.timings = {}
+        self._nested = 0.0
+
+    @functools.cached_property
+    @_stage("curvature_s")
+    def field(self):
+        return compute_curvature(self.mesh, r=self.r)
+
+    @functools.cached_property
+    @_stage("curvature_s")
+    def pencil(self):
+        return assemble_pencil(self.mesh, self.field, self.r)
+
+    @functools.cached_property
+    @_stage("spectrum_s")
+    def spectrum(self):
+        return _smallest(self.pencil, float(np.max(self.pencil.w**2)),
+                         self.config)
+
+    @functools.cached_property
+    @_stage("corollary_s")
+    def t_potential(self):
+        """c_r |A|^(r+2), the T_r potential; raises unless it dominates W^2.
+
+        A domination failure on a convex mesh means the norm convention is
+        wrong, which must not produce a silently weaker operator.
+        """
+        c = curvalg.c_coefficient(self.pencil.n, self.r)
+        pot2 = c * curvalg.shape_norm(self.field.vertex_kappas) ** (self.r + 2)
+        slack = pot2 - self.pencil.w**2
+        if slack.min() < -1e-10:
+            v = int(np.argmin(slack))
+            raise BoundViolationError(
+                f"potential domination fails at vertex {v}: "
+                f"c_r*|A|^(r+2) - W^2 = {slack[v]:.3e}",
+                margin=float(slack[v]),
+            )
+        return pot2
+
+    @functools.cached_property
+    @_stage("corollary_s")
+    def t_spectrum(self):
+        pot2 = self.t_potential
+        return _smallest(with_potential_squared(self.pencil, pot2),
+                         float(np.max(pot2)), self.config)
+
+    @functools.cached_property
+    @_stage("lam1_s")
+    def lam1(self):
+        return stiffness_lam1(self.pencil, seed=self.config.seed)
+
+    @functools.cached_property
+    @_stage("identities_s")
+    def resolvent(self):
+        return ZeroMeanResolvent(self.pencil)
+
+    @functools.cached_property
+    def f(self):
+        return test_functions(self.mesh, self.field, self.r)
+
+    @functools.cached_property
+    @_stage("identities_s")
+    def dq(self):
+        return d_quantities(self.mesh, self.pencil, self.f,
+                            resolvent=self.resolvent)
+
+    @_stage("spectrum_s")
+    def theorem(self):
+        """Classify lambda_2; returns the filled TheoremReport."""
+        self.f   # test_functions gates H_{r+1} > 0 before any solve runs
+        ev = self.spectrum.eigenvalues
+        scale = spectral_scale(self.pencil)
+        tol = self.config.resolve_tol_sphere(scale)
+        lam2 = float(ev[1])
+        if abs(lam2) <= tol:
+            verdict = SPHERE_LIKE
+        elif lam2 < -tol:
+            verdict = STRICTLY_NEGATIVE
+        else:
+            verdict = VIOLATION
+        cluster = [j for j in range(1, len(ev)) if abs(ev[j] - lam2) <= tol]
+        # the T_r eigensolve runs before the resolvent is factored, so only
+        # one of their factorizations is alive at a time
+        corollary = self.corollary()
+        return TheoremReport(
+            r=self.r,
+            eigenvalues=ev,
+            lambda_1=float(ev[0]),
+            lambda_2=lam2,
+            lambda_2_corollary=corollary.lambda_2_t,
+            multiplicity=len(cluster),
+            d_sum=self.dq.d_sum,
+            verdict=verdict,
+            sphere_distance=sphere_distance(self.mesh, self.field),
+            spectral_scale=scale,
+            tol_sphere=tol,
+            cluster_position_alignment=eigenspace_position_alignment(
+                self.mesh, self.pencil, self.spectrum, cluster
+            ),
+        )
+
+    @_stage("corollary_s")
+    def corollary(self):
+        """Second eigenvalue of the shape-norm-penalized operator T_r.
+
+        T_r replaces W_r^2 by c_r * shape_norm^(r+2), which dominates it,
+        so the min-max principle forces lambda_2(T_r) <= lambda_2.
+        """
+        lam2_t = float(self.t_spectrum.eigenvalues[1])
+        lam2 = float(self.spectrum.eigenvalues[1])
+        tol = self.config.corollary_tol
+        return CorollaryReport(
+            r=self.r,
+            lambda_2_t=lam2_t,
+            lambda_2_pencil=lam2,
+            domination_min_slack=float((self.t_potential - self.pencil.w**2).min()),
+            comparison_ok=bool(lam2_t <= lam2 + tol),
+            tol=tol,
+        )
+
+    @_stage("lemma_s")
+    def lemma(self):
+        """Two-negative-eigenvalue criterion from the canonical test functions.
+
+        Conditions: each W f_i integrates to zero (arranged by projection,
+        the raw gap is reported by the identity checks), and some d_i
+        exceeds its scale tol_identity * ||f_i||^2.  When a witness exists
+        the pencil must show at least two negative eigenvalues; on a sphere
+        no witness exists and the report comes back not-applicable with a
+        single negative mode.
+        """
+        f, dq, mass = self.f, self.dq, self.pencil.mass
+        norms2 = np.array([float(f[:, i] @ (mass * f[:, i])) for i in range(3)])
+        thresholds = self.config.tol_identity * norms2
+        over = dq.d > thresholds
+        applicable = bool(over.any())
+        witness = int(np.argmax(dq.d - thresholds)) if applicable else -1
+        tol_neg = self.config.resolve_tol_sphere(spectral_scale(self.pencil))
+        negative_count = int(np.sum(self.spectrum.eigenvalues < -tol_neg))
+        if applicable and negative_count < 2:
+            raise BoundViolationError(
+                f"d_{witness} = {dq.d[witness]:.6g} exceeds its threshold but "
+                f"the pencil shows {negative_count} eigenvalue(s) below "
+                f"{-tol_neg:.3g}",
+                margin=float(dq.d[witness]),
+            )
+        return LemmaReport(
+            r=self.r,
+            applicable=applicable,
+            witness=witness,
+            d=dq.d,
+            d_sum=dq.d_sum,
+            thresholds=thresholds,
+            negative_count=negative_count,
+            tol_negative=tol_neg,
+        )
+
+    @_stage("identities_s")
+    def identities(self, mu=1.0, trials=20):
+        """identities.full_report on the shared lam1 and resolvent."""
+        return full_report(
+            self.mesh, self.field, self.pencil, r=self.r, mu=mu,
+            trials=trials, seed=self.config.seed, lam1=self.lam1,
+            resolvent=self.resolvent,
+        )
+
+
 def verify_theorem(mesh, r, config=None):
     """Assemble, solve, classify; returns the filled TheoremReport."""
-    if config is None:
-        config = VerifyConfig()
-    field, pencil, spectrum = _pipeline(mesh, r, config)
-    ev = spectrum.eigenvalues
-    scale = spectral_scale(pencil)
-    tol = config.resolve_tol_sphere(scale)
-    lam2 = float(ev[1])
-    if abs(lam2) <= tol:
-        verdict = SPHERE_LIKE
-    elif lam2 < -tol:
-        verdict = STRICTLY_NEGATIVE
-    else:
-        verdict = VIOLATION
-    cluster = [j for j in range(1, len(ev)) if abs(ev[j] - lam2) <= tol]
-    f = test_functions(mesh, field, r)
-    dq = d_quantities(mesh, pencil, f)
-    corollary = verify_corollary(
-        mesh, r, config, _field=field, _pencil=pencil, _spectrum=spectrum
-    )
-    return TheoremReport(
-        r=r,
-        eigenvalues=ev,
-        lambda_1=float(ev[0]),
-        lambda_2=lam2,
-        lambda_2_corollary=corollary.lambda_2_t,
-        multiplicity=len(cluster),
-        d_sum=dq.d_sum,
-        verdict=verdict,
-        sphere_distance=sphere_distance(mesh, field),
-        spectral_scale=scale,
-        tol_sphere=tol,
-        cluster_position_alignment=eigenspace_position_alignment(
-            mesh, pencil, spectrum, cluster
-        ),
-    )
+    return Analysis(mesh, r, config).theorem()
 
 
-def verify_corollary(mesh, r, config=None, _field=None, _pencil=None,
-                     _spectrum=None):
-    """Second eigenvalue of the shape-norm-penalized operator T_r.
-
-    T_r replaces W_r^2 by c_r * shape_norm^(r+2).  Under the normalized
-    norm convention the replacement dominates W_r^2 pointwise on convex
-    meshes, so the min-max principle forces lambda_2(T_r) <= lambda_2.
-    A pointwise domination failure means the norm convention is wrong and
-    raises immediately rather than producing a silently weaker operator.
-    """
-    if config is None:
-        config = VerifyConfig()
-    if _field is None or _pencil is None or _spectrum is None:
-        _field, _pencil, _spectrum = _pipeline(mesh, r, config)
-    c = curvalg.c_coefficient(_pencil.n, r)
-    norm = curvalg.shape_norm(_field.vertex_kappas)
-    pot2 = c * norm ** (r + 2)
-    slack = pot2 - _pencil.w**2
-    min_slack = float(slack.min())
-    if min_slack < -1e-10:
-        v = int(np.argmin(slack))
-        raise BoundViolationError(
-            f"potential domination fails at vertex {v}: "
-            f"c_r*|A|^(r+2) - W^2 = {min_slack:.3e}",
-            margin=min_slack,
-        )
-    t_pencil = with_potential_squared(_pencil, pot2)
-    maxp = float(np.max(pot2))
-    t_spec = smallest_eigenpairs(
-        t_pencil.a_matrix(), t_pencil.mass, k=config.k, tol=config.eig_tol,
-        seed=config.seed, method=config.method,
-        sigma=-1.1 * maxp - 0.1 * (maxp + 1.0),
-    )
-    lam2_t = float(t_spec.eigenvalues[1])
-    lam2 = float(_spectrum.eigenvalues[1])
-    return CorollaryReport(
-        r=r,
-        lambda_2_t=lam2_t,
-        lambda_2_pencil=lam2,
-        domination_min_slack=min_slack,
-        comparison_ok=bool(lam2_t <= lam2 + config.corollary_tol),
-        tol=config.corollary_tol,
-    )
+def verify_corollary(mesh, r, config=None):
+    """CorollaryReport for lambda_2(T_r) <= lambda_2; see Analysis.corollary."""
+    return Analysis(mesh, r, config).corollary()
 
 
 def lemma_two_negative(mesh, r, config=None):
-    """Two-negative-eigenvalue criterion from the canonical test functions.
-
-    Conditions: each W f_i integrates to zero (arranged by projection, the
-    raw gap is reported by the identity checks), and some d_i exceeds its
-    scale tol_identity * ||f_i||^2.  When a witness exists the pencil must
-    show at least two negative eigenvalues; on a sphere no witness exists
-    and the report comes back not-applicable with a single negative mode.
-    """
-    if config is None:
-        config = VerifyConfig()
-    field, pencil, spectrum = _pipeline(mesh, r, config)
-    f = test_functions(mesh, field, r)
-    dq = d_quantities(mesh, pencil, f)
-    norms2 = np.array([
-        float(f[:, i] @ (pencil.mass * f[:, i])) for i in range(3)
-    ])
-    thresholds = config.tol_identity * norms2
-    over = dq.d > thresholds
-    applicable = bool(over.any())
-    witness = int(np.argmax(dq.d - thresholds)) if applicable else -1
-    tol_neg = config.resolve_tol_sphere(spectral_scale(pencil))
-    negative_count = int(np.sum(spectrum.eigenvalues < -tol_neg))
-    if applicable and negative_count < 2:
-        raise BoundViolationError(
-            f"d_{witness} = {dq.d[witness]:.6g} exceeds its threshold but the "
-            f"pencil shows {negative_count} eigenvalue(s) below {-tol_neg:.3g}",
-            margin=float(dq.d[witness]),
-        )
-    return LemmaReport(
-        r=r,
-        applicable=applicable,
-        witness=witness,
-        d=dq.d,
-        d_sum=dq.d_sum,
-        thresholds=thresholds,
-        negative_count=negative_count,
-        tol_negative=tol_neg,
-    )
+    """LemmaReport of the two-negative criterion; see Analysis.lemma."""
+    return Analysis(mesh, r, config).lemma()

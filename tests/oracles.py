@@ -13,6 +13,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from curvspec.mesh import TriMesh
+
 
 def elementary_symmetric_bruteforce(kappas, r):
     """Sum over all r-subsets, the definition itself."""
@@ -89,6 +91,30 @@ def lumped_vertex_areas(mesh):
     return areas
 
 
+def misoriented_edges_loop(mesh):
+    """Misoriented edges found with one boolean mask per edge (quadratic).
+
+    An interior edge is misoriented when both incident faces traverse it in
+    the same direction; each entry is (sorted edge, faces in face order).
+    """
+    fe = mesh.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    edges, inv, counts = np.unique(
+        np.sort(fe, axis=1), axis=0, return_inverse=True, return_counts=True
+    )
+    inv = inv.ravel()
+    face_of = np.repeat(np.arange(mesh.n_faces), 3)
+    out = []
+    for eid in range(len(edges)):
+        if counts[eid] != 2:
+            continue
+        mask = inv == eid
+        pair = fe[mask]
+        if pair[0, 0] == pair[1, 0]:
+            out.append((tuple(edges[eid].tolist()),
+                        tuple(int(x) for x in face_of[mask])))
+    return tuple(out)
+
+
 def fd_principal_curvatures(surface, point, rel_step=1e-4):
     """Principal curvatures from central differences of the implicit function.
 
@@ -132,3 +158,75 @@ def fd_principal_curvatures(surface, point, rel_step=1e-4):
         ]
     ) / gn
     return np.linalg.eigvalsh(b)
+
+
+def box_mesh(n=4, half_width=1.0):
+    """Closed box surface [-h, h]^3 with each side split into an n x n grid.
+
+    Planar sides with interior vertices make it the flat oracle for
+    curvature and Dirichlet-energy tests.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    h = float(half_width)
+    step = 2.0 * h / n
+    sides = [
+        ((-h, -h, +h), (1, 0, 0), (0, 1, 0)),   # +z
+        ((-h, +h, -h), (1, 0, 0), (0, -1, 0)),  # -z
+        ((+h, -h, -h), (0, 1, 0), (0, 0, 1)),   # +x
+        ((-h, -h, -h), (0, 0, 1), (0, 1, 0)),   # -x
+        ((-h, +h, -h), (0, 0, 1), (1, 0, 0)),   # +y
+        ((-h, -h, -h), (1, 0, 0), (0, 0, 1)),   # -y
+    ]
+    key_to_id = {}
+    verts = []
+    faces = []
+
+    def vid(p):
+        key = tuple(int(round(c / h * n)) for c in p)  # exact lattice key
+        if key not in key_to_id:
+            key_to_id[key] = len(verts)
+            verts.append(p)
+        return key_to_id[key]
+
+    for origin, du, dv in sides:
+        o = np.array(origin, dtype=float)
+        du = np.array(du, dtype=float) * step
+        dv = np.array(dv, dtype=float) * step
+        ids = np.empty((n + 1, n + 1), dtype=np.int64)
+        for i in range(n + 1):
+            for j in range(n + 1):
+                ids[i, j] = vid(o + i * du + j * dv)
+        for i in range(n):
+            for j in range(n):
+                a, b = ids[i, j], ids[i + 1, j]
+                c, d = ids[i + 1, j + 1], ids[i, j + 1]
+                faces.append([a, b, c])
+                faces.append([a, c, d])
+    return TriMesh(np.array(verts), np.array(faces, dtype=np.int64))
+
+
+def apply_operator(pencil, x):
+    """Matrix-vector product (K - M_W) x without forming the difference."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[0] != pencil.n_vertices:
+        raise ValueError(
+            f"vector has length {x.shape[0]}, pencil has {pencil.n_vertices} vertices"
+        )
+    if x.ndim == 1:
+        return pencil.k_stiff @ x - pencil.potential * x
+    return pencil.k_stiff @ x - pencil.potential[:, None] * x
+
+
+def export_coo(pencil, path):
+    """Write K, M, M_W as labeled coordinate triplets (deterministic order)."""
+    k = pencil.k_stiff.tocoo()
+    order = np.lexsort((k.col, k.row))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# pencil r={pencil.r} V={pencil.n_vertices} nnz={k.nnz}\n")
+        for i, j, v in zip(k.row[order], k.col[order], k.data[order]):
+            fh.write("K %d %d %.17g\n" % (i, j, v))
+        for i, v in enumerate(pencil.mass):
+            fh.write("M %d %d %.17g\n" % (i, i, v))
+        for i, v in enumerate(pencil.potential):
+            fh.write("MW %d %d %.17g\n" % (i, i, v))

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from curvspec.assemble import OperatorPencil, assemble_pencil, apply_operator, export_coo, with_potential_squared
+from curvspec.assemble import OperatorPencil, assemble_pencil, with_potential_squared
 from curvspec.curvature import compute_curvature
-from curvspec.surfaces import box_mesh
 
 import oracles
+from oracles import apply_operator, box_mesh, export_coo
 from conftest import get_mesh, get_pipeline
 
 

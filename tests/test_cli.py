@@ -1,14 +1,18 @@
 """Command line driver: flags, config files, exit codes, JSON reports."""
 
 import dataclasses
+import gc
+import importlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+import scipy.sparse.linalg as spla
+
 from curvspec import cli, verify
-from curvspec.mesh import load_mesh
+from curvspec.mesh import TriMesh, load_mesh
 
 from conftest import get_mesh
 
@@ -90,6 +94,26 @@ class TestVerifyCommand:
         assert "vertex" in blob["error"]["message"]
         assert blob["error"]["type"] == "CurvaturePositivityError"
 
+    def test_refusal_releases_mesh_without_gc(self, tmp_path):
+        # a refusal must not leave the mesh in a reference cycle that only
+        # the cyclic collector can free
+        def meshes():
+            return {id(o) for o in gc.get_objects() if isinstance(o, TriMesh)}
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = meshes()
+            code = run([
+                "verify", "--shape", "torus", "--subdiv", "1", "--r", "1",
+                "-o", str(tmp_path / "rep.json"),
+            ])
+            leaked = meshes() - before
+        finally:
+            gc.enable()
+        assert code == 3
+        assert not leaked
+
     def test_torus_r0_completes(self, tmp_path):
         out = tmp_path / "rep.json"
         code = run([
@@ -101,13 +125,12 @@ class TestVerifyCommand:
         assert blob["verdicts"]["theorem"]["lambda_2"] < 0
 
     def test_violation_exit_2(self, tmp_path, monkeypatch):
-        real = verify.verify_theorem
+        real = verify.Analysis.theorem
 
-        def doctored(mesh, r, config=None):
-            rep = real(mesh, r, config)
-            return dataclasses.replace(rep, verdict=verify.VIOLATION)
+        def doctored(analysis):
+            return dataclasses.replace(real(analysis), verdict=verify.VIOLATION)
 
-        monkeypatch.setattr(verify, "verify_theorem", doctored)
+        monkeypatch.setattr(verify.Analysis, "theorem", doctored)
         out = tmp_path / "rep.json"
         code = run([
             "verify", "--shape", "sphere", "--subdiv", "1", "--r", "0",
@@ -135,6 +158,45 @@ class TestDeterminism:
         run(["verify", "--shape", "sphere", "--subdiv", "1", "--r", "0", "-o", str(out)])
         blob = json.loads(out.read_text())
         assert blob["timings"] and blob["timings"]["total_s"] > 0
+
+
+    def test_timings_split_by_stage(self, tmp_path):
+        out = tmp_path / "rep.json"
+        run(["verify", "--shape", "sphere", "--subdiv", "1", "--r", "0", "-o", str(out)])
+        timings = json.loads(out.read_text())["timings"]
+        assert set(timings) == {
+            "mesh_s", "curvature_s", "spectrum_s", "corollary_s", "lemma_s",
+            "lam1_s", "identities_s", "total_s",
+        }
+        assert sum(v for k, v in timings.items() if k != "total_s") <= timings["total_s"]
+
+
+class TestWorkCounts:
+    def test_verify_computes_each_object_once(self, tmp_path, monkeypatch):
+        # V=2562 takes the iterative (ARPACK shift-invert) path
+        counts = {"curvature": 0, "eigsh": 0, "splu": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
+        monkeypatch.setattr(verify, "compute_curvature",
+                            counted("curvature", verify.compute_curvature))
+        monkeypatch.setattr(spla, "eigsh", counted("eigsh", spla.eigsh))
+        splu = counted("splu", spla.splu)
+        monkeypatch.setattr(spla, "splu", splu)
+        monkeypatch.setattr(arpack, "splu", splu)   # shift-invert's own LU
+        code = run([
+            "verify", "--shape", "ellipsoid", "--a", "2", "--b", "1", "--c", "1",
+            "--subdiv", "4", "--r", "1", "-o", str(tmp_path / "rep.json"),
+        ])
+        assert code == 0
+        assert counts["curvature"] == 1
+        assert counts["eigsh"] == 3      # pencil, T_r, lam1(K, M)
+        assert counts["splu"] <= 5
 
 
 class TestConfigFile:

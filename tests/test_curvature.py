@@ -6,6 +6,8 @@ import pytest
 from curvspec import curvalg, curvature, surfaces
 from curvspec.errors import CurvaturePositivityError
 
+import oracles
+
 
 class TestShapeOperators:
     def test_face_basis_orthonormal(self, sphere3):
@@ -24,7 +26,7 @@ class TestShapeOperators:
         assert np.max(np.abs(field.face_operators - np.eye(2))) < 0.05
 
     def test_flat_faces_have_zero_operator(self):
-        box = surfaces.box_mesh(4)
+        box = oracles.box_mesh(4)
         field = curvature.estimate_shape_operators(box)
         nrm = box.vertex_normals[box.faces]
         flat = np.max(np.abs(nrm - nrm[:, :1, :]), axis=(1, 2)) < 1e-12

@@ -96,6 +96,16 @@ class TestTriMesh:
         assert rep.closed and not rep.oriented
         assert rep.misoriented_edges
 
+    def test_misoriented_edges_match_loop_oracle(self):
+        sphere = surfaces.generate(surfaces.Sphere(1.0), subdiv=3)
+        faces = sphere.faces.copy()
+        flip = np.random.default_rng(0).permutation(len(faces))[: len(faces) // 2]
+        faces[flip] = faces[flip][:, ::-1]
+        mesh = TriMesh(sphere.vertices, faces)
+        expected = oracles.misoriented_edges_loop(mesh)
+        assert len(expected) > 100
+        assert mesh.misoriented_edges == expected
+
     def test_degenerate_face_reported(self):
         v = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0]])
         mesh = TriMesh(v, [[0, 1, 2], [0, 2, 3]])   # first face collinear

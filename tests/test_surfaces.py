@@ -177,5 +177,5 @@ class TestGenerate:
             surfaces.exact_curvatures(s, np.array([2.0, 0, 0]))
 
     def test_box_mesh_valid(self):
-        rep = validate(surfaces.box_mesh(3))
+        rep = validate(oracles.box_mesh(3))
         assert rep.passed and rep.euler_characteristic == 2
