@@ -19,6 +19,7 @@ __all__ = [
     "assemble_pencil",
     "with_potential_squared",
     "spectral_scale",
+    "pencil_floor_shift",
 ]
 
 
@@ -36,12 +37,6 @@ class OperatorPencil:
     @property
     def n_vertices(self):
         return len(self.mass)
-
-    def m_matrix(self):
-        return sp.diags(self.mass)
-
-    def mw_matrix(self):
-        return sp.diags(self.potential)
 
     def a_matrix(self):
         """K - M_W, the left-hand side of the pencil."""
@@ -74,6 +69,15 @@ def assemble_pencil(mesh, field, r):
 def spectral_scale(pencil):
     """Area-weighted mean of W^2; sets the unit for verdict thresholds."""
     return float(pencil.mass @ pencil.w**2) / float(pencil.mass.sum())
+
+
+def pencil_floor_shift(max_w2):
+    """Shift-invert target strictly below the pencil spectrum.
+
+    K is positive semidefinite, so (K - M_W) x = lambda M x has no
+    eigenvalue below -max(W^2); this lies a margin under that floor.
+    """
+    return -1.1 * max_w2 - 0.1 * (max_w2 + 1.0)
 
 
 def with_potential_squared(pencil, w_squared):

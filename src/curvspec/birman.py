@@ -18,23 +18,19 @@ both pairs so neither inequality is overstated.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .eigen import smallest_eigenpairs
+from .assemble import pencil_floor_shift
+from .eigen import _shifted_solver, smallest_eigenpairs
 from .errors import EigenSolveError
+from .identities import stiffness_lam1
 
 __all__ = [
     "Crossing",
     "BSScanResult",
-    "apply_K_mu",
     "top_eigenvalues_K",
     "scan_crossings",
 ]
-
-# above this many vertices the shifted solve switches from a cached
-# factorization to Jacobi-preconditioned CG
-CG_LIMIT = 100_000
 
 _DENSE_APPLY_LIMIT = 64   # tiny problems: build K_mu by columns, use LAPACK
 
@@ -92,43 +88,6 @@ class BSScanResult:
         }
 
 
-class _ShiftedSolver:
-    """Solve (K + mu M) y = b, factored once; CG above the size limit."""
-
-    def __init__(self, pencil, mu, force_cg=False):
-        if mu <= 0.0:
-            raise ValueError("mu must be positive")
-        self.mu = float(mu)
-        a = (pencil.k_stiff + mu * sp.diags(pencil.mass)).tocsc()
-        self._use_cg = force_cg or pencil.n_vertices > CG_LIMIT
-        if self._use_cg:
-            self._a = a
-            diag = a.diagonal()
-            self._precond = spla.LinearOperator(
-                a.shape, matvec=lambda x: x / diag
-            )
-        else:
-            self._lu = spla.splu(a)
-
-    def solve(self, b):
-        if not self._use_cg:
-            return self._lu.solve(b)
-        y, info = spla.cg(self._a, b, M=self._precond, rtol=1e-12, atol=0.0,
-                          maxiter=10_000)
-        if info != 0:
-            raise EigenSolveError(f"CG did not converge (info={info})")
-        return y
-
-
-def apply_K_mu(pencil, mu, g):
-    """One application W (K + mu M)^(-1) M (W g) for a vertex vector g."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != (pencil.n_vertices,):
-        raise ValueError("g must be a single vertex vector")
-    solver = _ShiftedSolver(pencil, mu)
-    return pencil.w * solver.solve(pencil.mass * (pencil.w * g))
-
-
 def _restriction_basis(pencil, restrict, sqm):
     # z-space images of the directions to project out; <g, 1>_M and
     # <g, W>_M become plain dot products against these after z = sqm * g
@@ -146,8 +105,11 @@ def _restriction_basis(pencil, restrict, sqm):
     return q
 
 
-def _top_k(pencil, solver, k, seed, restrict=()):
-    """k largest eigenvalues of K_mu (optionally restricted), descending."""
+def _top_k(pencil, mu, solve, k, seed, restrict=()):
+    """k largest eigenvalues of K_mu (optionally restricted), descending.
+
+    ``solve`` applies (K + mu M)^(-1), factored once by the caller.
+    """
     nv = pencil.n_vertices
     if not 1 <= k <= nv - 1:
         raise ValueError(f"need 1 <= k <= {nv - 1}, got k={k}")
@@ -157,7 +119,7 @@ def _top_k(pencil, solver, k, seed, restrict=()):
     def sym_apply(z):
         if q is not None:
             z = z - q @ (q.T @ z)
-        out = sqm * (pencil.w * solver.solve(pencil.mass * (pencil.w * (z / sqm))))
+        out = sqm * (pencil.w * solve(pencil.mass * (pencil.w * (z / sqm))))
         if q is not None:
             out = out - q @ (q.T @ out)
         return out
@@ -175,7 +137,7 @@ def _top_k(pencil, solver, k, seed, restrict=()):
                           return_eigenvectors=False)
     except spla.ArpackNoConvergence as exc:
         raise EigenSolveError(
-            f"kernel eigensolve at mu={solver.mu:.6g} did not converge"
+            f"kernel eigensolve at mu={mu:.6g} did not converge"
         ) from exc
     return np.sort(vals)[::-1][:k]
 
@@ -185,12 +147,14 @@ def top_eigenvalues_K(pencil, mu, k=3, seed=0, restrict=()):
 
     ``restrict`` names M-orthogonal complements to work in: "mean" drops
     constants, "w" drops the span of the potential samples (the subspace
-    on which the sharp resolvent bound holds).
+    on which the sharp resolvent bound holds).  ``mu`` must be positive.
     """
-    return _top_k(pencil, _ShiftedSolver(pencil, mu), k, seed, restrict)
+    if mu <= 0.0:
+        raise ValueError("mu must be positive")
+    return _top_k(pencil, mu, _shifted_solver(pencil, mu), k, seed, restrict)
 
 
-def _bisect_crossing(pencil, branch, lo, hi, f_lo, k, seed, tops_at,
+def _bisect_crossing(branch, lo, hi, f_lo, k, seed, tops_at,
                      tol=1e-8, maxiter=100):
     # sorted branches of K_mu are decreasing in mu, so f = top_j - 1 has
     # one sign change per bracket and plain bisection is safe
@@ -232,12 +196,10 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
     def tops_at(mu, kk, sd, restrict=()):
         key = float(mu)
         if key not in solvers:
-            solvers[key] = _ShiftedSolver(pencil, key)
-        return _top_k(pencil, solvers[key], kk, sd, restrict)
+            solvers[key] = _shifted_solver(pencil, key)
+        return _top_k(pencil, key, solvers[key], kk, sd, restrict)
 
-    lam1_perp = float(smallest_eigenpairs(
-        pencil.k_stiff, pencil.mass, k=2, seed=seed
-    ).eigenvalues[1])
+    lam1_perp = stiffness_lam1(pencil, seed)
 
     tops = np.empty((steps, k))
     restricted = np.empty(steps)
@@ -268,7 +230,7 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
             if not (f[s] > 0.0 >= f[s + 1]):
                 continue
             mu0, err = _bisect_crossing(
-                pencil, j, grid[s], grid[s + 1], f[s], k, seed, tops_at,
+                j, grid[s], grid[s + 1], f[s], k, seed, tops_at,
             )
             if err > 1e-8:
                 warnings.append(
@@ -288,7 +250,8 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
     if crossings:
         want = min(pencil.n_vertices - 1, len(crossings) + 3)
         pencil_eigs = smallest_eigenpairs(
-            pencil.a_matrix(), pencil.mass, k=want, seed=seed
+            pencil.a_matrix(), pencil.mass, k=want, seed=seed,
+            sigma=pencil_floor_shift(maxw2),
         ).eigenvalues
         for mu0, j, err in sorted(crossings):
             lam = pencil_eigs[np.argmin(np.abs(pencil_eigs + mu0))]

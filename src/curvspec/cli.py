@@ -182,7 +182,6 @@ def _emit(report, args, timings):
 
 
 def _error_block(report, exc):
-    report["verdicts"] = report.get("verdicts")
     report["error"] = {"type": type(exc).__name__, "message": str(exc)}
     return report
 

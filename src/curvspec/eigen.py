@@ -1,4 +1,4 @@
-"""Symmetric generalized eigensolves against a diagonal (lumped) mass.
+"""Symmetric generalized eigensolves and shifted solves against a lumped mass.
 
 Two paths behind one entry point.  Small problems are symmetrized with
 M^(-1/2) and sent through LAPACK, which is exact and needs no tuning.
@@ -6,6 +6,10 @@ Larger ones go to ARPACK in shift-invert mode with a shift strictly below
 the bottom of the spectrum, so the smallest pencil eigenvalues come back
 first.  Both paths return M-orthonormal vectors and per-pair residuals
 so callers can check convergence instead of trusting it.
+
+Every solve with K + s*M in the package, the resolvent of the identities,
+the resolvent bound and the Birman-Schwinger kernel, goes through one
+factorization helper here.
 """
 
 from dataclasses import dataclass
@@ -17,7 +21,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import EigenSolveError
 
-__all__ = ["Spectrum", "smallest_eigenpairs", "rayleigh_quotient", "DENSE_LIMIT"]
+__all__ = ["Spectrum", "smallest_eigenpairs", "DENSE_LIMIT"]
 
 # crossover between the LAPACK and ARPACK paths, in vertices
 DENSE_LIMIT = 2000
@@ -44,13 +48,31 @@ class Spectrum:
                 fh.write("%d,%.17g,%.17g\n" % (i, lam, res))
 
 
-def rayleigh_quotient(a_mat, mass, x):
-    """<Ax, x> / <Mx, x> for a single vector."""
-    x = np.asarray(x, dtype=float)
-    denom = float(x @ (mass * x))
-    if denom <= 0.0:
-        raise ValueError("vector has zero M-norm")
-    return float(x @ (a_mat @ x)) / denom
+def _shifted_solver(pencil, shift):
+    """Factor K + shift*M once; return ``solve(b)`` for load vectors b.
+
+    K is positive semidefinite with the constants as its kernel, so any
+    shift > 0 gives a positive definite matrix, factored as it stands.  At
+    shift 0 the bordered system [[K, m], [m^T, 0]] with m = M 1 is factored
+    instead: the solve returns the mean-zero y with K y = b - c m, the
+    constant part c of b going into the multiplier.
+    """
+    if shift < 0.0:
+        raise ValueError(f"shift must be nonnegative, got {shift}")
+    nv = pencil.n_vertices
+    if shift > 0.0:
+        a = (pencil.k_stiff + shift * sp.diags(pencil.mass)).tocsc()
+    else:
+        m_col = sp.csc_matrix(pencil.mass.reshape(nv, 1))
+        a = sp.bmat([[pencil.k_stiff, m_col], [m_col.T, None]], format="csc")
+    n = a.shape[0]
+    lu = spla.splu(a)
+
+    def solve(b):
+        rhs = np.zeros(n)
+        rhs[:nv] = b
+        return lu.solve(rhs)[:nv]
+    return solve
 
 
 def _gershgorin_floor(a_mat, mass):

@@ -19,12 +19,10 @@ it validates the constrained solve, not the geometry.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import curvalg
 from .assemble import spectral_scale
-from .eigen import smallest_eigenpairs
+from .eigen import _shifted_solver, smallest_eigenpairs
 from .errors import BoundViolationError, CurvaturePositivityError
 
 __all__ = [
@@ -65,43 +63,25 @@ class DQuantities:
 
 
 class ZeroMeanResolvent:
-    """Equality-constrained solve of (K + shift*M) y = M g on mean-zero data.
+    """Solve of (K + shift*M) y = M g0 for the mean-zero part g0 of g.
 
-    K annihilates constants, so the plain system is singular at shift 0.
-    Instead of a pseudoinverse we factor the bordered saddle system
-    [[K + shift*M, m], [m^T, 0]] with m = M 1, which enforces the zero-mean
-    constraint on y exactly and absorbs any constant component left in the
-    right-hand side into the multiplier.
+    K annihilates constants, so the plain system is singular at shift 0;
+    there the factored system is the bordered one (see
+    eigen._shifted_solver), which keeps y mean-zero exactly.  For
+    shift > 0 a mean-zero load already gives a mean-zero y.
     """
 
     def __init__(self, pencil, shift=0.0):
         self.pencil = pencil
         self.shift = float(shift)
-        nv = pencil.n_vertices
-        a = pencil.k_stiff
-        if self.shift != 0.0:
-            a = a + self.shift * sp.diags(pencil.mass)
-        m_col = sp.csc_matrix(pencil.mass.reshape(nv, 1))
-        bordered = sp.bmat(
-            [[a, m_col], [m_col.T, None]], format="csc"
-        )
-        self._lu = spla.splu(bordered)
+        self._solve = _shifted_solver(pencil, self.shift)
         self._area = float(pencil.mass.sum())
 
     def solve(self, g):
         """Return the zero-mean y with (K + shift*M) y = M g0, g0 = g - mean."""
         g = np.asarray(g, dtype=float)
         mean = float(self.pencil.mass @ g) / self._area
-        rhs = np.zeros(self.pencil.n_vertices + 1)
-        rhs[:-1] = self.pencil.mass * (g - mean)
-        return self._lu.solve(rhs)[:-1]
-
-    def solve_rhs(self, b):
-        """Same solve for an already M-applied (load) right-hand side."""
-        b = np.asarray(b, dtype=float)
-        rhs = np.zeros(self.pencil.n_vertices + 1)
-        rhs[:-1] = b - (b.sum() / self._area) * self.pencil.mass
-        return self._lu.solve(rhs)[:-1]
+        return self._solve(self.pencil.mass * (g - mean))
 
 
 def lr_position_residual(mesh, field, pencil, r):
@@ -219,16 +199,14 @@ def resolvent_bound_check(pencil, mu, trials=100, seed=0, lam1=None):
     lam1 = stiffness_lam1(pencil, seed) if lam1 is None else float(lam1)
     a = pencil.mass
     area = float(a.sum())
-    solver = spla.splu(
-        (pencil.k_stiff + mu * sp.diags(a)).tocsc()
-    )
+    solve = _shifted_solver(pencil, mu)
     rng = np.random.default_rng(seed)
     worst = np.inf
     for _ in range(trials):
         g = rng.standard_normal(pencil.n_vertices)
         g -= float(a @ g) / area
         norm_g = np.sqrt(float(g @ (a * g)))
-        y = solver.solve(a * g)
+        y = solve(a * g)
         norm_y = np.sqrt(float(y @ (a * y)))
         allowed = norm_g / (lam1 + mu)
         margin = allowed - norm_y

@@ -6,13 +6,12 @@ table, connectivity diagnostics) are computed once and the arrays are marked
 read-only, so instances can be shared freely between threads.
 
 Vertex area is the barycentric third of the incident face areas.  The vertex
-normal is a weighted average of incident face normals; the default weight is
-the reciprocal product of the squared adjacent edge lengths ("max"), which
-reproduces the exact sphere normal whenever a vertex and its neighbors lie
-on a common sphere and measures second-order accurate on the curved test
-surfaces.  The classical angle weighting stays available ("angle") but its
-normal error is only first order on projected subdivision meshes, which
-stalls the curvature estimator; see the test suite for the comparison.
+normal is a weighted average of incident face normals, each weighted by the
+reciprocal product of the squared adjacent edge lengths (Max, J. Graphics
+Tools, 1999).  That reproduces the exact sphere normal whenever a vertex and
+its neighbors lie on a common sphere; the classical corner-angle weighting
+is only first order accurate on projected subdivision meshes, which would
+stall the curvature estimator.
 Faces are counter-clockwise as seen from outside, which makes a round
 sphere carry principal curvature +1/R downstream.
 """
@@ -47,10 +46,7 @@ _AREA_FLOOR_REL = 1e-14  # min face area relative to the mean, see validate()
 class TriMesh:
     """Indexed triangle surface with cached derived geometry."""
 
-    def __init__(self, vertices, faces, normal_weighting="max"):
-        if normal_weighting not in ("max", "angle"):
-            raise ValueError("normal_weighting must be 'max' or 'angle'")
-        self.normal_weighting = normal_weighting
+    def __init__(self, vertices, faces):
         v = np.array(vertices, dtype=float)
         f = np.array(faces, dtype=np.int64)
         if v.ndim != 2 or v.shape[1] != 3:
@@ -108,24 +104,14 @@ class TriMesh:
         for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             u = v[f[:, b]] - v[f[:, a]]
             w = v[f[:, c]] - v[f[:, a]]
-            if self.normal_weighting == "max":
-                # cross(u, w) = 2 * area * face normal; dividing by the
-                # squared edge lengths gives the sphere-exact weighting
-                d1 = np.einsum("ij,ij->i", u, u)
-                d2 = np.einsum("ij,ij->i", w, w)
-                good = (d1 > 0.0) & (d2 > 0.0)
-                wt = np.zeros(len(f))
-                wt[good] = 1.0 / (d1[good] * d2[good])
-                np.add.at(vn, f[:, a], wt[:, None] * np.cross(u, w))
-            else:
-                nu = np.linalg.norm(u, axis=1)
-                nw = np.linalg.norm(w, axis=1)
-                good = (nu > 0.0) & (nw > 0.0)
-                cos = np.zeros(len(f))
-                cos[good] = np.einsum("ij,ij->i", u[good], w[good]) / (nu[good] * nw[good])
-                ang = np.arccos(np.clip(cos, -1.0, 1.0))
-                ang[~good] = 0.0
-                np.add.at(vn, f[:, a], ang[:, None] * self.face_normals)
+            # cross(u, w) = 2 * area * face normal; dividing by the
+            # squared edge lengths gives the sphere-exact weighting
+            d1 = np.einsum("ij,ij->i", u, u)
+            d2 = np.einsum("ij,ij->i", w, w)
+            good = (d1 > 0.0) & (d2 > 0.0)
+            wt = np.zeros(len(f))
+            wt[good] = 1.0 / (d1[good] * d2[good])
+            np.add.at(vn, f[:, a], wt[:, None] * np.cross(u, w))
         norms = np.linalg.norm(vn, axis=1)
         ok = norms > 0.0
         vn[ok] /= norms[ok, None]
@@ -429,9 +415,8 @@ def write_off(mesh, path):
 def vertex_measures(mesh):
     """Barycentric vertex areas and unit vertex normals.
 
-    The normals use the mesh's ``normal_weighting``: Max's weights by
-    default (J. Graphics Tools, 1999), which are exact on a sphere, or
-    corner angles.
+    The normals carry Max's weights (J. Graphics Tools, 1999), which are
+    exact on a sphere.
 
     The areas partition the surface area exactly.  Raises on degenerate
     incident geometry (zero-area faces or a vertex whose weighted normal
@@ -478,4 +463,4 @@ def subdivide_project(mesh, target=None):
     children[1::4] = np.stack([f[:, 1], m12, m01], axis=1)
     children[2::4] = np.stack([f[:, 2], m20, m12], axis=1)
     children[3::4] = np.stack([m01, m12, m20], axis=1)
-    return TriMesh(np.vstack([v, mids]), children, normal_weighting=mesh.normal_weighting)
+    return TriMesh(np.vstack([v, mids]), children)

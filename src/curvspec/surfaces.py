@@ -25,7 +25,6 @@ __all__ = [
     "Torus",
     "from_params",
     "generate",
-    "exact_curvatures",
     "icosahedron",
 ]
 
@@ -346,14 +345,6 @@ def from_params(kind, **params):
     except KeyError:
         raise ValueError(f"unknown surface kind {kind!r}") from None
     return cls(**params)
-
-
-def exact_curvatures(surface, point):
-    """Principal curvatures at a point that must already lie on the surface."""
-    d = surface.surface_distance(point)
-    if np.any(np.asarray(d) > 1e-9 * surface.characteristic_size):
-        raise ValueError("point is not on the surface")
-    return surface.principal_curvatures(point)
 
 
 def icosahedron():

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curvalg
-from .assemble import assemble_pencil, spectral_scale, with_potential_squared
+from .assemble import (assemble_pencil, pencil_floor_shift, spectral_scale,
+                       with_potential_squared)
 from .curvature import compute_curvature
 from .eigen import smallest_eigenpairs
 from .errors import BoundViolationError
@@ -110,12 +111,10 @@ class LemmaReport:
 
 
 def _smallest(pencil, max_w2, config):
-    # stiffness is positive semidefinite, so the pencil is bounded below
-    # by -max(W^2); a shift just under that keeps shift-invert honest
     return smallest_eigenpairs(
         pencil.a_matrix(), pencil.mass, k=config.k, tol=config.eig_tol,
         seed=config.seed, method=config.method,
-        sigma=-1.1 * max_w2 - 0.1 * (max_w2 + 1.0),
+        sigma=pencil_floor_shift(max_w2),
     )
 
 

@@ -1,8 +1,11 @@
-"""Write the golden `verify` and `identities` reports under tests/golden/.
+"""Write the golden `verify`, `identities` and `bs-scan` reports.
 
 Run from the root of a checkout:
 
-    PYTHONPATH=src python tests/golden/make_golden.py
+    PYTHONPATH=src python tests/golden/make_golden.py [COMMAND ...]
+
+With no arguments every fixture under tests/golden/ is rewritten; naming
+commands (for example `bs-scan`) rewrites only theirs.
 
 Each fixture holds the argv it was made with, the exit code, the report
 (written with --no-embed-timings --seed 0) and the tolerance that
@@ -33,7 +36,7 @@ SHAPES = {
 }
 
 # (shape, subdiv, r); ellipsoid subdiv 4 (V=2562) takes the iterative path
-CASES = (
+ANALYSIS_CASES = (
     ("sphere", 3, 0), ("sphere", 3, 1),
     ("ellipsoid", 3, 0), ("ellipsoid", 3, 1),
     ("bumped", 3, 0), ("bumped", 3, 1),
@@ -41,7 +44,18 @@ CASES = (
     ("ellipsoid", 4, 1),
 )
 
-COMMANDS = ("verify", "identities")
+# the scan is the slow command: one dense-path case per order and the
+# iterative V=2562 case of the bs-scan benchmark workload
+SCAN_CASES = (
+    ("sphere", 3, 0), ("ellipsoid", 3, 1),
+    ("ellipsoid", 4, 0),
+)
+
+# (command, shape, subdiv, r)
+CASES = tuple(
+    (command, *case)
+    for case in ANALYSIS_CASES for command in ("verify", "identities")
+) + tuple(("bs-scan", *case) for case in SCAN_CASES)
 
 
 def fixture_name(command, shape, subdiv, r):
@@ -70,20 +84,21 @@ def run_case(argv, workdir):
         return code, json.load(fh)
 
 
-def main():
+def main(commands=()):
     with tempfile.TemporaryDirectory() as workdir:
-        for shape, subdiv, r in CASES:
-            for command in COMMANDS:
-                argv = case_argv(command, shape, subdiv, r)
-                code, report = run_case(argv, workdir)
-                blob = {"argv": argv, "exit_code": code, "rtol": RTOL,
-                        "atol": ATOL, "report": report}
-                path = os.path.join(HERE, fixture_name(command, shape, subdiv, r))
-                with open(path, "w", encoding="utf-8") as fh:
-                    json.dump(blob, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                print(f"wrote {path} (exit {code})", file=sys.stderr)
+        for command, shape, subdiv, r in CASES:
+            if commands and command not in commands:
+                continue
+            argv = case_argv(command, shape, subdiv, r)
+            code, report = run_case(argv, workdir)
+            blob = {"argv": argv, "exit_code": code, "rtol": RTOL,
+                    "atol": ATOL, "report": report}
+            path = os.path.join(HERE, fixture_name(command, shape, subdiv, r))
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(blob, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            print(f"wrote {path} (exit {code})", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -63,6 +63,15 @@ def dense_pencil_eigenvalues(a_mat, mass, k):
     return vals[:k]
 
 
+def rayleigh_quotient(a_mat, mass, x):
+    """<Ax, x> / <Mx, x> for a single vector."""
+    x = np.asarray(x, dtype=float)
+    denom = float(x @ (mass * x))
+    if denom <= 0.0:
+        raise ValueError("vector has zero M-norm")
+    return float(x @ (a_mat @ x)) / denom
+
+
 def dense_K_mu_eigenvalues(pencil, mu, k):
     """Largest k eigenvalues of the kernel built as an explicit dense matrix.
 

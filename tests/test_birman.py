@@ -21,15 +21,6 @@ def ellipsoid_scan(ellipsoid_pencil):
 
 
 class TestKernelOperator:
-    def test_m_symmetry(self, ellipsoid_pencil):
-        p = ellipsoid_pencil
-        rng = np.random.default_rng(0)
-        g, h = rng.normal(size=(2, p.n_vertices))
-        left = (birman.apply_K_mu(p, 1.5, g) * p.mass) @ h
-        right = g @ (p.mass * birman.apply_K_mu(p, 1.5, h))
-        scale = np.linalg.norm(g) * np.linalg.norm(h)
-        assert abs(left - right) < 1e-12 * scale
-
     def test_matches_dense_oracle(self, ellipsoid_pencil):
         for mu in (0.5, 2.0, 20.0):
             ours = birman.top_eigenvalues_K(ellipsoid_pencil, mu, k=4, seed=0)
@@ -54,23 +45,9 @@ class TestKernelOperator:
         top = birman.top_eigenvalues_K(pencil, 1e-3, k=1, seed=0, restrict=("w",))[0]
         assert 0.95 < top <= 1.0 + 1e-8
 
-    def test_zero_vector_maps_to_zero(self, ellipsoid_pencil):
-        out = birman.apply_K_mu(
-            ellipsoid_pencil, 1.0, np.zeros(ellipsoid_pencil.n_vertices)
-        )
-        assert np.max(np.abs(out)) == 0.0
-
     def test_positive_mu_required(self, ellipsoid_pencil):
         with pytest.raises(ValueError):
-            birman.apply_K_mu(ellipsoid_pencil, 0.0, np.ones(ellipsoid_pencil.n_vertices))
-
-    def test_cg_fallback_agrees(self, ellipsoid_pencil):
-        p = ellipsoid_pencil
-        rng = np.random.default_rng(3)
-        b = rng.normal(size=p.n_vertices)
-        direct = birman._ShiftedSolver(p, 2.0).solve(b)
-        viacg = birman._ShiftedSolver(p, 2.0, force_cg=True).solve(b)
-        assert np.linalg.norm(direct - viacg) < 1e-8 * np.linalg.norm(direct)
+            birman.top_eigenvalues_K(ellipsoid_pencil, 0.0)
 
 
 class TestScan:

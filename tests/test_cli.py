@@ -4,6 +4,8 @@ import dataclasses
 import gc
 import importlib
 import json
+import os
+import shlex
 import subprocess
 import sys
 
@@ -277,6 +279,28 @@ class TestOtherCommands:
         assert run(["verify", "--shape", "dodecahedron"]) == 64
         assert run(["frobnicate"]) == 64
         assert run([]) == 64
+
+
+def readme_commands():
+    """Every `curvspec ...` line inside a README code block, continuations joined."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read().replace("\\\n", " ")
+    blocks = text.split("```")[1::2]
+    return [line.strip() for block in blocks for line in block.splitlines()
+            if line.strip().startswith("curvspec ")]
+
+
+class TestReadme:
+    def test_command_examples_parse(self):
+        commands = readme_commands()
+        assert len(commands) >= 8
+        parser, _ = cli.build_parser()
+        for line in commands:
+            try:
+                parser.parse_args(shlex.split(line)[1:])
+            except cli.UsageError as exc:
+                pytest.fail(f"README example {line!r}: {exc}")
 
 
 class TestEntryPoints:

@@ -95,7 +95,7 @@ class TestSpectrumContract:
         spec = eigen.smallest_eigenpairs(
             sphere_pencil.a_matrix(), sphere_pencil.mass, 5, method="iterative"
         )
-        m = sphere_pencil.m_matrix()
+        m = sp.diags(sphere_pencil.mass)
         gram = spec.eigenvectors.T @ (m @ spec.eigenvectors)
         assert np.max(np.abs(gram - np.eye(5))) < 1e-10
 
@@ -103,7 +103,7 @@ class TestSpectrumContract:
         a = sphere_pencil.a_matrix()
         spec = eigen.smallest_eigenpairs(a, sphere_pencil.mass, 4)
         for i in range(4):
-            rq = eigen.rayleigh_quotient(a, sphere_pencil.mass, spec.eigenvectors[:, i])
+            rq = oracles.rayleigh_quotient(a, sphere_pencil.mass, spec.eigenvectors[:, i])
             assert rq == pytest.approx(spec.eigenvalues[i], abs=1e-9)
 
     def test_rayleigh_of_constants_is_minus_mean_w2(self, sphere_pencil):
@@ -111,7 +111,7 @@ class TestSpectrumContract:
         a = sphere_pencil.a_matrix()
         m = sphere_pencil.mass
         ones = np.ones(sphere_pencil.n_vertices)
-        rq = eigen.rayleigh_quotient(a, m, ones)
+        rq = oracles.rayleigh_quotient(a, m, ones)
         want = -float(m @ sphere_pencil.w**2) / float(m.sum())
         assert rq == pytest.approx(want, rel=1e-12)
         assert rq < 0.0
@@ -126,12 +126,12 @@ class TestSpectrumContract:
         rng = np.random.default_rng(17)
         for _ in range(20):
             x = rng.normal(size=nv)
-            rq = eigen.rayleigh_quotient(a, m, x)
+            rq = oracles.rayleigh_quotient(a, m, x)
             assert full[0] - 1e-10 <= rq <= full[-1] + 1e-10
 
     def test_rayleigh_zero_vector(self, sphere_pencil):
         with pytest.raises(ValueError):
-            eigen.rayleigh_quotient(
+            oracles.rayleigh_quotient(
                 sphere_pencil.a_matrix(),
                 sphere_pencil.mass,
                 np.zeros(sphere_pencil.n_vertices),
@@ -153,6 +153,30 @@ class TestSpectrumContract:
         assert rows[0] == "index,eigenvalue,residual"
         assert len(rows) == 4
         assert float(rows[1].split(",")[1]) == pytest.approx(spec.eigenvalues[0])
+
+
+class TestShiftedSolver:
+    def test_positive_shift_solves_shifted_system(self, sphere_pencil):
+        p = sphere_pencil
+        b = np.random.default_rng(5).normal(size=p.n_vertices)
+        y = eigen._shifted_solver(p, 2.0)(b)
+        resid = p.k_stiff @ y + 2.0 * p.mass * y - b
+        assert np.linalg.norm(resid) < 1e-10 * np.linalg.norm(b)
+
+    def test_zero_shift_returns_mean_zero_solution(self, sphere_pencil):
+        # K kills constants: the constant part of b goes into the bordered
+        # system's multiplier and y comes back with zero M-mean
+        p = sphere_pencil
+        b = np.random.default_rng(6).normal(size=p.n_vertices) + 3.0
+        y = eigen._shifted_solver(p, 0.0)(b)
+        assert abs(p.mass @ y) < 1e-10 * np.linalg.norm(p.mass * y)
+        load = b - b.sum() / p.mass.sum() * p.mass
+        resid = p.k_stiff @ y - load
+        assert np.linalg.norm(resid) < 1e-10 * np.linalg.norm(load)
+
+    def test_negative_shift_rejected(self, sphere_pencil):
+        with pytest.raises(ValueError):
+            eigen._shifted_solver(sphere_pencil, -1.0)
 
 
 class TestValidation:

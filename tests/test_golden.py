@@ -1,4 +1,4 @@
-"""Golden `verify` and `identities` reports under --no-embed-timings.
+"""Golden `verify`, `identities` and `bs-scan` reports under --no-embed-timings.
 
 Every float is compared under the rtol/atol recorded inside its fixture;
 every other value (verdicts, counts, flags, the config block, key sets)
@@ -51,7 +51,7 @@ def mismatches(got, want, rtol, atol, path="report"):
 
 
 def test_fixtures_present():
-    assert len(FIXTURES) == 16
+    assert len(FIXTURES) == 19
 
 
 @pytest.mark.parametrize("path", FIXTURES, ids=os.path.basename)

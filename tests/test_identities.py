@@ -134,14 +134,6 @@ class TestResolvent:
         err = np.linalg.norm(pencil.k_stiff @ y - load) / np.linalg.norm(load)
         assert err < 1e-10
 
-    def test_solve_rhs_matches_solve(self):
-        _, _, pencil = get_pipeline("sphere", 3, 0)
-        res = idn.ZeroMeanResolvent(pencil)
-        rng = np.random.default_rng(2)
-        g = rng.normal(size=pencil.n_vertices)
-        mean = (pencil.mass @ g) / pencil.mass.sum()
-        assert np.allclose(res.solve_rhs(pencil.mass * (g - mean)), res.solve(g))
-
     def test_shifted_solve(self):
         _, _, pencil = get_pipeline("sphere", 3, 0)
         res = idn.ZeroMeanResolvent(pencil, shift=2.5)

@@ -68,12 +68,6 @@ class TestTriMesh:
             TriMesh(TETRA_V, TETRA_F[:, :2])
         with pytest.raises(ValueError):
             TriMesh(TETRA_V, [[0, 1, 7], [0, 2, 1]])
-        with pytest.raises(ValueError):
-            TriMesh(TETRA_V, TETRA_F, normal_weighting="nope")
-
-    def test_angle_weighting_available(self):
-        mesh = TriMesh(TETRA_V, TETRA_F, normal_weighting="angle")
-        assert np.allclose(np.linalg.norm(mesh.vertex_normals, axis=1), 1.0)
 
     def test_open_boundary_reported(self):
         mesh = TriMesh(TETRA_V, TETRA_F[:2])

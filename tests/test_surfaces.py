@@ -171,11 +171,6 @@ class TestGenerate:
         again = surfaces.from_params(kind, **d)
         assert again == e
 
-    def test_exact_curvatures_guard(self):
-        s = surfaces.Sphere(1.0)
-        with pytest.raises(ValueError):
-            surfaces.exact_curvatures(s, np.array([2.0, 0, 0]))
-
     def test_box_mesh_valid(self):
         rep = validate(oracles.box_mesh(3))
         assert rep.passed and rep.euler_characteristic == 2
