@@ -4,8 +4,10 @@ K_mu g = W (K + mu M)^(-1) M (W g), symmetric and positive in the M-inner
 product.  Its top eigenvalue decreases in mu, and -mu is an eigenvalue of
 the penalized pencil exactly when 1 is an eigenvalue of K_mu; in finite
 dimensions this correspondence is an algebraic identity, so scanning mu
-and bisecting the unit crossings recovers the negative spectrum from
-resolvent applications alone.
+and locating the unit crossings recovers the negative spectrum from
+resolvent applications alone.  Each crossing is found by a safeguarded
+Newton iteration inside its grid cell; the slope of a branch comes from
+Hellmann-Feynman, one extra solve with the factor already built at mu.
 
 Two norm bounds are tracked side by side.  Without any restriction the
 resolvent sees the constant mode, so the honest full-space bound is
@@ -15,6 +17,7 @@ because exactly then the argument W g has zero mean.  bound_check carries
 both pairs so neither inequality is overstated.
 """
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +37,8 @@ __all__ = [
 
 _DENSE_APPLY_LIMIT = 64   # tiny problems: build K_mu by columns, use LAPACK
 
+log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True, eq=False)
 class Crossing:
@@ -42,6 +47,7 @@ class Crossing:
     eig_error: float            # |top_branch(mu0) - 1| actually achieved
     matched_eigenvalue: float   # pencil eigenvalue nearest to -mu0
     match_error: float          # |lambda + mu0| / mu0
+    evaluations: int            # K_mu factorizations spent locating mu0
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,6 +82,7 @@ class BSScanResult:
                     "eig_error": c.eig_error,
                     "matched_eigenvalue": c.matched_eigenvalue,
                     "match_error": c.match_error,
+                    "evaluations": c.evaluations,
                 }
                 for c in self.crossings
             ],
@@ -105,10 +112,12 @@ def _restriction_basis(pencil, restrict, sqm):
     return q
 
 
-def _top_k(pencil, mu, solve, k, seed, restrict=()):
+def _top_k(pencil, mu, solve, k, seed, restrict=(), vectors=False):
     """k largest eigenvalues of K_mu (optionally restricted), descending.
 
-    ``solve`` applies (K + mu M)^(-1), factored once by the caller.
+    ``solve`` applies (K + mu M)^(-1), factored once by the caller.  With
+    ``vectors`` the pair (values, g) is returned instead, g holding the
+    M-orthonormal eigenvectors as columns in the same order.
     """
     nv = pencil.n_vertices
     if not 1 <= k <= nv - 1:
@@ -126,20 +135,33 @@ def _top_k(pencil, mu, solve, k, seed, restrict=()):
 
     if nv <= _DENSE_APPLY_LIMIT:
         cols = np.stack([sym_apply(e) for e in np.eye(nv)], axis=1)
-        vals = np.linalg.eigvalsh(0.5 * (cols + cols.T))
-        return vals[::-1][:k]
+        vals, z = np.linalg.eigh(0.5 * (cols + cols.T))
+    else:
+        op = spla.LinearOperator((nv, nv), matvec=sym_apply)
+        v0 = np.random.default_rng(seed).standard_normal(nv)
+        kk = min(k + 2, nv - 1)
+        try:
+            out = spla.eigsh(op, k=kk, which="LA", v0=v0,
+                             return_eigenvectors=vectors)
+        except spla.ArpackNoConvergence as exc:
+            raise EigenSolveError(
+                f"kernel eigensolve at mu={mu:.6g} did not converge"
+            ) from exc
+        vals, z = out if vectors else (out, None)
+    order = np.argsort(vals)[::-1][:k]
+    if not vectors:
+        return vals[order]
+    return vals[order], z[:, order] / sqm[:, None]
 
-    op = spla.LinearOperator((nv, nv), matvec=sym_apply)
-    v0 = np.random.default_rng(seed).standard_normal(nv)
-    kk = min(k + 2, nv - 1)
-    try:
-        vals = spla.eigsh(op, k=kk, which="LA", v0=v0,
-                          return_eigenvectors=False)
-    except spla.ArpackNoConvergence as exc:
-        raise EigenSolveError(
-            f"kernel eigensolve at mu={mu:.6g} did not converge"
-        ) from exc
-    return np.sort(vals)[::-1][:k]
+
+def _hf_slope(pencil, solve, g):
+    """d/dmu of the K_mu eigenvalue whose M-normalized eigenvector is g.
+
+    Hellmann-Feynman: with y = (K + mu M)^(-1) M W g the derivative is
+    -y^T M y, one solve with the factor already built at mu.
+    """
+    y = solve(pencil.mass * (pencil.w * g))
+    return -float(y @ (pencil.mass * y))
 
 
 def top_eigenvalues_K(pencil, mu, k=3, seed=0, restrict=()):
@@ -154,31 +176,44 @@ def top_eigenvalues_K(pencil, mu, k=3, seed=0, restrict=()):
     return _top_k(pencil, mu, _shifted_solver(pencil, mu), k, seed, restrict)
 
 
-def _bisect_crossing(branch, lo, hi, f_lo, k, seed, tops_at,
-                     tol=1e-8, maxiter=100):
-    # sorted branches of K_mu are decreasing in mu, so f = top_j - 1 has
-    # one sign change per bracket and plain bisection is safe
-    f_mid = f_lo
-    mid = lo
-    for _ in range(maxiter):
-        mid = 0.5 * (lo + hi)
-        f_mid = tops_at(mid, k, seed)[branch] - 1.0
-        if abs(f_mid) <= tol:
-            return mid, abs(f_mid)
-        if f_lo * f_mid <= 0.0:
-            hi = mid
+def _newton_root(fn, lo, hi, f_lo, f_hi, tol=1e-12, maxiter=50, label=""):
+    """Root of a decreasing f in [lo, hi], given f(lo) > 0 >= f(hi).
+
+    ``fn(mu)`` returns (f(mu), f'(mu)).  The first iterate is the
+    regula-falsi point of the two endpoint values; each later one is the
+    Newton step from the last, or the bracket midpoint when that step
+    leaves the shrinking bracket (or the slope is not negative), so every
+    iterate stays inside it.  Stops once |f| <= tol or after ``maxiter``
+    evaluations; returns (mu, |f(mu)|, evaluations) for the last iterate.
+    """
+    mu = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    kind = "regula-falsi"
+    for n in range(1, maxiter + 1):
+        f, slope = fn(mu)
+        log.debug("%s mu=%.17g f=%.3e step=%s", label, mu, f, kind)
+        if abs(f) <= tol or n == maxiter:
+            return mu, abs(f), n
+        if f > 0.0:
+            lo = mu
         else:
-            lo, f_lo = mid, f_mid
-    return mid, abs(f_mid)
+            hi = mu
+        if slope < 0.0 and lo < mu - f / slope < hi:
+            mu, kind = mu - f / slope, "newton"
+        else:
+            mu, kind = 0.5 * (lo + hi), "bisect"
 
 
 def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
-    """Scan the top-k K_mu eigenvalues on a geometric grid, bisect crossings.
+    """Scan the top-k K_mu eigenvalues on a geometric grid, locate crossings.
 
     Defaults span [1e-3, 10] times max(W^2), where crossings concentrate
-    for near-spherical shapes.  Every detected unit crossing is matched
-    against the directly computed pencil spectrum; mismatches and branch
-    ambiguities surface in the warnings list rather than silently.
+    for near-spherical shapes.  Each grid point factors K + mu M once, for
+    the unrestricted and the W-restricted eigensolve, and drops the factor.
+    A branch that crosses 1 inside a cell is followed by safeguarded Newton
+    on its Hellmann-Feynman slope, again one factorization per iterate and
+    none kept.  Every detected unit crossing is matched against the
+    directly computed pencil spectrum; mismatches and branch ambiguities
+    surface in the warnings list rather than silently.
     """
     maxw2 = float(np.max(pencil.w**2))
     if mu_min is None:
@@ -191,21 +226,23 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
         raise ValueError("need at least 2 grid points")
 
     grid = np.geomspace(mu_min, mu_max, steps)
-    solvers = {}
-
-    def tops_at(mu, kk, sd, restrict=()):
-        key = float(mu)
-        if key not in solvers:
-            solvers[key] = _shifted_solver(pencil, key)
-        return _top_k(pencil, key, solvers[key], kk, sd, restrict)
-
     lam1_perp = stiffness_lam1(pencil, seed)
 
     tops = np.empty((steps, k))
     restricted = np.empty(steps)
     for s, mu in enumerate(grid):
-        tops[s] = tops_at(mu, k, seed)
-        restricted[s] = tops_at(mu, 1, seed, restrict=("w",))[0]
+        solve = _shifted_solver(pencil, mu)
+        tops[s] = _top_k(pencil, mu, solve, k, seed)
+        restricted[s] = _top_k(pencil, mu, solve, 1, seed,
+                               restrict=("w",))[0]
+    del solve   # no factor outlives its mu
+
+    def branch(j):
+        def f_and_slope(mu):
+            solve = _shifted_solver(pencil, mu)
+            vals, g = _top_k(pencil, mu, solve, k, seed, vectors=True)
+            return vals[j] - 1.0, _hf_slope(pencil, solve, g[:, j])
+        return f_and_slope
 
     warnings = []
     for j in range(k):
@@ -222,23 +259,26 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
     for j in range(k):
         f = tops[:, j] - 1.0
         if f[0] == 0.0:
-            # grid edge sitting exactly on a crossing; no cell to bisect
+            # grid edge sitting exactly on a crossing; no cell to search
             cells_hit.setdefault(0, []).append(j)
-            crossings.append((float(grid[0]), j, 0.0))
+            crossings.append((float(grid[0]), j, 0.0, 0))
         for s in range(steps - 1):
             # a zero endpoint belongs to the cell on its left, never both
             if not (f[s] > 0.0 >= f[s + 1]):
                 continue
-            mu0, err = _bisect_crossing(
-                j, grid[s], grid[s + 1], f[s], k, seed, tops_at,
+            mu0, err, evals = _newton_root(
+                branch(j), grid[s], grid[s + 1], f[s], f[s + 1],
+                label=f"branch {j}",
             )
+            # Newton aims at 1e-12; a crossing only counts as unresolved
+            # above the 1e-8 the crossing quality has always been held to
             if err > 1e-8:
                 warnings.append(
                     f"crossing on branch {j} near mu={mu0:.6g} stopped at "
                     f"|eig-1|={err:.3g}; refine the grid"
                 )
             cells_hit.setdefault(s, []).append(j)
-            crossings.append((mu0, j, err))
+            crossings.append((mu0, j, err, evals))
     for s, branches in cells_hit.items():
         if len(branches) > 1:
             warnings.append(
@@ -253,12 +293,13 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
             pencil.a_matrix(), pencil.mass, k=want, seed=seed,
             sigma=pencil_floor_shift(maxw2),
         ).eigenvalues
-        for mu0, j, err in sorted(crossings):
+        for mu0, j, err, evals in sorted(crossings):
             lam = pencil_eigs[np.argmin(np.abs(pencil_eigs + mu0))]
             matched.append(Crossing(
                 mu0=float(mu0), branch=int(j), eig_error=float(err),
                 matched_eigenvalue=float(lam),
                 match_error=float(abs(lam + mu0) / mu0),
+                evaluations=int(evals),
             ))
 
     bound = np.column_stack([

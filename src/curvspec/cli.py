@@ -16,6 +16,8 @@ the one intentionally nondeterministic block.
 
 A key = value config file (--config) supplies defaults; explicit flags win.
 The CURVSPEC_OUTDIR environment variable rebases relative output paths.
+--log-level sends the package's stdlib logging to stderr; nothing is logged
+by default and nothing logged ever enters a report.
 
 Flag naming note: `generate` follows the surface convention (--R major,
 --r minor radius for the torus); the analysis commands use --r for the
@@ -23,7 +25,9 @@ operator order and spell out --major-radius/--minor-radius instead.
 """
 
 import argparse
+import contextlib
 import json
+import logging
 import os
 import sys
 import time
@@ -160,7 +164,8 @@ def _curvature_summary(field, pencil):
 def _config_block(args, command):
     block = {"command": command}
     for key, val in sorted(vars(args).items()):
-        if key == "func" or callable(val):
+        # the log level changes what reaches stderr, never a number
+        if key in ("func", "log_level") or callable(val):
             continue
         block[key] = val
     return block
@@ -410,6 +415,27 @@ def _add_common_flags(p):
     p.add_argument("--output", "-o", help="output path (JSON or mesh)")
     p.add_argument("--no-embed-timings", action="store_true",
                    help="null the timings block for byte-stable output")
+    p.add_argument("--log-level", choices=["debug", "info", "warning"],
+                   default=None, help="log to stderr at this level")
+
+
+@contextlib.contextmanager
+def _logging_to_stderr(level):
+    """Route the package logger to stderr at ``level`` for one command."""
+    if level is None:
+        yield
+        return
+    logger = logging.getLogger("curvspec")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    old_level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(level.upper())
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(old_level)
 
 
 def build_parser():
@@ -460,7 +486,8 @@ def main(argv=None):
                     raise UsageError(f"unknown config key {key!r}")
             sub.set_defaults(**file_vals)
             args = parser.parse_args(argv)
-        return args.func(args)
+        with _logging_to_stderr(args.log_level):
+            return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64

@@ -1,5 +1,10 @@
 """Birman-Schwinger kernel, crossing scan, and operator bounds."""
 
+import functools
+import logging
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -48,6 +53,82 @@ class TestKernelOperator:
     def test_positive_mu_required(self, ellipsoid_pencil):
         with pytest.raises(ValueError):
             birman.top_eigenvalues_K(ellipsoid_pencil, 0.0)
+
+    @pytest.mark.parametrize("subdiv", [1, 3])   # dense and ARPACK paths
+    def test_hellmann_feynman_slope(self, subdiv):
+        _, _, p = get_pipeline("ellipsoid", subdiv, 1)
+        for mu in (0.5, 2.0):
+            solve = eigen._shifted_solver(p, mu)
+            _, g = birman._top_k(p, mu, solve, 3, 0, vectors=True)
+            slopes = [birman._hf_slope(p, solve, g[:, j]) for j in range(3)]
+            h = 1e-4 * mu
+            fd = (birman.top_eigenvalues_K(p, mu + h, k=3)
+                  - birman.top_eigenvalues_K(p, mu - h, k=3)) / (2 * h)
+            np.testing.assert_allclose(slopes, fd, rtol=1e-5)
+
+
+class TestNewtonRoot:
+    @staticmethod
+    def recorded(f, slope):
+        seen = []
+
+        def fn(x):
+            seen.append(x)
+            return f(x), slope(x)
+        return fn, seen
+
+    def test_quadratic_convergence(self):
+        # f = exp(-x) - 1/2 decreases through its root ln 2 in [0.5, 1]
+        fn, seen = self.recorded(lambda x: math.exp(-x) - 0.5,
+                                 lambda x: -math.exp(-x))
+        x, err, n = birman._newton_root(
+            fn, 0.5, 1.0, math.exp(-0.5) - 0.5, math.exp(-1.0) - 0.5)
+        assert err <= 1e-12 and abs(x - math.log(2)) <= 1e-12
+        assert n == len(seen) <= 5
+        errs = [abs(v - math.log(2)) for v in seen]
+        for prev, nxt in zip(errs, errs[1:]):
+            assert nxt <= prev**2 + 1e-15
+
+    # f = 1 - x^3 on [0, 4], with a slope 1e6 times too shallow: every
+    # Newton step leaves the bracket
+    @classmethod
+    def shallow(cls):
+        return cls.recorded(lambda x: 1.0 - x**3, lambda x: -1e-6)
+
+    def test_bisection_fallback(self, caplog):
+        fn, seen = self.shallow()
+        with caplog.at_level(logging.DEBUG, logger="curvspec.birman"):
+            x, err, n = birman._newton_root(fn, 0.0, 4.0, 1.0, -63.0,
+                                            tol=1e-6, label="cubic")
+        assert abs(x - 1.0) <= 1e-6 and err <= 1e-6
+        assert seen[0] == 4.0 / 64.0   # regula falsi
+        lo, hi = 0.0, 4.0
+        for prev, nxt in zip(seen, seen[1:]):
+            if prev**3 < 1.0:
+                lo = prev
+            else:
+                hi = prev
+            assert nxt == 0.5 * (lo + hi)
+        lines = [r.getMessage() for r in caplog.records]
+        assert len(lines) == n == len(seen)
+        assert lines[0].startswith("cubic mu=")
+        assert lines[0].endswith("step=regula-falsi")
+        assert all(ln.endswith("step=bisect") for ln in lines[1:])
+
+    def test_maxiter_exit(self):
+        fn, seen = self.shallow()
+        x, err, n = birman._newton_root(fn, 0.0, 4.0, 1.0, -63.0, maxiter=3)
+        assert n == len(seen) == 3
+        assert x == seen[-1] and err == abs(1.0 - x**3) > 1e-12
+
+    def test_maxiter_exit_warns_in_scan(self, ellipsoid_pencil, monkeypatch):
+        monkeypatch.setattr(birman, "_newton_root", functools.partial(
+            birman._newton_root, maxiter=1))
+        res = birman.scan_crossings(ellipsoid_pencil, steps=32, k=3, seed=0)
+        stopped = [w for w in res.warnings if "stopped at |eig-1|=" in w]
+        assert len(stopped) == len(res.crossings) == 2
+        assert all("refine the grid" in w for w in stopped)
+        assert all(c.evaluations == 1 for c in res.crossings)
 
 
 class TestScan:
@@ -100,6 +181,28 @@ class TestScan:
         with pytest.raises(ValueError):
             birman.scan_crossings(ellipsoid_pencil, mu_min=5.0, mu_max=1.0)
 
+    def test_one_factorization_per_grid_point(self, ellipsoid_pencil,
+                                              monkeypatch):
+        shifts = Counter()
+        factor = birman._shifted_solver
+
+        def counted(pencil, mu):
+            shifts[float(mu)] += 1
+            return factor(pencil, mu)
+
+        monkeypatch.setattr(birman, "_shifted_solver", counted)
+        res = birman.scan_crossings(ellipsoid_pencil, steps=32, k=3, seed=0)
+        assert all(shifts[float(mu)] == 1 for mu in res.mu_grid)
+        newton = sum(shifts.values()) - len(res.mu_grid)
+        assert newton == sum(c.evaluations for c in res.crossings)
+        assert len(res.crossings) == 2
+        for c in res.crossings:
+            assert 1 <= c.evaluations <= 6
+            assert c.eig_error <= 1e-8
+        # the one note this scan has always carried: both crossings share
+        # a grid cell
+        assert all("all cross 1 between" in w for w in res.warnings)
+
     def test_sphere_crossing_at_two(self):
         # the only negative pencil eigenvalue on the unit sphere is -2
         _, _, pencil = get_pipeline("sphere", 3, 0)
@@ -121,3 +224,6 @@ class TestSerialization:
         assert set(blob) >= {"mu_grid", "top_eigenvalues", "crossings", "bound_check", "warnings"}
         assert len(blob["crossings"]) == 2
         assert all(isinstance(c["mu0"], float) for c in blob["crossings"])
+        assert [c["evaluations"] for c in blob["crossings"]] == [
+            c.evaluations for c in ellipsoid_scan.crossings]
+        assert all(isinstance(c["evaluations"], int) for c in blob["crossings"])

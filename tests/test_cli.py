@@ -155,6 +155,24 @@ class TestDeterminism:
         assert run(argv) == 0
         assert out.read_bytes() == first
 
+    def test_log_level_leaves_report_unchanged(self, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        argv = [
+            "bs-scan", "--shape", "ellipsoid", "--a", "2", "--b", "1",
+            "--c", "1", "--subdiv", "2", "--r", "0", "-o", str(out),
+            "--no-embed-timings",
+        ]
+        assert run(argv) == 0
+        plain = out.read_bytes()
+        assert capsys.readouterr().err == ""
+        assert run(argv + ["--log-level", "debug"]) == 0
+        assert out.read_bytes() == plain
+        lines = capsys.readouterr().err.splitlines()
+        assert lines and all(ln.startswith("DEBUG curvspec.birman: branch ")
+                             for ln in lines)
+        assert sum(c["evaluations"] for c in json.loads(plain)[
+            "birman_schwinger"]["crossings"]) == len(lines)
+
     def test_timings_embedded_by_default(self, tmp_path):
         out = tmp_path / "rep.json"
         run(["verify", "--shape", "sphere", "--subdiv", "1", "--r", "0", "-o", str(out)])
