@@ -35,8 +35,6 @@ __all__ = [
     "scan_crossings",
 ]
 
-_DENSE_APPLY_LIMIT = 64   # tiny problems: build K_mu by columns, use LAPACK
-
 log = logging.getLogger(__name__)
 
 
@@ -133,21 +131,17 @@ def _top_k(pencil, mu, solve, k, seed, restrict=(), vectors=False):
             out = out - q @ (q.T @ out)
         return out
 
-    if nv <= _DENSE_APPLY_LIMIT:
-        cols = np.stack([sym_apply(e) for e in np.eye(nv)], axis=1)
-        vals, z = np.linalg.eigh(0.5 * (cols + cols.T))
-    else:
-        op = spla.LinearOperator((nv, nv), matvec=sym_apply)
-        v0 = np.random.default_rng(seed).standard_normal(nv)
-        kk = min(k + 2, nv - 1)
-        try:
-            out = spla.eigsh(op, k=kk, which="LA", v0=v0,
-                             return_eigenvectors=vectors)
-        except spla.ArpackNoConvergence as exc:
-            raise EigenSolveError(
-                f"kernel eigensolve at mu={mu:.6g} did not converge"
-            ) from exc
-        vals, z = out if vectors else (out, None)
+    op = spla.LinearOperator((nv, nv), matvec=sym_apply)
+    v0 = np.random.default_rng(seed).standard_normal(nv)
+    kk = min(k + 2, nv - 1)
+    try:
+        out = spla.eigsh(op, k=kk, which="LA", v0=v0,
+                         return_eigenvectors=vectors)
+    except spla.ArpackNoConvergence as exc:
+        raise EigenSolveError(
+            f"kernel eigensolve at mu={mu:.6g} did not converge"
+        ) from exc
+    vals, z = out if vectors else (out, None)
     order = np.argsort(vals)[::-1][:k]
     if not vectors:
         return vals[order]

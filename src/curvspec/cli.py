@@ -193,7 +193,7 @@ def _error_block(report, exc):
 
 def _verify_config(args):
     return verify.VerifyConfig(
-        k=args.k, seed=args.seed, eig_tol=args.eig_tol, method=args.method,
+        k=args.k, seed=args.seed, eig_tol=args.eig_tol,
         tol_sphere=args.tol_sphere, tol_sphere_factor=args.tol_sphere_factor,
         tol_identity=args.tol_identity, tol_orth=args.tol_orth,
     )
@@ -203,7 +203,6 @@ def _spectrum_block(spec):
     return {
         "eigenvalues": [float(v) for v in spec.eigenvalues],
         "residuals": [float(v) for v in spec.residuals],
-        "method": spec.method,
         "seed": spec.seed,
     }
 
@@ -399,8 +398,6 @@ def _add_analysis_flags(p):
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--eig-tol", type=float, default=1e-10)
-    p.add_argument("--method", choices=["auto", "dense", "iterative"],
-                   default="auto")
     p.add_argument("--tol-sphere", type=float, default=None)
     p.add_argument("--tol-sphere-factor", type=float, default=0.05)
     p.add_argument("--tol-identity", type=float, default=0.05)

@@ -1,11 +1,12 @@
 """Symmetric generalized eigensolves and shifted solves against a lumped mass.
 
-Two paths behind one entry point.  Small problems are symmetrized with
-M^(-1/2) and sent through LAPACK, which is exact and needs no tuning.
-Larger ones go to ARPACK in shift-invert mode with a shift strictly below
-the bottom of the spectrum, so the smallest pencil eigenvalues come back
-first.  Both paths return M-orthonormal vectors and per-pair residuals
-so callers can check convergence instead of trusting it.
+One path for every mesh: ARPACK in shift-invert mode at a shift the caller
+states, strictly below the bottom of the spectrum, so the smallest pencil
+eigenvalues come back first.  How fast it converges is set by how well
+1/(lambda - sigma) separates the wanted eigenvalues (ARPACK Users' Guide,
+Lehoucq-Sorensen-Yang 1998), so the shift is the caller's to derive from
+what it knows of the spectrum.  Vectors come back M-orthonormal with
+per-pair residuals so callers can check convergence instead of trusting it.
 
 Every solve with K + s*M in the package, the resolvent of the identities,
 the resolvent bound and the Birman-Schwinger kernel, goes through one
@@ -21,10 +22,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import EigenSolveError
 
-__all__ = ["Spectrum", "smallest_eigenpairs", "DENSE_LIMIT"]
-
-# crossover between the LAPACK and ARPACK paths, in vertices
-DENSE_LIMIT = 2000
+__all__ = ["Spectrum", "smallest_eigenpairs"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,7 +32,6 @@ class Spectrum:
     eigenvalues: np.ndarray   # (k,)
     eigenvectors: np.ndarray  # (V, k), columns
     residuals: np.ndarray     # (k,) of ||A x - lambda M x|| / ||M x||
-    method: str               # "dense" or "iterative"
     seed: int
 
     @property
@@ -75,27 +72,15 @@ def _shifted_solver(pencil, shift):
     return solve
 
 
-def _gershgorin_floor(a_mat, mass):
-    # row bounds of the similarity-transformed S = M^(-1/2) A M^(-1/2):
-    # S_ij = A_ij / sqrt(m_i m_j), so |row sums| follow from |A| acting on
-    # the inverse sqrt weights.  Crude but always below lambda_1.
-    s = 1.0 / np.sqrt(mass)
-    a_abs = abs(a_mat) if sp.issparse(a_mat) else np.abs(a_mat)
-    row_abs = s * np.asarray(a_abs @ s).ravel()
-    diag = a_mat.diagonal() * s * s
-    return float(np.min(2.0 * diag - row_abs))
-
-
-def smallest_eigenpairs(a_mat, mass, k, tol=1e-10, seed=0, method="auto",
-                        sigma=None, maxiter=None):
+def smallest_eigenpairs(a_mat, mass, k, sigma, tol=1e-10, seed=0):
     """k smallest eigenpairs of A x = lambda M x with M = diag(mass).
 
-    ``a_mat`` is a symmetric sparse or dense matrix, ``mass`` a strictly
-    positive vector.  ``method`` is "auto", "dense", or "iterative"; auto
-    picks dense for problems up to DENSE_LIMIT vertices.  ``sigma``
-    optionally supplies the shift-invert target; callers that know a bound
-    on the spectrum bottom should pass one, otherwise a Gershgorin floor
-    is used.  Raises EigenSolveError when ARPACK fails to converge.
+    ``a_mat`` is a symmetric sparse matrix, ``mass`` a strictly positive
+    vector and ``sigma`` the shift-invert target, which must lie below the
+    smallest eigenvalue (assemble.pencil_floor_shift for the pencil, a
+    small negative multiple of its scale for the PSD stiffness).  ARPACK
+    returns at most V - 1 pairs, so ``k`` must lie in [1, V - 1].  Raises
+    EigenSolveError when ARPACK fails to converge.
     """
     mass = np.asarray(mass, dtype=float)
     nv = mass.shape[0]
@@ -103,58 +88,29 @@ def smallest_eigenpairs(a_mat, mass, k, tol=1e-10, seed=0, method="auto",
         raise ValueError("matrix and mass vector sizes disagree")
     if np.any(mass <= 0.0):
         raise ValueError("mass diagonal must be strictly positive")
-    if not 1 <= k <= nv:
-        raise ValueError(f"need 1 <= k <= {nv}, got k={k}")
-    if method not in ("auto", "dense", "iterative"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "dense" if nv <= DENSE_LIMIT else "iterative"
+    if not 1 <= k <= nv - 1:
+        raise ValueError(f"need 1 <= k <= {nv - 1}, got k={k}")
 
-    if method == "dense":
-        vals, vecs = _dense_path(a_mat, mass, k)
-    else:
-        vals, vecs = _iterative_path(a_mat, mass, k, tol, seed, sigma, maxiter)
-
-    vecs = _m_orthonormalize(vecs, mass)
-    residuals = _residuals(a_mat, mass, vals, vecs)
-    return Spectrum(
-        eigenvalues=vals, eigenvectors=vecs, residuals=residuals,
-        method=method, seed=seed,
-    )
-
-
-def _dense_path(a_mat, mass, k):
-    dense = a_mat.toarray() if sp.issparse(a_mat) else np.asarray(a_mat, dtype=float)
-    s = 1.0 / np.sqrt(mass)
-    sym = dense * s[:, None] * s[None, :]
-    sym = 0.5 * (sym + sym.T)
-    vals, y = sla.eigh(sym, subset_by_index=[0, k - 1])
-    return vals, s[:, None] * y
-
-
-def _iterative_path(a_mat, mass, k, tol, seed, sigma, maxiter):
-    nv = mass.shape[0]
-    if sigma is None:
-        floor = _gershgorin_floor(a_mat, mass)
-        sigma = floor - 0.01 * (abs(floor) + 1.0)
     # a couple of padding pairs helps ARPACK separate clustered targets
     kk = min(k + 2, nv - 1)
     v0 = np.random.default_rng(seed).standard_normal(nv)
-    a_csc = sp.csc_matrix(a_mat)
     try:
         vals, vecs = spla.eigsh(
-            a_csc, k=kk, M=sp.diags(mass).tocsc(), sigma=sigma,
-            which="LM", v0=v0, tol=tol, maxiter=maxiter,
+            sp.csc_matrix(a_mat), k=kk, M=sp.diags(mass).tocsc(),
+            sigma=sigma, which="LM", v0=v0, tol=tol,
         )
     except spla.ArpackNoConvergence as exc:
-        got = len(exc.eigenvalues)
         raise EigenSolveError(
-            f"ARPACK converged {got}/{kk} pairs; raise maxiter or loosen tol"
+            f"ARPACK converged {len(exc.eigenvalues)}/{kk} pairs"
         ) from exc
     except RuntimeError as exc:
         raise EigenSolveError(f"shift-invert factorization failed: {exc}") from exc
     order = np.argsort(vals)[:k]
-    return vals[order], vecs[:, order]
+    vals, vecs = vals[order], _m_orthonormalize(vecs[:, order], mass)
+    return Spectrum(
+        eigenvalues=vals, eigenvectors=vecs,
+        residuals=_residuals(a_mat, mass, vals, vecs), seed=seed,
+    )
 
 
 def _m_orthonormalize(vecs, mass):

@@ -291,7 +291,7 @@ def load_mesh(path, format=None):
         raise MeshLoadError(f"unsupported format {format!r}", path=path)
     try:
         mesh = TriMesh(v, f)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:   # an index beyond int64
         raise MeshLoadError(str(exc), path=path) from exc
     _raise_if_invalid(mesh)
     return mesh
@@ -301,7 +301,7 @@ def _meaningful_lines(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MeshLoadError(str(exc), path=path) from exc
     out = []
     for i, line in enumerate(raw, start=1):
@@ -366,7 +366,7 @@ def _parse_off(path):
             raise MeshLoadError("face needs at least 3 indices", path=path, line=lineno)
         for t in range(1, k - 1):
             faces.append([idx[0], idx[t], idx[t + 1]])
-    return np.asarray(verts, dtype=float), np.asarray(faces, dtype=np.int64)
+    return verts, faces
 
 
 def _parse_obj(path):
@@ -398,7 +398,7 @@ def _parse_obj(path):
                 faces.append([idx[0], idx[t], idx[t + 1]])
     if not verts or not faces:
         raise MeshLoadError("no usable v/f records found", path=path)
-    return np.asarray(verts, dtype=float), np.asarray(faces, dtype=np.int64)
+    return verts, faces
 
 
 def write_off(mesh, path):

@@ -26,7 +26,7 @@ from .assemble import (assemble_pencil, pencil_floor_shift, spectral_scale,
                        with_potential_squared)
 from .curvature import compute_curvature
 from .eigen import smallest_eigenpairs
-from .errors import BoundViolationError
+from .errors import BoundViolationError, EigenSolveError
 from .identities import (ZeroMeanResolvent, d_quantities, full_report,
                          stiffness_lam1, test_functions)
 
@@ -59,7 +59,6 @@ class VerifyConfig:
     k: int = 5
     seed: int = 0
     eig_tol: float = 1e-10
-    method: str = "auto"
     tol_sphere: float = None          # absolute override; None -> factor*scale
     tol_sphere_factor: float = 0.05
     tol_identity: float = 0.05
@@ -111,10 +110,16 @@ class LemmaReport:
 
 
 def _smallest(pencil, max_w2, config):
+    # shift-invert returns at most V - 1 pairs: refuse rather than truncate
+    nv = pencil.n_vertices
+    if not 1 <= config.k <= nv - 1:
+        raise EigenSolveError(
+            f"k={config.k} eigenpairs requested on a mesh with V={nv} "
+            f"vertices; k must lie in [1, {nv - 1}]"
+        )
     return smallest_eigenpairs(
         pencil.a_matrix(), pencil.mass, k=config.k, tol=config.eig_tol,
-        seed=config.seed, method=config.method,
-        sigma=pencil_floor_shift(max_w2),
+        seed=config.seed, sigma=pencil_floor_shift(max_w2),
     )
 
 

@@ -8,9 +8,11 @@ read-only; TriMesh arrays are frozen, reports are frozen dataclasses.
 
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from curvspec import assemble, curvature, surfaces
+from curvspec.identities import KERNEL_SHIFT_FRACTION
 
 
 def make_surface(kind):
@@ -38,6 +40,16 @@ def get_pipeline(kind, subdiv, r):
     field = curvature.compute_curvature(mesh, r=r)
     pencil = assemble.assemble_pencil(mesh, field, r)
     return mesh, field, pencil
+
+
+def floor_shift(pencil):
+    """The pipeline's shift-invert target for the pencil: below -max(W^2)."""
+    return assemble.pencil_floor_shift(float(np.max(pencil.w**2)))
+
+
+def kernel_shift(pencil):
+    """The pipeline's shift-invert target for the PSD stiffness: just below 0."""
+    return -KERNEL_SHIFT_FRACTION * assemble.spectral_scale(pencil)
 
 
 @pytest.fixture(scope="session")

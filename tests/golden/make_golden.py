@@ -35,7 +35,8 @@ SHAPES = {
               "--minor-radius", "0.5"],
 }
 
-# (shape, subdiv, r); ellipsoid subdiv 4 (V=2562) takes the iterative path
+# (shape, subdiv, r); subdiv 3 is V=642, the torus at subdiv 1 V=512, and
+# ellipsoid subdiv 4 V=2562
 ANALYSIS_CASES = (
     ("sphere", 3, 0), ("sphere", 3, 1),
     ("ellipsoid", 3, 0), ("ellipsoid", 3, 1),
@@ -44,8 +45,8 @@ ANALYSIS_CASES = (
     ("ellipsoid", 4, 1),
 )
 
-# the scan is the slow command: one dense-path case per order and the
-# iterative V=2562 case of the bs-scan benchmark workload
+# the scan is the slow command: one V=642 case per order and the V=2562
+# case of the bs-scan benchmark workload
 SCAN_CASES = (
     ("sphere", 3, 0), ("ellipsoid", 3, 1),
     ("ellipsoid", 4, 0),

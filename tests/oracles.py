@@ -55,12 +55,18 @@ def cotan_stiffness(mesh):
     return k.tocsr()
 
 
-def dense_pencil_eigenvalues(a_mat, mass, k):
-    """Generalized symmetric eigensolve via LAPACK on dense copies."""
-    dense = a_mat.toarray() if sp.issparse(a_mat) else np.asarray(a_mat)
-    dense = 0.5 * (dense + dense.T)
-    vals = sla.eigh(dense, np.diag(mass), eigvals_only=True)
-    return vals[:k]
+def dense_eigenpairs(a_mat, mass, k):
+    """k smallest eigenpairs of A x = lambda M x via LAPACK on dense copies.
+
+    Symmetrized with M^(-1/2) on both sides; the vectors come back
+    M-orthonormal, as columns.  The reference every ARPACK solve of the
+    package is checked against.
+    """
+    dense = a_mat.toarray() if sp.issparse(a_mat) else np.asarray(a_mat, dtype=float)
+    s = 1.0 / np.sqrt(mass)
+    sym = dense * s[:, None] * s[None, :]
+    vals, y = sla.eigh(0.5 * (sym + sym.T), subset_by_index=[0, k - 1])
+    return vals, s[:, None] * y
 
 
 def rayleigh_quotient(a_mat, mass, x):
@@ -72,22 +78,48 @@ def rayleigh_quotient(a_mat, mass, x):
     return float(x @ (a_mat @ x)) / denom
 
 
-def dense_K_mu_eigenvalues(pencil, mu, k):
-    """Largest k eigenvalues of the kernel built as an explicit dense matrix.
+def dense_K_mu_eigenpairs(pencil, mu, k, restrict=()):
+    """Largest k eigenpairs of the kernel built as an explicit dense matrix.
 
-    Symmetrized with M^(1/2) on both sides so a plain symmetric
+    (K + mu M)^(-1) is formed by solving for every column of the identity,
+    and the kernel symmetrized with M^(1/2) on both sides so a plain symmetric
     eigendecomposition applies; similarity keeps the spectrum intact.
+    ``restrict`` names directions to project out ("mean": the constants,
+    "w": the potential samples), M-orthogonally.  Returns the values
+    descending and the M-orthonormal eigenvectors g as columns.
     """
     nv = pencil.n_vertices
     a = (pencil.k_stiff + mu * sp.diags(pencil.mass)).toarray()
-    inv = np.linalg.inv(a)
+    inv = np.linalg.solve(a, np.eye(nv))   # the columns (K + mu M)^(-1) e_j
     w = pencil.w
     m = pencil.mass
     kern = (w[:, None] * inv * (m * w)[None, :])
     sqm = np.sqrt(m)
     sym = sqm[:, None] * kern / sqm[None, :]
-    vals = np.linalg.eigvalsh(0.5 * (sym + sym.T))
-    return vals[::-1][:k]
+    dirs = {"mean": np.ones(nv), "w": w}
+    if restrict:
+        q, _ = np.linalg.qr(np.stack([sqm * dirs[n] for n in restrict], axis=1))
+        proj = np.eye(nv) - q @ q.T
+        sym = proj @ sym @ proj
+    vals, z = np.linalg.eigh(0.5 * (sym + sym.T))
+    order = np.argsort(vals)[::-1][:k]
+    return vals[order], z[:, order] / sqm[:, None]
+
+
+def eigenspace_distance(vals, vecs, ref_vals, ref_vecs, mass, tol):
+    """Largest M-distance of each vector from its reference eigenspace.
+
+    The reference eigenspace of vals[j] is the span of the ref_vecs columns
+    (M-orthonormal) whose ref_vals lie within ``tol`` of it, so clusters of
+    equal eigenvalues are compared as subspaces, not vector by vector.
+    """
+    worst = 0.0
+    for lam, x in zip(vals, vecs.T):
+        basis = ref_vecs[:, np.abs(ref_vals - lam) <= tol]
+        rest = x - basis @ (basis.T @ (mass * x))
+        worst = max(worst, float(np.sqrt(rest @ (mass * rest))
+                                 / np.sqrt(x @ (mass * x))))
+    return worst
 
 
 def lumped_vertex_areas(mesh):

@@ -11,7 +11,7 @@ import pytest
 from curvspec import birman, eigen
 
 import oracles
-from conftest import get_pipeline
+from conftest import floor_shift, get_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +29,7 @@ class TestKernelOperator:
     def test_matches_dense_oracle(self, ellipsoid_pencil):
         for mu in (0.5, 2.0, 20.0):
             ours = birman.top_eigenvalues_K(ellipsoid_pencil, mu, k=4, seed=0)
-            ora = oracles.dense_K_mu_eigenvalues(ellipsoid_pencil, mu, 4)
+            ora, _ = oracles.dense_K_mu_eigenpairs(ellipsoid_pencil, mu, 4)
             assert np.max(np.abs(ours - ora)) < 1e-8
 
     def test_sphere_closed_forms(self):
@@ -54,7 +54,24 @@ class TestKernelOperator:
         with pytest.raises(ValueError):
             birman.top_eigenvalues_K(ellipsoid_pencil, 0.0)
 
-    @pytest.mark.parametrize("subdiv", [1, 3])   # dense and ARPACK paths
+    @pytest.mark.parametrize("subdiv", [0, 1])   # V = 12 and V = 42
+    @pytest.mark.parametrize("restrict", [(), ("w",)])
+    def test_small_mesh_matches_dense_kernel(self, subdiv, restrict):
+        # ARPACK on the kernel operator, values and vectors, against the
+        # kernel built by columns and fully diagonalized
+        _, _, p = get_pipeline("ellipsoid", subdiv, 1)
+        for mu in (0.5, 2.0):
+            vals, g = birman._top_k(p, mu, eigen._shifted_solver(p, mu), 3, 0,
+                                    restrict=restrict, vectors=True)
+            ref_vals, ref_g = oracles.dense_K_mu_eigenpairs(
+                p, mu, p.n_vertices, restrict=restrict)
+            np.testing.assert_allclose(vals, ref_vals[:3], rtol=0, atol=1e-10)
+            np.testing.assert_allclose(g.T @ (p.mass[:, None] * g), np.eye(3),
+                                       atol=1e-10)
+            assert oracles.eigenspace_distance(
+                vals, g, ref_vals, ref_g, p.mass, tol=1e-8) < 1e-8
+
+    @pytest.mark.parametrize("subdiv", [1, 3])   # V = 42 and V = 642
     def test_hellmann_feynman_slope(self, subdiv):
         _, _, p = get_pipeline("ellipsoid", subdiv, 1)
         for mu in (0.5, 2.0):
@@ -144,7 +161,8 @@ class TestScan:
 
     def test_crossings_match_pencil_spectrum(self, ellipsoid_pencil, ellipsoid_scan):
         spec = eigen.smallest_eigenpairs(
-            ellipsoid_pencil.a_matrix(), ellipsoid_pencil.mass, 6
+            ellipsoid_pencil.a_matrix(), ellipsoid_pencil.mass, 6,
+            sigma=floor_shift(ellipsoid_pencil),
         )
         negatives = spec.eigenvalues[spec.eigenvalues < 0]
         in_window = [

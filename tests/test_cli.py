@@ -143,6 +143,44 @@ class TestVerifyCommand:
         assert blob["verdicts"]["theorem"]["verdict"] == "Violation"
 
 
+class TestRefusals:
+    """Inputs the pipeline refuses with exit 3 and a JSON error block."""
+
+    @staticmethod
+    def refused(argv, tmp_path):
+        out = tmp_path / "rep.json"
+        assert run([*argv, "-o", str(out)]) == 3
+        return json.loads(out.read_text())["error"]
+
+    def test_k_equal_to_vertex_count(self, tmp_path):
+        # shift-invert returns at most V - 1 pairs: k = V = 12 is refused,
+        # never truncated to 11
+        argv = ["spectrum", "--shape", "sphere", "--subdiv", "0"]
+        err = self.refused([*argv, "--k", "12"], tmp_path)
+        assert err["type"] == "EigenSolveError"
+        assert "k=12" in err["message"] and "V=12" in err["message"]
+        out = tmp_path / "ok.json"
+        assert run([*argv, "--k", "11", "-o", str(out)]) == 0
+        assert len(json.loads(out.read_text())["spectrum"]["eigenvalues"]) == 11
+
+    def test_tetrahedron_default_k(self, tmp_path):
+        off = tmp_path / "tet.off"
+        off.write_text("OFF\n4 4 6\n1 1 1\n1 -1 -1\n-1 1 -1\n-1 -1 1\n"
+                       "3 0 1 2\n3 0 3 1\n3 0 2 3\n3 1 3 2\n")
+        err = self.refused(["verify", "--mesh", str(off), "--r", "0"], tmp_path)
+        assert err["type"] == "EigenSolveError"
+        assert "k=5" in err["message"] and "V=4" in err["message"]
+
+    def test_non_utf8_mesh_file(self, tmp_path):
+        off = tmp_path / "latin.off"
+        off.write_bytes(b"OFF\n4 4 6\n\xff\n")
+        err = self.refused(["verify", "--mesh", str(off), "--r", "0"], tmp_path)
+        assert err["type"] == "MeshLoadError"
+
+    def test_method_flag_is_gone(self):
+        assert run(["verify", "--shape", "sphere", "--method", "dense"]) == 64
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         out = tmp_path / "rep.json"

@@ -5,9 +5,10 @@ import pytest
 import scipy.sparse as sp
 
 from curvspec import eigen
+from curvspec.assemble import pencil_floor_shift
 
 import oracles
-from conftest import get_pipeline
+from conftest import floor_shift, get_pipeline, kernel_shift
 
 
 @pytest.fixture(scope="module")
@@ -16,28 +17,30 @@ def sphere_pencil():
     return pencil
 
 
+@pytest.fixture(scope="module")
+def pencil_args(sphere_pencil):
+    return sphere_pencil.a_matrix(), sphere_pencil.mass
+
+
 class TestSolvers:
     def test_dense_matches_oracle(self):
         _, _, pencil = get_pipeline("sphere", 2, 1)
-        spec = eigen.smallest_eigenpairs(pencil.a_matrix(), pencil.mass, 6, method="dense")
-        ora = oracles.dense_pencil_eigenvalues(pencil.a_matrix(), pencil.mass, 6)
+        spec = eigen.smallest_eigenpairs(pencil.a_matrix(), pencil.mass, 6,
+                                         sigma=floor_shift(pencil))
+        ora, _ = oracles.dense_eigenpairs(pencil.a_matrix(), pencil.mass, 6)
         assert np.max(np.abs(spec.eigenvalues - ora)) < 1e-10
 
-    def test_methods_agree(self, sphere_pencil):
-        args = (sphere_pencil.a_matrix(), sphere_pencil.mass, 6)
-        d = eigen.smallest_eigenpairs(*args, method="dense")
-        it = eigen.smallest_eigenpairs(*args, method="iterative")
-        assert d.method == "dense" and it.method == "iterative"
-        assert np.max(np.abs(d.eigenvalues - it.eigenvalues)) < 1e-9
-
-    def test_auto_dispatch_is_dense_at_this_size(self, sphere_pencil):
-        spec = eigen.smallest_eigenpairs(sphere_pencil.a_matrix(), sphere_pencil.mass, 3)
-        assert spec.method == "dense"
-        assert sphere_pencil.n_vertices <= eigen.DENSE_LIMIT
+    def test_methods_agree(self, sphere_pencil, pencil_args):
+        # ARPACK shift-invert against the LAPACK reference
+        it = eigen.smallest_eigenpairs(*pencil_args, 6,
+                                       sigma=floor_shift(sphere_pencil))
+        d, _ = oracles.dense_eigenpairs(*pencil_args, 6)
+        assert np.max(np.abs(d - it.eigenvalues)) < 1e-9
 
     def test_laplace_beltrami_sphere(self, sphere_pencil):
         # bare stiffness on the unit sphere: 0, then l(l+1) with 2l+1 copies
-        spec = eigen.smallest_eigenpairs(sphere_pencil.k_stiff, sphere_pencil.mass, 9)
+        spec = eigen.smallest_eigenpairs(sphere_pencil.k_stiff, sphere_pencil.mass, 9,
+                                         sigma=kernel_shift(sphere_pencil))
         ev = spec.eigenvalues
         assert abs(ev[0]) < 1e-10
         assert np.allclose(ev[1:4], 2.0, atol=1e-4)
@@ -45,15 +48,14 @@ class TestSolvers:
 
     def test_iterative_with_explicit_sigma(self, sphere_pencil):
         spec = eigen.smallest_eigenpairs(
-            sphere_pencil.k_stiff, sphere_pencil.mass, 4,
-            method="iterative", sigma=-1.0,
+            sphere_pencil.k_stiff, sphere_pencil.mass, 4, sigma=-1.0,
         )
         assert abs(spec.eigenvalues[0]) < 1e-10
         assert np.allclose(spec.eigenvalues[1:4], 2.0, atol=1e-4)
 
     def test_diagonal_pencil_exact(self):
         spec = eigen.smallest_eigenpairs(
-            sp.diags([1.0, 2.0, 3.0]).tocsr(), np.ones(3), 2
+            sp.diags([1.0, 2.0, 3.0]).tocsr(), np.ones(3), 2, sigma=0.0
         )
         assert spec.eigenvalues == pytest.approx([1.0, 2.0], abs=1e-14)
 
@@ -62,8 +64,8 @@ class TestSolvers:
         raw = rng.normal(size=(50, 50))
         a = sp.csr_matrix(0.5 * (raw + raw.T))
         m = rng.uniform(0.5, 2.0, size=50)
-        it = eigen.smallest_eigenpairs(a, m, 5, method="iterative")
-        dense = oracles.dense_pencil_eigenvalues(a, m, 5)
+        dense, _ = oracles.dense_eigenpairs(a, m, 5)
+        it = eigen.smallest_eigenpairs(a, m, 5, sigma=dense[0] - 1.0)
         assert np.max(np.abs(it.eigenvalues - dense)) < 1e-8
 
     def test_growing_potential_lowers_spectrum(self, sphere_pencil):
@@ -71,37 +73,37 @@ class TestSolvers:
         # eigenvalue down
         a = sphere_pencil.a_matrix()
         m = sphere_pencil.mass
-        base = eigen.smallest_eigenpairs(a, m, 5).eigenvalues
+        # a bump of at most 0.3 lowers the floor by at most 0.3
+        sigma = pencil_floor_shift(float(np.max(sphere_pencil.w**2)) + 0.3)
+        base = eigen.smallest_eigenpairs(a, m, 5, sigma=sigma).eigenvalues
         rng = np.random.default_rng(5)
         for _ in range(3):
             bump = rng.uniform(0.0, 0.3, size=sphere_pencil.n_vertices)
             shifted = eigen.smallest_eigenpairs(
-                a - sp.diags(m * bump).tocsr(), m, 5
+                a - sp.diags(m * bump).tocsr(), m, 5, sigma=sigma
             ).eigenvalues
             assert np.all(shifted <= base + 1e-10)
 
 
 class TestSpectrumContract:
-    def test_residuals_small_and_ascending(self, sphere_pencil):
-        for method in ("dense", "iterative"):
-            spec = eigen.smallest_eigenpairs(
-                sphere_pencil.a_matrix(), sphere_pencil.mass, 5, method=method
-            )
-            assert spec.k == 5
-            assert np.all(np.diff(spec.eigenvalues) > -1e-12)
-            assert spec.residuals.max() < 1e-9
+    def test_residuals_small_and_ascending(self, sphere_pencil, pencil_args):
+        spec = eigen.smallest_eigenpairs(*pencil_args, 5,
+                                         sigma=floor_shift(sphere_pencil))
+        assert spec.k == 5
+        assert np.all(np.diff(spec.eigenvalues) > -1e-12)
+        assert spec.residuals.max() < 1e-9
 
-    def test_vectors_m_orthonormal(self, sphere_pencil):
-        spec = eigen.smallest_eigenpairs(
-            sphere_pencil.a_matrix(), sphere_pencil.mass, 5, method="iterative"
-        )
+    def test_vectors_m_orthonormal(self, sphere_pencil, pencil_args):
+        spec = eigen.smallest_eigenpairs(*pencil_args, 5,
+                                         sigma=floor_shift(sphere_pencil))
         m = sp.diags(sphere_pencil.mass)
         gram = spec.eigenvectors.T @ (m @ spec.eigenvectors)
         assert np.max(np.abs(gram - np.eye(5))) < 1e-10
 
     def test_rayleigh_quotient_consistent(self, sphere_pencil):
         a = sphere_pencil.a_matrix()
-        spec = eigen.smallest_eigenpairs(a, sphere_pencil.mass, 4)
+        spec = eigen.smallest_eigenpairs(a, sphere_pencil.mass, 4,
+                                         sigma=floor_shift(sphere_pencil))
         for i in range(4):
             rq = oracles.rayleigh_quotient(a, sphere_pencil.mass, spec.eigenvectors[:, i])
             assert rq == pytest.approx(spec.eigenvalues[i], abs=1e-9)
@@ -115,14 +117,15 @@ class TestSpectrumContract:
         want = -float(m @ sphere_pencil.w**2) / float(m.sum())
         assert rq == pytest.approx(want, rel=1e-12)
         assert rq < 0.0
-        lam1 = eigen.smallest_eigenpairs(a, m, 1).eigenvalues[0]
+        lam1 = eigen.smallest_eigenpairs(
+            a, m, 1, sigma=floor_shift(sphere_pencil)).eigenvalues[0]
         assert lam1 <= rq + 1e-12
 
     def test_rayleigh_inside_spectrum_bounds(self, sphere_pencil):
         a = sphere_pencil.a_matrix()
         m = sphere_pencil.mass
         nv = sphere_pencil.n_vertices
-        full = oracles.dense_pencil_eigenvalues(a, m, nv)
+        full, _ = oracles.dense_eigenpairs(a, m, nv)
         rng = np.random.default_rng(17)
         for _ in range(20):
             x = rng.normal(size=nv)
@@ -137,16 +140,17 @@ class TestSpectrumContract:
                 np.zeros(sphere_pencil.n_vertices),
             )
 
-    def test_seed_reproducibility(self, sphere_pencil):
-        args = (sphere_pencil.a_matrix(), sphere_pencil.mass, 5)
-        one = eigen.smallest_eigenpairs(*args, method="iterative", seed=11)
-        two = eigen.smallest_eigenpairs(*args, method="iterative", seed=11)
+    def test_seed_reproducibility(self, sphere_pencil, pencil_args):
+        args = (*pencil_args, 5, floor_shift(sphere_pencil))
+        one = eigen.smallest_eigenpairs(*args, seed=11)
+        two = eigen.smallest_eigenpairs(*args, seed=11)
         assert np.array_equal(one.eigenvalues, two.eigenvalues)
-        other = eigen.smallest_eigenpairs(*args, method="iterative", seed=12)
+        other = eigen.smallest_eigenpairs(*args, seed=12)
         assert np.max(np.abs(one.eigenvalues - other.eigenvalues)) < 1e-10
 
     def test_write_csv(self, tmp_path, sphere_pencil):
-        spec = eigen.smallest_eigenpairs(sphere_pencil.a_matrix(), sphere_pencil.mass, 3)
+        spec = eigen.smallest_eigenpairs(sphere_pencil.a_matrix(), sphere_pencil.mass, 3,
+                                         sigma=floor_shift(sphere_pencil))
         path = tmp_path / "spec.csv"
         spec.write_csv(path)
         rows = path.read_text().splitlines()
@@ -181,31 +185,53 @@ class TestShiftedSolver:
 
 class TestValidation:
     def test_bad_k(self, sphere_pencil):
+        # ARPACK returns at most V - 1 pairs; k = V is refused, not truncated
         a, m = sphere_pencil.a_matrix(), sphere_pencil.mass
-        with pytest.raises(ValueError):
-            eigen.smallest_eigenpairs(a, m, 0)
-        with pytest.raises(ValueError):
-            eigen.smallest_eigenpairs(a, m, sphere_pencil.n_vertices + 1)
+        sigma = floor_shift(sphere_pencil)
+        for k in (0, sphere_pencil.n_vertices, sphere_pencil.n_vertices + 1):
+            with pytest.raises(ValueError, match="need 1 <= k"):
+                eigen.smallest_eigenpairs(a, m, k, sigma=sigma)
 
     def test_bad_mass(self, sphere_pencil):
         a = sphere_pencil.a_matrix()
+        sigma = floor_shift(sphere_pencil)
         with pytest.raises(ValueError):
-            eigen.smallest_eigenpairs(a, sphere_pencil.mass[:-1], 3)
+            eigen.smallest_eigenpairs(a, sphere_pencil.mass[:-1], 3, sigma=sigma)
         bad = sphere_pencil.mass.copy()
         bad[0] = 0.0
         with pytest.raises(ValueError):
-            eigen.smallest_eigenpairs(a, bad, 3)
-
-    def test_bad_method(self, sphere_pencil):
-        with pytest.raises(ValueError):
-            eigen.smallest_eigenpairs(
-                sphere_pencil.a_matrix(), sphere_pencil.mass, 3, method="magic"
-            )
+            eigen.smallest_eigenpairs(a, bad, 3, sigma=sigma)
 
     def test_tiny_mesh_iterative_clamp(self):
         # k + 2 padding must clamp below n for very small problems
         _, _, pencil = get_pipeline("sphere", 0, 0)
         spec = eigen.smallest_eigenpairs(
-            pencil.k_stiff, pencil.mass, pencil.n_vertices - 2, method="iterative"
+            pencil.k_stiff, pencil.mass, pencil.n_vertices - 2,
+            sigma=kernel_shift(pencil),
         )
         assert spec.k == pencil.n_vertices - 2
+
+
+@pytest.mark.parametrize("subdiv", [0, 1])   # V = 12 and V = 42
+class TestSmallMeshes:
+    """ARPACK on meshes small enough to check against the full LAPACK spectrum."""
+
+    @staticmethod
+    def check(a_mat, mass, k, sigma):
+        spec = eigen.smallest_eigenpairs(a_mat, mass, k, sigma=sigma)
+        ref_vals, ref_vecs = oracles.dense_eigenpairs(a_mat, mass, len(mass))
+        np.testing.assert_allclose(spec.eigenvalues, ref_vals[:k],
+                                   rtol=0, atol=1e-10)
+        dist = oracles.eigenspace_distance(spec.eigenvalues, spec.eigenvectors,
+                                           ref_vals, ref_vecs, mass, tol=1e-8)
+        assert dist < 1e-8
+        assert spec.residuals.max() < 1e-9
+
+    def test_pencil_matches_lapack(self, subdiv):
+        for r in (0, 1):
+            _, _, p = get_pipeline("ellipsoid", subdiv, r)
+            self.check(p.a_matrix(), p.mass, 5, floor_shift(p))
+
+    def test_stiffness_matches_lapack(self, subdiv):
+        _, _, p = get_pipeline("ellipsoid", subdiv, 1)
+        self.check(p.k_stiff, p.mass, 5, kernel_shift(p))

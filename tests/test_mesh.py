@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvspec import surfaces
 from curvspec.errors import (
+    CurvSpecError,
     DegenerateGeometryError,
     MeshLoadError,
     NonManifoldEdgeError,
@@ -265,6 +268,86 @@ class TestFileFormats:
         with pytest.raises(OrientationError) as err:
             load_mesh(path)
         assert 3 in err.value.faces
+
+
+def _token_lines(fmt):
+    """The icosahedron as token lists, one list per line of an OFF/OBJ file."""
+    ico = surfaces.icosahedron()
+    coords = [["%.17g" % c for c in p] for p in ico.vertices]
+    if fmt == "off":
+        return ([["OFF"], [str(ico.n_vertices), str(ico.n_faces), "30"]]
+                + coords + [["3", *map(str, f)] for f in ico.faces])
+    return ([["v", *c] for c in coords]
+            + [["f", *(str(i + 1) for i in f)] for f in ico.faces])
+
+
+@st.composite
+def _corrupted(draw, fmt):
+    """Bytes of a valid icosahedron file with one to three corruptions."""
+    lines = _token_lines(fmt)
+    off = 2 if fmt == "off" else 0   # first vertex line
+    base = 0 if fmt == "off" else 1  # index of the first vertex
+    nv = 12
+    vert_rows = range(off, off + nv)
+    face_rows = range(off + nv, len(lines))
+    kinds = draw(st.lists(st.sampled_from(
+        ["truncate", "coordinate", "index", "flip", "bytes"]),
+        min_size=1, max_size=3))
+    for kind in kinds:
+        if kind == "coordinate":
+            row = draw(st.sampled_from(vert_rows))
+            col = draw(st.integers(len(lines[row]) - 3, len(lines[row]) - 1))
+            lines[row][col] = draw(st.sampled_from(
+                ["nan", "inf", "-inf", "1e400", "NaN"]))
+        elif kind == "index":
+            row = draw(st.sampled_from(face_rows))
+            col = draw(st.integers(1, 3))
+            lines[row][col] = str(draw(st.one_of(
+                st.integers(base + nv, 10**30), st.integers(-10**30, base - 1))))
+        elif kind == "flip":
+            row = draw(st.sampled_from(face_rows))
+            lines[row][1:] = lines[row][1:][::-1]
+    data = "".join(" ".join(t) + "\n" for t in lines).encode("ascii")
+    for kind in kinds:
+        if kind == "truncate":
+            data = data[:draw(st.integers(0, len(data)))]
+        elif kind == "bytes":
+            # a lone continuation byte never starts valid UTF-8
+            junk = bytes([draw(st.integers(0x80, 0xBF))]) + draw(
+                st.binary(max_size=3))
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + junk + data[at:]
+    return data
+
+
+class TestAdversarialInput:
+    """A corrupted file yields a mesh or a CurvSpecError, nothing else."""
+
+    @pytest.mark.parametrize("fmt", ["off", "obj"])
+    def test_valid_file_loads(self, tmp_path, fmt):
+        path = tmp_path / f"ico.{fmt}"
+        path.write_text("".join(" ".join(t) + "\n" for t in _token_lines(fmt)))
+        assert load_mesh(path).n_vertices == 12
+
+    @staticmethod
+    def load(tmp_dir, fmt, data):
+        path = tmp_dir / f"corrupt.{fmt}"
+        path.write_bytes(data)
+        try:
+            mesh = load_mesh(path)
+        except CurvSpecError:
+            return
+        assert isinstance(mesh, TriMesh)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=_corrupted("off"))
+    def test_corrupted_off(self, tmp_path_factory, data):
+        self.load(tmp_path_factory.getbasetemp(), "off", data)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=_corrupted("obj"))
+    def test_corrupted_obj(self, tmp_path_factory, data):
+        self.load(tmp_path_factory.getbasetemp(), "obj", data)
 
 
 class TestSubdivision:
