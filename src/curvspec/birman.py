@@ -24,8 +24,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .assemble import pencil_floor_shift
-from .eigen import _shifted_solver, smallest_eigenpairs
-from .errors import EigenSolveError
+from .eigen import _eigsh, _shifted_solver, smallest_eigenpairs
 from .identities import stiffness_lam1
 
 __all__ = [
@@ -118,8 +117,6 @@ def _top_k(pencil, mu, solve, k, seed, restrict=(), vectors=False):
     M-orthonormal eigenvectors as columns in the same order.
     """
     nv = pencil.n_vertices
-    if not 1 <= k <= nv - 1:
-        raise ValueError(f"need 1 <= k <= {nv - 1}, got k={k}")
     sqm = np.sqrt(pencil.mass)
     q = _restriction_basis(pencil, restrict, sqm)
 
@@ -131,21 +128,12 @@ def _top_k(pencil, mu, solve, k, seed, restrict=(), vectors=False):
             out = out - q @ (q.T @ out)
         return out
 
-    op = spla.LinearOperator((nv, nv), matvec=sym_apply)
-    v0 = np.random.default_rng(seed).standard_normal(nv)
-    kk = min(k + 2, nv - 1)
-    try:
-        out = spla.eigsh(op, k=kk, which="LA", v0=v0,
-                         return_eigenvectors=vectors)
-    except spla.ArpackNoConvergence as exc:
-        raise EigenSolveError(
-            f"kernel eigensolve at mu={mu:.6g} did not converge"
-        ) from exc
-    vals, z = out if vectors else (out, None)
-    order = np.argsort(vals)[::-1][:k]
+    op = spla.LinearOperator((nv, nv), matvec=sym_apply, dtype=float)
+    vals, z = _eigsh(op, k, "LA", seed, f"kernel eigensolve at mu={mu:.6g}",
+                     vectors=vectors)
     if not vectors:
-        return vals[order]
-    return vals[order], z[:, order] / sqm[:, None]
+        return vals
+    return vals, z / sqm[:, None]
 
 
 def _hf_slope(pencil, solve, g):
@@ -167,7 +155,8 @@ def top_eigenvalues_K(pencil, mu, k=3, seed=0, restrict=()):
     """
     if mu <= 0.0:
         raise ValueError("mu must be positive")
-    return _top_k(pencil, mu, _shifted_solver(pencil, mu), k, seed, restrict)
+    solve = _shifted_solver(pencil.k_stiff, pencil.mass, mu)
+    return _top_k(pencil, mu, solve, k, seed, restrict)
 
 
 def _newton_root(fn, lo, hi, f_lo, f_hi, tol=1e-12, maxiter=50, label=""):
@@ -225,7 +214,7 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
     tops = np.empty((steps, k))
     restricted = np.empty(steps)
     for s, mu in enumerate(grid):
-        solve = _shifted_solver(pencil, mu)
+        solve = _shifted_solver(pencil.k_stiff, pencil.mass, mu)
         tops[s] = _top_k(pencil, mu, solve, k, seed)
         restricted[s] = _top_k(pencil, mu, solve, 1, seed,
                                restrict=("w",))[0]
@@ -233,7 +222,7 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
 
     def branch(j):
         def f_and_slope(mu):
-            solve = _shifted_solver(pencil, mu)
+            solve = _shifted_solver(pencil.k_stiff, pencil.mass, mu)
             vals, g = _top_k(pencil, mu, solve, k, seed, vectors=True)
             return vals[j] - 1.0, _hf_slope(pencil, solve, g[:, j])
         return f_and_slope

@@ -195,7 +195,7 @@ def _verify_config(args):
     return verify.VerifyConfig(
         k=args.k, seed=args.seed, eig_tol=args.eig_tol,
         tol_sphere=args.tol_sphere, tol_sphere_factor=args.tol_sphere_factor,
-        tol_identity=args.tol_identity, tol_orth=args.tol_orth,
+        tol_identity=args.tol_identity,
     )
 
 
@@ -219,7 +219,6 @@ def _identities_block(rep, cfg):
         "chain_residual": float(rep.chain_residual),
         "dirichlet_minkowski_gap": float(rep.dirichlet_minkowski_gap),
         "tol_identity": cfg.tol_identity,
-        "tol_orth": cfg.tol_orth,
     }
 
 
@@ -311,7 +310,7 @@ def cmd_verify(args):
                 "comparison_ok": corollary.comparison_ok,
                 "tol": corollary.tol,
                 "domination_min_slack": corollary.domination_min_slack,
-                "domination_floor": -1e-10,
+                "domination_floor": verify.DOMINATION_FLOOR,
             },
             "lemma": {
                 "applicable": lemma.applicable,
@@ -401,7 +400,6 @@ def _add_analysis_flags(p):
     p.add_argument("--tol-sphere", type=float, default=None)
     p.add_argument("--tol-sphere-factor", type=float, default=0.05)
     p.add_argument("--tol-identity", type=float, default=0.05)
-    p.add_argument("--tol-orth", type=float, default=1e-8)
     p.add_argument("--mu", type=float, default=1.0,
                    help="mu for the resolvent bound trials")
     p.add_argument("--trials", type=int, default=20)

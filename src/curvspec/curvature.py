@@ -1,12 +1,13 @@
 """Discrete shape operators and derived curvature fields on a TriMesh.
 
 The estimator is a per-face finite-difference fit: along each edge of a face
-the difference of the (angle-weighted) vertex unit normals approximates the
-shape operator applied to the edge vector, both projected into the face
-tangent plane.  Three edges give six equations for the three unknowns of a
-symmetric 2x2 matrix, solved in least squares face by face.  Per-vertex
-operators are the area-weighted average of incident face operators after
-rotating each face tangent plane onto the vertex tangent plane.
+the difference of the vertex unit normals (Max's weighting, see
+mesh.vertex_measures) approximates the shape operator applied to the edge
+vector, both projected into the face tangent plane.  Three edges give six
+equations for the three unknowns of a symmetric 2x2 matrix, solved in
+least squares face by face.  Per-vertex operators are the area-weighted
+average of incident face operators after rotating each face tangent plane
+onto the vertex tangent plane.
 
 Sign convention throughout: a sphere of radius R with outward normals gets
 the operator +(1/R) I.

@@ -8,9 +8,13 @@ Lehoucq-Sorensen-Yang 1998), so the shift is the caller's to derive from
 what it knows of the spectrum.  Vectors come back M-orthonormal with
 per-pair residuals so callers can check convergence instead of trusting it.
 
-Every solve with K + s*M in the package, the resolvent of the identities,
-the resolvent bound and the Birman-Schwinger kernel, goes through one
-factorization helper here.
+This module is the only one that factors a matrix or calls ARPACK.  One
+helper factors a + s*M for every symmetric matrix the package uses (K,
+K - M_W, K - M_T), or the bordered K for the zero-mean resolvent; ARPACK
+gets that factor as its shift-invert operator and makes none of its own.
+One wrapper around eigsh serves the pencil, T_r and lam1(K, M) solves and
+the Birman-Schwinger kernel alike, so the k range, the padding, the seeded
+start vector and the non-convergence error are set in one place.
 """
 
 from dataclasses import dataclass
@@ -45,31 +49,70 @@ class Spectrum:
                 fh.write("%d,%.17g,%.17g\n" % (i, lam, res))
 
 
-def _shifted_solver(pencil, shift):
-    """Factor K + shift*M once; return ``solve(b)`` for load vectors b.
+def _shifted_solver(a, mass, shift, bordered=False):
+    """Factor a + shift*M once; return ``solve(b)`` for load vectors b.
 
-    K is positive semidefinite with the constants as its kernel, so any
-    shift > 0 gives a positive definite matrix, factored as it stands.  At
-    shift 0 the bordered system [[K, m], [m^T, 0]] with m = M 1 is factored
-    instead: the solve returns the mean-zero y with K y = b - c m, the
-    constant part c of b going into the multiplier.
+    The package's one sparse factorization: the a - sigma*M of every
+    shift-invert eigensolve (a = K, K - M_W or K - M_T) and the K + mu*M
+    of the resolvent bound and the Birman-Schwinger kernel.  ``bordered``
+    appends the row and column m = M 1 with a zero corner: for a = K at
+    shift 0, whose kernel is the constants, the solve is the zero-mean
+    resolvent, returning the mean-zero y with K y = b - c m, the constant
+    part c of b going into the multiplier.  A singular factor raises
+    EigenSolveError.
     """
-    if shift < 0.0:
-        raise ValueError(f"shift must be nonnegative, got {shift}")
-    nv = pencil.n_vertices
-    if shift > 0.0:
-        a = (pencil.k_stiff + shift * sp.diags(pencil.mass)).tocsc()
-    else:
-        m_col = sp.csc_matrix(pencil.mass.reshape(nv, 1))
-        a = sp.bmat([[pencil.k_stiff, m_col], [m_col.T, None]], format="csc")
-    n = a.shape[0]
-    lu = spla.splu(a)
+    nv = len(mass)
+    # at shift 0 ``a`` is factored as stored: adding 0*M would drop its
+    # explicit zeros (the torus stiffness has some) and so change the
+    # fill-reducing ordering and the round-off of every solve
+    mat = a + shift * sp.diags(mass) if shift else a
+    if bordered:
+        m_col = sp.csc_matrix(np.reshape(mass, (nv, 1)))
+        mat = sp.bmat([[mat, m_col], [m_col.T, None]])
+    try:
+        lu = spla.splu(mat.tocsc())
+    except RuntimeError as exc:
+        raise EigenSolveError(
+            f"factorization of a + {shift:.6g}*M failed: {exc}") from exc
+    if not bordered:
+        return lu.solve
 
     def solve(b):
-        rhs = np.zeros(n)
+        rhs = np.zeros(nv + 1)
         rhs[:nv] = b
         return lu.solve(rhs)[:nv]
     return solve
+
+
+def _eigsh(op, k, which, seed, what, tol=0.0, vectors=True, **shift_invert):
+    """The package's one ARPACK call: k eigenpairs of ``op`` by ``which``.
+
+    ``op`` is V x V.  ARPACK returns at most V - 1 pairs, so ``k`` must lie
+    in [1, V - 1]; a couple of padding pairs help it separate clustered
+    targets, and the start vector is seeded.  ``shift_invert`` carries M,
+    sigma and OPinv through to eigsh.  Returns (values, vectors or None),
+    ascending, or descending for which="LA".  Raises EigenSolveError on a
+    refused k or when ARPACK fails to converge, naming ``what``.
+    """
+    nv = op.shape[0]
+    if not 1 <= k <= nv - 1:
+        raise EigenSolveError(
+            f"k={k} eigenpairs requested on a mesh with V={nv} vertices; "
+            f"k must lie in [1, {nv - 1}]"
+        )
+    kk = min(k + 2, nv - 1)
+    v0 = np.random.default_rng(seed).standard_normal(nv)
+    try:
+        out = spla.eigsh(op, k=kk, which=which, v0=v0, tol=tol,
+                         return_eigenvectors=vectors, **shift_invert)
+    except spla.ArpackNoConvergence as exc:
+        raise EigenSolveError(
+            f"{what}: ARPACK converged {len(exc.eigenvalues)}/{kk} pairs"
+        ) from exc
+    vals, vecs = out if vectors else (out, None)
+    order = np.argsort(vals)
+    order = (order[::-1] if which == "LA" else order)[:k]
+    return vals[order], None if vecs is None else vecs[:, order]
 
 
 def smallest_eigenpairs(a_mat, mass, k, sigma, tol=1e-10, seed=0):
@@ -79,8 +122,8 @@ def smallest_eigenpairs(a_mat, mass, k, sigma, tol=1e-10, seed=0):
     vector and ``sigma`` the shift-invert target, which must lie below the
     smallest eigenvalue (assemble.pencil_floor_shift for the pencil, a
     small negative multiple of its scale for the PSD stiffness).  ARPACK
-    returns at most V - 1 pairs, so ``k`` must lie in [1, V - 1].  Raises
-    EigenSolveError when ARPACK fails to converge.
+    runs on this module's own factor of A - sigma*M.  ``k`` must lie in
+    [1, V - 1].  Raises EigenSolveError when ARPACK fails to converge.
     """
     mass = np.asarray(mass, dtype=float)
     nv = mass.shape[0]
@@ -88,25 +131,14 @@ def smallest_eigenpairs(a_mat, mass, k, sigma, tol=1e-10, seed=0):
         raise ValueError("matrix and mass vector sizes disagree")
     if np.any(mass <= 0.0):
         raise ValueError("mass diagonal must be strictly positive")
-    if not 1 <= k <= nv - 1:
-        raise ValueError(f"need 1 <= k <= {nv - 1}, got k={k}")
 
-    # a couple of padding pairs helps ARPACK separate clustered targets
-    kk = min(k + 2, nv - 1)
-    v0 = np.random.default_rng(seed).standard_normal(nv)
-    try:
-        vals, vecs = spla.eigsh(
-            sp.csc_matrix(a_mat), k=kk, M=sp.diags(mass).tocsc(),
-            sigma=sigma, which="LM", v0=v0, tol=tol,
-        )
-    except spla.ArpackNoConvergence as exc:
-        raise EigenSolveError(
-            f"ARPACK converged {len(exc.eigenvalues)}/{kk} pairs"
-        ) from exc
-    except RuntimeError as exc:
-        raise EigenSolveError(f"shift-invert factorization failed: {exc}") from exc
-    order = np.argsort(vals)[:k]
-    vals, vecs = vals[order], _m_orthonormalize(vecs[:, order], mass)
+    solve = _shifted_solver(a_mat, mass, -sigma)
+    vals, vecs = _eigsh(
+        a_mat, k, "LM", seed, "shift-invert eigensolve", tol=tol,
+        M=sp.diags(mass).tocsc(), sigma=sigma,
+        OPinv=spla.LinearOperator((nv, nv), matvec=solve, dtype=float),
+    )
+    vecs = _m_orthonormalize(vecs, mass)
     return Spectrum(
         eigenvalues=vals, eigenvectors=vecs,
         residuals=_residuals(a_mat, mass, vals, vecs), seed=seed,

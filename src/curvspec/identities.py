@@ -14,6 +14,12 @@ refinement trend.  The chain residual realizes the position through the
 resolvent itself (phi_i := R0(W f_i)) and checks the energy pairing
 <R0(W f_i), W f_i> = phi_i^T K phi_i, which must close to solver precision;
 it validates the constrained solve, not the geometry.
+
+The checks take what they share as arguments and compute none of it
+again: full_report reads the caller's d quantities (which keep the three
+phi_i) and lam1(K, M); verify.Analysis holds both, computed once.  The
+zero-mean resolvent R0 is the bordered K factored by eigen._shifted_solver,
+once, inside d_quantities.
 """
 
 from dataclasses import dataclass
@@ -27,7 +33,6 @@ from .errors import BoundViolationError, CurvaturePositivityError
 
 __all__ = [
     "IdentityReport",
-    "ZeroMeanResolvent",
     "lr_position_residual",
     "minkowski_residual",
     "test_functions",
@@ -60,28 +65,8 @@ class DQuantities:
     d_sum: float
     orthogonality: np.ndarray
     orthogonality_raw: np.ndarray
-
-
-class ZeroMeanResolvent:
-    """Solve of (K + shift*M) y = M g0 for the mean-zero part g0 of g.
-
-    K annihilates constants, so the plain system is singular at shift 0;
-    there the factored system is the bordered one (see
-    eigen._shifted_solver), which keeps y mean-zero exactly.  For
-    shift > 0 a mean-zero load already gives a mean-zero y.
-    """
-
-    def __init__(self, pencil, shift=0.0):
-        self.pencil = pencil
-        self.shift = float(shift)
-        self._solve = _shifted_solver(pencil, self.shift)
-        self._area = float(pencil.mass.sum())
-
-    def solve(self, g):
-        """Return the zero-mean y with (K + shift*M) y = M g0, g0 = g - mean."""
-        g = np.asarray(g, dtype=float)
-        mean = float(self.pencil.mass @ g) / self._area
-        return self._solve(self.pencil.mass * (g - mean))
+    pairing: np.ndarray   # (3,) <phi_i, W f_i - mean>_M
+    phi: np.ndarray       # (3, V), row i is phi_i = R0(W f_i)
 
 
 def lr_position_residual(mesh, field, pencil, r):
@@ -141,22 +126,23 @@ def test_functions(mesh, field, r):
     return amp[:, None] * mesh.vertex_normals
 
 
-def d_quantities(mesh, pencil, f, resolvent=None):
+def d_quantities(pencil, f):
     """d_i = <R0(W f_i), W f_i>_M - ||f_i||_M^2 plus the W-orthogonality.
 
-    The resolvent argument W f_i is projected to zero M-mean before the
-    solve; the raw integral int f_i W (identical to <f_i, W>_M since the
-    weight is shared) is reported both before projection, where it decays
-    like O(h^2) under refinement, and after, where it is zero to round-off.
+    R0 is the zero-mean resolvent, factored here once for the three solves
+    and dropped on return; the phi_i = R0(W f_i) are kept for the chain
+    residual.  The resolvent argument W f_i is projected to zero M-mean
+    before the solve; the raw integral int f_i W (identical to <f_i, W>_M
+    since the weight is shared) is reported both before projection, where
+    it decays like O(h^2) under refinement, and after, where it is zero to
+    round-off.
     """
     f = np.asarray(f, dtype=float)
-    if resolvent is None:
-        resolvent = ZeroMeanResolvent(pencil)
     a = pencil.mass
+    r0 = _shifted_solver(pencil.k_stiff, a, 0.0, bordered=True)
     area = float(a.sum())
-    d = np.empty(3)
-    orth = np.empty(3)
-    orth_raw = np.empty(3)
+    d, orth, orth_raw, pairing = (np.empty(3) for _ in range(4))
+    phi = np.empty((3, pencil.n_vertices))
     for i in range(3):
         wf = pencil.w * f[:, i]
         scale = area * max(float(np.abs(wf).max()), 1e-300)
@@ -164,10 +150,11 @@ def d_quantities(mesh, pencil, f, resolvent=None):
         mean = float(a @ wf) / area
         wf0 = wf - mean
         orth[i] = abs(float(a @ wf0)) / scale
-        y = resolvent.solve(wf0)
-        d[i] = float(y @ (a * wf0)) - float(f[:, i] @ (a * f[:, i]))
+        phi[i] = r0(a * wf0)
+        pairing[i] = float(phi[i] @ (a * wf0))
+        d[i] = pairing[i] - float(f[:, i] @ (a * f[:, i]))
     return DQuantities(d=d, d_sum=float(d.sum()), orthogonality=orth,
-                       orthogonality_raw=orth_raw)
+                       orthogonality_raw=orth_raw, pairing=pairing, phi=phi)
 
 
 # K is positive semidefinite and its kernel is the constants, so a shift just
@@ -187,19 +174,19 @@ def stiffness_lam1(pencil, seed=0):
     ).eigenvalues[1])
 
 
-def resolvent_bound_check(pencil, mu, trials=100, seed=0, lam1=None):
+def resolvent_bound_check(pencil, mu, lam1, trials=100, seed=0):
     """Min slack of ||R_mu g||_M <= ||g||_M / (lam1 + mu) over random g.
 
     g is drawn gaussian and projected to zero M-mean, so the relevant
-    spectral floor is lam1, the smallest nonzero eigenvalue of (K, M).
-    Raises BoundViolationError if any trial lands below -1e-8 relative.
+    spectral floor is lam1, the smallest nonzero eigenvalue of (K, M)
+    (stiffness_lam1).  Raises BoundViolationError if any trial lands
+    below -1e-8 relative.
     """
     if mu <= 0.0:
         raise ValueError("mu must be positive")
-    lam1 = stiffness_lam1(pencil, seed) if lam1 is None else float(lam1)
     a = pencil.mass
     area = float(a.sum())
-    solve = _shifted_solver(pencil, mu)
+    solve = _shifted_solver(pencil.k_stiff, a, mu)
     rng = np.random.default_rng(seed)
     worst = np.inf
     for _ in range(trials):
@@ -220,27 +207,19 @@ def resolvent_bound_check(pencil, mu, trials=100, seed=0, lam1=None):
     return worst
 
 
-def resolvent_pairing_residual(pencil, f, resolvent=None):
+def resolvent_pairing_residual(pencil, dq):
     """Relative gap between <R0(W f_i), W f_i> and the K-energy of R0(W f_i).
 
-    Realizes the position through the resolvent (phi_i := R0(W f_i)) so the
-    pairing and the Dirichlet energy are the same number in exact
-    arithmetic; the reported gap measures solver and projection quality
-    only, and should sit at round-off level.
+    Realizes the position through the resolvent (phi_i := R0(W f_i), kept
+    by d_quantities) so the pairing and the Dirichlet energy are the same
+    number in exact arithmetic; the reported gap measures solver and
+    projection quality only, and should sit at round-off level.
     """
-    f = np.asarray(f, dtype=float)
-    if resolvent is None:
-        resolvent = ZeroMeanResolvent(pencil)
-    a = pencil.mass
-    area = float(a.sum())
     pairing = 0.0
     energy = 0.0
     for i in range(3):
-        wf = pencil.w * f[:, i]
-        wf -= float(a @ wf) / area
-        phi = resolvent.solve(wf)
-        pairing += float(phi @ (a * wf))
-        energy += float(phi @ (pencil.k_stiff @ phi))
+        pairing += float(dq.pairing[i])
+        energy += float(dq.phi[i] @ (pencil.k_stiff @ dq.phi[i]))
     return abs(pairing - energy) / max(abs(pairing), 1e-300)
 
 
@@ -264,19 +243,12 @@ def dirichlet_minkowski_gap(mesh, field, pencil, r):
     return abs(energy - reference) / reference
 
 
-def full_report(mesh, field, pencil, r=None, mu=1.0, trials=20, seed=0,
-                lam1=None, resolvent=None):
+def full_report(mesh, field, pencil, r, dq, lam1, mu=1.0, trials=20, seed=0):
     """Run every identity check once and collect an IdentityReport.
 
-    ``lam1`` and ``resolvent`` (a ZeroMeanResolvent of ``pencil``) are
-    computed here unless the caller already holds them.
+    ``dq`` is d_quantities of the order-r test functions and ``lam1`` is
+    stiffness_lam1 of ``pencil``; verify.Analysis holds both.
     """
-    if r is None:
-        r = pencil.r
-    if resolvent is None:
-        resolvent = ZeroMeanResolvent(pencil)
-    f = test_functions(mesh, field, r)
-    dq = d_quantities(mesh, pencil, f, resolvent=resolvent)
     return IdentityReport(
         lr_position_residual=lr_position_residual(mesh, field, pencil, r),
         minkowski_residual=minkowski_residual(mesh, field, r),
@@ -285,8 +257,8 @@ def full_report(mesh, field, pencil, r=None, mu=1.0, trials=20, seed=0,
         d=dq.d,
         d_sum=dq.d_sum,
         resolvent_bound_margin=resolvent_bound_check(
-            pencil, mu, trials=trials, seed=seed, lam1=lam1
+            pencil, mu, lam1, trials=trials, seed=seed
         ),
-        chain_residual=resolvent_pairing_residual(pencil, f, resolvent=resolvent),
+        chain_residual=resolvent_pairing_residual(pencil, dq),
         dirichlet_minkowski_gap=dirichlet_minkowski_gap(mesh, field, pencil, r),
     )

@@ -11,8 +11,9 @@ broken.  Thresholds travel inside every report; nothing is judged against
 an undisclosed constant.
 
 All checks read one Analysis per (mesh, r, config), which computes each
-shared object (curvature field, pencil, spectra, lam1(K, M), the zero-mean
-resolvent, the test functions) at most once, on first use.
+shared object (curvature field, pencil, spectra, lam1(K, M), the test
+functions and the d quantities with their zero-mean resolvent solves) at
+most once, on first use.
 """
 
 import functools
@@ -26,9 +27,9 @@ from .assemble import (assemble_pencil, pencil_floor_shift, spectral_scale,
                        with_potential_squared)
 from .curvature import compute_curvature
 from .eigen import smallest_eigenpairs
-from .errors import BoundViolationError, EigenSolveError
-from .identities import (ZeroMeanResolvent, d_quantities, full_report,
-                         stiffness_lam1, test_functions)
+from .errors import BoundViolationError
+from .identities import (d_quantities, full_report, stiffness_lam1,
+                         test_functions)
 
 __all__ = [
     "Analysis",
@@ -51,6 +52,14 @@ VIOLATION = "Violation"
 # round spheres sit at round-off, gentle bumps stay well under it
 SPHERE_DISTANCE_CEILING = 0.05
 
+# lambda_2(T_r) may exceed lambda_2 of the pencil by this much and still
+# satisfy the corollary's comparison
+COROLLARY_TOL = 1e-8
+
+# least c_r |A|^(r+2) - W^2 accepted at a vertex: below it the T_r
+# potential does not dominate and t_potential refuses
+DOMINATION_FLOOR = -1e-10
+
 
 @dataclass(frozen=True)
 class VerifyConfig:
@@ -62,8 +71,6 @@ class VerifyConfig:
     tol_sphere: float = None          # absolute override; None -> factor*scale
     tol_sphere_factor: float = 0.05
     tol_identity: float = 0.05
-    tol_orth: float = 1e-8
-    corollary_tol: float = 1e-8
 
     def resolve_tol_sphere(self, spectral_scale):
         if self.tol_sphere is not None:
@@ -110,13 +117,6 @@ class LemmaReport:
 
 
 def _smallest(pencil, max_w2, config):
-    # shift-invert returns at most V - 1 pairs: refuse rather than truncate
-    nv = pencil.n_vertices
-    if not 1 <= config.k <= nv - 1:
-        raise EigenSolveError(
-            f"k={config.k} eigenpairs requested on a mesh with V={nv} "
-            f"vertices; k must lie in [1, {nv - 1}]"
-        )
     return smallest_eigenpairs(
         pencil.a_matrix(), pencil.mass, k=config.k, tol=config.eig_tol,
         seed=config.seed, sigma=pencil_floor_shift(max_w2),
@@ -226,7 +226,7 @@ class Analysis:
         c = curvalg.c_coefficient(self.pencil.n, self.r)
         pot2 = c * curvalg.shape_norm(self.field.vertex_kappas) ** (self.r + 2)
         slack = pot2 - self.pencil.w**2
-        if slack.min() < -1e-10:
+        if slack.min() < DOMINATION_FLOOR:
             v = int(np.argmin(slack))
             raise BoundViolationError(
                 f"potential domination fails at vertex {v}: "
@@ -248,19 +248,13 @@ class Analysis:
         return stiffness_lam1(self.pencil, seed=self.config.seed)
 
     @functools.cached_property
-    @_stage("identities_s")
-    def resolvent(self):
-        return ZeroMeanResolvent(self.pencil)
-
-    @functools.cached_property
     def f(self):
         return test_functions(self.mesh, self.field, self.r)
 
     @functools.cached_property
     @_stage("identities_s")
     def dq(self):
-        return d_quantities(self.mesh, self.pencil, self.f,
-                            resolvent=self.resolvent)
+        return d_quantities(self.pencil, self.f)
 
     @_stage("spectrum_s")
     def theorem(self):
@@ -277,8 +271,6 @@ class Analysis:
         else:
             verdict = VIOLATION
         cluster = [j for j in range(1, len(ev)) if abs(ev[j] - lam2) <= tol]
-        # the T_r eigensolve runs before the resolvent is factored, so only
-        # one of their factorizations is alive at a time
         corollary = self.corollary()
         return TheoremReport(
             r=self.r,
@@ -306,7 +298,7 @@ class Analysis:
         """
         lam2_t = float(self.t_spectrum.eigenvalues[1])
         lam2 = float(self.spectrum.eigenvalues[1])
-        tol = self.config.corollary_tol
+        tol = COROLLARY_TOL
         return CorollaryReport(
             r=self.r,
             lambda_2_t=lam2_t,
@@ -355,11 +347,10 @@ class Analysis:
 
     @_stage("identities_s")
     def identities(self, mu=1.0, trials=20):
-        """identities.full_report on the shared lam1 and resolvent."""
+        """identities.full_report on the shared d quantities and lam1."""
         return full_report(
-            self.mesh, self.field, self.pencil, r=self.r, mu=mu,
-            trials=trials, seed=self.config.seed, lam1=self.lam1,
-            resolvent=self.resolvent,
+            self.mesh, self.field, self.pencil, self.r, self.dq, self.lam1,
+            mu=mu, trials=trials, seed=self.config.seed,
         )
 
 

@@ -103,7 +103,9 @@ def test_criterion_04_resolvent_and_kernel_bounds():
     worst_kernel = np.inf
     for kind, r in itertools.product(("sphere", "ellipsoid"), (0, 1)):
         _, _, pencil = get_pipeline(kind, 3, r)
-        margin = identities.resolvent_bound_check(pencil, mu=1.0, trials=100, seed=0)
+        margin = identities.resolvent_bound_check(
+            pencil, mu=1.0, lam1=identities.stiffness_lam1(pencil),
+            trials=100, seed=0)
         worst_resolvent = min(worst_resolvent, margin)
         assert margin >= -1e-8
         scan = birman.scan_crossings(pencil, steps=16, k=2, seed=0)

@@ -61,7 +61,8 @@ class TestKernelOperator:
         # kernel built by columns and fully diagonalized
         _, _, p = get_pipeline("ellipsoid", subdiv, 1)
         for mu in (0.5, 2.0):
-            vals, g = birman._top_k(p, mu, eigen._shifted_solver(p, mu), 3, 0,
+            solve = eigen._shifted_solver(p.k_stiff, p.mass, mu)
+            vals, g = birman._top_k(p, mu, solve, 3, 0,
                                     restrict=restrict, vectors=True)
             ref_vals, ref_g = oracles.dense_K_mu_eigenpairs(
                 p, mu, p.n_vertices, restrict=restrict)
@@ -75,7 +76,7 @@ class TestKernelOperator:
     def test_hellmann_feynman_slope(self, subdiv):
         _, _, p = get_pipeline("ellipsoid", subdiv, 1)
         for mu in (0.5, 2.0):
-            solve = eigen._shifted_solver(p, mu)
+            solve = eigen._shifted_solver(p.k_stiff, p.mass, mu)
             _, g = birman._top_k(p, mu, solve, 3, 0, vectors=True)
             slopes = [birman._hf_slope(p, solve, g[:, j]) for j in range(3)]
             h = 1e-4 * mu
@@ -204,9 +205,9 @@ class TestScan:
         shifts = Counter()
         factor = birman._shifted_solver
 
-        def counted(pencil, mu):
+        def counted(a, mass, mu):
             shifts[float(mu)] += 1
-            return factor(pencil, mu)
+            return factor(a, mass, mu)
 
         monkeypatch.setattr(birman, "_shifted_solver", counted)
         res = birman.scan_crossings(ellipsoid_pencil, steps=32, k=3, seed=0)

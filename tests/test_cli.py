@@ -13,7 +13,7 @@ import pytest
 
 import scipy.sparse.linalg as spla
 
-from curvspec import cli, verify
+from curvspec import cli, eigen, identities, verify
 from curvspec.mesh import TriMesh, load_mesh
 
 from conftest import get_mesh
@@ -177,6 +177,13 @@ class TestRefusals:
         err = self.refused(["verify", "--mesh", str(off), "--r", "0"], tmp_path)
         assert err["type"] == "MeshLoadError"
 
+    def test_scan_k_equal_to_vertex_count(self, tmp_path):
+        # the kernel eigensolve shares the pencil's k refusal
+        err = self.refused(["bs-scan", "--shape", "sphere", "--subdiv", "0",
+                            "--scan-k", "12"], tmp_path)
+        assert err["type"] == "EigenSolveError"
+        assert "k=12" in err["message"] and "V=12" in err["message"]
+
     def test_method_flag_is_gone(self):
         assert run(["verify", "--shape", "sphere", "--method", "dense"]) == 64
 
@@ -230,9 +237,12 @@ class TestDeterminism:
 
 
 class TestWorkCounts:
-    def test_verify_computes_each_object_once(self, tmp_path, monkeypatch):
-        # V=2562 takes the iterative (ARPACK shift-invert) path
-        counts = {"curvature": 0, "eigsh": 0, "splu": 0}
+    @staticmethod
+    def counters(monkeypatch):
+        """Count curvature fields, eigsh runs, the package's factorizations,
+        scipy's shift-invert factorizations and zero-mean resolvent solves."""
+        counts = {"curvature": 0, "eigsh": 0, "splu": 0, "arpack_splu": 0,
+                  "r0_solves": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -240,21 +250,51 @@ class TestWorkCounts:
                 return fn(*args, **kwargs)
             return wrapper
 
+        def shifted_solver(a, mass, shift, bordered=False):
+            solve = eigen._shifted_solver(a, mass, shift, bordered)
+            return counted("r0_solves", solve) if bordered else solve
+
         arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
         monkeypatch.setattr(verify, "compute_curvature",
                             counted("curvature", verify.compute_curvature))
         monkeypatch.setattr(spla, "eigsh", counted("eigsh", spla.eigsh))
-        splu = counted("splu", spla.splu)
-        monkeypatch.setattr(spla, "splu", splu)
-        monkeypatch.setattr(arpack, "splu", splu)   # shift-invert's own LU
+        monkeypatch.setattr(spla, "splu", counted("splu", spla.splu))
+        # the LU eigsh(sigma=...) would make for itself when given no OPinv
+        monkeypatch.setattr(arpack, "splu", counted("arpack_splu", arpack.splu))
+        monkeypatch.setattr(identities, "_shifted_solver", shifted_solver)
+        return counts
+
+    def test_verify_computes_each_object_once(self, tmp_path, monkeypatch):
+        counts = self.counters(monkeypatch)
         code = run([
             "verify", "--shape", "ellipsoid", "--a", "2", "--b", "1", "--c", "1",
             "--subdiv", "4", "--r", "1", "-o", str(tmp_path / "rep.json"),
         ])
         assert code == 0
-        assert counts["curvature"] == 1
-        assert counts["eigsh"] == 3      # pencil, T_r, lam1(K, M)
-        assert counts["splu"] <= 5
+        assert counts == {
+            "curvature": 1,
+            "eigsh": 3,         # pencil, T_r, lam1(K, M)
+            "splu": 5,          # those three, R0 and the resolvent bound
+            "arpack_splu": 0,   # ARPACK runs on the package's own factors
+            "r0_solves": 3,     # one per test function, read by every check
+        }
+
+    def test_bs_scan_factors_only_through_eigen(self, tmp_path, monkeypatch):
+        counts = self.counters(monkeypatch)
+        out = tmp_path / "rep.json"
+        code = run([
+            "bs-scan", "--shape", "ellipsoid", "--a", "2", "--b", "1", "--c", "1",
+            "--subdiv", "2", "--r", "0", "--steps", "8", "--scan-k", "2",
+            "--no-embed-timings", "-o", str(out),
+        ])
+        assert code == 0
+        crossings = json.loads(out.read_text())["birman_schwinger"]["crossings"]
+        assert crossings
+        newton = sum(c["evaluations"] for c in crossings)
+        assert counts["arpack_splu"] == 0
+        # lam1, one per grid point, one per Newton step, the pencil match
+        assert counts["splu"] == 1 + 8 + newton + 1
+        assert counts["r0_solves"] == 0
 
 
 class TestConfigFile:

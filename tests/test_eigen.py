@@ -1,11 +1,17 @@
 """Generalized eigensolvers for the operator pencil."""
 
+import ast
+import glob
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from curvspec import eigen
 from curvspec.assemble import pencil_floor_shift
+from curvspec.errors import EigenSolveError
 
 import oracles
 from conftest import floor_shift, get_pipeline, kernel_shift
@@ -163,7 +169,7 @@ class TestShiftedSolver:
     def test_positive_shift_solves_shifted_system(self, sphere_pencil):
         p = sphere_pencil
         b = np.random.default_rng(5).normal(size=p.n_vertices)
-        y = eigen._shifted_solver(p, 2.0)(b)
+        y = eigen._shifted_solver(p.k_stiff, p.mass, 2.0)(b)
         resid = p.k_stiff @ y + 2.0 * p.mass * y - b
         assert np.linalg.norm(resid) < 1e-10 * np.linalg.norm(b)
 
@@ -172,15 +178,42 @@ class TestShiftedSolver:
         # system's multiplier and y comes back with zero M-mean
         p = sphere_pencil
         b = np.random.default_rng(6).normal(size=p.n_vertices) + 3.0
-        y = eigen._shifted_solver(p, 0.0)(b)
+        y = eigen._shifted_solver(p.k_stiff, p.mass, 0.0, bordered=True)(b)
         assert abs(p.mass @ y) < 1e-10 * np.linalg.norm(p.mass * y)
         load = b - b.sum() / p.mass.sum() * p.mass
         resid = p.k_stiff @ y - load
         assert np.linalg.norm(resid) < 1e-10 * np.linalg.norm(load)
 
-    def test_negative_shift_rejected(self, sphere_pencil):
-        with pytest.raises(ValueError):
-            eigen._shifted_solver(sphere_pencil, -1.0)
+    def test_pencil_shift_matches_scipy_factor(self, sphere_pencil):
+        # the factor ARPACK is handed is the one scipy's eigsh would build
+        # itself, (A - sigma*M) in CSC, so its solves agree to the bit
+        p = sphere_pencil
+        a, sigma = p.a_matrix(), floor_shift(p)
+        b = np.random.default_rng(7).normal(size=p.n_vertices)
+        own = eigen._shifted_solver(a, p.mass, -sigma)(b)
+        ref = spla.splu(sp.csc_matrix(a) - sigma * sp.diags(p.mass).tocsc())
+        assert np.array_equal(own, ref.solve(b))
+
+    def test_zero_shift_factors_the_stored_matrix(self):
+        # the torus stiffness stores explicit zeros; at shift 0 they stay,
+        # so the bordered factor is that of [[K, m], [m^T, 0]] as assembled
+        _, _, p = get_pipeline("torus", 1, 0)
+        assert np.any(p.k_stiff.data == 0.0)
+        b = np.random.default_rng(8).normal(size=p.n_vertices)
+        m_col = sp.csc_matrix(p.mass.reshape(-1, 1))
+        ref = spla.splu(sp.bmat([[p.k_stiff, m_col], [m_col.T, None]],
+                                format="csc"))
+        own = eigen._shifted_solver(p.k_stiff, p.mass, 0.0, bordered=True)(b)
+        assert np.array_equal(own, ref.solve(np.append(b, 0.0))[:-1])
+
+    def test_singular_factor_raises_eigen_solve_error(self):
+        # diag(1, 2, 3) - 2*I is exactly singular, for the helper and for
+        # the eigensolve that would factor it
+        a = sp.diags([1.0, 2.0, 3.0]).tocsr()
+        with pytest.raises(EigenSolveError, match="factorization"):
+            eigen._shifted_solver(a, np.ones(3), -2.0)
+        with pytest.raises(EigenSolveError, match="factorization"):
+            eigen.smallest_eigenpairs(a, np.ones(3), 1, sigma=2.0)
 
 
 class TestValidation:
@@ -188,8 +221,10 @@ class TestValidation:
         # ARPACK returns at most V - 1 pairs; k = V is refused, not truncated
         a, m = sphere_pencil.a_matrix(), sphere_pencil.mass
         sigma = floor_shift(sphere_pencil)
-        for k in (0, sphere_pencil.n_vertices, sphere_pencil.n_vertices + 1):
-            with pytest.raises(ValueError, match="need 1 <= k"):
+        nv = sphere_pencil.n_vertices
+        for k in (0, nv, nv + 1):
+            with pytest.raises(EigenSolveError,
+                               match=f"k={k} .* V={nv} .* \\[1, {nv - 1}\\]"):
                 eigen.smallest_eigenpairs(a, m, k, sigma=sigma)
 
     def test_bad_mass(self, sphere_pencil):
@@ -235,3 +270,21 @@ class TestSmallMeshes:
     def test_stiffness_matches_lapack(self, subdiv):
         _, _, p = get_pipeline("ellipsoid", subdiv, 1)
         self.check(p.k_stiff, p.mass, 5, kernel_shift(p))
+
+
+def test_one_factor_and_one_arpack_call_site():
+    # every factorization and every ARPACK run goes through eigen's two
+    # helpers; a second splu or eigsh call anywhere in the package fails here
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                       "src", "curvspec")
+    calls = {"splu": [], "eigsh": []}
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                if name in calls:
+                    calls[name].append(os.path.basename(path))
+    assert calls == {"splu": ["eigen.py"], "eigsh": ["eigen.py"]}

@@ -88,7 +88,7 @@ class TestDQuantities:
     def test_sphere_d_vanishes(self):
         mesh, field, pencil = get_pipeline("sphere", 3, 0)
         f = idn.test_functions(mesh, field, 0)
-        dq = idn.d_quantities(mesh, pencil, f)
+        dq = idn.d_quantities(pencil, f)
         norms = np.einsum("vi,v,vi->i", f, pencil.mass, f)
         assert np.max(np.abs(dq.d) / norms) < 1e-4
         assert np.max(np.abs(dq.orthogonality)) < 1e-12
@@ -97,7 +97,7 @@ class TestDQuantities:
         for r in (0, 1):
             mesh, field, pencil = get_pipeline("ellipsoid", 3, r)
             f = idn.test_functions(mesh, field, r)
-            dq = idn.d_quantities(mesh, pencil, f)
+            dq = idn.d_quantities(pencil, f)
             assert dq.d[0] > 1.0          # stretched axis needs lower energy
             assert dq.d_sum == pytest.approx(np.sum(dq.d))
 
@@ -105,7 +105,7 @@ class TestDQuantities:
         # the bumped sphere has no symmetry to cancel the raw pairing
         mesh, field, pencil = get_pipeline("bumped", 3, 1)
         f = idn.test_functions(mesh, field, 1)
-        dq = idn.d_quantities(mesh, pencil, f)
+        dq = idn.d_quantities(pencil, f)
         assert np.max(np.abs(dq.orthogonality_raw)) > 1e-8
         assert np.max(np.abs(dq.orthogonality)) < 1e-12
 
@@ -116,18 +116,22 @@ class TestDQuantities:
         for kind in ("bumped", "bumped_half"):
             mesh, field, pencil = get_pipeline(kind, 4, 1)
             f = idn.test_functions(mesh, field, 1)
-            sums.append(idn.d_quantities(mesh, pencil, f).d_sum)
+            sums.append(idn.d_quantities(pencil, f).d_sum)
         assert sums[0] > 0.0 and sums[1] > 0.0
         assert 3.0 < sums[0] / sums[1] < 5.0
 
 
 class TestResolvent:
+    """The zero-mean resolvent and the shifted solves, through eigen's factor."""
+
     def test_constrained_solve(self):
+        # the bordered factor at shift 0 is R0: any load, mean-zero answer
         _, _, pencil = get_pipeline("ellipsoid", 3, 1)
-        res = idn.ZeroMeanResolvent(pencil)
+        r0 = eigen._shifted_solver(pencil.k_stiff, pencil.mass, 0.0,
+                                   bordered=True)
         rng = np.random.default_rng(1)
         g = rng.normal(size=pencil.n_vertices)
-        y = res.solve(g)
+        y = r0(pencil.mass * g)
         assert abs(pencil.mass @ y) < 1e-10 * np.linalg.norm(y)
         mean = (pencil.mass @ g) / pencil.mass.sum()
         load = pencil.mass * (g - mean)
@@ -136,17 +140,19 @@ class TestResolvent:
 
     def test_shifted_solve(self):
         _, _, pencil = get_pipeline("sphere", 3, 0)
-        res = idn.ZeroMeanResolvent(pencil, shift=2.5)
+        solve = eigen._shifted_solver(pencil.k_stiff, pencil.mass, 2.5)
         rng = np.random.default_rng(3)
         g = rng.normal(size=pencil.n_vertices)
         g -= (pencil.mass @ g) / pencil.mass.sum()
-        y = res.solve(g)
+        y = solve(pencil.mass * g)
         lhs = pencil.k_stiff @ y + 2.5 * pencil.mass * y
         assert np.allclose(lhs, pencil.mass * g, atol=1e-10)
+        assert abs(pencil.mass @ y) < 1e-10 * np.linalg.norm(y)
 
     def test_bound_check_passes(self):
         _, _, pencil = get_pipeline("ellipsoid", 3, 1)
-        margin = idn.resolvent_bound_check(pencil, mu=1.0, trials=50, seed=0)
+        margin = idn.resolvent_bound_check(
+            pencil, mu=1.0, lam1=idn.stiffness_lam1(pencil), trials=50, seed=0)
         assert margin >= 0.0
 
     def test_bound_saturates_on_first_eigenvector(self):
@@ -156,11 +162,11 @@ class TestResolvent:
         spec = eigen.smallest_eigenpairs(pencil.k_stiff, pencil.mass, 5,
                                          sigma=kernel_shift(pencil))
         lam1 = spec.eigenvalues[1]
-        res = idn.ZeroMeanResolvent(pencil, shift=1.0)
+        solve = eigen._shifted_solver(pencil.k_stiff, pencil.mass, 1.0)
 
         def margin(g):
             norm = lambda x: float(np.sqrt((pencil.mass * x) @ x))
-            return norm(g) / (lam1 + 1.0) - norm(res.solve(g))
+            return norm(g) / (lam1 + 1.0) - norm(solve(pencil.mass * g))
 
         assert abs(margin(spec.eigenvectors[:, 1])) < 1e-10
         assert margin(spec.eigenvectors[:, 4]) > 0.1
@@ -169,28 +175,40 @@ class TestResolvent:
         # feeding a spectral floor that is too optimistic must trip the check
         _, _, pencil = get_pipeline("ellipsoid", 3, 1)
         with pytest.raises(BoundViolationError):
-            idn.resolvent_bound_check(pencil, mu=1.0, trials=50, seed=0, lam1=50.0)
+            idn.resolvent_bound_check(pencil, mu=1.0, lam1=50.0, trials=50, seed=0)
 
     def test_chain_residual_tiny(self):
         mesh, field, pencil = get_pipeline("ellipsoid", 3, 1)
         f = idn.test_functions(mesh, field, 1)
-        assert idn.resolvent_pairing_residual(pencil, f) < 1e-8
+        dq = idn.d_quantities(pencil, f)
+        assert idn.resolvent_pairing_residual(pencil, dq) < 1e-8
+        # the kept phi_i are R0 of W f_i, whose constant part R0 discards
+        r0 = eigen._shifted_solver(pencil.k_stiff, pencil.mass, 0.0,
+                                   bordered=True)
+        for i in range(3):
+            np.testing.assert_allclose(
+                dq.phi[i], r0(pencil.mass * pencil.w * f[:, i]),
+                rtol=0, atol=1e-12 * np.abs(dq.phi[i]).max())
 
 
 class TestFullReport:
     def test_fields_cross_check(self):
         mesh, field, pencil = get_pipeline("ellipsoid", 3, 0)
-        rep = idn.full_report(mesh, field, pencil)
         f = idn.test_functions(mesh, field, 0)
-        dq = idn.d_quantities(mesh, pencil, f)
-        assert np.allclose(rep.d, dq.d)
-        assert rep.d_sum == pytest.approx(dq.d_sum)
+        dq = idn.d_quantities(pencil, f)
+        rep = idn.full_report(mesh, field, pencil, 0, dq,
+                              idn.stiffness_lam1(pencil))
+        assert rep.d is dq.d and rep.d_sum == dq.d_sum
+        assert rep.chain_residual == idn.resolvent_pairing_residual(pencil, dq)
         assert rep.dirichlet_minkowski_gap < 0.03
         assert rep.chain_residual < 1e-8
         assert rep.resolvent_bound_margin >= 0.0
 
     def test_report_deterministic(self):
         mesh, field, pencil = get_pipeline("sphere", 2, 0)
-        a = idn.full_report(mesh, field, pencil, seed=5)
-        b = idn.full_report(mesh, field, pencil, seed=5)
-        assert a == b or np.allclose(a.resolvent_bound_margin, b.resolvent_bound_margin)
+        args = (mesh, field, pencil, 0,
+                idn.d_quantities(pencil, idn.test_functions(mesh, field, 0)),
+                idn.stiffness_lam1(pencil))
+        a = idn.full_report(*args, seed=5)
+        b = idn.full_report(*args, seed=5)
+        assert a.resolvent_bound_margin == b.resolvent_bound_margin
