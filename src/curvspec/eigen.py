@@ -10,11 +10,16 @@ per-pair residuals so callers can check convergence instead of trusting it.
 
 This module is the only one that factors a matrix or calls ARPACK.  One
 helper factors a + s*M for every symmetric matrix the package uses (K,
-K - M_W, K - M_T), or the bordered K for the zero-mean resolvent; ARPACK
-gets that factor as its shift-invert operator and makes none of its own.
-One wrapper around eigsh serves the pencil, T_r and lam1(K, M) solves and
-the Birman-Schwinger kernel alike, so the k range, the padding, the seeded
-start vector and the non-convergence error are set in one place.
+K - M_W, K - M_T): each is positive definite at the shifts the package
+takes, so the factor is one banded Cholesky (LAPACK pbtrf) in reverse
+Cuthill-McKee order (Cuthill-McKee 1969; George-Liu, Computer Solution of
+Large Sparse Positive Definite Systems, 1981), and a shift that does not lie
+below the spectrum is refused instead of factored.  The zero-mean resolvent
+factors K grounded at one vertex.  ARPACK gets that factor as its
+shift-invert operator and makes none of its own.  One wrapper around eigsh
+serves the pencil, T_r and lam1(K, M) solves and the Birman-Schwinger kernel
+alike, so the k range, the padding, the seeded start vector and the
+non-convergence error are set in one place.
 """
 
 from dataclasses import dataclass
@@ -23,6 +28,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from .errors import EigenSolveError
 
@@ -49,38 +55,54 @@ class Spectrum:
                 fh.write("%d,%.17g,%.17g\n" % (i, lam, res))
 
 
-def _shifted_solver(a, mass, shift, bordered=False):
+def _shifted_solver(a, mass, shift, zero_mean=False):
     """Factor a + shift*M once; return ``solve(b)`` for load vectors b.
 
-    The package's one sparse factorization: the a - sigma*M of every
-    shift-invert eigensolve (a = K, K - M_W or K - M_T) and the K + mu*M
-    of the resolvent bound and the Birman-Schwinger kernel.  ``bordered``
-    appends the row and column m = M 1 with a zero corner: for a = K at
-    shift 0, whose kernel is the constants, the solve is the zero-mean
-    resolvent, returning the mean-zero y with K y = b - c m, the constant
-    part c of b going into the multiplier.  A singular factor raises
-    EigenSolveError.
+    The package's one factorization: the a - sigma*M of every shift-invert
+    eigensolve (a = K, K - M_W or K - M_T) and the K + mu*M of the resolvent
+    bound and the Birman-Schwinger kernel.  The matrix is put in reverse
+    Cuthill-McKee order, its upper band copied into a Fortran-ordered
+    (bw+1, V) array and Cholesky-factored there in place, so the band is
+    the only dense copy made.  A matrix that is not positive definite (a shift
+    not below the spectrum, a singular a) raises EigenSolveError.
+
+    ``zero_mean`` (a = K, shift 0) gives the zero-mean resolvent: y with
+    M-mean zero and K y = b - c m, m = M 1 and c = sum(b) / sum(m) the
+    constant part of b, which K cannot reach.  K with the last vertex of
+    the ordering removed is positive definite on a connected mesh, and a
+    mesh that is not connected is refused; y is solved with 0 at that
+    vertex, then its M-mean is subtracted.
     """
-    nv = len(mass)
-    # at shift 0 ``a`` is factored as stored: adding 0*M would drop its
-    # explicit zeros (the torus stiffness has some) and so change the
-    # fill-reducing ordering and the round-off of every solve
-    mat = a + shift * sp.diags(mass) if shift else a
-    if bordered:
-        m_col = sp.csc_matrix(np.reshape(mass, (nv, 1)))
-        mat = sp.bmat([[mat, m_col], [m_col.T, None]])
-    try:
-        lu = spla.splu(mat.tocsc())
-    except RuntimeError as exc:
+    mat = sp.csr_matrix(a + shift * sp.diags(mass))
+    if zero_mean and connected_components(mat, directed=False)[0] > 1:
         raise EigenSolveError(
-            f"factorization of a + {shift:.6g}*M failed: {exc}") from exc
-    if not bordered:
-        return lu.solve
+            "zero-mean resolvent: the mesh is not connected, so K has more "
+            "than the constants in its kernel")
+    order = reverse_cuthill_mckee(mat, symmetric_mode=True)
+    if zero_mean:
+        order = order[:-1]
+    upper = sp.triu(mat[order][:, order], format="coo")
+    bw = int((upper.col - upper.row).max())
+    band = np.zeros((bw + 1, len(order)), order="F")
+    band[bw + upper.row - upper.col, upper.col] = upper.data
+    try:
+        factor = sla.cholesky_banded(band, overwrite_ab=True,
+                                     check_finite=False)
+    except sla.LinAlgError as exc:
+        raise EigenSolveError(
+            f"factorization of a + {shift:.6g}*M failed: not positive "
+            f"definite, so the shift does not lie below the spectrum") from exc
+    area = float(mass.sum())
 
     def solve(b):
-        rhs = np.zeros(nv + 1)
-        rhs[:nv] = b
-        return lu.solve(rhs)[:nv]
+        if zero_mean:
+            b = b - float(b.sum()) / area * mass
+        y = np.zeros(b.shape)
+        y[order] = sla.cho_solve_banded((factor, False), b[order],
+                                        overwrite_b=True, check_finite=False)
+        if zero_mean:
+            y -= float(mass @ y) / area
+        return y
     return solve
 
 

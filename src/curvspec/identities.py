@@ -18,8 +18,9 @@ it validates the constrained solve, not the geometry.
 The checks take what they share as arguments and compute none of it
 again: full_report reads the caller's d quantities (which keep the three
 phi_i) and lam1(K, M); verify.Analysis holds both, computed once.  The
-zero-mean resolvent R0 is the bordered K factored by eigen._shifted_solver,
-once, inside d_quantities.
+zero-mean resolvent R0 is K grounded at one vertex, Cholesky-factored by
+eigen._shifted_solver once inside d_quantities; its answer is shifted to
+zero M-mean.
 """
 
 from dataclasses import dataclass
@@ -139,7 +140,7 @@ def d_quantities(pencil, f):
     """
     f = np.asarray(f, dtype=float)
     a = pencil.mass
-    r0 = _shifted_solver(pencil.k_stiff, a, 0.0, bordered=True)
+    r0 = _shifted_solver(pencil.k_stiff, a, 0.0, zero_mean=True)
     area = float(a.sum())
     d, orth, orth_raw, pairing = (np.empty(3) for _ in range(4))
     phi = np.empty((3, pencil.n_vertices))

@@ -69,6 +69,25 @@ def dense_eigenpairs(a_mat, mass, k):
     return vals, s[:, None] * y
 
 
+def dense_shifted_solve(a_mat, mass, shift, b, zero_mean=False):
+    """y with (A + shift*M) y = b by LAPACK on a dense copy.
+
+    With ``zero_mean`` (A = K, shift 0) the solve is that of the bordered
+    system [[K, m], [m^T, 0]] [y; c] = [b; 0], m = M 1: y has zero M-mean
+    and c takes the constant part of b.  The reference the package's
+    banded Cholesky solves are checked against.
+    """
+    dense = a_mat.toarray() if sp.issparse(a_mat) else np.asarray(a_mat, dtype=float)
+    dense = dense + shift * np.diag(mass)
+    if not zero_mean:
+        return sla.solve(dense, b, assume_a="sym")
+    nv = len(mass)
+    bordered = np.zeros((nv + 1, nv + 1))
+    bordered[:nv, :nv] = dense
+    bordered[:nv, nv] = bordered[nv, :nv] = mass
+    return sla.solve(bordered, np.append(b, 0.0), assume_a="sym")[:nv]
+
+
 def rayleigh_quotient(a_mat, mass, x):
     """<Ax, x> / <Mx, x> for a single vector."""
     x = np.asarray(x, dtype=float)

@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from curvspec import cli, eigen, identities, verify
@@ -241,8 +242,8 @@ class TestWorkCounts:
     def counters(monkeypatch):
         """Count curvature fields, eigsh runs, the package's factorizations,
         scipy's shift-invert factorizations and zero-mean resolvent solves."""
-        counts = {"curvature": 0, "eigsh": 0, "splu": 0, "arpack_splu": 0,
-                  "r0_solves": 0}
+        counts = {"curvature": 0, "eigsh": 0, "cholesky_banded": 0,
+                  "arpack_splu": 0, "r0_solves": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -250,15 +251,16 @@ class TestWorkCounts:
                 return fn(*args, **kwargs)
             return wrapper
 
-        def shifted_solver(a, mass, shift, bordered=False):
-            solve = eigen._shifted_solver(a, mass, shift, bordered)
-            return counted("r0_solves", solve) if bordered else solve
+        def shifted_solver(a, mass, shift, zero_mean=False):
+            solve = eigen._shifted_solver(a, mass, shift, zero_mean)
+            return counted("r0_solves", solve) if zero_mean else solve
 
         arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
         monkeypatch.setattr(verify, "compute_curvature",
                             counted("curvature", verify.compute_curvature))
         monkeypatch.setattr(spla, "eigsh", counted("eigsh", spla.eigsh))
-        monkeypatch.setattr(spla, "splu", counted("splu", spla.splu))
+        monkeypatch.setattr(sla, "cholesky_banded",
+                            counted("cholesky_banded", sla.cholesky_banded))
         # the LU eigsh(sigma=...) would make for itself when given no OPinv
         monkeypatch.setattr(arpack, "splu", counted("arpack_splu", arpack.splu))
         monkeypatch.setattr(identities, "_shifted_solver", shifted_solver)
@@ -273,10 +275,10 @@ class TestWorkCounts:
         assert code == 0
         assert counts == {
             "curvature": 1,
-            "eigsh": 3,         # pencil, T_r, lam1(K, M)
-            "splu": 5,          # those three, R0 and the resolvent bound
-            "arpack_splu": 0,   # ARPACK runs on the package's own factors
-            "r0_solves": 3,     # one per test function, read by every check
+            "eigsh": 3,             # pencil, T_r, lam1(K, M)
+            "cholesky_banded": 5,   # those three, R0 and the resolvent bound
+            "arpack_splu": 0,       # ARPACK runs on the package's own factors
+            "r0_solves": 3,         # one per test function, read by every check
         }
 
     def test_bs_scan_factors_only_through_eigen(self, tmp_path, monkeypatch):
@@ -293,7 +295,7 @@ class TestWorkCounts:
         newton = sum(c["evaluations"] for c in crossings)
         assert counts["arpack_splu"] == 0
         # lam1, one per grid point, one per Newton step, the pencil match
-        assert counts["splu"] == 1 + 8 + newton + 1
+        assert counts["cholesky_banded"] == 1 + 8 + newton + 1
         assert counts["r0_solves"] == 0
 
 

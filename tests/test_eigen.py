@@ -3,11 +3,12 @@
 import ast
 import glob
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from curvspec import eigen
 from curvspec.assemble import pencil_floor_shift
@@ -174,37 +175,42 @@ class TestShiftedSolver:
         assert np.linalg.norm(resid) < 1e-10 * np.linalg.norm(b)
 
     def test_zero_shift_returns_mean_zero_solution(self, sphere_pencil):
-        # K kills constants: the constant part of b goes into the bordered
-        # system's multiplier and y comes back with zero M-mean
+        # K kills constants: the constant part of b is taken off the load
+        # and y comes back with zero M-mean
         p = sphere_pencil
         b = np.random.default_rng(6).normal(size=p.n_vertices) + 3.0
-        y = eigen._shifted_solver(p.k_stiff, p.mass, 0.0, bordered=True)(b)
+        y = eigen._shifted_solver(p.k_stiff, p.mass, 0.0, zero_mean=True)(b)
         assert abs(p.mass @ y) < 1e-10 * np.linalg.norm(p.mass * y)
         load = b - b.sum() / p.mass.sum() * p.mass
         resid = p.k_stiff @ y - load
         assert np.linalg.norm(resid) < 1e-10 * np.linalg.norm(load)
 
     def test_pencil_shift_matches_scipy_factor(self, sphere_pencil):
-        # the factor ARPACK is handed is the one scipy's eigsh would build
-        # itself, (A - sigma*M) in CSC, so its solves agree to the bit
+        # the factor ARPACK is handed solves (A - sigma*M) y = b as a dense
+        # LAPACK solve does, to round-off
         p = sphere_pencil
         a, sigma = p.a_matrix(), floor_shift(p)
         b = np.random.default_rng(7).normal(size=p.n_vertices)
         own = eigen._shifted_solver(a, p.mass, -sigma)(b)
-        ref = spla.splu(sp.csc_matrix(a) - sigma * sp.diags(p.mass).tocsc())
-        assert np.array_equal(own, ref.solve(b))
+        ref = oracles.dense_shifted_solve(a, p.mass, -sigma, b)
+        assert np.linalg.norm(own - ref) <= 1e-12 * np.linalg.norm(ref)
+        resid = a @ own - sigma * p.mass * own - b
+        assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(b)
 
     def test_zero_shift_factors_the_stored_matrix(self):
-        # the torus stiffness stores explicit zeros; at shift 0 they stay,
-        # so the bordered factor is that of [[K, m], [m^T, 0]] as assembled
+        # the torus stiffness stores explicit zeros; the grounded factor of
+        # K as assembled gives the bordered system's solution to round-off
         _, _, p = get_pipeline("torus", 1, 0)
         assert np.any(p.k_stiff.data == 0.0)
-        b = np.random.default_rng(8).normal(size=p.n_vertices)
-        m_col = sp.csc_matrix(p.mass.reshape(-1, 1))
-        ref = spla.splu(sp.bmat([[p.k_stiff, m_col], [m_col.T, None]],
-                                format="csc"))
-        own = eigen._shifted_solver(p.k_stiff, p.mass, 0.0, bordered=True)(b)
-        assert np.array_equal(own, ref.solve(np.append(b, 0.0))[:-1])
+        b = np.random.default_rng(8).normal(size=p.n_vertices) + 3.0
+        own = eigen._shifted_solver(p.k_stiff, p.mass, 0.0, zero_mean=True)(b)
+        ref = oracles.dense_shifted_solve(p.k_stiff, p.mass, 0.0, b,
+                                          zero_mean=True)
+        assert np.linalg.norm(own - ref) <= 1e-12 * np.linalg.norm(ref)
+        load = b - b.sum() / p.mass.sum() * p.mass
+        resid = p.k_stiff @ own - load
+        assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(load)
+        assert abs(p.mass @ own) <= 1e-12 * np.linalg.norm(p.mass * own)
 
     def test_singular_factor_raises_eigen_solve_error(self):
         # diag(1, 2, 3) - 2*I is exactly singular, for the helper and for
@@ -214,6 +220,52 @@ class TestShiftedSolver:
             eigen._shifted_solver(a, np.ones(3), -2.0)
         with pytest.raises(EigenSolveError, match="factorization"):
             eigen.smallest_eigenpairs(a, np.ones(3), 1, sigma=2.0)
+
+    def test_shift_not_below_spectrum_is_refused(self, sphere_pencil):
+        # a shift-invert target above lam1 makes A - sigma*M indefinite, as
+        # does any negative shift of the PSD stiffness; both are refused
+        # before a solve instead of factored
+        p = sphere_pencil
+        a = p.a_matrix()
+        lam1 = oracles.dense_eigenpairs(a, p.mass, 1)[0][0]
+        with pytest.raises(EigenSolveError, match="not positive definite"):
+            eigen.smallest_eigenpairs(a, p.mass, 3, sigma=lam1 + 0.5)
+        with pytest.raises(EigenSolveError, match="not positive definite"):
+            eigen._shifted_solver(p.k_stiff, p.mass, -1.0)
+
+    def test_zero_mean_resolvent_refuses_a_disconnected_mesh(self, sphere_pencil):
+        # two copies of the sphere: grounding one vertex leaves the other
+        # component's constants in the kernel, so the solve is refused
+        # rather than left to the sign of a round-off pivot
+        p = sphere_pencil
+        k_two = sp.block_diag((p.k_stiff, p.k_stiff), format="csr")
+        with pytest.raises(EigenSolveError, match="not connected"):
+            eigen._shifted_solver(k_two, np.tile(p.mass, 2), 0.0,
+                                  zero_mean=True)
+
+    def test_band_factor_is_made_without_a_copy(self):
+        # the (bw+1, V) band is the one large allocation: it is factored in
+        # place, and a solve makes no copy of it either
+        _, _, p = get_pipeline("ellipsoid", 5, 0)
+        nv = p.n_vertices
+        mat = sp.csr_matrix(p.k_stiff + sp.diags(p.mass))
+        perm = reverse_cuthill_mckee(mat, symmetric_mode=True)
+        ordered = mat[perm][:, perm].tocoo()
+        band_bytes = (int(np.max(ordered.col - ordered.row)) + 1) * nv * 8
+        b = np.random.default_rng(9).normal(size=nv)
+        tracemalloc.start()
+        try:
+            solve = eigen._shifted_solver(p.k_stiff, p.mass, 1.0)
+            factor_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            solve(b)
+            solve_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert nv == 10242
+        assert factor_peak < 1.5 * band_bytes
+        assert solve_peak < 8 * nv * 8
 
 
 class TestValidation:
@@ -274,10 +326,12 @@ class TestSmallMeshes:
 
 def test_one_factor_and_one_arpack_call_site():
     # every factorization and every ARPACK run goes through eigen's two
-    # helpers; a second splu or eigsh call anywhere in the package fails here
+    # helpers; a second cholesky_banded or eigsh call anywhere in the
+    # package, or any sparse LU or bordered matrix, fails here
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                        "src", "curvspec")
-    calls = {"splu": [], "eigsh": []}
+    calls = {"cholesky_banded": [], "eigsh": [], "splu": [], "spilu": [],
+             "factorized": [], "bmat": []}
     for path in sorted(glob.glob(os.path.join(src, "*.py"))):
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
@@ -287,4 +341,5 @@ def test_one_factor_and_one_arpack_call_site():
                 name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
                 if name in calls:
                     calls[name].append(os.path.basename(path))
-    assert calls == {"splu": ["eigen.py"], "eigsh": ["eigen.py"]}
+    assert calls == {"cholesky_banded": ["eigen.py"], "eigsh": ["eigen.py"],
+                     "splu": [], "spilu": [], "factorized": [], "bmat": []}

@@ -125,10 +125,10 @@ class TestResolvent:
     """The zero-mean resolvent and the shifted solves, through eigen's factor."""
 
     def test_constrained_solve(self):
-        # the bordered factor at shift 0 is R0: any load, mean-zero answer
+        # the grounded factor at shift 0 is R0: any load, mean-zero answer
         _, _, pencil = get_pipeline("ellipsoid", 3, 1)
         r0 = eigen._shifted_solver(pencil.k_stiff, pencil.mass, 0.0,
-                                   bordered=True)
+                                   zero_mean=True)
         rng = np.random.default_rng(1)
         g = rng.normal(size=pencil.n_vertices)
         y = r0(pencil.mass * g)
@@ -184,7 +184,7 @@ class TestResolvent:
         assert idn.resolvent_pairing_residual(pencil, dq) < 1e-8
         # the kept phi_i are R0 of W f_i, whose constant part R0 discards
         r0 = eigen._shifted_solver(pencil.k_stiff, pencil.mass, 0.0,
-                                   bordered=True)
+                                   zero_mean=True)
         for i in range(3):
             np.testing.assert_allclose(
                 dq.phi[i], r0(pencil.mass * pencil.w * f[:, i]),
