@@ -6,13 +6,18 @@ hat functions; K is symmetric and kills constants.  The mass matrix is the
 lumped (diagonal) barycentric one and the potential enters as the diagonal
 M_W = diag(area_v * W(v)^2), so multiplication by W stays an exact diagonal
 operation downstream.  The eigenproblem of the penalized operator is the
-symmetric pencil (K - M_W) x = lambda M x, eigenvalues ascending.
+symmetric pencil (K - M_W) x = lambda M x, eigenvalues ascending.  Every
+matrix factored downstream has K's sparsity pattern, so the pencil carries
+the one band layout of that pattern (eigen.band_layout), built at assembly
+and shared by every pencil made from it with another potential.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+
+from .eigen import BandLayout, band_layout
 
 __all__ = [
     "OperatorPencil",
@@ -31,6 +36,7 @@ class OperatorPencil:
     mass: np.ndarray        # diagonal of M (barycentric vertex areas)
     w: np.ndarray           # vertex samples of W_r
     potential: np.ndarray   # diagonal of M_W = mass * w^2
+    layout: BandLayout      # band layout of K's sparsity pattern
     r: int
     n: int = 2
 
@@ -39,8 +45,10 @@ class OperatorPencil:
         return len(self.mass)
 
     def a_matrix(self):
-        """K - M_W, the left-hand side of the pencil."""
-        return (self.k_stiff - sp.diags(self.potential)).tocsr()
+        """K - M_W, the left-hand side of the pencil, with K's pattern."""
+        a = self.k_stiff.copy()
+        a.setdiag(self.k_stiff.diagonal() - self.potential)
+        return a
 
 
 def assemble_pencil(mesh, field, r):
@@ -62,7 +70,8 @@ def assemble_pencil(mesh, field, r):
     mass = np.array(mesh.vertex_areas)
     w = np.array(field.w)
     return OperatorPencil(
-        k_stiff=k, mass=mass, w=w, potential=mass * w * w, r=r
+        k_stiff=k, mass=mass, w=w, potential=mass * w * w,
+        layout=band_layout(k), r=r,
     )
 
 
@@ -81,7 +90,7 @@ def pencil_floor_shift(max_w2):
 
 
 def with_potential_squared(pencil, w_squared):
-    """Same stiffness and mass, replacement potential samples (given as W^2)."""
+    """Same stiffness, mass and band layout, replacement potential (as W^2)."""
     w2 = np.asarray(w_squared, dtype=float)
     if w2.shape != pencil.mass.shape:
         raise ValueError("potential samples must be one value per vertex")
@@ -92,6 +101,7 @@ def with_potential_squared(pencil, w_squared):
         mass=pencil.mass,
         w=np.sqrt(w2),
         potential=pencil.mass * w2,
+        layout=pencil.layout,
         r=pencil.r,
         n=pencil.n,
     )

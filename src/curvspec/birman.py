@@ -21,10 +21,9 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .assemble import pencil_floor_shift
-from .eigen import _eigsh, _shifted_solver, smallest_eigenpairs
+from .eigen import _kernel_eigenpairs, _shifted_solver, smallest_eigenpairs
 from .identities import stiffness_lam1
 
 __all__ = [
@@ -112,25 +111,19 @@ def _restriction_basis(pencil, restrict, sqm):
 def _top_k(pencil, mu, solve, k, seed, restrict=(), vectors=False):
     """k largest eigenvalues of K_mu (optionally restricted), descending.
 
-    ``solve`` applies (K + mu M)^(-1), factored once by the caller.  With
-    ``vectors`` the pair (values, g) is returned instead, g holding the
-    M-orthonormal eigenvectors as columns in the same order.
+    ``solve`` applies (K + mu M)^(-1), factored once by the caller on the
+    pencil's band layout.  In z = sqrt(M) g the kernel is the symmetric
+    S (K + mu M)^(-1) S with S = sqrt(M) W, and eigen runs it in the
+    layout's reverse Cuthill-McKee order: one pbtrs per application, the
+    restriction basis and S permuted once per call, the vectors put back in
+    vertex order once.  With ``vectors`` the pair (values, g) is returned
+    instead, g holding the M-orthonormal eigenvectors as columns in the
+    same order.
     """
-    nv = pencil.n_vertices
     sqm = np.sqrt(pencil.mass)
-    q = _restriction_basis(pencil, restrict, sqm)
-
-    def sym_apply(z):
-        if q is not None:
-            z = z - q @ (q.T @ z)
-        out = sqm * (pencil.w * solve(pencil.mass * (pencil.w * (z / sqm))))
-        if q is not None:
-            out = out - q @ (q.T @ out)
-        return out
-
-    op = spla.LinearOperator((nv, nv), matvec=sym_apply, dtype=float)
-    vals, z = _eigsh(op, k, "LA", seed, f"kernel eigensolve at mu={mu:.6g}",
-                     vectors=vectors)
+    vals, z = _kernel_eigenpairs(
+        solve, sqm * pencil.w, _restriction_basis(pencil, restrict, sqm),
+        k, seed, f"kernel eigensolve at mu={mu:.6g}", vectors=vectors)
     if not vectors:
         return vals
     return vals, z / sqm[:, None]
@@ -155,7 +148,8 @@ def top_eigenvalues_K(pencil, mu, k=3, seed=0, restrict=()):
     """
     if mu <= 0.0:
         raise ValueError("mu must be positive")
-    solve = _shifted_solver(pencil.k_stiff, pencil.mass, mu)
+    solve = _shifted_solver(pencil.k_stiff, pencil.mass, mu,
+                            layout=pencil.layout)
     return _top_k(pencil, mu, solve, k, seed, restrict)
 
 
@@ -214,7 +208,8 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
     tops = np.empty((steps, k))
     restricted = np.empty(steps)
     for s, mu in enumerate(grid):
-        solve = _shifted_solver(pencil.k_stiff, pencil.mass, mu)
+        solve = _shifted_solver(pencil.k_stiff, pencil.mass, mu,
+                                layout=pencil.layout)
         tops[s] = _top_k(pencil, mu, solve, k, seed)
         restricted[s] = _top_k(pencil, mu, solve, 1, seed,
                                restrict=("w",))[0]
@@ -222,7 +217,8 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
 
     def branch(j):
         def f_and_slope(mu):
-            solve = _shifted_solver(pencil.k_stiff, pencil.mass, mu)
+            solve = _shifted_solver(pencil.k_stiff, pencil.mass, mu,
+                                    layout=pencil.layout)
             vals, g = _top_k(pencil, mu, solve, k, seed, vectors=True)
             return vals[j] - 1.0, _hf_slope(pencil, solve, g[:, j])
         return f_and_slope
@@ -274,7 +270,7 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
         want = min(pencil.n_vertices - 1, len(crossings) + 3)
         pencil_eigs = smallest_eigenpairs(
             pencil.a_matrix(), pencil.mass, k=want, seed=seed,
-            sigma=pencil_floor_shift(maxw2),
+            sigma=pencil_floor_shift(maxw2), layout=pencil.layout,
         ).eigenvalues
         for mu0, j, err, evals in sorted(crossings):
             lam = pencil_eigs[np.argmin(np.abs(pencil_eigs + mu0))]

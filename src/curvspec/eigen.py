@@ -8,20 +8,25 @@ Lehoucq-Sorensen-Yang 1998), so the shift is the caller's to derive from
 what it knows of the spectrum.  Vectors come back M-orthonormal with
 per-pair residuals so callers can check convergence instead of trusting it.
 
-This module is the only one that factors a matrix or calls ARPACK.  One
-helper factors a + s*M for every symmetric matrix the package uses (K,
-K - M_W, K - M_T): each is positive definite at the shifts the package
-takes, so the factor is one banded Cholesky (LAPACK pbtrf) in reverse
-Cuthill-McKee order (Cuthill-McKee 1969; George-Liu, Computer Solution of
-Large Sparse Positive Definite Systems, 1981), and a shift that does not lie
-below the spectrum is refused instead of factored.  The zero-mean resolvent
-factors K grounded at one vertex.  ARPACK gets that factor as its
-shift-invert operator and makes none of its own.  One wrapper around eigsh
-serves the pencil, T_r and lam1(K, M) solves and the Birman-Schwinger kernel
-alike, so the k range, the padding, the seeded start vector and the
-non-convergence error are set in one place.
+This module is the only one that orders, factors or solves with a matrix or
+calls ARPACK.  Every symmetric matrix the package factors (K, K - M_W,
+K - M_T, each plus s*M) is positive definite at the shifts it takes and has
+K's sparsity pattern, so the factorization is split as George-Liu
+(Computer Solution of Large Sparse Positive Definite Systems, 1981) split
+it.  The symbolic half, a BandLayout of K's pattern in reverse Cuthill-McKee
+order (Cuthill-McKee 1969), is built once per mesh and held on the pencil.
+The numeric half fills a fresh band from the matrix's entries and the
+shifted diagonal and factors it by LAPACK pbtrf; solves call pbtrs.  A
+shift that does not lie below the spectrum is refused instead of factored.
+The zero-mean resolvent factors the same band with K grounded at its last
+vertex.  ARPACK gets that factor as its shift-invert operator and makes
+none of its own, and the Birman-Schwinger kernel runs on it in the band's
+order.  One wrapper around eigsh serves the pencil, T_r and lam1(K, M)
+solves and the kernel alike, so the k range, the padding, the seeded start
+vector and the non-convergence error are set in one place.
 """
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +37,9 @@ from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from .errors import EigenSolveError
 
-__all__ = ["Spectrum", "smallest_eigenpairs"]
+__all__ = ["BandLayout", "Spectrum", "band_layout", "smallest_eigenpairs"]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,36 +62,125 @@ class Spectrum:
                 fh.write("%d,%.17g,%.17g\n" % (i, lam, res))
 
 
-def _shifted_solver(a, mass, shift, zero_mean=False):
-    """Factor a + shift*M once; return ``solve(b)`` for load vectors b.
+@dataclass(frozen=True, eq=False)
+class BandLayout:
+    """Where K's sparsity pattern sits in its banded Cholesky, once per mesh.
+
+    ``order`` is the reverse Cuthill-McKee order and inverse[order] = 0..V-1;
+    ``src`` picks the stored entries of the strict upper triangle in that
+    order and ``dst`` their flat positions in the Fortran (bw+1, V) upper
+    band.  Index arrays only: each factorization fills its own band.
+    """
+
+    order: np.ndarray
+    inverse: np.ndarray
+    bw: int
+    src: np.ndarray
+    dst: np.ndarray
+    nnz: int          # stored entries of the pattern
+    components: int   # connected components of its graph
+
+    @property
+    def band_bytes(self):
+        return (self.bw + 1) * len(self.order) * 8
+
+
+def band_layout(a):
+    """The BandLayout of a square sparse matrix with symmetric pattern.
+
+    ``a`` must be in canonical CSR form (sorted, no duplicate entries), as
+    the assembled stiffness is; the layout then addresses ``a.data`` and
+    that of every matrix sharing its pattern, such as pencil.a_matrix().
+    """
+    a = sp.csr_matrix(a)
+    if not a.has_canonical_format:
+        raise ValueError("band layout needs a CSR matrix in canonical form")
+    nv = a.shape[0]
+    order = reverse_cuthill_mckee(a, symmetric_mode=True)
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(nv, dtype=order.dtype)
+    row = inverse[np.repeat(np.arange(nv), np.diff(a.indptr))]
+    col = inverse[a.indices]
+    src = np.flatnonzero(row < col)
+    row, col = row[src].astype(np.int64), col[src].astype(np.int64)
+    bw = int((col - row).max(initial=0))
+    layout = BandLayout(
+        order=order, inverse=inverse, bw=bw, src=src,
+        dst=bw + row - col + (bw + 1) * col, nnz=a.nnz,
+        components=int(connected_components(a, directed=False)[0]),
+    )
+    log.debug("band layout: V=%d bw=%d band=%d bytes", nv, bw,
+              layout.band_bytes)
+    return layout
+
+
+class _BandSolver:
+    """One banded Cholesky factor: call it to solve in vertex order."""
+
+    def __init__(self, factor, layout, mass, zero_mean):
+        self.layout = layout
+        self._factor = factor
+        self.pbtrs, = sla.get_lapack_funcs(("pbtrs",), (factor,))
+        self._order = layout.order[:factor.shape[1]]
+        self._mass = mass
+        self._area = float(mass.sum())
+        self._zero_mean = zero_mean
+
+    def in_band_order(self, b):
+        """Solve for b in the layout's order, by pbtrs alone; overwrites b."""
+        x, info = self.pbtrs(self._factor, b, overwrite_b=True)
+        if info != 0:
+            raise EigenSolveError(f"banded solve failed: pbtrs info={info}")
+        return x
+
+    def __call__(self, b):
+        if self._zero_mean:
+            b = b - float(b.sum()) / self._area * self._mass
+        y = np.zeros(b.shape)
+        y[self._order] = self.in_band_order(b[self._order])
+        if self._zero_mean:
+            y -= float(self._mass @ y) / self._area
+        return y
+
+
+def _shifted_solver(a, mass, shift, zero_mean=False, layout=None):
+    """Factor a + shift*M once; return a _BandSolver, ``solve(b)`` for loads b.
 
     The package's one factorization: the a - sigma*M of every shift-invert
     eigensolve (a = K, K - M_W or K - M_T) and the K + mu*M of the resolvent
-    bound and the Birman-Schwinger kernel.  The matrix is put in reverse
-    Cuthill-McKee order, its upper band copied into a Fortran-ordered
-    (bw+1, V) array and Cholesky-factored there in place, so the band is
-    the only dense copy made.  A matrix that is not positive definite (a shift
+    bound and the Birman-Schwinger kernel.  ``layout`` is the mesh's one
+    BandLayout (pencil.layout), and ``a`` must have the pattern it was built
+    from; without one, a layout of ``a`` is built for this call.  A fresh
+    Fortran-ordered (bw+1, V) band is filled from a's strict upper entries
+    and the diagonal a_ii + shift*m_i, then Cholesky-factored in place by
+    pbtrf, so the band is the only dense copy made and no factor outlives
+    the returned solver.  A matrix that is not positive definite (a shift
     not below the spectrum, a singular a) raises EigenSolveError.
 
     ``zero_mean`` (a = K, shift 0) gives the zero-mean resolvent: y with
     M-mean zero and K y = b - c m, m = M 1 and c = sum(b) / sum(m) the
     constant part of b, which K cannot reach.  K with the last vertex of
-    the ordering removed is positive definite on a connected mesh, and a
-    mesh that is not connected is refused; y is solved with 0 at that
-    vertex, then its M-mean is subtracted.
+    the ordering removed, the band without its last column, is positive
+    definite on a connected mesh, and a mesh that is not connected is
+    refused; y is solved with 0 at that vertex, then its M-mean is
+    subtracted.
     """
-    mat = sp.csr_matrix(a + shift * sp.diags(mass))
-    if zero_mean and connected_components(mat, directed=False)[0] > 1:
+    a = sp.csr_matrix(a)
+    if layout is None:
+        layout = band_layout(a)
+    elif a.shape != (len(layout.order),) * 2 or a.nnz != layout.nnz:
+        raise ValueError("matrix does not have the band layout's pattern")
+    if zero_mean and layout.components > 1:
         raise EigenSolveError(
             "zero-mean resolvent: the mesh is not connected, so K has more "
             "than the constants in its kernel")
-    order = reverse_cuthill_mckee(mat, symmetric_mode=True)
+    log.debug("factor a + %.17g*M", shift)
+    bw = layout.bw
+    band = np.zeros((bw + 1, len(layout.order)), order="F")
+    band.reshape(-1, order="F")[layout.dst] = a.data[layout.src]
+    band[bw] = (a.diagonal() + shift * mass)[layout.order]
     if zero_mean:
-        order = order[:-1]
-    upper = sp.triu(mat[order][:, order], format="coo")
-    bw = int((upper.col - upper.row).max())
-    band = np.zeros((bw + 1, len(order)), order="F")
-    band[bw + upper.row - upper.col, upper.col] = upper.data
+        band = band[:, :-1]   # still Fortran-contiguous
     try:
         factor = sla.cholesky_banded(band, overwrite_ab=True,
                                      check_finite=False)
@@ -92,26 +188,48 @@ def _shifted_solver(a, mass, shift, zero_mean=False):
         raise EigenSolveError(
             f"factorization of a + {shift:.6g}*M failed: not positive "
             f"definite, so the shift does not lie below the spectrum") from exc
-    area = float(mass.sum())
-
-    def solve(b):
-        if zero_mean:
-            b = b - float(b.sum()) / area * mass
-        y = np.zeros(b.shape)
-        y[order] = sla.cho_solve_banded((factor, False), b[order],
-                                        overwrite_b=True, check_finite=False)
-        if zero_mean:
-            y -= float(mass @ y) / area
-        return y
-    return solve
+    return _BandSolver(factor, layout, mass, zero_mean)
 
 
-def _eigsh(op, k, which, seed, what, tol=0.0, vectors=True, **shift_invert):
+def _kernel_eigenpairs(solve, scale, basis, k, seed, what, vectors=False):
+    """k largest eigenpairs of z -> Q S A^(-1) S Q z, descending.
+
+    ``solve`` is a _shifted_solver factor of A, ``scale`` the diagonal of
+    S and ``basis`` None or orthonormal columns, Q = I - basis basis^T.
+    The operator runs in the factor's band order: S and the basis are
+    permuted once, each application is one pbtrs between two diagonal
+    products, ARPACK starts from _eigsh's seeded vector in that order, and
+    the eigenvectors (with ``vectors``) are put back in vertex order once.
+    Returns (values, vectors or None).
+    """
+    layout = solve.layout
+    nv = len(layout.order)
+    s = scale[layout.order]
+    q = None if basis is None else basis[layout.order]
+
+    def apply(z):
+        if q is not None:
+            z = z - q @ (q.T @ z)
+        out = s * solve.in_band_order(s * z)
+        if q is not None:
+            out = out - q @ (q.T @ out)
+        return out
+
+    op = spla.LinearOperator((nv, nv), matvec=apply, dtype=float)
+    vals, z = _eigsh(op, k, "LA", seed, what, vectors=vectors,
+                     order=layout.order)
+    return vals, None if z is None else z[layout.inverse]
+
+
+def _eigsh(op, k, which, seed, what, tol=0.0, vectors=True, order=None,
+           **shift_invert):
     """The package's one ARPACK call: k eigenpairs of ``op`` by ``which``.
 
     ``op`` is V x V.  ARPACK returns at most V - 1 pairs, so ``k`` must lie
     in [1, V - 1]; a couple of padding pairs help it separate clustered
-    targets, and the start vector is seeded.  ``shift_invert`` carries M,
+    targets, and the start vector is seeded.  An ``op`` that works in a
+    permuted vertex order names it as ``order``, and gets the same start
+    vector in that order.  ``shift_invert`` carries M,
     sigma and OPinv through to eigsh.  Returns (values, vectors or None),
     ascending, or descending for which="LA".  Raises EigenSolveError on a
     refused k or when ARPACK fails to converge, naming ``what``.
@@ -124,6 +242,8 @@ def _eigsh(op, k, which, seed, what, tol=0.0, vectors=True, **shift_invert):
         )
     kk = min(k + 2, nv - 1)
     v0 = np.random.default_rng(seed).standard_normal(nv)
+    if order is not None:
+        v0 = v0[order]
     try:
         out = spla.eigsh(op, k=kk, which=which, v0=v0, tol=tol,
                          return_eigenvectors=vectors, **shift_invert)
@@ -137,15 +257,18 @@ def _eigsh(op, k, which, seed, what, tol=0.0, vectors=True, **shift_invert):
     return vals[order], None if vecs is None else vecs[:, order]
 
 
-def smallest_eigenpairs(a_mat, mass, k, sigma, tol=1e-10, seed=0):
+def smallest_eigenpairs(a_mat, mass, k, sigma, tol=1e-10, seed=0,
+                        layout=None):
     """k smallest eigenpairs of A x = lambda M x with M = diag(mass).
 
     ``a_mat`` is a symmetric sparse matrix, ``mass`` a strictly positive
     vector and ``sigma`` the shift-invert target, which must lie below the
     smallest eigenvalue (assemble.pencil_floor_shift for the pencil, a
     small negative multiple of its scale for the PSD stiffness).  ARPACK
-    runs on this module's own factor of A - sigma*M.  ``k`` must lie in
-    [1, V - 1].  Raises EigenSolveError when ARPACK fails to converge.
+    runs on this module's own factor of A - sigma*M, made on ``layout``
+    (the pencil's, for a matrix with K's pattern) as _shifted_solver
+    describes.  ``k`` must lie in [1, V - 1].  Raises EigenSolveError when
+    ARPACK fails to converge.
     """
     mass = np.asarray(mass, dtype=float)
     nv = mass.shape[0]
@@ -154,7 +277,7 @@ def smallest_eigenpairs(a_mat, mass, k, sigma, tol=1e-10, seed=0):
     if np.any(mass <= 0.0):
         raise ValueError("mass diagonal must be strictly positive")
 
-    solve = _shifted_solver(a_mat, mass, -sigma)
+    solve = _shifted_solver(a_mat, mass, -sigma, layout=layout)
     vals, vecs = _eigsh(
         a_mat, k, "LM", seed, "shift-invert eigensolve", tol=tol,
         M=sp.diags(mass).tocsc(), sigma=sigma,

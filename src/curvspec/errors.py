@@ -48,6 +48,11 @@ class OrientationError(CurvSpecError):
         )
 
 
+class DisconnectedMeshError(CurvSpecError):
+    """The surface has several connected components: K's kernel is more
+    than the constants every spectral check assumes."""
+
+
 class DegenerateGeometryError(CurvSpecError):
     """A face or vertex stencil is too degenerate to carry geometry."""
 

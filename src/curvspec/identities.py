@@ -140,7 +140,8 @@ def d_quantities(pencil, f):
     """
     f = np.asarray(f, dtype=float)
     a = pencil.mass
-    r0 = _shifted_solver(pencil.k_stiff, a, 0.0, zero_mean=True)
+    r0 = _shifted_solver(pencil.k_stiff, a, 0.0, zero_mean=True,
+                         layout=pencil.layout)
     area = float(a.sum())
     d, orth, orth_raw, pairing = (np.empty(3) for _ in range(4))
     phi = np.empty((3, pencil.n_vertices))
@@ -172,6 +173,7 @@ def stiffness_lam1(pencil, seed=0):
     return float(smallest_eigenpairs(
         pencil.k_stiff, pencil.mass, k=2, seed=seed,
         sigma=-KERNEL_SHIFT_FRACTION * spectral_scale(pencil),
+        layout=pencil.layout,
     ).eigenvalues[1])
 
 
@@ -187,7 +189,7 @@ def resolvent_bound_check(pencil, mu, lam1, trials=100, seed=0):
         raise ValueError("mu must be positive")
     a = pencil.mass
     area = float(a.sum())
-    solve = _shifted_solver(pencil.k_stiff, a, mu)
+    solve = _shifted_solver(pencil.k_stiff, a, mu, layout=pencil.layout)
     rng = np.random.default_rng(seed)
     worst = np.inf
     for _ in range(trials):

@@ -20,9 +20,12 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DegenerateGeometryError,
+    DisconnectedMeshError,
     MeshLoadError,
     NonManifoldEdgeError,
     OpenBoundaryError,
@@ -268,6 +271,13 @@ def _raise_if_invalid(mesh):
             f"face {mesh.degenerate_faces[0]} has (near-)zero area",
             face=mesh.degenerate_faces[0],
         )
+    nv, e = mesh.n_vertices, mesh.edges
+    graph = sp.coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(nv, nv))
+    components = connected_components(graph, directed=False)[0]
+    if components > 1:
+        raise DisconnectedMeshError(f"mesh has {components} connected "
+                                    f"components; a single connected "
+                                    f"surface is required")
 
 
 def load_mesh(path, format=None):
@@ -275,7 +285,8 @@ def load_mesh(path, format=None):
 
     Polygonal faces are fan-triangulated.  OFF indices are zero-based, OBJ
     one-based.  Raises MeshLoadError on parse problems (with the line
-    number) and the specific connectivity error otherwise.
+    number) and the specific connectivity error otherwise; a mesh with
+    more than one connected component is refused last.
     """
     if format is None:
         ext = os.path.splitext(str(path))[1].lower()

@@ -120,6 +120,7 @@ def _smallest(pencil, max_w2, config):
     return smallest_eigenpairs(
         pencil.a_matrix(), pencil.mass, k=config.k, tol=config.eig_tol,
         seed=config.seed, sigma=pencil_floor_shift(max_w2),
+        layout=pencil.layout,
     )
 
 

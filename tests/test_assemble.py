@@ -110,6 +110,7 @@ class TestMassAndPotential:
         field = compute_curvature(sphere3, r=1)
         bare = assemble_pencil(sphere3, field, 1)
         loaded = with_potential_squared(bare, field.w**2)
+        assert loaded.layout is bare.layout
         assert np.allclose(loaded.w, field.w)
         assert np.allclose(sp.diags(loaded.potential).diagonal(), loaded.mass * field.w**2)
 
@@ -118,6 +119,9 @@ class TestMassAndPotential:
         a = pencil.a_matrix()
         expect = pencil.k_stiff - sp.diags(pencil.potential)
         assert np.max(np.abs(dense(a - expect))) == 0.0
+        # K's pattern, so the pencil's band layout addresses it
+        assert np.array_equal(a.indices, pencil.k_stiff.indices)
+        assert np.array_equal(a.indptr, pencil.k_stiff.indptr)
 
     def test_bad_potential_rejected(self, sphere3):
         field = compute_curvature(sphere3, r=1)

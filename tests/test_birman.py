@@ -205,9 +205,9 @@ class TestScan:
         shifts = Counter()
         factor = birman._shifted_solver
 
-        def counted(a, mass, mu):
+        def counted(a, mass, mu, **kwargs):
             shifts[float(mu)] += 1
-            return factor(a, mass, mu)
+            return factor(a, mass, mu, **kwargs)
 
         monkeypatch.setattr(birman, "_shifted_solver", counted)
         res = birman.scan_crossings(ellipsoid_pencil, steps=32, k=3, seed=0)

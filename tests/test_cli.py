@@ -4,18 +4,20 @@ import dataclasses
 import gc
 import importlib
 import json
+import logging
 import os
 import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from curvspec import cli, eigen, identities, verify
-from curvspec.mesh import TriMesh, load_mesh
+from curvspec.mesh import TriMesh, load_mesh, write_off
 
 from conftest import get_mesh
 
@@ -185,6 +187,21 @@ class TestRefusals:
         assert err["type"] == "EigenSolveError"
         assert "k=12" in err["message"] and "V=12" in err["message"]
 
+    @pytest.mark.parametrize("command",
+                             ["verify", "identities", "spectrum", "bs-scan"])
+    def test_two_disjoint_spheres(self, tmp_path, command):
+        # closed and oriented, but K's kernel holds one constant per
+        # component: every command stops at load, before any check
+        ico = get_mesh("sphere", 1)
+        off = tmp_path / "pair.off"
+        write_off(TriMesh(
+            np.vstack([ico.vertices, ico.vertices + [3.0, 0.0, 0.0]]),
+            np.vstack([ico.faces, ico.faces + ico.n_vertices])), off)
+        err = self.refused([command, "--mesh", str(off), "--r", "0"], tmp_path)
+        assert err == {"type": "DisconnectedMeshError",
+                       "message": "mesh has 2 connected components; a single "
+                                  "connected surface is required"}
+
     def test_method_flag_is_gone(self):
         assert run(["verify", "--shape", "sphere", "--method", "dense"]) == 64
 
@@ -214,10 +231,34 @@ class TestDeterminism:
         assert run(argv + ["--log-level", "debug"]) == 0
         assert out.read_bytes() == plain
         lines = capsys.readouterr().err.splitlines()
-        assert lines and all(ln.startswith("DEBUG curvspec.birman: branch ")
-                             for ln in lines)
+        branch = [ln for ln in lines
+                  if ln.startswith("DEBUG curvspec.birman: branch ")]
+        assert branch and all(ln.startswith("DEBUG curvspec.eigen: ")
+                              for ln in lines if ln not in branch)
         assert sum(c["evaluations"] for c in json.loads(plain)[
-            "birman_schwinger"]["crossings"]) == len(lines)
+            "birman_schwinger"]["crossings"]) == len(branch)
+
+    def test_debug_log_names_the_layout_and_each_factor(self, tmp_path,
+                                                        caplog):
+        # one band layout per mesh, one line per factorization with its shift
+        out = tmp_path / "rep.json"
+        with caplog.at_level(logging.DEBUG, logger="curvspec.eigen"):
+            assert run([
+                "bs-scan", "--shape", "ellipsoid", "--a", "2", "--b", "1",
+                "--c", "1", "--subdiv", "2", "--r", "0", "--steps", "8",
+                "--scan-k", "2", "--no-embed-timings", "-o", str(out),
+            ]) == 0
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "curvspec.eigen"]
+        layout = [ln for ln in lines if ln.startswith("band layout: ")]
+        assert len(layout) == 1
+        assert layout[0].startswith("band layout: V=162 bw=")
+        factors = [ln for ln in lines if ln.startswith("factor a + ")]
+        assert len(factors) == len(lines) - 1
+        newton = sum(c["evaluations"] for c in json.loads(out.read_text())[
+            "birman_schwinger"]["crossings"])
+        assert len(factors) == 1 + 8 + newton + 1
+        assert "error" not in json.loads(out.read_text())
 
     def test_timings_embedded_by_default(self, tmp_path):
         out = tmp_path / "rep.json"
@@ -240,10 +281,12 @@ class TestDeterminism:
 class TestWorkCounts:
     @staticmethod
     def counters(monkeypatch):
-        """Count curvature fields, eigsh runs, the package's factorizations,
-        scipy's shift-invert factorizations and zero-mean resolvent solves."""
+        """Count curvature fields, eigsh runs, the package's factorizations
+        and band orderings, scipy's shift-invert factorizations and
+        zero-mean resolvent solves."""
         counts = {"curvature": 0, "eigsh": 0, "cholesky_banded": 0,
-                  "arpack_splu": 0, "r0_solves": 0}
+                  "reverse_cuthill_mckee": 0, "arpack_splu": 0,
+                  "r0_solves": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -251,8 +294,8 @@ class TestWorkCounts:
                 return fn(*args, **kwargs)
             return wrapper
 
-        def shifted_solver(a, mass, shift, zero_mean=False):
-            solve = eigen._shifted_solver(a, mass, shift, zero_mean)
+        def shifted_solver(a, mass, shift, zero_mean=False, layout=None):
+            solve = eigen._shifted_solver(a, mass, shift, zero_mean, layout)
             return counted("r0_solves", solve) if zero_mean else solve
 
         arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
@@ -261,6 +304,9 @@ class TestWorkCounts:
         monkeypatch.setattr(spla, "eigsh", counted("eigsh", spla.eigsh))
         monkeypatch.setattr(sla, "cholesky_banded",
                             counted("cholesky_banded", sla.cholesky_banded))
+        monkeypatch.setattr(eigen, "reverse_cuthill_mckee",
+                            counted("reverse_cuthill_mckee",
+                                    eigen.reverse_cuthill_mckee))
         # the LU eigsh(sigma=...) would make for itself when given no OPinv
         monkeypatch.setattr(arpack, "splu", counted("arpack_splu", arpack.splu))
         monkeypatch.setattr(identities, "_shifted_solver", shifted_solver)
@@ -277,6 +323,7 @@ class TestWorkCounts:
             "curvature": 1,
             "eigsh": 3,             # pencil, T_r, lam1(K, M)
             "cholesky_banded": 5,   # those three, R0 and the resolvent bound
+            "reverse_cuthill_mckee": 1,   # one band layout, shared by all five
             "arpack_splu": 0,       # ARPACK runs on the package's own factors
             "r0_solves": 3,         # one per test function, read by every check
         }
@@ -296,6 +343,7 @@ class TestWorkCounts:
         assert counts["arpack_splu"] == 0
         # lam1, one per grid point, one per Newton step, the pencil match
         assert counts["cholesky_banded"] == 1 + 8 + newton + 1
+        assert counts["reverse_cuthill_mckee"] == 1
         assert counts["r0_solves"] == 0
 
 

@@ -1,6 +1,7 @@
 """Generalized eigensolvers for the operator pencil."""
 
 import ast
+import dataclasses
 import glob
 import os
 import tracemalloc
@@ -255,7 +256,8 @@ class TestShiftedSolver:
         b = np.random.default_rng(9).normal(size=nv)
         tracemalloc.start()
         try:
-            solve = eigen._shifted_solver(p.k_stiff, p.mass, 1.0)
+            solve = eigen._shifted_solver(p.k_stiff, p.mass, 1.0,
+                                          layout=p.layout)
             factor_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
@@ -266,6 +268,30 @@ class TestShiftedSolver:
         assert nv == 10242
         assert factor_peak < 1.5 * band_bytes
         assert solve_peak < 8 * nv * 8
+
+    def test_band_layout_holds_small_index_arrays_only(self):
+        # the layout kept on the pencil for the whole command is index
+        # arrays and integers, far below the band each factorization fills
+        _, _, p = get_pipeline("ellipsoid", 5, 0)
+        lay = p.layout
+        mat = sp.csr_matrix(p.k_stiff + sp.diags(p.mass))
+        perm = reverse_cuthill_mckee(mat, symmetric_mode=True)
+        ordered = mat[perm][:, perm].tocoo()
+        bw = int(np.max(ordered.col - ordered.row))
+        assert (len(lay.order), lay.bw) == (10242, bw)
+        assert lay.band_bytes == (bw + 1) * 10242 * 8
+        arrays = [getattr(lay, f.name) for f in dataclasses.fields(lay)]
+        assert all(isinstance(v, int) or v.dtype.kind == "i" for v in arrays)
+        held = sum(v.nbytes for v in arrays if not isinstance(v, int))
+        assert held < 0.5 * lay.band_bytes
+
+    def test_matrix_off_the_layout_pattern_is_refused(self, sphere_pencil):
+        # the band is filled by position, so a matrix with another pattern
+        # must not be factored on the layout
+        p = sphere_pencil
+        other = sp.csr_matrix(p.k_stiff + sp.eye(p.n_vertices, k=3))
+        with pytest.raises(ValueError, match="pattern"):
+            eigen._shifted_solver(other, p.mass, 1.0, layout=p.layout)
 
 
 class TestValidation:
@@ -325,12 +351,14 @@ class TestSmallMeshes:
 
 
 def test_one_factor_and_one_arpack_call_site():
-    # every factorization and every ARPACK run goes through eigen's two
-    # helpers; a second cholesky_banded or eigsh call anywhere in the
-    # package, or any sparse LU or bordered matrix, fails here
+    # every ordering, factorization, banded solve and ARPACK run goes
+    # through eigen's helpers; a second reverse_cuthill_mckee,
+    # cholesky_banded, pbtrs or eigsh call anywhere in the package, or any
+    # scipy band solve wrapper, sparse LU or bordered matrix, fails here
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                        "src", "curvspec")
-    calls = {"cholesky_banded": [], "eigsh": [], "splu": [], "spilu": [],
+    calls = {"cholesky_banded": [], "pbtrs": [], "reverse_cuthill_mckee": [],
+             "eigsh": [], "cho_solve_banded": [], "splu": [], "spilu": [],
              "factorized": [], "bmat": []}
     for path in sorted(glob.glob(os.path.join(src, "*.py"))):
         with open(path, encoding="utf-8") as fh:
@@ -341,5 +369,7 @@ def test_one_factor_and_one_arpack_call_site():
                 name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
                 if name in calls:
                     calls[name].append(os.path.basename(path))
-    assert calls == {"cholesky_banded": ["eigen.py"], "eigsh": ["eigen.py"],
+    assert calls == {"cholesky_banded": ["eigen.py"], "pbtrs": ["eigen.py"],
+                     "reverse_cuthill_mckee": ["eigen.py"],
+                     "eigsh": ["eigen.py"], "cho_solve_banded": [],
                      "splu": [], "spilu": [], "factorized": [], "bmat": []}

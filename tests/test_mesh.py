@@ -9,6 +9,7 @@ from curvspec import surfaces
 from curvspec.errors import (
     CurvSpecError,
     DegenerateGeometryError,
+    DisconnectedMeshError,
     MeshLoadError,
     NonManifoldEdgeError,
     OpenBoundaryError,
@@ -246,16 +247,25 @@ class TestFileFormats:
         with pytest.raises(NonManifoldEdgeError):
             load_mesh(path)
 
-    def test_two_components_allowed(self, tmp_path):
-        # disjoint union of two icosahedra: still closed, chi adds up to 4
+    def test_two_components_refused(self, tmp_path):
+        # disjoint union of two icosahedra: closed and oriented with chi 4,
+        # but K's kernel would hold one constant per component
         ico = surfaces.icosahedron()
         v = np.vstack([ico.vertices, ico.vertices + [5.0, 0, 0]])
         f = np.vstack([ico.faces, ico.faces + ico.n_vertices])
+        pair = TriMesh(v, f)
+        assert pair.is_closed and pair.is_oriented
+        assert pair.euler_characteristic == 4
         path = tmp_path / "pair.off"
+        write_off(pair, path)
+        with pytest.raises(DisconnectedMeshError,
+                           match="2 connected components"):
+            load_mesh(path)
+        # the earlier refusals win: flip one face of the second copy
+        f[-1] = f[-1][::-1]
         write_off(TriMesh(v, f), path)
-        mesh = load_mesh(path)
-        assert mesh.is_closed
-        assert mesh.euler_characteristic == 4
+        with pytest.raises(OrientationError):
+            load_mesh(path)
 
     def test_load_rejects_misoriented(self, tmp_path):
         f = TETRA_F.copy()
