@@ -91,39 +91,25 @@ class BSScanResult:
         }
 
 
-def _restriction_basis(pencil, restrict, sqm):
-    # z-space images of the directions to project out; <g, 1>_M and
-    # <g, W>_M become plain dot products against these after z = sqm * g
-    cols = []
-    for name in restrict:
-        if name == "mean":
-            cols.append(sqm)
-        elif name == "w":
-            cols.append(sqm * pencil.w)
-        else:
-            raise ValueError(f"unknown restriction {name!r}")
-    if not cols:
-        return None
-    q, _ = np.linalg.qr(np.stack(cols, axis=1))
-    return q
-
-
-def _top_k(pencil, mu, solve, k, seed, restrict=(), vectors=False):
-    """k largest eigenvalues of K_mu (optionally restricted), descending.
+def _top_k(pencil, mu, solve, k, seed, w_perp=False, vectors=False):
+    """k largest eigenvalues of K_mu, descending.
 
     ``solve`` applies (K + mu M)^(-1), factored once by the caller on the
     pencil's band layout.  In z = sqrt(M) g the kernel is the symmetric
     S (K + mu M)^(-1) S with S = sqrt(M) W, and eigen runs it in the
     layout's reverse Cuthill-McKee order: one pbtrs per application, the
     restriction basis and S permuted once per call, the vectors put back in
-    vertex order once.  With ``vectors`` the pair (values, g) is returned
-    instead, g holding the M-orthonormal eigenvectors as columns in the
-    same order.
+    vertex order once.  ``w_perp`` restricts the kernel to the g with
+    <g, W>_M = 0: in z that is the complement of S.  With ``vectors``
+    the pair (values, g) is returned instead, g holding the M-orthonormal
+    eigenvectors as columns in the same order.
     """
     sqm = np.sqrt(pencil.mass)
+    s = sqm * pencil.w
+    basis = np.linalg.qr(s[:, None])[0] if w_perp else None
     vals, z = _kernel_eigenpairs(
-        solve, sqm * pencil.w, _restriction_basis(pencil, restrict, sqm),
-        k, seed, f"kernel eigensolve at mu={mu:.6g}", vectors=vectors)
+        solve, s, basis, k, seed, f"kernel eigensolve at mu={mu:.6g}",
+        vectors=vectors)
     if not vectors:
         return vals
     return vals, z / sqm[:, None]
@@ -139,18 +125,18 @@ def _hf_slope(pencil, solve, g):
     return -float(y @ (pencil.mass * y))
 
 
-def top_eigenvalues_K(pencil, mu, k=3, seed=0, restrict=()):
+def top_eigenvalues_K(pencil, mu, k=3, seed=0, w_perp=False):
     """k largest eigenvalues of K_mu, deterministic for a fixed seed.
 
-    ``restrict`` names M-orthogonal complements to work in: "mean" drops
-    constants, "w" drops the span of the potential samples (the subspace
-    on which the sharp resolvent bound holds).  ``mu`` must be positive.
+    ``w_perp`` works in the M-orthogonal complement of the potential
+    samples, the subspace on which the sharp resolvent bound holds.
+    ``mu`` must be positive.
     """
     if mu <= 0.0:
         raise ValueError("mu must be positive")
     solve = _shifted_solver(pencil.k_stiff, pencil.mass, mu,
                             layout=pencil.layout)
-    return _top_k(pencil, mu, solve, k, seed, restrict)
+    return _top_k(pencil, mu, solve, k, seed, w_perp)
 
 
 def _newton_root(fn, lo, hi, f_lo, f_hi, tol=1e-12, maxiter=50, label=""):
@@ -188,9 +174,12 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
     the unrestricted and the W-restricted eigensolve, and drops the factor.
     A branch that crosses 1 inside a cell is followed by safeguarded Newton
     on its Hellmann-Feynman slope, again one factorization per iterate and
-    none kept.  Every detected unit crossing is matched against the
-    directly computed pencil spectrum; mismatches and branch ambiguities
-    surface in the warnings list rather than silently.
+    none kept.  Several branches may cross 1 inside one cell: K_mu falls
+    in the Loewner order as mu grows, so by Courant-Fischer its j-th
+    largest eigenvalue decreases, and Newton on branch j finds that
+    branch's own crossing.  Every detected unit crossing is matched against
+    the directly computed pencil spectrum (match_error); a Newton run that
+    stops short and a branch that rises surface in the warnings list.
     """
     maxw2 = float(np.max(pencil.w**2))
     if mu_min is None:
@@ -211,8 +200,7 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
         solve = _shifted_solver(pencil.k_stiff, pencil.mass, mu,
                                 layout=pencil.layout)
         tops[s] = _top_k(pencil, mu, solve, k, seed)
-        restricted[s] = _top_k(pencil, mu, solve, 1, seed,
-                               restrict=("w",))[0]
+        restricted[s] = _top_k(pencil, mu, solve, 1, seed, w_perp=True)[0]
     del solve   # no factor outlives its mu
 
     def branch(j):
@@ -234,12 +222,10 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
             )
 
     crossings = []
-    cells_hit = {}
     for j in range(k):
         f = tops[:, j] - 1.0
         if f[0] == 0.0:
             # grid edge sitting exactly on a crossing; no cell to search
-            cells_hit.setdefault(0, []).append(j)
             crossings.append((float(grid[0]), j, 0.0, 0))
         for s in range(steps - 1):
             # a zero endpoint belongs to the cell on its left, never both
@@ -256,14 +242,7 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
                     f"crossing on branch {j} near mu={mu0:.6g} stopped at "
                     f"|eig-1|={err:.3g}; refine the grid"
                 )
-            cells_hit.setdefault(s, []).append(j)
             crossings.append((mu0, j, err, evals))
-    for s, branches in cells_hit.items():
-        if len(branches) > 1:
-            warnings.append(
-                f"branches {branches} all cross 1 between mu={grid[s]:.6g} "
-                f"and mu={grid[s+1]:.6g}; refine the grid to separate them"
-            )
 
     matched = []
     if crossings:

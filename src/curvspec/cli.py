@@ -113,16 +113,22 @@ def _build_surface(args):
         raise UsageError(f"invalid surface descriptor: {exc}") from exc
 
 
+def _generate_mesh(args):
+    """The --shape mesh; a subdivision or grid the generator refuses is a
+    usage error."""
+    surf = _build_surface(args)
+    try:
+        return surfaces.generate(surf, subdiv=args.subdiv,
+                                 nu=args.nu, nv=args.nv)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _acquire_mesh(args, timings):
     if bool(args.mesh) == bool(args.shape):
         raise UsageError("provide exactly one of --mesh and --shape")
     t0 = time.perf_counter()
-    if args.mesh:
-        mesh = load_mesh(args.mesh)
-    else:
-        surf = _build_surface(args)
-        mesh = surfaces.generate(surf, subdiv=args.subdiv,
-                                 nu=args.nu, nv=args.nv)
+    mesh = load_mesh(args.mesh) if args.mesh else _generate_mesh(args)
     timings["mesh_s"] = time.perf_counter() - t0
     return mesh
 
@@ -227,12 +233,7 @@ def cmd_generate(args):
         raise UsageError("generate requires --output")
     if args.shape is None:
         raise UsageError("generate requires --shape")
-    surf = _build_surface(args)
-    try:
-        mesh = surfaces.generate(surf, subdiv=args.subdiv,
-                                 nu=args.nu, nv=args.nv)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    mesh = _generate_mesh(args)
     out = _resolve_out(args.output)
     write_off(mesh, out)
     rep = validate(mesh)
@@ -252,6 +253,8 @@ def _run(args, command, body):
     the report and return an exit code.  A CurvSpecError becomes a JSON
     error block and exit code 3; the report is emitted either way.
     """
+    if args.r not in (0, 1):
+        raise UsageError(f"--r must be 0 or 1, got {args.r}")
     timings = {}
     report = {"config": _config_block(args, command)}
     t_all = time.perf_counter()
@@ -278,7 +281,17 @@ def _run(args, command, body):
     return code
 
 
+def _check_mu_trials(args):
+    # --mu and --trials feed only the resolvent bound of verify/identities
+    if not args.mu > 0.0:
+        raise UsageError(f"--mu must be positive, got {args.mu}")
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
+
+
 def cmd_verify(args):
+    _check_mu_trials(args)
+
     def body(analysis, report, timings):
         theorem = analysis.theorem()
         lemma = analysis.lemma()
@@ -361,6 +374,8 @@ def cmd_bs_scan(args):
 
 
 def cmd_identities(args):
+    _check_mu_trials(args)
+
     def body(analysis, report, timings):
         ident = analysis.identities(mu=args.mu, trials=args.trials)
         report["identities"] = _identities_block(ident, analysis.config)

@@ -18,21 +18,17 @@ Conventions baked in here and relied on everywhere else:
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CurvaturePositivityError
 
 __all__ = [
-    "NewtonSpectrum",
-    "elementary_symmetric",
     "elementary_symmetric_all",
     "mean_curvature",
     "newton_eigenvalues",
     "c_coefficient",
     "potential_W",
-    "maclaurin_gap",
     "shape_norm",
 ]
 
@@ -71,13 +67,6 @@ def elementary_symmetric_all(kappas, rmax):
     return e
 
 
-def elementary_symmetric(kappas, r):
-    """S_r(kappas); S_0 = 1.  Raises ValueError unless 0 <= r <= n."""
-    k = _as_batch(kappas)
-    e = elementary_symmetric_all(k, r)
-    return _ret(e[..., r], np.ndim(kappas) == 1)
-
-
 def mean_curvature(kappas, r):
     """Normalized curvature H_r = S_r / C(n, r)."""
     k = _as_batch(kappas)
@@ -88,21 +77,11 @@ def mean_curvature(kappas, r):
     return _ret(e[..., r] / math.comb(n, r), np.ndim(kappas) == 1)
 
 
-@dataclass(frozen=True, eq=False)
-class NewtonSpectrum:
-    """Eigenvalues of the r-th Newton transformation.
-
-    eigenvalues[..., i] corresponds to the i-th principal direction and
-    equals S_r of the remaining n-1 curvatures.
-    """
-
-    r: int
-    eigenvalues: np.ndarray
-
-
 def newton_eigenvalues(kappas, r):
     """Eigenvalues of P_r along each principal direction.
 
+    Returns an array shaped like ``kappas``: entry [..., i] belongs to the
+    i-th principal direction and equals S_r of the other n-1 curvatures.
     Uses the recursion eig_i(P_r) = S_r - kappa_i * eig_i(P_s-1) starting
     from eig_i(P_0) = 1, which is synthetic division of the characteristic
     coefficients and therefore identical to deleting entry i from the tuple.
@@ -113,12 +92,12 @@ def newton_eigenvalues(kappas, r):
     if not 0 <= r <= n:
         raise ValueError(f"order {r} out of range for n={n} curvatures")
     if r == n:
-        return NewtonSpectrum(r=r, eigenvalues=np.zeros_like(k))
+        return np.zeros_like(k)
     e = elementary_symmetric_all(k, r)
     eig = np.ones_like(k)
     for s in range(1, r + 1):
         eig = e[..., s : s + 1] - k * eig
-    return NewtonSpectrum(r=r, eigenvalues=eig)
+    return eig
 
 
 def c_coefficient(n, r):
@@ -150,25 +129,6 @@ def potential_W(kappas, r):
             raise CurvaturePositivityError(r=r, h_value=hmin, vertex=idx)
         w2 = c * h ** ((r + 2) / (r + 1))
     return _ret(np.sqrt(w2), np.ndim(kappas) == 1)
-
-
-def maclaurin_gap(kappas, r):
-    """H_r^{1/r} - H_{r+1}^{1/(r+1)} for strictly positive curvatures.
-
-    Nonnegative by the power-mean chain of the H_r, zero exactly when all
-    curvatures coincide.  Needs 1 <= r <= n-1 so that both means exist.
-    """
-    k = _as_batch(kappas)
-    n = k.shape[-1]
-    if not 1 <= r <= n - 1:
-        raise ValueError(f"maclaurin_gap needs 1 <= r <= n-1, got r={r}, n={n}")
-    if np.any(k <= 0.0):
-        raise ValueError("maclaurin_gap requires strictly positive curvatures")
-    e = elementary_symmetric_all(k, r + 1)
-    hr = e[..., r] / math.comb(n, r)
-    hr1 = e[..., r + 1] / math.comb(n, r + 1)
-    gap = hr ** (1.0 / r) - hr1 ** (1.0 / (r + 1))
-    return _ret(gap, np.ndim(kappas) == 1)
 
 
 def shape_norm(kappas):

@@ -27,7 +27,6 @@ __all__ = [
     "vertex_principal_curvatures",
     "build_fields",
     "compute_curvature",
-    "write_csv",
 ]
 
 
@@ -170,7 +169,7 @@ def build_fields(field, r):
     if r not in (0, 1):
         raise ValueError("the mesh pipeline supports r in {0, 1}")
     evals, evecs = np.linalg.eigh(field.face_operators)
-    newt = curvalg.newton_eigenvalues(evals, r).eigenvalues
+    newt = curvalg.newton_eigenvalues(evals, r)
     p2 = np.einsum("fia,fa,fja->fij", evecs, newt, evecs)
     p3 = np.einsum("fab,fai,fbj->fij", p2, field.face_basis, field.face_basis)
     h_next = curvalg.mean_curvature(field.vertex_kappas, r + 1)
@@ -192,20 +191,3 @@ def compute_curvature(mesh, r=None):
     if r is not None:
         field = build_fields(field, r)
     return field
-
-
-def write_csv(field, path):
-    """Vertex curvature table: index, kappa_1, kappa_2, H_1, H_2, W_r."""
-    if field.vertex_kappas is None:
-        raise ValueError("vertex curvatures not computed")
-    k = field.vertex_kappas
-    h1 = curvalg.mean_curvature(k, 1)
-    h2 = curvalg.mean_curvature(k, 2)
-    w = field.w if field.w is not None else np.full(len(k), np.nan)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("vertex,kappa1,kappa2,H1,H2,W\n")
-        for i in range(len(k)):
-            fh.write(
-                "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-                % (i, k[i, 0], k[i, 1], h1[i], h2[i], w[i])
-            )

@@ -95,10 +95,6 @@ class ProjectionError(CurvSpecError):
 class EigenSolveError(CurvSpecError):
     """An eigenvalue solve did not converge or a factorization broke down."""
 
-    def __init__(self, message, residuals=None):
-        self.residuals = residuals
-        super().__init__(message)
-
 
 class BoundViolationError(CurvSpecError):
     """A proven inequality failed numerically; carries the offending seed."""

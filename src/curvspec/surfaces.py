@@ -1,16 +1,16 @@
-"""Analytic test surfaces with exact normals, curvatures, and projections.
+"""Analytic surfaces that place the vertices of generated meshes.
 
-Each surface is a frozen descriptor exposing a smooth implicit function g
-(negative inside, so the gradient points outward), its derivatives, and a
-closed-form projection.  Principal curvatures come from the tangential
-Hessian of g divided by |grad g|, which under the outward-gradient sign
-convention gives +1/R on a sphere of radius R.
+Each surface is a frozen descriptor of its parameters with a closed-form
+projection onto the surface, which generate() applies to every new vertex,
+and the smooth implicit function g that defines it (negative inside,
+positive outside).  The package reads curvature from meshes only; g is
+there so that tests can derive exact curvatures of the surface from it.
 
 All point-valued methods are vectorized over a leading batch axis.
 """
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .errors import ProjectionError
 from .mesh import TriMesh, subdivide_project
 
 __all__ = [
-    "AnalyticSurface",
     "Sphere",
     "Ellipsoid",
     "BumpedSphere",
@@ -35,76 +34,8 @@ def _batch(points):
     return np.atleast_2d(p), single
 
 
-def _tangent_basis(n):
-    # per-row unit vectors orthogonal to n, chosen from the least-aligned axis
-    helper = np.zeros_like(n)
-    helper[np.arange(len(n)), np.argmin(np.abs(n), axis=1)] = 1.0
-    t1 = np.cross(n, helper)
-    t1 /= np.linalg.norm(t1, axis=1)[:, None]
-    t2 = np.cross(n, t1)
-    return t1, t2
-
-
-def _sym2_eigvals(a, b, d):
-    mean = 0.5 * (a + d)
-    disc = np.sqrt((0.5 * (a - d)) ** 2 + b * b)
-    return mean - disc, mean + disc
-
-
-class AnalyticSurface:
-    """Shared implicit-surface machinery; subclasses fill in g and friends."""
-
-    def implicit(self, points):
-        raise NotImplementedError
-
-    def gradient(self, points):
-        raise NotImplementedError
-
-    def hessian(self, points):
-        raise NotImplementedError
-
-    def project(self, points):
-        raise NotImplementedError
-
-    @property
-    def characteristic_size(self):
-        raise NotImplementedError
-
-    def describe(self):
-        d = {"kind": type(self).__name__.lower()}
-        d.update(asdict(self))
-        return d
-
-    def normal(self, points):
-        p, single = _batch(points)
-        g = self.gradient(p)
-        n = g / np.linalg.norm(g, axis=1)[:, None]
-        return n[0] if single else n
-
-    def surface_distance(self, points):
-        """First-order distance estimate |g| / |grad g|."""
-        p, single = _batch(points)
-        d = np.abs(self.implicit(p)) / np.linalg.norm(self.gradient(p), axis=1)
-        return float(d[0]) if single else d
-
-    def principal_curvatures(self, points):
-        """Ascending (kappa_1, kappa_2) at surface points, outward convention."""
-        p, single = _batch(points)
-        g = self.gradient(p)
-        gn = np.linalg.norm(g, axis=1)
-        n = g / gn[:, None]
-        hess = self.hessian(p)
-        t1, t2 = _tangent_basis(n)
-        b11 = np.einsum("ni,nij,nj->n", t1, hess, t1) / gn
-        b12 = np.einsum("ni,nij,nj->n", t1, hess, t2) / gn
-        b22 = np.einsum("ni,nij,nj->n", t2, hess, t2) / gn
-        k1, k2 = _sym2_eigvals(b11, b12, b22)
-        out = np.stack([k1, k2], axis=-1)
-        return out[0] if single else out
-
-
 @dataclass(frozen=True)
-class Sphere(AnalyticSurface):
+class Sphere:
     radius: float = 1.0
 
     def __post_init__(self):
@@ -116,15 +47,6 @@ class Sphere(AnalyticSurface):
         g = np.einsum("ij,ij->i", p, p) - self.radius**2
         return float(g[0]) if single else g
 
-    def gradient(self, points):
-        p, single = _batch(points)
-        return 2.0 * (p[0] if single else p)
-
-    def hessian(self, points):
-        p, single = _batch(points)
-        h = np.broadcast_to(2.0 * np.eye(3), (len(p), 3, 3)).copy()
-        return h[0] if single else h
-
     def project(self, points):
         p, single = _batch(points)
         r = np.linalg.norm(p, axis=1)
@@ -133,13 +55,9 @@ class Sphere(AnalyticSurface):
         q = self.radius * p / r[:, None]
         return q[0] if single else q
 
-    @property
-    def characteristic_size(self):
-        return self.radius
-
 
 @dataclass(frozen=True)
-class Ellipsoid(AnalyticSurface):
+class Ellipsoid:
     a: float = 2.0
     b: float = 1.0
     c: float = 1.0
@@ -157,16 +75,6 @@ class Ellipsoid(AnalyticSurface):
         g = np.einsum("ij,ij->i", p, p / self._axes2) - 1.0
         return float(g[0]) if single else g
 
-    def gradient(self, points):
-        p, single = _batch(points)
-        g = 2.0 * p / self._axes2
-        return g[0] if single else g
-
-    def hessian(self, points):
-        p, single = _batch(points)
-        h = np.broadcast_to(np.diag(2.0 / self._axes2), (len(p), 3, 3)).copy()
-        return h[0] if single else h
-
     def project(self, points):
         # radial (star-shaped) projection from the origin, exact on rays
         p, single = _batch(points)
@@ -176,13 +84,9 @@ class Ellipsoid(AnalyticSurface):
         q = p / np.sqrt(s)[:, None]
         return q[0] if single else q
 
-    @property
-    def characteristic_size(self):
-        return max(self.a, self.b, self.c)
-
 
 @dataclass(frozen=True)
-class BumpedSphere(AnalyticSurface):
+class BumpedSphere:
     """Radial graph rho(u) = R * (1 + amplitude * s(u)) over the unit sphere.
 
     The bump s is the degree-m sectoral harmonic Re[(x+iy)^m] / |p|^m, which
@@ -201,60 +105,12 @@ class BumpedSphere(AnalyticSurface):
         if int(self.frequency) != self.frequency or self.frequency < 2:
             raise ValueError("frequency must be an integer >= 2")
 
-    def _poly(self, p):
-        """Re[w^m] with its xy gradient and Hessian blocks, w = x + iy."""
-        m = self.frequency
-        w = p[:, 0] + 1j * p[:, 1]
-        pm = (w**m).real
-        wm1 = w ** (m - 1)
-        grad = np.zeros_like(p)
-        grad[:, 0] = m * wm1.real
-        grad[:, 1] = -m * wm1.imag
-        wm2 = w ** (m - 2)
-        hxx = m * (m - 1) * wm2.real
-        hxy = -m * (m - 1) * wm2.imag
-        hess = np.zeros((len(p), 3, 3))
-        hess[:, 0, 0] = hxx
-        hess[:, 0, 1] = hess[:, 1, 0] = hxy
-        hess[:, 1, 1] = -hxx
-        return pm, grad, hess
-
     def implicit(self, points):
         p, single = _batch(points)
         r = np.linalg.norm(p, axis=1)
-        pm, _, _ = self._poly(p)
+        pm = ((p[:, 0] + 1j * p[:, 1]) ** self.frequency).real
         g = r - self.radius * (1.0 + self.amplitude * pm / r**self.frequency)
         return float(g[0]) if single else g
-
-    def gradient(self, points):
-        p, single = _batch(points)
-        m = self.frequency
-        r = np.linalg.norm(p, axis=1)
-        pm, gp, _ = self._poly(p)
-        u = p / r[:, None]
-        grad_q = gp / r[:, None] ** m - m * (pm / r ** (m + 2))[:, None] * p
-        g = u - self.radius * self.amplitude * grad_q
-        return g[0] if single else g
-
-    def hessian(self, points):
-        p, single = _batch(points)
-        m = self.frequency
-        r = np.linalg.norm(p, axis=1)
-        pm, gp, hp = self._poly(p)
-        u = p / r[:, None]
-        eye = np.eye(3)
-        uut = u[:, :, None] * u[:, None, :]
-        hess_r = (eye[None, :, :] - uut) / r[:, None, None]
-        ppt = p[:, :, None] * p[:, None, :]
-        gpt = gp[:, :, None] * p[:, None, :] + p[:, :, None] * gp[:, None, :]
-        hess_q = (
-            hp / r[:, None, None] ** m
-            - m * gpt / r[:, None, None] ** (m + 2)
-            - m * (pm / r ** (m + 2))[:, None, None] * eye[None, :, :]
-            + m * (m + 2) * (pm / r ** (m + 4))[:, None, None] * ppt
-        )
-        h = hess_r - self.radius * self.amplitude * hess_q
-        return h[0] if single else h
 
     def project(self, points):
         p, single = _batch(points)
@@ -266,13 +122,9 @@ class BumpedSphere(AnalyticSurface):
         q = self.radius * (1.0 + self.amplitude * s)[:, None] * u
         return q[0] if single else q
 
-    @property
-    def characteristic_size(self):
-        return self.radius * (1.0 + abs(self.amplitude))
-
 
 @dataclass(frozen=True)
-class Torus(AnalyticSurface):
+class Torus:
     major_radius: float = 2.0
     minor_radius: float = 0.5
 
@@ -285,29 +137,6 @@ class Torus(AnalyticSurface):
         rho = np.hypot(p[:, 0], p[:, 1])
         g = (rho - self.major_radius) ** 2 + p[:, 2] ** 2 - self.minor_radius**2
         return float(g[0]) if single else g
-
-    def gradient(self, points):
-        p, single = _batch(points)
-        rho = np.hypot(p[:, 0], p[:, 1])
-        q = rho - self.major_radius
-        g = np.empty_like(p)
-        g[:, 0] = 2.0 * q * p[:, 0] / rho
-        g[:, 1] = 2.0 * q * p[:, 1] / rho
-        g[:, 2] = 2.0 * p[:, 2]
-        return g[0] if single else g
-
-    def hessian(self, points):
-        p, single = _batch(points)
-        x, y = p[:, 0], p[:, 1]
-        rho2 = x * x + y * y
-        rho = np.sqrt(rho2)
-        q = rho - self.major_radius
-        h = np.zeros((len(p), 3, 3))
-        h[:, 0, 0] = 2.0 * (x * x / rho2 + q / rho - q * x * x / (rho * rho2))
-        h[:, 1, 1] = 2.0 * (y * y / rho2 + q / rho - q * y * y / (rho * rho2))
-        h[:, 0, 1] = h[:, 1, 0] = 2.0 * (x * y / rho2 - q * x * y / (rho * rho2))
-        h[:, 2, 2] = 2.0
-        return h[0] if single else h
 
     def project(self, points):
         p, single = _batch(points)
@@ -324,16 +153,11 @@ class Torus(AnalyticSurface):
         q = center + self.minor_radius * d / dn[:, None]
         return q[0] if single else q
 
-    @property
-    def characteristic_size(self):
-        return self.major_radius + self.minor_radius
-
 
 _KINDS = {
     "sphere": Sphere,
     "ellipsoid": Ellipsoid,
     "bumped": BumpedSphere,
-    "bumpedsphere": BumpedSphere,
     "torus": Torus,
 }
 

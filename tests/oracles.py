@@ -13,6 +13,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from curvspec import curvalg
 from curvspec.mesh import TriMesh
 
 
@@ -97,15 +98,15 @@ def rayleigh_quotient(a_mat, mass, x):
     return float(x @ (a_mat @ x)) / denom
 
 
-def dense_K_mu_eigenpairs(pencil, mu, k, restrict=()):
+def dense_K_mu_eigenpairs(pencil, mu, k, w_perp=False):
     """Largest k eigenpairs of the kernel built as an explicit dense matrix.
 
     (K + mu M)^(-1) is formed by solving for every column of the identity,
     and the kernel symmetrized with M^(1/2) on both sides so a plain symmetric
     eigendecomposition applies; similarity keeps the spectrum intact.
-    ``restrict`` names directions to project out ("mean": the constants,
-    "w": the potential samples), M-orthogonally.  Returns the values
-    descending and the M-orthonormal eigenvectors g as columns.
+    ``w_perp`` projects out the potential samples W, M-orthogonally.
+    Returns the values descending and the M-orthonormal eigenvectors g as
+    columns.
     """
     nv = pencil.n_vertices
     a = (pencil.k_stiff + mu * sp.diags(pencil.mass)).toarray()
@@ -115,10 +116,9 @@ def dense_K_mu_eigenpairs(pencil, mu, k, restrict=()):
     kern = (w[:, None] * inv * (m * w)[None, :])
     sqm = np.sqrt(m)
     sym = sqm[:, None] * kern / sqm[None, :]
-    dirs = {"mean": np.ones(nv), "w": w}
-    if restrict:
-        q, _ = np.linalg.qr(np.stack([sqm * dirs[n] for n in restrict], axis=1))
-        proj = np.eye(nv) - q @ q.T
+    if w_perp:
+        q = sqm * w / np.linalg.norm(sqm * w)
+        proj = np.eye(nv) - np.outer(q, q)
         sym = proj @ sym @ proj
     vals, z = np.linalg.eigh(0.5 * (sym + sym.T))
     order = np.argsort(vals)[::-1][:k]
@@ -175,49 +175,58 @@ def misoriented_edges_loop(mesh):
     return tuple(out)
 
 
-def fd_principal_curvatures(surface, point, rel_step=1e-4):
-    """Principal curvatures from central differences of the implicit function.
+def fd_principal_curvatures(surface, points, h=1e-4):
+    """Ascending principal curvatures from central differences of implicit().
 
-    Independent of the surface's hand-coded gradient/hessian: only the
-    scalar implicit() is sampled. Builds the shape operator in a local
-    tangent frame and returns ascending eigenvalues.
+    The exact-curvature reference of the analytic surfaces: only the scalar
+    implicit function g (negative inside) is sampled, at 19 points around
+    each surface point p, with the absolute step ``h``.  The shape operator
+    is the tangential block of the Hessian of g divided by |grad g|, which
+    gives +1/R on a sphere of radius R.  ``points`` is (N, 3), or (3,) for
+    one point; the result is (N, 2), or (2,).
     """
-    p = np.asarray(point, dtype=float)
-    h = rel_step * surface.characteristic_size
+    p = np.asarray(points, dtype=float)
+    single = p.ndim == 1
+    p = np.atleast_2d(p)
     eye = np.eye(3)
 
-    def g(q):
-        return float(surface.implicit(q))
+    def g(offset):
+        return surface.implicit(p + h * offset)
 
-    grad = np.array(
-        [(g(p + h * eye[i]) - g(p - h * eye[i])) / (2.0 * h) for i in range(3)]
-    )
-    hess = np.empty((3, 3))
-    g0 = g(p)
+    plus = [g(eye[i]) for i in range(3)]
+    minus = [g(-eye[i]) for i in range(3)]
+    grad = np.stack([(plus[i] - minus[i]) / (2.0 * h) for i in range(3)], axis=1)
+    hess = np.empty((len(p), 3, 3))
+    g0 = g(np.zeros(3))
     for i in range(3):
-        hess[i, i] = (g(p + h * eye[i]) - 2.0 * g0 + g(p - h * eye[i])) / h**2
+        hess[:, i, i] = (plus[i] - 2.0 * g0 + minus[i]) / h**2
         for j in range(i + 1, 3):
-            hess[i, j] = hess[j, i] = (
-                g(p + h * (eye[i] + eye[j]))
-                - g(p + h * (eye[i] - eye[j]))
-                - g(p - h * (eye[i] - eye[j]))
-                + g(p - h * (eye[i] + eye[j]))
+            hess[:, i, j] = hess[:, j, i] = (
+                g(eye[i] + eye[j]) - g(eye[i] - eye[j])
+                - g(eye[j] - eye[i]) + g(-eye[i] - eye[j])
             ) / (4.0 * h**2)
 
-    gn = np.linalg.norm(grad)
-    n = grad / gn
+    gn = np.linalg.norm(grad, axis=1)
+    n = grad / gn[:, None]
     # Gram-Schmidt a frame out of the axis least aligned with the normal
-    seed = eye[np.argmin(np.abs(n))]
-    t1 = seed - np.dot(seed, n) * n
-    t1 /= np.linalg.norm(t1)
+    seed = eye[np.argmin(np.abs(n), axis=1)]
+    t1 = seed - np.einsum("ni,ni->n", seed, n)[:, None] * n
+    t1 /= np.linalg.norm(t1, axis=1)[:, None]
     t2 = np.cross(n, t1)
-    b = np.array(
-        [
-            [t1 @ hess @ t1, t1 @ hess @ t2],
-            [t1 @ hess @ t2, t2 @ hess @ t2],
-        ]
-    ) / gn
-    return np.linalg.eigvalsh(b)
+    frame = np.stack([t1, t2], axis=1)                    # (N, 2, 3)
+    b = np.einsum("nai,nij,nbj->nab", frame, hess, frame) / gn[:, None, None]
+    k = np.linalg.eigvalsh(b)
+    return k[0] if single else k
+
+
+def maclaurin_gap(kappas, r):
+    """H_r^(1/r) - H_(r+1)^(1/(r+1)), from the package's mean_curvature.
+
+    Nonnegative for positive curvatures by Maclaurin's inequality, and zero
+    exactly when they all coincide.
+    """
+    return (curvalg.mean_curvature(kappas, r) ** (1.0 / r)
+            - curvalg.mean_curvature(kappas, r + 1) ** (1.0 / (r + 1)))
 
 
 def box_mesh(n=4, half_width=1.0):

@@ -206,6 +206,36 @@ class TestRefusals:
         assert run(["verify", "--shape", "sphere", "--method", "dense"]) == 64
 
 
+class TestBadInput:
+    """Out-of-range analysis input is a usage error, from a flag or from a
+    config file alike, and writes no report."""
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("shape,key,value", [
+        ("sphere", "subdiv", "-1"),
+        ("torus", "nu", "2"),
+        ("sphere", "r", "2"),
+        ("sphere", "r", "-1"),
+        ("sphere", "mu", "0"),
+        ("sphere", "trials", "0"),
+    ])
+    def test_exit_64(self, tmp_path, capsys, shape, key, value, via):
+        out = tmp_path / "rep.json"
+        argv = ["verify", "--shape", shape, "-o", str(out)]
+        if key != "subdiv":
+            argv += ["--subdiv", "1"]
+        if via == "flag":
+            argv += [f"--{key}", value]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            argv += ["--config", str(cfg)]
+        assert run(argv) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and key in err
+        assert not out.exists()
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         out = tmp_path / "rep.json"

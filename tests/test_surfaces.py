@@ -1,4 +1,7 @@
-"""Analytic surface families and mesh generation."""
+"""Analytic surface families, their curvature oracle, and mesh generation."""
+
+import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +10,9 @@ import oracles
 from curvspec import surfaces
 from curvspec.errors import ProjectionError
 from curvspec.mesh import validate
+
+# the finite-difference oracle at h = 1e-4 is good to about 1e-7
+FD_TOL = 1e-6
 
 
 def unit_dirs(n, seed=0):
@@ -20,48 +26,46 @@ class TestSphere:
         s = surfaces.Sphere(2.0)
         pts = s.project(3.0 * unit_dirs(50))
         assert np.allclose(np.linalg.norm(pts, axis=1), 2.0, atol=1e-14)
-        k = s.principal_curvatures(pts)
-        assert np.allclose(k, 0.5, atol=1e-12)
+        k = oracles.fd_principal_curvatures(s, pts)
+        assert np.allclose(k, 0.5, atol=FD_TOL)
 
     def test_center_has_no_projection(self):
         with pytest.raises(ProjectionError):
             surfaces.Sphere(1.0).project(np.zeros(3))
 
     def test_outward_normal(self):
+        # g < 0 inside, so grad g and the curvature sign point outward
         s = surfaces.Sphere(1.5)
         p = 1.5 * unit_dirs(10, seed=3)
-        assert np.allclose(s.normal(p), p / 1.5, atol=1e-14)
+        assert np.all(s.implicit(0.99 * p) < 0.0) and np.all(s.implicit(1.01 * p) > 0.0)
 
 
 class TestEllipsoid:
     def test_pole_curvatures(self):
         e = surfaces.Ellipsoid(2.0, 1.0, 1.0)
         # at (a,0,0) the sections curve like a/b^2 and a/c^2
-        assert np.allclose(e.principal_curvatures(np.array([2.0, 0, 0])), [2, 2])
-        assert np.allclose(
-            e.principal_curvatures(np.array([0.0, 1.0, 0])), [0.25, 1.0]
-        )
+        k = oracles.fd_principal_curvatures(e, [[2.0, 0, 0], [0.0, 1.0, 0]])
+        assert np.allclose(k, [[2.0, 2.0], [0.25, 1.0]], rtol=0, atol=FD_TOL)
 
     def test_degenerates_to_sphere(self):
         e = surfaces.Ellipsoid(1.3, 1.3, 1.3)
         pts = e.project(unit_dirs(40, seed=1))
-        assert np.allclose(e.principal_curvatures(pts), 1 / 1.3, atol=1e-10)
+        assert np.allclose(oracles.fd_principal_curvatures(e, pts), 1 / 1.3, atol=FD_TOL)
 
     def test_projection_lands_on_surface(self):
         e = surfaces.Ellipsoid(2.0, 1.0, 0.7)
         pts = e.project(2.5 * unit_dirs(200, seed=2))
-        assert np.max(e.surface_distance(pts)) < 1e-10
+        assert np.max(np.abs(e.implicit(pts))) < 1e-10
 
 
 class TestTorus:
     def test_curvatures_on_named_circles(self):
         t = surfaces.Torus(2.0, 0.5)
-        outer = t.principal_curvatures(np.array([2.5, 0, 0]))
-        inner = t.principal_curvatures(np.array([1.5, 0, 0]))
-        top = t.principal_curvatures(np.array([2.0, 0, 0.5]))
-        assert np.allclose(outer, [1 / 2.5, 2.0], atol=1e-12)
-        assert np.allclose(inner, [-1 / 1.5, 2.0], atol=1e-12)
-        assert np.allclose(top, [0.0, 2.0], atol=1e-12)
+        # outer equator, inner equator, top circle
+        k = oracles.fd_principal_curvatures(
+            t, [[2.5, 0, 0], [1.5, 0, 0], [2.0, 0, 0.5]])
+        want = [[1 / 2.5, 2.0], [-1 / 1.5, 2.0], [0.0, 2.0]]
+        assert np.allclose(k, want, rtol=0, atol=FD_TOL)
 
     def test_axis_has_no_projection(self):
         with pytest.raises(ProjectionError):
@@ -79,24 +83,27 @@ class TestBumpedSphere:
     def test_zero_amplitude_is_round(self):
         b = surfaces.BumpedSphere(1.0, 0.0, 3)
         pts = b.project(unit_dirs(30, seed=4))
-        assert np.allclose(b.principal_curvatures(pts), 1.0, atol=1e-10)
+        assert np.allclose(oracles.fd_principal_curvatures(b, pts), 1.0, atol=FD_TOL)
 
     def test_amplitude_perturbs_curvature(self):
         b = surfaces.BumpedSphere(1.0, 0.04, 3)
         pts = b.project(unit_dirs(200, seed=5))
-        k = b.principal_curvatures(pts)
+        k = oracles.fd_principal_curvatures(b, pts)
         spread = np.max(np.abs(k - 1.0))
         assert 0.01 < spread < 1.0
 
     def test_stays_convex_at_default_amplitude(self):
         # H_2 = k1*k2 must stay positive or the r=1 pipeline would gate
         b = surfaces.BumpedSphere(1.0, 0.04, 3)
-        k = b.principal_curvatures(b.project(unit_dirs(500, seed=6)))
+        k = oracles.fd_principal_curvatures(b, b.project(unit_dirs(500, seed=6)))
         assert np.min(k[:, 0] * k[:, 1]) > 0.0
 
 
 class TestCurvaturesAgainstFiniteDifferences:
-    """Cross-check the hand-coded derivatives against a numeric route."""
+    """The oracle reads the surface, not its defining function: (2 + |p|^2) g
+    has the same zero set and outward side, so it must give the same
+    curvatures, and the Gaussian curvature must match the closed forms
+    where they exist."""
 
     SURFACES = [
         surfaces.Sphere(1.0),
@@ -104,6 +111,18 @@ class TestCurvaturesAgainstFiniteDifferences:
         surfaces.BumpedSphere(1.0, 0.04, 3),
         surfaces.Torus(2.0, 0.5),
     ]
+
+    @staticmethod
+    def gaussian_curvature(surf, p):
+        if isinstance(surf, surfaces.Sphere):
+            return np.full(len(p), surf.radius**-2)
+        if isinstance(surf, surfaces.Ellipsoid):
+            axes = np.array([surf.a, surf.b, surf.c])
+            return 1.0 / (np.prod(axes) ** 2 * np.sum(p**2 / axes**4, axis=1) ** 2)
+        if isinstance(surf, surfaces.Torus):
+            rho = np.hypot(p[:, 0], p[:, 1])
+            return (rho - surf.major_radius) / (surf.minor_radius**2 * rho)
+        return None
 
     @pytest.mark.parametrize("surf", SURFACES, ids=lambda s: type(s).__name__)
     def test_matches_fd_oracle(self, surf):
@@ -115,10 +134,13 @@ class TestCurvaturesAgainstFiniteDifferences:
             pts = pts[rng.choice(len(pts), 100, replace=False)]
         else:
             pts = surf.project(1.1 * unit_dirs(100, seed=11))
-        for p in pts:
-            exact = surf.principal_curvatures(p)
-            fd = oracles.fd_principal_curvatures(surf, p)
-            assert np.max(np.abs(exact - fd)) < 1e-6
+        k = oracles.fd_principal_curvatures(surf, pts)
+        rescaled = SimpleNamespace(
+            implicit=lambda q: (2.0 + np.sum(q * q, axis=1)) * surf.implicit(q))
+        assert np.max(np.abs(oracles.fd_principal_curvatures(rescaled, pts) - k)) < FD_TOL
+        gauss = self.gaussian_curvature(surf, pts)
+        if gauss is not None:
+            assert np.max(np.abs(k[:, 0] * k[:, 1] - gauss)) < FD_TOL
 
 
 class TestGenerate:
@@ -130,7 +152,7 @@ class TestGenerate:
     def test_vertices_on_surface(self):
         e = surfaces.Ellipsoid(2.0, 1.0, 1.0)
         mesh = surfaces.generate(e, subdiv=3)
-        assert np.max(e.surface_distance(mesh.vertices)) < 1e-10
+        assert np.max(np.abs(e.implicit(mesh.vertices))) < 1e-10
 
     def test_sphere_area_converges_quadratically(self):
         target = 4.0 * np.pi
@@ -164,12 +186,10 @@ class TestGenerate:
         with pytest.raises(ValueError):
             surfaces.from_params("moebius")
 
-    def test_describe_round_trips(self):
+    def test_fields_round_trip_through_from_params(self):
+        # a descriptor's own fields are the parameters from_params takes
         e = surfaces.Ellipsoid(2.0, 1.0, 0.5)
-        d = e.describe()
-        kind = d.pop("kind")
-        again = surfaces.from_params(kind, **d)
-        assert again == e
+        assert surfaces.from_params("ellipsoid", **dataclasses.asdict(e)) == e
 
     def test_box_mesh_valid(self):
         rep = validate(oracles.box_mesh(3))
