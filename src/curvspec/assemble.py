@@ -56,9 +56,8 @@ def assemble_pencil(mesh, field, r):
     if field.r != r or field.p_r_face is None or field.w is None:
         raise ValueError(f"curvature field was not built for order r={r}")
     grads = mesh.hat_gradients()
-    local = np.einsum(
-        "f,fai,fij,fbj->fab", mesh.face_areas, grads, field.p_r_face, grads
-    )
+    local = mesh.face_areas[:, None, None] * (
+        grads @ field.p_r_face @ grads.transpose(0, 2, 1))
     local = 0.5 * (local + local.transpose(0, 2, 1))
     rows = np.broadcast_to(mesh.faces[:, :, None], local.shape)
     cols = np.broadcast_to(mesh.faces[:, None, :], local.shape)

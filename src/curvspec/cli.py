@@ -58,16 +58,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _convert(text):
+    # anything but a boolean stays a string, which argparse converts with
+    # the flag's own type (argparse types string defaults only)
     low = text.lower()
     if low in ("true", "yes", "on"):
         return True
     if low in ("false", "no", "off"):
         return False
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
     return text
 
 

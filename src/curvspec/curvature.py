@@ -97,8 +97,9 @@ def estimate_shape_operators(mesh):
     return CurvatureField(face_operators=ops, face_basis=basis)
 
 
-def _face_ops_world(field):
-    return np.einsum("fab,fai,fbj->fij", field.face_operators, field.face_basis, field.face_basis)
+def _to_world(ops, basis):
+    """Face-basis 2x2 operators as world-frame 3x3 ones, basis^T ops basis."""
+    return basis.transpose(0, 2, 1) @ ops @ basis
 
 
 def _rotation_between(a, b):
@@ -118,7 +119,7 @@ def _rotation_between(a, b):
     # vertices on a sane closed mesh; fall back to the identity there
     safe = denom > 1e-8
     factor = np.where(safe, 1.0 / np.where(safe, denom, 1.0), 0.0)
-    rot = eye[None, :, :] + wx + factor[:, None, None] * np.einsum("fij,fjk->fik", wx, wx)
+    rot = eye[None, :, :] + wx + factor[:, None, None] * (wx @ wx)
     rot[~safe] = eye
     return rot
 
@@ -131,27 +132,25 @@ def vertex_principal_curvatures(field, mesh):
     averaged with face-area weights.
     """
     nv = mesh.n_vertices
-    ops3 = _face_ops_world(field)
-    acc = np.zeros((nv, 3, 3))
-    wsum = np.zeros(nv)
-    for corner in range(3):
-        vid = mesh.faces[:, corner]
+    ops3 = _to_world(field.face_operators, field.face_basis)
+    acc = np.zeros(9 * nv)
+    for vid in mesh.faces.T:
         rot = _rotation_between(mesh.face_normals, mesh.vertex_normals[vid])
-        moved = np.einsum("fij,fjk,flk->fil", rot, ops3, rot)
-        np.add.at(acc, vid, mesh.face_areas[:, None, None] * moved)
-        np.add.at(wsum, vid, mesh.face_areas)
-    acc /= wsum[:, None, None]
+        moved = rot @ ops3 @ rot.transpose(0, 2, 1)
+        acc += np.bincount((9 * vid[:, None] + np.arange(9)).ravel(),
+                           weights=(mesh.face_areas[:, None, None] * moved).ravel(),
+                           minlength=9 * nv)
+    # the incident face areas sum to three barycentric vertex areas
+    acc = acc.reshape(nv, 3, 3) / (3.0 * mesh.vertex_areas)[:, None, None]
     n = mesh.vertex_normals
     helper = np.zeros_like(n)
     helper[np.arange(nv), np.argmin(np.abs(n), axis=1)] = 1.0
     u1 = np.cross(n, helper)
     u1 /= np.linalg.norm(u1, axis=1)[:, None]
-    u2 = np.cross(n, u1)
-    a = np.einsum("vi,vij,vj->v", u1, acc, u1)
-    b = 0.5 * (
-        np.einsum("vi,vij,vj->v", u1, acc, u2) + np.einsum("vi,vij,vj->v", u2, acc, u1)
-    )
-    d = np.einsum("vi,vij,vj->v", u2, acc, u2)
+    u = np.stack([u1, np.cross(n, u1)], axis=1)   # (V, 2, 3) tangent frame
+    t = u @ acc @ u.transpose(0, 2, 1)
+    a, d = t[:, 0, 0], t[:, 1, 1]
+    b = 0.5 * (t[:, 0, 1] + t[:, 1, 0])
     mean = 0.5 * (a + d)
     disc = np.sqrt((0.5 * (a - d)) ** 2 + b * b)
     return np.stack([mean - disc, mean + disc], axis=1)
@@ -170,8 +169,8 @@ def build_fields(field, r):
         raise ValueError("the mesh pipeline supports r in {0, 1}")
     evals, evecs = np.linalg.eigh(field.face_operators)
     newt = curvalg.newton_eigenvalues(evals, r)
-    p2 = np.einsum("fia,fa,fja->fij", evecs, newt, evecs)
-    p3 = np.einsum("fab,fai,fbj->fij", p2, field.face_basis, field.face_basis)
+    p2 = (evecs * newt[:, None, :]) @ evecs.transpose(0, 2, 1)
+    p3 = _to_world(p2, field.face_basis)
     h_next = curvalg.mean_curvature(field.vertex_kappas, r + 1)
     w = curvalg.potential_W(field.vertex_kappas, r)  # raises if r>=1 and H_{r+1}<=0
     return replace(

@@ -1,8 +1,9 @@
 """Symmetric generalized eigensolves and shifted solves against a lumped mass.
 
-One path for every mesh: ARPACK in shift-invert mode at a shift the caller
-states, strictly below the bottom of the spectrum, so the smallest pencil
-eigenvalues come back first.  How fast it converges is set by how well
+One path for every mesh: ARPACK in standard symmetric mode on the
+shift-inverted S (A - sigma*M)^(-1) S, S = sqrt(M), at a shift sigma the
+caller states, strictly below the bottom of the spectrum, so the smallest
+pencil eigenvalues come back first.  How fast it converges is set by how well
 1/(lambda - sigma) separates the wanted eigenvalues (ARPACK Users' Guide,
 Lehoucq-Sorensen-Yang 1998), so the shift is the caller's to derive from
 what it knows of the spectrum.  Vectors come back M-orthonormal with
@@ -19,11 +20,11 @@ The numeric half fills a fresh band from the matrix's entries and the
 shifted diagonal and factors it by LAPACK pbtrf; solves call pbtrs.  A
 shift that does not lie below the spectrum is refused instead of factored.
 The zero-mean resolvent factors the same band with K grounded at its last
-vertex.  ARPACK gets that factor as its shift-invert operator and makes
-none of its own, and the Birman-Schwinger kernel runs on it in the band's
-order.  One wrapper around eigsh serves the pencil, T_r and lam1(K, M)
-solves and the kernel alike, so the k range, the padding, the seeded start
-vector and the non-convergence error are set in one place.
+vertex.  ARPACK makes no factorization and gets no OPinv or mass matrix:
+the pencil, T_r and lam1(K, M) solves and the Birman-Schwinger kernel are
+all the symmetric operator z -> S A^(-1) S z (A factored here, S diagonal)
+applied in the band's order, through one ARPACK call that sets the k
+range, the padding, the seeded start vector and the non-convergence error.
 """
 
 import logging
@@ -40,6 +41,10 @@ from .errors import EigenSolveError
 __all__ = ["BandLayout", "Spectrum", "band_layout", "smallest_eigenpairs"]
 
 log = logging.getLogger(__name__)
+
+# eigenvalues closer than this fraction of the largest |lambda| form one
+# cluster, M-orthonormalized together
+_CLUSTER_GAP = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,19 +196,30 @@ def _shifted_solver(a, mass, shift, zero_mean=False, layout=None):
     return _BandSolver(factor, layout, mass, zero_mean)
 
 
-def _kernel_eigenpairs(solve, scale, basis, k, seed, what, vectors=False):
-    """k largest eigenpairs of z -> Q S A^(-1) S Q z, descending.
+def _kernel_eigenpairs(solve, scale, basis, k, seed, what, vectors=False,
+                       tol=0.0):
+    """The package's one ARPACK call: k largest eigenpairs of
+    z -> Q S A^(-1) S Q z, descending.
 
     ``solve`` is a _shifted_solver factor of A, ``scale`` the diagonal of
     S and ``basis`` None or orthonormal columns, Q = I - basis basis^T.
-    The operator runs in the factor's band order: S and the basis are
-    permuted once, each application is one pbtrs between two diagonal
-    products, ARPACK starts from _eigsh's seeded vector in that order, and
-    the eigenvectors (with ``vectors``) are put back in vertex order once.
-    Returns (values, vectors or None).
+    The operator is symmetric, so ARPACK runs in its standard mode, in the
+    factor's band order: S and the basis are permuted once, each
+    application is one pbtrs between two diagonal products, the seeded
+    start vector is the same in every order, and the eigenvectors (with
+    ``vectors``) are put back in vertex order once.  ARPACK returns at most
+    V - 1 pairs, so ``k`` must lie in [1, V - 1]; a couple of padding pairs
+    help it separate clustered targets.  Returns (values, vectors or None).
+    Raises EigenSolveError on a refused k or when ARPACK fails to converge,
+    naming ``what``.
     """
     layout = solve.layout
     nv = len(layout.order)
+    if not 1 <= k <= nv - 1:
+        raise EigenSolveError(
+            f"k={k} eigenpairs requested on a mesh with V={nv} vertices; "
+            f"k must lie in [1, {nv - 1}]"
+        )
     s = scale[layout.order]
     q = None if basis is None else basis[layout.order]
 
@@ -215,46 +231,20 @@ def _kernel_eigenpairs(solve, scale, basis, k, seed, what, vectors=False):
             out = out - q @ (q.T @ out)
         return out
 
-    op = spla.LinearOperator((nv, nv), matvec=apply, dtype=float)
-    vals, z = _eigsh(op, k, "LA", seed, what, vectors=vectors,
-                     order=layout.order)
-    return vals, None if z is None else z[layout.inverse]
-
-
-def _eigsh(op, k, which, seed, what, tol=0.0, vectors=True, order=None,
-           **shift_invert):
-    """The package's one ARPACK call: k eigenpairs of ``op`` by ``which``.
-
-    ``op`` is V x V.  ARPACK returns at most V - 1 pairs, so ``k`` must lie
-    in [1, V - 1]; a couple of padding pairs help it separate clustered
-    targets, and the start vector is seeded.  An ``op`` that works in a
-    permuted vertex order names it as ``order``, and gets the same start
-    vector in that order.  ``shift_invert`` carries M,
-    sigma and OPinv through to eigsh.  Returns (values, vectors or None),
-    ascending, or descending for which="LA".  Raises EigenSolveError on a
-    refused k or when ARPACK fails to converge, naming ``what``.
-    """
-    nv = op.shape[0]
-    if not 1 <= k <= nv - 1:
-        raise EigenSolveError(
-            f"k={k} eigenpairs requested on a mesh with V={nv} vertices; "
-            f"k must lie in [1, {nv - 1}]"
-        )
     kk = min(k + 2, nv - 1)
-    v0 = np.random.default_rng(seed).standard_normal(nv)
-    if order is not None:
-        v0 = v0[order]
+    v0 = np.random.default_rng(seed).standard_normal(nv)[layout.order]
     try:
-        out = spla.eigsh(op, k=kk, which=which, v0=v0, tol=tol,
-                         return_eigenvectors=vectors, **shift_invert)
+        out = spla.eigsh(spla.LinearOperator((nv, nv), matvec=apply,
+                                             dtype=float),
+                         k=kk, which="LA", v0=v0, tol=tol,
+                         return_eigenvectors=vectors)
     except spla.ArpackNoConvergence as exc:
         raise EigenSolveError(
             f"{what}: ARPACK converged {len(exc.eigenvalues)}/{kk} pairs"
         ) from exc
-    vals, vecs = out if vectors else (out, None)
-    order = np.argsort(vals)
-    order = (order[::-1] if which == "LA" else order)[:k]
-    return vals[order], None if vecs is None else vecs[:, order]
+    vals, z = out if vectors else (out, None)
+    top = np.argsort(vals)[::-1][:k]
+    return vals[top], None if z is None else z[:, top][layout.inverse]
 
 
 def smallest_eigenpairs(a_mat, mass, k, sigma, tol=1e-10, seed=0,
@@ -264,11 +254,13 @@ def smallest_eigenpairs(a_mat, mass, k, sigma, tol=1e-10, seed=0,
     ``a_mat`` is a symmetric sparse matrix, ``mass`` a strictly positive
     vector and ``sigma`` the shift-invert target, which must lie below the
     smallest eigenvalue (assemble.pencil_floor_shift for the pencil, a
-    small negative multiple of its scale for the PSD stiffness).  ARPACK
-    runs on this module's own factor of A - sigma*M, made on ``layout``
-    (the pencil's, for a matrix with K's pattern) as _shifted_solver
-    describes.  ``k`` must lie in [1, V - 1].  Raises EigenSolveError when
-    ARPACK fails to converge.
+    small negative multiple of its scale for the PSD stiffness).  With
+    S = sqrt(M), ARPACK finds the largest nu of the symmetric
+    z -> S (A - sigma M)^(-1) S z on this module's own factor of
+    A - sigma*M, made on ``layout`` (the pencil's, for a matrix with K's
+    pattern) as _shifted_solver describes; then lambda = sigma + 1/nu and
+    x = z / sqrt(M).  ``k`` must lie in [1, V - 1].  Raises
+    EigenSolveError when ARPACK fails to converge.
     """
     mass = np.asarray(mass, dtype=float)
     nv = mass.shape[0]
@@ -277,28 +269,34 @@ def smallest_eigenpairs(a_mat, mass, k, sigma, tol=1e-10, seed=0,
     if np.any(mass <= 0.0):
         raise ValueError("mass diagonal must be strictly positive")
 
-    solve = _shifted_solver(a_mat, mass, -sigma, layout=layout)
-    vals, vecs = _eigsh(
-        a_mat, k, "LM", seed, "shift-invert eigensolve", tol=tol,
-        M=sp.diags(mass).tocsc(), sigma=sigma,
-        OPinv=spla.LinearOperator((nv, nv), matvec=solve, dtype=float),
-    )
-    vecs = _m_orthonormalize(vecs, mass)
+    sqm = np.sqrt(mass)
+    nu, z = _kernel_eigenpairs(
+        _shifted_solver(a_mat, mass, -sigma, layout=layout), sqm, None, k,
+        seed, "shift-invert eigensolve", vectors=True, tol=tol)
+    vals = sigma + 1.0 / nu
+    vecs = _m_orthonormalize(vals, z / sqm[:, None], mass)
     return Spectrum(
         eigenvalues=vals, eigenvectors=vecs,
         residuals=_residuals(a_mat, mass, vals, vecs), seed=seed,
     )
 
 
-def _m_orthonormalize(vecs, mass):
-    # Cholesky of the M-Gram; within clusters ARPACK's vectors can drift
-    # from orthogonality, and downstream identities assume it exactly.
-    gram = vecs.T @ (mass[:, None] * vecs)
-    try:
-        chol = sla.cholesky(gram, lower=False)
-    except sla.LinAlgError as exc:
-        raise EigenSolveError("eigenvector block is numerically dependent") from exc
-    return sla.solve_triangular(chol, vecs.T, lower=False, trans="T").T
+def _m_orthonormalize(vals, vecs, mass):
+    # ARPACK's vectors of one eigenvalue cluster can drift from
+    # orthogonality, and downstream identities assume it exactly; a
+    # Cholesky of each cluster's M-Gram restores it without mixing vectors
+    # whose eigenvalues differ
+    cuts = np.flatnonzero(np.diff(vals) > _CLUSTER_GAP * np.abs(vals).max())
+    out = np.empty_like(vecs)
+    for idx in np.split(np.arange(len(vals)), cuts + 1):
+        block = vecs[:, idx]
+        try:
+            chol = sla.cholesky(block.T @ (mass[:, None] * block))
+        except sla.LinAlgError as exc:
+            raise EigenSolveError(
+                "eigenvector block is numerically dependent") from exc
+        out[:, idx] = sla.solve_triangular(chol, block.T, trans="T").T
+    return out
 
 
 def _residuals(a_mat, mass, vals, vecs):

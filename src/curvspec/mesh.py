@@ -46,6 +46,17 @@ __all__ = [
 _AREA_FLOOR_REL = 1e-14  # min face area relative to the mean, see validate()
 
 
+def _edge_table(faces, nv):
+    """Undirected edges in lexicographic order, (E, 2), the edge of each
+    directed face edge (01, 12, 20 of face 0, then face 1, ...) and each
+    edge's face count.  Edge (i, j), i < j, is keyed as i*nv + j, so one
+    1-D unique sorts the edges as a row-wise unique would."""
+    fe = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    keys, inv, counts = np.unique(fe.min(axis=1) * nv + fe.max(axis=1),
+                                  return_inverse=True, return_counts=True)
+    return np.stack([keys // nv, keys % nv], axis=1), inv, counts
+
+
 class TriMesh:
     """Indexed triangle surface with cached derived geometry."""
 
@@ -123,16 +134,11 @@ class TriMesh:
 
     def _scan_connectivity(self):
         f = self.faces
-        fe = f[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)  # 3 directed edges per face
-        und = np.sort(fe, axis=1)
-        edges, inv, counts = np.unique(
-            und, axis=0, return_inverse=True, return_counts=True
-        )
-        inv = inv.ravel()
+        edges, inv, counts = _edge_table(f, len(self.vertices))
         self.edges = edges
-        direction = np.where(fe[:, 0] < fe[:, 1], 1, -1)
-        osum = np.zeros(len(edges), dtype=np.int64)
-        np.add.at(osum, inv, direction)
+        # +1 where directed edge j runs from its lower to its higher vertex
+        direction = np.where(f < f[:, [1, 2, 0]], 1, -1).ravel()
+        osum = np.bincount(inv, weights=direction, minlength=len(edges))
         self.boundary_edges = tuple(map(tuple, edges[counts == 1].tolist()))
         self.nonmanifold_edges = tuple(
             (tuple(e), int(c)) for e, c in zip(edges[counts > 2].tolist(), counts[counts > 2])
@@ -454,9 +460,7 @@ def subdivide_project(mesh, target=None):
     already).  Child faces inherit the parent orientation.
     """
     v, f = mesh.vertices, mesh.faces
-    fe = f[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    und = np.sort(fe, axis=1)
-    edges, inv = np.unique(und, axis=0, return_inverse=True)
+    edges, inv, _ = _edge_table(f, len(v))
     mids = 0.5 * (v[edges[:, 0]] + v[edges[:, 1]])
     if target is not None:
         projected = target.project(mids)

@@ -2,9 +2,11 @@
 
 Everything here is deliberately written the slow, obviously-correct way:
 subset enumeration instead of recurrences, dense factorizations instead of
-iterative solvers, textbook cotangent weights instead of the einsum
-assembly.  If a package routine and its oracle agree, the fast path earns
-its keep; none of these functions are used by the package itself.
+iterative solvers, textbook cotangent weights instead of the batched
+assembly, and the row-wise unique edge table and the einsum contractions
+that the package's batched geometry kernels replaced.  If a package routine
+and its oracle agree, the fast path earns its keep; none of these functions
+are used by the package itself.
 """
 
 import itertools
@@ -151,6 +153,97 @@ def lumped_vertex_areas(mesh):
     return areas
 
 
+def edge_table_rows(faces):
+    """(edges, inverse, counts) by a row-wise unique of the sorted directed
+    edges 01, 12, 20 of every face: the edge table's reference."""
+    fe = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    edges, inv, counts = np.unique(
+        np.sort(fe, axis=1), axis=0, return_inverse=True, return_counts=True
+    )
+    return edges, inv.ravel(), counts
+
+
+def subdivide_rows(mesh, target):
+    """One 1-to-4 midpoint refinement on edge_table_rows, midpoints
+    projected onto ``target``: the reference of mesh.subdivide_project."""
+    v, f = mesh.vertices, mesh.faces
+    edges, inv, _ = edge_table_rows(f)
+    mids = target.project(0.5 * (v[edges[:, 0]] + v[edges[:, 1]]))
+    m01, m12, m20 = (len(v) + inv.reshape(-1, 3)).T
+    children = np.empty((4 * len(f), 3), dtype=np.int64)
+    children[0::4] = np.stack([f[:, 0], m01, m20], axis=1)
+    children[1::4] = np.stack([f[:, 1], m12, m01], axis=1)
+    children[2::4] = np.stack([f[:, 2], m20, m12], axis=1)
+    children[3::4] = np.stack([m01, m12, m20], axis=1)
+    return np.vstack([v, mids]), children
+
+
+def face_ops_world_einsum(ops, basis):
+    """World-frame 3x3 face operators, basis^T ops basis, by einsum."""
+    return np.einsum("fab,fai,fbj->fij", ops, basis, basis)
+
+
+def newton_transform_einsum(field, r):
+    """World-frame P_r per face by einsum over the face operator's
+    eigenbasis: the reference of CurvatureField.p_r_face."""
+    evals, evecs = np.linalg.eigh(field.face_operators)
+    newt = curvalg.newton_eigenvalues(evals, r)
+    p2 = np.einsum("fia,fa,fja->fij", evecs, newt, evecs)
+    return face_ops_world_einsum(p2, field.face_basis)
+
+
+def vertex_kappas_einsum(field, mesh):
+    """Per-vertex principal curvatures by einsum contractions and
+    np.add.at scatters: the reference of vertex_principal_curvatures."""
+    nv = mesh.n_vertices
+    ops3 = face_ops_world_einsum(field.face_operators, field.face_basis)
+    acc = np.zeros((nv, 3, 3))
+    wsum = np.zeros(nv)
+    eye = np.eye(3)
+    for corner in range(3):
+        vid = mesh.faces[:, corner]
+        # minimal rotation taking the face normal to the vertex normal
+        a, b = mesh.face_normals, mesh.vertex_normals[vid]
+        w = np.cross(a, b)
+        wx = np.zeros((len(a), 3, 3))
+        wx[:, 0, 1], wx[:, 0, 2], wx[:, 1, 2] = -w[:, 2], w[:, 1], -w[:, 0]
+        wx[:, 1, 0], wx[:, 2, 0], wx[:, 2, 1] = w[:, 2], -w[:, 1], w[:, 0]
+        denom = 1.0 + np.einsum("ij,ij->i", a, b)
+        safe = denom > 1e-8
+        factor = np.where(safe, 1.0 / np.where(safe, denom, 1.0), 0.0)
+        rot = eye + wx + factor[:, None, None] * np.einsum("fij,fjk->fik", wx, wx)
+        rot[~safe] = eye
+        moved = np.einsum("fij,fjk,flk->fil", rot, ops3, rot)
+        np.add.at(acc, vid, mesh.face_areas[:, None, None] * moved)
+        np.add.at(wsum, vid, mesh.face_areas)
+    acc /= wsum[:, None, None]
+    n = mesh.vertex_normals
+    helper = np.zeros_like(n)
+    helper[np.arange(nv), np.argmin(np.abs(n), axis=1)] = 1.0
+    u1 = np.cross(n, helper)
+    u1 /= np.linalg.norm(u1, axis=1)[:, None]
+    u2 = np.cross(n, u1)
+    a = np.einsum("vi,vij,vj->v", u1, acc, u1)
+    b = 0.5 * (np.einsum("vi,vij,vj->v", u1, acc, u2)
+               + np.einsum("vi,vij,vj->v", u2, acc, u1))
+    d = np.einsum("vi,vij,vj->v", u2, acc, u2)
+    disc = np.sqrt((0.5 * (a - d)) ** 2 + b * b)
+    return np.stack([0.5 * (a + d) - disc, 0.5 * (a + d) + disc], axis=1)
+
+
+def stiffness_einsum(mesh, p_r_face):
+    """K from the einsum over face areas, hat gradients and P_r."""
+    grads = mesh.hat_gradients()
+    local = np.einsum("f,fai,fij,fbj->fab", mesh.face_areas, grads,
+                      p_r_face, grads)
+    local = 0.5 * (local + local.transpose(0, 2, 1))
+    rows = np.broadcast_to(mesh.faces[:, :, None], local.shape)
+    cols = np.broadcast_to(mesh.faces[:, None, :], local.shape)
+    nv = mesh.n_vertices
+    return sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(nv, nv)).tocsr()
+
+
 def misoriented_edges_loop(mesh):
     """Misoriented edges found with one boolean mask per edge (quadratic).
 
@@ -158,10 +251,7 @@ def misoriented_edges_loop(mesh):
     the same direction; each entry is (sorted edge, faces in face order).
     """
     fe = mesh.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    edges, inv, counts = np.unique(
-        np.sort(fe, axis=1), axis=0, return_inverse=True, return_counts=True
-    )
-    inv = inv.ravel()
+    edges, inv, counts = edge_table_rows(mesh.faces)
     face_of = np.repeat(np.arange(mesh.n_faces), 3)
     out = []
     for eid in range(len(edges)):

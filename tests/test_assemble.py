@@ -29,6 +29,14 @@ class TestStiffness:
             scale = np.abs(ora.data).max()
             assert np.max(np.abs(dense(pencil.k_stiff) - dense(ora))) < 1e-13 * scale
 
+    @pytest.mark.parametrize("kind,subdiv,r", [("ellipsoid", 3, 1),
+                                               ("bumped", 3, 1), ("torus", 1, 0)])
+    def test_matches_einsum_assembly(self, kind, subdiv, r):
+        mesh, field, pencil = get_pipeline(kind, subdiv, r)
+        ora = oracles.stiffness_einsum(mesh, field.p_r_face)
+        scale = np.abs(ora.data).max()
+        assert np.max(np.abs(dense(pencil.k_stiff - ora))) <= 1e-13 * scale
+
     def test_symmetric_psd_constants_in_kernel(self, sphere3):
         _, _, pencil = get_pipeline("sphere", 3, 1)
         k = pencil.k_stiff

@@ -218,6 +218,11 @@ class TestBadInput:
         ("sphere", "r", "-1"),
         ("sphere", "mu", "0"),
         ("sphere", "trials", "0"),
+        # a config file's values reach argparse as strings, so the flag's
+        # type refuses them as it refuses the same flag
+        ("sphere", "subdiv", "1.5"),
+        ("sphere", "trials", "2.5"),
+        ("sphere", "k", "2.0"),
     ])
     def test_exit_64(self, tmp_path, capsys, shape, key, value, via):
         out = tmp_path / "rep.json"
@@ -482,10 +487,14 @@ class TestReadme:
 class TestEntryPoints:
     def test_module_execution(self, tmp_path):
         out = tmp_path / "rep.json"
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                           "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
             [sys.executable, "-m", "curvspec", "verify", "--shape", "sphere",
              "--subdiv", "1", "--r", "0", "-o", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert json.loads(out.read_text())["verdicts"]["theorem"]["verdict"] == "SphereLike"

@@ -7,6 +7,7 @@ from curvspec import curvalg, curvature, surfaces
 from curvspec.errors import CurvaturePositivityError
 
 import oracles
+from conftest import get_pipeline
 
 
 class TestShapeOperators:
@@ -166,3 +167,18 @@ class TestBuildFields:
         with pytest.raises(ValueError):
             curvature.build_fields(bare, 0)
 
+
+
+@pytest.mark.parametrize("kind,subdiv,r", [("ellipsoid", 3, 1), ("bumped", 3, 1),
+                                           ("torus", 1, 0)])
+def test_batched_kernels_match_einsum(kind, subdiv, r):
+    # the batched products and bincount scatters against the einsum and
+    # np.add.at forms, which sum in another order
+    mesh, field, _ = get_pipeline(kind, subdiv, r)
+    for got, want in (
+        (curvature._to_world(field.face_operators, field.face_basis),
+         oracles.face_ops_world_einsum(field.face_operators, field.face_basis)),
+        (field.vertex_kappas, oracles.vertex_kappas_einsum(field, mesh)),
+        (field.p_r_face, oracles.newton_transform_einsum(field, r)),
+    ):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -108,6 +108,31 @@ class TestSpectrumContract:
         gram = spec.eigenvectors.T @ (m @ spec.eigenvectors)
         assert np.max(np.abs(gram - np.eye(5))) < 1e-10
 
+    def test_orthonormalized_per_cluster(self, sphere_pencil):
+        # the sphere's stiffness has the clusters 0, the l=1 triple and the
+        # l=2 quintuple; mixing vectors inside a cluster leaves them
+        # eigenvectors but not M-orthonormal, and orthonormalizing each
+        # cluster on its own restores that without touching the residuals
+        p = sphere_pencil
+        spec = eigen.smallest_eigenpairs(p.k_stiff, p.mass, 9,
+                                         sigma=kernel_shift(p))
+        rng = np.random.default_rng(3)
+        mixed = spec.eigenvectors.copy()
+        for lo, hi in ((1, 4), (4, 9)):
+            mixed[:, lo:hi] = mixed[:, lo:hi] @ (
+                np.eye(hi - lo) + 0.5 * rng.standard_normal((hi - lo,) * 2))
+        for vecs in (spec.eigenvectors,
+                     eigen._m_orthonormalize(spec.eigenvalues, mixed, p.mass)):
+            gram = vecs.T @ (p.mass[:, None] * vecs)
+            assert np.max(np.abs(gram - np.eye(9))) <= 1e-12
+            res = eigen._residuals(p.k_stiff, p.mass, spec.eigenvalues, vecs)
+            assert res.max() <= 2.0 * spec.residuals.max() <= 1e-12
+        # each cluster's vectors stay in the span of its own input vectors
+        for lo, hi in ((0, 1), (1, 4), (4, 9)):
+            block = vecs[:, lo:hi]
+            coef = np.linalg.lstsq(mixed[:, lo:hi], block, rcond=None)[0]
+            assert np.linalg.norm(mixed[:, lo:hi] @ coef - block) <= 1e-12
+
     def test_rayleigh_quotient_consistent(self, sphere_pencil):
         a = sphere_pencil.a_matrix()
         spec = eigen.smallest_eigenpairs(a, sphere_pencil.mass, 4,
@@ -354,12 +379,15 @@ def test_one_factor_and_one_arpack_call_site():
     # every ordering, factorization, banded solve and ARPACK run goes
     # through eigen's helpers; a second reverse_cuthill_mckee,
     # cholesky_banded, pbtrs or eigsh call anywhere in the package, or any
-    # scipy band solve wrapper, sparse LU or bordered matrix, fails here
+    # scipy band solve wrapper, sparse LU or bordered matrix, fails here.
+    # The eigsh call runs ARPACK's standard mode: the operator is its one
+    # positional argument, and no M, sigma, OPinv or **kwargs follow it
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                        "src", "curvspec")
     calls = {"cholesky_banded": [], "pbtrs": [], "reverse_cuthill_mckee": [],
              "eigsh": [], "cho_solve_banded": [], "splu": [], "spilu": [],
              "factorized": [], "bmat": []}
+    eigsh_args, eigsh_keywords = [], []
     for path in sorted(glob.glob(os.path.join(src, "*.py"))):
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
@@ -369,7 +397,12 @@ def test_one_factor_and_one_arpack_call_site():
                 name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
                 if name in calls:
                     calls[name].append(os.path.basename(path))
+                if name == "eigsh":
+                    eigsh_args.append(len(node.args))
+                    eigsh_keywords += [kw.arg for kw in node.keywords]
     assert calls == {"cholesky_banded": ["eigen.py"], "pbtrs": ["eigen.py"],
                      "reverse_cuthill_mckee": ["eigen.py"],
                      "eigsh": ["eigen.py"], "cho_solve_banded": [],
                      "splu": [], "spilu": [], "factorized": [], "bmat": []}
+    assert eigsh_args == [1] and None not in eigsh_keywords
+    assert not {"M", "sigma", "OPinv", "mode"} & set(eigsh_keywords)

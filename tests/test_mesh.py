@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvspec import surfaces
+from curvspec import mesh as mesh_mod, surfaces
 from curvspec.errors import (
     CurvSpecError,
     DegenerateGeometryError,
@@ -25,6 +25,7 @@ from curvspec.mesh import (
 )
 
 import oracles
+from conftest import get_mesh, make_surface
 
 # oriented tetrahedron over the standard simplex corners
 TETRA_V = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -380,6 +381,26 @@ class TestSubdivision:
         fine = subdivide_project(ico)
         assert abs(fine.total_area - ico.total_area) < 1e-12
         assert fine.euler_characteristic == 2
+
+    @pytest.mark.parametrize("kind,subdiv", [("ellipsoid", 3), ("bumped", 2),
+                                             ("torus", 1)])
+    def test_edge_table_matches_row_unique(self, kind, subdiv):
+        # the 1-D edge keys give the row-wise unique's edges, inverse and
+        # counts exactly, so the edge order, and every mesh, is unchanged
+        m = get_mesh(kind, subdiv)
+        own = mesh_mod._edge_table(m.faces, m.n_vertices)
+        for got, want in zip(own, oracles.edge_table_rows(m.faces)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(m.edges, own[0])
+
+    @pytest.mark.parametrize("kind", ["sphere", "ellipsoid", "bumped"])
+    def test_subdivision_matches_row_unique(self, kind):
+        coarse = get_mesh(kind, 2)
+        target = make_surface(kind)
+        fine = subdivide_project(coarse, target)
+        verts, faces = oracles.subdivide_rows(coarse, target)
+        assert np.array_equal(fine.vertices, verts)
+        assert np.array_equal(fine.faces, faces)
 
     def test_torus_euler(self, torus1):
         assert torus1.euler_characteristic == 0
