@@ -28,12 +28,7 @@ from .eigen import Spectrum, smallest_eigenpairs
 from .errors import CurvSpecError
 from .mesh import TriMesh, load_mesh, subdivide_project, validate, write_off
 from .surfaces import BumpedSphere, Ellipsoid, Sphere, Torus, from_params, generate
-from .verify import (
-    VerifyConfig,
-    lemma_two_negative,
-    verify_corollary,
-    verify_theorem,
-)
+from .verify import VerifyConfig
 
 __all__ = [
     "__version__",
@@ -55,7 +50,4 @@ __all__ = [
     "from_params",
     "generate",
     "VerifyConfig",
-    "lemma_two_negative",
-    "verify_corollary",
-    "verify_theorem",
 ]

@@ -25,6 +25,7 @@ __all__ = [
     "with_potential_squared",
     "spectral_scale",
     "pencil_floor_shift",
+    "shift_ladder",
 ]
 
 
@@ -83,9 +84,27 @@ def pencil_floor_shift(max_w2):
     """Shift-invert target strictly below the pencil spectrum.
 
     K is positive semidefinite, so (K - M_W) x = lambda M x has no
-    eigenvalue below -max(W^2); this lies a margin under that floor.
+    eigenvalue below -max(W^2); this lies a margin under that floor, and
+    is the last rung of shift_ladder, the one known to lie below lambda_1.
     """
     return -1.1 * max_w2 - 0.1 * (max_w2 + 1.0)
+
+
+def shift_ladder(pencil):
+    """Shift-invert targets for the pencil, nearest first.
+
+    lambda_1 lies in [-max W^2, -mean W^2] (the constants have Rayleigh
+    quotient -mean W^2), and the floor can lie far below it, where
+    shift-invert separates the wanted eigenvalues poorly (Ericsson-Ruhe
+    1980).  So the rungs are -2^(j+1) mean W^2, j = 0, 1, ..., while they
+    lie above the floor, and then the floor; eigen.smallest_eigenpairs
+    takes the first that factors.  With W constant it is the floor alone.
+    """
+    floor = pencil_floor_shift(float(np.max(pencil.w**2)))
+    rungs = [-2.0 * spectral_scale(pencil)]
+    while floor < rungs[-1] < 0.0:
+        rungs.append(2.0 * rungs[-1])
+    return rungs[:-1] + [floor]
 
 
 def with_potential_squared(pencil, w_squared):

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assemble import pencil_floor_shift
+from .assemble import shift_ladder
 from .eigen import _kernel_eigenpairs, _shifted_solver, smallest_eigenpairs
-from .identities import stiffness_lam1
+from .identities import stiffness_lam1, zero_mean_resolvent
 
 __all__ = [
     "Crossing",
@@ -192,7 +192,7 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
         raise ValueError("need at least 2 grid points")
 
     grid = np.geomspace(mu_min, mu_max, steps)
-    lam1_perp = stiffness_lam1(pencil, seed)
+    lam1_perp = stiffness_lam1(pencil, zero_mean_resolvent(pencil), seed)
 
     tops = np.empty((steps, k))
     restricted = np.empty(steps)
@@ -249,7 +249,8 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
         want = min(pencil.n_vertices - 1, len(crossings) + 3)
         pencil_eigs = smallest_eigenpairs(
             pencil.a_matrix(), pencil.mass, k=want, seed=seed,
-            sigma=pencil_floor_shift(maxw2), layout=pencil.layout,
+            sigma=shift_ladder(pencil), layout=pencil.layout,
+            what="crossing-match eigensolve",
         ).eigenvalues
         for mu0, j, err, evals in sorted(crossings):
             lam = pencil_eigs[np.argmin(np.abs(pencil_eigs + mu0))]

@@ -57,15 +57,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _convert(text):
-    # anything but a boolean stays a string, which argparse converts with
-    # the flag's own type (argparse types string defaults only)
-    low = text.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
-    return text
+_BOOLEANS = {"true": True, "yes": True, "on": True,
+             "false": False, "no": False, "off": False}
 
 
 def _read_config_file(path):
@@ -79,7 +72,7 @@ def _read_config_file(path):
                 if "=" not in line:
                     raise UsageError(f"{path}:{ln}: expected key = value")
                 key, val = (p.strip() for p in line.split("=", 1))
-                values[key.replace("-", "_")] = _convert(val)
+                values[key.replace("-", "_")] = val
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
     return values
@@ -487,10 +480,18 @@ def main(argv=None):
         if getattr(args, "config", None):
             file_vals = _read_config_file(args.config)
             sub = table[args.command]
-            valid = {a.dest for a in sub._actions}
-            for key in file_vals:
-                if key not in valid:
+            actions = {a.dest: a for a in sub._actions}
+            for key, val in file_vals.items():
+                if key not in actions:
                     raise UsageError(f"unknown config key {key!r}")
+                # only a switch takes a boolean word; every other value
+                # stays a string, which argparse converts with the flag's
+                # own type (argparse types string defaults only)
+                if isinstance(actions[key], argparse._StoreTrueAction):
+                    if val.lower() not in _BOOLEANS:
+                        raise UsageError(
+                            f"config key {key!r} takes true/false, got {val!r}")
+                    file_vals[key] = _BOOLEANS[val.lower()]
             sub.set_defaults(**file_vals)
             args = parser.parse_args(argv)
         with _logging_to_stderr(args.log_level):

@@ -1,13 +1,14 @@
 """Symmetric generalized eigensolves and shifted solves against a lumped mass.
 
 One path for every mesh: ARPACK in standard symmetric mode on the
-shift-inverted S (A - sigma*M)^(-1) S, S = sqrt(M), at a shift sigma the
-caller states, strictly below the bottom of the spectrum, so the smallest
-pencil eigenvalues come back first.  How fast it converges is set by how well
+shift-inverted S (A - sigma*M)^(-1) S, S = sqrt(M), at a shift sigma
+strictly below the bottom of the spectrum, so the smallest pencil
+eigenvalues come back first.  How fast it converges is set by how well
 1/(lambda - sigma) separates the wanted eigenvalues (ARPACK Users' Guide,
-Lehoucq-Sorensen-Yang 1998), so the shift is the caller's to derive from
-what it knows of the spectrum.  Vectors come back M-orthonormal with
-per-pair residuals so callers can check convergence instead of trusting it.
+Lehoucq-Sorensen-Yang 1998), so the caller derives shifts from what it
+knows of the spectrum, nearest first, and the first that factors is used.
+Vectors come back M-orthonormal with per-pair residuals so callers can
+check convergence instead of trusting it.
 
 This module is the only one that orders, factors or solves with a matrix or
 calls ARPACK.  Every symmetric matrix the package factors (K, K - M_W,
@@ -19,12 +20,13 @@ order (Cuthill-McKee 1969), is built once per mesh and held on the pencil.
 The numeric half fills a fresh band from the matrix's entries and the
 shifted diagonal and factors it by LAPACK pbtrf; solves call pbtrs.  A
 shift that does not lie below the spectrum is refused instead of factored.
-The zero-mean resolvent factors the same band with K grounded at its last
-vertex.  ARPACK makes no factorization and gets no OPinv or mass matrix:
-the pencil, T_r and lam1(K, M) solves and the Birman-Schwinger kernel are
-all the symmetric operator z -> S A^(-1) S z (A factored here, S diagonal)
-applied in the band's order, through one ARPACK call that sets the k
-range, the padding, the seeded start vector and the non-convergence error.
+The zero-mean resolvent R0 factors the same band with K grounded at its
+last vertex.  ARPACK makes no factorization and gets no OPinv or mass
+matrix: the pencil and T_r solves, lam1(K, M) on R0 and the
+Birman-Schwinger kernel are all the symmetric operator z -> S A^(-1) S z
+(A factored here, S diagonal) applied in the band's order, through one
+ARPACK call that sets the k range, the padding, the seeded start vector
+and the non-convergence error.
 """
 
 import logging
@@ -55,6 +57,7 @@ class Spectrum:
     eigenvectors: np.ndarray  # (V, k), columns
     residuals: np.ndarray     # (k,) of ||A x - lambda M x|| / ||M x||
     seed: int
+    shift: float              # the shift-invert target the solve used
 
     @property
     def k(self):
@@ -126,25 +129,28 @@ class _BandSolver:
         self.layout = layout
         self._factor = factor
         self.pbtrs, = sla.get_lapack_funcs(("pbtrs",), (factor,))
-        self._order = layout.order[:factor.shape[1]]
-        self._mass = mass
+        self._mass = mass[layout.order]
         self._area = float(mass.sum())
         self._zero_mean = zero_mean
 
     def in_band_order(self, b):
-        """Solve for b in the layout's order, by pbtrs alone; overwrites b."""
+        """Solve for b in the layout's order, by one pbtrs; overwrites b.
+        R0 projects b and its answer there too, grounding the last vertex."""
+        if self._zero_mean:
+            b -= float(b.sum()) / self._area * self._mass
+            b = b[:-1]
         x, info = self.pbtrs(self._factor, b, overwrite_b=True)
         if info != 0:
             raise EigenSolveError(f"banded solve failed: pbtrs info={info}")
+        if self._zero_mean:
+            x = np.append(x, 0.0)
+            x -= float(self._mass @ x) / self._area
         return x
 
     def __call__(self, b):
-        if self._zero_mean:
-            b = b - float(b.sum()) / self._area * self._mass
-        y = np.zeros(b.shape)
-        y[self._order] = self.in_band_order(b[self._order])
-        if self._zero_mean:
-            y -= float(self._mass @ y) / self._area
+        order = self.layout.order
+        y = np.empty(b.shape)
+        y[order] = self.in_band_order(b[order])
         return y
 
 
@@ -248,19 +254,21 @@ def _kernel_eigenpairs(solve, scale, basis, k, seed, what, vectors=False,
 
 
 def smallest_eigenpairs(a_mat, mass, k, sigma, tol=1e-10, seed=0,
-                        layout=None):
+                        layout=None, what="shift-invert eigensolve"):
     """k smallest eigenpairs of A x = lambda M x with M = diag(mass).
 
     ``a_mat`` is a symmetric sparse matrix, ``mass`` a strictly positive
-    vector and ``sigma`` the shift-invert target, which must lie below the
-    smallest eigenvalue (assemble.pencil_floor_shift for the pencil, a
-    small negative multiple of its scale for the PSD stiffness).  With
+    vector and ``sigma`` the shift-invert target, or a ladder of targets
+    (assemble.shift_ladder) tried in order.  The factor of A - sigma*M
+    exists iff sigma lies below the smallest eigenvalue, so the first
+    target that factors is certified and its factor is used; each refused
+    one is logged, and a refused last one raises EigenSolveError.  With
     S = sqrt(M), ARPACK finds the largest nu of the symmetric
-    z -> S (A - sigma M)^(-1) S z on this module's own factor of
-    A - sigma*M, made on ``layout`` (the pencil's, for a matrix with K's
-    pattern) as _shifted_solver describes; then lambda = sigma + 1/nu and
-    x = z / sqrt(M).  ``k`` must lie in [1, V - 1].  Raises
-    EigenSolveError when ARPACK fails to converge.
+    z -> S (A - sigma M)^(-1) S z on that factor, made on ``layout`` (the
+    pencil's, for a matrix with K's pattern) as _shifted_solver describes;
+    then lambda = sigma + 1/nu and x = z / sqrt(M).  ``k`` must lie in
+    [1, V - 1].  ``what`` names the solve in the log and in errors.
+    Raises EigenSolveError when ARPACK fails to converge.
     """
     mass = np.asarray(mass, dtype=float)
     nv = mass.shape[0]
@@ -270,14 +278,24 @@ def smallest_eigenpairs(a_mat, mass, k, sigma, tol=1e-10, seed=0,
         raise ValueError("mass diagonal must be strictly positive")
 
     sqm = np.sqrt(mass)
-    nu, z = _kernel_eigenpairs(
-        _shifted_solver(a_mat, mass, -sigma, layout=layout), sqm, None, k,
-        seed, "shift-invert eigensolve", vectors=True, tol=tol)
+    ladder = np.atleast_1d(sigma)
+    for j, sigma in enumerate(ladder):
+        try:
+            solve = _shifted_solver(a_mat, mass, -sigma, layout=layout)
+            break
+        except EigenSolveError:
+            if j == len(ladder) - 1:
+                raise
+            log.debug("%s: shift %.17g refused, not below the spectrum",
+                      what, sigma)
+    nu, z = _kernel_eigenpairs(solve, sqm, None, k, seed, what,
+                               vectors=True, tol=tol)
     vals = sigma + 1.0 / nu
     vecs = _m_orthonormalize(vals, z / sqm[:, None], mass)
     return Spectrum(
         eigenvalues=vals, eigenvectors=vecs,
         residuals=_residuals(a_mat, mass, vals, vecs), seed=seed,
+        shift=float(sigma),
     )
 
 

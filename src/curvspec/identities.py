@@ -18,9 +18,9 @@ it validates the constrained solve, not the geometry.
 The checks take what they share as arguments and compute none of it
 again: full_report reads the caller's d quantities (which keep the three
 phi_i) and lam1(K, M); verify.Analysis holds both, computed once.  The
-zero-mean resolvent R0 is K grounded at one vertex, Cholesky-factored by
-eigen._shifted_solver once inside d_quantities; its answer is shifted to
-zero M-mean.
+zero-mean resolvent R0 is K grounded at one vertex, Cholesky-factored
+once; its answer is shifted to zero M-mean.  That one factor serves the
+three d_i solves and lam1(K, M), the inverse of R0's top eigenvalue.
 """
 
 from dataclasses import dataclass
@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curvalg
-from .assemble import spectral_scale
-from .eigen import _shifted_solver, smallest_eigenpairs
+from .eigen import _kernel_eigenpairs, _shifted_solver
 from .errors import BoundViolationError, CurvaturePositivityError
 
 __all__ = [
@@ -37,6 +36,7 @@ __all__ = [
     "lr_position_residual",
     "minkowski_residual",
     "test_functions",
+    "zero_mean_resolvent",
     "d_quantities",
     "DQuantities",
     "stiffness_lam1",
@@ -81,14 +81,10 @@ def lr_position_residual(mesh, field, pencil, r):
     if field.h_next is None:
         raise ValueError("curvature field was not built for an order r")
     c = curvalg.c_coefficient(pencil.n, r)
-    rhs_samples = c * field.h_next[:, None] * mesh.vertex_normals
+    load = (pencil.mass * c * field.h_next)[:, None] * mesh.vertex_normals
+    resid = pencil.k_stiff @ mesh.vertices - load
     inv_m = 1.0 / pencil.mass
-    out = np.empty(3)
-    for i in range(3):
-        load = pencil.mass * rhs_samples[:, i]
-        resid = pencil.k_stiff @ mesh.vertices[:, i] - load
-        out[i] = np.sqrt(inv_m @ resid**2) / np.sqrt(inv_m @ load**2)
-    return out
+    return np.sqrt(inv_m @ resid**2) / np.sqrt(inv_m @ load**2)
 
 
 def minkowski_residual(mesh, field, r):
@@ -127,54 +123,48 @@ def test_functions(mesh, field, r):
     return amp[:, None] * mesh.vertex_normals
 
 
-def d_quantities(pencil, f):
+def zero_mean_resolvent(pencil):
+    """R0 b: the y of zero M-mean with K y = b - c m, c the constant part
+    of b, which K cannot reach (eigen._shifted_solver with zero_mean)."""
+    return _shifted_solver(pencil.k_stiff, pencil.mass, 0.0, zero_mean=True,
+                           layout=pencil.layout)
+
+
+def d_quantities(pencil, f, r0):
     """d_i = <R0(W f_i), W f_i>_M - ||f_i||_M^2 plus the W-orthogonality.
 
-    R0 is the zero-mean resolvent, factored here once for the three solves
-    and dropped on return; the phi_i = R0(W f_i) are kept for the chain
-    residual.  The resolvent argument W f_i is projected to zero M-mean
-    before the solve; the raw integral int f_i W (identical to <f_i, W>_M
-    since the weight is shared) is reported both before projection, where
-    it decays like O(h^2) under refinement, and after, where it is zero to
-    round-off.
+    ``r0`` is zero_mean_resolvent(pencil); the phi_i = R0(W f_i) are kept
+    for the chain residual.  The resolvent argument W f_i is projected to
+    zero M-mean before the solve; the raw integral int f_i W (identical to
+    <f_i, W>_M since the weight is shared) is reported both before
+    projection, where it decays like O(h^2) under refinement, and after,
+    where it is zero to round-off.
     """
     f = np.asarray(f, dtype=float)
     a = pencil.mass
-    r0 = _shifted_solver(pencil.k_stiff, a, 0.0, zero_mean=True,
-                         layout=pencil.layout)
     area = float(a.sum())
-    d, orth, orth_raw, pairing = (np.empty(3) for _ in range(4))
-    phi = np.empty((3, pencil.n_vertices))
-    for i in range(3):
-        wf = pencil.w * f[:, i]
-        scale = area * max(float(np.abs(wf).max()), 1e-300)
-        orth_raw[i] = abs(float(a @ wf)) / scale
-        mean = float(a @ wf) / area
-        wf0 = wf - mean
-        orth[i] = abs(float(a @ wf0)) / scale
-        phi[i] = r0(a * wf0)
-        pairing[i] = float(phi[i] @ (a * wf0))
-        d[i] = pairing[i] - float(f[:, i] @ (a * f[:, i]))
-    return DQuantities(d=d, d_sum=float(d.sum()), orthogonality=orth,
-                       orthogonality_raw=orth_raw, pairing=pairing, phi=phi)
+    wf = pencil.w[:, None] * f
+    scale = area * np.maximum(np.abs(wf).max(axis=0), 1e-300)
+    load = a[:, None] * (wf - (a @ wf) / area)
+    phi = np.array([r0(load[:, i]) for i in range(3)])
+    pairing = np.sum(phi.T * load, axis=0)
+    d = pairing - a @ f**2
+    return DQuantities(d=d, d_sum=float(d.sum()),
+                       orthogonality=np.abs(load.sum(axis=0)) / scale,
+                       orthogonality_raw=np.abs(a @ wf) / scale,
+                       pairing=pairing, phi=phi)
 
 
-# K is positive semidefinite and its kernel is the constants, so a shift just
-# below 0 is a valid shift-invert target for lam1(K, M).  Shift-invert
-# converges as 1/(lambda - sigma) separates the wanted eigenvalues (ARPACK
-# Users' Guide, Lehoucq-Sorensen-Yang 1998): at -0.01 of the mean W^2 it
-# takes a fraction of the iterations of a Gershgorin floor hundreds of
-# units down.
-KERNEL_SHIFT_FRACTION = 0.01
+def stiffness_lam1(pencil, r0, seed=0):
+    """lam1 of (K, M): the smallest nonzero eigenvalue, the mean-zero floor.
 
-
-def stiffness_lam1(pencil, seed=0):
-    """lam1 of (K, M): the smallest nonzero eigenvalue, the mean-zero floor."""
-    return float(smallest_eigenpairs(
-        pencil.k_stiff, pencil.mass, k=2, seed=seed,
-        sigma=-KERNEL_SHIFT_FRACTION * spectral_scale(pencil),
-        layout=pencil.layout,
-    ).eigenvalues[1])
+    ``r0`` is zero_mean_resolvent(pencil).  With S = sqrt(M), z -> S R0(S z)
+    has eigenvalue 1/lambda on each nonconstant eigenvector of (K, M) and 0
+    on the constants, R0's kernel, so lam1 = 1/nu_max: k = 1, no shift.
+    """
+    nu, _ = _kernel_eigenpairs(r0, np.sqrt(pencil.mass), None, 1, seed,
+                               "lam1(K, M) eigensolve", tol=1e-10)
+    return 1.0 / float(nu[0])
 
 
 def resolvent_bound_check(pencil, mu, lam1, trials=100, seed=0):
@@ -218,11 +208,8 @@ def resolvent_pairing_residual(pencil, dq):
     number in exact arithmetic; the reported gap measures solver and
     projection quality only, and should sit at round-off level.
     """
-    pairing = 0.0
-    energy = 0.0
-    for i in range(3):
-        pairing += float(dq.pairing[i])
-        energy += float(dq.phi[i] @ (pencil.k_stiff @ dq.phi[i]))
+    pairing = float(dq.pairing.sum())
+    energy = float(np.sum(dq.phi.T * (pencil.k_stiff @ dq.phi.T)))
     return abs(pairing - energy) / max(abs(pairing), 1e-300)
 
 
@@ -231,7 +218,11 @@ def dirichlet_minkowski_gap(mesh, field, pencil, r):
 
     Both sides equal the total anisotropic Dirichlet energy of position in
     the continuum (position identity plus Minkowski); K kills constants so
-    no centering of x is needed.  O(h) gap, meaningful on convex meshes.
+    no centering of x is needed.  For r <= 1 the gap is zero up to
+    round-off on every mesh, not O(h): H_r is linear in the shape operator
+    and the vertex operators are area-weighted with weight 3 m_v, so
+    sum_i x_i^T K x_i = c_r sum_v m_v H_r holds identically.  It checks
+    the assembly, not the geometry.
     """
     if field.vertex_kappas is None:
         raise ValueError("field lacks vertex principal curvatures")

@@ -229,15 +229,7 @@ def validate(mesh):
     so an equilateral triangle scores 2/sqrt(3).
     """
     v, f = mesh.vertices, mesh.faces
-    el = np.stack(
-        [
-            np.linalg.norm(v[f[:, 1]] - v[f[:, 0]], axis=1),
-            np.linalg.norm(v[f[:, 2]] - v[f[:, 1]], axis=1),
-            np.linalg.norm(v[f[:, 0]] - v[f[:, 2]], axis=1),
-        ],
-        axis=1,
-    )
-    emax = el.max(axis=1)
+    emax = np.linalg.norm(v[f[:, [1, 2, 0]]] - v[f], axis=2).max(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         aspect = np.where(mesh.face_areas > 0, emax**2 / (2.0 * mesh.face_areas), np.inf)
     mean_area = float(mesh.face_areas.mean())

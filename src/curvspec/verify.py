@@ -13,7 +13,9 @@ an undisclosed constant.
 All checks read one Analysis per (mesh, r, config), which computes each
 shared object (curvature field, pencil, spectra, lam1(K, M), the test
 functions and the d quantities with their zero-mean resolvent solves) at
-most once, on first use.
+most once, on first use.  The pencil and T_r spectra each take the first
+target of their own assemble.shift_ladder that factors; the d quantities
+and lam1(K, M) share one zero-mean factor.
 """
 
 import functools
@@ -23,13 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curvalg
-from .assemble import (assemble_pencil, pencil_floor_shift, spectral_scale,
+from .assemble import (assemble_pencil, shift_ladder, spectral_scale,
                        with_potential_squared)
 from .curvature import compute_curvature
 from .eigen import smallest_eigenpairs
 from .errors import BoundViolationError
 from .identities import (d_quantities, full_report, stiffness_lam1,
-                         test_functions)
+                         test_functions, zero_mean_resolvent)
 
 __all__ = [
     "Analysis",
@@ -37,9 +39,6 @@ __all__ = [
     "TheoremReport",
     "CorollaryReport",
     "LemmaReport",
-    "verify_theorem",
-    "verify_corollary",
-    "lemma_two_negative",
     "sphere_distance",
     "eigenspace_position_alignment",
 ]
@@ -116,11 +115,11 @@ class LemmaReport:
     tol_negative: float
 
 
-def _smallest(pencil, max_w2, config):
+def _smallest(pencil, config, what):
     return smallest_eigenpairs(
         pencil.a_matrix(), pencil.mass, k=config.k, tol=config.eig_tol,
-        seed=config.seed, sigma=pencil_floor_shift(max_w2),
-        layout=pencil.layout,
+        seed=config.seed, sigma=shift_ladder(pencil), layout=pencil.layout,
+        what=what,
     )
 
 
@@ -175,15 +174,10 @@ def eigenspace_position_alignment(mesh, pencil, spectrum, cluster):
     gram = basis.T @ (a[:, None] * basis)
     chol = np.linalg.cholesky(gram)
     ortho = np.linalg.solve(chol, basis.T).T   # M-orthonormal columns
-    total = 0.0
-    count = 0
-    for j in cluster:
-        u = spectrum.eigenvectors[:, j]
-        u = u / np.sqrt(float(u @ (a * u)))
-        coeffs = ortho.T @ (a * u)
-        total += float(coeffs @ coeffs)
-        count += 1
-    return total / max(count, 1)
+    u = spectrum.eigenvectors[:, list(cluster)]
+    u = u / np.sqrt(np.sum(a[:, None] * u * u, axis=0))
+    coeffs = ortho.T @ (a[:, None] * u)
+    return float(np.sum(coeffs**2)) / max(len(cluster), 1)
 
 
 class Analysis:
@@ -213,8 +207,7 @@ class Analysis:
     @functools.cached_property
     @_stage("spectrum_s")
     def spectrum(self):
-        return _smallest(self.pencil, float(np.max(self.pencil.w**2)),
-                         self.config)
+        return _smallest(self.pencil, self.config, "pencil eigensolve")
 
     @functools.cached_property
     @_stage("corollary_s")
@@ -239,14 +232,8 @@ class Analysis:
     @functools.cached_property
     @_stage("corollary_s")
     def t_spectrum(self):
-        pot2 = self.t_potential
-        return _smallest(with_potential_squared(self.pencil, pot2),
-                         float(np.max(pot2)), self.config)
-
-    @functools.cached_property
-    @_stage("lam1_s")
-    def lam1(self):
-        return stiffness_lam1(self.pencil, seed=self.config.seed)
+        return _smallest(with_potential_squared(self.pencil, self.t_potential),
+                         self.config, "T_r eigensolve")
 
     @functools.cached_property
     def f(self):
@@ -254,8 +241,19 @@ class Analysis:
 
     @functools.cached_property
     @_stage("identities_s")
-    def dq(self):
-        return d_quantities(self.pencil, self.f)
+    def _on_r0(self):
+        """(d quantities, lam1(K, M)) on one zero-mean factor R0, made here
+        and dropped on return, before any other band."""
+        f = self.f   # gated before the factor is made
+        r0 = zero_mean_resolvent(self.pencil)
+        return d_quantities(self.pencil, f, r0), self._lam1(r0)
+
+    @_stage("lam1_s")
+    def _lam1(self, r0):
+        return stiffness_lam1(self.pencil, r0, seed=self.config.seed)
+
+    dq = property(lambda self: self._on_r0[0])
+    lam1 = property(lambda self: self._on_r0[1])
 
     @_stage("spectrum_s")
     def theorem(self):
@@ -354,17 +352,3 @@ class Analysis:
             mu=mu, trials=trials, seed=self.config.seed,
         )
 
-
-def verify_theorem(mesh, r, config=None):
-    """Assemble, solve, classify; returns the filled TheoremReport."""
-    return Analysis(mesh, r, config).theorem()
-
-
-def verify_corollary(mesh, r, config=None):
-    """CorollaryReport for lambda_2(T_r) <= lambda_2; see Analysis.corollary."""
-    return Analysis(mesh, r, config).corollary()
-
-
-def lemma_two_negative(mesh, r, config=None):
-    """LemmaReport of the two-negative criterion; see Analysis.lemma."""
-    return Analysis(mesh, r, config).lemma()

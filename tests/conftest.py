@@ -11,8 +11,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from curvspec import assemble, curvature, surfaces
-from curvspec.identities import KERNEL_SHIFT_FRACTION
+from curvspec import assemble, curvature, surfaces, verify
+from oracles import kernel_shift  # noqa: F401  (re-exported to the tests)
 
 
 def make_surface(kind):
@@ -47,9 +47,19 @@ def floor_shift(pencil):
     return assemble.pencil_floor_shift(float(np.max(pencil.w**2)))
 
 
-def kernel_shift(pencil):
-    """The pipeline's shift-invert target for the PSD stiffness: just below 0."""
-    return -KERNEL_SHIFT_FRACTION * assemble.spectral_scale(pencil)
+def verify_theorem(mesh, r, config=None):
+    """TheoremReport of a fresh Analysis; see verify.Analysis.theorem."""
+    return verify.Analysis(mesh, r, config).theorem()
+
+
+def verify_corollary(mesh, r, config=None):
+    """CorollaryReport of a fresh Analysis; see verify.Analysis.corollary."""
+    return verify.Analysis(mesh, r, config).corollary()
+
+
+def lemma_two_negative(mesh, r, config=None):
+    """LemmaReport of a fresh Analysis; see verify.Analysis.lemma."""
+    return verify.Analysis(mesh, r, config).lemma()
 
 
 @pytest.fixture(scope="session")

@@ -15,8 +15,14 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from curvspec import curvalg
+from curvspec import curvalg, eigen
+from curvspec.assemble import spectral_scale
 from curvspec.mesh import TriMesh
+
+# K is positive semidefinite and its kernel is the constants, so a shift of
+# this fraction of the mean W^2 below 0 is a valid shift-invert target for
+# the bare stiffness
+KERNEL_SHIFT_FRACTION = 0.01
 
 
 def elementary_symmetric_bruteforce(kappas, r):
@@ -89,6 +95,23 @@ def dense_shifted_solve(a_mat, mass, shift, b, zero_mean=False):
     bordered[:nv, :nv] = dense
     bordered[:nv, nv] = bordered[nv, :nv] = mass
     return sla.solve(bordered, np.append(b, 0.0), assume_a="sym")[:nv]
+
+
+def kernel_shift(pencil):
+    """Shift-invert target for the PSD stiffness: just below 0."""
+    return -KERNEL_SHIFT_FRACTION * spectral_scale(pencil)
+
+
+def shifted_lam1(pencil, seed=0):
+    """lam1 of (K, M) by shift-invert of K + eps M, eps = 0.01 mean W^2.
+
+    The second eigenvalue of the bare stiffness on its own factor, the
+    reference for identities.stiffness_lam1 on the zero-mean factor.
+    """
+    return float(eigen.smallest_eigenpairs(
+        pencil.k_stiff, pencil.mass, 2, sigma=kernel_shift(pencil),
+        seed=seed, layout=pencil.layout,
+    ).eigenvalues[1])
 
 
 def rayleigh_quotient(a_mat, mass, x):

@@ -17,7 +17,8 @@ from curvspec import birman, cli, curvalg, eigen, identities, verify
 from curvspec.errors import CurvaturePositivityError
 
 import oracles
-from conftest import floor_shift, get_mesh, get_pipeline
+from conftest import (floor_shift, get_mesh, get_pipeline, lemma_two_negative,
+                      verify_corollary, verify_theorem)
 
 
 def report(n, ok, detail):
@@ -34,7 +35,7 @@ def test_criterion_01_sphere_equality_case():
         for sub in (3, 4, 5):
             t0 = time.perf_counter()
             mesh = get_mesh("sphere", sub)
-            rep = verify.verify_theorem(mesh, r)
+            rep = verify_theorem(mesh, r)
             slowest = max(slowest, time.perf_counter() - t0)
             worst[r].append(abs(rep.lambda_2))
             if sub == 4:
@@ -57,7 +58,7 @@ def test_criterion_02_ellipsoid_strictly_negative():
     for r in (0, 1):
         l2 = {}
         for sub in (4, 5):
-            rep = verify.verify_theorem(get_mesh("ellipsoid", sub), r)
+            rep = verify_theorem(get_mesh("ellipsoid", sub), r)
             l2[sub] = rep.lambda_2
             assert rep.verdict == verify.STRICTLY_NEGATIVE
         assert l2[4] <= -0.1
@@ -104,7 +105,8 @@ def test_criterion_04_resolvent_and_kernel_bounds():
     for kind, r in itertools.product(("sphere", "ellipsoid"), (0, 1)):
         _, _, pencil = get_pipeline(kind, 3, r)
         margin = identities.resolvent_bound_check(
-            pencil, mu=1.0, lam1=identities.stiffness_lam1(pencil),
+            pencil, mu=1.0, lam1=identities.stiffness_lam1(
+                pencil, identities.zero_mean_resolvent(pencil)),
             trials=100, seed=0)
         worst_resolvent = min(worst_resolvent, margin)
         assert margin >= -1e-8
@@ -156,10 +158,10 @@ def test_criterion_06_position_identity():
 
 def test_criterion_07_lemma_criterion():
     for r in (0, 1):
-        lem = verify.lemma_two_negative(get_mesh("ellipsoid", 3), r)
+        lem = lemma_two_negative(get_mesh("ellipsoid", 3), r)
         assert lem.applicable and np.any(lem.d > 0)
         assert lem.negative_count >= 2
-        lem_s = verify.lemma_two_negative(get_mesh("sphere", 3), r)
+        lem_s = lemma_two_negative(get_mesh("sphere", 3), r)
         assert not lem_s.applicable
         assert np.all(np.abs(lem_s.d) <= lem_s.thresholds)
         assert lem_s.negative_count == 1
@@ -230,11 +232,11 @@ def test_criterion_10_corollary_domination():
     worst_slack = np.inf
     for kind in ("sphere", "sphere_small", "sphere_big", "ellipsoid", "ellipsoid_mild", "bumped"):
         for r in (0, 1):
-            rep = verify.verify_corollary(get_mesh(kind, 3), r)
+            rep = verify_corollary(get_mesh(kind, 3), r)
             worst_slack = min(worst_slack, rep.domination_min_slack)
             assert rep.domination_min_slack >= -1e-10
             assert rep.lambda_2_t <= rep.lambda_2_pencil + 1e-8
-    sphere_t = verify.verify_corollary(get_mesh("sphere", 3), 1).lambda_2_t
+    sphere_t = verify_corollary(get_mesh("sphere", 3), 1).lambda_2_t
     assert sphere_t == pytest.approx(0.0, abs=0.05)
     report(
         10, True,

@@ -223,6 +223,9 @@ class TestBadInput:
         ("sphere", "subdiv", "1.5"),
         ("sphere", "trials", "2.5"),
         ("sphere", "k", "2.0"),
+        # a boolean word is a boolean only for a switch
+        ("sphere", "subdiv", "yes"),
+        ("sphere", "k", "off"),
     ])
     def test_exit_64(self, tmp_path, capsys, shape, key, value, via):
         out = tmp_path / "rep.json"
@@ -316,12 +319,14 @@ class TestDeterminism:
 class TestWorkCounts:
     @staticmethod
     def counters(monkeypatch):
-        """Count curvature fields, eigsh runs, the package's factorizations
-        and band orderings, scipy's shift-invert factorizations and
-        zero-mean resolvent solves."""
+        """Count curvature fields, eigsh runs and the operator applications
+        of each, the package's factorizations (the refused ones also on
+        their own) and band orderings, scipy's shift-invert factorizations,
+        and the zero-mean factors R0 with their solves."""
         counts = {"curvature": 0, "eigsh": 0, "cholesky_banded": 0,
-                  "reverse_cuthill_mckee": 0, "arpack_splu": 0,
-                  "r0_solves": 0}
+                  "refused": 0, "reverse_cuthill_mckee": 0,
+                  "arpack_splu": 0, "r0_factors": 0, "r0_solves": 0}
+        applications = []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -329,42 +334,92 @@ class TestWorkCounts:
                 return fn(*args, **kwargs)
             return wrapper
 
+        def cholesky_banded(*args, _fn=sla.cholesky_banded, **kwargs):
+            counts["cholesky_banded"] += 1
+            try:
+                return _fn(*args, **kwargs)
+            except sla.LinAlgError:
+                counts["refused"] += 1
+                raise
+
+        def eigsh(op, _fn=spla.eigsh, **kwargs):
+            counts["eigsh"] += 1
+            applications.append(0)
+            run = len(applications) - 1
+
+            def matvec(x):
+                applications[run] += 1
+                return op.matvec(x)
+            return _fn(spla.LinearOperator(op.shape, matvec=matvec,
+                                           dtype=op.dtype), **kwargs)
+
+        class CountedR0:
+            def __init__(self, solve):
+                self._solve = solve
+
+            def __call__(self, b):
+                counts["r0_solves"] += 1
+                return self._solve(b)
+
+            def __getattr__(self, name):
+                return getattr(self._solve, name)
+
         def shifted_solver(a, mass, shift, zero_mean=False, layout=None):
             solve = eigen._shifted_solver(a, mass, shift, zero_mean, layout)
-            return counted("r0_solves", solve) if zero_mean else solve
+            if not zero_mean:
+                return solve
+            counts["r0_factors"] += 1
+            return CountedR0(solve)
 
         arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
         monkeypatch.setattr(verify, "compute_curvature",
                             counted("curvature", verify.compute_curvature))
-        monkeypatch.setattr(spla, "eigsh", counted("eigsh", spla.eigsh))
-        monkeypatch.setattr(sla, "cholesky_banded",
-                            counted("cholesky_banded", sla.cholesky_banded))
+        monkeypatch.setattr(spla, "eigsh", eigsh)
+        monkeypatch.setattr(sla, "cholesky_banded", cholesky_banded)
         monkeypatch.setattr(eigen, "reverse_cuthill_mckee",
                             counted("reverse_cuthill_mckee",
                                     eigen.reverse_cuthill_mckee))
         # the LU eigsh(sigma=...) would make for itself when given no OPinv
         monkeypatch.setattr(arpack, "splu", counted("arpack_splu", arpack.splu))
         monkeypatch.setattr(identities, "_shifted_solver", shifted_solver)
-        return counts
+        return counts, applications
+
+    VERIFY_ELLIPSOID_S4_R1 = [
+        "verify", "--shape", "ellipsoid", "--a", "2", "--b", "1", "--c", "1",
+        "--subdiv", "4", "--r", "1",
+    ]
 
     def test_verify_computes_each_object_once(self, tmp_path, monkeypatch):
-        counts = self.counters(monkeypatch)
-        code = run([
-            "verify", "--shape", "ellipsoid", "--a", "2", "--b", "1", "--c", "1",
-            "--subdiv", "4", "--r", "1", "-o", str(tmp_path / "rep.json"),
-        ])
+        counts, _ = self.counters(monkeypatch)
+        code = run(self.VERIFY_ELLIPSOID_S4_R1 + ["-o", str(tmp_path / "rep.json")])
         assert code == 0
         assert counts == {
             "curvature": 1,
-            "eigsh": 3,             # pencil, T_r, lam1(K, M)
-            "cholesky_banded": 5,   # those three, R0 and the resolvent bound
-            "reverse_cuthill_mckee": 1,   # one band layout, shared by all five
+            "eigsh": 3,             # pencil, T_r, lam1(K, M) on R0
+            # the pencil's first rung (refused: it is not below lambda_1)
+            # and its second, T_r's first, R0 and the resolvent bound
+            "cholesky_banded": 5,
+            "refused": 1,
+            "reverse_cuthill_mckee": 1,   # one band layout, shared by all
             "arpack_splu": 0,       # ARPACK runs on the package's own factors
+            "r0_factors": 1,        # one R0 serves the d_i and lam1(K, M)
             "r0_solves": 3,         # one per test function, read by every check
         }
 
+    def test_certified_shifts_cut_the_applications(self, tmp_path,
+                                                   monkeypatch):
+        # at the floor shift the pencil and T_r solves took 92 and 91
+        # operator applications here; a target near lambda_1 separates the
+        # wanted eigenvalues better
+        _, applications = self.counters(monkeypatch)
+        code = run(self.VERIFY_ELLIPSOID_S4_R1 + ["-o", str(tmp_path / "rep.json")])
+        assert code == 0
+        pencil, t_r, lam1 = applications
+        assert pencil <= 65 and t_r <= 65
+        assert lam1 <= 25
+
     def test_bs_scan_factors_only_through_eigen(self, tmp_path, monkeypatch):
-        counts = self.counters(monkeypatch)
+        counts, _ = self.counters(monkeypatch)
         out = tmp_path / "rep.json"
         code = run([
             "bs-scan", "--shape", "ellipsoid", "--a", "2", "--b", "1", "--c", "1",
@@ -376,10 +431,12 @@ class TestWorkCounts:
         assert crossings
         newton = sum(c["evaluations"] for c in crossings)
         assert counts["arpack_splu"] == 0
-        # lam1, one per grid point, one per Newton step, the pencil match
+        # R0 for lam1, one per grid point, one per Newton step, the pencil
+        # match at the first rung of its ladder
         assert counts["cholesky_banded"] == 1 + 8 + newton + 1
+        assert counts["refused"] == 0
         assert counts["reverse_cuthill_mckee"] == 1
-        assert counts["r0_solves"] == 0
+        assert (counts["r0_factors"], counts["r0_solves"]) == (1, 0)
 
 
 class TestConfigFile:
@@ -393,6 +450,22 @@ class TestConfigFile:
         assert blob["config"]["subdiv"] == 2      # from file
         assert blob["config"]["r"] == 0           # flag wins
         assert blob["config"]["seed"] == 7
+
+    @pytest.mark.parametrize("word,embedded", [
+        ("yes", False), ("On", False), ("false", True), ("no", True)])
+    def test_switch_takes_a_boolean_word(self, tmp_path, word, embedded):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"shape = sphere\nsubdiv = 1\nno-embed-timings = {word}\n")
+        out = tmp_path / "rep.json"
+        assert run(["verify", "--config", str(cfg), "-o", str(out)]) == 0
+        blob = json.loads(out.read_text())
+        assert (blob["timings"] is not None) == embedded
+
+    def test_switch_refuses_another_word(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("shape = sphere\nno-embed-timings = 2\n")
+        assert run(["verify", "--config", str(cfg)]) == 64
+        assert "no_embed_timings" in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

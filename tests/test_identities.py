@@ -13,6 +13,14 @@ from curvspec.curvature import compute_curvature
 from conftest import get_mesh, get_pipeline, kernel_shift
 
 
+def dq_of(pencil, f):
+    return idn.d_quantities(pencil, f, idn.zero_mean_resolvent(pencil))
+
+
+def lam1_of(pencil):
+    return idn.stiffness_lam1(pencil, idn.zero_mean_resolvent(pencil))
+
+
 class TestPositionIdentity:
     def test_sphere_within_tolerance(self):
         mesh, field, pencil = get_pipeline("sphere", 3, 1)
@@ -88,7 +96,7 @@ class TestDQuantities:
     def test_sphere_d_vanishes(self):
         mesh, field, pencil = get_pipeline("sphere", 3, 0)
         f = idn.test_functions(mesh, field, 0)
-        dq = idn.d_quantities(pencil, f)
+        dq = dq_of(pencil, f)
         norms = np.einsum("vi,v,vi->i", f, pencil.mass, f)
         assert np.max(np.abs(dq.d) / norms) < 1e-4
         assert np.max(np.abs(dq.orthogonality)) < 1e-12
@@ -97,7 +105,7 @@ class TestDQuantities:
         for r in (0, 1):
             mesh, field, pencil = get_pipeline("ellipsoid", 3, r)
             f = idn.test_functions(mesh, field, r)
-            dq = idn.d_quantities(pencil, f)
+            dq = dq_of(pencil, f)
             assert dq.d[0] > 1.0          # stretched axis needs lower energy
             assert dq.d_sum == pytest.approx(np.sum(dq.d))
 
@@ -105,7 +113,7 @@ class TestDQuantities:
         # the bumped sphere has no symmetry to cancel the raw pairing
         mesh, field, pencil = get_pipeline("bumped", 3, 1)
         f = idn.test_functions(mesh, field, 1)
-        dq = idn.d_quantities(pencil, f)
+        dq = dq_of(pencil, f)
         assert np.max(np.abs(dq.orthogonality_raw)) > 1e-8
         assert np.max(np.abs(dq.orthogonality)) < 1e-12
 
@@ -116,7 +124,7 @@ class TestDQuantities:
         for kind in ("bumped", "bumped_half"):
             mesh, field, pencil = get_pipeline(kind, 4, 1)
             f = idn.test_functions(mesh, field, 1)
-            sums.append(idn.d_quantities(pencil, f).d_sum)
+            sums.append(dq_of(pencil, f).d_sum)
         assert sums[0] > 0.0 and sums[1] > 0.0
         assert 3.0 < sums[0] / sums[1] < 5.0
 
@@ -152,7 +160,7 @@ class TestResolvent:
     def test_bound_check_passes(self):
         _, _, pencil = get_pipeline("ellipsoid", 3, 1)
         margin = idn.resolvent_bound_check(
-            pencil, mu=1.0, lam1=idn.stiffness_lam1(pencil), trials=50, seed=0)
+            pencil, mu=1.0, lam1=lam1_of(pencil), trials=50, seed=0)
         assert margin >= 0.0
 
     def test_bound_saturates_on_first_eigenvector(self):
@@ -180,7 +188,7 @@ class TestResolvent:
     def test_chain_residual_tiny(self):
         mesh, field, pencil = get_pipeline("ellipsoid", 3, 1)
         f = idn.test_functions(mesh, field, 1)
-        dq = idn.d_quantities(pencil, f)
+        dq = dq_of(pencil, f)
         assert idn.resolvent_pairing_residual(pencil, dq) < 1e-8
         # the kept phi_i are R0 of W f_i, whose constant part R0 discards
         r0 = eigen._shifted_solver(pencil.k_stiff, pencil.mass, 0.0,
@@ -195,9 +203,9 @@ class TestFullReport:
     def test_fields_cross_check(self):
         mesh, field, pencil = get_pipeline("ellipsoid", 3, 0)
         f = idn.test_functions(mesh, field, 0)
-        dq = idn.d_quantities(pencil, f)
+        dq = dq_of(pencil, f)
         rep = idn.full_report(mesh, field, pencil, 0, dq,
-                              idn.stiffness_lam1(pencil))
+                              lam1_of(pencil))
         assert rep.d is dq.d and rep.d_sum == dq.d_sum
         assert rep.chain_residual == idn.resolvent_pairing_residual(pencil, dq)
         assert rep.dirichlet_minkowski_gap < 0.03
@@ -207,8 +215,8 @@ class TestFullReport:
     def test_report_deterministic(self):
         mesh, field, pencil = get_pipeline("sphere", 2, 0)
         args = (mesh, field, pencil, 0,
-                idn.d_quantities(pencil, idn.test_functions(mesh, field, 0)),
-                idn.stiffness_lam1(pencil))
+                dq_of(pencil, idn.test_functions(mesh, field, 0)),
+                lam1_of(pencil))
         a = idn.full_report(*args, seed=5)
         b = idn.full_report(*args, seed=5)
         assert a.resolvent_bound_margin == b.resolvent_bound_margin

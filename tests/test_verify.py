@@ -1,18 +1,25 @@
 """Verdict layer: theorem, corollary, and lemma checks per surface."""
 
+import logging
+import time
+
 import numpy as np
 import pytest
 
-from curvspec import verify
+from curvspec import eigen, verify
+from curvspec import identities as idn
+from curvspec.assemble import shift_ladder, with_potential_squared
 from curvspec.errors import BoundViolationError, CurvaturePositivityError
 
-from conftest import get_mesh, get_pipeline
+import oracles
+from conftest import (floor_shift, get_mesh, get_pipeline, lemma_two_negative,
+                      verify_corollary, verify_theorem)
 
 
 class TestSphereCase:
     @pytest.mark.parametrize("r", [0, 1])
     def test_unit_sphere_is_sphere_like(self, r):
-        rep = verify.verify_theorem(get_mesh("sphere", 3), r)
+        rep = verify_theorem(get_mesh("sphere", 3), r)
         assert rep.verdict == verify.SPHERE_LIKE
         assert rep.lambda_1 == pytest.approx(-2.0, abs=0.05)
         assert abs(rep.lambda_2) <= rep.tol_sphere
@@ -23,13 +30,13 @@ class TestSphereCase:
 
     @pytest.mark.parametrize("radius_kind,radius", [("sphere_small", 0.5), ("sphere_big", 2.0)])
     def test_scaled_spheres_detected(self, radius_kind, radius):
-        rep = verify.verify_theorem(get_mesh(radius_kind, 3), 0)
+        rep = verify_theorem(get_mesh(radius_kind, 3), 0)
         assert rep.verdict == verify.SPHERE_LIKE
         # lambda_1 scales like 1/R^2 while the verdict stays put
         assert rep.lambda_1 == pytest.approx(-2.0 / radius**2, rel=0.01)
 
     def test_bumped_sphere_still_sphere_like(self):
-        rep = verify.verify_theorem(get_mesh("bumped", 3), 1)
+        rep = verify_theorem(get_mesh("bumped", 3), 1)
         assert rep.verdict == verify.SPHERE_LIKE
         assert 0.0 < rep.sphere_distance < 0.05
         assert rep.lambda_2 < 0.0          # perturbation pushes down, within tol
@@ -45,11 +52,11 @@ class TestSphereCase:
 class TestStrictCase:
     @pytest.mark.parametrize("r", [0, 1])
     def test_ellipsoid_strictly_negative(self, r):
-        rep = verify.verify_theorem(get_mesh("ellipsoid", 3), r)
+        rep = verify_theorem(get_mesh("ellipsoid", 3), r)
         assert rep.verdict == verify.STRICTLY_NEGATIVE
         assert rep.lambda_2 < -rep.tol_sphere
         assert rep.sphere_distance > 0.05
-        lem = verify.lemma_two_negative(get_mesh("ellipsoid", 3), r)
+        lem = lemma_two_negative(get_mesh("ellipsoid", 3), r)
         assert rep.d_sum >= -lem.thresholds.sum()
         if r == 1:
             # at r = 0 the sum straddles zero at mesh resolution; the r = 1
@@ -58,7 +65,7 @@ class TestStrictCase:
 
     def test_mild_ellipsoid_strictly_negative(self):
         # soundness should not depend on how far from round the input is
-        rep = verify.verify_theorem(get_mesh("ellipsoid_mild", 4), 0)
+        rep = verify_theorem(get_mesh("ellipsoid_mild", 4), 0)
         assert rep.verdict == verify.STRICTLY_NEGATIVE
         assert rep.lambda_2 < -rep.tol_sphere
 
@@ -69,18 +76,18 @@ class TestStrictCase:
                  "ellipsoid", "ellipsoid_mild", "bumped")
         for kind in kinds:
             for r in (0, 1):
-                rep = verify.verify_theorem(get_mesh(kind, 3), r)
+                rep = verify_theorem(get_mesh(kind, 3), r)
                 assert rep.verdict != verify.VIOLATION
                 assert rep.lambda_2 <= rep.tol_sphere
 
     def test_torus_r0_completes(self):
-        rep = verify.verify_theorem(get_mesh("torus", 1), 0)
+        rep = verify_theorem(get_mesh("torus", 1), 0)
         assert rep.verdict == verify.STRICTLY_NEGATIVE
         assert rep.lambda_2 < 0.0
 
     def test_torus_r1_gated(self):
         with pytest.raises(CurvaturePositivityError) as err:
-            verify.verify_theorem(get_mesh("torus", 1), 1)
+            verify_theorem(get_mesh("torus", 1), 1)
         assert err.value.vertex is not None
         assert err.value.h_value <= 0.0
 
@@ -89,30 +96,30 @@ class TestCorollary:
     @pytest.mark.parametrize("kind", ["sphere", "ellipsoid"])
     @pytest.mark.parametrize("r", [0, 1])
     def test_domination_and_comparison(self, kind, r):
-        rep = verify.verify_corollary(get_mesh(kind, 3), r)
+        rep = verify_corollary(get_mesh(kind, 3), r)
         assert rep.domination_min_slack >= -1e-10
         assert rep.comparison_ok
         assert rep.lambda_2_t <= rep.lambda_2_pencil + 1e-8
 
     def test_sphere_t_eigenvalue_is_zero(self):
-        rep = verify.verify_corollary(get_mesh("sphere", 3), 1)
+        rep = verify_corollary(get_mesh("sphere", 3), 1)
         assert rep.lambda_2_t == pytest.approx(0.0, abs=0.05)
 
     def test_embedded_in_theorem_report(self):
-        rep = verify.verify_theorem(get_mesh("sphere", 3), 1)
-        cor = verify.verify_corollary(get_mesh("sphere", 3), 1)
+        rep = verify_theorem(get_mesh("sphere", 3), 1)
+        cor = verify_corollary(get_mesh("sphere", 3), 1)
         assert rep.lambda_2_corollary == pytest.approx(cor.lambda_2_t, abs=1e-12)
 
 
 class TestLemma:
     def test_ellipsoid_witness(self):
-        rep = verify.lemma_two_negative(get_mesh("ellipsoid", 3), 1)
+        rep = lemma_two_negative(get_mesh("ellipsoid", 3), 1)
         assert rep.applicable
         assert rep.negative_count >= 2
         assert rep.d[rep.witness] > rep.thresholds[rep.witness]
 
     def test_sphere_not_applicable(self):
-        rep = verify.lemma_two_negative(get_mesh("sphere", 3), 1)
+        rep = lemma_two_negative(get_mesh("sphere", 3), 1)
         assert not rep.applicable
         assert rep.negative_count == 1
         assert np.all(rep.d <= rep.thresholds)
@@ -121,19 +128,100 @@ class TestLemma:
 class TestConfig:
     def test_explicit_tol_overrides_factor(self):
         cfg = verify.VerifyConfig(tol_sphere=0.5)
-        rep = verify.verify_theorem(get_mesh("ellipsoid", 3), 0, cfg)
+        rep = verify_theorem(get_mesh("ellipsoid", 3), 0, cfg)
         assert rep.tol_sphere == 0.5
 
     def test_factor_scales_with_potential(self):
         mesh = get_mesh("sphere", 3)
-        loose = verify.verify_theorem(mesh, 0, verify.VerifyConfig(tol_sphere_factor=0.5))
-        tight = verify.verify_theorem(mesh, 0, verify.VerifyConfig(tol_sphere_factor=0.01))
+        loose = verify_theorem(mesh, 0, verify.VerifyConfig(tol_sphere_factor=0.5))
+        tight = verify_theorem(mesh, 0, verify.VerifyConfig(tol_sphere_factor=0.01))
         assert loose.tol_sphere == pytest.approx(50 * tight.tol_sphere, rel=1e-9)
         assert loose.spectral_scale == pytest.approx(tight.spectral_scale)
 
     def test_reports_deterministic(self):
         mesh = get_mesh("ellipsoid", 3)
-        a = verify.verify_theorem(mesh, 1)
-        b = verify.verify_theorem(mesh, 1)
+        a = verify_theorem(mesh, 1)
+        b = verify_theorem(mesh, 1)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert a.verdict == b.verdict and a.d_sum == b.d_sum
+
+
+# convex shapes at r = 0 and r = 1; the torus only at r = 0, where no
+# curvature sign is assumed
+CERTIFIED = [("sphere", 3, 0), ("sphere", 3, 1), ("ellipsoid", 3, 0),
+             ("ellipsoid", 3, 1), ("ellipsoid", 4, 0), ("ellipsoid", 4, 1),
+             ("bumped", 3, 0), ("bumped", 3, 1), ("torus", 1, 0)]
+
+
+class TestCertifiedShifts:
+    """The pencil and T_r solves take the first rung of their shift ladder
+    that factors; a rung factors iff it lies below lambda_1."""
+
+    @staticmethod
+    def spectra(kind, subdiv, r):
+        """(pencil, its spectrum, the floor-shift oracle solve) for the
+        pencil and for T_r."""
+        analysis = verify.Analysis(get_mesh(kind, subdiv), r)
+        t_pencil = with_potential_squared(analysis.pencil,
+                                          analysis.t_potential)
+        return [(pencil, spec, eigen.smallest_eigenpairs(
+                    pencil.a_matrix(), pencil.mass, analysis.config.k,
+                    sigma=floor_shift(pencil), layout=pencil.layout))
+                for pencil, spec in ((analysis.pencil, analysis.spectrum),
+                                     (t_pencil, analysis.t_spectrum))]
+
+    @pytest.mark.parametrize("kind,subdiv,r", CERTIFIED)
+    def test_ladder_matches_the_floor_shift(self, kind, subdiv, r):
+        for _, spec, floor in self.spectra(kind, subdiv, r):
+            want = floor.eigenvalues
+            assert np.max(np.abs(spec.eigenvalues - want)) \
+                <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kind,subdiv,r", CERTIFIED)
+    def test_accepted_rung_is_below_lambda_1(self, kind, subdiv, r):
+        for pencil, spec, floor in self.spectra(kind, subdiv, r):
+            ladder = shift_ladder(pencil)
+            lam1 = floor.eigenvalues[0]
+            assert ladder[-1] == floor.shift == floor_shift(pencil)
+            assert ladder[-1] <= spec.shift < lam1
+            refused = ladder[:ladder.index(spec.shift)]
+            assert all(sigma >= lam1 for sigma in refused)
+
+    def test_a_rung_is_refused_on_the_ellipsoid(self):
+        # the subdiv-4 ellipsoid at r = 1 is the case where the first rung
+        # of the pencil lies above lambda_1, so the ladder is exercised
+        (pencil, spec, _), _ = self.spectra("ellipsoid", 4, 1)
+        ladder = shift_ladder(pencil)
+        assert spec.shift == ladder[1] > ladder[-1]
+
+    @pytest.mark.parametrize("kind,subdiv,r", CERTIFIED)
+    def test_lam1_on_r0_matches_the_shifted_stiffness(self, kind, subdiv, r):
+        _, _, pencil = get_pipeline(kind, subdiv, r)
+        ours = idn.stiffness_lam1(pencil, idn.zero_mean_resolvent(pencil))
+        assert ours == pytest.approx(oracles.shifted_lam1(pencil),
+                                     rel=1e-12, abs=0)
+
+    def test_each_refused_rung_is_logged(self, caplog):
+        analysis = verify.Analysis(get_mesh("ellipsoid", 4), 1)
+        with caplog.at_level(logging.DEBUG, logger="curvspec.eigen"):
+            analysis.spectrum
+            analysis.t_spectrum
+        refused = [r.getMessage() for r in caplog.records
+                   if "refused" in r.getMessage()]
+        sigma = shift_ladder(analysis.pencil)[0]
+        assert refused == [
+            f"pencil eigensolve: shift {sigma:.17g} refused, not below "
+            f"the spectrum"]
+
+    def test_lam1_time_is_its_own_stage(self, monkeypatch):
+        # lam1(K, M) runs inside the d quantities' scope, on their factor,
+        # and its time is still charged to lam1_s alone
+        def slow_lam1(*args, **kwargs):
+            time.sleep(0.2)
+            return idn.stiffness_lam1(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "stiffness_lam1", slow_lam1)
+        analysis = verify.Analysis(get_mesh("ellipsoid", 2), 1)
+        analysis.identities()
+        assert analysis.timings["lam1_s"] >= 0.2
+        assert analysis.timings["identities_s"] < 0.2
