@@ -29,7 +29,6 @@ from .identities import stiffness_lam1, zero_mean_resolvent
 __all__ = [
     "Crossing",
     "BSScanResult",
-    "top_eigenvalues_K",
     "scan_crossings",
 ]
 
@@ -51,13 +50,9 @@ class BSScanResult:
     mu_grid: np.ndarray          # (S,) ascending
     top_eigenvalues: np.ndarray  # (S, k), descending across each row
     crossings: tuple
-    bound_check: np.ndarray      # (S, 5), columns as in BOUND_COLUMNS
+    bound_check: dict            # "columns" names, "rows" the (S, 5) array
     warnings: tuple
     lam1_perp: float
-
-    BOUND_COLUMNS = (
-        "mu", "top_full", "bound_full", "top_w_perp", "bound_w_perp"
-    )
 
     def write_csv(self, path):
         k = self.top_eigenvalues.shape[1]
@@ -65,30 +60,6 @@ class BSScanResult:
             fh.write("mu," + ",".join(f"top_{j+1}" for j in range(k)) + "\n")
             for mu, row in zip(self.mu_grid, self.top_eigenvalues):
                 fh.write(",".join("%.17g" % v for v in (mu, *row)) + "\n")
-
-    def to_json_dict(self):
-        return {
-            "mu_grid": [float(v) for v in self.mu_grid],
-            "top_eigenvalues": [[float(v) for v in row]
-                                for row in self.top_eigenvalues],
-            "crossings": [
-                {
-                    "mu0": c.mu0,
-                    "branch": c.branch,
-                    "eig_error": c.eig_error,
-                    "matched_eigenvalue": c.matched_eigenvalue,
-                    "match_error": c.match_error,
-                    "evaluations": c.evaluations,
-                }
-                for c in self.crossings
-            ],
-            "bound_check": {
-                "columns": list(self.BOUND_COLUMNS),
-                "rows": [[float(v) for v in row] for row in self.bound_check],
-            },
-            "warnings": list(self.warnings),
-            "lam1_perp": float(self.lam1_perp),
-        }
 
 
 def _top_k(pencil, mu, solve, k, seed, w_perp=False, vectors=False):
@@ -123,20 +94,6 @@ def _hf_slope(pencil, solve, g):
     """
     y = solve(pencil.mass * (pencil.w * g))
     return -float(y @ (pencil.mass * y))
-
-
-def top_eigenvalues_K(pencil, mu, k=3, seed=0, w_perp=False):
-    """k largest eigenvalues of K_mu, deterministic for a fixed seed.
-
-    ``w_perp`` works in the M-orthogonal complement of the potential
-    samples, the subspace on which the sharp resolvent bound holds.
-    ``mu`` must be positive.
-    """
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
-    solve = _shifted_solver(pencil.k_stiff, pencil.mass, mu,
-                            layout=pencil.layout)
-    return _top_k(pencil, mu, solve, k, seed, w_perp)
 
 
 def _newton_root(fn, lo, hi, f_lo, f_hi, tol=1e-12, maxiter=50, label=""):
@@ -261,10 +218,12 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
                 evaluations=int(evals),
             ))
 
-    bound = np.column_stack([
-        grid, tops[:, 0], maxw2 / grid, restricted,
-        maxw2 / (lam1_perp + grid),
-    ])
+    bound = {
+        "columns": ("mu", "top_full", "bound_full", "top_w_perp",
+                    "bound_w_perp"),
+        "rows": np.column_stack([grid, tops[:, 0], maxw2 / grid, restricted,
+                                 maxw2 / (lam1_perp + grid)]),
+    }
     return BSScanResult(
         mu_grid=grid, top_eigenvalues=tops, crossings=tuple(matched),
         bound_check=bound, warnings=tuple(warnings), lam1_perp=lam1_perp,

@@ -3,12 +3,16 @@
 Subcommands: generate, verify, spectrum, bs-scan, identities.  Reports are
 JSON with a fixed top-level key set (config, mesh_stats, curvature_summary,
 identities, spectrum, birman_schwinger, verdicts, timings, schema_version);
-keys a command does not compute are null.  Every judged numeric travels
-with the threshold it was judged against, and the resolved configuration is
-embedded verbatim so a report is reproducible from itself.
+keys a command does not compute are null.  A block is the fields of the
+report dataclass that fills it (verify's TheoremReport, identities'
+IdentityReport, mesh's ValidationReport, ...), serialized by one converter.
+Every judged numeric travels with the threshold it was judged against, and
+the resolved configuration is embedded verbatim so a report is
+reproducible from itself.
 
 Exit codes: 0 success, 2 theorem-violation tripwire, 3 precondition or
-pipeline failure (with a JSON error block), 64 usage.
+pipeline failure (with a JSON error block), 64 usage, an output path that
+cannot be written included.
 
 Determinism: for a fixed config and seed the JSON and CSV outputs are
 byte-identical when --no-embed-timings is passed; wall-clock timings are
@@ -26,6 +30,7 @@ operator order and spell out --major-radius/--minor-radius instead.
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import logging
 import os
@@ -123,24 +128,6 @@ def _acquire_mesh(args, timings):
     return mesh
 
 
-def _mesh_stats(mesh):
-    rep = validate(mesh)
-    return {
-        "n_vertices": rep.n_vertices,
-        "n_faces": rep.n_faces,
-        "n_edges": rep.n_edges,
-        "euler_characteristic": rep.euler_characteristic,
-        "closed": rep.closed,
-        "oriented": rep.oriented,
-        "total_area": float(mesh.total_area),
-        "min_face_area": rep.min_face_area,
-        "mean_face_area": rep.mean_face_area,
-        "max_face_area": rep.max_face_area,
-        "max_aspect_ratio": rep.max_aspect_ratio,
-        "passed": rep.passed,
-    }
-
-
 def _curvature_summary(field, pencil):
     k = field.vertex_kappas
     return {
@@ -167,24 +154,42 @@ def _config_block(args, command):
     return block
 
 
+def _jsonable(value):
+    """``value`` as JSON data: a dataclass becomes its fields, an ndarray
+    or tuple a list, a numpy scalar the Python value."""
+    if dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name)
+                 for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
+
+
+@contextlib.contextmanager
+def _writing():
+    """Turn a failed output write into a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write output: {exc}") from exc
+
+
 def _emit(report, args, timings):
     report["schema_version"] = SCHEMA_VERSION
-    report["timings"] = (None if args.no_embed_timings else
-                         {k: float(v) for k, v in timings.items()})
+    report["timings"] = None if args.no_embed_timings else timings
     for key in _REPORT_KEYS:
         report.setdefault(key, None)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
     out = _resolve_out(args.output)
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
+        with _writing(), open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _error_block(report, exc):
-    report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-    return report
 
 
 def _verify_config(args):
@@ -195,29 +200,6 @@ def _verify_config(args):
     )
 
 
-def _spectrum_block(spec):
-    return {
-        "eigenvalues": [float(v) for v in spec.eigenvalues],
-        "residuals": [float(v) for v in spec.residuals],
-        "seed": spec.seed,
-    }
-
-
-def _identities_block(rep, cfg):
-    return {
-        "lr_position_residual": [float(v) for v in rep.lr_position_residual],
-        "minkowski_residual": float(rep.minkowski_residual),
-        "orthogonality": [float(v) for v in rep.orthogonality],
-        "orthogonality_raw": [float(v) for v in rep.orthogonality_raw],
-        "d": [float(v) for v in rep.d],
-        "d_sum": float(rep.d_sum),
-        "resolvent_bound_margin": float(rep.resolvent_bound_margin),
-        "chain_residual": float(rep.chain_residual),
-        "dirichlet_minkowski_gap": float(rep.dirichlet_minkowski_gap),
-        "tol_identity": cfg.tol_identity,
-    }
-
-
 def cmd_generate(args):
     if args.output is None:
         raise UsageError("generate requires --output")
@@ -225,7 +207,8 @@ def cmd_generate(args):
         raise UsageError("generate requires --shape")
     mesh = _generate_mesh(args)
     out = _resolve_out(args.output)
-    write_off(mesh, out)
+    with _writing():
+        write_off(mesh, out)
     rep = validate(mesh)
     print(
         f"wrote {out}: vertices={rep.n_vertices} faces={rep.n_faces} "
@@ -251,7 +234,7 @@ def _run(args, command, body):
     analysis = error = None
     try:
         mesh = _acquire_mesh(args, timings)
-        report["mesh_stats"] = _mesh_stats(mesh)
+        report["mesh_stats"] = validate(mesh)
         analysis = verify.Analysis(mesh, args.r, _verify_config(args))
         report["curvature_summary"] = _curvature_summary(
             analysis.field, analysis.pencil)
@@ -260,7 +243,7 @@ def _run(args, command, body):
         # keep the message, not the exception: its traceback would pin
         # every frame's arrays (the mesh among them) until a gc pass
         error = str(exc)
-        _error_block(report, exc)
+        report["error"] = {"type": type(exc).__name__, "message": error}
         code = 3
     if analysis is not None:
         timings.update(analysis.timings)
@@ -286,44 +269,13 @@ def cmd_verify(args):
         theorem = analysis.theorem()
         lemma = analysis.lemma()
         corollary = analysis.corollary()
-        ident = analysis.identities(mu=args.mu, trials=args.trials)
-        cfg = analysis.config
-        report["identities"] = _identities_block(ident, cfg)
-        report["spectrum"] = {
-            "eigenvalues": [float(v) for v in theorem.eigenvalues],
-            "k": cfg.k, "seed": cfg.seed,
-        }
-        report["verdicts"] = {
-            "theorem": {
-                "verdict": theorem.verdict,
-                "lambda_1": theorem.lambda_1,
-                "lambda_2": theorem.lambda_2,
-                "tol_sphere": theorem.tol_sphere,
-                "spectral_scale": theorem.spectral_scale,
-                "multiplicity": theorem.multiplicity,
-                "sphere_distance": theorem.sphere_distance,
-                "sphere_distance_ceiling": verify.SPHERE_DISTANCE_CEILING,
-                "cluster_position_alignment":
-                    theorem.cluster_position_alignment,
-                "d_sum": theorem.d_sum,
-            },
-            "corollary": {
-                "lambda_2_t": corollary.lambda_2_t,
-                "lambda_2_pencil": corollary.lambda_2_pencil,
-                "comparison_ok": corollary.comparison_ok,
-                "tol": corollary.tol,
-                "domination_min_slack": corollary.domination_min_slack,
-                "domination_floor": verify.DOMINATION_FLOOR,
-            },
-            "lemma": {
-                "applicable": lemma.applicable,
-                "witness": lemma.witness,
-                "d": [float(v) for v in lemma.d],
-                "thresholds": [float(v) for v in lemma.thresholds],
-                "negative_count": lemma.negative_count,
-                "tol_negative": lemma.tol_negative,
-            },
-        }
+        report["identities"] = analysis.identities(mu=args.mu,
+                                                   trials=args.trials)
+        report["spectrum"] = {"eigenvalues": analysis.spectrum.eigenvalues,
+                              "k": analysis.config.k,
+                              "seed": analysis.config.seed}
+        report["verdicts"] = {"theorem": theorem, "corollary": corollary,
+                              "lemma": lemma}
         return 2 if theorem.verdict == verify.VIOLATION else 0
 
     code = _run(args, "verify", body)
@@ -334,9 +286,12 @@ def cmd_verify(args):
 
 def cmd_spectrum(args):
     def body(analysis, report, timings):
-        report["spectrum"] = _spectrum_block(analysis.spectrum)
+        spec = analysis.spectrum
+        report["spectrum"] = {"eigenvalues": spec.eigenvalues,
+                              "residuals": spec.residuals, "seed": spec.seed}
         if args.csv:
-            analysis.spectrum.write_csv(_resolve_out(args.csv))
+            with _writing():
+                spec.write_csv(_resolve_out(args.csv))
         return 0
     return _run(args, "spectrum", body)
 
@@ -356,9 +311,10 @@ def cmd_bs_scan(args):
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         timings["scan_s"] = time.perf_counter() - t0
-        report["birman_schwinger"] = scan.to_json_dict()
+        report["birman_schwinger"] = scan
         if args.csv:
-            scan.write_csv(_resolve_out(args.csv))
+            with _writing():
+                scan.write_csv(_resolve_out(args.csv))
         return 0
     return _run(args, "bs-scan", body)
 
@@ -367,8 +323,8 @@ def cmd_identities(args):
     _check_mu_trials(args)
 
     def body(analysis, report, timings):
-        ident = analysis.identities(mu=args.mu, trials=args.trials)
-        report["identities"] = _identities_block(ident, analysis.config)
+        report["identities"] = analysis.identities(mu=args.mu,
+                                                   trials=args.trials)
         return 0
     return _run(args, "identities", body)
 

@@ -16,8 +16,8 @@ resolvent itself (phi_i := R0(W f_i)) and checks the energy pairing
 it validates the constrained solve, not the geometry.
 
 The checks take what they share as arguments and compute none of it
-again: full_report reads the caller's d quantities (which keep the three
-phi_i) and lam1(K, M); verify.Analysis holds both, computed once.  The
+again: verify.Analysis holds the d quantities (which keep the three phi_i)
+and lam1(K, M), computed once, and builds the IdentityReport.  The
 zero-mean resolvent R0 is K grounded at one vertex, Cholesky-factored
 once; its answer is shifted to zero M-mean.  That one factor serves the
 three d_i solves and lam1(K, M), the inverse of R0's top eigenvalue.
@@ -43,7 +43,6 @@ __all__ = [
     "resolvent_bound_check",
     "resolvent_pairing_residual",
     "dirichlet_minkowski_gap",
-    "full_report",
 ]
 
 
@@ -58,6 +57,7 @@ class IdentityReport:
     resolvent_bound_margin: float
     chain_residual: float
     dirichlet_minkowski_gap: float
+    tol_identity: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,24 +235,3 @@ def dirichlet_minkowski_gap(mesh, field, pencil, r):
         np.einsum("vi,vi->", mesh.vertices, (pencil.k_stiff @ mesh.vertices))
     )
     return abs(energy - reference) / reference
-
-
-def full_report(mesh, field, pencil, r, dq, lam1, mu=1.0, trials=20, seed=0):
-    """Run every identity check once and collect an IdentityReport.
-
-    ``dq`` is d_quantities of the order-r test functions and ``lam1`` is
-    stiffness_lam1 of ``pencil``; verify.Analysis holds both.
-    """
-    return IdentityReport(
-        lr_position_residual=lr_position_residual(mesh, field, pencil, r),
-        minkowski_residual=minkowski_residual(mesh, field, r),
-        orthogonality=dq.orthogonality,
-        orthogonality_raw=dq.orthogonality_raw,
-        d=dq.d,
-        d_sum=dq.d_sum,
-        resolvent_bound_margin=resolvent_bound_check(
-            pencil, mu, lam1, trials=trials, seed=seed
-        ),
-        chain_residual=resolvent_pairing_residual(pencil, dq),
-        dirichlet_minkowski_gap=dirichlet_minkowski_gap(mesh, field, pencil, r),
-    )

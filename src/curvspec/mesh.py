@@ -211,10 +211,7 @@ class ValidationReport:
     euler_characteristic: int
     closed: bool
     oriented: bool
-    boundary_edges: tuple
-    nonmanifold_edges: tuple
-    misoriented_edges: tuple
-    degenerate_faces: tuple
+    total_area: float
     min_face_area: float
     max_face_area: float
     mean_face_area: float
@@ -223,7 +220,11 @@ class ValidationReport:
 
 
 def validate(mesh):
-    """Structural report for a TriMesh; never raises, failures are fields.
+    """Structural report for a TriMesh; never raises, failures are flags.
+
+    Its fields are the mesh_stats block of a CLI report.  The offending
+    edges and faces themselves stay on the mesh (boundary_edges,
+    nonmanifold_edges, misoriented_edges, degenerate_faces).
 
     Aspect ratio is the longest edge over the triangle height on that edge,
     so an equilateral triangle scores 2/sqrt(3).
@@ -243,10 +244,7 @@ def validate(mesh):
         euler_characteristic=mesh.euler_characteristic,
         closed=mesh.is_closed,
         oriented=mesh.is_oriented,
-        boundary_edges=mesh.boundary_edges,
-        nonmanifold_edges=mesh.nonmanifold_edges,
-        misoriented_edges=mesh.misoriented_edges,
-        degenerate_faces=mesh.degenerate_faces,
+        total_area=mesh.total_area,
         min_face_area=min_area,
         max_face_area=float(mesh.face_areas.max()),
         mean_face_area=mean_area,

@@ -30,8 +30,10 @@ from .assemble import (assemble_pencil, shift_ladder, spectral_scale,
 from .curvature import compute_curvature
 from .eigen import smallest_eigenpairs
 from .errors import BoundViolationError
-from .identities import (d_quantities, full_report, stiffness_lam1,
-                         test_functions, zero_mean_resolvent)
+from .identities import (IdentityReport, d_quantities, dirichlet_minkowski_gap,
+                         lr_position_residual, minkowski_residual,
+                         resolvent_bound_check, resolvent_pairing_residual,
+                         stiffness_lam1, test_functions, zero_mean_resolvent)
 
 __all__ = [
     "Analysis",
@@ -77,13 +79,13 @@ class VerifyConfig:
         return self.tol_sphere_factor * spectral_scale
 
 
+# Each report's fields are the keys of its block under "verdicts" in a
+# CLI report, thresholds included.
+
 @dataclass(frozen=True, eq=False)
 class TheoremReport:
-    r: int
-    eigenvalues: np.ndarray
     lambda_1: float
     lambda_2: float
-    lambda_2_corollary: float
     multiplicity: int
     d_sum: float
     verdict: str
@@ -91,25 +93,24 @@ class TheoremReport:
     spectral_scale: float
     tol_sphere: float
     cluster_position_alignment: float
+    sphere_distance_ceiling: float = SPHERE_DISTANCE_CEILING
 
 
 @dataclass(frozen=True, eq=False)
 class CorollaryReport:
-    r: int
     lambda_2_t: float
     lambda_2_pencil: float
     domination_min_slack: float
     comparison_ok: bool
     tol: float
+    domination_floor: float = DOMINATION_FLOOR
 
 
 @dataclass(frozen=True, eq=False)
 class LemmaReport:
-    r: int
     applicable: bool
     witness: int            # -1 when not applicable
     d: np.ndarray
-    d_sum: float
     thresholds: np.ndarray  # tol_identity * ||f_i||_M^2, per i
     negative_count: int
     tol_negative: float
@@ -270,13 +271,10 @@ class Analysis:
         else:
             verdict = VIOLATION
         cluster = [j for j in range(1, len(ev)) if abs(ev[j] - lam2) <= tol]
-        corollary = self.corollary()
+        self.t_spectrum   # the T_r domination gate runs before any d solve
         return TheoremReport(
-            r=self.r,
-            eigenvalues=ev,
             lambda_1=float(ev[0]),
             lambda_2=lam2,
-            lambda_2_corollary=corollary.lambda_2_t,
             multiplicity=len(cluster),
             d_sum=self.dq.d_sum,
             verdict=verdict,
@@ -299,7 +297,6 @@ class Analysis:
         lam2 = float(self.spectrum.eigenvalues[1])
         tol = COROLLARY_TOL
         return CorollaryReport(
-            r=self.r,
             lambda_2_t=lam2_t,
             lambda_2_pencil=lam2,
             domination_min_slack=float((self.t_potential - self.pencil.w**2).min()),
@@ -334,11 +331,9 @@ class Analysis:
                 margin=float(dq.d[witness]),
             )
         return LemmaReport(
-            r=self.r,
             applicable=applicable,
             witness=witness,
             d=dq.d,
-            d_sum=dq.d_sum,
             thresholds=thresholds,
             negative_count=negative_count,
             tol_negative=tol_neg,
@@ -346,9 +341,21 @@ class Analysis:
 
     @_stage("identities_s")
     def identities(self, mu=1.0, trials=20):
-        """identities.full_report on the shared d quantities and lam1."""
-        return full_report(
-            self.mesh, self.field, self.pencil, self.r, self.dq, self.lam1,
-            mu=mu, trials=trials, seed=self.config.seed,
+        """Every identity check once, on the shared d quantities and lam1."""
+        mesh, field, pencil, r, dq = (self.mesh, self.field, self.pencil,
+                                      self.r, self.dq)
+        return IdentityReport(
+            lr_position_residual=lr_position_residual(mesh, field, pencil, r),
+            minkowski_residual=minkowski_residual(mesh, field, r),
+            orthogonality=dq.orthogonality,
+            orthogonality_raw=dq.orthogonality_raw,
+            d=dq.d,
+            d_sum=dq.d_sum,
+            resolvent_bound_margin=resolvent_bound_check(
+                pencil, mu, self.lam1, trials=trials, seed=self.config.seed),
+            chain_residual=resolvent_pairing_residual(pencil, dq),
+            dirichlet_minkowski_gap=dirichlet_minkowski_gap(mesh, field,
+                                                            pencil, r),
+            tol_identity=self.config.tol_identity,
         )
 

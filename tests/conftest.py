@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from curvspec import assemble, curvature, surfaces, verify
+from curvspec import assemble, birman, curvature, eigen, surfaces, verify
 from oracles import kernel_shift  # noqa: F401  (re-exported to the tests)
 
 
@@ -45,6 +45,14 @@ def get_pipeline(kind, subdiv, r):
 def floor_shift(pencil):
     """The pipeline's shift-invert target for the pencil: below -max(W^2)."""
     return assemble.pencil_floor_shift(float(np.max(pencil.w**2)))
+
+
+def kernel_top(pencil, mu, k=3, seed=0, w_perp=False):
+    """k largest eigenvalues of the Birman-Schwinger kernel K_mu: one
+    factor of K + mu M, then birman's kernel eigensolve on it."""
+    solve = eigen._shifted_solver(pencil.k_stiff, pencil.mass, mu,
+                                  layout=pencil.layout)
+    return birman._top_k(pencil, mu, solve, k, seed, w_perp)
 
 
 def verify_theorem(mesh, r, config=None):

@@ -17,8 +17,8 @@ from curvspec import birman, cli, curvalg, eigen, identities, verify
 from curvspec.errors import CurvaturePositivityError
 
 import oracles
-from conftest import (floor_shift, get_mesh, get_pipeline, lemma_two_negative,
-                      verify_corollary, verify_theorem)
+from conftest import (floor_shift, get_mesh, get_pipeline, kernel_top,
+                      lemma_two_negative, verify_corollary, verify_theorem)
 
 
 def report(n, ok, detail):
@@ -111,7 +111,7 @@ def test_criterion_04_resolvent_and_kernel_bounds():
         worst_resolvent = min(worst_resolvent, margin)
         assert margin >= -1e-8
         scan = birman.scan_crossings(pencil, steps=16, k=2, seed=0)
-        cols = dict(zip(scan.BOUND_COLUMNS, scan.bound_check.T))
+        cols = dict(zip(scan.bound_check["columns"], scan.bound_check["rows"].T))
         slack = np.min(cols["bound_w_perp"] - cols["top_w_perp"])
         worst_kernel = min(worst_kernel, slack)
         assert slack >= -1e-8
@@ -217,7 +217,7 @@ def test_criterion_09_oracle_equivalence():
         _, _, pencil = get_pipeline("ellipsoid", 3, r)
         assert pencil.n_vertices <= 1000
         for mu in (0.5, 2.0):
-            ours = birman.top_eigenvalues_K(pencil, mu, k=4, seed=0)
+            ours = kernel_top(pencil, mu, k=4, seed=0)
             ora, _ = oracles.dense_K_mu_eigenpairs(pencil, mu, 4)
             worst_kernel = max(worst_kernel, float(np.max(np.abs(ours - ora))))
             assert worst_kernel <= 1e-8

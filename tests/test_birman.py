@@ -8,10 +8,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from curvspec import birman, eigen
+from curvspec import birman, cli, eigen
 
 import oracles
-from conftest import floor_shift, get_pipeline
+from conftest import floor_shift, get_pipeline, kernel_top
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +28,7 @@ def ellipsoid_scan(ellipsoid_pencil):
 class TestKernelOperator:
     def test_matches_dense_oracle(self, ellipsoid_pencil):
         for mu in (0.5, 2.0, 20.0):
-            ours = birman.top_eigenvalues_K(ellipsoid_pencil, mu, k=4, seed=0)
+            ours = kernel_top(ellipsoid_pencil, mu, k=4, seed=0)
             ora, _ = oracles.dense_K_mu_eigenpairs(ellipsoid_pencil, mu, 4)
             assert np.max(np.abs(ours - ora)) < 1e-8
 
@@ -36,24 +36,24 @@ class TestKernelOperator:
         # bare Laplace spectrum 0, 2, 6 with W^2 = 2 turns the kernel top
         # into W^2/(lambda + mu) branch by branch
         _, _, pencil = get_pipeline("sphere", 3, 0)
-        top_large = birman.top_eigenvalues_K(pencil, 100.0, k=1, seed=0)[0]
+        top_large = kernel_top(pencil, 100.0, k=1, seed=0)[0]
         assert top_large == pytest.approx(0.02, rel=1e-6)
-        top_at_two = birman.top_eigenvalues_K(pencil, 2.0, k=1, seed=0)[0]
+        top_at_two = kernel_top(pencil, 2.0, k=1, seed=0)[0]
         assert top_at_two == pytest.approx(1.0, abs=1e-6)
         # W is constant here, so W-perp is the mean-zero subspace
-        perp = birman.top_eigenvalues_K(pencil, 2.0, k=1, seed=0, w_perp=True)[0]
+        perp = kernel_top(pencil, 2.0, k=1, seed=0, w_perp=True)[0]
         assert perp == pytest.approx(0.5, abs=1e-4)
 
     def test_small_mu_perp_limit(self):
         # the equality case of the proof: restricted away from the W
         # direction the kernel top tends to exactly 1 from below as mu -> 0+
         _, _, pencil = get_pipeline("sphere", 3, 0)
-        top = birman.top_eigenvalues_K(pencil, 1e-3, k=1, seed=0, w_perp=True)[0]
+        top = kernel_top(pencil, 1e-3, k=1, seed=0, w_perp=True)[0]
         assert 0.95 < top <= 1.0 + 1e-8
 
     def test_positive_mu_required(self, ellipsoid_pencil):
         with pytest.raises(ValueError):
-            birman.top_eigenvalues_K(ellipsoid_pencil, 0.0)
+            birman.scan_crossings(ellipsoid_pencil, mu_min=0.0)
 
     @pytest.mark.parametrize("subdiv", [0, 1])   # V = 12 and V = 42
     @pytest.mark.parametrize("restrict", [{}, {"w_perp": True}])
@@ -81,8 +81,8 @@ class TestKernelOperator:
             _, g = birman._top_k(p, mu, solve, 3, 0, vectors=True)
             slopes = [birman._hf_slope(p, solve, g[:, j]) for j in range(3)]
             h = 1e-4 * mu
-            fd = (birman.top_eigenvalues_K(p, mu + h, k=3)
-                  - birman.top_eigenvalues_K(p, mu - h, k=3)) / (2 * h)
+            fd = (kernel_top(p, mu + h, k=3)
+                  - kernel_top(p, mu - h, k=3)) / (2 * h)
             np.testing.assert_allclose(slopes, fd, rtol=1e-5)
 
 
@@ -184,7 +184,8 @@ class TestScan:
             assert c.matched_eigenvalue < 0
 
     def test_bound_columns_hold(self, ellipsoid_scan):
-        cols = dict(zip(ellipsoid_scan.BOUND_COLUMNS, ellipsoid_scan.bound_check.T))
+        bound = ellipsoid_scan.bound_check
+        cols = dict(zip(bound["columns"], bound["rows"].T))
         assert np.all(cols["top_full"] <= cols["bound_full"] + 1e-8)
         assert np.all(cols["top_w_perp"] <= cols["bound_w_perp"] + 1e-8)
         # the perp bound is the sharp one near the bottom of the window
@@ -239,7 +240,7 @@ class TestSerialization:
         assert len(rows) == len(ellipsoid_scan.mu_grid) + 1
 
     def test_json_dict(self, ellipsoid_scan):
-        blob = ellipsoid_scan.to_json_dict()
+        blob = cli._jsonable(ellipsoid_scan)
         assert set(blob) >= {"mu_grid", "top_eigenvalues", "crossings", "bound_check", "warnings"}
         assert len(blob["crossings"]) == 2
         assert all(isinstance(c["mu0"], float) for c in blob["crossings"])

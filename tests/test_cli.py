@@ -16,7 +16,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from curvspec import cli, eigen, identities, verify
+from curvspec import birman, cli, eigen, identities, verify
 from curvspec.mesh import TriMesh, load_mesh, write_off
 
 from conftest import get_mesh
@@ -242,6 +242,59 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and key in err
         assert not out.exists()
+
+
+class TestUnwritableOutput:
+    """An output path in a missing directory is a usage error: exit 64 and
+    one stderr line, not a traceback."""
+
+    SHAPE = ["--shape", "sphere", "--subdiv", "1"]
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", *SHAPE, "-o", "{missing}/rep.json"],
+        ["spectrum", *SHAPE, "-o", "{missing}/rep.json"],
+        ["spectrum", *SHAPE, "--csv", "{missing}/spectrum.csv"],
+        ["bs-scan", *SHAPE, "--steps", "4", "-o", "{missing}/rep.json"],
+        ["bs-scan", *SHAPE, "--steps", "4", "--csv", "{missing}/scan.csv"],
+        ["generate", *SHAPE, "-o", "{missing}/sphere.off"],
+    ])
+    def test_exit_64(self, tmp_path, capsys, argv):
+        missing = tmp_path / "missing"
+        assert run([a.format(missing=missing) for a in argv]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("usage error: cannot write output: ")
+        assert str(missing) in err[0]
+        assert not missing.exists()
+
+
+class TestJsonable:
+    def test_dataclasses_arrays_and_numpy_scalars(self):
+        @dataclasses.dataclass(frozen=True)
+        class Block:
+            rows: np.ndarray
+            crossings: tuple
+            count: np.int64
+            flag: np.bool_
+
+        crossing = birman.Crossing(mu0=1.5, branch=0, eig_error=1e-13,
+                                   matched_eigenvalue=-1.5, match_error=2e-9,
+                                   evaluations=3)
+        block = Block(rows=np.arange(6.0).reshape(2, 3),
+                      crossings=(crossing, crossing),
+                      count=np.int64(7), flag=np.bool_(True))
+        out = cli._jsonable({"block": block, "empty": None})
+        assert out == {"block": {
+            "rows": [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]],
+            "crossings": [dataclasses.asdict(crossing)] * 2,
+            "count": 7, "flag": True,
+        }, "empty": None}
+        blk = out["block"]
+        assert type(blk["count"]) is int and type(blk["flag"]) is bool
+        assert all(type(v) is float for row in blk["rows"] for v in row)
+        assert json.loads(json.dumps(out)) == out
 
 
 class TestDeterminism:

@@ -406,3 +406,28 @@ def test_one_factor_and_one_arpack_call_site():
                      "splu": [], "spilu": [], "factorized": [], "bmat": []}
     assert eigsh_args == [1] and None not in eigsh_keywords
     assert not {"M", "sigma", "OPinv", "mode"} & set(eigsh_keywords)
+
+
+def test_every_exported_name_is_used_in_src():
+    # a name some module lists in __all__ must be read somewhere in the
+    # package (as a name, an attribute or an import), or only the tests
+    # run it; the package __init__'s re-exports are not a use
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                       "src", "curvspec")
+    exported, used = set(), set()
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        if os.path.basename(path) == "__init__.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                exported.update(ast.literal_eval(node.value))
+    assert exported and sorted(exported - used) == []

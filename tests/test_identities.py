@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from curvspec import eigen
+from curvspec import eigen, verify
 from curvspec import identities as idn
 from curvspec.errors import BoundViolationError, CurvaturePositivityError
 from curvspec.curvature import compute_curvature
@@ -200,23 +200,22 @@ class TestResolvent:
 
 
 class TestFullReport:
+    """verify.Analysis.identities: every check once, on the shared d
+    quantities and lam1(K, M)."""
+
     def test_fields_cross_check(self):
-        mesh, field, pencil = get_pipeline("ellipsoid", 3, 0)
-        f = idn.test_functions(mesh, field, 0)
-        dq = dq_of(pencil, f)
-        rep = idn.full_report(mesh, field, pencil, 0, dq,
-                              lam1_of(pencil))
+        analysis = verify.Analysis(get_mesh("ellipsoid", 3), 0)
+        rep = analysis.identities()
+        dq, pencil = analysis.dq, analysis.pencil
         assert rep.d is dq.d and rep.d_sum == dq.d_sum
         assert rep.chain_residual == idn.resolvent_pairing_residual(pencil, dq)
+        assert rep.tol_identity == analysis.config.tol_identity
         assert rep.dirichlet_minkowski_gap < 0.03
         assert rep.chain_residual < 1e-8
         assert rep.resolvent_bound_margin >= 0.0
 
     def test_report_deterministic(self):
-        mesh, field, pencil = get_pipeline("sphere", 2, 0)
-        args = (mesh, field, pencil, 0,
-                dq_of(pencil, idn.test_functions(mesh, field, 0)),
-                lam1_of(pencil))
-        a = idn.full_report(*args, seed=5)
-        b = idn.full_report(*args, seed=5)
+        config = verify.VerifyConfig(seed=5)
+        a, b = (verify.Analysis(get_mesh("sphere", 2), 0, config).identities()
+                for _ in range(2))
         assert a.resolvent_bound_margin == b.resolvent_bound_margin

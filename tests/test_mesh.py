@@ -78,22 +78,24 @@ class TestTriMesh:
         mesh = TriMesh(TETRA_V, TETRA_F[:2])
         rep = validate(mesh)
         assert not rep.closed and not rep.passed
-        assert len(rep.boundary_edges) > 0
+        assert len(mesh.boundary_edges) > 0
 
     def test_nonmanifold_reported(self):
         v = np.vstack([TETRA_V, [[1.0, 1, 1]]])
         f = [[0, 1, 2], [1, 0, 3], [0, 1, 4]]
-        rep = validate(TriMesh(v, f))
-        assert rep.nonmanifold_edges
-        edge, count = rep.nonmanifold_edges[0]
+        mesh = TriMesh(v, f)
+        assert not validate(mesh).closed
+        assert mesh.nonmanifold_edges
+        edge, count = mesh.nonmanifold_edges[0]
         assert tuple(sorted(edge)) == (0, 1) and count == 3
 
     def test_misorientation_reported(self):
         f = TETRA_F.copy()
         f[3] = f[3][::-1]
-        rep = validate(TriMesh(TETRA_V, f))
+        mesh = TriMesh(TETRA_V, f)
+        rep = validate(mesh)
         assert rep.closed and not rep.oriented
-        assert rep.misoriented_edges
+        assert mesh.misoriented_edges
 
     def test_misoriented_edges_match_loop_oracle(self):
         sphere = surfaces.generate(surfaces.Sphere(1.0), subdiv=3)
@@ -109,7 +111,7 @@ class TestTriMesh:
         v = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0]])
         mesh = TriMesh(v, [[0, 1, 2], [0, 2, 3]])   # first face collinear
         rep = validate(mesh)
-        assert 0 in rep.degenerate_faces and not rep.passed
+        assert 0 in mesh.degenerate_faces and not rep.passed
         with pytest.raises(DegenerateGeometryError):
             vertex_measures(mesh)
 

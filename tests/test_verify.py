@@ -19,14 +19,15 @@ from conftest import (floor_shift, get_mesh, get_pipeline, lemma_two_negative,
 class TestSphereCase:
     @pytest.mark.parametrize("r", [0, 1])
     def test_unit_sphere_is_sphere_like(self, r):
-        rep = verify_theorem(get_mesh("sphere", 3), r)
+        analysis = verify.Analysis(get_mesh("sphere", 3), r)
+        rep = analysis.theorem()
         assert rep.verdict == verify.SPHERE_LIKE
         assert rep.lambda_1 == pytest.approx(-2.0, abs=0.05)
         assert abs(rep.lambda_2) <= rep.tol_sphere
         assert rep.multiplicity == 3
         assert rep.cluster_position_alignment > 0.99
         assert rep.sphere_distance < 1e-10
-        assert rep.r == r and len(rep.eigenvalues) == 5
+        assert len(analysis.spectrum.eigenvalues) == 5
 
     @pytest.mark.parametrize("radius_kind,radius", [("sphere_small", 0.5), ("sphere_big", 2.0)])
     def test_scaled_spheres_detected(self, radius_kind, radius):
@@ -105,11 +106,6 @@ class TestCorollary:
         rep = verify_corollary(get_mesh("sphere", 3), 1)
         assert rep.lambda_2_t == pytest.approx(0.0, abs=0.05)
 
-    def test_embedded_in_theorem_report(self):
-        rep = verify_theorem(get_mesh("sphere", 3), 1)
-        cor = verify_corollary(get_mesh("sphere", 3), 1)
-        assert rep.lambda_2_corollary == pytest.approx(cor.lambda_2_t, abs=1e-12)
-
 
 class TestLemma:
     def test_ellipsoid_witness(self):
@@ -140,10 +136,10 @@ class TestConfig:
 
     def test_reports_deterministic(self):
         mesh = get_mesh("ellipsoid", 3)
-        a = verify_theorem(mesh, 1)
-        b = verify_theorem(mesh, 1)
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
-        assert a.verdict == b.verdict and a.d_sum == b.d_sum
+        a, b = verify.Analysis(mesh, 1), verify.Analysis(mesh, 1)
+        ra, rb = a.theorem(), b.theorem()
+        assert np.array_equal(a.spectrum.eigenvalues, b.spectrum.eigenvalues)
+        assert ra.verdict == rb.verdict and ra.d_sum == rb.d_sum
 
 
 # convex shapes at r = 0 and r = 1; the torus only at r = 0, where no
