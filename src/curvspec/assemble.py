@@ -39,7 +39,6 @@ class OperatorPencil:
     potential: np.ndarray   # diagonal of M_W = mass * w^2
     layout: BandLayout      # band layout of K's sparsity pattern
     r: int
-    n: int = 2
 
     @property
     def n_vertices(self):
@@ -52,10 +51,8 @@ class OperatorPencil:
         return a
 
 
-def assemble_pencil(mesh, field, r):
-    """Assemble (K_r, M, M_W) from a curvature field built for this order."""
-    if field.r != r or field.p_r_face is None or field.w is None:
-        raise ValueError(f"curvature field was not built for order r={r}")
+def assemble_pencil(mesh, field):
+    """Assemble (K_r, M, M_W) from an order-r curvature field."""
     grads = mesh.hat_gradients()
     local = mesh.face_areas[:, None, None] * (
         grads @ field.p_r_face @ grads.transpose(0, 2, 1))
@@ -71,7 +68,7 @@ def assemble_pencil(mesh, field, r):
     w = np.array(field.w)
     return OperatorPencil(
         k_stiff=k, mass=mass, w=w, potential=mass * w * w,
-        layout=band_layout(k), r=r,
+        layout=band_layout(k), r=field.r,
     )
 
 
@@ -121,5 +118,4 @@ def with_potential_squared(pencil, w_squared):
         potential=pencil.mass * w2,
         layout=pencil.layout,
         r=pencil.r,
-        n=pencil.n,
     )

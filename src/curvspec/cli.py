@@ -137,7 +137,7 @@ def _curvature_summary(field, pencil):
         "h1_mean": float(np.mean(0.5 * (k[:, 0] + k[:, 1]))),
         "h_next_min": float(field.h_next.min()),
         "h_next_max": float(field.h_next.max()),
-        "h_next_positive": bool(field.h_next_positive),
+        "h_next_positive": bool(field.h_next.min() > 0.0),
         "w_min": float(pencil.w.min()),
         "w_max": float(pencil.w.max()),
         "w_mean_sq": verify.spectral_scale(pencil),
@@ -167,6 +167,15 @@ def _jsonable(value):
     if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
     return value
+
+
+def _check_outputs(args):
+    """Refuse an -o or --csv path in a missing directory before any work;
+    _writing() still catches what only the write itself can reveal."""
+    for path in (args.output, getattr(args, "csv", None)):
+        out = _resolve_out(path)
+        if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+            raise UsageError(f"cannot write output: no directory for {out!r}")
 
 
 @contextlib.contextmanager
@@ -205,6 +214,7 @@ def cmd_generate(args):
         raise UsageError("generate requires --output")
     if args.shape is None:
         raise UsageError("generate requires --shape")
+    _check_outputs(args)
     mesh = _generate_mesh(args)
     out = _resolve_out(args.output)
     with _writing():
@@ -221,13 +231,15 @@ def cmd_generate(args):
 def _run(args, command, body):
     """Shared frame of the analysis commands.
 
-    Acquires the mesh, builds one verify.Analysis and its curvature
-    summary, then lets ``body(analysis, report, timings)`` fill the rest of
-    the report and return an exit code.  A CurvSpecError becomes a JSON
-    error block and exit code 3; the report is emitted either way.
+    Refuses an output path in a missing directory, acquires the mesh,
+    builds one verify.Analysis and its curvature summary, then lets
+    ``body(analysis, report, timings)`` fill the rest of the report and
+    return an exit code.  A CurvSpecError becomes a JSON error block and
+    exit code 3; the report is emitted either way.
     """
     if args.r not in (0, 1):
         raise UsageError(f"--r must be 0 or 1, got {args.r}")
+    _check_outputs(args)
     timings = {}
     report = {"config": _config_block(args, command)}
     t_all = time.perf_counter()

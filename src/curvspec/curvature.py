@@ -11,9 +11,15 @@ onto the vertex tangent plane.
 
 Sign convention throughout: a sphere of radius R with outward normals gets
 the operator +(1/R) I.
+
+compute_curvature(mesh, r) is the one way to build a CurvatureField, and it
+builds every field at once: the vertex principal curvatures, the Newton
+transform P_r per face, and the vertex samples of H_{r+1} and W_r.  For
+r >= 1 it is also the one gate of the standing assumption H_{r+1} > 0, so
+every consumer reads a field that already holds it.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,37 +27,31 @@ from . import curvalg
 from .errors import DegenerateGeometryError
 from .mesh import vertex_measures
 
-__all__ = [
-    "CurvatureField",
-    "estimate_shape_operators",
-    "vertex_principal_curvatures",
-    "build_fields",
-    "compute_curvature",
-]
+__all__ = ["CurvatureField", "compute_curvature"]
 
 
 @dataclass(frozen=True, eq=False)
 class CurvatureField:
-    """Face shape operators plus the per-vertex fields derived from them.
+    """The per-vertex curvatures and the order-r fields built on them.
 
-    face_operators are 2x2 symmetric matrices in the orthonormal face basis
-    stored in face_basis (rows t1, t2).  After build_fields(r) the Newton
-    transform p_r_face is a world-frame 3x3 tangential matrix per face, and
-    h_next / w hold the vertex samples of H_{r+1} and W_r.
+    vertex_kappas are the sorted principal curvatures (V, 2); p_r_face is
+    the Newton transform P_r per face as a world-frame 3x3 tangential
+    matrix; h_next and w hold the vertex samples of H_{r+1} and W_r.
     """
 
-    face_operators: np.ndarray
-    face_basis: np.ndarray
-    vertex_kappas: np.ndarray = None
-    r: int = None
-    p_r_face: np.ndarray = None
-    h_next: np.ndarray = None
-    w: np.ndarray = None
-    h_next_positive: bool = None
+    vertex_kappas: np.ndarray
+    r: int
+    p_r_face: np.ndarray
+    h_next: np.ndarray
+    w: np.ndarray
 
 
 def estimate_shape_operators(mesh):
-    """Per-face symmetric shape operator estimates, returned in a new field."""
+    """Per-face symmetric shape operators as (ops, basis).
+
+    ops are 2x2 symmetric matrices (F, 2, 2) in the orthonormal face basis
+    ``basis`` (F, 2, 3), whose rows are t1, t2.
+    """
     vertex_measures(mesh)  # raises on degenerate geometry
     v, f = mesh.vertices, mesh.faces
     vn = mesh.vertex_normals
@@ -94,7 +94,7 @@ def estimate_shape_operators(mesh):
     ops[:, 0, 0] = s[:, 0]
     ops[:, 0, 1] = ops[:, 1, 0] = s[:, 1]
     ops[:, 1, 1] = s[:, 2]
-    return CurvatureField(face_operators=ops, face_basis=basis)
+    return ops, basis
 
 
 def _to_world(ops, basis):
@@ -124,7 +124,7 @@ def _rotation_between(a, b):
     return rot
 
 
-def vertex_principal_curvatures(field, mesh):
+def vertex_principal_curvatures(ops, basis, mesh):
     """Sorted per-vertex principal curvatures (V, 2).
 
     Incident face operators are parallel-transported into the vertex tangent
@@ -132,7 +132,7 @@ def vertex_principal_curvatures(field, mesh):
     averaged with face-area weights.
     """
     nv = mesh.n_vertices
-    ops3 = _to_world(field.face_operators, field.face_basis)
+    ops3 = _to_world(ops, basis)
     acc = np.zeros(9 * nv)
     for vid in mesh.faces.T:
         rot = _rotation_between(mesh.face_normals, mesh.vertex_normals[vid])
@@ -156,37 +156,24 @@ def vertex_principal_curvatures(field, mesh):
     return np.stack([mean - disc, mean + disc], axis=1)
 
 
-def build_fields(field, r):
-    """Fill in P_r per face and H_{r+1}, W_r per vertex for order r.
+def compute_curvature(mesh, r):
+    """The whole order-r CurvatureField of a mesh, r in {0, 1}.
 
     The Newton transform is evaluated in the eigenbasis of each face
     operator.  For r >= 1 a nonpositive vertex H_{r+1} violates the standing
     curvature assumption and raises, naming the worst vertex.
     """
-    if field.vertex_kappas is None:
-        raise ValueError("vertex curvatures must be computed before build_fields")
     if r not in (0, 1):
         raise ValueError("the mesh pipeline supports r in {0, 1}")
-    evals, evecs = np.linalg.eigh(field.face_operators)
+    ops, basis = estimate_shape_operators(mesh)
+    kappas = vertex_principal_curvatures(ops, basis, mesh)
+    evals, evecs = np.linalg.eigh(ops)
     newt = curvalg.newton_eigenvalues(evals, r)
     p2 = (evecs * newt[:, None, :]) @ evecs.transpose(0, 2, 1)
-    p3 = _to_world(p2, field.face_basis)
-    h_next = curvalg.mean_curvature(field.vertex_kappas, r + 1)
-    w = curvalg.potential_W(field.vertex_kappas, r)  # raises if r>=1 and H_{r+1}<=0
-    return replace(
-        field,
+    return CurvatureField(
+        vertex_kappas=kappas,
         r=r,
-        p_r_face=p3,
-        h_next=h_next,
-        w=w,
-        h_next_positive=bool(h_next.min() > 0.0),
+        p_r_face=_to_world(p2, basis),
+        h_next=curvalg.mean_curvature(kappas, r + 1),
+        w=curvalg.potential_W(kappas, r),  # raises if r>=1 and H_{r+1}<=0
     )
-
-
-def compute_curvature(mesh, r=None):
-    """Full estimator chain; builds the order-r fields when r is given."""
-    field = estimate_shape_operators(mesh)
-    field = replace(field, vertex_kappas=vertex_principal_curvatures(field, mesh))
-    if r is not None:
-        field = build_fields(field, r)
-    return field

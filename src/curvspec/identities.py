@@ -16,7 +16,10 @@ resolvent itself (phi_i := R0(W f_i)) and checks the energy pairing
 it validates the constrained solve, not the geometry.
 
 The checks take what they share as arguments and compute none of it
-again: verify.Analysis holds the d quantities (which keep the three phi_i)
+again.  Each reads the order r, H_{r+1} and W_r from the one curvature
+field, which curvature.compute_curvature builds whole and which already
+holds H_{r+1} > 0 for r >= 1, so no check gates it again.
+verify.Analysis holds the d quantities (which keep the three phi_i)
 and lam1(K, M), computed once, and builds the IdentityReport.  The
 zero-mean resolvent R0 is K grounded at one vertex, Cholesky-factored
 once; its answer is shifted to zero M-mean.  That one factor serves the
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import curvalg
 from .eigen import _kernel_eigenpairs, _shifted_solver
-from .errors import BoundViolationError, CurvaturePositivityError
+from .errors import BoundViolationError
 
 __all__ = [
     "IdentityReport",
@@ -70,7 +73,7 @@ class DQuantities:
     phi: np.ndarray       # (3, V), row i is phi_i = R0(W f_i)
 
 
-def lr_position_residual(mesh, field, pencil, r):
+def lr_position_residual(mesh, field, pencil):
     """Relative M^(-1)-norm residual of K x_i = M (c_r H_{r+1} N_i), per axis.
 
     This is the weak form of the classical identity moving the position
@@ -78,46 +81,36 @@ def lr_position_residual(mesh, field, pencil, r):
     sphere curvature the sign on the right-hand side is positive.  The
     residual is O(h) and is judged by its refinement trend.
     """
-    if field.h_next is None:
-        raise ValueError("curvature field was not built for an order r")
-    c = curvalg.c_coefficient(pencil.n, r)
+    c = curvalg.c_coefficient(2, field.r)
     load = (pencil.mass * c * field.h_next)[:, None] * mesh.vertex_normals
     resid = pencil.k_stiff @ mesh.vertices - load
     inv_m = 1.0 / pencil.mass
     return np.sqrt(inv_m @ resid**2) / np.sqrt(inv_m @ load**2)
 
 
-def minkowski_residual(mesh, field, r):
+def minkowski_residual(mesh, field):
     """Relative gap in int H_r = int H_{r+1} <x - xbar, N>, vertex quadrature."""
-    if field.vertex_kappas is None:
-        raise ValueError("field lacks vertex principal curvatures")
+    r = field.r
     h_r = curvalg.mean_curvature(field.vertex_kappas, r)
-    h_next = curvalg.mean_curvature(field.vertex_kappas, r + 1)
     a = mesh.vertex_areas
     total_hr = float(a @ h_r)
     if total_hr <= 0.0:
         raise ValueError(f"int H_{r} = {total_hr:.6g} <= 0, cannot normalize")
     xbar = (a[:, None] * mesh.vertices).sum(axis=0) / a.sum()
     support = np.einsum("vi,vi->v", mesh.vertices - xbar, mesh.vertex_normals)
-    other = float(a @ (h_next * support))
+    other = float(a @ (field.h_next * support))
     return abs(total_hr - other) / total_hr
 
 
-def test_functions(mesh, field, r):
+def test_functions(mesh, field):
     """Canonical test functions f_i = sqrt(c_r H_{r+1}^(r/(r+1))) N_i, (V, 3).
 
     Chosen so that W_r f_i = c_r H_{r+1} N_i pointwise, which is exactly
-    the right-hand side of the position identity.  Needs H_{r+1} > 0 when
-    r >= 1; at r = 0 the exponent vanishes and any sign is fine.
+    the right-hand side of the position identity.  The power needs
+    H_{r+1} > 0 when r >= 1, which the field holds by construction; at
+    r = 0 the exponent vanishes and any sign is fine.
     """
-    if field.vertex_kappas is None:
-        raise ValueError("field lacks vertex principal curvatures")
-    # recompute at the requested order: the field may have been built at
-    # a different r, and the gate must reflect H_{r+1}, not field.h_next
-    h = curvalg.mean_curvature(field.vertex_kappas, r + 1)
-    if r >= 1 and np.any(h <= 0.0):
-        v = int(np.argmin(h))
-        raise CurvaturePositivityError(r, float(h[v]), v)
+    r, h = field.r, field.h_next
     c = curvalg.c_coefficient(2, r)
     amp = np.sqrt(c * h ** (r / (r + 1.0)))
     return amp[:, None] * mesh.vertex_normals
@@ -213,7 +206,7 @@ def resolvent_pairing_residual(pencil, dq):
     return abs(pairing - energy) / max(abs(pairing), 1e-300)
 
 
-def dirichlet_minkowski_gap(mesh, field, pencil, r):
+def dirichlet_minkowski_gap(mesh, field, pencil):
     """Relative gap between sum_i x_i^T K x_i and c_r int H_r dSigma.
 
     Both sides equal the total anisotropic Dirichlet energy of position in
@@ -224,9 +217,8 @@ def dirichlet_minkowski_gap(mesh, field, pencil, r):
     sum_i x_i^T K x_i = c_r sum_v m_v H_r holds identically.  It checks
     the assembly, not the geometry.
     """
-    if field.vertex_kappas is None:
-        raise ValueError("field lacks vertex principal curvatures")
-    c = curvalg.c_coefficient(pencil.n, r)
+    r = field.r
+    c = curvalg.c_coefficient(2, r)
     h_r = curvalg.mean_curvature(field.vertex_kappas, r)
     reference = c * float(mesh.vertex_areas @ h_r)
     if reference <= 0.0:

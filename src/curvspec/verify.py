@@ -15,7 +15,9 @@ shared object (curvature field, pencil, spectra, lam1(K, M), the test
 functions and the d quantities with their zero-mean resolvent solves) at
 most once, on first use.  The pencil and T_r spectra each take the first
 target of their own assemble.shift_ladder that factors; the d quantities
-and lam1(K, M) share one zero-mean factor.
+and lam1(K, M) share one zero-mean factor.  The curvature field comes
+whole from curvature.compute_curvature, the one gate of H_{r+1} > 0 for
+r >= 1, so a refused mesh stops there, before any solve.
 """
 
 import functools
@@ -150,8 +152,6 @@ def sphere_distance(mesh, field):
     curvature.  Normalized by the squared mean of H_1 so geometric scaling
     of the surface cancels.
     """
-    if field.vertex_kappas is None:
-        raise ValueError("field lacks vertex principal curvatures")
     a = mesh.vertex_areas
     area = float(a.sum())
     k1 = field.vertex_kappas[:, 0]
@@ -203,7 +203,7 @@ class Analysis:
     @functools.cached_property
     @_stage("curvature_s")
     def pencil(self):
-        return assemble_pencil(self.mesh, self.field, self.r)
+        return assemble_pencil(self.mesh, self.field)
 
     @functools.cached_property
     @_stage("spectrum_s")
@@ -218,7 +218,7 @@ class Analysis:
         A domination failure on a convex mesh means the norm convention is
         wrong, which must not produce a silently weaker operator.
         """
-        c = curvalg.c_coefficient(self.pencil.n, self.r)
+        c = curvalg.c_coefficient(2, self.r)
         pot2 = c * curvalg.shape_norm(self.field.vertex_kappas) ** (self.r + 2)
         slack = pot2 - self.pencil.w**2
         if slack.min() < DOMINATION_FLOOR:
@@ -238,16 +238,15 @@ class Analysis:
 
     @functools.cached_property
     def f(self):
-        return test_functions(self.mesh, self.field, self.r)
+        return test_functions(self.mesh, self.field)
 
     @functools.cached_property
     @_stage("identities_s")
     def _on_r0(self):
         """(d quantities, lam1(K, M)) on one zero-mean factor R0, made here
         and dropped on return, before any other band."""
-        f = self.f   # gated before the factor is made
         r0 = zero_mean_resolvent(self.pencil)
-        return d_quantities(self.pencil, f, r0), self._lam1(r0)
+        return d_quantities(self.pencil, self.f, r0), self._lam1(r0)
 
     @_stage("lam1_s")
     def _lam1(self, r0):
@@ -259,7 +258,6 @@ class Analysis:
     @_stage("spectrum_s")
     def theorem(self):
         """Classify lambda_2; returns the filled TheoremReport."""
-        self.f   # test_functions gates H_{r+1} > 0 before any solve runs
         ev = self.spectrum.eigenvalues
         scale = spectral_scale(self.pencil)
         tol = self.config.resolve_tol_sphere(scale)
@@ -342,11 +340,10 @@ class Analysis:
     @_stage("identities_s")
     def identities(self, mu=1.0, trials=20):
         """Every identity check once, on the shared d quantities and lam1."""
-        mesh, field, pencil, r, dq = (self.mesh, self.field, self.pencil,
-                                      self.r, self.dq)
+        mesh, field, pencil, dq = self.mesh, self.field, self.pencil, self.dq
         return IdentityReport(
-            lr_position_residual=lr_position_residual(mesh, field, pencil, r),
-            minkowski_residual=minkowski_residual(mesh, field, r),
+            lr_position_residual=lr_position_residual(mesh, field, pencil),
+            minkowski_residual=minkowski_residual(mesh, field),
             orthogonality=dq.orthogonality,
             orthogonality_raw=dq.orthogonality_raw,
             d=dq.d,
@@ -354,8 +351,7 @@ class Analysis:
             resolvent_bound_margin=resolvent_bound_check(
                 pencil, mu, self.lam1, trials=trials, seed=self.config.seed),
             chain_residual=resolvent_pairing_residual(pencil, dq),
-            dirichlet_minkowski_gap=dirichlet_minkowski_gap(mesh, field,
-                                                            pencil, r),
+            dirichlet_minkowski_gap=dirichlet_minkowski_gap(mesh, field, pencil),
             tol_identity=self.config.tol_identity,
         )
 

@@ -38,7 +38,7 @@ def get_pipeline(kind, subdiv, r):
     """(mesh, field, pencil) for a cached shape at one order."""
     mesh = get_mesh(kind, subdiv)
     field = curvature.compute_curvature(mesh, r=r)
-    pencil = assemble.assemble_pencil(mesh, field, r)
+    pencil = assemble.assemble_pencil(mesh, field)
     return mesh, field, pencil
 
 

@@ -206,20 +206,20 @@ def face_ops_world_einsum(ops, basis):
     return np.einsum("fab,fai,fbj->fij", ops, basis, basis)
 
 
-def newton_transform_einsum(field, r):
+def newton_transform_einsum(ops, basis, r):
     """World-frame P_r per face by einsum over the face operator's
     eigenbasis: the reference of CurvatureField.p_r_face."""
-    evals, evecs = np.linalg.eigh(field.face_operators)
+    evals, evecs = np.linalg.eigh(ops)
     newt = curvalg.newton_eigenvalues(evals, r)
     p2 = np.einsum("fia,fa,fja->fij", evecs, newt, evecs)
-    return face_ops_world_einsum(p2, field.face_basis)
+    return face_ops_world_einsum(p2, basis)
 
 
-def vertex_kappas_einsum(field, mesh):
+def vertex_kappas_einsum(ops, basis, mesh):
     """Per-vertex principal curvatures by einsum contractions and
     np.add.at scatters: the reference of vertex_principal_curvatures."""
     nv = mesh.n_vertices
-    ops3 = face_ops_world_einsum(field.face_operators, field.face_basis)
+    ops3 = face_ops_world_einsum(ops, basis)
     acc = np.zeros((nv, 3, 3))
     wsum = np.zeros(nv)
     eye = np.eye(3)

@@ -129,7 +129,7 @@ def test_criterion_05_minkowski_formula():
             vals = []
             for sub in (3, 4):
                 mesh, field, _ = get_pipeline(kind, sub, r)
-                vals.append(abs(identities.minkowski_residual(mesh, field, r)))
+                vals.append(abs(identities.minkowski_residual(mesh, field)))
             assert vals[1] <= cap
             assert vals[1] <= vals[0] + 1e-15
             worst[kind] = max(worst[kind], vals[1])
@@ -148,7 +148,7 @@ def test_criterion_06_position_identity():
             for sub in (3, 4):
                 mesh, field, pencil = get_pipeline(kind, sub, r)
                 res.append(
-                    float(np.max(identities.lr_position_residual(mesh, field, pencil, r)))
+                    float(np.max(identities.lr_position_residual(mesh, field, pencil)))
                 )
             assert res[1] <= 0.05
             assert res[1] < res[0]

@@ -24,7 +24,7 @@ class TestStiffness:
         for kind in ("sphere", "torus"):
             mesh = get_mesh(kind, 1)
             field = compute_curvature(mesh, r=0)
-            pencil = assemble_pencil(mesh, field, 0)
+            pencil = assemble_pencil(mesh, field)
             ora = oracles.cotan_stiffness(mesh)
             scale = np.abs(ora.data).max()
             assert np.max(np.abs(dense(pencil.k_stiff) - dense(ora))) < 1e-13 * scale
@@ -51,7 +51,7 @@ class TestStiffness:
     def test_coordinate_energy_is_twice_area(self, sphere3):
         # sum_i x_i^T K_0 x_i integrates |tangential projector|^2 = 2
         field = compute_curvature(sphere3, r=0)
-        pencil = assemble_pencil(sphere3, field, 0)
+        pencil = assemble_pencil(sphere3, field)
         energy = sum(
             sphere3.vertices[:, i] @ (pencil.k_stiff @ sphere3.vertices[:, i])
             for i in range(3)
@@ -63,8 +63,8 @@ class TestStiffness:
         mesh = get_mesh("sphere_big", 2)
         f0 = compute_curvature(mesh, r=0)
         f1 = compute_curvature(mesh, r=1)
-        k0 = assemble_pencil(mesh, f0, 0).k_stiff
-        k1 = assemble_pencil(mesh, f1, 1).k_stiff
+        k0 = assemble_pencil(mesh, f0).k_stiff
+        k1 = assemble_pencil(mesh, f1).k_stiff
         scale = np.abs(k0.data).max()
         assert np.max(np.abs(dense(k1 - 0.5 * k0))) < 1e-13 * scale
 
@@ -88,18 +88,13 @@ class TestStiffness:
         # Dirichlet energy has the closed form 4 L^2 (a.b)
         box = box_mesh(4)
         field = compute_curvature(box, r=0)
-        pencil = assemble_pencil(box, field, 0)
+        pencil = assemble_pencil(box, field)
         rng = np.random.default_rng(12)
         a, b = rng.normal(size=(2, 3))
         u = box.vertices @ a
         v = box.vertices @ b
         want = 4.0 * 2.0**2 * (a @ b)
         assert u @ (pencil.k_stiff @ v) == pytest.approx(want, rel=1e-10)
-
-    def test_order_mismatch_rejected(self, sphere3):
-        field = compute_curvature(sphere3, r=0)
-        with pytest.raises(ValueError):
-            assemble_pencil(sphere3, field, 1)
 
 
 class TestMassAndPotential:
@@ -116,7 +111,7 @@ class TestMassAndPotential:
 
     def test_potential_attaches(self, sphere3):
         field = compute_curvature(sphere3, r=1)
-        bare = assemble_pencil(sphere3, field, 1)
+        bare = assemble_pencil(sphere3, field)
         loaded = with_potential_squared(bare, field.w**2)
         assert loaded.layout is bare.layout
         assert np.allclose(loaded.w, field.w)
@@ -133,7 +128,7 @@ class TestMassAndPotential:
 
     def test_bad_potential_rejected(self, sphere3):
         field = compute_curvature(sphere3, r=1)
-        bare = assemble_pencil(sphere3, field, 1)
+        bare = assemble_pencil(sphere3, field)
         with pytest.raises(ValueError):
             with_potential_squared(bare, field.w[: 10] ** 2)
         with pytest.raises(ValueError):

@@ -99,6 +99,23 @@ class TestVerifyCommand:
         assert "vertex" in blob["error"]["message"]
         assert blob["error"]["type"] == "CurvaturePositivityError"
 
+    def test_h_next_positive_reported(self, tmp_path):
+        # r = 0 needs no sign of H_1, so a fat torus, whose inner rim has
+        # H_1 < 0, runs through and reports it; the unit sphere reports true
+        def summary(*shape):
+            out = tmp_path / "rep.json"
+            argv = ["verify", *shape, "--subdiv", "1", "--r", "0", "-o", str(out)]
+            assert run(argv) == 0
+            return json.loads(out.read_text())["curvature_summary"]
+
+        torus = summary("--shape", "torus", "--major-radius", "2",
+                        "--minor-radius", "1.2")
+        assert torus["h_next_positive"] is False
+        assert torus["h_next_min"] == pytest.approx(-0.144, abs=1e-3)
+        sphere = summary("--shape", "sphere")
+        assert sphere["h_next_positive"] is True
+        assert sphere["h_next_min"] == pytest.approx(1.0, rel=1e-12)
+
     def test_refusal_releases_mesh_without_gc(self, tmp_path):
         # a refusal must not leave the mesh in a reference cycle that only
         # the cyclic collector can free
@@ -258,9 +275,14 @@ class TestUnwritableOutput:
         ["bs-scan", *SHAPE, "--steps", "4", "--csv", "{missing}/scan.csv"],
         ["generate", *SHAPE, "-o", "{missing}/sphere.off"],
     ])
-    def test_exit_64(self, tmp_path, capsys, argv):
+    def test_exit_64(self, tmp_path, capsys, monkeypatch, argv):
+        # refused before the mesh is analyzed, not after the whole run
+        calls = []
+        monkeypatch.setattr(verify, "compute_curvature",
+                            lambda *a, **k: calls.append(a))
         missing = tmp_path / "missing"
         assert run([a.format(missing=missing) for a in argv]) == 64
+        assert calls == []
         captured = capsys.readouterr()
         assert captured.out == ""
         err = captured.err.splitlines()

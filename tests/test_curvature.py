@@ -1,5 +1,7 @@
 """Discrete curvature estimation on triangulated surfaces."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,35 +14,33 @@ from conftest import get_pipeline
 
 class TestShapeOperators:
     def test_face_basis_orthonormal(self, sphere3):
-        field = curvature.estimate_shape_operators(sphere3)
-        b = field.face_basis
+        _, b = curvature.estimate_shape_operators(sphere3)
         gram = np.einsum("fai,fbi->fab", b, b)
         assert np.max(np.abs(gram - np.eye(2))) < 1e-12
 
     def test_face_operators_symmetric(self, sphere3):
-        field = curvature.estimate_shape_operators(sphere3)
-        a = field.face_operators
+        a, _ = curvature.estimate_shape_operators(sphere3)
         assert np.max(np.abs(a - a.transpose(0, 2, 1))) < 1e-12
 
     def test_sphere_face_operators_are_identity(self, sphere3):
-        field = curvature.estimate_shape_operators(sphere3)
-        assert np.max(np.abs(field.face_operators - np.eye(2))) < 0.05
+        ops, _ = curvature.estimate_shape_operators(sphere3)
+        assert np.max(np.abs(ops - np.eye(2))) < 0.05
 
     def test_flat_faces_have_zero_operator(self):
         box = oracles.box_mesh(4)
-        field = curvature.estimate_shape_operators(box)
+        ops, _ = curvature.estimate_shape_operators(box)
         nrm = box.vertex_normals[box.faces]
         flat = np.max(np.abs(nrm - nrm[:, :1, :]), axis=(1, 2)) < 1e-12
         assert flat.sum() >= 40     # interior of each side stays planar
-        assert np.max(np.abs(field.face_operators[flat])) < 1e-12
+        assert np.max(np.abs(ops[flat])) < 1e-12
 
     def test_ellipsoid_pole_face(self):
         e = surfaces.Ellipsoid(2.0, 1.0, 1.0)
         mesh = surfaces.generate(e, subdiv=4)
-        field = curvature.estimate_shape_operators(mesh)
+        ops, _ = curvature.estimate_shape_operators(mesh)
         cent = mesh.vertices[mesh.faces].mean(axis=1)
         idx = int(np.argmin(np.linalg.norm(cent - [2.0, 0, 0], axis=1)))
-        ev = np.linalg.eigvalsh(field.face_operators[idx])
+        ev = np.linalg.eigvalsh(ops[idx])
         assert np.max(np.abs(ev - 2.0)) < 0.2
 
 
@@ -48,13 +48,13 @@ class TestVertexCurvatures:
     def test_sphere_exact(self):
         # the estimator reproduces umbilic surfaces to rounding error
         mesh = surfaces.generate(surfaces.Sphere(2.0), subdiv=3)
-        field = curvature.compute_curvature(mesh)
+        field = curvature.compute_curvature(mesh, r=0)
         assert np.max(np.abs(field.vertex_kappas - 0.5)) < 1e-12
 
     def test_torus_pointwise(self):
         t = surfaces.Torus(2.0, 0.5)
         mesh = surfaces.generate(t, nu=64, nv=32)
-        field = curvature.compute_curvature(mesh)
+        field = curvature.compute_curvature(mesh, r=0)
         exact = oracles.fd_principal_curvatures(t, mesh.vertices)
         err = np.max(np.abs(np.sort(field.vertex_kappas, axis=1) - exact))
         assert err < 0.01
@@ -64,7 +64,7 @@ class TestVertexCurvatures:
 
         def worst(nu, nv):
             mesh = surfaces.generate(t, nu=nu, nv=nv)
-            field = curvature.compute_curvature(mesh)
+            field = curvature.compute_curvature(mesh, r=0)
             exact = oracles.fd_principal_curvatures(t, mesh.vertices)
             return np.max(np.abs(np.sort(field.vertex_kappas, axis=1) - exact))
 
@@ -74,7 +74,7 @@ class TestVertexCurvatures:
     def test_torus_sign_pattern(self):
         t = surfaces.Torus(2.0, 0.5)
         mesh = surfaces.generate(t, nu=64, nv=32)
-        field = curvature.compute_curvature(mesh)
+        field = curvature.compute_curvature(mesh, r=0)
         exact = oracles.fd_principal_curvatures(t, mesh.vertices)
         got = np.sort(field.vertex_kappas, axis=1)
         agree = np.sign(got[:, 0]) == np.sign(exact[:, 0])
@@ -85,7 +85,7 @@ class TestVertexCurvatures:
         # no convergence story to tell, just a rounding floor
         for sub in (2, 3, 4):
             mesh = surfaces.generate(surfaces.Sphere(1.0), subdiv=sub)
-            field = curvature.compute_curvature(mesh)
+            field = curvature.compute_curvature(mesh, r=0)
             assert np.max(np.abs(field.vertex_kappas - 1.0)) < 1e-12
 
     def test_ellipsoid_errors_shrink(self):
@@ -95,7 +95,7 @@ class TestVertexCurvatures:
 
         def errs(subdiv):
             mesh = surfaces.generate(e, subdiv=subdiv)
-            field = curvature.compute_curvature(mesh)
+            field = curvature.compute_curvature(mesh, r=0)
             exact = oracles.fd_principal_curvatures(e, mesh.vertices)
             diff = np.sort(field.vertex_kappas, axis=1) - exact
             w = mesh.vertex_areas / mesh.total_area
@@ -111,13 +111,15 @@ class TestVertexCurvatures:
 class TestBuildFields:
     def test_p0_is_tangential_projector(self, sphere3):
         field = curvature.compute_curvature(sphere3, r=0)
-        proj = np.einsum("fai,faj->fij", field.face_basis, field.face_basis)
+        _, basis = curvature.estimate_shape_operators(sphere3)
+        proj = np.einsum("fai,faj->fij", basis, basis)
         assert np.max(np.abs(field.p_r_face - proj)) < 1e-12
 
     def test_p1_trace_is_s1(self, sphere3):
         field = curvature.compute_curvature(sphere3, r=1)
+        ops, _ = curvature.estimate_shape_operators(sphere3)
         tr = np.trace(field.p_r_face, axis1=1, axis2=2)
-        s1 = np.trace(field.face_operators, axis1=1, axis2=2)
+        s1 = np.trace(ops, axis1=1, axis2=2)
         assert np.max(np.abs(tr - s1)) < 1e-12
 
     def test_p_r_kills_normal(self, sphere3):
@@ -133,13 +135,13 @@ class TestBuildFields:
         mesh = surfaces.generate(surfaces.Sphere(2.0), subdiv=3)
         for r, h, w2 in [(0, 0.5, 0.5), (1, 0.25, 0.25)]:
             field = curvature.compute_curvature(mesh, r=r)
-            assert field.h_next_positive
+            assert field.r == r
             assert np.allclose(field.h_next, h, atol=1e-12)
             assert np.allclose(field.w**2, w2, atol=1e-10)
 
     def test_torus_gate(self, torus1):
         field = curvature.compute_curvature(torus1, r=0)
-        assert field.h_next_positive        # H_1 > 0 for minor/major = 1/4
+        assert field.h_next.min() > 0.0     # H_1 > 0 for minor/major = 1/4
         with pytest.raises(CurvaturePositivityError) as err:
             curvature.compute_curvature(torus1, r=1)
         h2 = curvalg.mean_curvature(field.vertex_kappas, 2)
@@ -151,9 +153,9 @@ class TestBuildFields:
         # H_r stays positive, or L_r loses ellipticity
         ell = surfaces.generate(surfaces.Ellipsoid(2.0, 1.0, 1.0), subdiv=3)
         for mesh in (sphere3, ell):
+            _, b = curvature.estimate_shape_operators(mesh)
             for r in (0, 1):
                 field = curvature.compute_curvature(mesh, r=r)
-                b = field.face_basis
                 tang = np.einsum("fai,fij,fbj->fab", b, field.p_r_face, b)
                 ev = np.linalg.eigvalsh(tang)
                 assert np.min(ev) > 0.0
@@ -162,10 +164,11 @@ class TestBuildFields:
         with pytest.raises(ValueError):
             curvature.compute_curvature(sphere3, r=2)
 
-    def test_fields_required_before_build(self, sphere3):
-        bare = curvature.estimate_shape_operators(sphere3)
-        with pytest.raises(ValueError):
-            curvature.build_fields(bare, 0)
+    def test_field_has_no_defaults(self):
+        # a field is built whole by compute_curvature, never in stages
+        for f in dataclasses.fields(curvature.CurvatureField):
+            assert f.default is dataclasses.MISSING, f.name
+            assert f.default_factory is dataclasses.MISSING, f.name
 
 
 
@@ -175,10 +178,11 @@ def test_batched_kernels_match_einsum(kind, subdiv, r):
     # the batched products and bincount scatters against the einsum and
     # np.add.at forms, which sum in another order
     mesh, field, _ = get_pipeline(kind, subdiv, r)
+    ops, basis = curvature.estimate_shape_operators(mesh)
     for got, want in (
-        (curvature._to_world(field.face_operators, field.face_basis),
-         oracles.face_ops_world_einsum(field.face_operators, field.face_basis)),
-        (field.vertex_kappas, oracles.vertex_kappas_einsum(field, mesh)),
-        (field.p_r_face, oracles.newton_transform_einsum(field, r)),
+        (curvature._to_world(ops, basis),
+         oracles.face_ops_world_einsum(ops, basis)),
+        (field.vertex_kappas, oracles.vertex_kappas_einsum(ops, basis, mesh)),
+        (field.p_r_face, oracles.newton_transform_einsum(ops, basis, r)),
     ):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -5,10 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from curvspec import eigen, verify
+from curvspec import curvalg, eigen, verify
 from curvspec import identities as idn
-from curvspec.errors import BoundViolationError, CurvaturePositivityError
-from curvspec.curvature import compute_curvature
+from curvspec.errors import BoundViolationError
 
 from conftest import get_mesh, get_pipeline, kernel_shift
 
@@ -24,7 +23,7 @@ def lam1_of(pencil):
 class TestPositionIdentity:
     def test_sphere_within_tolerance(self):
         mesh, field, pencil = get_pipeline("sphere", 3, 1)
-        res = idn.lr_position_residual(mesh, field, pencil, 1)
+        res = idn.lr_position_residual(mesh, field, pencil)
         assert res.shape == (3,)
         assert np.max(res) < 0.05
 
@@ -32,19 +31,19 @@ class TestPositionIdentity:
         worst = []
         for sub in (3, 4):
             mesh, field, pencil = get_pipeline("sphere", sub, 1)
-            worst.append(np.max(idn.lr_position_residual(mesh, field, pencil, 1)))
+            worst.append(np.max(idn.lr_position_residual(mesh, field, pencil)))
         assert worst[1] < 0.7 * worst[0]
 
     def test_scale_invariance(self):
         small = get_pipeline("sphere_small", 3, 0)
         big = get_pipeline("sphere_big", 3, 0)
-        r_small = np.max(idn.lr_position_residual(*small[:2], small[2], 0))
-        r_big = np.max(idn.lr_position_residual(*big[:2], big[2], 0))
+        r_small = np.max(idn.lr_position_residual(*small))
+        r_big = np.max(idn.lr_position_residual(*big))
         assert r_small == pytest.approx(r_big, rel=1e-6)
 
     def test_ellipsoid_r0_ratio_under_refinement(self):
-        coarse = idn.lr_position_residual(*get_pipeline("ellipsoid", 3, 0), 0)
-        fine = idn.lr_position_residual(*get_pipeline("ellipsoid", 4, 0), 0)
+        coarse = idn.lr_position_residual(*get_pipeline("ellipsoid", 3, 0))
+        fine = idn.lr_position_residual(*get_pipeline("ellipsoid", 4, 0))
         assert np.max(np.asarray(fine) / np.asarray(coarse)) < 0.6
 
 
@@ -52,50 +51,45 @@ class TestMinkowski:
     def test_sphere_near_exact(self):
         for r in (0, 1):
             mesh, field, _ = get_pipeline("sphere", 3, r)
-            assert abs(idn.minkowski_residual(mesh, field, r)) < 1e-12
+            assert abs(idn.minkowski_residual(mesh, field)) < 1e-12
         # scaled sphere: both integrals equal 8 pi in the continuum and the
         # discrete quadratures cancel the same way
         mesh, field, _ = get_pipeline("sphere_big", 3, 1)
-        assert abs(idn.minkowski_residual(mesh, field, 1)) < 1e-12
+        assert abs(idn.minkowski_residual(mesh, field)) < 1e-12
 
     def test_ellipsoid_decreases(self):
         vals = []
         for sub in (3, 4):
             mesh, field, _ = get_pipeline("ellipsoid", sub, 1)
-            vals.append(abs(idn.minkowski_residual(mesh, field, 1)))
+            vals.append(abs(idn.minkowski_residual(mesh, field)))
         assert vals[0] < 0.05
         assert vals[1] < vals[0]
 
     def test_flipped_orientation_rejected(self):
-        # negating the curvatures drives the total H_1 negative; H_0 = 1 is
-        # sign-blind so the r = 0 form stays well posed either way
-        mesh, field, _ = get_pipeline("sphere", 2, 0)
+        # negating the curvatures drives the total H_1 negative and leaves
+        # H_2 = kappa_1 kappa_2, the field's h_next, as it was
+        mesh, field, _ = get_pipeline("sphere", 2, 1)
         flipped = dataclasses.replace(field, vertex_kappas=-field.vertex_kappas)
-        idn.minkowski_residual(mesh, flipped, 0)
+        assert np.array_equal(
+            curvalg.mean_curvature(flipped.vertex_kappas, 2), field.h_next)
         with pytest.raises(ValueError):
-            idn.minkowski_residual(mesh, flipped, 1)
+            idn.minkowski_residual(mesh, flipped)
 
 
 class TestTestFunctions:
     def test_shape_and_scaling(self):
         mesh, field, pencil = get_pipeline("sphere", 3, 0)
-        f = idn.test_functions(mesh, field, 0)
+        f = idn.test_functions(mesh, field)
         assert f.shape == (mesh.n_vertices, 3)
         # on the unit sphere W is constant, so f_i = W x_i exactly
         expect = field.w[:, None] * mesh.vertices
         assert np.allclose(f, expect, atol=1e-10)
 
-    def test_gate_propagates(self):
-        torus = get_mesh("torus", 1)
-        field = compute_curvature(torus, r=0)
-        with pytest.raises(CurvaturePositivityError):
-            idn.test_functions(torus, field, 1)
-
 
 class TestDQuantities:
     def test_sphere_d_vanishes(self):
         mesh, field, pencil = get_pipeline("sphere", 3, 0)
-        f = idn.test_functions(mesh, field, 0)
+        f = idn.test_functions(mesh, field)
         dq = dq_of(pencil, f)
         norms = np.einsum("vi,v,vi->i", f, pencil.mass, f)
         assert np.max(np.abs(dq.d) / norms) < 1e-4
@@ -104,7 +98,7 @@ class TestDQuantities:
     def test_ellipsoid_long_axis_positive(self):
         for r in (0, 1):
             mesh, field, pencil = get_pipeline("ellipsoid", 3, r)
-            f = idn.test_functions(mesh, field, r)
+            f = idn.test_functions(mesh, field)
             dq = dq_of(pencil, f)
             assert dq.d[0] > 1.0          # stretched axis needs lower energy
             assert dq.d_sum == pytest.approx(np.sum(dq.d))
@@ -112,7 +106,7 @@ class TestDQuantities:
     def test_projection_beats_raw(self):
         # the bumped sphere has no symmetry to cancel the raw pairing
         mesh, field, pencil = get_pipeline("bumped", 3, 1)
-        f = idn.test_functions(mesh, field, 1)
+        f = idn.test_functions(mesh, field)
         dq = dq_of(pencil, f)
         assert np.max(np.abs(dq.orthogonality_raw)) > 1e-8
         assert np.max(np.abs(dq.orthogonality)) < 1e-12
@@ -123,7 +117,7 @@ class TestDQuantities:
         sums = []
         for kind in ("bumped", "bumped_half"):
             mesh, field, pencil = get_pipeline(kind, 4, 1)
-            f = idn.test_functions(mesh, field, 1)
+            f = idn.test_functions(mesh, field)
             sums.append(dq_of(pencil, f).d_sum)
         assert sums[0] > 0.0 and sums[1] > 0.0
         assert 3.0 < sums[0] / sums[1] < 5.0
@@ -187,7 +181,7 @@ class TestResolvent:
 
     def test_chain_residual_tiny(self):
         mesh, field, pencil = get_pipeline("ellipsoid", 3, 1)
-        f = idn.test_functions(mesh, field, 1)
+        f = idn.test_functions(mesh, field)
         dq = dq_of(pencil, f)
         assert idn.resolvent_pairing_residual(pencil, dq) < 1e-8
         # the kept phi_i are R0 of W f_i, whose constant part R0 discards
