@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from . import (  # noqa: F401
     assemble,
     birman,
-    curvalg,
     curvature,
     eigen,
     errors,

@@ -40,6 +40,7 @@ import time
 import numpy as np
 
 from . import birman, surfaces, verify
+from .curvature import mean_curvature
 from .errors import CurvSpecError
 from .mesh import load_mesh, validate, write_off
 
@@ -134,7 +135,7 @@ def _curvature_summary(field, pencil):
         "r": pencil.r,
         "kappa_min": float(k.min()),
         "kappa_max": float(k.max()),
-        "h1_mean": float(np.mean(0.5 * (k[:, 0] + k[:, 1]))),
+        "h1_mean": float(np.mean(mean_curvature(k, 1))),
         "h_next_min": float(field.h_next.min()),
         "h_next_max": float(field.h_next.max()),
         "h_next_positive": bool(field.h_next.min() > 0.0),
@@ -170,12 +171,17 @@ def _jsonable(value):
 
 
 def _check_outputs(args):
-    """Refuse an -o or --csv path in a missing directory before any work;
-    _writing() still catches what only the write itself can reveal."""
+    """Refuse an -o or --csv path in a missing directory, or one that is a
+    directory, before any work; _writing() still catches what only the
+    write itself can reveal."""
     for path in (args.output, getattr(args, "csv", None)):
         out = _resolve_out(path)
-        if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+        if out is None:
+            continue
+        if not os.path.isdir(os.path.dirname(out) or "."):
             raise UsageError(f"cannot write output: no directory for {out!r}")
+        if os.path.isdir(out):
+            raise UsageError(f"cannot write output: {out!r} is a directory")
 
 
 @contextlib.contextmanager

@@ -12,6 +12,18 @@ onto the vertex tangent plane.
 Sign convention throughout: a sphere of radius R with outward normals gets
 the operator +(1/R) I.
 
+The surfaces are two-dimensional (n = 2), so the curvature algebra of a
+pair kappa_1 <= kappa_2 is written in closed form:
+
+* H_0 = 1, H_1 = (kappa_1 + kappa_2) / 2 and H_2 = kappa_1 kappa_2
+  (mean_curvature).
+* The Newton transform P_r has eigenvalue S_r of the other curvature
+  along each principal direction: 1 for r = 0, and S_1 - kappa_i, the
+  other kappa, for r = 1.
+* c_r = (n - r) C(n, r) is 2 for both r = 0 and r = 1 (C_R).
+* W_r = sqrt(c_r H_{r+1}^{(r+2)/(r+1)}): W_0 = sqrt(2 H_1^2) needs no sign
+  assumption, W_1 = sqrt(2 H_2^{3/2}) needs H_2 > 0.
+
 compute_curvature(mesh, r) is the one way to build a CurvatureField, and it
 builds every field at once: the vertex principal curvatures, the Newton
 transform P_r per face, and the vertex samples of H_{r+1} and W_r.  For
@@ -23,11 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import curvalg
-from .errors import DegenerateGeometryError
+from .errors import CurvaturePositivityError, DegenerateGeometryError
 from .mesh import vertex_measures
 
-__all__ = ["CurvatureField", "compute_curvature"]
+__all__ = ["C_R", "CurvatureField", "compute_curvature", "mean_curvature",
+           "shape_norm"]
+
+# c_r = (n - r) * C(n, r) at n = 2, the same for r = 0 and r = 1
+C_R = 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,6 +59,24 @@ class CurvatureField:
     p_r_face: np.ndarray
     h_next: np.ndarray
     w: np.ndarray
+
+
+def mean_curvature(kappas, r):
+    """H_r = S_r / C(2, r) of principal curvature pairs (..., 2), r in
+    {0, 1, 2}: 1, the mean curvature and the Gauss curvature."""
+    if r == 0:
+        return np.ones(np.shape(kappas)[:-1])
+    k1, k2 = kappas[..., 0], kappas[..., 1]
+    return (k1 + k2) / 2.0 if r == 1 else k2 * k1
+
+
+def shape_norm(kappas):
+    """Normalized curvature norm ((kappa_1^2 + kappa_2^2) / 2)^{1/2}.
+
+    The normalization is chosen so that a sphere of radius R has norm 1/R;
+    without it the corollary operator would not vanish on round spheres.
+    """
+    return np.sqrt(np.mean(kappas * kappas, axis=-1))
 
 
 def estimate_shape_operators(mesh):
@@ -160,7 +193,7 @@ def compute_curvature(mesh, r):
     """The whole order-r CurvatureField of a mesh, r in {0, 1}.
 
     The Newton transform is evaluated in the eigenbasis of each face
-    operator.  For r >= 1 a nonpositive vertex H_{r+1} violates the standing
+    operator.  For r = 1 a nonpositive vertex H_2 violates the standing
     curvature assumption and raises, naming the worst vertex.
     """
     if r not in (0, 1):
@@ -168,12 +201,11 @@ def compute_curvature(mesh, r):
     ops, basis = estimate_shape_operators(mesh)
     kappas = vertex_principal_curvatures(ops, basis, mesh)
     evals, evecs = np.linalg.eigh(ops)
-    newt = curvalg.newton_eigenvalues(evals, r)
+    newt = np.ones_like(evals) if r == 0 else evals.sum(axis=1, keepdims=True) - evals
     p2 = (evecs * newt[:, None, :]) @ evecs.transpose(0, 2, 1)
-    return CurvatureField(
-        vertex_kappas=kappas,
-        r=r,
-        p_r_face=_to_world(p2, basis),
-        h_next=curvalg.mean_curvature(kappas, r + 1),
-        w=curvalg.potential_W(kappas, r),  # raises if r>=1 and H_{r+1}<=0
-    )
+    h = mean_curvature(kappas, r + 1)
+    if r == 1 and h.min() <= 0.0:
+        raise CurvaturePositivityError(r, h_value=h.min(), vertex=int(np.argmin(h)))
+    w = np.sqrt(C_R * h * h) if r == 0 else np.sqrt(C_R * h**1.5)
+    return CurvatureField(vertex_kappas=kappas, r=r,
+                          p_r_face=_to_world(p2, basis), h_next=h, w=w)

@@ -18,7 +18,8 @@ it validates the constrained solve, not the geometry.
 The checks take what they share as arguments and compute none of it
 again.  Each reads the order r, H_{r+1} and W_r from the one curvature
 field, which curvature.compute_curvature builds whole and which already
-holds H_{r+1} > 0 for r >= 1, so no check gates it again.
+holds H_{r+1} > 0 for r >= 1, so no check gates it again.  c_r and H_r
+come from curvature's n = 2 closed forms, C_R and mean_curvature.
 verify.Analysis holds the d quantities (which keep the three phi_i)
 and lam1(K, M), computed once, and builds the IdentityReport.  The
 zero-mean resolvent R0 is K grounded at one vertex, Cholesky-factored
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import curvalg
+from .curvature import C_R, mean_curvature
 from .eigen import _kernel_eigenpairs, _shifted_solver
 from .errors import BoundViolationError
 
@@ -81,8 +82,7 @@ def lr_position_residual(mesh, field, pencil):
     sphere curvature the sign on the right-hand side is positive.  The
     residual is O(h) and is judged by its refinement trend.
     """
-    c = curvalg.c_coefficient(2, field.r)
-    load = (pencil.mass * c * field.h_next)[:, None] * mesh.vertex_normals
+    load = (pencil.mass * C_R * field.h_next)[:, None] * mesh.vertex_normals
     resid = pencil.k_stiff @ mesh.vertices - load
     inv_m = 1.0 / pencil.mass
     return np.sqrt(inv_m @ resid**2) / np.sqrt(inv_m @ load**2)
@@ -91,7 +91,7 @@ def lr_position_residual(mesh, field, pencil):
 def minkowski_residual(mesh, field):
     """Relative gap in int H_r = int H_{r+1} <x - xbar, N>, vertex quadrature."""
     r = field.r
-    h_r = curvalg.mean_curvature(field.vertex_kappas, r)
+    h_r = mean_curvature(field.vertex_kappas, r)
     a = mesh.vertex_areas
     total_hr = float(a @ h_r)
     if total_hr <= 0.0:
@@ -111,8 +111,7 @@ def test_functions(mesh, field):
     r = 0 the exponent vanishes and any sign is fine.
     """
     r, h = field.r, field.h_next
-    c = curvalg.c_coefficient(2, r)
-    amp = np.sqrt(c * h ** (r / (r + 1.0)))
+    amp = np.sqrt(C_R * h ** (r / (r + 1.0)))
     return amp[:, None] * mesh.vertex_normals
 
 
@@ -218,9 +217,8 @@ def dirichlet_minkowski_gap(mesh, field, pencil):
     the assembly, not the geometry.
     """
     r = field.r
-    c = curvalg.c_coefficient(2, r)
-    h_r = curvalg.mean_curvature(field.vertex_kappas, r)
-    reference = c * float(mesh.vertex_areas @ h_r)
+    h_r = mean_curvature(field.vertex_kappas, r)
+    reference = C_R * float(mesh.vertex_areas @ h_r)
     if reference <= 0.0:
         raise ValueError(f"c_r int H_{r} = {reference:.6g} <= 0, cannot normalize")
     energy = float(

@@ -43,7 +43,7 @@ __all__ = [
     "subdivide_project",
 ]
 
-_AREA_FLOOR_REL = 1e-14  # min face area relative to the mean, see validate()
+_AREA_FLOOR_REL = 1e-14  # faces at or below this share of the mean area are degenerate
 
 
 def _edge_table(faces, nv):
@@ -105,8 +105,10 @@ class TriMesh:
         normals[ok] = cr[ok] / nn[ok, None]
         self.face_normals = normals
         mean_area = self.face_areas.mean() if len(f) else 0.0
+        # negated so that a NaN area (coordinates whose products overflow)
+        # counts as degenerate too
         self.degenerate_faces = tuple(
-            int(i) for i in np.nonzero(self.face_areas <= _AREA_FLOOR_REL * mean_area)[0]
+            int(i) for i in np.nonzero(~(self.face_areas > _AREA_FLOOR_REL * mean_area))[0]
         )
 
     def _build_vertex_geometry(self):
@@ -233,10 +235,7 @@ def validate(mesh):
     emax = np.linalg.norm(v[f[:, [1, 2, 0]]] - v[f], axis=2).max(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         aspect = np.where(mesh.face_areas > 0, emax**2 / (2.0 * mesh.face_areas), np.inf)
-    mean_area = float(mesh.face_areas.mean())
-    min_area = float(mesh.face_areas.min())
-    degenerate_ok = min_area > _AREA_FLOOR_REL * mean_area
-    passed = mesh.is_closed and mesh.is_oriented and degenerate_ok
+    passed = mesh.is_closed and mesh.is_oriented and not mesh.degenerate_faces
     return ValidationReport(
         n_vertices=mesh.n_vertices,
         n_edges=mesh.n_edges,
@@ -245,9 +244,9 @@ def validate(mesh):
         closed=mesh.is_closed,
         oriented=mesh.is_oriented,
         total_area=mesh.total_area,
-        min_face_area=min_area,
+        min_face_area=float(mesh.face_areas.min()),
         max_face_area=float(mesh.face_areas.max()),
-        mean_face_area=mean_area,
+        mean_face_area=float(mesh.face_areas.mean()),
         max_aspect_ratio=float(aspect.max()),
         passed=passed,
     )
@@ -276,26 +275,20 @@ def _raise_if_invalid(mesh):
                                     f"surface is required")
 
 
-def load_mesh(path, format=None):
-    """Read an OFF or OBJ file into a validated TriMesh.
+def load_mesh(path):
+    """Read an OFF or OBJ file, told apart by extension, into a validated
+    TriMesh.
 
     Polygonal faces are fan-triangulated.  OFF indices are zero-based, OBJ
     one-based.  Raises MeshLoadError on parse problems (with the line
     number) and the specific connectivity error otherwise; a mesh with
     more than one connected component is refused last.
     """
-    if format is None:
-        ext = os.path.splitext(str(path))[1].lower()
-        format = {".off": "OFF", ".obj": "OBJ"}.get(ext)
-        if format is None:
-            raise MeshLoadError(f"cannot infer format from extension {ext!r}", path=path)
-    format = format.upper()
-    if format == "OFF":
-        v, f = _parse_off(path)
-    elif format == "OBJ":
-        v, f = _parse_obj(path)
-    else:
-        raise MeshLoadError(f"unsupported format {format!r}", path=path)
+    ext = os.path.splitext(str(path))[1].lower()
+    parse = {".off": _parse_off, ".obj": _parse_obj}.get(ext)
+    if parse is None:
+        raise MeshLoadError(f"cannot infer format from extension {ext!r}", path=path)
+    v, f = parse(path)
     try:
         mesh = TriMesh(v, f)
     except (ValueError, OverflowError) as exc:   # an index beyond int64

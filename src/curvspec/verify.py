@@ -17,7 +17,9 @@ most once, on first use.  The pencil and T_r spectra each take the first
 target of their own assemble.shift_ladder that factors; the d quantities
 and lam1(K, M) share one zero-mean factor.  The curvature field comes
 whole from curvature.compute_curvature, the one gate of H_{r+1} > 0 for
-r >= 1, so a refused mesh stops there, before any solve.
+r >= 1, so a refused mesh stops there, before any solve.  H_1, c_r and the
+shape norm of T_r's potential are curvature's n = 2 closed forms
+(mean_curvature, C_R, shape_norm).
 """
 
 import functools
@@ -26,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import curvalg
 from .assemble import (assemble_pencil, shift_ladder, spectral_scale,
                        with_potential_squared)
-from .curvature import compute_curvature
+from .curvature import C_R, compute_curvature, mean_curvature, shape_norm
 from .eigen import smallest_eigenpairs
 from .errors import BoundViolationError
 from .identities import (IdentityReport, d_quantities, dirichlet_minkowski_gap,
@@ -156,7 +157,7 @@ def sphere_distance(mesh, field):
     area = float(a.sum())
     k1 = field.vertex_kappas[:, 0]
     k2 = field.vertex_kappas[:, 1]
-    h1 = 0.5 * (k1 + k2)
+    h1 = mean_curvature(field.vertex_kappas, 1)
     h1_bar = float(a @ h1) / area
     spread = float(a @ (k1 - k2) ** 2) / area
     var = float(a @ (h1 - h1_bar) ** 2) / area
@@ -213,13 +214,13 @@ class Analysis:
     @functools.cached_property
     @_stage("corollary_s")
     def t_potential(self):
-        """c_r |A|^(r+2), the T_r potential; raises unless it dominates W^2.
+        """C_R |A|^(r+2), |A| the shape norm, the T_r potential; raises
+        unless it dominates W^2.
 
         A domination failure on a convex mesh means the norm convention is
         wrong, which must not produce a silently weaker operator.
         """
-        c = curvalg.c_coefficient(2, self.r)
-        pot2 = c * curvalg.shape_norm(self.field.vertex_kappas) ** (self.r + 2)
+        pot2 = C_R * shape_norm(self.field.vertex_kappas) ** (self.r + 2)
         slack = pot2 - self.pencil.w**2
         if slack.min() < DOMINATION_FLOOR:
             v = int(np.argmin(slack))

@@ -7,6 +7,7 @@ read-only; TriMesh arrays are frozen, reports are frozen dataclasses.
 """
 
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,6 +41,40 @@ def get_pipeline(kind, subdiv, r):
     field = curvature.compute_curvature(mesh, r=r)
     pencil = assemble.assemble_pencil(mesh, field)
     return mesh, field, pencil
+
+
+def rotation(theta):
+    """2x2 rotations by the angles theta (...,), shape (..., 2, 2)."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+
+
+def field_of_kappas(kappas, r, face_kappas=None, theta=0.0):
+    """compute_curvature's order-r field with the estimators replaced.
+
+    Vertex v reads the curvature pair kappas[v] (V, 2) and owns face v,
+    whose operator has the curvatures face_kappas[v] (default kappas[v])
+    along the x and y axes turned by theta.  The face basis is the x and
+    y axes, so p_r_face[:, :2, :2] is P_r in that frame.  H_{r+1}, W_r and
+    the r = 1 gate read the vertex pairs only, P_r the face operators only.
+    """
+    kappas = np.asarray(kappas, dtype=float)
+    face = kappas if face_kappas is None else np.asarray(face_kappas, dtype=float)
+    rot = rotation(np.full(len(face), theta))
+    ops = rot @ (face[:, :, None] * np.eye(2)) @ rot.transpose(0, 2, 1)
+    basis = np.broadcast_to(np.eye(2, 3), (len(ops), 2, 3))
+    with mock.patch.object(curvature, "estimate_shape_operators",
+                           lambda mesh: (ops, basis)), \
+            mock.patch.object(curvature, "vertex_principal_curvatures",
+                              lambda o, b, mesh: kappas):
+        return curvature.compute_curvature(None, r)
+
+
+def newton_eigenvalues(face_kappas, r):
+    """P_r's eigenvalue along each principal direction of each face, in
+    the order of face_kappas (F, 2), from compute_curvature."""
+    field = field_of_kappas(np.ones_like(face_kappas), r, face_kappas)
+    return np.diagonal(field.p_r_face[:, :2, :2], axis1=1, axis2=2)
 
 
 def floor_shift(pencil):

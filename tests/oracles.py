@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from curvspec import curvalg, eigen
+from curvspec import curvature, eigen
 from curvspec.assemble import spectral_scale
 from curvspec.mesh import TriMesh
 
@@ -210,7 +210,7 @@ def newton_transform_einsum(ops, basis, r):
     """World-frame P_r per face by einsum over the face operator's
     eigenbasis: the reference of CurvatureField.p_r_face."""
     evals, evecs = np.linalg.eigh(ops)
-    newt = curvalg.newton_eigenvalues(evals, r)
+    newt = np.array([newton_eigenvalues_deleteone(e, r) for e in evals])
     p2 = np.einsum("fia,fa,fja->fij", evecs, newt, evecs)
     return face_ops_world_einsum(p2, basis)
 
@@ -332,14 +332,16 @@ def fd_principal_curvatures(surface, points, h=1e-4):
     return k[0] if single else k
 
 
-def maclaurin_gap(kappas, r):
-    """H_r^(1/r) - H_(r+1)^(1/(r+1)), from the package's mean_curvature.
+def maclaurin_gap(kappas):
+    """H_1 - H_2^(1/2) of curvature pairs (..., 2), from the package's
+    mean_curvature.
 
-    Nonnegative for positive curvatures by Maclaurin's inequality, and zero
-    exactly when they all coincide.
+    Nonnegative for positive curvatures by Maclaurin's inequality at n = 2
+    (the arithmetic-geometric mean inequality), and zero exactly when the
+    two coincide.
     """
-    return (curvalg.mean_curvature(kappas, r) ** (1.0 / r)
-            - curvalg.mean_curvature(kappas, r + 1) ** (1.0 / (r + 1)))
+    k = np.asarray(kappas, dtype=float)
+    return curvature.mean_curvature(k, 1) - np.sqrt(curvature.mean_curvature(k, 2))
 
 
 def box_mesh(n=4, half_width=1.0):

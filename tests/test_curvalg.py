@@ -1,4 +1,5 @@
-"""Curvature algebra: frozen examples, oracles, and property tests."""
+"""The n = 2 curvature algebra of curvature.py: frozen examples, the
+brute-force oracles, and property tests on (V, 2) batches."""
 
 import math
 
@@ -7,248 +8,218 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvspec import curvalg
+from curvspec.curvature import C_R, mean_curvature, shape_norm
 from curvspec.errors import CurvaturePositivityError
 
 import oracles
+from conftest import field_of_kappas, newton_eigenvalues, rotation
 
-finite_kappas = st.lists(
-    st.floats(min_value=-50, max_value=50, allow_nan=False,
-              allow_infinity=False),
-    min_size=1, max_size=8,
-)
+kappa = st.floats(min_value=-50, max_value=50, allow_nan=False,
+                  allow_infinity=False)
+positive = st.floats(min_value=0.01, max_value=50)
 
-positive_kappas = st.lists(
-    st.floats(min_value=0.01, max_value=50), min_size=2, max_size=8,
-)
+
+def batches(values):
+    return st.lists(st.tuples(values, values), min_size=1, max_size=16).map(
+        lambda rows: np.array(rows, dtype=float))
+
+
+pairs = batches(kappa)
+positive_pairs = batches(positive)
+orders = st.integers(min_value=0, max_value=1)
 
 
 def s_r(kappas, r):
-    return curvalg.elementary_symmetric_all(kappas, r)[..., r]
+    """S_r of each row by subset enumeration."""
+    return np.array([oracles.elementary_symmetric_bruteforce(row, r)
+                     for row in kappas])
+
+
+def scale(kappas, r):
+    return max(1.0, float(np.abs(kappas).sum(axis=1).max()) ** max(r, 1))
 
 
 class TestElementarySymmetric:
     def test_known_values(self):
-        assert s_r([2.0, 3.0], 2) == pytest.approx(6.0)
-        assert s_r([1.0, 2.0, 3.0], 0) == 1.0
-        assert s_r([1.0, 2.0, 3.0], 2) == pytest.approx(11.0)
+        k = np.array([[2.0, 3.0]])
+        assert mean_curvature(k, 0) == pytest.approx([1.0])
+        assert mean_curvature(k, 1) == pytest.approx([2.5])
+        assert mean_curvature(k, 2) == pytest.approx([6.0])
 
     def test_mean_curvature_normalization(self):
-        assert curvalg.mean_curvature([1.0, 2.0, 3.0], 2) == pytest.approx(11.0 / 3.0)
-        assert curvalg.mean_curvature([5.0, 5.0], 1) == pytest.approx(5.0)
+        # a sphere of radius 1/5 has H_r = 5^r
+        k = np.array([[5.0, 5.0]])
+        for r in range(3):
+            assert mean_curvature(k, r) == pytest.approx([5.0**r])
 
-    @given(finite_kappas, st.integers(min_value=0, max_value=8))
+    @given(pairs, st.integers(min_value=0, max_value=2))
     @settings(max_examples=200, deadline=None)
     def test_matches_subset_enumeration(self, kappas, r):
-        if r > len(kappas):
-            with pytest.raises(ValueError):
-                s_r(kappas, r)
-            return
-        got = s_r(kappas, r)
-        want = oracles.elementary_symmetric_bruteforce(kappas, r)
-        scale = max(1.0, sum(abs(k) for k in kappas) ** max(r, 1))
-        assert got == pytest.approx(want, abs=1e-10 * scale)
+        got = math.comb(2, r) * mean_curvature(kappas, r)
+        assert got.shape == (len(kappas),)
+        assert np.allclose(got, s_r(kappas, r), rtol=0, atol=1e-10 * scale(kappas, r))
 
     def test_batched_agrees_with_scalar(self):
         rng = np.random.default_rng(0)
-        batch = rng.normal(size=(40, 3))
-        all_e = curvalg.elementary_symmetric_all(batch, 3)
-        for i in range(40):
-            for r in range(4):
-                assert all_e[i, r] == pytest.approx(
-                    oracles.elementary_symmetric_bruteforce(batch[i], r),
-                    rel=1e-12, abs=1e-12,
-                )
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            s_r([np.nan, 1.0], 1)
-        with pytest.raises(ValueError):
-            s_r(3.0, 0)
+        batch = rng.normal(size=(40, 2))
+        for r in range(3):
+            h = mean_curvature(batch, r)
+            for i in range(40):
+                assert h[i] == mean_curvature(batch[i], r)
+                assert h[i] == pytest.approx(
+                    oracles.elementary_symmetric_bruteforce(batch[i], r)
+                    / math.comb(2, r), rel=1e-12, abs=1e-12)
 
 
 class TestNewton:
     def test_example(self):
-        assert curvalg.newton_eigenvalues([1.0, 2.0], 1) == pytest.approx([2.0, 1.0])
+        eig = newton_eigenvalues(np.array([[1.0, 2.0]]), 1)
+        assert eig == pytest.approx(np.array([[2.0, 1.0]]))
 
     def test_p_n_is_zero(self):
-        assert curvalg.newton_eigenvalues([3.0, 4.0], 2) == pytest.approx([0.0, 0.0])
+        # the recursion closes past P_1: P_2 = S_2 I - A P_1 is the zero map
+        k = np.random.default_rng(1).uniform(-10, 10, size=(200, 2))
+        p1 = newton_eigenvalues(k, 1)
+        assert np.allclose(s_r(k, 2)[:, None] - k * p1, 0.0, atol=1e-12 * 200)
 
-    @given(finite_kappas, st.integers(min_value=0, max_value=7))
+    @given(pairs, orders, st.floats(min_value=0.0, max_value=np.pi))
     @settings(max_examples=200, deadline=None)
-    def test_delete_one_oracle(self, kappas, r):
-        if r >= len(kappas):
-            return
-        got = curvalg.newton_eigenvalues(kappas, r)
-        want = oracles.newton_eigenvalues_deleteone(kappas, r)
-        scale = max(1.0, sum(abs(k) for k in kappas) ** max(r, 1))
-        assert np.allclose(got, want, atol=1e-10 * scale)
+    def test_delete_one_oracle(self, kappas, r, theta):
+        # P_r of a face operator R diag(kappas) R^T is R diag(eig) R^T,
+        # eig_i the S_r of the tuple with kappa_i deleted
+        field = field_of_kappas(np.ones_like(kappas), r, kappas, theta)
+        rot = rotation(np.full(len(kappas), theta))
+        eig = np.array([oracles.newton_eigenvalues_deleteone(row, r)
+                        for row in kappas])
+        want = rot @ (eig[:, :, None] * np.eye(2)) @ rot.transpose(0, 2, 1)
+        assert np.allclose(field.p_r_face[:, :2, :2], want, rtol=0,
+                           atol=1e-10 * scale(kappas, r))
 
-    @given(finite_kappas, st.integers(min_value=0, max_value=7))
+    @given(pairs, orders)
     @settings(max_examples=200, deadline=None)
     def test_trace_identity(self, kappas, r):
         # sum_i eig_i(P_r) = (n - r) S_r
-        n = len(kappas)
-        if r > n:
-            return
-        eig = curvalg.newton_eigenvalues(kappas, r)
-        scale = max(1.0, sum(abs(k) for k in kappas) ** max(r, 1)) * n
-        assert float(np.sum(eig)) == pytest.approx(
-            (n - r) * s_r(kappas, r), abs=1e-10 * scale
-        )
+        eig = newton_eigenvalues(kappas, r)
+        assert np.allclose(eig.sum(axis=1), (2 - r) * s_r(kappas, r), rtol=0,
+                           atol=1e-10 * scale(kappas, r) * 2)
 
-    @given(finite_kappas, st.integers(min_value=0, max_value=6))
+    @given(pairs, orders)
     @settings(max_examples=200, deadline=None)
     def test_weighted_trace_gives_next_symmetric(self, kappas, r):
         # sum_i kappa_i eig_i(P_r) = (r+1) S_{r+1}
-        n = len(kappas)
-        if r > n - 1:
-            return
-        k = np.asarray(kappas)
-        eig = curvalg.newton_eigenvalues(kappas, r)
-        s_next = s_r(kappas, r + 1)
-        scale = max(1.0, sum(abs(v) for v in kappas) ** (r + 1)) * n
-        assert float(k @ eig) == pytest.approx((r + 1) * s_next, abs=1e-10 * scale)
+        eig = newton_eigenvalues(kappas, r)
+        assert np.allclose((kappas * eig).sum(axis=1),
+                           (r + 1) * s_r(kappas, r + 1), rtol=0,
+                           atol=1e-10 * scale(kappas, r + 1) * 2)
 
-    @given(finite_kappas, st.integers(min_value=1, max_value=7))
+    @given(pairs)
     @settings(max_examples=200, deadline=None)
-    def test_recursion_consistency(self, kappas, r):
-        # eig(P_r) = S_r - kappa * eig(P_{r-1}), elementwise
-        if r > len(kappas):
-            return
-        k = np.asarray(kappas)
-        prev = curvalg.newton_eigenvalues(kappas, r - 1)
-        got = curvalg.newton_eigenvalues(kappas, r)
-        scale = max(1.0, sum(abs(v) for v in kappas) ** (r + 1))
-        if r == len(kappas):
-            want = np.zeros_like(k)
-        else:
-            want = s_r(kappas, r) - k * prev
-        assert np.allclose(got, want, atol=1e-10 * scale)
+    def test_recursion_consistency(self, kappas):
+        # eig(P_1) = S_1 - kappa * eig(P_0), elementwise
+        prev = newton_eigenvalues(kappas, 0)
+        got = newton_eigenvalues(kappas, 1)
+        assert np.array_equal(prev, np.ones_like(kappas))
+        assert np.allclose(got, s_r(kappas, 1)[:, None] - kappas * prev,
+                           rtol=0, atol=1e-10 * scale(kappas, 1))
 
 
 class TestCoefficient:
     def test_values(self):
-        assert curvalg.c_coefficient(2, 0) == 2.0
-        assert curvalg.c_coefficient(2, 1) == 2.0
-        assert curvalg.c_coefficient(3, 1) == 6.0
+        # c_r = (n - r) C(n, r) at n = 2
+        assert C_R == 2.0
+        for r in (0, 1):
+            assert C_R == (2 - r) * math.comb(2, r)
 
     def test_identity_both_forms(self):
-        for n in range(1, 9):
-            for r in range(n):
-                assert curvalg.c_coefficient(n, r) == n * math.comb(n - 1, r)
-
-    def test_range_errors(self):
-        with pytest.raises(ValueError):
-            curvalg.c_coefficient(2, 2)
-        with pytest.raises(ValueError):
-            curvalg.c_coefficient(2, -1)
-        with pytest.raises(ValueError):
-            curvalg.c_coefficient(0, 0)
+        for r in (0, 1):
+            assert C_R == 2 * math.comb(1, r)
 
 
 class TestPotential:
     def test_unit_sphere_values(self):
         # kappas (1, 1): W_0 = W_1 = sqrt(2)
-        assert curvalg.potential_W([1.0, 1.0], 0) == pytest.approx(math.sqrt(2))
-        assert curvalg.potential_W([1.0, 1.0], 1) == pytest.approx(math.sqrt(2))
+        for r in (0, 1):
+            w = field_of_kappas([[1.0, 1.0]], r).w
+            assert w == pytest.approx([math.sqrt(2)])
 
     def test_r0_accepts_any_sign(self):
-        # W_0 = sqrt(n) |H_1| has no positivity gate
-        assert curvalg.potential_W([-1.0, -1.0], 0) == pytest.approx(math.sqrt(2))
-        assert curvalg.potential_W([1.0, -1.0], 0) == 0.0
+        # W_0 = sqrt(2) |H_1| has no positivity gate
+        w = field_of_kappas([[-1.0, -1.0], [1.0, -1.0]], 0).w
+        assert w[0] == pytest.approx(math.sqrt(2))
+        assert w[1] == 0.0
 
     def test_gate_raises_with_location(self):
         batch = np.array([[1.0, 2.0], [1.0, -3.0], [2.0, 2.0]])
         with pytest.raises(CurvaturePositivityError) as err:
-            curvalg.potential_W(batch, 1)
+            field_of_kappas(batch, 1)
+        assert err.value.r == 1
         assert err.value.vertex == 1
         assert err.value.h_value == pytest.approx(-3.0)
         assert "H_2 > 0" in str(err.value)
 
-    @given(positive_kappas, st.integers(min_value=0, max_value=6))
+    @given(pairs, orders)
     @settings(max_examples=150, deadline=None)
     def test_squares_to_formula(self, kappas, r):
-        n = len(kappas)
-        if r > n - 1:
-            return
-        w = curvalg.potential_W(kappas, r)
-        h = curvalg.mean_curvature(kappas, r + 1)
-        c = curvalg.c_coefficient(n, r)
-        want = c * h ** ((r + 2) / (r + 1))
-        assert w * w == pytest.approx(want, rel=1e-10, abs=1e-12)
+        if r == 1:
+            # give each pair one sign and no zero, so H_2 > 0 (both
+            # curvatures negative is allowed)
+            kappas = np.where(kappas[:, :1] < 0, -1.0, 1.0) * (np.abs(kappas) + 0.01)
+        field = field_of_kappas(kappas, r)
+        h = s_r(kappas, r + 1) / math.comb(2, r + 1)
+        assert np.allclose(field.h_next, h, rtol=1e-12, atol=1e-12)
+        want = C_R * np.abs(h) ** ((r + 2) / (r + 1))
+        assert np.allclose(field.w**2, want, rtol=1e-10, atol=1e-12)
 
 
 class TestMaclaurin:
-    """Maclaurin's inequality H_r^(1/r) >= H_(r+1)^(1/(r+1)) on the
-    package's mean_curvature."""
+    """Maclaurin's inequality at n = 2, H_1 >= H_2^(1/2), on the package's
+    mean_curvature."""
 
     def test_examples(self):
-        assert oracles.maclaurin_gap([1.0, 4.0], 1) == pytest.approx(0.5)
-        # H_2^{1/2} - H_3^{1/3} at (1, 2, 3): sqrt(11/3) - 6^{1/3}
-        assert oracles.maclaurin_gap([1.0, 2.0, 3.0], 2) == pytest.approx(
-            0.09773362268053654, abs=1e-14
-        )
+        # (1 + 4) / 2 - sqrt(4)
+        assert oracles.maclaurin_gap([1.0, 4.0]) == pytest.approx(0.5)
 
-    @given(positive_kappas, st.integers(min_value=1, max_value=7))
+    @given(positive_pairs)
     @settings(max_examples=200, deadline=None)
-    def test_nonnegative(self, kappas, r):
-        if r > len(kappas) - 1:
-            return
-        assert oracles.maclaurin_gap(kappas, r) >= -1e-12
+    def test_nonnegative(self, kappas):
+        assert np.all(oracles.maclaurin_gap(kappas) >= -1e-12 * kappas.max())
 
-    @given(st.floats(min_value=0.01, max_value=50),
-           st.integers(min_value=2, max_value=8),
-           st.integers(min_value=1, max_value=7))
+    @given(positive)
     @settings(max_examples=100, deadline=None)
-    def test_equality_on_equal_tuples(self, kappa, n, r):
-        if r > n - 1:
-            return
-        gap = oracles.maclaurin_gap([kappa] * n, r)
+    def test_equality_on_equal_tuples(self, kappa):
+        gap = oracles.maclaurin_gap([kappa, kappa])
         assert abs(gap) <= 1e-10 * max(1.0, kappa)
 
     def test_strict_positivity_when_unequal(self):
-        rng = np.random.default_rng(42)
-        for _ in range(200):
-            k = rng.uniform(0.1, 10.0, size=rng.integers(2, 7))
-            if np.ptp(k) < 1e-3:
-                continue
-            assert oracles.maclaurin_gap(k, 1) > 0.0
+        k = np.random.default_rng(42).uniform(0.1, 10.0, size=(200, 2))
+        unequal = np.ptp(k, axis=1) >= 1e-3
+        assert np.all(oracles.maclaurin_gap(k[unequal]) > 0.0)
 
     def test_gap_is_quadratic_in_perturbation(self):
-        # around a constant tuple the gap vanishes to first order, so
-        # halving the perturbation should quarter it
-        rng = np.random.default_rng(7)
-        for n in (2, 4, 6):
-            for r in range(1, n):
-                d = rng.normal(size=n)
-                d -= d.mean()
-                g1 = oracles.maclaurin_gap(1.0 + 1e-2 * d, r)
-                g2 = oracles.maclaurin_gap(1.0 + 5e-3 * d, r)
-                assert g1 > 0.0
-                assert 3.8 < g1 / g2 < 4.2
-
-    def test_domain_errors(self):
-        # H_(r+1) needs r + 1 <= n, and every curvature finite
-        with pytest.raises(ValueError):
-            curvalg.mean_curvature([1.0, 2.0], 3)
-        with pytest.raises(ValueError):
-            curvalg.mean_curvature([1.0, np.inf], 1)
+        # around an equal pair the gap vanishes to first order, so halving
+        # the perturbation should quarter it
+        d = np.random.default_rng(7).normal(size=20)[:, None] * [1.0, -1.0]
+        g1 = oracles.maclaurin_gap(1.0 + 1e-2 * d)
+        g2 = oracles.maclaurin_gap(1.0 + 5e-3 * d)
+        assert np.all(g1 > 0.0)
+        assert np.all((3.8 < g1 / g2) & (g1 / g2 < 4.2))
 
 
 class TestShapeNorm:
     def test_example(self):
-        assert curvalg.shape_norm([3.0, 4.0]) == pytest.approx(math.sqrt(12.5))
+        assert shape_norm(np.array([[3.0, 4.0]])) == pytest.approx([math.sqrt(12.5)])
 
     def test_sphere_normalization(self):
-        # radius R sphere has norm 1/R regardless of n
-        for n in (2, 3, 5):
-            assert curvalg.shape_norm([0.25] * n) == pytest.approx(0.25)
+        # a sphere of radius R has norm 1/R
+        for radius in (0.5, 1.0, 4.0):
+            k = np.full((3, 2), 1.0 / radius)
+            assert shape_norm(k) == pytest.approx(1.0 / radius)
 
-    @given(finite_kappas)
+    @given(pairs)
     @settings(max_examples=100, deadline=None)
     def test_dominates_mean(self, kappas):
-        # quadratic mean bounds the arithmetic mean of |kappa|
-        norm = curvalg.shape_norm(kappas)
-        mean_abs = np.mean(np.abs(kappas))
-        assert norm >= mean_abs - 1e-12 * max(1.0, mean_abs)
+        # the quadratic mean bounds the mean of |kappa|, hence |H_1|
+        norm = shape_norm(kappas)
+        mean_abs = np.abs(kappas).mean(axis=1)
+        assert np.all(norm >= mean_abs - 1e-12 * np.maximum(1.0, mean_abs))
+        assert np.all(mean_abs >= np.abs(mean_curvature(kappas, 1)))

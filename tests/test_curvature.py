@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from curvspec import curvalg, curvature, surfaces
+from curvspec import curvature, surfaces
 from curvspec.errors import CurvaturePositivityError
 
 import oracles
@@ -144,7 +144,7 @@ class TestBuildFields:
         assert field.h_next.min() > 0.0     # H_1 > 0 for minor/major = 1/4
         with pytest.raises(CurvaturePositivityError) as err:
             curvature.compute_curvature(torus1, r=1)
-        h2 = curvalg.mean_curvature(field.vertex_kappas, 2)
+        h2 = curvature.mean_curvature(field.vertex_kappas, 2)
         assert err.value.vertex == int(np.argmin(h2))
         assert err.value.h_value == pytest.approx(h2.min())
 

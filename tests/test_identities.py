@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from curvspec import curvalg, eigen, verify
+from curvspec import curvature, eigen, verify
 from curvspec import identities as idn
 from curvspec.errors import BoundViolationError
 
@@ -71,7 +71,7 @@ class TestMinkowski:
         mesh, field, _ = get_pipeline("sphere", 2, 1)
         flipped = dataclasses.replace(field, vertex_kappas=-field.vertex_kappas)
         assert np.array_equal(
-            curvalg.mean_curvature(flipped.vertex_kappas, 2), field.h_next)
+            curvature.mean_curvature(flipped.vertex_kappas, 2), field.h_next)
         with pytest.raises(ValueError):
             idn.minkowski_residual(mesh, flipped)
 

@@ -115,6 +115,18 @@ class TestTriMesh:
         with pytest.raises(DegenerateGeometryError):
             vertex_measures(mesh)
 
+    def test_overflowing_area_is_degenerate(self):
+        # coordinates whose cross products overflow leave NaN face areas;
+        # they count as degenerate, so validate() does not pass the mesh
+        sphere = surfaces.generate(surfaces.Sphere(1.0), subdiv=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mesh = TriMesh(sphere.vertices * 1e155, sphere.faces)
+        assert np.isnan(mesh.face_areas).any()
+        assert np.isnan(mesh.face_areas).nonzero()[0][0] in mesh.degenerate_faces
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not validate(mesh).passed
+            assert validate(sphere).passed
+
 
 class TestHatGradients:
     def test_partition_of_unity(self, sphere3):
