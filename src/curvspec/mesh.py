@@ -104,11 +104,12 @@ class TriMesh:
         normals = np.zeros_like(cr)
         normals[ok] = cr[ok] / nn[ok, None]
         self.face_normals = normals
-        mean_area = self.face_areas.mean() if len(f) else 0.0
-        # negated so that a NaN area (coordinates whose products overflow)
-        # counts as degenerate too
+        # a NaN or inf area (coordinates whose products overflow) is
+        # degenerate too; the floor is a share of the finite areas' mean
+        finite = np.isfinite(self.face_areas)
+        mean_area = self.face_areas[finite].mean() if finite.any() else 0.0
         self.degenerate_faces = tuple(
-            int(i) for i in np.nonzero(~(self.face_areas > _AREA_FLOOR_REL * mean_area))[0]
+            int(i) for i in np.nonzero(~finite | (self.face_areas <= _AREA_FLOOR_REL * mean_area))[0]
         )
 
     def _build_vertex_geometry(self):
@@ -252,6 +253,12 @@ def validate(mesh):
     )
 
 
+def _degenerate_face_error(mesh):
+    face = mesh.degenerate_faces[0]
+    kind = "(near-)zero" if np.isfinite(mesh.face_areas[face]) else "non-finite"
+    return DegenerateGeometryError(f"face {face} has {kind} area", face=face)
+
+
 def _raise_if_invalid(mesh):
     if mesh.nonmanifold_edges:
         edge, count = mesh.nonmanifold_edges[0]
@@ -262,10 +269,7 @@ def _raise_if_invalid(mesh):
         edge, fs = mesh.misoriented_edges[0]
         raise OrientationError(edge, fs)
     if mesh.degenerate_faces:
-        raise DegenerateGeometryError(
-            f"face {mesh.degenerate_faces[0]} has (near-)zero area",
-            face=mesh.degenerate_faces[0],
-        )
+        raise _degenerate_face_error(mesh)
     nv, e = mesh.n_vertices, mesh.edges
     graph = sp.coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(nv, nv))
     components = connected_components(graph, directed=False)[0]
@@ -423,10 +427,7 @@ def vertex_measures(mesh):
     cancelled to zero).
     """
     if mesh.degenerate_faces:
-        raise DegenerateGeometryError(
-            f"face {mesh.degenerate_faces[0]} has (near-)zero area",
-            face=mesh.degenerate_faces[0],
-        )
+        raise _degenerate_face_error(mesh)
     if mesh._unnormalizable_vertices:
         raise DegenerateGeometryError(
             f"vertex {mesh._unnormalizable_vertices[0]} has a zero weighted normal",

@@ -116,13 +116,20 @@ class TestTriMesh:
             vertex_measures(mesh)
 
     def test_overflowing_area_is_degenerate(self):
-        # coordinates whose cross products overflow leave NaN face areas;
-        # they count as degenerate, so validate() does not pass the mesh
+        # a vertex whose coordinates make cross products overflow leaves
+        # NaN or inf areas on some of its faces; those faces, and only
+        # those, are degenerate, so validate() does not pass the mesh
         sphere = surfaces.generate(surfaces.Sphere(1.0), subdiv=1)
+        v = sphere.vertices.copy()
+        v[-1] *= 1e155
         with np.errstate(over="ignore", invalid="ignore"):
-            mesh = TriMesh(sphere.vertices * 1e155, sphere.faces)
-        assert np.isnan(mesh.face_areas).any()
-        assert np.isnan(mesh.face_areas).nonzero()[0][0] in mesh.degenerate_faces
+            mesh = TriMesh(v, sphere.faces)
+        bad = np.nonzero(~np.isfinite(mesh.face_areas))[0]
+        assert 0 < len(bad) < mesh.n_faces
+        assert mesh.degenerate_faces == tuple(bad)
+        with pytest.raises(DegenerateGeometryError, match="non-finite") as err:
+            vertex_measures(mesh)
+        assert err.value.face == bad[0]
         with np.errstate(over="ignore", invalid="ignore"):
             assert not validate(mesh).passed
             assert validate(sphere).passed
