@@ -272,17 +272,7 @@ def _run(args, command, body):
     return code
 
 
-def _check_mu_trials(args):
-    # --mu and --trials feed only the resolvent bound of verify/identities
-    if not args.mu > 0.0:
-        raise UsageError(f"--mu must be positive, got {args.mu}")
-    if args.trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {args.trials}")
-
-
 def cmd_verify(args):
-    _check_mu_trials(args)
-
     def body(analysis, report, timings):
         theorem = analysis.theorem()
         lemma = analysis.lemma()
@@ -338,13 +328,35 @@ def cmd_bs_scan(args):
 
 
 def cmd_identities(args):
-    _check_mu_trials(args)
-
     def body(analysis, report, timings):
         report["identities"] = analysis.identities(mu=args.mu,
                                                    trials=args.trials)
         return 0
     return _run(args, "identities", body)
+
+
+def _ranged(kind, ok, what):
+    """An argparse type: ``kind`` of the text, refused unless ``ok`` holds.
+    A config file's values are text too, so they pass the same test."""
+    def convert(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    # argparse names the type in its "invalid int value" message
+    convert.__name__ = kind.__name__
+    return convert
+
+
+# NaN fails every comparison, and the float ranges need a finite value
+_NONNEGATIVE = _ranged(float, lambda x: np.isfinite(x) and x >= 0.0,
+                       "finite and >= 0")
+_POSITIVE = _ranged(float, lambda x: np.isfinite(x) and x > 0.0,
+                    "finite and positive")
+
+
+def _at_least(low):
+    return _ranged(int, lambda n: n >= low, f">= {low}")
 
 
 def _add_shape_flags(p, generate=False):
@@ -374,14 +386,14 @@ def _add_analysis_flags(p):
     _add_shape_flags(p, generate=False)
     p.add_argument("--r", type=int, default=0, help="operator order")
     p.add_argument("--k", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eig-tol", type=float, default=1e-10)
-    p.add_argument("--tol-sphere", type=float, default=None)
-    p.add_argument("--tol-sphere-factor", type=float, default=0.05)
-    p.add_argument("--tol-identity", type=float, default=0.05)
-    p.add_argument("--mu", type=float, default=1.0,
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--eig-tol", type=_NONNEGATIVE, default=1e-10)
+    p.add_argument("--tol-sphere", type=_NONNEGATIVE, default=None)
+    p.add_argument("--tol-sphere-factor", type=_NONNEGATIVE, default=0.05)
+    p.add_argument("--tol-identity", type=_NONNEGATIVE, default=0.05)
+    p.add_argument("--mu", type=_POSITIVE, default=1.0,
                    help="mu for the resolvent bound trials")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_at_least(1), default=20)
 
 
 def _add_common_flags(p):
@@ -437,9 +449,9 @@ def build_parser():
             p.add_argument("--csv", help="also write the spectrum CSV")
         if "scan" in extra:
             p.add_argument("--csv", help="also write the scan CSV")
-            p.add_argument("--mu-min", type=float, default=None)
-            p.add_argument("--mu-max", type=float, default=None)
-            p.add_argument("--steps", type=int, default=32)
+            p.add_argument("--mu-min", type=_POSITIVE, default=None)
+            p.add_argument("--mu-max", type=_POSITIVE, default=None)
+            p.add_argument("--steps", type=_at_least(2), default=32)
             p.add_argument("--scan-k", type=int, default=3)
         p.set_defaults(func=fn)
         table[name] = p

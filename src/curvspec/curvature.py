@@ -27,8 +27,9 @@ pair kappa_1 <= kappa_2 is written in closed form:
 compute_curvature(mesh, r) is the one way to build a CurvatureField, and it
 builds every field at once: the vertex principal curvatures, the Newton
 transform P_r per face, and the vertex samples of H_{r+1} and W_r.  For
-r >= 1 it is also the one gate of the standing assumption H_{r+1} > 0, so
-every consumer reads a field that already holds it.
+r >= 1 it is also the one gate of the standing assumption H_{r+1} > 0 and
+of the outward orientation H_1 > 0, so every consumer reads a field that
+already holds both.
 """
 
 from dataclasses import dataclass
@@ -194,7 +195,8 @@ def compute_curvature(mesh, r):
 
     The Newton transform is evaluated in the eigenbasis of each face
     operator.  For r = 1 a nonpositive vertex H_2 violates the standing
-    curvature assumption and raises, naming the worst vertex.
+    curvature assumption and raises, naming the worst vertex; then so does
+    a nonpositive H_1, which with H_2 > 0 means the faces run inside out.
     """
     if r not in (0, 1):
         raise ValueError("the mesh pipeline supports r in {0, 1}")
@@ -204,8 +206,11 @@ def compute_curvature(mesh, r):
     newt = np.ones_like(evals) if r == 0 else evals.sum(axis=1, keepdims=True) - evals
     p2 = (evecs * newt[:, None, :]) @ evecs.transpose(0, 2, 1)
     h = mean_curvature(kappas, r + 1)
-    if r == 1 and h.min() <= 0.0:
-        raise CurvaturePositivityError(r, h_value=h.min(), vertex=int(np.argmin(h)))
+    if r == 1:
+        for j, h_j in ((2, h), (1, mean_curvature(kappas, 1))):
+            if h_j.min() <= 0.0:
+                raise CurvaturePositivityError(r, j, h_value=h_j.min(),
+                                               vertex=int(np.argmin(h_j)))
     w = np.sqrt(C_R * h * h) if r == 0 else np.sqrt(C_R * h**1.5)
     return CurvatureField(vertex_kappas=kappas, r=r,
                           p_r_face=_to_world(p2, basis), h_next=h, w=w)

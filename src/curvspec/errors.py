@@ -63,19 +63,21 @@ class DegenerateGeometryError(CurvSpecError):
 
 
 class CurvaturePositivityError(CurvSpecError):
-    """The curvature positivity assumption H_{r+1} > 0 fails.
+    """A curvature positivity assumption H_j > 0 of order r fails: H_2 > 0,
+    or H_1 > 0 (the outward orientation), for r = 1.
 
-    Carries the offending (most negative) H_{r+1} sample and, when the check
+    Carries the offending (most negative) H_j sample and, when the check
     ran on a mesh, the vertex where it was attained.
     """
 
-    def __init__(self, r, h_value, vertex=None):
+    def __init__(self, r, j, h_value, vertex=None):
         self.r = int(r)
+        self.j = int(j)
         self.h_value = float(h_value)
         self.vertex = None if vertex is None else int(vertex)
         msg = (
-            f"order r={self.r} requires H_{self.r + 1} > 0 everywhere, "
-            f"but min H_{self.r + 1} = {self.h_value:.6g}"
+            f"order r={self.r} requires H_{self.j} > 0 everywhere, "
+            f"but min H_{self.j} = {self.h_value:.6g}"
         )
         if self.vertex is not None:
             msg += f" at vertex {self.vertex}"

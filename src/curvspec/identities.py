@@ -2,29 +2,29 @@
 
 Everything here is a consistency check, not new machinery: the weak position
 identity K x_i = M (c_r H_{r+1} N_i), the Minkowski formula, the canonical
-test functions f_i with their W-orthogonality, the quantities
+test functions f_i with their integrals against W, the quantities
 d_i = <R0(W f_i), W f_i> - ||f_i||^2, and the resolvent norm bound.  All
 inner products are M-weighted vertex sums so the continuum equalities close
 discretely where they should.
 
-Two residuals deliberately measure different things.  The position residual
-compares the assembled operator against geometric curvature samples, so it
-carries the O(h) consistency error of the discretization and is judged by
-refinement trend.  The chain residual realizes the position through the
-resolvent itself (phi_i := R0(W f_i)) and checks the energy pairing
-<R0(W f_i), W f_i> = phi_i^T K phi_i, which must close to solver precision;
-it validates the constrained solve, not the geometry.
+The position residual compares the assembled operator against geometric
+curvature samples, so it carries the O(h) consistency error of the
+discretization and is judged by refinement trend.  The chain residual,
+computed in the same pass as the d_i, compares the pairing
+<R0(W f_i), W f_i> with the K-energy of R0(W f_i); the two are equal in
+exact arithmetic, so the gap measures the constrained solve, not the
+geometry.
 
 The checks take what they share as arguments and compute none of it
 again.  Each reads the order r, H_{r+1} and W_r from the one curvature
 field, which curvature.compute_curvature builds whole and which already
-holds H_{r+1} > 0 for r >= 1, so no check gates it again.  c_r and H_r
-come from curvature's n = 2 closed forms, C_R and mean_curvature.
-verify.Analysis holds the d quantities (which keep the three phi_i)
-and lam1(K, M), computed once, and builds the IdentityReport.  The
-zero-mean resolvent R0 is K grounded at one vertex, Cholesky-factored
-once; its answer is shifted to zero M-mean.  That one factor serves the
-three d_i solves and lam1(K, M), the inverse of R0's top eigenvalue.
+holds H_{r+1} > 0 and H_1 > 0 for r >= 1, so no check gates them again.
+c_r and H_r come from curvature's n = 2 closed forms, C_R and
+mean_curvature.  verify.Analysis holds the d quantities and lam1(K, M),
+computed once, and builds the IdentityReport.  The zero-mean resolvent R0
+is K grounded at one vertex, Cholesky-factored once; its answer is
+shifted to zero M-mean.  That one factor serves the three d_i solves and
+lam1(K, M), the inverse of R0's top eigenvalue.
 """
 
 from dataclasses import dataclass
@@ -45,8 +45,6 @@ __all__ = [
     "DQuantities",
     "stiffness_lam1",
     "resolvent_bound_check",
-    "resolvent_pairing_residual",
-    "dirichlet_minkowski_gap",
 ]
 
 
@@ -54,13 +52,11 @@ __all__ = [
 class IdentityReport:
     lr_position_residual: np.ndarray   # (3,) relative, per coordinate
     minkowski_residual: float
-    orthogonality: np.ndarray          # (3,) after mean-zero projection
     orthogonality_raw: np.ndarray      # (3,) before projection, O(h^2) diagnostic
     d: np.ndarray                      # (3,)
     d_sum: float
     resolvent_bound_margin: float
     chain_residual: float
-    dirichlet_minkowski_gap: float
     tol_identity: float
 
 
@@ -68,10 +64,8 @@ class IdentityReport:
 class DQuantities:
     d: np.ndarray
     d_sum: float
-    orthogonality: np.ndarray
     orthogonality_raw: np.ndarray
-    pairing: np.ndarray   # (3,) <phi_i, W f_i - mean>_M
-    phi: np.ndarray       # (3, V), row i is phi_i = R0(W f_i)
+    chain_residual: float
 
 
 def lr_position_residual(mesh, field, pencil):
@@ -94,8 +88,6 @@ def minkowski_residual(mesh, field):
     h_r = mean_curvature(field.vertex_kappas, r)
     a = mesh.vertex_areas
     total_hr = float(a @ h_r)
-    if total_hr <= 0.0:
-        raise ValueError(f"int H_{r} = {total_hr:.6g} <= 0, cannot normalize")
     xbar = (a[:, None] * mesh.vertices).sum(axis=0) / a.sum()
     support = np.einsum("vi,vi->v", mesh.vertices - xbar, mesh.vertex_normals)
     other = float(a @ (field.h_next * support))
@@ -123,14 +115,17 @@ def zero_mean_resolvent(pencil):
 
 
 def d_quantities(pencil, f, r0):
-    """d_i = <R0(W f_i), W f_i>_M - ||f_i||_M^2 plus the W-orthogonality.
+    """d_i = <R0(W f_i), W f_i>_M - ||f_i||_M^2, orthogonality_raw and the
+    chain residual.
 
-    ``r0`` is zero_mean_resolvent(pencil); the phi_i = R0(W f_i) are kept
-    for the chain residual.  The resolvent argument W f_i is projected to
-    zero M-mean before the solve; the raw integral int f_i W (identical to
-    <f_i, W>_M since the weight is shared) is reported both before
-    projection, where it decays like O(h^2) under refinement, and after,
-    where it is zero to round-off.
+    ``r0`` is zero_mean_resolvent(pencil).  The resolvent argument W f_i is
+    projected to zero M-mean before the solve; the raw integral int f_i W
+    (identical to <f_i, W>_M since the weight is shared) is reported before
+    projection, where it decays like O(h^2) under refinement.  The chain
+    residual is the relative gap between sum_i <phi_i, W f_i>_M and the
+    K-energy sum_i phi_i^T K phi_i of the phi_i = R0(W f_i): equal in exact
+    arithmetic, so it measures solver and projection quality only and
+    should sit at round-off level.
     """
     f = np.asarray(f, dtype=float)
     a = pencil.mass
@@ -141,10 +136,12 @@ def d_quantities(pencil, f, r0):
     phi = np.array([r0(load[:, i]) for i in range(3)])
     pairing = np.sum(phi.T * load, axis=0)
     d = pairing - a @ f**2
+    total = float(pairing.sum())
+    energy = float(np.sum(phi.T * (pencil.k_stiff @ phi.T)))
+    chain = abs(total - energy) / max(abs(total), 1e-300)
     return DQuantities(d=d, d_sum=float(d.sum()),
-                       orthogonality=np.abs(load.sum(axis=0)) / scale,
                        orthogonality_raw=np.abs(a @ wf) / scale,
-                       pairing=pairing, phi=phi)
+                       chain_residual=chain)
 
 
 def stiffness_lam1(pencil, r0, seed=0):
@@ -190,38 +187,3 @@ def resolvent_bound_check(pencil, mu, lam1, trials=100, seed=0):
                 seed=seed, margin=margin,
             )
     return worst
-
-
-def resolvent_pairing_residual(pencil, dq):
-    """Relative gap between <R0(W f_i), W f_i> and the K-energy of R0(W f_i).
-
-    Realizes the position through the resolvent (phi_i := R0(W f_i), kept
-    by d_quantities) so the pairing and the Dirichlet energy are the same
-    number in exact arithmetic; the reported gap measures solver and
-    projection quality only, and should sit at round-off level.
-    """
-    pairing = float(dq.pairing.sum())
-    energy = float(np.sum(dq.phi.T * (pencil.k_stiff @ dq.phi.T)))
-    return abs(pairing - energy) / max(abs(pairing), 1e-300)
-
-
-def dirichlet_minkowski_gap(mesh, field, pencil):
-    """Relative gap between sum_i x_i^T K x_i and c_r int H_r dSigma.
-
-    Both sides equal the total anisotropic Dirichlet energy of position in
-    the continuum (position identity plus Minkowski); K kills constants so
-    no centering of x is needed.  For r <= 1 the gap is zero up to
-    round-off on every mesh, not O(h): H_r is linear in the shape operator
-    and the vertex operators are area-weighted with weight 3 m_v, so
-    sum_i x_i^T K x_i = c_r sum_v m_v H_r holds identically.  It checks
-    the assembly, not the geometry.
-    """
-    r = field.r
-    h_r = mean_curvature(field.vertex_kappas, r)
-    reference = C_R * float(mesh.vertex_areas @ h_r)
-    if reference <= 0.0:
-        raise ValueError(f"c_r int H_{r} = {reference:.6g} <= 0, cannot normalize")
-    energy = float(
-        np.einsum("vi,vi->", mesh.vertices, (pencil.k_stiff @ mesh.vertices))
-    )
-    return abs(energy - reference) / reference

@@ -79,8 +79,11 @@ class TriMesh:
             )
         self.vertices = v
         self.faces = f
-        self._build_face_geometry()
-        self._build_vertex_geometry()
+        # coordinates whose products overflow give NaN or inf areas, which
+        # degenerate_faces names; numpy need not warn about them as well
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._build_face_geometry()
+            self._build_vertex_geometry()
         self._scan_connectivity()
         for arr in (
             self.vertices,

@@ -12,13 +12,13 @@ an undisclosed constant.
 
 All checks read one Analysis per (mesh, r, config), which computes each
 shared object (curvature field, pencil, spectra, lam1(K, M), the test
-functions and the d quantities with their zero-mean resolvent solves) at
-most once, on first use.  The pencil and T_r spectra each take the first
-target of their own assemble.shift_ladder that factors; the d quantities
-and lam1(K, M) share one zero-mean factor.  The curvature field comes
-whole from curvature.compute_curvature, the one gate of H_{r+1} > 0 for
-r >= 1, so a refused mesh stops there, before any solve.  H_1, c_r and the
-shape norm of T_r's potential are curvature's n = 2 closed forms
+functions and the d quantities with their chain residual) at most once,
+on first use.  The pencil and T_r spectra each take the first target of
+their own assemble.shift_ladder that factors; the d quantities and
+lam1(K, M) share one zero-mean factor.  The curvature field comes whole
+from curvature.compute_curvature, the one gate of H_{r+1} > 0 and H_1 > 0
+for r >= 1, so a refused mesh stops there, before any solve.  H_1, c_r
+and the shape norm of T_r's potential are curvature's n = 2 closed forms
 (mean_curvature, C_R, shape_norm).
 """
 
@@ -33,9 +33,8 @@ from .assemble import (assemble_pencil, shift_ladder, spectral_scale,
 from .curvature import C_R, compute_curvature, mean_curvature, shape_norm
 from .eigen import smallest_eigenpairs
 from .errors import BoundViolationError
-from .identities import (IdentityReport, d_quantities, dirichlet_minkowski_gap,
-                         lr_position_residual, minkowski_residual,
-                         resolvent_bound_check, resolvent_pairing_residual,
+from .identities import (IdentityReport, d_quantities, lr_position_residual,
+                         minkowski_residual, resolvent_bound_check,
                          stiffness_lam1, test_functions, zero_mean_resolvent)
 
 __all__ = [
@@ -340,19 +339,19 @@ class Analysis:
 
     @_stage("identities_s")
     def identities(self, mu=1.0, trials=20):
-        """Every identity check once, on the shared d quantities and lam1."""
+        """Every identity check once: the d quantities and their chain
+        residual come from the one d pass, the resolvent bound reads the
+        shared lam1."""
         mesh, field, pencil, dq = self.mesh, self.field, self.pencil, self.dq
         return IdentityReport(
             lr_position_residual=lr_position_residual(mesh, field, pencil),
             minkowski_residual=minkowski_residual(mesh, field),
-            orthogonality=dq.orthogonality,
             orthogonality_raw=dq.orthogonality_raw,
             d=dq.d,
             d_sum=dq.d_sum,
             resolvent_bound_margin=resolvent_bound_check(
                 pencil, mu, self.lam1, trials=trials, seed=self.config.seed),
-            chain_residual=resolvent_pairing_residual(pencil, dq),
-            dirichlet_minkowski_gap=dirichlet_minkowski_gap(mesh, field, pencil),
+            chain_residual=dq.chain_residual,
             tol_identity=self.config.tol_identity,
         )
 

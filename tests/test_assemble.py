@@ -7,7 +7,8 @@ import pytest
 import scipy.sparse as sp
 
 from curvspec.assemble import OperatorPencil, assemble_pencil, with_potential_squared
-from curvspec.curvature import compute_curvature
+from curvspec.curvature import C_R, compute_curvature, mean_curvature
+from curvspec.mesh import TriMesh
 
 import oracles
 from oracles import apply_operator, box_mesh, export_coo
@@ -57,6 +58,32 @@ class TestStiffness:
             for i in range(3)
         )
         assert energy == pytest.approx(2.0 * sphere3.total_area, rel=1e-12)
+
+    @pytest.mark.parametrize("kind,subdiv,r,jitter", [
+        ("sphere", 3, 0, 0.0), ("sphere", 3, 1, 0.0),
+        ("ellipsoid", 3, 0, 0.0), ("ellipsoid", 3, 1, 0.0),
+        ("bumped", 3, 0, 0.0), ("bumped", 3, 1, 0.0),
+        ("torus", 1, 0, 0.0),
+        ("sphere", 3, 0, 0.03), ("ellipsoid", 3, 0, 0.03),
+        ("bumped", 3, 0, 0.03), ("torus", 1, 0, 0.03),
+        # 3% jitter breaks H_2 > 0, so r = 1 runs on a 0.1% jitter
+        ("sphere", 3, 1, 0.001), ("ellipsoid", 3, 1, 0.001),
+        ("bumped", 3, 1, 0.001),
+    ])
+    def test_coordinate_energy_is_c_r_total_h_r(self, kind, subdiv, r, jitter):
+        # sum_i x_i^T K x_i = c_r sum_v m_v H_r holds on every mesh for
+        # r <= 1, not only in the limit: H_r is linear in the shape
+        # operator and the vertex operators are area-weighted by 3 m_v
+        mesh = get_mesh(kind, subdiv)
+        rng = np.random.default_rng(7)
+        radial = 1.0 + jitter * rng.uniform(-1.0, 1.0, (mesh.n_vertices, 1))
+        mesh = TriMesh(mesh.vertices * radial, mesh.faces)
+        field = compute_curvature(mesh, r=r)
+        k = assemble_pencil(mesh, field).k_stiff
+        energy = np.einsum("vi,vi->", mesh.vertices, k @ mesh.vertices)
+        h_r = mean_curvature(field.vertex_kappas, r)
+        want = C_R * (mesh.vertex_areas @ h_r)
+        assert abs(energy - want) <= 1e-13 * abs(want)
 
     def test_sphere_k1_proportional_to_k0(self):
         # on a radius-R sphere P_1 = (1/R) P_0, exactly at the face level

@@ -26,6 +26,14 @@ def run(argv):
     return cli.main(argv)
 
 
+def module_env():
+    """The environment in which `python -m curvspec` imports this
+    checkout's src."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 class TestGenerate:
     def test_sphere_off(self, tmp_path):
         out = tmp_path / "s.off"
@@ -219,6 +227,25 @@ class TestRefusals:
                        "message": "mesh has 2 connected components; a single "
                                   "connected surface is required"}
 
+    def test_overflowing_coordinates_one_stderr_line(self, tmp_path):
+        # one vertex scaled by 1e155: the squared norms of its faces'
+        # cross products overflow, and the refusal names the first such
+        # face with no numpy warning before it (a fresh interpreter, so
+        # stderr is the program's own)
+        ico = get_mesh("sphere", 1)
+        vertices = ico.vertices.copy()
+        vertices[0] *= 1e155
+        off = tmp_path / "big.off"
+        write_off(TriMesh(vertices, ico.faces), off)
+        face = int(np.nonzero((ico.faces == 0).any(axis=1))[0][0])
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvspec", "verify", "--mesh", str(off),
+             "-o", str(tmp_path / "rep.json")],
+            capture_output=True, text=True, env=module_env())
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            f"error: face {face} has non-finite area"]
+
     def test_method_flag_is_gone(self):
         assert run(["verify", "--shape", "sphere", "--method", "dense"]) == 64
 
@@ -258,6 +285,34 @@ class TestBadInput:
         assert run(argv) == 64
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and key in err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("verify", "seed", "-1"),
+        ("verify", "tol-sphere", "-1"), ("verify", "tol-sphere", "nan"),
+        ("verify", "tol-sphere-factor", "-1"),
+        ("verify", "tol-sphere-factor", "nan"),
+        ("verify", "tol-identity", "-1"), ("verify", "tol-identity", "nan"),
+        ("verify", "eig-tol", "-1"), ("verify", "eig-tol", "nan"),
+        ("verify", "mu", "-1"), ("verify", "mu", "nan"),
+        ("identities", "mu", "inf"), ("identities", "trials", "0"),
+        ("bs-scan", "mu-min", "0"), ("bs-scan", "mu-min", "nan"),
+        ("bs-scan", "mu-max", "inf"), ("bs-scan", "mu-max", "nan"),
+        ("bs-scan", "steps", "1"),
+    ])
+    def test_range_refused_before_any_work(self, tmp_path, capsys,
+                                           monkeypatch, command, flag, value):
+        calls = []
+        monkeypatch.setattr(verify, "compute_curvature",
+                            lambda *a, **k: calls.append(a))
+        out = tmp_path / "rep.json"
+        assert run([command, "--shape", "sphere", "--subdiv", "1",
+                    f"--{flag}", value, "-o", str(out)]) == 64
+        assert calls == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"usage error: argument --{flag}: must be ")
         assert not out.exists()
 
 
@@ -622,9 +677,11 @@ class TestOtherCommands:
         ])
         assert code == 0
         blk = json.loads(out.read_text())["identities"]
-        for key in ("lr_position_residual", "minkowski_residual", "orthogonality",
-                    "d", "d_sum", "resolvent_bound_margin"):
-            assert key in blk
+        assert set(blk) == {
+            "lr_position_residual", "minkowski_residual", "orthogonality_raw",
+            "d", "d_sum", "resolvent_bound_margin", "chain_residual",
+            "tol_identity",
+        }
 
     def test_usage_errors(self, capsys):
         assert run(["verify", "--shape", "dodecahedron"]) == 64
@@ -657,14 +714,10 @@ class TestReadme:
 class TestEntryPoints:
     def test_module_execution(self, tmp_path):
         out = tmp_path / "rep.json"
-        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
-                           "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
             [sys.executable, "-m", "curvspec", "verify", "--shape", "sphere",
              "--subdiv", "1", "--r", "0", "-o", str(out)],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=module_env(),
         )
         assert proc.returncode == 0
         assert json.loads(out.read_text())["verdicts"]["theorem"]["verdict"] == "SphereLike"

@@ -159,13 +159,27 @@ class TestPotential:
         assert err.value.h_value == pytest.approx(-3.0)
         assert "H_2 > 0" in str(err.value)
 
+    def test_inside_out_gate_names_h1(self):
+        # both curvatures negative: H_2 > 0 holds, H_1 > 0 does not
+        batch = np.array([[1.0, 2.0], [-3.0, -1.0], [-1.0, -0.5]])
+        with pytest.raises(CurvaturePositivityError) as err:
+            field_of_kappas(batch, 1)
+        assert (err.value.r, err.value.j, err.value.vertex) == (1, 1, 1)
+        assert err.value.h_value == pytest.approx(-2.0)
+        assert "H_1 > 0" in str(err.value)
+        # H_2 is gated first, whatever H_1 reads
+        with pytest.raises(CurvaturePositivityError) as err:
+            field_of_kappas(np.vstack([batch, [[1.0, -3.0]]]), 1)
+        assert (err.value.j, err.value.vertex) == (2, 3)
+        # r = 0 gates neither
+        assert np.all(field_of_kappas(batch, 0).w > 0.0)
+
     @given(pairs, orders)
     @settings(max_examples=150, deadline=None)
     def test_squares_to_formula(self, kappas, r):
         if r == 1:
-            # give each pair one sign and no zero, so H_2 > 0 (both
-            # curvatures negative is allowed)
-            kappas = np.where(kappas[:, :1] < 0, -1.0, 1.0) * (np.abs(kappas) + 0.01)
+            # both curvatures positive, so H_2 > 0 and H_1 > 0
+            kappas = np.abs(kappas) + 0.01
         field = field_of_kappas(kappas, r)
         h = s_r(kappas, r + 1) / math.comb(2, r + 1)
         assert np.allclose(field.h_next, h, rtol=1e-12, atol=1e-12)

@@ -1,13 +1,12 @@
 """Integral and variational identities tying curvature to the pencil."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from curvspec import curvature, eigen, verify
 from curvspec import identities as idn
-from curvspec.errors import BoundViolationError
+from curvspec.errors import BoundViolationError, CurvaturePositivityError
+from curvspec.mesh import TriMesh
 
 from conftest import get_mesh, get_pipeline, kernel_shift
 
@@ -66,14 +65,18 @@ class TestMinkowski:
         assert vals[1] < vals[0]
 
     def test_flipped_orientation_rejected(self):
-        # negating the curvatures drives the total H_1 negative and leaves
-        # H_2 = kappa_1 kappa_2, the field's h_next, as it was
-        mesh, field, _ = get_pipeline("sphere", 2, 1)
-        flipped = dataclasses.replace(field, vertex_kappas=-field.vertex_kappas)
-        assert np.array_equal(
-            curvature.mean_curvature(flipped.vertex_kappas, 2), field.h_next)
-        with pytest.raises(ValueError):
-            idn.minkowski_residual(mesh, flipped)
+        # reversed faces turn the normals inward: both curvatures go
+        # negative, so H_2 > 0 still holds and H_1 > 0 refuses the mesh
+        mesh = get_mesh("sphere", 3)
+        flipped = TriMesh(mesh.vertices, mesh.faces[:, ::-1])
+        with pytest.raises(CurvaturePositivityError) as err:
+            curvature.compute_curvature(flipped, r=1)
+        h1 = curvature.mean_curvature(
+            curvature.compute_curvature(flipped, r=0).vertex_kappas, 1)
+        assert (err.value.j, err.value.vertex) == (1, int(np.argmin(h1)))
+        assert err.value.h_value == h1.min() < 0.0
+        assert str(err.value).startswith(
+            "order r=1 requires H_1 > 0 everywhere")
 
 
 class TestTestFunctions:
@@ -93,7 +96,6 @@ class TestDQuantities:
         dq = dq_of(pencil, f)
         norms = np.einsum("vi,v,vi->i", f, pencil.mass, f)
         assert np.max(np.abs(dq.d) / norms) < 1e-4
-        assert np.max(np.abs(dq.orthogonality)) < 1e-12
 
     def test_ellipsoid_long_axis_positive(self):
         for r in (0, 1):
@@ -109,7 +111,13 @@ class TestDQuantities:
         f = idn.test_functions(mesh, field)
         dq = dq_of(pencil, f)
         assert np.max(np.abs(dq.orthogonality_raw)) > 1e-8
-        assert np.max(np.abs(dq.orthogonality)) < 1e-12
+        # yet d_i reads only the zero-mean part of W f_i: shifting W f_i by
+        # a constant leaves the pairing <R0(W f_i), W f_i>, and moves d_i
+        # by exactly the change of ||f_i||^2
+        shifted = f + np.array([0.3, -1.0, 2.0]) / pencil.w[:, None]
+        a = pencil.mass
+        np.testing.assert_allclose(dq_of(pencil, shifted).d + a @ shifted**2,
+                                   dq.d + a @ f**2, rtol=1e-12)
 
     def test_bump_dsum_grows_quadratically(self):
         # r = 1 only: at r = 0 the gap closes identically (H_0 = 1 turns
@@ -182,15 +190,17 @@ class TestResolvent:
     def test_chain_residual_tiny(self):
         mesh, field, pencil = get_pipeline("ellipsoid", 3, 1)
         f = idn.test_functions(mesh, field)
-        dq = dq_of(pencil, f)
-        assert idn.resolvent_pairing_residual(pencil, dq) < 1e-8
-        # the kept phi_i are R0 of W f_i, whose constant part R0 discards
-        r0 = eigen._shifted_solver(pencil.k_stiff, pencil.mass, 0.0,
-                                   zero_mean=True)
-        for i in range(3):
-            np.testing.assert_allclose(
-                dq.phi[i], r0(pencil.mass * pencil.w * f[:, i]),
-                rtol=0, atol=1e-12 * np.abs(dq.phi[i]).max())
+        assert dq_of(pencil, f).chain_residual < 1e-8
+
+    def test_r0_discards_constant_shift_of_load(self):
+        # R0 b and R0 (b + c M 1) agree: the constant part of a load is
+        # what K cannot reach
+        mesh, field, pencil = get_pipeline("ellipsoid", 3, 1)
+        r0 = idn.zero_mean_resolvent(pencil)
+        b = pencil.mass * pencil.w * idn.test_functions(mesh, field)[:, 0]
+        y = r0(b)
+        np.testing.assert_allclose(r0(b + 2.5 * pencil.mass), y,
+                                   rtol=0, atol=1e-12 * np.abs(y).max())
 
 
 class TestFullReport:
@@ -200,11 +210,11 @@ class TestFullReport:
     def test_fields_cross_check(self):
         analysis = verify.Analysis(get_mesh("ellipsoid", 3), 0)
         rep = analysis.identities()
-        dq, pencil = analysis.dq, analysis.pencil
+        dq = analysis.dq
         assert rep.d is dq.d and rep.d_sum == dq.d_sum
-        assert rep.chain_residual == idn.resolvent_pairing_residual(pencil, dq)
+        assert rep.orthogonality_raw is dq.orthogonality_raw
+        assert rep.chain_residual == dq.chain_residual
         assert rep.tol_identity == analysis.config.tol_identity
-        assert rep.dirichlet_minkowski_gap < 0.03
         assert rep.chain_residual < 1e-8
         assert rep.resolvent_bound_margin >= 0.0
 
