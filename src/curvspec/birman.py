@@ -9,12 +9,12 @@ resolvent applications alone.  Each crossing is found by a safeguarded
 Newton iteration inside its grid cell; the slope of a branch comes from
 Hellmann-Feynman, one extra solve with the factor already built at mu.
 
-Two norm bounds are tracked side by side.  Without any restriction the
-resolvent sees the constant mode, so the honest full-space bound is
-max(W^2)/mu.  The sharper max(W^2)/(lam1 + mu) with lam1 the smallest
-nonzero eigenvalue of (K, M) holds on the subspace of g with <g, W>_M = 0,
-because exactly then the argument W g has zero mean.  bound_check carries
-both pairs so neither inequality is overstated.
+bound_check holds two norm bounds at mu_min.  The full-space one,
+max(W^2)/mu, allows for the constant mode; the sharper max(W^2)/(lam1 + mu),
+lam1 the smallest nonzero eigenvalue of (K, M), holds on the g with
+<g, W>_M = 0, where W g has zero mean.  That W-restricted top is what the
+proof needs as mu -> 0+: below 1 on the sphere, above 1 when lambda_2 < 0;
+elsewhere it only lies between top_2 and top_1 (Cauchy interlacing).
 """
 
 import logging
@@ -50,7 +50,7 @@ class BSScanResult:
     mu_grid: np.ndarray          # (S,) ascending
     top_eigenvalues: np.ndarray  # (S, k), descending across each row
     crossings: tuple
-    bound_check: dict            # "columns" names, "rows" the (S, 5) array
+    bound_check: dict            # "columns" names, "rows" (1, 5) at mu_min
     warnings: tuple
     lam1_perp: float
 
@@ -127,8 +127,8 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
     """Scan the top-k K_mu eigenvalues on a geometric grid, locate crossings.
 
     Defaults span [1e-3, 10] times max(W^2), where crossings concentrate
-    for near-spherical shapes.  Each grid point factors K + mu M once, for
-    the unrestricted and the W-restricted eigensolve, and drops the factor.
+    for near-spherical shapes.  Each grid point factors K + mu M once and
+    drops the factor; mu_min's also serves bound_check's W-restricted top.
     A branch that crosses 1 inside a cell is followed by safeguarded Newton
     on its Hellmann-Feynman slope, again one factorization per iterate and
     none kept.  Several branches may cross 1 inside one cell: K_mu falls
@@ -152,12 +152,12 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
     lam1_perp = stiffness_lam1(pencil, zero_mean_resolvent(pencil), seed)
 
     tops = np.empty((steps, k))
-    restricted = np.empty(steps)
     for s, mu in enumerate(grid):
         solve = _shifted_solver(pencil.k_stiff, pencil.mass, mu,
                                 layout=pencil.layout)
         tops[s] = _top_k(pencil, mu, solve, k, seed)
-        restricted[s] = _top_k(pencil, mu, solve, 1, seed, w_perp=True)[0]
+        if s == 0:
+            top_w_perp = _top_k(pencil, mu, solve, 1, seed, w_perp=True)[0]
     del solve   # no factor outlives its mu
 
     def branch(j):
@@ -221,8 +221,8 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
     bound = {
         "columns": ("mu", "top_full", "bound_full", "top_w_perp",
                     "bound_w_perp"),
-        "rows": np.column_stack([grid, tops[:, 0], maxw2 / grid, restricted,
-                                 maxw2 / (lam1_perp + grid)]),
+        "rows": np.array([[grid[0], tops[0, 0], maxw2 / grid[0], top_w_perp,
+                           maxw2 / (lam1_perp + grid[0])]]),
     }
     return BSScanResult(
         mu_grid=grid, top_eigenvalues=tops, crossings=tuple(matched),

@@ -381,11 +381,11 @@ def _add_shape_flags(p, generate=False):
         p.add_argument("--minor-radius", type=float, default=0.5)
 
 
-def _add_analysis_flags(p):
+def _add_analysis_flags(p, min_k):
     p.add_argument("--mesh", help="input OFF/OBJ mesh path")
     _add_shape_flags(p, generate=False)
     p.add_argument("--r", type=int, default=0, help="operator order")
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=_at_least(min_k), default=5)
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--eig-tol", type=_NONNEGATIVE, default=1e-10)
     p.add_argument("--tol-sphere", type=_NONNEGATIVE, default=None)
@@ -443,7 +443,7 @@ def build_parser():
         ("identities", cmd_identities, ()),
     ):
         p = subs.add_parser(name, allow_abbrev=False)
-        _add_analysis_flags(p)
+        _add_analysis_flags(p, 2 if name == "verify" else 1)
         _add_common_flags(p)
         if "csv" in extra:
             p.add_argument("--csv", help="also write the spectrum CSV")
@@ -452,7 +452,7 @@ def build_parser():
             p.add_argument("--mu-min", type=_POSITIVE, default=None)
             p.add_argument("--mu-max", type=_POSITIVE, default=None)
             p.add_argument("--steps", type=_at_least(2), default=32)
-            p.add_argument("--scan-k", type=int, default=3)
+            p.add_argument("--scan-k", type=_at_least(1), default=3)
         p.set_defaults(func=fn)
         table[name] = p
 

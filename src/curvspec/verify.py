@@ -24,7 +24,7 @@ and the shape norm of T_r's potential are curvature's n = 2 closed forms
 
 import functools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -122,8 +122,7 @@ def _smallest(pencil, config, what):
     return smallest_eigenpairs(
         pencil.a_matrix(), pencil.mass, k=config.k, tol=config.eig_tol,
         seed=config.seed, sigma=shift_ladder(pencil), layout=pencil.layout,
-        what=what,
-    )
+        what=what)
 
 
 def _stage(name):
@@ -233,8 +232,9 @@ class Analysis:
     @functools.cached_property
     @_stage("corollary_s")
     def t_spectrum(self):
+        # k = 2: the corollary reads lambda_2(T_r) and nothing else
         return _smallest(with_potential_squared(self.pencil, self.t_potential),
-                         self.config, "T_r eigensolve")
+                         replace(self.config, k=2), "T_r eigensolve")
 
     @functools.cached_property
     def f(self):

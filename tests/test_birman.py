@@ -223,6 +223,24 @@ class TestScan:
         # both crossings share a grid cell, and that needs no note
         assert res.warnings == ()
 
+    def test_restricted_solve_only_at_mu_min(self, ellipsoid_pencil,
+                                             monkeypatch):
+        # the W-restricted top is read at the bottom of the window alone,
+        # on the factor the grid builds there
+        restricted = []
+        top_k = birman._top_k
+
+        def counted(pencil, mu, solve, k, seed, w_perp=False, **kwargs):
+            if w_perp:
+                restricted.append(mu)
+            return top_k(pencil, mu, solve, k, seed, w_perp, **kwargs)
+
+        monkeypatch.setattr(birman, "_top_k", counted)
+        res = birman.scan_crossings(ellipsoid_pencil, steps=32, k=3, seed=0)
+        assert restricted == [res.mu_grid[0]]
+        assert res.bound_check["rows"].shape == (1, 5)
+        assert res.bound_check["rows"][0, 0] == res.mu_grid[0]
+
     def test_sphere_crossing_at_two(self):
         # the only negative pencil eigenvalue on the unit sphere is -2
         _, _, pencil = get_pipeline("sphere", 3, 0)

@@ -303,12 +303,35 @@ class TestBadInput:
     ])
     def test_range_refused_before_any_work(self, tmp_path, capsys,
                                            monkeypatch, command, flag, value):
+        self.refused_before_any_work(tmp_path, capsys, monkeypatch, command,
+                                     flag, [f"--{flag}", value])
+
+    # verify reads lambda_2, so it needs two pairs; every count needs one
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("command,flag,value", [
+        ("verify", "k", "1"), ("verify", "k", "0"),
+        ("spectrum", "k", "0"), ("identities", "k", "0"),
+        ("bs-scan", "k", "0"), ("bs-scan", "scan-k", "0"),
+    ])
+    def test_eigenpair_count_refused_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, flag, value, via):
+        extra = [f"--{flag}", value]
+        if via == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{flag} = {value}\n")
+            extra = ["--config", str(cfg)]
+        self.refused_before_any_work(tmp_path, capsys, monkeypatch, command,
+                                     flag, extra)
+
+    @staticmethod
+    def refused_before_any_work(tmp_path, capsys, monkeypatch, command, flag,
+                                extra):
         calls = []
         monkeypatch.setattr(verify, "compute_curvature",
                             lambda *a, **k: calls.append(a))
         out = tmp_path / "rep.json"
-        assert run([command, "--shape", "sphere", "--subdiv", "1",
-                    f"--{flag}", value, "-o", str(out)]) == 64
+        assert run([command, "--shape", "sphere", "--subdiv", "1", *extra,
+                    "-o", str(out)]) == 64
         assert calls == []
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1

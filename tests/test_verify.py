@@ -155,13 +155,13 @@ class TestCertifiedShifts:
 
     @staticmethod
     def spectra(kind, subdiv, r):
-        """(pencil, its spectrum, the floor-shift oracle solve) for the
-        pencil and for T_r."""
+        """(pencil, its spectrum, the floor-shift oracle solve at the
+        spectrum's k) for the pencil and for T_r."""
         analysis = verify.Analysis(get_mesh(kind, subdiv), r)
         t_pencil = with_potential_squared(analysis.pencil,
                                           analysis.t_potential)
         return [(pencil, spec, eigen.smallest_eigenpairs(
-                    pencil.a_matrix(), pencil.mass, analysis.config.k,
+                    pencil.a_matrix(), pencil.mass, spec.k,
                     sigma=floor_shift(pencil), layout=pencil.layout))
                 for pencil, spec in ((analysis.pencil, analysis.spectrum),
                                      (t_pencil, analysis.t_spectrum))]
