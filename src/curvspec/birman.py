@@ -29,6 +29,7 @@ from .identities import stiffness_lam1, zero_mean_resolvent
 __all__ = [
     "Crossing",
     "BSScanResult",
+    "mu_window",
     "scan_crossings",
 ]
 
@@ -123,12 +124,30 @@ def _newton_root(fn, lo, hi, f_lo, f_hi, tol=1e-12, maxiter=50, label=""):
             mu, kind = 0.5 * (lo + hi), "bisect"
 
 
+def mu_window(w, mu_min=None, mu_max=None):
+    """The scan's (mu_min, mu_max) for the potential samples ``w``.
+
+    A bound left as None defaults to 1e-3 or 10 times max(W^2), where
+    crossings concentrate for near-spherical shapes.  Raises ValueError
+    unless 0 < mu_min < mu_max.  It reads W alone, so a bad window is
+    refused before the pencil is assembled.
+    """
+    maxw2 = float(np.max(w**2))
+    if mu_min is None:
+        mu_min = 1e-3 * maxw2
+    if mu_max is None:
+        mu_max = 10.0 * maxw2
+    if not 0.0 < mu_min < mu_max:
+        raise ValueError(f"need 0 < mu_min < mu_max, got [{mu_min}, {mu_max}]")
+    return mu_min, mu_max
+
+
 def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
     """Scan the top-k K_mu eigenvalues on a geometric grid, locate crossings.
 
-    Defaults span [1e-3, 10] times max(W^2), where crossings concentrate
-    for near-spherical shapes.  Each grid point factors K + mu M once and
-    drops the factor; mu_min's also serves bound_check's W-restricted top.
+    The window is mu_window's, by default [1e-3, 10] times max(W^2).  Each
+    grid point factors K + mu M once and drops the factor; mu_min's also
+    serves bound_check's W-restricted top.
     A branch that crosses 1 inside a cell is followed by safeguarded Newton
     on its Hellmann-Feynman slope, again one factorization per iterate and
     none kept.  Several branches may cross 1 inside one cell: K_mu falls
@@ -138,13 +157,8 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
     the directly computed pencil spectrum (match_error); a Newton run that
     stops short and a branch that rises surface in the warnings list.
     """
+    mu_min, mu_max = mu_window(pencil.w, mu_min, mu_max)
     maxw2 = float(np.max(pencil.w**2))
-    if mu_min is None:
-        mu_min = 1e-3 * maxw2
-    if mu_max is None:
-        mu_max = 10.0 * maxw2
-    if not 0.0 < mu_min < mu_max:
-        raise ValueError(f"need 0 < mu_min < mu_max, got [{mu_min}, {mu_max}]")
     if steps < 2:
         raise ValueError("need at least 2 grid points")
 

@@ -129,19 +129,22 @@ def _acquire_mesh(args, timings):
     return mesh
 
 
-def _curvature_summary(field, pencil):
-    k = field.vertex_kappas
+def _curvature_summary(field, mesh):
+    """The summary block, from the field and the vertex areas alone: the
+    pencil is not built for it."""
+    k, w, a = field.vertex_kappas, field.w, mesh.vertex_areas
     return {
-        "r": pencil.r,
+        "r": field.r,
         "kappa_min": float(k.min()),
         "kappa_max": float(k.max()),
         "h1_mean": float(np.mean(mean_curvature(k, 1))),
         "h_next_min": float(field.h_next.min()),
         "h_next_max": float(field.h_next.max()),
         "h_next_positive": bool(field.h_next.min() > 0.0),
-        "w_min": float(pencil.w.min()),
-        "w_max": float(pencil.w.max()),
-        "w_mean_sq": verify.spectral_scale(pencil),
+        "w_min": float(w.min()),
+        "w_max": float(w.max()),
+        # the pencil's spectral_scale: its mass is the vertex areas
+        "w_mean_sq": float(a @ w**2) / float(a.sum()),
     }
 
 
@@ -254,8 +257,8 @@ def _run(args, command, body):
         mesh = _acquire_mesh(args, timings)
         report["mesh_stats"] = validate(mesh)
         analysis = verify.Analysis(mesh, args.r, _verify_config(args))
-        report["curvature_summary"] = _curvature_summary(
-            analysis.field, analysis.pencil)
+        report["curvature_summary"] = _curvature_summary(analysis.field,
+                                                         mesh)
         code = body(analysis, report, timings)
     except CurvSpecError as exc:
         # keep the message, not the exception: its traceback would pin
@@ -277,8 +280,7 @@ def cmd_verify(args):
         theorem = analysis.theorem()
         lemma = analysis.lemma()
         corollary = analysis.corollary()
-        report["identities"] = analysis.identities(mu=args.mu,
-                                                   trials=args.trials)
+        report["identities"] = analysis.identities()
         report["spectrum"] = {"eigenvalues": analysis.spectrum.eigenvalues,
                               "k": analysis.config.k,
                               "seed": analysis.config.seed}
@@ -310,14 +312,18 @@ def cmd_bs_scan(args):
         raise UsageError("empty mu range: need mu-min < mu-max")
 
     def body(analysis, report, timings):
-        t0 = time.perf_counter()
+        # the window needs only W, so a bad one is refused before the
+        # pencil is assembled
         try:
-            scan = birman.scan_crossings(
-                analysis.pencil, mu_min=args.mu_min, mu_max=args.mu_max,
-                steps=args.steps, k=args.scan_k, seed=args.seed,
-            )
+            mu_min, mu_max = birman.mu_window(analysis.field.w, args.mu_min,
+                                              args.mu_max)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+        t0 = time.perf_counter()
+        scan = birman.scan_crossings(
+            analysis.pencil, mu_min=mu_min, mu_max=mu_max, steps=args.steps,
+            k=args.scan_k, seed=args.seed,
+        )
         timings["scan_s"] = time.perf_counter() - t0
         report["birman_schwinger"] = scan
         if args.csv:
@@ -329,8 +335,7 @@ def cmd_bs_scan(args):
 
 def cmd_identities(args):
     def body(analysis, report, timings):
-        report["identities"] = analysis.identities(mu=args.mu,
-                                                   trials=args.trials)
+        report["identities"] = analysis.identities()
         return 0
     return _run(args, "identities", body)
 
@@ -391,9 +396,6 @@ def _add_analysis_flags(p, min_k):
     p.add_argument("--tol-sphere", type=_NONNEGATIVE, default=None)
     p.add_argument("--tol-sphere-factor", type=_NONNEGATIVE, default=0.05)
     p.add_argument("--tol-identity", type=_NONNEGATIVE, default=0.05)
-    p.add_argument("--mu", type=_POSITIVE, default=1.0,
-                   help="mu for the resolvent bound trials")
-    p.add_argument("--trials", type=_at_least(1), default=20)
 
 
 def _add_common_flags(p):

@@ -19,7 +19,8 @@ pair kappa_1 <= kappa_2 is written in closed form:
   (mean_curvature).
 * The Newton transform P_r has eigenvalue S_r of the other curvature
   along each principal direction: 1 for r = 0, and S_1 - kappa_i, the
-  other kappa, for r = 1.
+  other kappa, for r = 1.  Of a face operator S that is P_0 = I and
+  P_1 = tr(S) I - S, with no eigendecomposition.
 * c_r = (n - r) C(n, r) is 2 for both r = 0 and r = 1 (C_R).
 * W_r = sqrt(c_r H_{r+1}^{(r+2)/(r+1)}): W_0 = sqrt(2 H_1^2) needs no sign
   assumption, W_1 = sqrt(2 H_2^{3/2}) needs H_2 > 0.
@@ -132,59 +133,80 @@ def estimate_shape_operators(mesh):
 
 
 def _to_world(ops, basis):
-    """Face-basis 2x2 operators as world-frame 3x3 ones, basis^T ops basis."""
-    return basis.transpose(0, 2, 1) @ ops @ basis
+    """Face-basis symmetric 2x2 forms as world-frame 3x3 ones,
+    basis^T ops basis, written out entry by entry as
+    sum_ab ops_ab t_a t_b^T over the basis rows t_1, t_2."""
+    t1, t2 = np.ascontiguousarray(basis.transpose(1, 2, 0))   # (3, F) each
+    n11, n12, n22 = ops[:, 0, 0], ops[:, 0, 1], ops[:, 1, 1]
+    out = np.empty((len(ops), 3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            out[:, i, j] = out[:, j, i] = (
+                n11 * (t1[i] * t1[j]) + n12 * (t1[i] * t2[j] + t2[i] * t1[j])
+                + n22 * (t2[i] * t2[j]))
+    return out
 
 
-def _rotation_between(a, b):
-    """Batched minimal rotation taking unit vectors a to unit vectors b."""
-    w = np.cross(a, b)
-    c = np.einsum("ij,ij->i", a, b)
-    eye = np.eye(3)
-    wx = np.zeros((len(a), 3, 3))
-    wx[:, 0, 1] = -w[:, 2]
-    wx[:, 0, 2] = w[:, 1]
-    wx[:, 1, 0] = w[:, 2]
-    wx[:, 1, 2] = -w[:, 0]
-    wx[:, 2, 0] = -w[:, 1]
-    wx[:, 2, 1] = w[:, 0]
-    denom = 1.0 + c
-    # nearly antiparallel normals cannot occur between a face and one of its
-    # vertices on a sane closed mesh; fall back to the identity there
-    safe = denom > 1e-8
-    factor = np.where(safe, 1.0 / np.where(safe, denom, 1.0), 0.0)
-    rot = eye[None, :, :] + wx + factor[:, None, None] * (wx @ wx)
-    rot[~safe] = eye
-    return rot
+def _cross(a, b):
+    """Cross product of vectors stored component-first, (3, N) or triples."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _dot(a, b):
+    """Row-wise dot product of vectors stored component-first."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def vertex_principal_curvatures(ops, basis, mesh):
     """Sorted per-vertex principal curvatures (V, 2).
 
     Incident face operators are parallel-transported into the vertex tangent
-    plane (rotation aligning the face normal with the vertex normal) and
-    averaged with face-area weights.
+    plane (the minimal rotation taking the face normal to the vertex normal)
+    and averaged with face-area weights.  Only the two face-basis vectors
+    are rotated, by Rodrigues' formula: with w = a x b and c = a . b for
+    unit normals a, b, a vector x goes to x + w x x + w x (w x x) / (1 + c).
+    With C the 2x2 matrix of the rotated basis in the vertex frame, the
+    moved operator there is C ops C^T, so each vertex accumulates the three
+    entries of a symmetric 2x2 form.
     """
     nv = mesh.n_vertices
-    ops3 = _to_world(ops, basis)
-    acc = np.zeros(9 * nv)
-    for vid in mesh.faces.T:
-        rot = _rotation_between(mesh.face_normals, mesh.vertex_normals[vid])
-        moved = rot @ ops3 @ rot.transpose(0, 2, 1)
-        acc += np.bincount((9 * vid[:, None] + np.arange(9)).ravel(),
-                           weights=(mesh.face_areas[:, None, None] * moved).ravel(),
-                           minlength=9 * nv)
-    # the incident face areas sum to three barycentric vertex areas
-    acc = acc.reshape(nv, 3, 3) / (3.0 * mesh.vertex_areas)[:, None, None]
     n = mesh.vertex_normals
     helper = np.zeros_like(n)
     helper[np.arange(nv), np.argmin(np.abs(n), axis=1)] = 1.0
     u1 = np.cross(n, helper)
     u1 /= np.linalg.norm(u1, axis=1)[:, None]
-    u = np.stack([u1, np.cross(n, u1)], axis=1)   # (V, 2, 3) tangent frame
-    t = u @ acc @ u.transpose(0, 2, 1)
-    a, d = t[:, 0, 0], t[:, 1, 1]
-    b = 0.5 * (t[:, 0, 1] + t[:, 1, 0])
+    u2 = np.cross(n, u1)                          # (u1, u2) tangent frame
+    # vectors component-first, so each product runs on contiguous rows
+    n, u1, u2, fn, t1, t2 = (np.ascontiguousarray(x.T) for x in (
+        n, u1, u2, mesh.face_normals, basis[:, 0], basis[:, 1]))
+    s11, s12, s22 = ops[:, 0, 0], ops[:, 0, 1], ops[:, 1, 1]
+    forms = np.empty((3, 3, mesh.n_faces))   # (entry, corner, face)
+    for corner, vid in enumerate(mesh.faces.T):
+        vn, e1, e2 = ([x[vid] for x in y] for y in (n, u1, u2))
+        # nearly antiparallel normals cannot occur between a face and one of
+        # its vertices on a sane closed mesh; w = 0 keeps the identity there
+        denom = 1.0 + _dot(fn, vn)
+        safe = denom > 1e-8
+        w = [np.where(safe, wk, 0.0) for wk in _cross(fn, vn)]
+        factor = 1.0 / np.where(safe, denom, 1.0)
+        moved = []
+        for t in (t1, t2):
+            wt = _cross(w, t)
+            moved.append([tk + wtk + factor * wwtk
+                          for tk, wtk, wwtk in zip(t, wt, _cross(w, wt))])
+        # row i of C: u_i against R t_1 and R t_2
+        (p1, p2), (q1, q2) = ((_dot(e, moved[0]), _dot(e, moved[1]))
+                              for e in (e1, e2))
+        forms[0, corner] = s11 * p1 * p1 + 2.0 * s12 * p1 * p2 + s22 * p2 * p2
+        forms[1, corner] = (s11 * p1 * q1 + s12 * (p1 * q2 + p2 * q1)
+                            + s22 * p2 * q2)
+        forms[2, corner] = s11 * q1 * q1 + 2.0 * s12 * q1 * q2 + s22 * q2 * q2
+    forms *= mesh.face_areas
+    # the incident face areas sum to three barycentric vertex areas
+    a, b, d = (np.bincount(mesh.faces.T.ravel(), weights=form.ravel(),
+                           minlength=nv) / (3.0 * mesh.vertex_areas)
+               for form in forms)
     mean = 0.5 * (a + d)
     disc = np.sqrt((0.5 * (a - d)) ** 2 + b * b)
     return np.stack([mean - disc, mean + disc], axis=1)
@@ -193,8 +215,9 @@ def vertex_principal_curvatures(ops, basis, mesh):
 def compute_curvature(mesh, r):
     """The whole order-r CurvatureField of a mesh, r in {0, 1}.
 
-    The Newton transform is evaluated in the eigenbasis of each face
-    operator.  For r = 1 a nonpositive vertex H_2 violates the standing
+    The Newton transform of a face operator S is written out: P_0 = I and
+    P_1 = tr(S) I - S, each taken to the world frame as basis^T P basis.
+    For r = 1 a nonpositive vertex H_2 violates the standing
     curvature assumption and raises, naming the worst vertex; then so does
     a nonpositive H_1, which with H_2 > 0 means the faces run inside out.
     """
@@ -202,9 +225,10 @@ def compute_curvature(mesh, r):
         raise ValueError("the mesh pipeline supports r in {0, 1}")
     ops, basis = estimate_shape_operators(mesh)
     kappas = vertex_principal_curvatures(ops, basis, mesh)
-    evals, evecs = np.linalg.eigh(ops)
-    newt = np.ones_like(evals) if r == 0 else evals.sum(axis=1, keepdims=True) - evals
-    p2 = (evecs * newt[:, None, :]) @ evecs.transpose(0, 2, 1)
+    if r == 0:
+        p2 = np.broadcast_to(np.eye(2), ops.shape)
+    else:
+        p2 = np.trace(ops, axis1=1, axis2=2)[:, None, None] * np.eye(2) - ops
     h = mean_curvature(kappas, r + 1)
     if r == 1:
         for j, h_j in ((2, h), (1, mean_curvature(kappas, 1))):

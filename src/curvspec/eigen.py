@@ -158,8 +158,8 @@ def _shifted_solver(a, mass, shift, zero_mean=False, layout=None):
     """Factor a + shift*M once; return a _BandSolver, ``solve(b)`` for loads b.
 
     The package's one factorization: the a - sigma*M of every shift-invert
-    eigensolve (a = K, K - M_W or K - M_T) and the K + mu*M of the resolvent
-    bound and the Birman-Schwinger kernel.  ``layout`` is the mesh's one
+    eigensolve (a = K, K - M_W or K - M_T) and the K + mu*M of the
+    Birman-Schwinger kernel.  ``layout`` is the mesh's one
     BandLayout (pencil.layout), and ``a`` must have the pattern it was built
     from; without one, a layout of ``a`` is built for this call.  A fresh
     Fortran-ordered (bw+1, V) band is filled from a's strict upper entries

@@ -2,10 +2,9 @@
 
 Everything here is a consistency check, not new machinery: the weak position
 identity K x_i = M (c_r H_{r+1} N_i), the Minkowski formula, the canonical
-test functions f_i with their integrals against W, the quantities
-d_i = <R0(W f_i), W f_i> - ||f_i||^2, and the resolvent norm bound.  All
-inner products are M-weighted vertex sums so the continuum equalities close
-discretely where they should.
+test functions f_i with their integrals against W, and the quantities
+d_i = <R0(W f_i), W f_i> - ||f_i||^2.  All inner products are M-weighted
+vertex sums so the continuum equalities close discretely where they should.
 
 The position residual compares the assembled operator against geometric
 curvature samples, so it carries the O(h) consistency error of the
@@ -20,11 +19,12 @@ again.  Each reads the order r, H_{r+1} and W_r from the one curvature
 field, which curvature.compute_curvature builds whole and which already
 holds H_{r+1} > 0 and H_1 > 0 for r >= 1, so no check gates them again.
 c_r and H_r come from curvature's n = 2 closed forms, C_R and
-mean_curvature.  verify.Analysis holds the d quantities and lam1(K, M),
-computed once, and builds the IdentityReport.  The zero-mean resolvent R0
-is K grounded at one vertex, Cholesky-factored once; its answer is
-shifted to zero M-mean.  That one factor serves the three d_i solves and
-lam1(K, M), the inverse of R0's top eigenvalue.
+mean_curvature.  verify.Analysis holds the d quantities, computed once,
+and builds the IdentityReport.  The zero-mean resolvent R0 is K grounded
+at one vertex, Cholesky-factored once; its answer is shifted to zero
+M-mean.  That one factor serves the three d_i solves.  stiffness_lam1
+reads lam1(K, M), the inverse of R0's top eigenvalue, for the
+Birman-Schwinger scan's W-restricted bound; no identity check reads it.
 """
 
 from dataclasses import dataclass
@@ -33,7 +33,6 @@ import numpy as np
 
 from .curvature import C_R, mean_curvature
 from .eigen import _kernel_eigenpairs, _shifted_solver
-from .errors import BoundViolationError
 
 __all__ = [
     "IdentityReport",
@@ -44,7 +43,6 @@ __all__ = [
     "d_quantities",
     "DQuantities",
     "stiffness_lam1",
-    "resolvent_bound_check",
 ]
 
 
@@ -55,7 +53,6 @@ class IdentityReport:
     orthogonality_raw: np.ndarray      # (3,) before projection, O(h^2) diagnostic
     d: np.ndarray                      # (3,)
     d_sum: float
-    resolvent_bound_margin: float
     chain_residual: float
     tol_identity: float
 
@@ -154,36 +151,3 @@ def stiffness_lam1(pencil, r0, seed=0):
     nu, _ = _kernel_eigenpairs(r0, np.sqrt(pencil.mass), None, 1, seed,
                                "lam1(K, M) eigensolve", tol=1e-10)
     return 1.0 / float(nu[0])
-
-
-def resolvent_bound_check(pencil, mu, lam1, trials=100, seed=0):
-    """Min slack of ||R_mu g||_M <= ||g||_M / (lam1 + mu) over random g.
-
-    g is drawn gaussian and projected to zero M-mean, so the relevant
-    spectral floor is lam1, the smallest nonzero eigenvalue of (K, M)
-    (stiffness_lam1).  Raises BoundViolationError if any trial lands
-    below -1e-8 relative.
-    """
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
-    a = pencil.mass
-    area = float(a.sum())
-    solve = _shifted_solver(pencil.k_stiff, a, mu, layout=pencil.layout)
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for _ in range(trials):
-        g = rng.standard_normal(pencil.n_vertices)
-        g -= float(a @ g) / area
-        norm_g = np.sqrt(float(g @ (a * g)))
-        y = solve(a * g)
-        norm_y = np.sqrt(float(y @ (a * y)))
-        allowed = norm_g / (lam1 + mu)
-        margin = allowed - norm_y
-        worst = min(worst, margin)
-        if margin < -1e-8 * allowed:
-            raise BoundViolationError(
-                f"resolvent bound violated at mu={mu:.6g}: "
-                f"||R_mu g|| = {norm_y:.12g} > {allowed:.12g}",
-                seed=seed, margin=margin,
-            )
-    return worst

@@ -146,8 +146,10 @@ class TriMesh:
         direction = np.where(f < f[:, [1, 2, 0]], 1, -1).ravel()
         osum = np.bincount(inv, weights=direction, minlength=len(edges))
         self.boundary_edges = tuple(map(tuple, edges[counts == 1].tolist()))
+        many = counts > 2
         self.nonmanifold_edges = tuple(
-            (tuple(e), int(c)) for e, c in zip(edges[counts > 2].tolist(), counts[counts > 2])
+            (tuple(e), c)
+            for e, c in zip(edges[many].tolist(), counts[many].tolist())
         )
         # directed edges of misoriented edges, grouped by edge in one stable
         # sort: each group is a pair in face order, directed edge j on face j//3
@@ -155,9 +157,11 @@ class TriMesh:
         on_mis = np.nonzero(mis[inv])[0]
         on_mis = on_mis[np.argsort(inv[on_mis], kind="stable")]
         pairs = (on_mis // 3).reshape(-1, 2)
+        # one flat list of Python ints, read four at a time: no per-row
+        # conversion and no transient list per row
+        flat = iter(np.hstack([edges[mis], pairs]).ravel().tolist())
         self.misoriented_edges = tuple(
-            (tuple(e.tolist()), tuple(p.tolist())) for e, p in zip(edges[mis], pairs)
-        )
+            ((a, b), (c, d)) for a, b, c, d in zip(flat, flat, flat, flat))
 
     @property
     def n_vertices(self):

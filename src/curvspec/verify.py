@@ -11,11 +11,11 @@ broken.  Thresholds travel inside every report; nothing is judged against
 an undisclosed constant.
 
 All checks read one Analysis per (mesh, r, config), which computes each
-shared object (curvature field, pencil, spectra, lam1(K, M), the test
-functions and the d quantities with their chain residual) at most once,
-on first use.  The pencil and T_r spectra each take the first target of
-their own assemble.shift_ladder that factors; the d quantities and
-lam1(K, M) share one zero-mean factor.  The curvature field comes whole
+shared object (curvature field, pencil, spectra, the test functions and
+the d quantities with their chain residual) at most once, on first use,
+and nothing that no check reads.  The pencil and T_r spectra each take
+the first target of their own assemble.shift_ladder that factors; the d
+quantities take one zero-mean factor.  The curvature field comes whole
 from curvature.compute_curvature, the one gate of H_{r+1} > 0 and H_1 > 0
 for r >= 1, so a refused mesh stops there, before any solve.  H_1, c_r
 and the shape norm of T_r's potential are curvature's n = 2 closed forms
@@ -34,8 +34,8 @@ from .curvature import C_R, compute_curvature, mean_curvature, shape_norm
 from .eigen import smallest_eigenpairs
 from .errors import BoundViolationError
 from .identities import (IdentityReport, d_quantities, lr_position_residual,
-                         minkowski_residual, resolvent_bound_check,
-                         stiffness_lam1, test_functions, zero_mean_resolvent)
+                         minkowski_residual, test_functions,
+                         zero_mean_resolvent)
 
 __all__ = [
     "Analysis",
@@ -184,7 +184,7 @@ class Analysis:
     """The objects every check shares, each computed once, on first use.
 
     ``timings`` maps a stage (curvature_s, spectrum_s, corollary_s,
-    lemma_s, lam1_s, identities_s) to the wall time spent in it so far.
+    lemma_s, identities_s) to the wall time spent in it so far.
     """
 
     def __init__(self, mesh, r, config=None):
@@ -242,18 +242,11 @@ class Analysis:
 
     @functools.cached_property
     @_stage("identities_s")
-    def _on_r0(self):
-        """(d quantities, lam1(K, M)) on one zero-mean factor R0, made here
-        and dropped on return, before any other band."""
-        r0 = zero_mean_resolvent(self.pencil)
-        return d_quantities(self.pencil, self.f, r0), self._lam1(r0)
-
-    @_stage("lam1_s")
-    def _lam1(self, r0):
-        return stiffness_lam1(self.pencil, r0, seed=self.config.seed)
-
-    dq = property(lambda self: self._on_r0[0])
-    lam1 = property(lambda self: self._on_r0[1])
+    def dq(self):
+        """The d quantities on one zero-mean factor R0, made here and
+        dropped on return, before any other band."""
+        return d_quantities(self.pencil, self.f,
+                            zero_mean_resolvent(self.pencil))
 
     @_stage("spectrum_s")
     def theorem(self):
@@ -338,10 +331,9 @@ class Analysis:
         )
 
     @_stage("identities_s")
-    def identities(self, mu=1.0, trials=20):
+    def identities(self):
         """Every identity check once: the d quantities and their chain
-        residual come from the one d pass, the resolvent bound reads the
-        shared lam1."""
+        residual come from the one d pass."""
         mesh, field, pencil, dq = self.mesh, self.field, self.pencil, self.dq
         return IdentityReport(
             lr_position_residual=lr_position_residual(mesh, field, pencil),
@@ -349,8 +341,6 @@ class Analysis:
             orthogonality_raw=dq.orthogonality_raw,
             d=dq.d,
             d_sum=dq.d_sum,
-            resolvent_bound_margin=resolvent_bound_check(
-                pencil, mu, self.lam1, trials=trials, seed=self.config.seed),
             chain_residual=dq.chain_residual,
             tol_identity=self.config.tol_identity,
         )

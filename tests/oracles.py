@@ -5,8 +5,10 @@ subset enumeration instead of recurrences, dense factorizations instead of
 iterative solvers, textbook cotangent weights instead of the batched
 assembly, and the row-wise unique edge table and the einsum contractions
 that the package's batched geometry kernels replaced.  If a package routine
-and its oracle agree, the fast path earns its keep; none of these functions
-are used by the package itself.
+and its oracle agree, the fast path earns its keep.  resolvent_bound_check
+is a check rather than a reference: random trials of the resolvent bound
+that lam1(K, M) implies.  None of these functions are used by the package
+itself.
 """
 
 import itertools
@@ -17,6 +19,7 @@ import scipy.sparse as sp
 
 from curvspec import curvature, eigen
 from curvspec.assemble import spectral_scale
+from curvspec.errors import BoundViolationError
 from curvspec.mesh import TriMesh
 
 # K is positive semidefinite and its kernel is the constants, so a shift of
@@ -112,6 +115,40 @@ def shifted_lam1(pencil, seed=0):
         pencil.k_stiff, pencil.mass, 2, sigma=kernel_shift(pencil),
         seed=seed, layout=pencil.layout,
     ).eigenvalues[1])
+
+
+def resolvent_bound_check(pencil, mu, lam1, trials=100, seed=0):
+    """Min slack of ||R_mu g||_M <= ||g||_M / (lam1 + mu) over random g.
+
+    g is drawn gaussian and projected to zero M-mean, so the relevant
+    spectral floor is lam1, the smallest nonzero eigenvalue of (K, M)
+    (identities.stiffness_lam1).  Raises BoundViolationError if any trial
+    lands below -1e-8 relative.  The bound holds for any PSD K once lam1
+    is right, so it checks lam1 and the shifted solve.
+    """
+    if mu <= 0.0:
+        raise ValueError("mu must be positive")
+    a = pencil.mass
+    area = float(a.sum())
+    solve = eigen._shifted_solver(pencil.k_stiff, a, mu, layout=pencil.layout)
+    rng = np.random.default_rng(seed)
+    worst = np.inf
+    for _ in range(trials):
+        g = rng.standard_normal(pencil.n_vertices)
+        g -= float(a @ g) / area
+        norm_g = np.sqrt(float(g @ (a * g)))
+        y = solve(a * g)
+        norm_y = np.sqrt(float(y @ (a * y)))
+        allowed = norm_g / (lam1 + mu)
+        margin = allowed - norm_y
+        worst = min(worst, margin)
+        if margin < -1e-8 * allowed:
+            raise BoundViolationError(
+                f"resolvent bound violated at mu={mu:.6g}: "
+                f"||R_mu g|| = {norm_y:.12g} > {allowed:.12g}",
+                seed=seed, margin=margin,
+            )
+    return worst
 
 
 def rayleigh_quotient(a_mat, mass, x):

@@ -105,7 +105,7 @@ def test_criterion_04_resolvent_and_kernel_bounds():
     worst_kernel = np.inf
     for kind, r in itertools.product(("sphere", "ellipsoid"), (0, 1)):
         _, _, pencil = get_pipeline(kind, 3, r)
-        margin = identities.resolvent_bound_check(
+        margin = oracles.resolvent_bound_check(
             pencil, mu=1.0, lam1=identities.stiffness_lam1(
                 pencil, identities.zero_mean_resolvent(pencil)),
             trials=100, seed=0)

@@ -260,6 +260,8 @@ class TestBadInput:
         ("torus", "nu", "2"),
         ("sphere", "r", "2"),
         ("sphere", "r", "-1"),
+        # --mu and --trials are gone: an unknown flag and an unknown
+        # config key are usage errors too
         ("sphere", "mu", "0"),
         ("sphere", "trials", "0"),
         # a config file's values reach argparse as strings, so the flag's
@@ -295,8 +297,6 @@ class TestBadInput:
         ("verify", "tol-sphere-factor", "nan"),
         ("verify", "tol-identity", "-1"), ("verify", "tol-identity", "nan"),
         ("verify", "eig-tol", "-1"), ("verify", "eig-tol", "nan"),
-        ("verify", "mu", "-1"), ("verify", "mu", "nan"),
-        ("identities", "mu", "inf"), ("identities", "trials", "0"),
         ("bs-scan", "mu-min", "0"), ("bs-scan", "mu-min", "nan"),
         ("bs-scan", "mu-max", "inf"), ("bs-scan", "mu-max", "nan"),
         ("bs-scan", "steps", "1"),
@@ -486,7 +486,7 @@ class TestDeterminism:
         timings = json.loads(out.read_text())["timings"]
         assert set(timings) == {
             "mesh_s", "curvature_s", "spectrum_s", "corollary_s", "lemma_s",
-            "lam1_s", "identities_s", "total_s",
+            "identities_s", "total_s",
         }
         assert sum(v for k, v in timings.items() if k != "total_s") <= timings["total_s"]
 
@@ -570,14 +570,14 @@ class TestWorkCounts:
         assert code == 0
         assert counts == {
             "curvature": 1,
-            "eigsh": 3,             # pencil, T_r, lam1(K, M) on R0
+            "eigsh": 2,             # pencil, T_r
             # the pencil's first rung (refused: it is not below lambda_1)
-            # and its second, T_r's first, R0 and the resolvent bound
-            "cholesky_banded": 5,
+            # and its second, T_r's first and R0
+            "cholesky_banded": 4,
             "refused": 1,
             "reverse_cuthill_mckee": 1,   # one band layout, shared by all
             "arpack_splu": 0,       # ARPACK runs on the package's own factors
-            "r0_factors": 1,        # one R0 serves the d_i and lam1(K, M)
+            "r0_factors": 1,        # one R0 serves the d_i
             "r0_solves": 3,         # one per test function, read by every check
         }
 
@@ -589,9 +589,24 @@ class TestWorkCounts:
         _, applications = self.counters(monkeypatch)
         code = run(self.VERIFY_ELLIPSOID_S4_R1 + ["-o", str(tmp_path / "rep.json")])
         assert code == 0
-        pencil, t_r, lam1 = applications
+        pencil, t_r = applications
         assert pencil <= 65 and t_r <= 65
-        assert lam1 <= 25
+
+    @pytest.mark.parametrize("command,factors,eigsh", [
+        # the pencil, T_r and R0; the pencil and T_r eigensolves
+        ("verify", 3, 2),
+        # R0 for the d_i, and no eigensolve
+        ("identities", 1, 0),
+    ])
+    def test_solver_work_per_command(self, tmp_path, monkeypatch, command,
+                                     factors, eigsh):
+        # only the solves a verdict or an identity reads: no lam1(K, M)
+        # eigensolve and no resolvent trials
+        counts, _ = self.counters(monkeypatch)
+        assert run([command, "--shape", "ellipsoid", "--a", "2", "--b", "1",
+                    "--c", "1", "--subdiv", "3", "--r", "1",
+                    "-o", str(tmp_path / "rep.json")]) == 0
+        assert (counts["cholesky_banded"], counts["eigsh"]) == (factors, eigsh)
 
     def test_bs_scan_factors_only_through_eigen(self, tmp_path, monkeypatch):
         counts, _ = self.counters(monkeypatch)
@@ -685,6 +700,24 @@ class TestOtherCommands:
         assert len(scan["mu_grid"]) == 16
         assert len(scan["crossings"]) == 2
 
+    @pytest.mark.parametrize("window", [["--mu-min", "1000"],
+                                        ["--mu-max", "1e-9"]])
+    def test_bs_scan_window_refused_before_the_pencil(self, tmp_path, capsys,
+                                                      monkeypatch, window):
+        # the default bound on the other side comes from max(W^2), so the
+        # window is checked on the curvature field, before assembly
+        calls = []
+        monkeypatch.setattr(verify, "assemble_pencil",
+                            lambda *a, **k: calls.append(a))
+        out = tmp_path / "rep.json"
+        assert run(["bs-scan", "--shape", "sphere", "--subdiv", "1",
+                    *window, "-o", str(out)]) == 64
+        assert calls == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("usage error: need 0 < mu_min < mu_max, got ")
+        assert not out.exists()
+
     def test_bs_scan_empty_window(self, capsys, tmp_path):
         code = run([
             "bs-scan", "--shape", "sphere", "--subdiv", "1", "--r", "0",
@@ -702,8 +735,7 @@ class TestOtherCommands:
         blk = json.loads(out.read_text())["identities"]
         assert set(blk) == {
             "lr_position_residual", "minkowski_residual", "orthogonality_raw",
-            "d", "d_sum", "resolvent_bound_margin", "chain_residual",
-            "tol_identity",
+            "d", "d_sum", "chain_residual", "tol_identity",
         }
 
     def test_usage_errors(self, capsys):

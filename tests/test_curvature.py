@@ -172,8 +172,10 @@ class TestBuildFields:
 
 
 
-@pytest.mark.parametrize("kind,subdiv,r", [("ellipsoid", 3, 1), ("bumped", 3, 1),
-                                           ("torus", 1, 0)])
+@pytest.mark.parametrize("kind,subdiv,r", [
+    ("ellipsoid", 3, 1), ("bumped", 3, 1), ("torus", 1, 0),
+    ("ellipsoid", 3, 0), ("sphere", 3, 1), ("bumped", 3, 0),
+])
 def test_batched_kernels_match_einsum(kind, subdiv, r):
     # the batched products and bincount scatters against the einsum and
     # np.add.at forms, which sum in another order

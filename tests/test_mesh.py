@@ -88,6 +88,7 @@ class TestTriMesh:
         assert mesh.nonmanifold_edges
         edge, count = mesh.nonmanifold_edges[0]
         assert tuple(sorted(edge)) == (0, 1) and count == 3
+        assert all(type(i) is int for i in (*edge, count))
 
     def test_misorientation_reported(self):
         f = TETRA_F.copy()
@@ -106,6 +107,8 @@ class TestTriMesh:
         expected = oracles.misoriented_edges_loop(mesh)
         assert len(expected) > 100
         assert mesh.misoriented_edges == expected
+        assert all(type(i) is int
+                   for edge, pair in mesh.misoriented_edges for i in edge + pair)
 
     def test_degenerate_face_reported(self):
         v = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0]])

@@ -8,7 +8,8 @@ import pytest
 
 from curvspec import eigen, verify
 from curvspec import identities as idn
-from curvspec.assemble import shift_ladder, with_potential_squared
+from curvspec.assemble import (assemble_pencil, shift_ladder,
+                               with_potential_squared)
 from curvspec.errors import BoundViolationError, CurvaturePositivityError
 
 import oracles
@@ -209,15 +210,15 @@ class TestCertifiedShifts:
             f"pencil eigensolve: shift {sigma:.17g} refused, not below "
             f"the spectrum"]
 
-    def test_lam1_time_is_its_own_stage(self, monkeypatch):
-        # lam1(K, M) runs inside the d quantities' scope, on their factor,
-        # and its time is still charged to lam1_s alone
-        def slow_lam1(*args, **kwargs):
+    def test_nested_stage_time_is_charged_once(self, monkeypatch):
+        # the pencil is assembled inside the spectrum's scope, on first
+        # use, and its time is still charged to curvature_s alone
+        def slow_pencil(*args, **kwargs):
             time.sleep(0.2)
-            return idn.stiffness_lam1(*args, **kwargs)
+            return assemble_pencil(*args, **kwargs)
 
-        monkeypatch.setattr(verify, "stiffness_lam1", slow_lam1)
+        monkeypatch.setattr(verify, "assemble_pencil", slow_pencil)
         analysis = verify.Analysis(get_mesh("ellipsoid", 2), 1)
-        analysis.identities()
-        assert analysis.timings["lam1_s"] >= 0.2
-        assert analysis.timings["identities_s"] < 0.2
+        analysis.spectrum
+        assert analysis.timings["curvature_s"] >= 0.2
+        assert analysis.timings["spectrum_s"] < 0.2
