@@ -9,12 +9,13 @@ resolvent applications alone.  Each crossing is found by a safeguarded
 Newton iteration inside its grid cell; the slope of a branch comes from
 Hellmann-Feynman, one extra solve with the factor already built at mu.
 
-bound_check holds two norm bounds at mu_min.  The full-space one,
-max(W^2)/mu, allows for the constant mode; the sharper max(W^2)/(lam1 + mu),
-lam1 the smallest nonzero eigenvalue of (K, M), holds on the g with
-<g, W>_M = 0, where W g has zero mean.  That W-restricted top is what the
-proof needs as mu -> 0+: below 1 on the sphere, above 1 when lambda_2 < 0;
-elsewhere it only lies between top_2 and top_1 (Cauchy interlacing).
+top_w_perp is the top eigenvalue at mu_min of the kernel restricted to the
+g with <g, W>_M = 0 (Harrell-Loss 1998).  It is the one number the proof
+needs as mu -> 0+: below 1 on the sphere, above 1 when lambda_2 < 0;
+elsewhere it only lies between top_2 and top_1 (Cauchy interlacing).  The
+norm bounds max(W^2)/mu on the full kernel and max(W^2)/(lam1 + mu) on the
+restricted one hold for any positive semidefinite K, so the scan does not
+compute them.
 """
 
 import logging
@@ -24,7 +25,6 @@ import numpy as np
 
 from .assemble import shift_ladder
 from .eigen import _kernel_eigenpairs, _shifted_solver, smallest_eigenpairs
-from .identities import stiffness_lam1, zero_mean_resolvent
 
 __all__ = [
     "Crossing",
@@ -51,9 +51,8 @@ class BSScanResult:
     mu_grid: np.ndarray          # (S,) ascending
     top_eigenvalues: np.ndarray  # (S, k), descending across each row
     crossings: tuple
-    bound_check: dict            # "columns" names, "rows" (1, 5) at mu_min
+    top_w_perp: float            # W-restricted top eigenvalue at mu_min
     warnings: tuple
-    lam1_perp: float
 
     def write_csv(self, path):
         k = self.top_eigenvalues.shape[1]
@@ -147,7 +146,7 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
 
     The window is mu_window's, by default [1e-3, 10] times max(W^2).  Each
     grid point factors K + mu M once and drops the factor; mu_min's also
-    serves bound_check's W-restricted top.
+    serves the W-restricted top, top_w_perp.
     A branch that crosses 1 inside a cell is followed by safeguarded Newton
     on its Hellmann-Feynman slope, again one factorization per iterate and
     none kept.  Several branches may cross 1 inside one cell: K_mu falls
@@ -158,12 +157,10 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
     stops short and a branch that rises surface in the warnings list.
     """
     mu_min, mu_max = mu_window(pencil.w, mu_min, mu_max)
-    maxw2 = float(np.max(pencil.w**2))
     if steps < 2:
         raise ValueError("need at least 2 grid points")
 
     grid = np.geomspace(mu_min, mu_max, steps)
-    lam1_perp = stiffness_lam1(pencil, zero_mean_resolvent(pencil), seed)
 
     tops = np.empty((steps, k))
     for s, mu in enumerate(grid):
@@ -171,7 +168,8 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
                                 layout=pencil.layout)
         tops[s] = _top_k(pencil, mu, solve, k, seed)
         if s == 0:
-            top_w_perp = _top_k(pencil, mu, solve, 1, seed, w_perp=True)[0]
+            top_w_perp = float(
+                _top_k(pencil, mu, solve, 1, seed, w_perp=True)[0])
     del solve   # no factor outlives its mu
 
     def branch(j):
@@ -232,13 +230,7 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
                 evaluations=int(evals),
             ))
 
-    bound = {
-        "columns": ("mu", "top_full", "bound_full", "top_w_perp",
-                    "bound_w_perp"),
-        "rows": np.array([[grid[0], tops[0, 0], maxw2 / grid[0], top_w_perp,
-                           maxw2 / (lam1_perp + grid[0])]]),
-    }
     return BSScanResult(
         mu_grid=grid, top_eigenvalues=tops, crossings=tuple(matched),
-        bound_check=bound, warnings=tuple(warnings), lam1_perp=lam1_perp,
+        top_w_perp=top_w_perp, warnings=tuple(warnings),
     )

@@ -23,9 +23,8 @@ The CURVSPEC_OUTDIR environment variable rebases relative output paths.
 --log-level sends the package's stdlib logging to stderr; nothing is logged
 by default and nothing logged ever enters a report.
 
-Flag naming note: `generate` follows the surface convention (--R major,
---r minor radius for the torus); the analysis commands use --r for the
-operator order and spell out --major-radius/--minor-radius instead.
+Each analysis command takes only the flags it reads (the _COMMANDS
+table); a flag or config key that a command does not take exits 64.
 """
 
 import argparse
@@ -211,11 +210,12 @@ def _emit(report, args, timings):
 
 
 def _verify_config(args):
-    return verify.VerifyConfig(
-        k=args.k, seed=args.seed, eig_tol=args.eig_tol,
-        tol_sphere=args.tol_sphere, tol_sphere_factor=args.tol_sphere_factor,
-        tol_identity=args.tol_identity,
-    )
+    """The VerifyConfig of the flags the command takes; VerifyConfig's own
+    defaults stand for the rest."""
+    given = vars(args)
+    return verify.VerifyConfig(**{
+        f.name: given[f.name] for f in dataclasses.fields(verify.VerifyConfig)
+        if f.name in given})
 
 
 def cmd_generate(args):
@@ -364,7 +364,7 @@ def _at_least(low):
     return _ranged(int, lambda n: n >= low, f">= {low}")
 
 
-def _add_shape_flags(p, generate=False):
+def _add_shape_flags(p):
     p.add_argument("--shape",
                    choices=["sphere", "ellipsoid", "torus", "bumped"])
     p.add_argument("--radius", type=float, default=1.0)
@@ -376,26 +376,32 @@ def _add_shape_flags(p, generate=False):
     p.add_argument("--subdiv", type=int, default=3)
     p.add_argument("--nu", type=int, default=None)
     p.add_argument("--nv", type=int, default=None)
-    if generate:
-        p.add_argument("--R", dest="major_radius", type=float, default=2.0,
-                       help="torus major radius")
-        p.add_argument("--r", dest="minor_radius", type=float, default=0.5,
-                       help="torus minor radius")
-    else:
-        p.add_argument("--major-radius", type=float, default=2.0)
-        p.add_argument("--minor-radius", type=float, default=0.5)
+    p.add_argument("--major-radius", type=float, default=2.0)
+    p.add_argument("--minor-radius", type=float, default=0.5)
 
 
-def _add_analysis_flags(p, min_k):
-    p.add_argument("--mesh", help="input OFF/OBJ mesh path")
-    _add_shape_flags(p, generate=False)
-    p.add_argument("--r", type=int, default=0, help="operator order")
-    p.add_argument("--k", type=_at_least(min_k), default=5)
-    p.add_argument("--seed", type=_at_least(0), default=0)
-    p.add_argument("--eig-tol", type=_NONNEGATIVE, default=1e-10)
-    p.add_argument("--tol-sphere", type=_NONNEGATIVE, default=None)
-    p.add_argument("--tol-sphere-factor", type=_NONNEGATIVE, default=0.05)
-    p.add_argument("--tol-identity", type=_NONNEGATIVE, default=0.05)
+_DEFAULTS = verify.VerifyConfig()
+_EIG_TOL = ("--eig-tol", _NONNEGATIVE, _DEFAULTS.eig_tol)
+_TOL_IDENTITY = ("--tol-identity", _NONNEGATIVE, _DEFAULTS.tol_identity)
+_CSV = ("--csv", str, None)
+
+# (flag, type, default) of what each analysis command reads beyond the
+# flags they all take: --mesh, the shape flags, --r and --seed (identities
+# reads no seed, but one argv tail serves every command).  verify reads
+# lambda_2, so its --k is at least 2
+_COMMANDS = {
+    "verify": (cmd_verify, (
+        ("--k", _at_least(2), _DEFAULTS.k), _EIG_TOL,
+        ("--tol-sphere", _NONNEGATIVE, _DEFAULTS.tol_sphere),
+        ("--tol-sphere-factor", _NONNEGATIVE, _DEFAULTS.tol_sphere_factor),
+        _TOL_IDENTITY)),
+    "spectrum": (cmd_spectrum, (
+        ("--k", _at_least(1), _DEFAULTS.k), _EIG_TOL, _CSV)),
+    "bs-scan": (cmd_bs_scan, (
+        _CSV, ("--mu-min", _POSITIVE, None), ("--mu-max", _POSITIVE, None),
+        ("--steps", _at_least(2), 32), ("--scan-k", _at_least(1), 3))),
+    "identities": (cmd_identities, (_TOL_IDENTITY,)),
+}
 
 
 def _add_common_flags(p):
@@ -433,28 +439,20 @@ def build_parser():
 
     g = subs.add_parser("generate", allow_abbrev=False,
                         help="write an analytic surface mesh as OFF")
-    _add_shape_flags(g, generate=True)
+    _add_shape_flags(g)
     _add_common_flags(g)
     g.set_defaults(func=cmd_generate)
     table["generate"] = g
 
-    for name, fn, extra in (
-        ("verify", cmd_verify, ()),
-        ("spectrum", cmd_spectrum, ("csv",)),
-        ("bs-scan", cmd_bs_scan, ("scan",)),
-        ("identities", cmd_identities, ()),
-    ):
+    for name, (fn, flags) in _COMMANDS.items():
         p = subs.add_parser(name, allow_abbrev=False)
-        _add_analysis_flags(p, 2 if name == "verify" else 1)
+        p.add_argument("--mesh", help="input OFF/OBJ mesh path")
+        _add_shape_flags(p)
+        p.add_argument("--r", type=int, default=0, help="operator order")
+        p.add_argument("--seed", type=_at_least(0), default=0)
+        for flag, kind, default in flags:
+            p.add_argument(flag, type=kind, default=default)
         _add_common_flags(p)
-        if "csv" in extra:
-            p.add_argument("--csv", help="also write the spectrum CSV")
-        if "scan" in extra:
-            p.add_argument("--csv", help="also write the scan CSV")
-            p.add_argument("--mu-min", type=_POSITIVE, default=None)
-            p.add_argument("--mu-max", type=_POSITIVE, default=None)
-            p.add_argument("--steps", type=_at_least(2), default=32)
-            p.add_argument("--scan-k", type=_at_least(1), default=3)
         p.set_defaults(func=fn)
         table[name] = p
 

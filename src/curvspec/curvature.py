@@ -5,9 +5,9 @@ the difference of the vertex unit normals (Max's weighting, see
 mesh.vertex_measures) approximates the shape operator applied to the edge
 vector, both projected into the face tangent plane.  Three edges give six
 equations for the three unknowns of a symmetric 2x2 matrix, solved in
-least squares face by face.  Per-vertex operators are the area-weighted
-average of incident face operators after rotating each face tangent plane
-onto the vertex tangent plane.
+least squares face by face, in closed form.  Per-vertex operators are the
+area-weighted average of incident face operators after rotating each face
+tangent plane onto the vertex tangent plane.
 
 Sign convention throughout: a sphere of radius R with outward normals gets
 the operator +(1/R) I.
@@ -96,39 +96,43 @@ def estimate_shape_operators(mesh):
     t2 = np.cross(fn, t1)
     basis = np.stack([t1, t2], axis=1)  # (F, 2, 3)
 
-    gram = np.zeros((len(f), 3, 3))
-    rhs = np.zeros((len(f), 3))
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        e = v[f[:, b]] - v[f[:, a]]
-        dn = vn[f[:, b]] - vn[f[:, a]]
+    # rows (eu, ev, 0) and (0, eu, ev) for unknowns (s11, s12, s22) give
+    # the normal matrix [[a, b, 0], [b, a + c, b], [0, b, c]] with
+    # a = sum eu^2, b = sum eu ev, c = sum ev^2
+    a = b = c = r0 = r1 = r2 = 0.0
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        e = v[f[:, j]] - v[f[:, i]]
+        dn = vn[f[:, j]] - vn[f[:, i]]
         eu = np.einsum("ij,ij->i", e, t1)
         ev = np.einsum("ij,ij->i", e, t2)
         du = np.einsum("ij,ij->i", dn, t1)
         dv = np.einsum("ij,ij->i", dn, t2)
-        # rows (eu, ev, 0) and (0, eu, ev) for unknowns (s11, s12, s22)
-        gram[:, 0, 0] += eu * eu
-        gram[:, 0, 1] += eu * ev
-        gram[:, 1, 0] += eu * ev
-        gram[:, 1, 1] += eu * eu + ev * ev
-        gram[:, 1, 2] += eu * ev
-        gram[:, 2, 1] += eu * ev
-        gram[:, 2, 2] += ev * ev
-        rhs[:, 0] += eu * du
-        rhs[:, 1] += ev * du + eu * dv
-        rhs[:, 2] += ev * dv
-    det = np.linalg.det(gram)
-    scale = (np.trace(gram, axis1=1, axis2=2) / 3.0) ** 3
-    bad = det <= 1e-20 * scale
+        a += eu * eu
+        b += eu * ev
+        c += ev * ev
+        r0 += eu * du
+        r1 += ev * du + eu * dv
+        r2 += ev * dv
+    # its trace is 2(a + c) and its determinant (a + c)(ac - b^2), with
+    # ac - b^2 = 12 area^2 by Lagrange's identity: the rank test below,
+    # det <= 1e-20 (trace / 3)^3, refuses needle faces
+    t = a + c
+    det = t * (a * c - b * b)
+    bad = det <= 1e-20 * (2.0 * t / 3.0) ** 3
     if np.any(bad):
         raise DegenerateGeometryError(
             f"rank-deficient shape-operator fit on face {int(np.argmax(bad))}",
             face=int(np.argmax(bad)),
         )
-    s = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+    # the adjugate of the symmetric normal matrix, over its determinant
+    ab, bc, bb = a * b, b * c, b * b
+    s = ((t * c - bb) * r0 - bc * r1 + bb * r2,
+         -bc * r0 + a * c * r1 - ab * r2,
+         bb * r0 - ab * r1 + (a * t - bb) * r2)
     ops = np.empty((len(f), 2, 2))
-    ops[:, 0, 0] = s[:, 0]
-    ops[:, 0, 1] = ops[:, 1, 0] = s[:, 1]
-    ops[:, 1, 1] = s[:, 2]
+    ops[:, 0, 0] = s[0] / det
+    ops[:, 0, 1] = ops[:, 1, 0] = s[1] / det
+    ops[:, 1, 1] = s[2] / det
     return ops, basis
 
 

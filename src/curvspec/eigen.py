@@ -22,11 +22,10 @@ shifted diagonal and factors it by LAPACK pbtrf; solves call pbtrs.  A
 shift that does not lie below the spectrum is refused instead of factored.
 The zero-mean resolvent R0 factors the same band with K grounded at its
 last vertex.  ARPACK makes no factorization and gets no OPinv or mass
-matrix: the pencil and T_r solves, lam1(K, M) on R0 and the
-Birman-Schwinger kernel are all the symmetric operator z -> S A^(-1) S z
-(A factored here, S diagonal) applied in the band's order, through one
-ARPACK call that sets the k range, the padding, the seeded start vector
-and the non-convergence error.
+matrix: the pencil and T_r solves and the Birman-Schwinger kernel are all
+the symmetric operator z -> S A^(-1) S z (A factored here, S diagonal)
+applied in the band's order, through one ARPACK call that sets the k
+range, the padding, the seeded start vector and the non-convergence error.
 """
 
 import logging

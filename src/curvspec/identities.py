@@ -22,9 +22,7 @@ c_r and H_r come from curvature's n = 2 closed forms, C_R and
 mean_curvature.  verify.Analysis holds the d quantities, computed once,
 and builds the IdentityReport.  The zero-mean resolvent R0 is K grounded
 at one vertex, Cholesky-factored once; its answer is shifted to zero
-M-mean.  That one factor serves the three d_i solves.  stiffness_lam1
-reads lam1(K, M), the inverse of R0's top eigenvalue, for the
-Birman-Schwinger scan's W-restricted bound; no identity check reads it.
+M-mean.  That one factor serves the three d_i solves.
 """
 
 from dataclasses import dataclass
@@ -32,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import C_R, mean_curvature
-from .eigen import _kernel_eigenpairs, _shifted_solver
+from .eigen import _shifted_solver
 
 __all__ = [
     "IdentityReport",
@@ -42,7 +40,6 @@ __all__ = [
     "zero_mean_resolvent",
     "d_quantities",
     "DQuantities",
-    "stiffness_lam1",
 ]
 
 
@@ -139,15 +136,3 @@ def d_quantities(pencil, f, r0):
     return DQuantities(d=d, d_sum=float(d.sum()),
                        orthogonality_raw=np.abs(a @ wf) / scale,
                        chain_residual=chain)
-
-
-def stiffness_lam1(pencil, r0, seed=0):
-    """lam1 of (K, M): the smallest nonzero eigenvalue, the mean-zero floor.
-
-    ``r0`` is zero_mean_resolvent(pencil).  With S = sqrt(M), z -> S R0(S z)
-    has eigenvalue 1/lambda on each nonconstant eigenvector of (K, M) and 0
-    on the constants, R0's kernel, so lam1 = 1/nu_max: k = 1, no shift.
-    """
-    nu, _ = _kernel_eigenpairs(r0, np.sqrt(pencil.mass), None, 1, seed,
-                               "lam1(K, M) eigensolve", tol=1e-10)
-    return 1.0 / float(nu[0])

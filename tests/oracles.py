@@ -108,8 +108,8 @@ def kernel_shift(pencil):
 def shifted_lam1(pencil, seed=0):
     """lam1 of (K, M) by shift-invert of K + eps M, eps = 0.01 mean W^2.
 
-    The second eigenvalue of the bare stiffness on its own factor, the
-    reference for identities.stiffness_lam1 on the zero-mean factor.
+    The second eigenvalue of the bare stiffness on its own factor: the
+    lam1 of the resolvent trials and of the scan's kernel bounds.
     """
     return float(eigen.smallest_eigenpairs(
         pencil.k_stiff, pencil.mass, 2, sigma=kernel_shift(pencil),
@@ -122,7 +122,7 @@ def resolvent_bound_check(pencil, mu, lam1, trials=100, seed=0):
 
     g is drawn gaussian and projected to zero M-mean, so the relevant
     spectral floor is lam1, the smallest nonzero eigenvalue of (K, M)
-    (identities.stiffness_lam1).  Raises BoundViolationError if any trial
+    (shifted_lam1).  Raises BoundViolationError if any trial
     lands below -1e-8 relative.  The bound holds for any PSD K once lam1
     is right, so it checks lam1 and the shifted solve.
     """
@@ -236,6 +236,25 @@ def subdivide_rows(mesh, target):
     children[2::4] = np.stack([f[:, 2], m20, m12], axis=1)
     children[3::4] = np.stack([m01, m12, m20], axis=1)
     return np.vstack([v, mids]), children
+
+
+def shape_operators_lstsq(mesh, basis):
+    """Per-face shape operators in ``basis`` by least squares of the six
+    edge equations, face by face: the reference of the closed-form fit
+    in curvature.estimate_shape_operators."""
+    v, vn = mesh.vertices, mesh.vertex_normals
+    ops = np.empty((mesh.n_faces, 2, 2))
+    for i, face in enumerate(mesh.faces):
+        rows, rhs = [], []
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            eu, ev = basis[i] @ (v[face[b]] - v[face[a]])
+            du, dv = basis[i] @ (vn[face[b]] - vn[face[a]])
+            rows += [(eu, ev, 0.0), (0.0, eu, ev)]
+            rhs += [du, dv]
+        s11, s12, s22 = np.linalg.lstsq(np.array(rows), np.array(rhs),
+                                        rcond=None)[0]
+        ops[i] = [[s11, s12], [s12, s22]]
+    return ops
 
 
 def face_ops_world_einsum(ops, basis):

@@ -105,15 +105,15 @@ def test_criterion_04_resolvent_and_kernel_bounds():
     worst_kernel = np.inf
     for kind, r in itertools.product(("sphere", "ellipsoid"), (0, 1)):
         _, _, pencil = get_pipeline(kind, 3, r)
+        lam1 = oracles.shifted_lam1(pencil)
         margin = oracles.resolvent_bound_check(
-            pencil, mu=1.0, lam1=identities.stiffness_lam1(
-                pencil, identities.zero_mean_resolvent(pencil)),
-            trials=100, seed=0)
+            pencil, mu=1.0, lam1=lam1, trials=100, seed=0)
         worst_resolvent = min(worst_resolvent, margin)
         assert margin >= -1e-8
         scan = birman.scan_crossings(pencil, steps=16, k=2, seed=0)
-        cols = dict(zip(scan.bound_check["columns"], scan.bound_check["rows"].T))
-        slack = np.min(cols["bound_w_perp"] - cols["top_w_perp"])
+        mu, maxw2 = scan.mu_grid[0], float(np.max(pencil.w**2))
+        slack = min(maxw2 / mu - scan.top_eigenvalues[0][0],
+                    maxw2 / (lam1 + mu) - scan.top_w_perp)
         worst_kernel = min(worst_kernel, slack)
         assert slack >= -1e-8
     report(

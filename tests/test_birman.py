@@ -183,13 +183,17 @@ class TestScan:
             assert isinstance(c.branch, int)
             assert c.matched_eigenvalue < 0
 
-    def test_bound_columns_hold(self, ellipsoid_scan):
-        bound = ellipsoid_scan.bound_check
-        cols = dict(zip(bound["columns"], bound["rows"].T))
-        assert np.all(cols["top_full"] <= cols["bound_full"] + 1e-8)
-        assert np.all(cols["top_w_perp"] <= cols["bound_w_perp"] + 1e-8)
+    def test_bound_columns_hold(self, ellipsoid_pencil, ellipsoid_scan):
+        # at mu_min the full-kernel top is at most max(W^2)/mu, and the
+        # W-restricted one at most max(W^2)/(lam1 + mu)
+        mu = ellipsoid_scan.mu_grid[0]
+        maxw2 = float(np.max(ellipsoid_pencil.w**2))
+        bound_full = maxw2 / mu
+        bound_w_perp = maxw2 / (oracles.shifted_lam1(ellipsoid_pencil) + mu)
+        assert ellipsoid_scan.top_eigenvalues[0][0] <= bound_full + 1e-8
+        assert ellipsoid_scan.top_w_perp <= bound_w_perp + 1e-8
         # the perp bound is the sharp one near the bottom of the window
-        assert cols["bound_w_perp"][0] < cols["bound_full"][0]
+        assert bound_w_perp < bound_full
 
     def test_deterministic(self, ellipsoid_pencil, ellipsoid_scan):
         again = birman.scan_crossings(ellipsoid_pencil, steps=32, k=3, seed=0)
@@ -238,8 +242,10 @@ class TestScan:
         monkeypatch.setattr(birman, "_top_k", counted)
         res = birman.scan_crossings(ellipsoid_pencil, steps=32, k=3, seed=0)
         assert restricted == [res.mu_grid[0]]
-        assert res.bound_check["rows"].shape == (1, 5)
-        assert res.bound_check["rows"][0, 0] == res.mu_grid[0]
+        assert isinstance(res.top_w_perp, float)
+        # it lies between the first two full-kernel tops (Cauchy interlacing)
+        assert res.top_eigenvalues[0][1] - 1e-8 <= res.top_w_perp \
+            <= res.top_eigenvalues[0][0] + 1e-8
 
     def test_sphere_crossing_at_two(self):
         # the only negative pencil eigenvalue on the unit sphere is -2
@@ -259,7 +265,7 @@ class TestSerialization:
 
     def test_json_dict(self, ellipsoid_scan):
         blob = cli._jsonable(ellipsoid_scan)
-        assert set(blob) >= {"mu_grid", "top_eigenvalues", "crossings", "bound_check", "warnings"}
+        assert set(blob) >= {"mu_grid", "top_eigenvalues", "crossings", "top_w_perp", "warnings"}
         assert len(blob["crossings"]) == 2
         assert all(isinstance(c["mu0"], float) for c in blob["crossings"])
         assert [c["evaluations"] for c in blob["crossings"]] == [

@@ -42,16 +42,19 @@ class TestGenerate:
         assert mesh.n_vertices == 642
 
     def test_torus_grid_flags(self, tmp_path):
-        # generate reuses --R/--r for the torus radii
+        # generate spells the torus radii as the analysis commands do
         out = tmp_path / "t.off"
         code = run([
-            "generate", "--shape", "torus", "--R", "2", "--r", "0.5",
-            "--nu", "64", "--nv", "32", "-o", str(out),
+            "generate", "--shape", "torus", "--major-radius", "2",
+            "--minor-radius", "0.5", "--nu", "64", "--nv", "32", "-o", str(out),
         ])
         assert code == 0
         mesh = load_mesh(out)
         assert mesh.n_vertices == 64 * 32
         assert mesh.euler_characteristic == 0
+        for old in ("--R", "--r"):
+            assert run(["generate", "--shape", "torus", old, "1",
+                        "-o", str(out)]) == 64
 
     def test_requires_shape_and_output(self, tmp_path, capsys):
         assert run(["generate", "-o", str(tmp_path / "x.off")]) == 64
@@ -303,29 +306,59 @@ class TestBadInput:
     ])
     def test_range_refused_before_any_work(self, tmp_path, capsys,
                                            monkeypatch, command, flag, value):
-        self.refused_before_any_work(tmp_path, capsys, monkeypatch, command,
-                                     flag, [f"--{flag}", value])
+        err = self.refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                           command, [f"--{flag}", value])
+        assert err.startswith(f"usage error: argument --{flag}: must be ")
 
     # verify reads lambda_2, so it needs two pairs; every count needs one
     @pytest.mark.parametrize("via", ["flag", "config"])
     @pytest.mark.parametrize("command,flag,value", [
         ("verify", "k", "1"), ("verify", "k", "0"),
-        ("spectrum", "k", "0"), ("identities", "k", "0"),
-        ("bs-scan", "k", "0"), ("bs-scan", "scan-k", "0"),
+        ("spectrum", "k", "0"), ("bs-scan", "scan-k", "0"),
     ])
     def test_eigenpair_count_refused_before_any_work(
             self, tmp_path, capsys, monkeypatch, command, flag, value, via):
-        extra = [f"--{flag}", value]
-        if via == "config":
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text(f"{flag} = {value}\n")
-            extra = ["--config", str(cfg)]
-        self.refused_before_any_work(tmp_path, capsys, monkeypatch, command,
-                                     flag, extra)
+        err = self.refused_before_any_work(
+            tmp_path, capsys, monkeypatch, command,
+            self.given(tmp_path, flag, value, via))
+        assert err.startswith(f"usage error: argument --{flag}: must be ")
+
+    # each command takes only the flags it reads; these in-range values
+    # are refused because the command would ignore them
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("command,flag,value", [
+        ("bs-scan", "k", "3"), ("bs-scan", "eig-tol", "1e-8"),
+        ("bs-scan", "tol-sphere", "0.1"),
+        ("bs-scan", "tol-sphere-factor", "0.1"),
+        ("bs-scan", "tol-identity", "0.1"),
+        ("identities", "k", "3"), ("identities", "eig-tol", "1e-8"),
+        ("identities", "tol-sphere", "0.1"),
+        ("identities", "tol-sphere-factor", "0.1"),
+        ("spectrum", "tol-sphere", "0.1"),
+        ("spectrum", "tol-sphere-factor", "0.1"),
+        ("spectrum", "tol-identity", "0.1"),
+    ])
+    def test_unread_flag_refused_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, flag, value, via):
+        err = self.refused_before_any_work(
+            tmp_path, capsys, monkeypatch, command,
+            self.given(tmp_path, flag, value, via))
+        named = f"--{flag}" if via == "flag" else repr(flag.replace("-", "_"))
+        assert err.startswith("usage error: ") and named in err
 
     @staticmethod
-    def refused_before_any_work(tmp_path, capsys, monkeypatch, command, flag,
-                                extra):
+    def given(tmp_path, flag, value, via):
+        """The argv that passes ``flag`` as a flag or as a config key."""
+        if via == "flag":
+            return [f"--{flag}", value]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag} = {value}\n")
+        return ["--config", str(cfg)]
+
+    @staticmethod
+    def refused_before_any_work(tmp_path, capsys, monkeypatch, command, extra):
+        """Exit 64 with no curvature computed and no report written; returns
+        the one stderr line."""
         calls = []
         monkeypatch.setattr(verify, "compute_curvature",
                             lambda *a, **k: calls.append(a))
@@ -335,8 +368,8 @@ class TestBadInput:
         assert calls == []
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith(f"usage error: argument --{flag}: must be ")
         assert not out.exists()
+        return err[0]
 
 
 class TestUnwritableOutput:
@@ -470,7 +503,8 @@ class TestDeterminism:
         assert len(factors) == len(lines) - 1
         newton = sum(c["evaluations"] for c in json.loads(out.read_text())[
             "birman_schwinger"]["crossings"])
-        assert len(factors) == 1 + 8 + newton + 1
+        # one per grid point, one per Newton step, the pencil match
+        assert len(factors) == 8 + newton + 1
         assert "error" not in json.loads(out.read_text())
 
     def test_timings_embedded_by_default(self, tmp_path):
@@ -621,12 +655,12 @@ class TestWorkCounts:
         assert crossings
         newton = sum(c["evaluations"] for c in crossings)
         assert counts["arpack_splu"] == 0
-        # R0 for lam1, one per grid point, one per Newton step, the pencil
-        # match at the first rung of its ladder
-        assert counts["cholesky_banded"] == 1 + 8 + newton + 1
+        # one per grid point, one per Newton step, the pencil match at the
+        # first rung of its ladder; no zero-mean factor
+        assert counts["cholesky_banded"] == 8 + newton + 1
         assert counts["refused"] == 0
         assert counts["reverse_cuthill_mckee"] == 1
-        assert (counts["r0_factors"], counts["r0_solves"]) == (1, 0)
+        assert (counts["r0_factors"], counts["r0_solves"]) == (0, 0)
 
 
 class TestConfigFile:

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from curvspec import curvature, surfaces
-from curvspec.errors import CurvaturePositivityError
+from curvspec.errors import CurvaturePositivityError, DegenerateGeometryError
+from curvspec.mesh import TriMesh
 
 import oracles
-from conftest import get_pipeline
+from conftest import get_mesh, get_pipeline
 
 
 class TestShapeOperators:
@@ -33,6 +34,19 @@ class TestShapeOperators:
         flat = np.max(np.abs(nrm - nrm[:, :1, :]), axis=(1, 2)) < 1e-12
         assert flat.sum() >= 40     # interior of each side stays planar
         assert np.max(np.abs(ops[flat])) < 1e-12
+
+    def test_needle_face_refused(self):
+        # the third vertex of face 0 moved to 1e-12 off the midpoint of its
+        # opposite edge: the face keeps an area above the mesh's floor, but
+        # its fit's normal matrix is singular to working precision
+        ico = get_mesh("sphere", 2)
+        v = ico.vertices.copy()
+        i, j, k = ico.faces[0]
+        mid = 0.5 * (v[i] + v[j])
+        v[k] = mid + 1e-12 * (v[k] - mid) / np.linalg.norm(v[k] - mid)
+        with pytest.raises(DegenerateGeometryError,
+                           match="rank-deficient shape-operator fit on face 0"):
+            curvature.estimate_shape_operators(TriMesh(v, ico.faces))
 
     def test_ellipsoid_pole_face(self):
         e = surfaces.Ellipsoid(2.0, 1.0, 1.0)
@@ -177,11 +191,13 @@ class TestBuildFields:
     ("ellipsoid", 3, 0), ("sphere", 3, 1), ("bumped", 3, 0),
 ])
 def test_batched_kernels_match_einsum(kind, subdiv, r):
-    # the batched products and bincount scatters against the einsum and
+    # the closed-form fit against least squares face by face, and the
+    # batched products and bincount scatters against the einsum and
     # np.add.at forms, which sum in another order
     mesh, field, _ = get_pipeline(kind, subdiv, r)
     ops, basis = curvature.estimate_shape_operators(mesh)
     for got, want in (
+        (ops, oracles.shape_operators_lstsq(mesh, basis)),
         (curvature._to_world(ops, basis),
          oracles.face_ops_world_einsum(ops, basis)),
         (field.vertex_kappas, oracles.vertex_kappas_einsum(ops, basis, mesh)),
