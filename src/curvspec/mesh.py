@@ -1,9 +1,13 @@
 """Closed oriented triangle meshes.
 
 The TriMesh type is the single geometry carrier for the whole package.  It is
-immutable after construction: all derived quantities (areas, normals, edge
-table, connectivity diagnostics) are computed once and the arrays are marked
-read-only, so instances can be shared freely between threads.
+immutable after construction.  The constructor builds the face and vertex
+geometry (areas, normals), the edge table and the connectivity diagnostics
+as arrays, and marks them read-only, so instances can be shared freely
+between threads.  The one diagnostic built on first read is the tuple of
+misoriented edges: construction keeps them as an array of rows, which
+is_oriented and the orientation refusal read, so a refusal converts one
+row instead of every misoriented edge.
 
 Vertex area is the barycentric third of the incident face areas.  The vertex
 normal is a weighted average of incident face normals, each weighted by the
@@ -16,8 +20,11 @@ Faces are counter-clockwise as seen from outside, which makes a round
 sphere carry principal curvature +1/R downstream.
 """
 
+import itertools
 import os
+import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,7 +47,7 @@ __all__ = [
     "load_mesh",
     "write_off",
     "vertex_measures",
-    "subdivide_project",
+    "refine",
 ]
 
 _AREA_FLOOR_REL = 1e-14  # faces at or below this share of the mean area are degenerate
@@ -93,6 +100,7 @@ class TriMesh:
             self.vertex_areas,
             self.vertex_normals,
             self.edges,
+            self._misoriented,
         ):
             arr.flags.writeable = False
 
@@ -116,11 +124,15 @@ class TriMesh:
         )
 
     def _build_vertex_geometry(self):
+        # bincount adds the weights in input order, starting from zero, as
+        # np.add.at would: the same sums, bit for bit
         v, f = self.vertices, self.faces
-        va = np.zeros(len(v))
-        np.add.at(va, f.ravel(), np.repeat(self.face_areas / 3.0, 3))
-        self.vertex_areas = va
-        vn = np.zeros_like(v)
+        nv = len(v)
+        self.vertex_areas = np.bincount(
+            f.ravel(), weights=np.repeat(self.face_areas / 3.0, 3), minlength=nv)
+        # each face's weighted normal at corner a, corner-major, so each
+        # vertex sums its corner-0 faces, then corner 1, then corner 2
+        corner = np.empty((3, len(f), 3))
         for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             u = v[f[:, b]] - v[f[:, a]]
             w = v[f[:, c]] - v[f[:, a]]
@@ -131,7 +143,10 @@ class TriMesh:
             good = (d1 > 0.0) & (d2 > 0.0)
             wt = np.zeros(len(f))
             wt[good] = 1.0 / (d1[good] * d2[good])
-            np.add.at(vn, f[:, a], wt[:, None] * np.cross(u, w))
+            corner[a] = wt[:, None] * np.cross(u, w)
+        at = f.T.ravel()
+        vn = np.stack([np.bincount(at, weights=corner[..., k].ravel(), minlength=nv)
+                       for k in range(3)], axis=1)
         norms = np.linalg.norm(vn, axis=1)
         ok = norms > 0.0
         vn[ok] /= norms[ok, None]
@@ -156,12 +171,15 @@ class TriMesh:
         mis = (counts == 2) & (np.abs(osum) == 2)
         on_mis = np.nonzero(mis[inv])[0]
         on_mis = on_mis[np.argsort(inv[on_mis], kind="stable")]
-        pairs = (on_mis // 3).reshape(-1, 2)
-        # one flat list of Python ints, read four at a time: no per-row
-        # conversion and no transient list per row
-        flat = iter(np.hstack([edges[mis], pairs]).ravel().tolist())
-        self.misoriented_edges = tuple(
-            ((a, b), (c, d)) for a, b, c, d in zip(flat, flat, flat, flat))
+        # one row (a, b, face, face) per misoriented edge, in edge order
+        self._misoriented = np.hstack([edges[mis], (on_mis // 3).reshape(-1, 2)])
+
+    @cached_property
+    def misoriented_edges(self):
+        """((a, b), (face, face)) per misoriented edge, built on first read
+        from one flat list of Python ints, read four at a time."""
+        flat = iter(self._misoriented.ravel().tolist())
+        return tuple(((a, b), (c, d)) for a, b, c, d in zip(flat, flat, flat, flat))
 
     @property
     def n_vertices(self):
@@ -189,7 +207,7 @@ class TriMesh:
 
     @property
     def is_oriented(self):
-        return not self.misoriented_edges
+        return not len(self._misoriented)
 
     def hat_gradients(self):
         """Per-face constant gradients of the three hat functions, (F, 3, 3).
@@ -272,9 +290,9 @@ def _raise_if_invalid(mesh):
         raise NonManifoldEdgeError(edge, count)
     if mesh.boundary_edges:
         raise OpenBoundaryError(mesh.boundary_edges[0])
-    if mesh.misoriented_edges:
-        edge, fs = mesh.misoriented_edges[0]
-        raise OrientationError(edge, fs)
+    if not mesh.is_oriented:
+        row = mesh._misoriented[0]   # misoriented_edges[0], and only it
+        raise OrientationError(row[:2], row[2:])
     if mesh.degenerate_faces:
         raise _degenerate_face_error(mesh)
     nv, e = mesh.n_vertices, mesh.edges
@@ -291,9 +309,14 @@ def load_mesh(path):
     TriMesh.
 
     Polygonal faces are fan-triangulated.  OFF indices are zero-based, OBJ
-    one-based.  Raises MeshLoadError on parse problems (with the line
-    number) and the specific connectivity error otherwise; a mesh with
-    more than one connected component is refused last.
+    one-based.  An OFF file's vertex and face blocks are read as arrays by
+    np.loadtxt; a file that read does not take (polygon faces, a comment
+    or blank line inside a block, a row numpy refuses, a bad header or a
+    byte outside ASCII) is read again line by line, which gives the same
+    arrays or the error with its line.  OBJ files are read line by
+    line.  Raises MeshLoadError on parse problems (with the line number)
+    and the specific connectivity error otherwise; a mesh with more than
+    one connected component is refused last.
     """
     ext = os.path.splitext(str(path))[1].lower()
     parse = {".off": _parse_off, ".obj": _parse_obj}.get(ext)
@@ -308,52 +331,99 @@ def load_mesh(path):
     return mesh
 
 
+def _meaningful(lines):
+    """(line number, body) of each of ``lines`` that holds more than a
+    comment; the body is the line without its comment and outer space."""
+    for i, line in enumerate(lines, start=1):
+        body = line.split("#", 1)[0].strip()
+        if body:
+            yield i, body
+
+
 def _meaningful_lines(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise MeshLoadError(str(exc), path=path) from exc
-    out = []
-    for i, line in enumerate(raw, start=1):
-        body = line.split("#", 1)[0].strip()
-        if body:
-            out.append((i, body))
-    return out
+    return list(_meaningful(raw))
 
 
-def _parse_off(path):
-    lines = _meaningful_lines(path)
-    if not lines:
+def _off_counts(lines, path):
+    """V and F from the OFF header, taken from the iterator of meaningful
+    lines: the OFF line, then the counts line unless the OFF line holds
+    the counts."""
+    lineno, head = next(lines, (None, None))
+    if head is None:
         raise MeshLoadError("empty file", path=path)
-    pos = 0
-    lineno, head = lines[pos]
-    counts_tokens = None
     if head == "OFF":
-        pos += 1
+        cline, counts = next(lines, (lineno, None))
+        if counts is None:
+            raise MeshLoadError("missing counts line", path=path, line=lineno)
     elif head.startswith("OFF"):
-        counts_tokens = (lineno, head[3:].split())
-        pos += 1
+        cline, counts = lineno, head[3:]
     else:
         raise MeshLoadError("missing OFF header", path=path, line=lineno)
-    if counts_tokens is None:
-        if pos >= len(lines):
-            raise MeshLoadError("missing counts line", path=path, line=lineno)
-        counts_tokens = (lines[pos][0], lines[pos][1].split())
-        pos += 1
-    cline, tok = counts_tokens
+    tok = counts.split()
     if len(tok) < 3:
         raise MeshLoadError("counts line must read 'V F E'", path=path, line=cline)
     try:
-        nv, nf = int(tok[0]), int(tok[1])
+        return int(tok[0]), int(tok[1])
     except ValueError as exc:
         raise MeshLoadError("counts line must be integers", path=path, line=cline) from exc
+
+
+def _parse_off(path):
+    return _read_off_arrays(path) or _walk_off(path)
+
+
+def _read_off_arrays(path):
+    """The OFF vertex (V, 3) and triangle (F, 3) arrays by numpy's reader,
+    or None where the line walk has to read the file.
+
+    A block starts at its first line with more than a comment and goes to
+    np.loadtxt as exactly V (F) lines, so a comment or blank line inside
+    it shows as a short row count.  A face that is not a triangle, any
+    refusal (of a row, of the header, of the file) and any numpy warning
+    (an empty block warns "input contained no data") give None too.  The
+    file is read as ASCII, to its end: numpy's integer reader takes some
+    non-ASCII characters for digits, and the line walk refuses bytes that
+    are not UTF-8 anywhere in the file.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = _meaningful(fh)
+            nv, nf = _off_counts(rows, path)
+            verts = np.loadtxt(_block(rows, fh, nv), usecols=(0, 1, 2), ndmin=2)
+            faces = np.loadtxt(_block(rows, fh, nf), dtype=np.int64,
+                               usecols=(0, 1, 2, 3), ndmin=2)
+            fh.read()
+    except (OSError, ValueError, Warning, MeshLoadError):
+        return None
+    if len(verts) != nv or len(faces) != nf or np.any(faces[:, 0] != 3):
+        return None
+    return verts, faces[:, 1:]
+
+
+def _block(rows, fh, n):
+    """The next line of ``rows`` (the meaningful lines of ``fh``), then the
+    n - 1 lines of ``fh`` after it as they stand; ValueError if n < 1."""
+    return itertools.chain(itertools.islice((body for _, body in rows), 1),
+                           itertools.islice(fh, n - 1))
+
+
+def _walk_off(path):
+    """The OFF file line by line, polygons fan-triangulated; the reader
+    that names the line of a MeshLoadError."""
+    lines = _meaningful_lines(path)
+    rest = iter(lines)
+    nv, nf = _off_counts(rest, path)
     verts = []
     for _ in range(nv):
-        if pos >= len(lines):
+        lineno, body = next(rest, (None, None))
+        if body is None:
             raise MeshLoadError(f"expected {nv} vertex lines", path=path, line=lines[-1][0])
-        lineno, body = lines[pos]
-        pos += 1
         tok = body.split()
         if len(tok) < 3:
             raise MeshLoadError("vertex line needs 3 coordinates", path=path, line=lineno)
@@ -363,10 +433,9 @@ def _parse_off(path):
             raise MeshLoadError("bad vertex coordinate", path=path, line=lineno) from exc
     faces = []
     for _ in range(nf):
-        if pos >= len(lines):
+        lineno, body = next(rest, (None, None))
+        if body is None:
             raise MeshLoadError(f"expected {nf} face lines", path=path, line=lines[-1][0])
-        lineno, body = lines[pos]
-        pos += 1
         tok = body.split()
         try:
             k = int(tok[0])
@@ -450,7 +519,11 @@ def subdivide_project(mesh, target=None):
     projected onto it (existing vertices are assumed to lie on the surface
     already).  Child faces inherit the parent orientation.
     """
-    v, f = mesh.vertices, mesh.faces
+    return TriMesh(*refine(mesh.vertices, mesh.faces, target))
+
+
+def refine(v, f, target=None):
+    """subdivide_project on the arrays: the refined (vertices, faces)."""
     edges, inv, _ = _edge_table(f, len(v))
     mids = 0.5 * (v[edges[:, 0]] + v[edges[:, 1]])
     if target is not None:
@@ -469,4 +542,4 @@ def subdivide_project(mesh, target=None):
     children[1::4] = np.stack([f[:, 1], m12, m01], axis=1)
     children[2::4] = np.stack([f[:, 2], m20, m12], axis=1)
     children[3::4] = np.stack([m01, m12, m20], axis=1)
-    return TriMesh(np.vstack([v, mids]), children)
+    return np.vstack([v, mids]), children

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProjectionError
-from .mesh import TriMesh, subdivide_project
+from .mesh import TriMesh, refine
 
 __all__ = [
     "Sphere",
@@ -230,8 +230,9 @@ def generate(surface, subdiv=0, nu=None, nv=None):
     if isinstance(surface, Torus):
         scale = 2**subdiv
         return _torus_grid(surface, nu or 16 * scale, nv or 8 * scale)
+    # refine the arrays and build one TriMesh, for the finest level only
     base = icosahedron()
-    m = TriMesh(surface.project(base.vertices), base.faces)
+    v, f = surface.project(base.vertices), base.faces
     for _ in range(subdiv):
-        m = subdivide_project(m, target=surface)
-    return m
+        v, f = refine(v, f, target=surface)
+    return TriMesh(v, f)

@@ -213,6 +213,29 @@ def lumped_vertex_areas(mesh):
     return areas
 
 
+def vertex_measures_add_at(mesh):
+    """Vertex areas and unit normals by np.add.at scatters, one face corner
+    at a time: the reference of TriMesh's bincount sums, which add the
+    same terms in the same order."""
+    v, f = mesh.vertices, mesh.faces
+    areas = np.zeros(len(v))
+    np.add.at(areas, f.ravel(), np.repeat(mesh.face_areas / 3.0, 3))
+    normals = np.zeros_like(v)
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        u = v[f[:, b]] - v[f[:, a]]
+        w = v[f[:, c]] - v[f[:, a]]
+        d1 = np.einsum("ij,ij->i", u, u)
+        d2 = np.einsum("ij,ij->i", w, w)
+        good = (d1 > 0.0) & (d2 > 0.0)
+        wt = np.zeros(len(f))
+        wt[good] = 1.0 / (d1[good] * d2[good])
+        np.add.at(normals, f[:, a], wt[:, None] * np.cross(u, w))
+    norms = np.linalg.norm(normals, axis=1)
+    ok = norms > 0.0
+    normals[ok] /= norms[ok, None]
+    return areas, normals
+
+
 def edge_table_rows(faces):
     """(edges, inverse, counts) by a row-wise unique of the sorted directed
     edges 01, 12, 20 of every face: the edge table's reference."""

@@ -249,6 +249,23 @@ class TestRefusals:
         assert proc.stderr.splitlines() == [
             f"error: face {face} has non-finite area"]
 
+    @pytest.mark.parametrize("counts,tail,message", [
+        ("3 0 0", "", ": faces must be a (F, 3) array of vertex indices"),
+        ("3 2 0", "# no faces\n\n", ":5: expected 2 face lines"),
+    ], ids=["zero-faces", "blank-face-block"])
+    def test_empty_face_block_one_stderr_line(self, tmp_path, counts, tail,
+                                              message):
+        # numpy's reader warns "input contained no data" on an empty block;
+        # the refusal is the one line on stderr all the same
+        off = tmp_path / "flat.off"
+        off.write_text(f"OFF\n{counts}\n0 0 0\n1 0 0\n0 1 0\n{tail}")
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvspec", "verify", "--mesh", str(off),
+             "-o", str(tmp_path / "rep.json")],
+            capture_output=True, text=True, env=module_env())
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [f"error: {off}{message}"]
+
     def test_method_flag_is_gone(self):
         assert run(["verify", "--shape", "sphere", "--method", "dense"]) == 64
 

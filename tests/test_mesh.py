@@ -1,5 +1,7 @@
 """Mesh carrier, validation, file formats, subdivision."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,22 @@ TETRA_V = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 TETRA_F = np.array([[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]])
 
 
+def _half_flipped(subdiv):
+    """The unit sphere with a seeded half of its faces reversed."""
+    sphere = surfaces.generate(surfaces.Sphere(1.0), subdiv=subdiv)
+    faces = sphere.faces.copy()
+    flip = np.random.default_rng(0).permutation(len(faces))[: len(faces) // 2]
+    faces[flip] = faces[flip][:, ::-1]
+    return TriMesh(sphere.vertices, faces)
+
+
+def _jittered_sphere():
+    """The subdiv-3 unit sphere with every coordinate moved by up to 3%."""
+    v = get_mesh("sphere", 3).vertices
+    v = v * (1.0 + 0.03 * np.random.default_rng(0).uniform(-1, 1, v.shape))
+    return TriMesh(v, get_mesh("sphere", 3).faces)
+
+
 class TestTriMesh:
     def test_icosahedron_counts(self):
         mesh = surfaces.icosahedron()
@@ -51,6 +69,21 @@ class TestTriMesh:
         assert np.allclose(
             mesh.vertex_areas, oracles.lumped_vertex_areas(mesh), rtol=1e-12
         )
+
+    @pytest.mark.parametrize("build", [
+        lambda: get_mesh("sphere", 3),
+        lambda: get_mesh("ellipsoid", 3),
+        lambda: get_mesh("bumped", 3),
+        lambda: get_mesh("torus", 1),
+        _jittered_sphere,
+        lambda: _half_flipped(4),
+    ], ids=["sphere", "ellipsoid", "bumped", "torus", "jittered", "flipped"])
+    def test_vertex_measures_match_add_at_oracle(self, build):
+        # the bincount sums add what np.add.at added, in its order
+        mesh = build()
+        areas, normals = oracles.vertex_measures_add_at(mesh)
+        assert np.array_equal(mesh.vertex_areas, areas)
+        assert np.array_equal(mesh.vertex_normals, normals)
 
     def test_vertex_measures_match_attributes(self, sphere3):
         areas, normals = vertex_measures(sphere3)
@@ -99,16 +132,27 @@ class TestTriMesh:
         assert mesh.misoriented_edges
 
     def test_misoriented_edges_match_loop_oracle(self):
-        sphere = surfaces.generate(surfaces.Sphere(1.0), subdiv=3)
-        faces = sphere.faces.copy()
-        flip = np.random.default_rng(0).permutation(len(faces))[: len(faces) // 2]
-        faces[flip] = faces[flip][:, ::-1]
-        mesh = TriMesh(sphere.vertices, faces)
+        mesh = _half_flipped(3)
         expected = oracles.misoriented_edges_loop(mesh)
         assert len(expected) > 100
         assert mesh.misoriented_edges == expected
         assert all(type(i) is int
                    for edge, pair in mesh.misoriented_edges for i in edge + pair)
+
+    def test_refusal_names_first_misoriented_edge(self, tmp_path):
+        # the refusal converts one row, and it is misoriented_edges[0];
+        # the tuple of all of them is built on its first read only
+        mesh = _half_flipped(3)
+        path = tmp_path / "flip.off"
+        write_off(mesh, path)
+        with pytest.raises(OrientationError) as err:
+            load_mesh(path)
+        fresh = TriMesh(mesh.vertices, mesh.faces)
+        with pytest.raises(OrientationError):
+            mesh_mod._raise_if_invalid(fresh)
+        assert not fresh.is_oriented and "misoriented_edges" not in vars(fresh)
+        assert (err.value.edge, err.value.faces) == fresh.misoriented_edges[0]
+        assert fresh.misoriented_edges == oracles.misoriented_edges_loop(mesh)
 
     def test_degenerate_face_reported(self):
         v = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0]])
@@ -353,6 +397,98 @@ def _corrupted(draw, fmt):
             at = draw(st.integers(0, len(data)))
             data = data[:at] + junk + data[at:]
     return data
+
+
+@st.composite
+def _off_variant(draw):
+    """Bytes of a well-formed OFF icosahedron in one of the layouts the
+    format allows: the header on one line, comment and blank lines, a
+    quad, extra tokens in a row, CRLF, trailing lines or F = 0."""
+    lines = _token_lines("off")
+    if draw(st.booleans()):
+        # faces (0 11 5) and (0 5 1) are the fan of the quad (0 11 5 1)
+        lines[2 + 12: 2 + 14] = [["4", "0", "11", "5", "1"]]
+        lines[1][1] = "19"
+    if draw(st.booleans()):
+        lines[1][1] = "0"
+    if draw(st.booleans()):
+        row = draw(st.integers(2, len(lines) - 1))
+        lines[row] += draw(st.lists(st.sampled_from(["7", "0.5", "255"]),
+                                    min_size=1, max_size=3))
+    if draw(st.booleans()):
+        lines += draw(st.lists(st.sampled_from(
+            [["3", "0", "1", "2"], ["junk"], ["1", "2", "3"]]), min_size=1,
+            max_size=3))
+    if draw(st.booleans()):
+        lines[0:2] = [lines[0] + lines[1]]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(
+            [["#", "a", "comment"], [], [" \t"], ["#"]])))
+    if draw(st.booleans()):
+        row = draw(st.integers(0, len(lines) - 1))
+        lines[row] = lines[row] + ["#", "trailing"]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(" ".join(t) + newline for t in lines).encode("ascii")
+
+
+def _outcome(path):
+    """A loaded mesh's vertex and face bytes, or the refusal's type,
+    message and line."""
+    try:
+        mesh = load_mesh(path)
+    except CurvSpecError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return mesh.vertices.tobytes(), mesh.faces.tobytes()
+
+
+def _outcome_by_walk(path):
+    """_outcome with the line walk reading every OFF file."""
+    with mock.patch.object(mesh_mod, "_read_off_arrays", lambda p: None):
+        return _outcome(path)
+
+
+class TestOffReader:
+    """The OFF array read gives what the line walk gives, bit for bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.one_of(_corrupted("off"), _off_variant()))
+    def test_array_read_matches_line_walk(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "either.off"
+        path.write_bytes(data)
+        assert _outcome(path) == _outcome_by_walk(path)
+
+    HEAD = "OFF\n4 4 6\n"
+    VERTS = "".join("%g %g %g\n" % tuple(p) for p in TETRA_V)
+    FACES = "".join("3 %d %d %d\n" % tuple(f) for f in TETRA_F)
+
+    @pytest.mark.parametrize("text,taken", [
+        (HEAD + VERTS + FACES, True),
+        ("# by hand\nOFF 4 4 6\n\n" + VERTS + "# faces\n" + FACES + "x\n", True),
+        ((HEAD + VERTS + FACES).replace("\n", "\r\n"), True),
+        (HEAD + VERTS + FACES.replace("3 0 2 1", "3 0 2 1 255 0 0 # red"), True),
+        (HEAD + VERTS.replace("\n", "\n\n", 1) + FACES, False),
+        (HEAD + VERTS + FACES.replace("\n", "\n# c\n", 1), False),
+        # a face-like last vertex row: the short vertex block must decline,
+        # not shift the face block onto that row
+        (HEAD + "0 0 0\n\n1 0 0\n0 1 0\n3 0 1 2\n" + FACES, False),
+        (HEAD + VERTS + FACES.replace("3 0 2 1", "4 0 2 1 3"), False),
+        (HEAD + VERTS + FACES.replace("3 0 2 1", "3 0 2 1.0"), False),
+        ("OFF # \u00e9\n4 4 6\n" + VERTS + FACES, False),
+        # numpy's integer reader takes U+01FE for a digit; int() does not
+        (HEAD + VERTS + FACES.replace("3 0 2 1", "3 0 2 1\u01fe"), False),
+    ], ids=["plain", "comments-around-blocks", "crlf", "colour", "blank-in-block",
+            "comment-in-block", "face-like-vertex", "quad", "float-index", "non-ascii",
+            "non-ascii-digit"])
+    def test_array_read_takes_plain_blocks(self, tmp_path, text, taken):
+        path = tmp_path / "tetra.off"
+        path.write_bytes(text.encode("utf-8"))
+        arrays = mesh_mod._read_off_arrays(path)
+        assert (arrays is not None) == taken
+        if taken:
+            assert np.array_equal(arrays[0], TETRA_V)
+            assert np.array_equal(arrays[1], TETRA_F)
+        assert _outcome(path) == _outcome_by_walk(path)
 
 
 class TestAdversarialInput:

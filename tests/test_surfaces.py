@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import make_surface
 from curvspec import surfaces
 from curvspec.errors import ProjectionError
-from curvspec.mesh import validate
+from curvspec.mesh import TriMesh, subdivide_project, validate
 
 # the finite-difference oracle at h = 1e-4 is good to about 1e-7
 FD_TOL = 1e-6
@@ -173,6 +174,57 @@ class TestGenerate:
         mesh = surfaces.icosahedron()
         radial = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1)[:, None]
         assert np.max(np.abs(mesh.vertex_normals - radial)) < 1e-12
+
+    def test_builds_two_meshes(self, monkeypatch):
+        # the icosahedron and the finest level: the levels in between are
+        # refined as arrays, with no geometry or connectivity built
+        built = []
+        init = TriMesh.__init__
+
+        def counted(mesh, *args):
+            built.append(args)
+            init(mesh, *args)
+
+        monkeypatch.setattr(TriMesh, "__init__", counted)
+        surfaces.generate(surfaces.Sphere(1.0), subdiv=4)
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("kind", ["sphere", "ellipsoid", "bumped"])
+    def test_matches_subdivide_project_chain(self, kind):
+        surface = make_surface(kind)
+        ico = surfaces.icosahedron()
+        chain = TriMesh(surface.project(ico.vertices), ico.faces)
+        for subdiv in range(5):
+            mesh = surfaces.generate(surface, subdiv=subdiv)
+            assert np.array_equal(mesh.vertices, chain.vertices)
+            assert np.array_equal(mesh.faces, chain.faces)
+            chain = subdivide_project(chain, target=surface)
+
+    def test_projection_error_names_chain_vertex(self):
+        class FailsOnCall:
+            """The unit sphere, whose projection on its third call leaves
+            the middle point non-finite."""
+
+            def __init__(self):
+                self.calls = 0
+
+            def project(self, points):
+                self.calls += 1
+                q = surfaces.Sphere(1.0).project(points)
+                if self.calls == 3:
+                    q[len(q) // 2] = np.nan
+                return q
+
+        with pytest.raises(ProjectionError) as got:
+            surfaces.generate(FailsOnCall(), subdiv=3)
+        target = FailsOnCall()
+        ico = surfaces.icosahedron()
+        chain = TriMesh(target.project(ico.vertices), ico.faces)
+        with pytest.raises(ProjectionError) as want:
+            for _ in range(3):
+                chain = subdivide_project(chain, target=target)
+        # the middle one of the 120 midpoints of the 42-vertex level
+        assert got.value.vertex == want.value.vertex == 42 + 60
 
     def test_negative_subdiv(self):
         with pytest.raises(ValueError):
