@@ -10,12 +10,12 @@ knows of the spectrum, nearest first, and the first that factors is used.
 Vectors come back M-orthonormal with per-pair residuals so callers can
 check convergence instead of trusting it.
 
-This module is the only one that orders, factors or solves with a matrix or
-calls ARPACK.  Every symmetric matrix the package factors (K, K - M_W,
-K - M_T, each plus s*M) is positive definite at the shifts it takes and has
-K's sparsity pattern, so the factorization is split as George-Liu
-(Computer Solution of Large Sparse Positive Definite Systems, 1981) split
-it.  The symbolic half, a BandLayout of K's pattern in reverse Cuthill-McKee
+This module is the only one that orders, factors or solves with a matrix,
+calls ARPACK or runs a dense eigensolve.  Every symmetric matrix the
+package factors (K, K - M_W, K - M_T, each plus s*M) is positive definite
+at the shifts it takes and has K's sparsity pattern, so the factorization
+is split as George-Liu (Computer Solution of Large Sparse Positive Definite
+Systems, 1981) split it.  The symbolic half, a BandLayout of K's pattern in reverse Cuthill-McKee
 order (Cuthill-McKee 1969), is built once per mesh and held on the pencil.
 The numeric half fills a fresh band from the matrix's entries and the
 shifted diagonal and factors it by LAPACK pbtrf; solves call pbtrs.  A
@@ -26,6 +26,9 @@ matrix: the pencil and T_r solves and the Birman-Schwinger kernel are all
 the symmetric operator z -> S A^(-1) S z (A factored here, S diagonal)
 applied in the band's order, through one ARPACK call that sets the k
 range, the padding, the seeded start vector and the non-convergence error.
+The Birman-Schwinger scan between its snapshots is a dense Rayleigh-Ritz
+problem on a reduced basis (_ReducedPencil), one generalized LAPACK eigh
+of size at most V per value of mu.
 """
 
 import logging
@@ -202,7 +205,7 @@ def _shifted_solver(a, mass, shift, zero_mean=False, layout=None):
 
 
 def _kernel_eigenpairs(solve, scale, basis, k, seed, what, vectors=False,
-                       tol=0.0):
+                       tol=0.0, padded=False):
     """The package's one ARPACK call: k largest eigenpairs of
     z -> Q S A^(-1) S Q z, descending.
 
@@ -214,7 +217,8 @@ def _kernel_eigenpairs(solve, scale, basis, k, seed, what, vectors=False,
     start vector is the same in every order, and the eigenvectors (with
     ``vectors``) are put back in vertex order once.  ARPACK returns at most
     V - 1 pairs, so ``k`` must lie in [1, V - 1]; a couple of padding pairs
-    help it separate clustered targets.  Returns (values, vectors or None).
+    help it separate clustered targets, and ``padded`` returns them too,
+    min(k + 2, V - 1) pairs in all.  Returns (values, vectors or None).
     Raises EigenSolveError on a refused k or when ARPACK fails to converge,
     naming ``what``.
     """
@@ -248,8 +252,40 @@ def _kernel_eigenpairs(solve, scale, basis, k, seed, what, vectors=False,
             f"{what}: ARPACK converged {len(exc.eigenvalues)}/{kk} pairs"
         ) from exc
     vals, z = out if vectors else (out, None)
-    top = np.argsort(vals)[::-1][:k]
+    top = np.argsort(vals)[::-1][:kk if padded else k]
     return vals[top], None if z is None else z[:, top][layout.inverse]
+
+
+class _ReducedPencil:
+    """The pencil D y = beta (A + mu M) y on the span of a block of columns.
+
+    D = diag(``d``) >= 0, M = diag(``mass``) > 0 and A symmetric positive
+    semidefinite; mu > 0.  The columns are orthonormalized once by
+    Householder QR into Q, V x p with p the column count capped at V, and
+    only the three p x p projections Q^T D Q, Q^T A Q and Q^T M Q are held.  Each value of mu is
+    then one dense generalized eigh.  Q^T (A + mu M) Q is positive definite,
+    so by Courant-Fischer each Ritz value is a lower bound on the pencil
+    eigenvalue of the same rank, and it is exact at a mu whose eigenvectors
+    Q spans (Rayleigh-Ritz; Parlett, The Symmetric Eigenvalue Problem, 1980,
+    ch. 11).
+    """
+
+    def __init__(self, columns, a, d, mass):
+        q = np.linalg.qr(columns)[0]
+        self.size = q.shape[1]
+        self._d = q.T @ (d[:, None] * q)
+        self._a = q.T @ (a @ q)
+        self._m = q.T @ (mass[:, None] * q)
+
+    def top(self, mu, k):
+        """The k largest Ritz values at mu, descending, and the d/dmu of
+        each: -beta c^T (Q^T M Q) c for its (Q^T (A + mu M) Q)-normalized
+        vector c (Hellmann-Feynman on the reduced pencil)."""
+        p = self.size
+        vals, c = sla.eigh(self._d, self._a + mu * self._m,
+                           subset_by_index=[p - k, p - 1], check_finite=False)
+        vals, c = vals[::-1], c[:, ::-1]
+        return vals, -vals * np.einsum("ij,ij->j", c, self._m @ c)
 
 
 def smallest_eigenpairs(a_mat, mass, k, sigma, tol=1e-10, seed=0,

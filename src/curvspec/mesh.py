@@ -482,14 +482,17 @@ def _parse_obj(path):
 
 
 def write_off(mesh, path):
-    """Write the mesh as ASCII OFF (deterministic %.17g coordinates)."""
+    """Write the mesh as ASCII OFF (deterministic %.17g coordinates).
+
+    Each block is one % format over the flattened array, one row per line.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("OFF\n")
         fh.write(f"{mesh.n_vertices} {mesh.n_faces} {mesh.n_edges}\n")
-        for x, y, z in mesh.vertices:
-            fh.write("%.17g %.17g %.17g\n" % (x, y, z))
-        for i, j, k in mesh.faces:
-            fh.write(f"3 {i} {j} {k}\n")
+        fh.write("%.17g %.17g %.17g\n" * mesh.n_vertices
+                 % tuple(mesh.vertices.ravel().tolist()))
+        fh.write("3 %d %d %d\n" * mesh.n_faces
+                 % tuple(mesh.faces.ravel().tolist()))
 
 
 def vertex_measures(mesh):

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from curvspec import curvature, eigen
+from curvspec import birman, curvature, eigen
 from curvspec.assemble import spectral_scale
 from curvspec.errors import BoundViolationError
 from curvspec.mesh import TriMesh
@@ -187,6 +187,44 @@ def dense_K_mu_eigenpairs(pencil, mu, k, w_perp=False):
     return vals[order], z[:, order] / sqm[:, None]
 
 
+def full_grid_scan(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
+    """The Birman-Schwinger scan with a full ARPACK top-k at every grid point.
+
+    Each grid point factors K + mu M and runs the kernel eigensolve on it;
+    each branch that crosses 1 inside a cell is followed by safeguarded
+    Newton from the cell's regula-falsi point, one full factorization and
+    eigensolve per iterate.  Returns (grid, tops (S, k), crossings), each
+    crossing a (mu0, branch, |top - 1|, evaluations) tuple sorted by mu0:
+    the reference of birman.scan_crossings' reduced-basis grid and crossings.
+    """
+    mu_min, mu_max = birman.mu_window(pencil.w, mu_min, mu_max)
+    grid = np.geomspace(mu_min, mu_max, steps)
+
+    def factor(mu):
+        return eigen._shifted_solver(pencil.k_stiff, pencil.mass, mu,
+                                     layout=pencil.layout)
+
+    tops = np.array([birman._top_k(pencil, mu, factor(mu), k, seed)
+                     for mu in grid])
+
+    def branch(j):
+        def f_and_slope(mu):
+            solve = factor(mu)
+            vals, g = birman._top_k(pencil, mu, solve, k, seed, vectors=True)
+            return vals[j] - 1.0, birman._hf_slope(pencil, solve, g[:, j])
+        return f_and_slope
+
+    crossings = []
+    for j in range(k):
+        f = tops[:, j] - 1.0
+        for s in range(steps - 1):
+            if f[s] > 0.0 >= f[s + 1]:
+                mu0, err, evals = birman._newton_root(
+                    branch(j), grid[s], grid[s + 1], f[s], f[s + 1])
+                crossings.append((mu0, j, err, evals))
+    return grid, tops, sorted(crossings)
+
+
 def eigenspace_distance(vals, vecs, ref_vals, ref_vecs, mass, tol):
     """Largest M-distance of each vector from its reference eigenspace.
 
@@ -259,6 +297,17 @@ def subdivide_rows(mesh, target):
     children[2::4] = np.stack([f[:, 2], m20, m12], axis=1)
     children[3::4] = np.stack([m01, m12, m20], axis=1)
     return np.vstack([v, mids]), children
+
+
+def off_text_rows(mesh):
+    """The OFF text of ``mesh`` formatted one row per Python call: the
+    reference of mesh.write_off's whole-block formatting."""
+    rows = ["OFF\n", f"{mesh.n_vertices} {mesh.n_faces} {mesh.n_edges}\n"]
+    for x, y, z in mesh.vertices:
+        rows.append("%.17g %.17g %.17g\n" % (x, y, z))
+    for i, j, k in mesh.faces:
+        rows.append(f"3 {i} {j} {k}\n")
+    return "".join(rows)
 
 
 def shape_operators_lstsq(mesh, basis):

@@ -1,6 +1,5 @@
 """Birman-Schwinger kernel, crossing scan, and operator bounds."""
 
-import functools
 import logging
 import math
 from collections import Counter
@@ -141,13 +140,25 @@ class TestNewtonRoot:
         assert x == seen[-1] and err == abs(1.0 - x**3) > 1e-12
 
     def test_maxiter_exit_warns_in_scan(self, ellipsoid_pencil, monkeypatch):
-        monkeypatch.setattr(birman, "_newton_root", functools.partial(
-            birman._newton_root, maxiter=1))
+        # a basis from the window's two ends alone puts the reduced roots
+        # far from the true ones, and the full refinement, the Newton run
+        # started from a reduced root, is capped at one evaluation
+        newton = birman._newton_root
+
+        def capped(*args, start=None, **kwargs):
+            if start is not None:
+                kwargs["maxiter"] = 1
+            return newton(*args, start=start, **kwargs)
+
+        monkeypatch.setattr(birman, "SNAPSHOTS", 2)
+        monkeypatch.setattr(birman, "_newton_root", capped)
         res = birman.scan_crossings(ellipsoid_pencil, steps=32, k=3, seed=0)
+        assert res.basis_size == 2 * (3 + 2)
         stopped = [w for w in res.warnings if "stopped at |eig-1|=" in w]
         assert len(stopped) == len(res.crossings) == 2
         assert all("refine the grid" in w for w in stopped)
         assert all(c.evaluations == 1 for c in res.crossings)
+        assert all(c.eig_error > 1e-8 for c in res.crossings)
 
 
 class TestScan:
@@ -206,8 +217,10 @@ class TestScan:
         with pytest.raises(ValueError):
             birman.scan_crossings(ellipsoid_pencil, mu_min=5.0, mu_max=1.0)
 
-    def test_one_factorization_per_grid_point(self, ellipsoid_pencil,
-                                              monkeypatch):
+    def test_one_factorization_per_snapshot(self, ellipsoid_pencil,
+                                            monkeypatch):
+        # K + mu M is factored at the 8 snapshots and once per full
+        # evaluation confirming a crossing, nowhere else on the grid
         shifts = Counter()
         factor = birman._shifted_solver
 
@@ -217,13 +230,16 @@ class TestScan:
 
         monkeypatch.setattr(birman, "_shifted_solver", counted)
         res = birman.scan_crossings(ellipsoid_pencil, steps=32, k=3, seed=0)
-        assert all(shifts[float(mu)] == 1 for mu in res.mu_grid)
-        newton = sum(shifts.values()) - len(res.mu_grid)
-        assert newton == sum(c.evaluations for c in res.crossings)
+        assert res.snapshots.tolist() == [0, 4, 9, 13, 18, 22, 27, 31]
+        on_grid = [shifts[float(mu)] for mu in res.mu_grid]
+        assert on_grid == [int(s in res.snapshots) for s in range(32)]
+        confirm = sum(shifts.values()) - len(res.snapshots)
+        assert confirm == sum(c.evaluations for c in res.crossings)
         assert len(res.crossings) == 2
         for c in res.crossings:
-            assert 1 <= c.evaluations <= 6
-            assert c.eig_error <= 1e-8
+            # the reduced root is already within 1e-12 on the full kernel
+            assert c.evaluations == 1
+            assert c.eig_error <= 1e-12
         # both crossings share a grid cell, and that needs no note
         assert res.warnings == ()
 
@@ -255,6 +271,61 @@ class TestScan:
         assert res.crossings[0].mu0 == pytest.approx(2.0, abs=1e-4)
 
 
+class TestReducedBasis:
+    """The reduced-basis scan against the full ARPACK grid of the oracle."""
+
+    @staticmethod
+    def compare(pencil, steps, mu_rtol=1e-12):
+        res = birman.scan_crossings(pencil, steps=steps, k=3, seed=0)
+        grid, tops, crossings = oracles.full_grid_scan(pencil, steps=steps,
+                                                       k=3, seed=0)
+        np.testing.assert_array_equal(res.mu_grid, grid)
+        # Courant-Fischer: every Ritz value lies below the true top
+        assert np.all(res.top_eigenvalues <= tops * (1.0 + 1e-12))
+        # and the basis holds the snapshots' own eigenvectors
+        np.testing.assert_allclose(res.top_eigenvalues[res.snapshots],
+                                   tops[res.snapshots], rtol=1e-12, atol=0)
+        assert len(res.crossings) == len(crossings)
+        for c, (mu0, branch, _, _) in zip(res.crossings, crossings):
+            assert c.branch == branch
+            assert c.mu0 == pytest.approx(mu0, rel=mu_rtol, abs=0)
+            assert c.eig_error <= 1e-12
+        assert res.warnings == ()
+        return res, tops
+
+    @pytest.mark.parametrize("shape,subdiv,r", [
+        ("ellipsoid", 3, 1), ("ellipsoid", 4, 0), ("sphere", 3, 0),
+        ("torus", 1, 0)])
+    def test_matches_full_grid(self, shape, subdiv, r):
+        _, _, pencil = get_pipeline(shape, subdiv, r)
+        res, _ = self.compare(pencil, 32)
+        assert len(res.snapshots) == birman.SNAPSHOTS
+        assert res.snapshots[0] == 0 and res.snapshots[-1] == 31
+        # 8 snapshots of the top k + 2 = 5 vectors each
+        assert res.basis_size == 40
+
+    @pytest.mark.parametrize("steps", [2, 5])
+    @pytest.mark.parametrize("shape,subdiv,r", [
+        ("ellipsoid", 3, 1), ("torus", 1, 0)])
+    def test_short_grid_is_all_snapshots(self, shape, subdiv, r, steps):
+        _, _, pencil = get_pipeline(shape, subdiv, r)
+        res, _ = self.compare(pencil, steps)
+        assert res.snapshots.tolist() == list(range(steps))
+        assert res.basis_size == 5 * steps
+
+    @pytest.mark.parametrize("shape", ["sphere", "ellipsoid"])
+    def test_basis_capped_at_vertex_count(self, shape):
+        # on the icosahedron 8 (k + 2) = 40 columns exceed V = 12: the basis
+        # is all of R^V and every row is exact.  The ellipsoid's lowest
+        # crossing sits at mu = 0.0032 with slope -0.96, where a round-off
+        # |top - 1| of 4e-14 moves mu0 by 1e-11 relative
+        _, _, pencil = get_pipeline(shape, 0, 1 if shape == "ellipsoid" else 0)
+        res, tops = self.compare(pencil, 32, mu_rtol=1e-10)
+        assert res.basis_size == pencil.n_vertices == 12
+        np.testing.assert_allclose(res.top_eigenvalues, tops, rtol=1e-12,
+                                   atol=0)
+
+
 class TestSerialization:
     def test_write_csv(self, tmp_path, ellipsoid_scan):
         path = tmp_path / "scan.csv"
@@ -265,7 +336,10 @@ class TestSerialization:
 
     def test_json_dict(self, ellipsoid_scan):
         blob = cli._jsonable(ellipsoid_scan)
-        assert set(blob) >= {"mu_grid", "top_eigenvalues", "crossings", "top_w_perp", "warnings"}
+        assert set(blob) >= {"mu_grid", "top_eigenvalues", "crossings", "top_w_perp", "warnings",
+                             "snapshots", "basis_size"}
+        assert blob["snapshots"] == [0, 4, 9, 13, 18, 22, 27, 31]
+        assert blob["basis_size"] == 40
         assert len(blob["crossings"]) == 2
         assert all(isinstance(c["mu0"], float) for c in blob["crossings"])
         assert [c["evaluations"] for c in blob["crossings"]] == [

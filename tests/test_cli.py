@@ -496,8 +496,12 @@ class TestDeterminism:
         lines = capsys.readouterr().err.splitlines()
         branch = [ln for ln in lines
                   if ln.startswith("DEBUG curvspec.birman: branch ")]
-        assert branch and all(ln.startswith("DEBUG curvspec.eigen: ")
-                              for ln in lines if ln not in branch)
+        # the Newton iterates on the reduced basis log on their own lines
+        reduced = [ln for ln in lines
+                   if ln.startswith("DEBUG curvspec.birman: reduced branch ")]
+        assert branch and reduced and all(
+            ln.startswith("DEBUG curvspec.eigen: ")
+            for ln in lines if ln not in branch + reduced)
         assert sum(c["evaluations"] for c in json.loads(plain)[
             "birman_schwinger"]["crossings"]) == len(branch)
 
@@ -664,17 +668,23 @@ class TestWorkCounts:
         out = tmp_path / "rep.json"
         code = run([
             "bs-scan", "--shape", "ellipsoid", "--a", "2", "--b", "1", "--c", "1",
-            "--subdiv", "2", "--r", "0", "--steps", "8", "--scan-k", "2",
+            "--subdiv", "2", "--r", "0", "--steps", "32", "--scan-k", "3",
             "--no-embed-timings", "-o", str(out),
         ])
         assert code == 0
-        crossings = json.loads(out.read_text())["birman_schwinger"]["crossings"]
+        scan = json.loads(out.read_text())["birman_schwinger"]
+        crossings = scan["crossings"]
         assert crossings
-        newton = sum(c["evaluations"] for c in crossings)
+        confirm = sum(c["evaluations"] for c in crossings)
         assert counts["arpack_splu"] == 0
-        # one per grid point, one per Newton step, the pencil match at the
-        # first rung of its ladder; no zero-mean factor
-        assert counts["cholesky_banded"] == 8 + newton + 1
+        # one per snapshot (not per grid point), one per full evaluation
+        # confirming a crossing, the pencil match at the first rung of its
+        # ladder; no zero-mean factor
+        assert len(scan["snapshots"]) == 8
+        assert counts["cholesky_banded"] == 8 + confirm + 1
+        # an eigsh at each snapshot and full evaluation, one at mu_min for
+        # the W-restricted top and one for the pencil match
+        assert counts["eigsh"] == 8 + confirm + 2
         assert counts["refused"] == 0
         assert counts["reverse_cuthill_mckee"] == 1
         assert (counts["r0_factors"], counts["r0_solves"]) == (0, 0)

@@ -379,18 +379,20 @@ class TestSmallMeshes:
 
 
 def test_one_factor_and_one_arpack_call_site():
-    # every ordering, factorization, banded solve and ARPACK run goes
-    # through eigen's helpers; a second reverse_cuthill_mckee,
-    # cholesky_banded, pbtrs or eigsh call anywhere in the package, or any
-    # scipy band solve wrapper, sparse LU or bordered matrix, fails here.
+    # every ordering, factorization, banded solve, ARPACK run and dense
+    # eigensolve goes through eigen's helpers; a second
+    # reverse_cuthill_mckee, cholesky_banded, pbtrs, eigsh or eigh call
+    # anywhere in the package, or any scipy band solve wrapper, sparse LU
+    # or bordered matrix, fails here.  The one eigh is the generalized
+    # scipy.linalg call of the reduced Birman-Schwinger pencil.
     # The eigsh call runs ARPACK's standard mode: the operator is its one
     # positional argument, and no M, sigma, OPinv or **kwargs follow it
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                        "src", "curvspec")
     calls = {"cholesky_banded": [], "pbtrs": [], "reverse_cuthill_mckee": [],
              "eigsh": [], "cho_solve_banded": [], "splu": [], "spilu": [],
-             "factorized": [], "bmat": []}
-    eigsh_args, eigsh_keywords = [], []
+             "factorized": [], "bmat": [], "eigh": []}
+    eigsh_args, eigsh_keywords, eigh_calls = [], [], []
     for path in sorted(glob.glob(os.path.join(src, "*.py"))):
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
@@ -403,11 +405,16 @@ def test_one_factor_and_one_arpack_call_site():
                 if name == "eigsh":
                     eigsh_args.append(len(node.args))
                     eigsh_keywords += [kw.arg for kw in node.keywords]
+                if name == "eigh":
+                    eigh_calls.append((ast.unparse(fn), len(node.args)))
     assert calls == {"cholesky_banded": ["eigen.py"], "pbtrs": ["eigen.py"],
                      "reverse_cuthill_mckee": ["eigen.py"],
                      "eigsh": ["eigen.py"], "cho_solve_banded": [],
-                     "splu": [], "spilu": [], "factorized": [], "bmat": []}
+                     "splu": [], "spilu": [], "factorized": [], "bmat": [],
+                     "eigh": ["eigen.py"]}
     assert eigsh_args == [1] and None not in eigsh_keywords
+    # scipy.linalg's eigh, given both matrices of the pencil
+    assert eigh_calls == [("sla.eigh", 2)]
     assert not {"M", "sigma", "OPinv", "mode"} & set(eigsh_keywords)
 
 

@@ -209,6 +209,13 @@ class TestFileFormats:
         assert np.array_equal(back.vertices, sphere3.vertices)
         assert np.array_equal(back.faces, sphere3.faces)
 
+    @pytest.mark.parametrize("shape,subdiv", [("ellipsoid", 3), ("torus", 1)])
+    def test_write_off_matches_per_row_layout(self, tmp_path, shape, subdiv):
+        mesh = get_mesh(shape, subdiv)
+        path = tmp_path / "m.off"
+        write_off(mesh, path)
+        assert path.read_bytes() == oracles.off_text_rows(mesh).encode("utf-8")
+
     def test_off_header_on_one_line(self, tmp_path):
         path = tmp_path / "t.off"
         rows = ["OFF 4 4 6"]
