@@ -8,8 +8,8 @@ M_W = diag(area_v * W(v)^2), so multiplication by W stays an exact diagonal
 operation downstream.  The eigenproblem of the penalized operator is the
 symmetric pencil (K - M_W) x = lambda M x, eigenvalues ascending.  Every
 matrix factored downstream has K's sparsity pattern, so the pencil carries
-the one band layout of that pattern (eigen.band_layout), built at assembly
-and shared by every pencil made from it with another potential.
+the one band layout of that pattern (eigen.band_layout), built once at
+assembly.
 """
 
 from dataclasses import dataclass
@@ -22,7 +22,6 @@ from .eigen import BandLayout, band_layout
 __all__ = [
     "OperatorPencil",
     "assemble_pencil",
-    "with_potential_squared",
     "spectral_scale",
     "pencil_floor_shift",
     "shift_ladder",
@@ -102,20 +101,3 @@ def shift_ladder(pencil):
     while floor < rungs[-1] < 0.0:
         rungs.append(2.0 * rungs[-1])
     return rungs[:-1] + [floor]
-
-
-def with_potential_squared(pencil, w_squared):
-    """Same stiffness, mass and band layout, replacement potential (as W^2)."""
-    w2 = np.asarray(w_squared, dtype=float)
-    if w2.shape != pencil.mass.shape:
-        raise ValueError("potential samples must be one value per vertex")
-    if np.any(w2 < 0.0):
-        raise ValueError("squared potential samples must be nonnegative")
-    return OperatorPencil(
-        k_stiff=pencil.k_stiff,
-        mass=pencil.mass,
-        w=np.sqrt(w2),
-        potential=pencil.mass * w2,
-        layout=pencil.layout,
-        r=pencil.r,
-    )

@@ -12,7 +12,7 @@ check convergence instead of trusting it.
 
 This module is the only one that orders, factors or solves with a matrix,
 calls ARPACK or runs a dense eigensolve.  Every symmetric matrix the
-package factors (K, K - M_W, K - M_T, each plus s*M) is positive definite
+package factors (K, K - M_W, each plus s*M) is positive definite
 at the shifts it takes and has K's sparsity pattern, so the factorization
 is split as George-Liu (Computer Solution of Large Sparse Positive Definite
 Systems, 1981) split it.  The symbolic half, a BandLayout of K's pattern in reverse Cuthill-McKee
@@ -22,13 +22,14 @@ shifted diagonal and factors it by LAPACK pbtrf; solves call pbtrs.  A
 shift that does not lie below the spectrum is refused instead of factored.
 The zero-mean resolvent R0 factors the same band with K grounded at its
 last vertex.  ARPACK makes no factorization and gets no OPinv or mass
-matrix: the pencil and T_r solves and the Birman-Schwinger kernel are all
-the symmetric operator z -> S A^(-1) S z (A factored here, S diagonal)
+matrix: the pencil solve and the Birman-Schwinger kernel are both the
+symmetric operator z -> S A^(-1) S z (A factored here, S diagonal)
 applied in the band's order, through one ARPACK call that sets the k
 range, the padding, the seeded start vector and the non-convergence error.
-The Birman-Schwinger scan between its snapshots is a dense Rayleigh-Ritz
-problem on a reduced basis (_ReducedPencil), one generalized LAPACK eigh
-of size at most V per value of mu.
+Every dense eigensolve is one generalized LAPACK eigh (_ritz), a
+Rayleigh-Ritz problem on a few columns: the Birman-Schwinger scan between
+its snapshots (_ReducedPencil, of size at most V) and ritz_values, the
+corollary's bound on T_r from the pencil's own eigenvectors.
 """
 
 import logging
@@ -42,7 +43,8 @@ from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from .errors import EigenSolveError
 
-__all__ = ["BandLayout", "Spectrum", "band_layout", "smallest_eigenpairs"]
+__all__ = ["BandLayout", "Spectrum", "band_layout", "ritz_values",
+           "smallest_eigenpairs"]
 
 log = logging.getLogger(__name__)
 
@@ -160,7 +162,7 @@ def _shifted_solver(a, mass, shift, zero_mean=False, layout=None):
     """Factor a + shift*M once; return a _BandSolver, ``solve(b)`` for loads b.
 
     The package's one factorization: the a - sigma*M of every shift-invert
-    eigensolve (a = K, K - M_W or K - M_T) and the K + mu*M of the
+    eigensolve (a = K - M_W) and the K + mu*M of the
     Birman-Schwinger kernel.  ``layout`` is the mesh's one
     BandLayout (pencil.layout), and ``a`` must have the pattern it was built
     from; without one, a layout of ``a`` is built for this call.  A fresh
@@ -256,6 +258,21 @@ def _kernel_eigenpairs(solve, scale, basis, k, seed, what, vectors=False,
     return vals[top], None if z is None else z[:, top][layout.inverse]
 
 
+def _ritz(a, b, lo, hi):
+    """Eigenpairs lo..hi, ascending, of the dense symmetric pencil
+    a c = theta b c, b positive definite: the one dense eigensolve."""
+    return sla.eigh(a, b, subset_by_index=[lo, hi], check_finite=False)
+
+
+def ritz_values(a_mat, mass, basis):
+    """Ascending Ritz values of A x = lambda M x, M = diag(mass), on the
+    span of the columns of ``basis``.  By Courant-Fischer the j-th is an
+    upper bound on the j-th eigenvalue, exact when the basis spans the
+    first j eigenvectors (Parlett 1980, ch. 11)."""
+    return _ritz(basis.T @ (a_mat @ basis), basis.T @ (mass[:, None] * basis),
+                 0, basis.shape[1] - 1)[0]
+
+
 class _ReducedPencil:
     """The pencil D y = beta (A + mu M) y on the span of a block of columns.
 
@@ -282,8 +299,7 @@ class _ReducedPencil:
         each: -beta c^T (Q^T M Q) c for its (Q^T (A + mu M) Q)-normalized
         vector c (Hellmann-Feynman on the reduced pencil)."""
         p = self.size
-        vals, c = sla.eigh(self._d, self._a + mu * self._m,
-                           subset_by_index=[p - k, p - 1], check_finite=False)
+        vals, c = _ritz(self._d, self._a + mu * self._m, p - k, p - 1)
         vals, c = vals[::-1], c[:, ::-1]
         return vals, -vals * np.einsum("ij,ij->j", c, self._m @ c)
 

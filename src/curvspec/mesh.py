@@ -313,10 +313,11 @@ def load_mesh(path):
     np.loadtxt; a file that read does not take (polygon faces, a comment
     or blank line inside a block, a row numpy refuses, a bad header or a
     byte outside ASCII) is read again line by line, which gives the same
-    arrays or the error with its line.  OBJ files are read line by
-    line.  Raises MeshLoadError on parse problems (with the line number)
-    and the specific connectivity error otherwise; a mesh with more than
-    one connected component is refused last.
+    arrays or the error with its line.  An OBJ file of plain ``v x y z``
+    and ``f i j k`` records is read as arrays too, and any other OBJ file
+    line by line.  Raises MeshLoadError on parse problems (with the line
+    number) and the specific connectivity error otherwise; a mesh with
+    more than one connected component is refused last.
     """
     ext = os.path.splitext(str(path))[1].lower()
     parse = {".off": _parse_off, ".obj": _parse_obj}.get(ext)
@@ -450,6 +451,36 @@ def _walk_off(path):
 
 
 def _parse_obj(path):
+    return _read_obj_arrays(path) or _walk_obj(path)
+
+
+def _read_obj_arrays(path):
+    """_read_off_arrays for an OBJ file whose lines are all blank, a
+    comment, ``v x y z`` or ``f i j k`` (tag, one space, record): the v
+    and the f lines each go to np.loadtxt as one block.  Any other line,
+    a polygon, an index below 1, a refusal or a warning gives None."""
+    try:
+        with open(path, "r", encoding="ascii") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lines = fh.read().split("\n")
+            if any(line.split("#", 1)[0].strip() for line in lines
+                   if not line.startswith(("v ", "f "))):
+                return None
+            vrows = [line[2:] for line in lines if line.startswith("v ")]
+            frows = [line[2:] for line in lines if line.startswith("f ")]
+            verts = np.loadtxt(vrows, usecols=(0, 1, 2), ndmin=2)
+            faces = np.loadtxt(frows, dtype=np.int64, ndmin=2)
+    except (OSError, ValueError, OverflowError, Warning):
+        return None
+    if (len(verts) != len(vrows) or faces.shape != (len(frows), 3)
+            or np.any(faces < 1)):
+        return None
+    return verts, faces - 1
+
+
+def _walk_obj(path):
+    """The OBJ file line by line, polygons fan-triangulated; the reader
+    that names the line of a MeshLoadError."""
     verts = []
     faces = []
     for lineno, body in _meaningful_lines(path):

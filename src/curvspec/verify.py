@@ -11,27 +11,28 @@ broken.  Thresholds travel inside every report; nothing is judged against
 an undisclosed constant.
 
 All checks read one Analysis per (mesh, r, config), which computes each
-shared object (curvature field, pencil, spectra, the test functions and
+shared object (curvature field, pencil, spectrum, the test functions and
 the d quantities with their chain residual) at most once, on first use,
-and nothing that no check reads.  The pencil and T_r spectra each take
-the first target of their own assemble.shift_ladder that factors; the d
-quantities take one zero-mean factor.  The curvature field comes whole
-from curvature.compute_curvature, the one gate of H_{r+1} > 0 and H_1 > 0
-for r >= 1, so a refused mesh stops there, before any solve.  H_1, c_r
-and the shape norm of T_r's potential are curvature's n = 2 closed forms
-(mean_curvature, C_R, shape_norm).
+and nothing that no check reads.  The spectrum takes the first target of
+assemble.shift_ladder that factors; the d quantities take one zero-mean
+factor.  T_r is never solved: the corollary bounds lambda_2(T_r) by a
+Ritz value on the pencil's own eigenvectors.  The curvature field comes
+whole from curvature.compute_curvature, the one gate of H_{r+1} > 0 and
+H_1 > 0 for r >= 1, so a refused mesh stops there, before any solve.
+H_1, c_r and the shape norm of T_r's potential are curvature's n = 2
+closed forms (mean_curvature, C_R, shape_norm).
 """
 
 import functools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .assemble import (assemble_pencil, shift_ladder, spectral_scale,
-                       with_potential_squared)
+from .assemble import assemble_pencil, shift_ladder, spectral_scale
 from .curvature import C_R, compute_curvature, mean_curvature, shape_norm
-from .eigen import smallest_eigenpairs
+from .eigen import ritz_values, smallest_eigenpairs
 from .errors import BoundViolationError
 from .identities import (IdentityReport, d_quantities, lr_position_residual,
                          minkowski_residual, test_functions,
@@ -55,8 +56,8 @@ VIOLATION = "Violation"
 # round spheres sit at round-off, gentle bumps stay well under it
 SPHERE_DISTANCE_CEILING = 0.05
 
-# lambda_2(T_r) may exceed lambda_2 of the pencil by this much and still
-# satisfy the corollary's comparison
+# the bound on lambda_2(T_r) may exceed lambda_2 of the pencil by this much
+# and still satisfy the corollary's comparison
 COROLLARY_TOL = 1e-8
 
 # least c_r |A|^(r+2) - W^2 accepted at a vertex: below it the T_r
@@ -100,7 +101,11 @@ class TheoremReport:
 
 @dataclass(frozen=True, eq=False)
 class CorollaryReport:
-    lambda_2_t: float
+    """lambda_2_t_upper is T_r's second Ritz value on the pencil's
+    eigenvectors, an upper bound on lambda_2(T_r); comparison_ok holds
+    when it lies below lambda_2_pencil + tol."""
+
+    lambda_2_t_upper: float
     lambda_2_pencil: float
     domination_min_slack: float
     comparison_ok: bool
@@ -116,13 +121,6 @@ class LemmaReport:
     thresholds: np.ndarray  # tol_identity * ||f_i||_M^2, per i
     negative_count: int
     tol_negative: float
-
-
-def _smallest(pencil, config, what):
-    return smallest_eigenpairs(
-        pencil.a_matrix(), pencil.mass, k=config.k, tol=config.eig_tol,
-        seed=config.seed, sigma=shift_ladder(pencil), layout=pencil.layout,
-        what=what)
 
 
 def _stage(name):
@@ -207,7 +205,11 @@ class Analysis:
     @functools.cached_property
     @_stage("spectrum_s")
     def spectrum(self):
-        return _smallest(self.pencil, self.config, "pencil eigensolve")
+        pencil, config = self.pencil, self.config
+        return smallest_eigenpairs(
+            pencil.a_matrix(), pencil.mass, k=config.k, tol=config.eig_tol,
+            seed=config.seed, sigma=shift_ladder(pencil), layout=pencil.layout,
+            what="pencil eigensolve")
 
     @functools.cached_property
     @_stage("corollary_s")
@@ -228,13 +230,6 @@ class Analysis:
                 margin=float(slack[v]),
             )
         return pot2
-
-    @functools.cached_property
-    @_stage("corollary_s")
-    def t_spectrum(self):
-        # k = 2: the corollary reads lambda_2(T_r) and nothing else
-        return _smallest(with_potential_squared(self.pencil, self.t_potential),
-                         replace(self.config, k=2), "T_r eigensolve")
 
     @functools.cached_property
     def f(self):
@@ -262,7 +257,7 @@ class Analysis:
         else:
             verdict = VIOLATION
         cluster = [j for j in range(1, len(ev)) if abs(ev[j] - lam2) <= tol]
-        self.t_spectrum   # the T_r domination gate runs before any d solve
+        self.t_potential   # the T_r domination gate runs before any d solve
         return TheoremReport(
             lambda_1=float(ev[0]),
             lambda_2=lam2,
@@ -279,18 +274,25 @@ class Analysis:
 
     @_stage("corollary_s")
     def corollary(self):
-        """Second eigenvalue of the shape-norm-penalized operator T_r.
+        """Bound the second eigenvalue of the shape-norm-penalized T_r.
 
         T_r replaces W_r^2 by c_r * shape_norm^(r+2), which dominates it,
-        so the min-max principle forces lambda_2(T_r) <= lambda_2.
+        so the min-max principle forces lambda_2(T_r) <= lambda_2.  On the
+        span of the pencil's eigenvectors X, X^T (K - M_T) X lies below
+        X^T (K - M_W) X with the same M-Gram, so T_r's second Ritz value
+        there lies below the pencil's, which is lambda_2 up to round-off,
+        and above lambda_2(T_r).  No T_r solve is needed.
         """
-        lam2_t = float(self.t_spectrum.eigenvalues[1])
+        pencil = self.pencil
+        t_mat = pencil.k_stiff - sp.diags(pencil.mass * self.t_potential)
+        lam2_t = float(ritz_values(t_mat, pencil.mass,
+                                   self.spectrum.eigenvectors)[1])
         lam2 = float(self.spectrum.eigenvalues[1])
         tol = COROLLARY_TOL
         return CorollaryReport(
-            lambda_2_t=lam2_t,
+            lambda_2_t_upper=lam2_t,
             lambda_2_pencil=lam2,
-            domination_min_slack=float((self.t_potential - self.pencil.w**2).min()),
+            domination_min_slack=float((self.t_potential - pencil.w**2).min()),
             comparison_ok=bool(lam2_t <= lam2 + tol),
             tol=tol,
         )

@@ -7,8 +7,9 @@ assembly, and the row-wise unique edge table and the einsum contractions
 that the package's batched geometry kernels replaced.  If a package routine
 and its oracle agree, the fast path earns its keep.  resolvent_bound_check
 is a check rather than a reference: random trials of the resolvent bound
-that lam1(K, M) implies.  None of these functions are used by the package
-itself.
+that lam1(K, M) implies.  t_r_spectrum is the exact T_r eigensolve that
+the corollary's Ritz bound stands in for.  None of these functions are
+used by the package itself.
 """
 
 import itertools
@@ -18,7 +19,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from curvspec import birman, curvature, eigen
-from curvspec.assemble import spectral_scale
+from curvspec.assemble import OperatorPencil, shift_ladder, spectral_scale
 from curvspec.errors import BoundViolationError
 from curvspec.mesh import TriMesh
 
@@ -115,6 +116,38 @@ def shifted_lam1(pencil, seed=0):
         pencil.k_stiff, pencil.mass, 2, sigma=kernel_shift(pencil),
         seed=seed, layout=pencil.layout,
     ).eigenvalues[1])
+
+
+def with_potential_squared(pencil, w_squared):
+    """Same stiffness, mass and band layout, replacement potential (as W^2)."""
+    w2 = np.asarray(w_squared, dtype=float)
+    if w2.shape != pencil.mass.shape:
+        raise ValueError("potential samples must be one value per vertex")
+    if np.any(w2 < 0.0):
+        raise ValueError("squared potential samples must be nonnegative")
+    return OperatorPencil(
+        k_stiff=pencil.k_stiff,
+        mass=pencil.mass,
+        w=np.sqrt(w2),
+        potential=pencil.mass * w2,
+        layout=pencil.layout,
+        r=pencil.r,
+    )
+
+
+def t_r_spectrum(analysis, k=2):
+    """(T_r pencil, its k smallest eigenpairs) for a verify.Analysis.
+
+    T_r is the pencil with W^2 replaced by the analysis's t_potential,
+    solved by shift-invert on the first rung of its own shift_ladder that
+    factors, with the analysis's tolerance and seed.
+    """
+    t_pencil = with_potential_squared(analysis.pencil, analysis.t_potential)
+    config = analysis.config
+    return t_pencil, eigen.smallest_eigenpairs(
+        t_pencil.a_matrix(), t_pencil.mass, k, sigma=shift_ladder(t_pencil),
+        tol=config.eig_tol, seed=config.seed, layout=t_pencil.layout,
+        what="T_r eigensolve")
 
 
 def resolvent_bound_check(pencil, mu, lam1, trials=100, seed=0):

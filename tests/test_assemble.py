@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from curvspec.assemble import OperatorPencil, assemble_pencil, with_potential_squared
+from curvspec.assemble import assemble_pencil
 from curvspec.curvature import C_R, compute_curvature, mean_curvature
 from curvspec.mesh import TriMesh
 
 import oracles
-from oracles import apply_operator, box_mesh, export_coo
+from oracles import (apply_operator, box_mesh, export_coo,
+                     with_potential_squared)
 from conftest import get_mesh, get_pipeline
 
 

@@ -625,10 +625,10 @@ class TestWorkCounts:
         assert code == 0
         assert counts == {
             "curvature": 1,
-            "eigsh": 2,             # pencil, T_r
+            "eigsh": 1,             # the pencil; T_r is bounded, not solved
             # the pencil's first rung (refused: it is not below lambda_1)
-            # and its second, T_r's first and R0
-            "cholesky_banded": 4,
+            # and its second, and R0
+            "cholesky_banded": 3,
             "refused": 1,
             "reverse_cuthill_mckee": 1,   # one band layout, shared by all
             "arpack_splu": 0,       # ARPACK runs on the package's own factors
@@ -638,18 +638,18 @@ class TestWorkCounts:
 
     def test_certified_shifts_cut_the_applications(self, tmp_path,
                                                    monkeypatch):
-        # at the floor shift the pencil and T_r solves took 92 and 91
-        # operator applications here; a target near lambda_1 separates the
-        # wanted eigenvalues better
+        # at the floor shift the pencil solve took 92 operator applications
+        # here; a target near lambda_1 separates the wanted eigenvalues
+        # better
         _, applications = self.counters(monkeypatch)
         code = run(self.VERIFY_ELLIPSOID_S4_R1 + ["-o", str(tmp_path / "rep.json")])
         assert code == 0
-        pencil, t_r = applications
-        assert pencil <= 65 and t_r <= 65
+        pencil, = applications
+        assert pencil <= 65
 
     @pytest.mark.parametrize("command,factors,eigsh", [
-        # the pencil, T_r and R0; the pencil and T_r eigensolves
-        ("verify", 3, 2),
+        # the pencil and R0; the pencil eigensolve
+        ("verify", 2, 1),
         # R0 for the d_i, and no eigensolve
         ("identities", 1, 0),
     ])

@@ -450,9 +450,16 @@ def _outcome(path):
 
 
 def _outcome_by_walk(path):
-    """_outcome with the line walk reading every OFF file."""
-    with mock.patch.object(mesh_mod, "_read_off_arrays", lambda p: None):
+    """_outcome with the line walk reading every OFF and OBJ file."""
+    with mock.patch.object(mesh_mod, "_read_off_arrays", lambda p: None), \
+            mock.patch.object(mesh_mod, "_read_obj_arrays", lambda p: None):
         return _outcome(path)
+
+
+def _obj_text(mesh):
+    """The mesh as plain OBJ v and f records, one-based."""
+    return ("".join("v %.17g %.17g %.17g\n" % tuple(p) for p in mesh.vertices)
+            + "".join("f %d %d %d\n" % tuple(f + 1) for f in mesh.faces))
 
 
 class TestOffReader:
@@ -491,6 +498,61 @@ class TestOffReader:
         path = tmp_path / "tetra.off"
         path.write_bytes(text.encode("utf-8"))
         arrays = mesh_mod._read_off_arrays(path)
+        assert (arrays is not None) == taken
+        if taken:
+            assert np.array_equal(arrays[0], TETRA_V)
+            assert np.array_equal(arrays[1], TETRA_F)
+        assert _outcome(path) == _outcome_by_walk(path)
+
+
+class TestObjReader:
+    """The OBJ array read gives what the line walk gives, bit for bit."""
+
+    @pytest.mark.parametrize("kind,subdiv", [("ellipsoid", 3), ("torus", 1)])
+    def test_arrays_equal_the_walk(self, tmp_path, kind, subdiv):
+        path = tmp_path / "mesh.obj"
+        path.write_text(_obj_text(get_mesh(kind, subdiv)))
+        verts, faces = mesh_mod._read_obj_arrays(path)
+        walk_v, walk_f = mesh_mod._walk_obj(path)
+        assert np.array_equal(verts, np.array(walk_v))
+        assert np.array_equal(faces, np.array(walk_f))
+        assert verts.dtype == np.float64 and faces.dtype == np.int64
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=_corrupted("obj"))
+    def test_array_read_matches_line_walk(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "either.obj"
+        path.write_bytes(data)
+        assert _outcome(path) == _outcome_by_walk(path)
+
+    VERTS = "".join("v %g %g %g\n" % tuple(p) for p in TETRA_V)
+    FACES = "".join("f %d %d %d\n" % tuple(f + 1) for f in TETRA_F)
+
+    @pytest.mark.parametrize("text,taken", [
+        (VERTS + FACES, True),
+        ("# by hand\n\n" + VERTS + "# faces\n" + FACES.replace("\n", " # c\n", 1), True),
+        ((VERTS + FACES).replace("\n", "\r\n"), True),
+        (VERTS.replace("\n", " 0.5 0.5 0.5\n", 1) + FACES, True),
+        ("o tetra\n" + VERTS + FACES, False),
+        (VERTS + "vn 0 0 1\n" + FACES, False),
+        (VERTS + FACES.replace("f 1 3 2", "f 1//1 3//1 2//1"), False),
+        (VERTS + FACES.replace("f 1 3 2", " f 1 3 2"), False),
+        (VERTS + FACES.replace("f 1 3 2", "f\t1 3 2"), False),
+        (VERTS + FACES.replace("f 1 3 2", "f 1 3 2 4"), False),
+        (VERTS + FACES.replace("f 1 3 2", "f 1 3 -2"), False),
+        (VERTS + FACES.replace("f 1 3 2", "f 1 3 2.0"), False),
+        (VERTS.replace("v 0 0 0", "v 0 0"), False),
+        (VERTS.replace("v 0 0 0", "v # none"), False),
+        (VERTS, False),
+        (VERTS + FACES.replace("f 1 3 2", "f 1 3 2\u01fe"), False),
+    ], ids=["plain", "comments", "crlf", "vertex-colour", "object-name",
+            "normal", "slashes", "indented", "tab", "quad", "negative",
+            "float-index", "short-vertex", "empty-vertex", "no-faces",
+            "non-ascii-digit"])
+    def test_array_read_takes_plain_records(self, tmp_path, text, taken):
+        path = tmp_path / "tetra.obj"
+        path.write_bytes(text.encode("utf-8"))
+        arrays = mesh_mod._read_obj_arrays(path)
         assert (arrays is not None) == taken
         if taken:
             assert np.array_equal(arrays[0], TETRA_V)

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from curvspec import eigen, verify
-from curvspec.assemble import (assemble_pencil, shift_ladder,
-                               with_potential_squared)
-from curvspec.errors import CurvaturePositivityError
+from curvspec.assemble import assemble_pencil, shift_ladder
+from curvspec.errors import BoundViolationError, CurvaturePositivityError
 
 from conftest import (floor_shift, get_mesh, get_pipeline, lemma_two_negative,
                       verify_corollary, verify_theorem)
+from oracles import t_r_spectrum
 
 
 class TestSphereCase:
@@ -99,11 +99,23 @@ class TestCorollary:
         rep = verify_corollary(get_mesh(kind, 3), r)
         assert rep.domination_min_slack >= -1e-10
         assert rep.comparison_ok
-        assert rep.lambda_2_t <= rep.lambda_2_pencil + 1e-8
+        assert rep.lambda_2_t_upper <= rep.lambda_2_pencil + 1e-8
 
     def test_sphere_t_eigenvalue_is_zero(self):
         rep = verify_corollary(get_mesh("sphere", 3), 1)
-        assert rep.lambda_2_t == pytest.approx(0.0, abs=0.05)
+        assert rep.lambda_2_t_upper == pytest.approx(0.0, abs=0.05)
+
+    def test_domination_gate_refuses_before_any_d_solve(self, monkeypatch):
+        # with c_r = 0 the T_r potential cannot dominate W^2, and theorem()
+        # must refuse on it before the zero-mean factor of the d_i is made
+        def no_d_solve(pencil):
+            pytest.fail("zero-mean factor made before the domination gate")
+
+        monkeypatch.setattr(verify, "C_R", 0.0)
+        monkeypatch.setattr(verify, "zero_mean_resolvent", no_d_solve)
+        with pytest.raises(BoundViolationError,
+                           match="potential domination fails at vertex"):
+            verify.Analysis(get_mesh("ellipsoid", 2), 1).theorem()
 
 
 class TestLemma:
@@ -148,22 +160,37 @@ CERTIFIED = [("sphere", 3, 0), ("sphere", 3, 1), ("ellipsoid", 3, 0),
              ("bumped", 3, 0), ("bumped", 3, 1), ("torus", 1, 0)]
 
 
+class TestCorollaryBound:
+    @pytest.mark.parametrize("kind,subdiv,r",
+                             CERTIFIED + [("ellipsoid", 5, 1)])
+    def test_bound_brackets_the_exact_t_eigenvalue(self, kind, subdiv, r):
+        # exact lambda_2(T_r) <= its Ritz bound <= lambda_2 + COROLLARY_TOL;
+        # where T_r is the pencil (the spheres) the bound and the exact
+        # solve agree to the eigensolve's tolerance
+        analysis = verify.Analysis(get_mesh(kind, subdiv), r)
+        rep = analysis.corollary()
+        exact = t_r_spectrum(analysis)[1].eigenvalues[1]
+        slack = analysis.config.eig_tol * max(abs(exact), 1.0)
+        assert exact <= rep.lambda_2_t_upper + slack
+        assert rep.lambda_2_t_upper <= rep.lambda_2_pencil + verify.COROLLARY_TOL
+        assert rep.comparison_ok
+
+
 class TestCertifiedShifts:
-    """The pencil and T_r solves take the first rung of their shift ladder
-    that factors; a rung factors iff it lies below lambda_1."""
+    """The pencil solve and the tests' exact T_r solve take the first rung
+    of their shift ladder that factors; a rung factors iff it lies below
+    lambda_1."""
 
     @staticmethod
     def spectra(kind, subdiv, r):
         """(pencil, its spectrum, the floor-shift oracle solve at the
         spectrum's k) for the pencil and for T_r."""
         analysis = verify.Analysis(get_mesh(kind, subdiv), r)
-        t_pencil = with_potential_squared(analysis.pencil,
-                                          analysis.t_potential)
         return [(pencil, spec, eigen.smallest_eigenpairs(
                     pencil.a_matrix(), pencil.mass, spec.k,
                     sigma=floor_shift(pencil), layout=pencil.layout))
                 for pencil, spec in ((analysis.pencil, analysis.spectrum),
-                                     (t_pencil, analysis.t_spectrum))]
+                                     t_r_spectrum(analysis))]
 
     @pytest.mark.parametrize("kind,subdiv,r", CERTIFIED)
     def test_ladder_matches_the_floor_shift(self, kind, subdiv, r):
@@ -192,8 +219,7 @@ class TestCertifiedShifts:
     def test_each_refused_rung_is_logged(self, caplog):
         analysis = verify.Analysis(get_mesh("ellipsoid", 4), 1)
         with caplog.at_level(logging.DEBUG, logger="curvspec.eigen"):
-            analysis.spectrum
-            analysis.t_spectrum
+            analysis.corollary()
         refused = [r.getMessage() for r in caplog.records
                    if "refused" in r.getMessage()]
         sigma = shift_ladder(analysis.pencil)[0]
