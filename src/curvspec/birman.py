@@ -17,9 +17,12 @@ method of Machiels-Maday-Oliveira-Patera-Rovas, C. R. Acad. Sci. Paris
 tops by Courant-Fischer, exact at the snapshots.  Each crossing is located
 by safeguarded Newton on the reduced pencil inside its grid cell, then
 confirmed on the full operator: one factorization at the reduced root, and
-full Newton steps while |top - 1| exceeds 1e-12.  The slope of a branch
-comes from Hellmann-Feynman, one extra solve with the factor already built
-at mu.
+full Newton steps while |top - 1| exceeds 1e-12.  Both operators answer
+top(mu, k) with the top values and their slopes, which come from
+Hellmann-Feynman; on the full operator that is one extra solve with the
+factor already built at mu.  Every grid top is a Ritz value of one fixed
+reduced pencil whose right-hand side grows with mu in the Loewner order,
+so by Courant-Fischer no branch rises along the grid.
 
 top_w_perp is the top eigenvalue at mu_min of the kernel restricted to the
 g with <g, W>_M = 0 (Harrell-Loss 1998).  It is the one number the proof
@@ -74,48 +77,31 @@ class BSScanResult:
     top_w_perp: float            # W-restricted top eigenvalue at mu_min
     warnings: tuple
 
-    def write_csv(self, path):
-        k = self.top_eigenvalues.shape[1]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("mu," + ",".join(f"top_{j+1}" for j in range(k)) + "\n")
-            for mu, row in zip(self.mu_grid, self.top_eigenvalues):
-                fh.write(",".join("%.17g" % v for v in (mu, *row)) + "\n")
 
+def _kernel_top(pencil, mu, k, seed):
+    """The k largest eigenvalues of K_mu, descending, and the d/dmu of each.
 
-def _top_k(pencil, mu, solve, k, seed, w_perp=False, vectors=False,
-           padded=False):
-    """k largest eigenvalues of K_mu, descending.
-
-    ``solve`` applies (K + mu M)^(-1), factored once by the caller on the
-    pencil's band layout.  In z = sqrt(M) g the kernel is the symmetric
-    S (K + mu M)^(-1) S with S = sqrt(M) W, and eigen runs it in the
-    layout's reverse Cuthill-McKee order: one pbtrs per application, the
-    restriction basis and S permuted once per call, the vectors put back in
-    vertex order once.  ``w_perp`` restricts the kernel to the g with
-    <g, W>_M = 0: in z that is the complement of S.  With ``vectors``
-    the pair (values, g) is returned instead, g holding the M-orthonormal
-    eigenvectors as columns in the same order.  ``padded`` adds ARPACK's
-    padding pairs, min(k + 2, V - 1) in all.
+    K + mu M is factored once on the pencil's band layout and the kernel
+    eigensolve runs on it; in z = sqrt(M) g the kernel is the symmetric
+    S (K + mu M)^(-1) S with S = sqrt(M) W.  Each slope is Hellmann-Feynman's
+    -y^T M y, y = (K + mu M)^(-1) M W g for the M-normalized eigenvector g,
+    one more solve with that factor for all k.
     """
-    sqm = np.sqrt(pencil.mass)
-    s = sqm * pencil.w
-    basis = np.linalg.qr(s[:, None])[0] if w_perp else None
-    vals, z = _kernel_eigenpairs(
-        solve, s, basis, k, seed, f"kernel eigensolve at mu={mu:.6g}",
-        vectors=vectors, padded=padded)
-    if not vectors:
-        return vals
-    return vals, z / sqm[:, None]
+    solve = _shifted_solver(pencil.k_stiff, pencil.mass, mu,
+                            layout=pencil.layout)
+    vals, g = _kernel_eigenpairs(solve, pencil.mass, pencil.w, k, seed,
+                                 f"kernel eigensolve at mu={mu:.6g}")
+    y = solve(pencil.mass[:, None] * (pencil.w[:, None] * g[:, :k]))
+    return vals[:k], -np.einsum("ij,ij->j", y, pencil.mass[:, None] * y)
 
 
-def _hf_slope(pencil, solve, g):
-    """d/dmu of the K_mu eigenvalue whose M-normalized eigenvector is g.
-
-    Hellmann-Feynman: with y = (K + mu M)^(-1) M W g the derivative is
-    -y^T M y, one solve with the factor already built at mu.
-    """
-    y = solve(pencil.mass * (pencil.w * g))
-    return -float(y @ (pencil.mass * y))
+def _branch(top, k, j):
+    """f(mu) = top_j(mu) - 1 and its slope for _newton_root, read from
+    ``top(mu, k)``: _kernel_top's or _ReducedPencil.top's pairs."""
+    def f_and_slope(mu):
+        vals, slopes = top(mu, k)
+        return vals[j] - 1.0, slopes[j]
+    return f_and_slope
 
 
 def _newton_root(fn, lo, hi, f_lo, f_hi, tol=1e-12, maxiter=50, label="",
@@ -183,8 +169,8 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
     as mu grows, so by Courant-Fischer its j-th largest eigenvalue
     decreases, and Newton on branch j finds that branch's own crossing.
     Every detected unit crossing is matched against the directly computed
-    pencil spectrum (match_error); a Newton run that stops short and a
-    branch that rises surface in the warnings list.
+    pencil spectrum (match_error); a Newton run that stops short surfaces
+    in the warnings list.
     """
     mu_min, mu_max = mu_window(pencil.w, mu_min, mu_max)
     if steps < 2:
@@ -194,48 +180,27 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
     snapshots = np.round(
         np.linspace(0, steps - 1, min(SNAPSHOTS, steps))).astype(int)
 
-    def factor(mu):
-        return _shifted_solver(pencil.k_stiff, pencil.mass, mu,
-                               layout=pencil.layout)
-
+    mass, w = pencil.mass, pencil.w
     columns = []
     for s in snapshots:
-        solve = factor(grid[s])
-        _, g = _top_k(pencil, grid[s], solve, k, seed, vectors=True,
-                      padded=True)
-        columns.append(solve(pencil.mass[:, None] * pencil.w[:, None] * g))
+        mu = grid[s]
+        what = f"kernel eigensolve at mu={mu:.6g}"
+        solve = _shifted_solver(pencil.k_stiff, mass, mu, layout=pencil.layout)
+        g = _kernel_eigenpairs(solve, mass, w, k, seed, what)[1]
+        columns.append(solve(mass[:, None] * w[:, None] * g))
         if s == 0:
-            top_w_perp = float(
-                _top_k(pencil, grid[s], solve, 1, seed, w_perp=True)[0])
+            top_w_perp = float(_kernel_eigenpairs(
+                solve, mass, w, 1, seed, what, w_perp=True)[0][0])
     del solve   # no factor outlives its mu
     reduced = _ReducedPencil(np.hstack(columns), pencil.k_stiff,
-                             pencil.potential, pencil.mass)
+                             pencil.potential, mass)
     del columns
     tops = np.array([reduced.top(mu, k)[0] for mu in grid])
 
-    def ritz(j):
-        def f_and_slope(mu):
-            vals, slopes = reduced.top(mu, k)
-            return vals[j] - 1.0, slopes[j]
-        return f_and_slope
-
-    def full(j):
-        def f_and_slope(mu):
-            solve = factor(mu)
-            vals, g = _top_k(pencil, mu, solve, k, seed, vectors=True)
-            return vals[j] - 1.0, _hf_slope(pencil, solve, g[:, j])
-        return f_and_slope
+    def full(mu, k):
+        return _kernel_top(pencil, mu, k, seed)
 
     warnings = []
-    for j in range(k):
-        rises = np.nonzero(np.diff(tops[:, j]) > 1e-9 * np.maximum(
-            1.0, np.abs(tops[:-1, j])))[0]
-        for s in rises:
-            warnings.append(
-                f"branch {j} increases from mu={grid[s]:.6g} to "
-                f"mu={grid[s+1]:.6g}; resolvent monotonicity violated"
-            )
-
     crossings = []
     for j in range(k):
         f = tops[:, j] - 1.0
@@ -247,10 +212,10 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
             if not (f[s] > 0.0 >= f[s + 1]):
                 continue
             cell = (grid[s], grid[s + 1], f[s], f[s + 1])
-            mu_r = _newton_root(ritz(j), *cell,
+            mu_r = _newton_root(_branch(reduced.top, k, j), *cell,
                                 label=f"reduced branch {j}")[0]
-            mu0, err, evals = _newton_root(full(j), *cell, start=mu_r,
-                                           label=f"branch {j}")
+            mu0, err, evals = _newton_root(_branch(full, k, j), *cell,
+                                           start=mu_r, label=f"branch {j}")
             # Newton aims at 1e-12; a crossing only counts as unresolved
             # above the 1e-8 the crossing quality has always been held to
             if err > 1e-8:

@@ -209,6 +209,15 @@ def _emit(report, args, timings):
             fh.write(text)
 
 
+def _write_csv(path, header, rows):
+    """A CSV of one header line and ``rows``, every value as %.17g, which
+    writes an int as %d does."""
+    with _writing(), open(_resolve_out(path), "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join("%.17g" % v for v in row) + "\n")
+
+
 def _verify_config(args):
     """The VerifyConfig of the flags the command takes; VerifyConfig's own
     defaults stand for the rest."""
@@ -300,8 +309,8 @@ def cmd_spectrum(args):
         report["spectrum"] = {"eigenvalues": spec.eigenvalues,
                               "residuals": spec.residuals, "seed": spec.seed}
         if args.csv:
-            with _writing():
-                spec.write_csv(_resolve_out(args.csv))
+            _write_csv(args.csv, ("index", "eigenvalue", "residual"),
+                       zip(range(spec.k), spec.eigenvalues, spec.residuals))
         return 0
     return _run(args, "spectrum", body)
 
@@ -327,8 +336,9 @@ def cmd_bs_scan(args):
         timings["scan_s"] = time.perf_counter() - t0
         report["birman_schwinger"] = scan
         if args.csv:
-            with _writing():
-                scan.write_csv(_resolve_out(args.csv))
+            header = ["mu"] + [f"top_{j + 1}" for j in range(args.scan_k)]
+            _write_csv(args.csv, header,
+                       np.column_stack((scan.mu_grid, scan.top_eigenvalues)))
         return 0
     return _run(args, "bs-scan", body)
 
@@ -382,7 +392,6 @@ def _add_shape_flags(p):
 
 _DEFAULTS = verify.VerifyConfig()
 _EIG_TOL = ("--eig-tol", _NONNEGATIVE, _DEFAULTS.eig_tol)
-_TOL_IDENTITY = ("--tol-identity", _NONNEGATIVE, _DEFAULTS.tol_identity)
 _CSV = ("--csv", str, None)
 
 # (flag, type, default) of what each analysis command reads beyond the
@@ -394,13 +403,13 @@ _COMMANDS = {
         ("--k", _at_least(2), _DEFAULTS.k), _EIG_TOL,
         ("--tol-sphere", _NONNEGATIVE, _DEFAULTS.tol_sphere),
         ("--tol-sphere-factor", _NONNEGATIVE, _DEFAULTS.tol_sphere_factor),
-        _TOL_IDENTITY)),
+        ("--tol-identity", _NONNEGATIVE, _DEFAULTS.tol_identity))),
     "spectrum": (cmd_spectrum, (
         ("--k", _at_least(1), _DEFAULTS.k), _EIG_TOL, _CSV)),
     "bs-scan": (cmd_bs_scan, (
         _CSV, ("--mu-min", _POSITIVE, None), ("--mu-max", _POSITIVE, None),
         ("--steps", _at_least(2), 32), ("--scan-k", _at_least(1), 3))),
-    "identities": (cmd_identities, (_TOL_IDENTITY,)),
+    "identities": (cmd_identities, ()),
 }
 
 

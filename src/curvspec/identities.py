@@ -51,7 +51,6 @@ class IdentityReport:
     d: np.ndarray                      # (3,)
     d_sum: float
     chain_residual: float
-    tol_identity: float
 
 
 @dataclass(frozen=True, eq=False)

@@ -344,6 +344,5 @@ class Analysis:
             d=dq.d,
             d_sum=dq.d_sum,
             chain_residual=dq.chain_residual,
-            tol_identity=self.config.tol_identity,
         )
 

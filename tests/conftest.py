@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from curvspec import assemble, birman, curvature, eigen, surfaces, verify
+from curvspec import assemble, curvature, eigen, surfaces, verify
 from oracles import kernel_shift  # noqa: F401  (re-exported to the tests)
 
 
@@ -84,10 +84,12 @@ def floor_shift(pencil):
 
 def kernel_top(pencil, mu, k=3, seed=0, w_perp=False):
     """k largest eigenvalues of the Birman-Schwinger kernel K_mu: one
-    factor of K + mu M, then birman's kernel eigensolve on it."""
+    factor of K + mu M, then the kernel eigensolve on it."""
     solve = eigen._shifted_solver(pencil.k_stiff, pencil.mass, mu,
                                   layout=pencil.layout)
-    return birman._top_k(pencil, mu, solve, k, seed, w_perp)
+    return eigen._kernel_eigenpairs(solve, pencil.mass, pencil.w, k, seed,
+                                    f"kernel eigensolve at mu={mu:.6g}",
+                                    w_perp=w_perp)[0][:k]
 
 
 def verify_theorem(mesh, r, config=None):

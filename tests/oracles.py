@@ -233,27 +233,18 @@ def full_grid_scan(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
     mu_min, mu_max = birman.mu_window(pencil.w, mu_min, mu_max)
     grid = np.geomspace(mu_min, mu_max, steps)
 
-    def factor(mu):
-        return eigen._shifted_solver(pencil.k_stiff, pencil.mass, mu,
-                                     layout=pencil.layout)
+    def top(mu, k):
+        return birman._kernel_top(pencil, mu, k, seed)
 
-    tops = np.array([birman._top_k(pencil, mu, factor(mu), k, seed)
-                     for mu in grid])
-
-    def branch(j):
-        def f_and_slope(mu):
-            solve = factor(mu)
-            vals, g = birman._top_k(pencil, mu, solve, k, seed, vectors=True)
-            return vals[j] - 1.0, birman._hf_slope(pencil, solve, g[:, j])
-        return f_and_slope
-
+    tops = np.array([top(mu, k)[0] for mu in grid])
     crossings = []
     for j in range(k):
         f = tops[:, j] - 1.0
         for s in range(steps - 1):
             if f[s] > 0.0 >= f[s + 1]:
                 mu0, err, evals = birman._newton_root(
-                    branch(j), grid[s], grid[s + 1], f[s], f[s + 1])
+                    birman._branch(top, k, j), grid[s], grid[s + 1], f[s],
+                    f[s + 1])
                 crossings.append((mu0, j, err, evals))
     return grid, tops, sorted(crossings)
 

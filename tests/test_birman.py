@@ -62,12 +62,14 @@ class TestKernelOperator:
         _, _, p = get_pipeline("ellipsoid", subdiv, 1)
         for mu in (0.5, 2.0):
             solve = eigen._shifted_solver(p.k_stiff, p.mass, mu)
-            vals, g = birman._top_k(p, mu, solve, 3, 0, vectors=True,
-                                    **restrict)
+            vals, g = eigen._kernel_eigenpairs(solve, p.mass, p.w, 3, 0,
+                                               "kernel", **restrict)
+            # the three asked for and ARPACK's two padding pairs
+            assert len(vals) == g.shape[1] == 5
             ref_vals, ref_g = oracles.dense_K_mu_eigenpairs(
                 p, mu, p.n_vertices, **restrict)
-            np.testing.assert_allclose(vals, ref_vals[:3], rtol=0, atol=1e-10)
-            np.testing.assert_allclose(g.T @ (p.mass[:, None] * g), np.eye(3),
+            np.testing.assert_allclose(vals, ref_vals[:5], rtol=0, atol=1e-10)
+            np.testing.assert_allclose(g.T @ (p.mass[:, None] * g), np.eye(5),
                                        atol=1e-10)
             assert oracles.eigenspace_distance(
                 vals, g, ref_vals, ref_g, p.mass, tol=1e-8) < 1e-8
@@ -76,9 +78,7 @@ class TestKernelOperator:
     def test_hellmann_feynman_slope(self, subdiv):
         _, _, p = get_pipeline("ellipsoid", subdiv, 1)
         for mu in (0.5, 2.0):
-            solve = eigen._shifted_solver(p.k_stiff, p.mass, mu)
-            _, g = birman._top_k(p, mu, solve, 3, 0, vectors=True)
-            slopes = [birman._hf_slope(p, solve, g[:, j]) for j in range(3)]
+            slopes = birman._kernel_top(p, mu, 3, 0)[1]
             h = 1e-4 * mu
             fd = (kernel_top(p, mu + h, k=3)
                   - kernel_top(p, mu - h, k=3)) / (2 * h)
@@ -168,9 +168,17 @@ class TestScan:
         assert res.mu_grid[0] == pytest.approx(1e-3 * maxw2)
         assert res.mu_grid[-1] == pytest.approx(10 * maxw2)
 
-    def test_branches_decrease(self, ellipsoid_scan):
-        assert np.all(np.diff(ellipsoid_scan.top_eigenvalues, axis=0) < 0)
-        assert np.all(ellipsoid_scan.top_eigenvalues > 0)
+    # every grid top is a Ritz value of one reduced pencil whose right-hand
+    # side grows with mu, so by Courant-Fischer no branch rises
+    @pytest.mark.parametrize("shape,subdiv,r", [
+        ("ellipsoid", 3, 1), ("ellipsoid", 4, 0), ("sphere", 3, 0),
+        ("torus", 1, 0)])
+    def test_branches_decrease(self, shape, subdiv, r):
+        _, _, pencil = get_pipeline(shape, subdiv, r)
+        tops = birman.scan_crossings(pencil, steps=32, k=3,
+                                     seed=0).top_eigenvalues
+        assert np.all(np.diff(tops, axis=0) < 0)
+        assert np.all(tops > 0)
 
     def test_crossings_match_pencil_spectrum(self, ellipsoid_pencil, ellipsoid_scan):
         spec = eigen.smallest_eigenpairs(
@@ -248,16 +256,16 @@ class TestScan:
         # the W-restricted top is read at the bottom of the window alone,
         # on the factor the grid builds there
         restricted = []
-        top_k = birman._top_k
+        kernel = birman._kernel_eigenpairs
 
-        def counted(pencil, mu, solve, k, seed, w_perp=False, **kwargs):
+        def counted(solve, mass, weight, k, seed, what, w_perp=False):
             if w_perp:
-                restricted.append(mu)
-            return top_k(pencil, mu, solve, k, seed, w_perp, **kwargs)
+                restricted.append(what)
+            return kernel(solve, mass, weight, k, seed, what, w_perp)
 
-        monkeypatch.setattr(birman, "_top_k", counted)
+        monkeypatch.setattr(birman, "_kernel_eigenpairs", counted)
         res = birman.scan_crossings(ellipsoid_pencil, steps=32, k=3, seed=0)
-        assert restricted == [res.mu_grid[0]]
+        assert restricted == [f"kernel eigensolve at mu={res.mu_grid[0]:.6g}"]
         assert isinstance(res.top_w_perp, float)
         # it lies between the first two full-kernel tops (Cauchy interlacing)
         assert res.top_eigenvalues[0][1] - 1e-8 <= res.top_w_perp \
@@ -328,11 +336,18 @@ class TestReducedBasis:
 
 class TestSerialization:
     def test_write_csv(self, tmp_path, ellipsoid_scan):
+        # bs-scan --csv writes mu and the grid tops as %.17g, the values
+        # of the scan itself
         path = tmp_path / "scan.csv"
-        ellipsoid_scan.write_csv(path)
-        rows = path.read_text().splitlines()
-        assert rows[0] == "mu,top_1,top_2,top_3"
-        assert len(rows) == len(ellipsoid_scan.mu_grid) + 1
+        assert cli.main(["bs-scan", "--shape", "ellipsoid", "--a", "2",
+                         "--b", "1", "--c", "1", "--subdiv", "3", "--r", "1",
+                         "--steps", "32", "--scan-k", "3", "--seed", "0",
+                         "--csv", str(path), "-o",
+                         str(tmp_path / "rep.json")]) == 0
+        assert path.read_text() == "mu,top_1,top_2,top_3\n" + "".join(
+            ",".join("%.17g" % v for v in (mu, *row)) + "\n"
+            for mu, row in zip(ellipsoid_scan.mu_grid,
+                               ellipsoid_scan.top_eigenvalues))
 
     def test_json_dict(self, ellipsoid_scan):
         blob = cli._jsonable(ellipsoid_scan)

@@ -351,6 +351,7 @@ class TestBadInput:
         ("identities", "k", "3"), ("identities", "eig-tol", "1e-8"),
         ("identities", "tol-sphere", "0.1"),
         ("identities", "tol-sphere-factor", "0.1"),
+        ("identities", "tol-identity", "0.1"),
         ("spectrum", "tol-sphere", "0.1"),
         ("spectrum", "tol-sphere-factor", "0.1"),
         ("spectrum", "tol-identity", "0.1"),
@@ -796,7 +797,7 @@ class TestOtherCommands:
         blk = json.loads(out.read_text())["identities"]
         assert set(blk) == {
             "lr_position_residual", "minkowski_residual", "orthogonality_raw",
-            "d", "d_sum", "chain_residual", "tol_identity",
+            "d", "d_sum", "chain_residual",
         }
 
     def test_usage_errors(self, capsys):

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import glob
+import json
 import os
 import tracemalloc
 
@@ -11,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from curvspec import eigen
+from curvspec import cli, eigen
 from curvspec.assemble import pencil_floor_shift
 from curvspec.errors import EigenSolveError
 
@@ -102,39 +103,30 @@ class TestSpectrumContract:
         assert spec.residuals.max() < 1e-9
 
     def test_vectors_m_orthonormal(self, sphere_pencil, pencil_args):
-        spec = eigen.smallest_eigenpairs(*pencil_args, 5,
-                                         sigma=floor_shift(sphere_pencil))
-        m = sp.diags(sphere_pencil.mass)
-        gram = spec.eigenvectors.T @ (m @ spec.eigenvectors)
-        assert np.max(np.abs(gram - np.eye(5))) < 1e-10
+        # ARPACK's standard-mode Ritz vectors come back orthonormal with no
+        # cleanup pass, also across K's degenerate l = 1 and l = 2 clusters
+        # (k = 9) at the default tol
+        p = sphere_pencil
+        for a, k, sigma in ((pencil_args[0], 5, floor_shift(p)),
+                            (p.k_stiff, 9, kernel_shift(p))):
+            spec = eigen.smallest_eigenpairs(a, p.mass, k, sigma=sigma)
+            gram = spec.eigenvectors.T @ (p.mass[:, None] * spec.eigenvectors)
+            assert np.max(np.abs(gram - np.eye(k))) <= 1e-12
 
     def test_orthonormalized_per_cluster(self, sphere_pencil):
         # the sphere's stiffness has the clusters 0, the l=1 triple and the
-        # l=2 quintuple; mixing vectors inside a cluster leaves them
-        # eigenvectors but not M-orthonormal, and orthonormalizing each
-        # cluster on its own restores that without touching the residuals.
-        # ARPACK runs at machine precision (tol=0): at 1e-10 it meets the
-        # degenerate quintuple only through round-off, and the residual cap
-        # below would hold by chance
+        # l=2 quintuple; ARPACK's vectors are M-orthonormal across and
+        # within them, with residuals at round-off.  ARPACK runs at machine
+        # precision (tol=0): at 1e-10 it meets the degenerate quintuple
+        # only through round-off, and the residual cap below would hold by
+        # chance
         p = sphere_pencil
         spec = eigen.smallest_eigenpairs(p.k_stiff, p.mass, 9,
                                          sigma=kernel_shift(p), tol=0)
-        rng = np.random.default_rng(3)
-        mixed = spec.eigenvectors.copy()
-        for lo, hi in ((1, 4), (4, 9)):
-            mixed[:, lo:hi] = mixed[:, lo:hi] @ (
-                np.eye(hi - lo) + 0.5 * rng.standard_normal((hi - lo,) * 2))
-        for vecs in (spec.eigenvectors,
-                     eigen._m_orthonormalize(spec.eigenvalues, mixed, p.mass)):
-            gram = vecs.T @ (p.mass[:, None] * vecs)
-            assert np.max(np.abs(gram - np.eye(9))) <= 1e-12
-            res = eigen._residuals(p.k_stiff, p.mass, spec.eigenvalues, vecs)
-            assert res.max() <= 2.0 * spec.residuals.max() <= 1e-12
-        # each cluster's vectors stay in the span of its own input vectors
-        for lo, hi in ((0, 1), (1, 4), (4, 9)):
-            block = vecs[:, lo:hi]
-            coef = np.linalg.lstsq(mixed[:, lo:hi], block, rcond=None)[0]
-            assert np.linalg.norm(mixed[:, lo:hi] @ coef - block) <= 1e-12
+        vecs = spec.eigenvectors
+        gram = vecs.T @ (p.mass[:, None] * vecs)
+        assert np.max(np.abs(gram - np.eye(9))) <= 1e-12
+        assert spec.residuals.max() <= 5e-13
 
     def test_rayleigh_quotient_consistent(self, sphere_pencil):
         a = sphere_pencil.a_matrix()
@@ -184,15 +176,17 @@ class TestSpectrumContract:
         other = eigen.smallest_eigenpairs(*args, seed=12)
         assert np.max(np.abs(one.eigenvalues - other.eigenvalues)) < 1e-10
 
-    def test_write_csv(self, tmp_path, sphere_pencil):
-        spec = eigen.smallest_eigenpairs(sphere_pencil.a_matrix(), sphere_pencil.mass, 3,
-                                         sigma=floor_shift(sphere_pencil))
-        path = tmp_path / "spec.csv"
-        spec.write_csv(path)
-        rows = path.read_text().splitlines()
-        assert rows[0] == "index,eigenvalue,residual"
-        assert len(rows) == 4
-        assert float(rows[1].split(",")[1]) == pytest.approx(spec.eigenvalues[0])
+    def test_write_csv(self, tmp_path):
+        # spectrum --csv writes the index as %d writes it and every float
+        # as %.17g, the values of the JSON report
+        path, out = tmp_path / "spec.csv", tmp_path / "rep.json"
+        assert cli.main(["spectrum", "--shape", "sphere", "--subdiv", "3",
+                         "--r", "0", "--k", "3", "--csv", str(path),
+                         "-o", str(out)]) == 0
+        spec = json.loads(out.read_text())["spectrum"]
+        assert path.read_text() == "index,eigenvalue,residual\n" + "".join(
+            "%d,%.17g,%.17g\n" % row for row in
+            zip(range(3), spec["eigenvalues"], spec["residuals"]))
 
 
 class TestShiftedSolver:

@@ -212,7 +212,6 @@ class TestFullReport:
         assert rep.d is dq.d and rep.d_sum == dq.d_sum
         assert rep.orthogonality_raw is dq.orthogonality_raw
         assert rep.chain_residual == dq.chain_residual
-        assert rep.tol_identity == analysis.config.tol_identity
         assert rep.chain_residual < 1e-8
 
     def test_report_deterministic(self):
