@@ -1,14 +1,20 @@
 """Command line entry point and report emission.
 
-Subcommands: generate, verify, spectrum, bs-scan, identities.  Reports are
-JSON with a fixed top-level key set (config, mesh_stats, curvature_summary,
-identities, spectrum, birman_schwinger, verdicts, timings, schema_version);
-keys a command does not compute are null.  A block is the fields of the
-report dataclass that fills it (verify's TheoremReport, identities'
-IdentityReport, mesh's ValidationReport, ...), serialized by one converter.
-Every judged numeric travels with the threshold it was judged against, and
-the resolved configuration is embedded verbatim so a report is
-reproducible from itself.
+Commands: generate, verify, spectrum, bs-scan, identities.  _COMMANDS holds
+each one's function and the flags it takes, and main builds the parser of
+the one command it runs.  A key = value config file (--config) is parsed
+as the flags it spells, placed before the command line's own: explicit
+flags win, and a file value passes its flag's type and choices checks.  A
+flag or config key that the command does not take exits 64.
+
+Reports are JSON with a fixed top-level key set (config, mesh_stats,
+curvature_summary, identities, spectrum, birman_schwinger, verdicts,
+timings, schema_version); keys a command does not compute are null.  A
+block is the fields of the report dataclass that fills it (verify's
+TheoremReport, identities' IdentityReport, mesh's ValidationReport, ...),
+serialized by one converter.  Every judged numeric travels with the
+threshold it was judged against, and the resolved configuration is
+embedded verbatim so a report is reproducible from itself.
 
 Exit codes: 0 success, 2 theorem-violation tripwire, 3 precondition or
 pipeline failure (with a JSON error block), 64 usage, an output path that
@@ -18,13 +24,9 @@ Determinism: for a fixed config and seed the JSON and CSV outputs are
 byte-identical when --no-embed-timings is passed; wall-clock timings are
 the one intentionally nondeterministic block.
 
-A key = value config file (--config) supplies defaults; explicit flags win.
 The CURVSPEC_OUTDIR environment variable rebases relative output paths.
 --log-level sends the package's stdlib logging to stderr; nothing is logged
 by default and nothing logged ever enters a report.
-
-Each analysis command takes only the flags it reads (the _COMMANDS
-table); a flag or config key that a command does not take exits 64.
 """
 
 import argparse
@@ -62,36 +64,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_BOOLEANS = {"true": True, "yes": True, "on": True,
-             "false": False, "no": False, "off": False}
-
-
-def _read_config_file(path):
-    values = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for ln, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{path}:{ln}: expected key = value")
-                key, val = (p.strip() for p in line.split("=", 1))
-                values[key.replace("-", "_")] = val
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from exc
-    return values
-
-
 def _resolve_out(path):
-    if path is None:
-        return None
-    if os.path.isabs(path):
+    if path is None or os.path.isabs(path):
         return path
     return os.path.join(os.environ.get("CURVSPEC_OUTDIR", "."), path)
 
 
-def _build_surface(args):
+def _generate_mesh(args):
+    """The --shape mesh; a descriptor, subdivision or grid the generator
+    refuses is a usage error."""
     params = {
         "sphere": {"radius": args.radius},
         "ellipsoid": {"a": args.a, "b": args.b, "c": args.c},
@@ -99,19 +80,11 @@ def _build_surface(args):
                   "minor_radius": args.minor_radius},
         "bumped": {"radius": args.radius, "amplitude": args.amplitude,
                    "frequency": args.frequency},
-    }
-    if args.shape not in params:
-        raise UsageError(f"unknown shape {args.shape!r}")
+    }[args.shape]
     try:
-        return surfaces.from_params(args.shape, **params[args.shape])
+        surf = surfaces.from_params(args.shape, **params)
     except (ValueError, TypeError) as exc:
         raise UsageError(f"invalid surface descriptor: {exc}") from exc
-
-
-def _generate_mesh(args):
-    """The --shape mesh; a subdivision or grid the generator refuses is a
-    usage error."""
-    surf = _build_surface(args)
     try:
         return surfaces.generate(surf, subdiv=args.subdiv,
                                  nu=args.nu, nv=args.nv)
@@ -148,13 +121,9 @@ def _curvature_summary(field, mesh):
 
 
 def _config_block(args, command):
-    block = {"command": command}
-    for key, val in sorted(vars(args).items()):
-        # the log level changes what reaches stderr, never a number
-        if key in ("func", "log_level") or callable(val):
-            continue
-        block[key] = val
-    return block
+    # the log level changes what reaches stderr, never a number
+    return {"command": command, **{key: val for key, val in vars(args).items()
+                                   if key != "log_level"}}
 
 
 def _jsonable(value):
@@ -238,11 +207,9 @@ def cmd_generate(args):
     with _writing():
         write_off(mesh, out)
     rep = validate(mesh)
-    print(
-        f"wrote {out}: vertices={rep.n_vertices} faces={rep.n_faces} "
-        f"euler={rep.euler_characteristic} closed={rep.closed} "
-        f"oriented={rep.oriented}"
-    )
+    print(f"wrote {out}: vertices={rep.n_vertices} faces={rep.n_faces} "
+          f"euler={rep.euler_characteristic} closed={rep.closed} "
+          f"oriented={rep.oriented}")
     return 0
 
 
@@ -255,8 +222,6 @@ def _run(args, command, body):
     return an exit code.  A CurvSpecError becomes a JSON error block and
     exit code 3; the report is emitted either way.
     """
-    if args.r not in (0, 1):
-        raise UsageError(f"--r must be 0 or 1, got {args.r}")
     _check_outputs(args)
     timings = {}
     report = {"config": _config_block(args, command)}
@@ -374,52 +339,64 @@ def _at_least(low):
     return _ranged(int, lambda n: n >= low, f">= {low}")
 
 
-def _add_shape_flags(p):
-    p.add_argument("--shape",
-                   choices=["sphere", "ellipsoid", "torus", "bumped"])
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--amplitude", type=float, default=0.05)
-    p.add_argument("--frequency", type=int, default=3)
-    p.add_argument("--subdiv", type=int, default=3)
-    p.add_argument("--nu", type=int, default=None)
-    p.add_argument("--nv", type=int, default=None)
-    p.add_argument("--major-radius", type=float, default=2.0)
-    p.add_argument("--minor-radius", type=float, default=0.5)
+def _flag(names, kind=None, default=None, **kwargs):
+    """One add_argument call as data: the space-separated ``names``, the
+    type, the default and any other keywords."""
+    if kind is not None:
+        kwargs["type"] = kind
+    return names.split(), dict(kwargs, default=default)
 
+
+_SHAPE_FLAGS = (
+    _flag("--shape", choices=["sphere", "ellipsoid", "torus", "bumped"]),
+    _flag("--radius", float, 1.0),
+    _flag("--a", float, 1.0), _flag("--b", float, 1.0), _flag("--c", float, 1.0),
+    _flag("--amplitude", float, 0.05), _flag("--frequency", int, 3),
+    _flag("--major-radius", float, 2.0), _flag("--minor-radius", float, 0.5),
+    _flag("--subdiv", int, 3), _flag("--nu", int), _flag("--nv", int),
+)
+_COMMON_FLAGS = (
+    _flag("--config", help="key = value file of flags"),
+    _flag("--output -o", help="output path (JSON or mesh)"),
+    _flag("--no-embed-timings", default=False, action="store_true",
+          help="null the timings block for byte-stable output"),
+    _flag("--log-level", choices=["debug", "info", "warning"],
+          help="log to stderr at this level"),
+)
+# what every analysis command takes beyond the shape and common flags
+# (identities reads no seed, but one argv tail serves every command)
+_INPUT_FLAGS = (
+    _flag("--mesh", help="input OFF/OBJ mesh path"),
+    _flag("--r", int, 0, choices=[0, 1], help="operator order"),
+    _flag("--seed", _at_least(0), 0),
+)
 
 _DEFAULTS = verify.VerifyConfig()
-_EIG_TOL = ("--eig-tol", _NONNEGATIVE, _DEFAULTS.eig_tol)
-_CSV = ("--csv", str, None)
+_EIG_TOL = _flag("--eig-tol", _NONNEGATIVE, _DEFAULTS.eig_tol)
+_CSV = _flag("--csv")
 
-# (flag, type, default) of what each analysis command reads beyond the
-# flags they all take: --mesh, the shape flags, --r and --seed (identities
-# reads no seed, but one argv tail serves every command).  verify reads
-# lambda_2, so its --k is at least 2
+# command -> (function, what it does, the flags it takes beyond the shape
+# and common flags); verify reads lambda_2, so its --k is at least 2
 _COMMANDS = {
-    "verify": (cmd_verify, (
-        ("--k", _at_least(2), _DEFAULTS.k), _EIG_TOL,
-        ("--tol-sphere", _NONNEGATIVE, _DEFAULTS.tol_sphere),
-        ("--tol-sphere-factor", _NONNEGATIVE, _DEFAULTS.tol_sphere_factor),
-        ("--tol-identity", _NONNEGATIVE, _DEFAULTS.tol_identity))),
-    "spectrum": (cmd_spectrum, (
-        ("--k", _at_least(1), _DEFAULTS.k), _EIG_TOL, _CSV)),
-    "bs-scan": (cmd_bs_scan, (
-        _CSV, ("--mu-min", _POSITIVE, None), ("--mu-max", _POSITIVE, None),
-        ("--steps", _at_least(2), 32), ("--scan-k", _at_least(1), 3))),
-    "identities": (cmd_identities, ()),
+    "generate": (cmd_generate, "write an analytic surface mesh as OFF", ()),
+    "verify": (cmd_verify, "classify lambda_2, with the checks that back it",
+               _INPUT_FLAGS + (
+        _flag("--k", _at_least(2), _DEFAULTS.k), _EIG_TOL,
+        _flag("--tol-sphere", _NONNEGATIVE, _DEFAULTS.tol_sphere),
+        _flag("--tol-sphere-factor", _NONNEGATIVE,
+              _DEFAULTS.tol_sphere_factor),
+        _flag("--tol-identity", _NONNEGATIVE, _DEFAULTS.tol_identity))),
+    "spectrum": (cmd_spectrum, "the smallest pencil eigenpairs",
+                 _INPUT_FLAGS + (
+        _flag("--k", _at_least(1), _DEFAULTS.k), _EIG_TOL, _CSV)),
+    "bs-scan": (cmd_bs_scan, "the Birman-Schwinger crossing scan",
+                _INPUT_FLAGS + (
+        _CSV, _flag("--mu-min", _POSITIVE), _flag("--mu-max", _POSITIVE),
+        _flag("--steps", _at_least(2), 32),
+        _flag("--scan-k", _at_least(1), 3))),
+    "identities": (cmd_identities, "the integral identities and the d_i",
+                   _INPUT_FLAGS),
 }
-
-
-def _add_common_flags(p):
-    p.add_argument("--config", help="key = value defaults file")
-    p.add_argument("--output", "-o", help="output path (JSON or mesh)")
-    p.add_argument("--no-embed-timings", action="store_true",
-                   help="null the timings block for byte-stable output")
-    p.add_argument("--log-level", choices=["debug", "info", "warning"],
-                   default=None, help="log to stderr at this level")
 
 
 @contextlib.contextmanager
@@ -441,56 +418,75 @@ def _logging_to_stderr(level):
         logger.setLevel(old_level)
 
 
-def build_parser():
-    parser = _Parser(prog="curvspec", allow_abbrev=False)
-    subs = parser.add_subparsers(dest="command", required=True)
-    table = {}
+def build_parser(command):
+    """The parser of one command: its shape, command and common flags."""
+    _, about, flags = _COMMANDS[command]
+    parser = _Parser(prog=f"curvspec {command}", description=about,
+                     allow_abbrev=False)
+    for names, kwargs in _SHAPE_FLAGS + flags + _COMMON_FLAGS:
+        parser.add_argument(*names, **kwargs)
+    return parser
 
-    g = subs.add_parser("generate", allow_abbrev=False,
-                        help="write an analytic surface mesh as OFF")
-    _add_shape_flags(g)
-    _add_common_flags(g)
-    g.set_defaults(func=cmd_generate)
-    table["generate"] = g
 
-    for name, (fn, flags) in _COMMANDS.items():
-        p = subs.add_parser(name, allow_abbrev=False)
-        p.add_argument("--mesh", help="input OFF/OBJ mesh path")
-        _add_shape_flags(p)
-        p.add_argument("--r", type=int, default=0, help="operator order")
-        p.add_argument("--seed", type=_at_least(0), default=0)
-        for flag, kind, default in flags:
-            p.add_argument(flag, type=kind, default=default)
-        _add_common_flags(p)
-        p.set_defaults(func=fn)
-        table[name] = p
+_BOOLEANS = {"true": True, "yes": True, "on": True,
+             "false": False, "no": False, "off": False}
 
-    return parser, table
+
+def _config_flags(path, given):
+    """The entries of the config file at ``path`` spelled as flags:
+    ``key = v`` is ``--key=v``, and a switch's true word the bare switch.
+    ``given`` is the namespace of the command line alone, which names
+    every key the command takes."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file: {exc}") from exc
+    flags = []
+    for ln, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{ln}: expected key = value")
+        key, val = (p.strip() for p in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in given:
+            raise UsageError(f"unknown config key {key!r}")
+        flag = "--" + key.replace("_", "-")
+        # a switch's value is a bool even before any flag sets it
+        if not isinstance(given[key], bool):
+            flags.append(f"{flag}={val}")
+        elif val.lower() not in _BOOLEANS:
+            raise UsageError(
+                f"config key {key!r} takes true/false, got {val!r}")
+        elif _BOOLEANS[val.lower()]:
+            flags.append(flag)
+    return flags
 
 
 def main(argv=None):
-    parser, table = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        print("usage: curvspec COMMAND [flags]; curvspec COMMAND --help "
+              "lists its flags\n\ncommands:")
+        for name, (_, about, _) in _COMMANDS.items():
+            print(f"  {name:<11} {about}")
+        return 0
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            file_vals = _read_config_file(args.config)
-            sub = table[args.command]
-            actions = {a.dest: a for a in sub._actions}
-            for key, val in file_vals.items():
-                if key not in actions:
-                    raise UsageError(f"unknown config key {key!r}")
-                # only a switch takes a boolean word; every other value
-                # stays a string, which argparse converts with the flag's
-                # own type (argparse types string defaults only)
-                if isinstance(actions[key], argparse._StoreTrueAction):
-                    if val.lower() not in _BOOLEANS:
-                        raise UsageError(
-                            f"config key {key!r} takes true/false, got {val!r}")
-                    file_vals[key] = _BOOLEANS[val.lower()]
-            sub.set_defaults(**file_vals)
-            args = parser.parse_args(argv)
+        if command not in _COMMANDS:
+            got = "" if command is None else f", got {command!r}"
+            raise UsageError(f"expected a command: {', '.join(_COMMANDS)}"
+                             f"{got}")
+        parser = build_parser(command)
+        args = parser.parse_args(argv[1:])
+        if args.config:
+            # the file's flags go first, so the command line's own win
+            args = parser.parse_args(
+                _config_flags(args.config, vars(args)) + argv[1:])
         with _logging_to_stderr(args.log_level):
-            return args.func(args)
+            return _COMMANDS[command][0](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64

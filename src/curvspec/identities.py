@@ -7,8 +7,9 @@ d_i = <R0(W f_i), W f_i> - ||f_i||^2.  All inner products are M-weighted
 vertex sums so the continuum equalities close discretely where they should.
 
 The position residual compares the assembled operator against geometric
-curvature samples, so it carries the O(h) consistency error of the
-discretization and is judged by refinement trend.  The chain residual,
+curvature samples, so it carries the discretization's consistency error:
+O(h) at r = 0, while at r = 1 it does not fall with refinement (the
+README gives both series).  No threshold judges it.  The chain residual,
 computed in the same pass as the d_i, compares the pairing
 <R0(W f_i), W f_i> with the K-energy of R0(W f_i); the two are equal in
 exact arithmetic, so the gap measures the constrained solve, not the
@@ -67,7 +68,7 @@ def lr_position_residual(mesh, field, pencil):
     This is the weak form of the classical identity moving the position
     vector through the operator; with the outward normal and positive
     sphere curvature the sign on the right-hand side is positive.  The
-    residual is O(h) and is judged by its refinement trend.
+    residual is O(h) at r = 0; at r = 1 it does not fall with refinement.
     """
     load = (pencil.mass * C_R * field.h_next)[:, None] * mesh.vertex_normals
     resid = pencil.k_stiff @ mesh.vertices - load

@@ -229,7 +229,8 @@ def generate(surface, subdiv=0, nu=None, nv=None):
         raise ValueError("subdiv must be >= 0")
     if isinstance(surface, Torus):
         scale = 2**subdiv
-        return _torus_grid(surface, nu or 16 * scale, nv or 8 * scale)
+        return _torus_grid(surface, 16 * scale if nu is None else nu,
+                           8 * scale if nv is None else nv)
     # refine the arrays and build one TriMesh, for the finest level only
     base = icosahedron()
     v, f = surface.project(base.vertices), base.faces

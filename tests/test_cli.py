@@ -278,6 +278,9 @@ class TestBadInput:
     @pytest.mark.parametrize("shape,key,value", [
         ("sphere", "subdiv", "-1"),
         ("torus", "nu", "2"),
+        # a zero grid is refused, not read as the default grid
+        ("torus", "nu", "0"),
+        ("torus", "nv", "0"),
         ("sphere", "r", "2"),
         ("sphere", "r", "-1"),
         # --mu and --trials are gone: an unknown flag and an unknown
@@ -725,6 +728,31 @@ class TestConfigFile:
         assert run(["verify", "--config", str(cfg)]) == 64
         assert "wibble" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,flag", [
+        ("log_level = bogus", "--log-level"),
+        ("log-level = DEBUG", "--log-level"),
+        ("shape = cube", "--shape"),
+    ])
+    def test_value_outside_choices_refused(self, tmp_path, capsys, text,
+                                           flag):
+        # a file value is parsed as its flag, so the flag's choices hold
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"subdiv = 0\n{text}\n")
+        out = tmp_path / "rep.json"
+        assert run(["verify", "--config", str(cfg), "-o", str(out)]) == 64
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"usage error: argument {flag}: "
+                                 "invalid choice: ")
+        assert not out.exists()
+
+    def test_non_utf8_file_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"shape = sph\xffre\n")
+        assert run(["verify", "--config", str(cfg)]) == 64
+        assert capsys.readouterr().err.startswith(
+            "usage error: cannot read config file: ")
+
     def test_outdir_rebase(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CURVSPEC_OUTDIR", str(tmp_path))
         code = run([
@@ -802,8 +830,13 @@ class TestOtherCommands:
 
     def test_usage_errors(self, capsys):
         assert run(["verify", "--shape", "dodecahedron"]) == 64
-        assert run(["frobnicate"]) == 64
-        assert run([]) == 64
+        capsys.readouterr()
+        # no command, or an unknown one, is refused naming the commands
+        for argv in (["frobnicate"], [], ["--config", "x"]):
+            assert run(argv) == 64
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("usage error: ")
+            assert all(name in err[0] for name in cli._COMMANDS)
 
 
 def readme_commands():
@@ -820,10 +853,11 @@ class TestReadme:
     def test_command_examples_parse(self):
         commands = readme_commands()
         assert len(commands) >= 8
-        parser, _ = cli.build_parser()
         for line in commands:
+            command, *flags = shlex.split(line)[1:]
+            assert command in cli._COMMANDS, line
             try:
-                parser.parse_args(shlex.split(line)[1:])
+                cli.build_parser(command).parse_args(flags)
             except cli.UsageError as exc:
                 pytest.fail(f"README example {line!r}: {exc}")
 
@@ -838,3 +872,48 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert json.loads(out.read_text())["verdicts"]["theorem"]["verdict"] == "SphereLike"
+
+    def test_help(self):
+        # the top level lists every command; a command lists its own flags
+        def helped(*argv):
+            proc = subprocess.run([sys.executable, "-m", "curvspec", *argv],
+                                  capture_output=True, text=True,
+                                  env=module_env())
+            assert (proc.returncode, proc.stderr) == (0, "")
+            return proc.stdout
+
+        listing = helped("--help")
+        assert all(f"  {name} " in listing for name in cli._COMMANDS)
+        assert "--tol-sphere-factor" in helped("verify", "--help")
+
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_one_parser_per_call(self, tmp_path, monkeypatch, with_config):
+        # only the command's own parser is built, and a config file is
+        # parsed again by that same parser
+        built = []
+        init = cli._Parser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        argv = ["generate", "--shape", "sphere", "-o", str(tmp_path / "s.off")]
+        if with_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("subdiv = 0\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--subdiv", "0"]
+        assert run(argv) == 0
+        assert built == ["curvspec generate"]
+        assert load_mesh(tmp_path / "s.off").n_vertices == 12
+
+    def test_package_import_leaves_cli_unloaded(self):
+        # a fresh `import curvspec` (what the benchmark's setup time
+        # measures) does not pay for argparse and the command table
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, curvspec; print('curvspec.cli' in sys.modules)"],
+            capture_output=True, text=True, env=module_env())
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
