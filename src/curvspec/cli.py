@@ -1,17 +1,18 @@
 """Command line entry point and report emission.
 
-Commands: generate, verify, spectrum, bs-scan, identities.  _COMMANDS holds
-each one's function and the flags it takes, and main builds the parser of
-the one command it runs.  A key = value config file (--config) is parsed
-as the flags it spells, placed before the command line's own: explicit
-flags win, and a file value passes its flag's type and choices checks.  A
-flag or config key that the command does not take exits 64.
+Commands: generate, verify, bs-scan.  _COMMANDS holds each one's function
+and the flags it takes, and main builds the parser of the one command it
+runs.  A key = value config file (--config) is parsed as the flags it
+spells, placed before the command line's own: explicit flags win, and a
+file value passes its flag's type and choices checks.  A flag or config
+key that the command does not take exits 64.  --help prints and returns 0.
 
 Reports are JSON with a fixed top-level key set (config, mesh_stats,
 curvature_summary, identities, spectrum, birman_schwinger, verdicts,
 timings, schema_version); keys a command does not compute are null.  A
 block is the fields of the report dataclass that fills it (verify's
-TheoremReport, identities' IdentityReport, mesh's ValidationReport, ...),
+TheoremReport, the identities module's IdentityReport, mesh's
+ValidationReport, ...),
 serialized by one converter.  Every judged numeric travels with the
 threshold it was judged against, and the resolved configuration is
 embedded verbatim so a report is reproducible from itself.
@@ -57,11 +58,19 @@ class UsageError(Exception):
     pass
 
 
+class _HelpShown(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; 2 is taken by the theorem
-    # tripwire, so route usage problems through our own exception
+    # tripwire, so route usage problems through our own exception, and
+    # the exit after --help through another, so that main returns
     def error(self, message):
         raise UsageError(message)
+
+    def exit(self, status=0, message=None):
+        raise _HelpShown
 
 
 def _resolve_out(path):
@@ -179,8 +188,7 @@ def _emit(report, args, timings):
 
 
 def _write_csv(path, header, rows):
-    """A CSV of one header line and ``rows``, every value as %.17g, which
-    writes an int as %d does."""
+    """A CSV of one header line and ``rows``, every value as %.17g."""
     with _writing(), open(_resolve_out(path), "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -254,8 +262,11 @@ def cmd_verify(args):
         theorem = analysis.theorem()
         lemma = analysis.lemma()
         corollary = analysis.corollary()
+        spec = analysis.spectrum
         report["identities"] = analysis.identities()
-        report["spectrum"] = {"eigenvalues": analysis.spectrum.eigenvalues,
+        report["spectrum"] = {"eigenvalues": spec.eigenvalues,
+                              "residuals": spec.residuals,
+                              "shift": spec.shift,
                               "k": analysis.config.k,
                               "seed": analysis.config.seed}
         report["verdicts"] = {"theorem": theorem, "corollary": corollary,
@@ -266,18 +277,6 @@ def cmd_verify(args):
     if code == 2:
         print("verdict Violation: lambda_2 above tolerance", file=sys.stderr)
     return code
-
-
-def cmd_spectrum(args):
-    def body(analysis, report, timings):
-        spec = analysis.spectrum
-        report["spectrum"] = {"eigenvalues": spec.eigenvalues,
-                              "residuals": spec.residuals, "seed": spec.seed}
-        if args.csv:
-            _write_csv(args.csv, ("index", "eigenvalue", "residual"),
-                       zip(range(spec.k), spec.eigenvalues, spec.residuals))
-        return 0
-    return _run(args, "spectrum", body)
 
 
 def cmd_bs_scan(args):
@@ -306,13 +305,6 @@ def cmd_bs_scan(args):
                        np.column_stack((scan.mu_grid, scan.top_eigenvalues)))
         return 0
     return _run(args, "bs-scan", body)
-
-
-def cmd_identities(args):
-    def body(analysis, report, timings):
-        report["identities"] = analysis.identities()
-        return 0
-    return _run(args, "identities", body)
 
 
 def _ranged(kind, ok, what):
@@ -363,8 +355,7 @@ _COMMON_FLAGS = (
     _flag("--log-level", choices=["debug", "info", "warning"],
           help="log to stderr at this level"),
 )
-# what every analysis command takes beyond the shape and common flags
-# (identities reads no seed, but one argv tail serves every command)
+# what both analysis commands take beyond the shape and common flags
 _INPUT_FLAGS = (
     _flag("--mesh", help="input OFF/OBJ mesh path"),
     _flag("--r", int, 0, choices=[0, 1], help="operator order"),
@@ -372,8 +363,6 @@ _INPUT_FLAGS = (
 )
 
 _DEFAULTS = verify.VerifyConfig()
-_EIG_TOL = _flag("--eig-tol", _NONNEGATIVE, _DEFAULTS.eig_tol)
-_CSV = _flag("--csv")
 
 # command -> (function, what it does, the flags it takes beyond the shape
 # and common flags); verify reads lambda_2, so its --k is at least 2
@@ -381,21 +370,17 @@ _COMMANDS = {
     "generate": (cmd_generate, "write an analytic surface mesh as OFF", ()),
     "verify": (cmd_verify, "classify lambda_2, with the checks that back it",
                _INPUT_FLAGS + (
-        _flag("--k", _at_least(2), _DEFAULTS.k), _EIG_TOL,
-        _flag("--tol-sphere", _NONNEGATIVE, _DEFAULTS.tol_sphere),
+        _flag("--k", _at_least(2), _DEFAULTS.k),
+        _flag("--eig-tol", _NONNEGATIVE, _DEFAULTS.eig_tol),
         _flag("--tol-sphere-factor", _NONNEGATIVE,
               _DEFAULTS.tol_sphere_factor),
         _flag("--tol-identity", _NONNEGATIVE, _DEFAULTS.tol_identity))),
-    "spectrum": (cmd_spectrum, "the smallest pencil eigenpairs",
-                 _INPUT_FLAGS + (
-        _flag("--k", _at_least(1), _DEFAULTS.k), _EIG_TOL, _CSV)),
     "bs-scan": (cmd_bs_scan, "the Birman-Schwinger crossing scan",
                 _INPUT_FLAGS + (
-        _CSV, _flag("--mu-min", _POSITIVE), _flag("--mu-max", _POSITIVE),
+        _flag("--csv"),
+        _flag("--mu-min", _POSITIVE), _flag("--mu-max", _POSITIVE),
         _flag("--steps", _at_least(2), 32),
         _flag("--scan-k", _at_least(1), 3))),
-    "identities": (cmd_identities, "the integral identities and the d_i",
-                   _INPUT_FLAGS),
 }
 
 
@@ -487,6 +472,8 @@ def main(argv=None):
                 _config_flags(args.config, vars(args)) + argv[1:])
         with _logging_to_stderr(args.log_level):
             return _COMMANDS[command][0](args)
+    except _HelpShown:
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64

@@ -72,13 +72,10 @@ class VerifyConfig:
     k: int = 5
     seed: int = 0
     eig_tol: float = 1e-10
-    tol_sphere: float = None          # absolute override; None -> factor*scale
-    tol_sphere_factor: float = 0.05
+    tol_sphere_factor: float = 0.05   # tol_sphere over the spectral scale
     tol_identity: float = 0.05
 
     def resolve_tol_sphere(self, spectral_scale):
-        if self.tol_sphere is not None:
-            return float(self.tol_sphere)
         return self.tol_sphere_factor * spectral_scale
 
 

@@ -1,4 +1,4 @@
-"""Write the golden `verify`, `identities` and `bs-scan` reports.
+"""Write the golden `verify` and `bs-scan` reports.
 
 Run from the root of a checkout:
 
@@ -54,10 +54,8 @@ SCAN_CASES = (
 )
 
 # (command, shape, subdiv, r)
-CASES = tuple(
-    (command, *case)
-    for case in ANALYSIS_CASES for command in ("verify", "identities")
-) + tuple(("bs-scan", *case) for case in SCAN_CASES)
+CASES = tuple(("verify", *case) for case in ANALYSIS_CASES) + tuple(
+    ("bs-scan", *case) for case in SCAN_CASES)
 
 
 def fixture_name(command, shape, subdiv, r):

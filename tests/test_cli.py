@@ -87,6 +87,12 @@ class TestVerifyCommand:
         assert "tol" in blob["verdicts"]["corollary"]
         assert "domination_floor" in blob["verdicts"]["corollary"]
         assert "thresholds" in blob["verdicts"]["lemma"]
+        # the pencil solve's residuals, and the certified rung it ran at,
+        # which lies below lambda_1
+        spec = blob["spectrum"]
+        assert len(spec["eigenvalues"]) == len(spec["residuals"]) == spec["k"]
+        assert all(res < 1e-9 for res in spec["residuals"])
+        assert spec["shift"] < spec["eigenvalues"][0]
 
     def test_mesh_file_input(self, tmp_path):
         off = tmp_path / "e.off"
@@ -186,7 +192,7 @@ class TestRefusals:
     def test_k_equal_to_vertex_count(self, tmp_path):
         # shift-invert returns at most V - 1 pairs: k = V = 12 is refused,
         # never truncated to 11
-        argv = ["spectrum", "--shape", "sphere", "--subdiv", "0"]
+        argv = ["verify", "--shape", "sphere", "--subdiv", "0"]
         err = self.refused([*argv, "--k", "12"], tmp_path)
         assert err["type"] == "EigenSolveError"
         assert "k=12" in err["message"] and "V=12" in err["message"]
@@ -215,8 +221,7 @@ class TestRefusals:
         assert err["type"] == "EigenSolveError"
         assert "k=12" in err["message"] and "V=12" in err["message"]
 
-    @pytest.mark.parametrize("command",
-                             ["verify", "identities", "spectrum", "bs-scan"])
+    @pytest.mark.parametrize("command", ["verify", "bs-scan"])
     def test_two_disjoint_spheres(self, tmp_path, command):
         # closed and oriented, but K's kernel holds one constant per
         # component: every command stops at load, before any check
@@ -315,7 +320,6 @@ class TestBadInput:
 
     @pytest.mark.parametrize("command,flag,value", [
         ("verify", "seed", "-1"),
-        ("verify", "tol-sphere", "-1"), ("verify", "tol-sphere", "nan"),
         ("verify", "tol-sphere-factor", "-1"),
         ("verify", "tol-sphere-factor", "nan"),
         ("verify", "tol-identity", "-1"), ("verify", "tol-identity", "nan"),
@@ -334,7 +338,7 @@ class TestBadInput:
     @pytest.mark.parametrize("via", ["flag", "config"])
     @pytest.mark.parametrize("command,flag,value", [
         ("verify", "k", "1"), ("verify", "k", "0"),
-        ("spectrum", "k", "0"), ("bs-scan", "scan-k", "0"),
+        ("bs-scan", "scan-k", "0"),
     ])
     def test_eigenpair_count_refused_before_any_work(
             self, tmp_path, capsys, monkeypatch, command, flag, value, via):
@@ -344,20 +348,14 @@ class TestBadInput:
         assert err.startswith(f"usage error: argument --{flag}: must be ")
 
     # each command takes only the flags it reads; these in-range values
-    # are refused because the command would ignore them
+    # are refused because the command would ignore them (no command takes
+    # --tol-sphere)
     @pytest.mark.parametrize("via", ["flag", "config"])
     @pytest.mark.parametrize("command,flag,value", [
         ("bs-scan", "k", "3"), ("bs-scan", "eig-tol", "1e-8"),
         ("bs-scan", "tol-sphere", "0.1"),
         ("bs-scan", "tol-sphere-factor", "0.1"),
         ("bs-scan", "tol-identity", "0.1"),
-        ("identities", "k", "3"), ("identities", "eig-tol", "1e-8"),
-        ("identities", "tol-sphere", "0.1"),
-        ("identities", "tol-sphere-factor", "0.1"),
-        ("identities", "tol-identity", "0.1"),
-        ("spectrum", "tol-sphere", "0.1"),
-        ("spectrum", "tol-sphere-factor", "0.1"),
-        ("spectrum", "tol-identity", "0.1"),
     ])
     def test_unread_flag_refused_before_any_work(
             self, tmp_path, capsys, monkeypatch, command, flag, value, via):
@@ -401,8 +399,6 @@ class TestUnwritableOutput:
 
     @pytest.mark.parametrize("argv", [
         ["verify", *SHAPE, "-o", "{missing}/rep.json"],
-        ["spectrum", *SHAPE, "-o", "{missing}/rep.json"],
-        ["spectrum", *SHAPE, "--csv", "{missing}/spectrum.csv"],
         ["bs-scan", *SHAPE, "--steps", "4", "-o", "{missing}/rep.json"],
         ["bs-scan", *SHAPE, "--steps", "4", "--csv", "{missing}/scan.csv"],
         ["generate", *SHAPE, "-o", "{missing}/sphere.off"],
@@ -425,8 +421,6 @@ class TestUnwritableOutput:
 
     @pytest.mark.parametrize("argv", [
         ["verify", *SHAPE, "-o", "{dir}"],
-        ["identities", *SHAPE, "-o", "{dir}"],
-        ["spectrum", *SHAPE, "--csv", "{dir}"],
         ["bs-scan", *SHAPE, "--steps", "4", "-o", "{dir}"],
         ["bs-scan", *SHAPE, "--steps", "4", "--csv", "{dir}"],
         ["generate", *SHAPE, "-o", "{dir}"],
@@ -654,8 +648,6 @@ class TestWorkCounts:
     @pytest.mark.parametrize("command,factors,eigsh", [
         # the pencil and R0; the pencil eigensolve
         ("verify", 2, 1),
-        # R0 for the d_i, and no eigensolve
-        ("identities", 1, 0),
     ])
     def test_solver_work_per_command(self, tmp_path, monkeypatch, command,
                                      factors, eigsh):
@@ -764,20 +756,6 @@ class TestConfigFile:
 
 
 class TestOtherCommands:
-    def test_spectrum_csv(self, tmp_path):
-        out = tmp_path / "rep.json"
-        csv = tmp_path / "spec.csv"
-        code = run([
-            "spectrum", "--shape", "sphere", "--subdiv", "2", "--r", "0",
-            "--k", "4", "-o", str(out), "--csv", str(csv),
-        ])
-        assert code == 0
-        rows = csv.read_text().splitlines()
-        assert rows[0] == "index,eigenvalue,residual"
-        assert len(rows) == 5
-        blob = json.loads(out.read_text())
-        assert len(blob["spectrum"]["eigenvalues"]) == 4
-
     def test_bs_scan(self, tmp_path):
         out = tmp_path / "rep.json"
         code = run([
@@ -815,24 +793,14 @@ class TestOtherCommands:
         ])
         assert code == 64
 
-    def test_identities_block(self, tmp_path):
-        out = tmp_path / "rep.json"
-        code = run([
-            "identities", "--shape", "ellipsoid", "--subdiv", "2", "--r", "0",
-            "-o", str(out),
-        ])
-        assert code == 0
-        blk = json.loads(out.read_text())["identities"]
-        assert set(blk) == {
-            "lr_position_residual", "minkowski_residual", "orthogonality_raw",
-            "d", "d_sum", "chain_residual",
-        }
-
     def test_usage_errors(self, capsys):
         assert run(["verify", "--shape", "dodecahedron"]) == 64
         capsys.readouterr()
-        # no command, or an unknown one, is refused naming the commands
-        for argv in (["frobnicate"], [], ["--config", "x"]):
+        # no command, or an unknown one, is refused naming the commands;
+        # verify reports what spectrum and identities did
+        assert list(cli._COMMANDS) == ["generate", "verify", "bs-scan"]
+        for argv in (["frobnicate"], [], ["--config", "x"], ["spectrum"],
+                     ["identities", "--shape", "sphere"]):
             assert run(argv) == 64
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("usage error: ")
@@ -884,7 +852,18 @@ class TestEntryPoints:
 
         listing = helped("--help")
         assert all(f"  {name} " in listing for name in cli._COMMANDS)
-        assert "--tol-sphere-factor" in helped("verify", "--help")
+        text = helped("verify", "--help")
+        assert "--tol-sphere-factor" in text and "--tol-sphere " not in text
+
+    @pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+    def test_help_in_process(self, capsys, command):
+        # help returns 0 to an in-process caller, never raises SystemExit
+        argv = ["--help"] if command is None else [command, "--help"]
+        assert run(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("usage: curvspec ")
+        if command is not None:
+            assert f"curvspec {command}" in out
 
     @pytest.mark.parametrize("with_config", [False, True])
     def test_one_parser_per_call(self, tmp_path, monkeypatch, with_config):

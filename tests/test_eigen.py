@@ -3,7 +3,6 @@
 import ast
 import dataclasses
 import glob
-import json
 import os
 import tracemalloc
 
@@ -12,7 +11,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from curvspec import cli, eigen
+from curvspec import eigen
 from curvspec.assemble import pencil_floor_shift
 from curvspec.errors import EigenSolveError
 
@@ -175,18 +174,6 @@ class TestSpectrumContract:
         assert np.array_equal(one.eigenvalues, two.eigenvalues)
         other = eigen.smallest_eigenpairs(*args, seed=12)
         assert np.max(np.abs(one.eigenvalues - other.eigenvalues)) < 1e-10
-
-    def test_write_csv(self, tmp_path):
-        # spectrum --csv writes the index as %d writes it and every float
-        # as %.17g, the values of the JSON report
-        path, out = tmp_path / "spec.csv", tmp_path / "rep.json"
-        assert cli.main(["spectrum", "--shape", "sphere", "--subdiv", "3",
-                         "--r", "0", "--k", "3", "--csv", str(path),
-                         "-o", str(out)]) == 0
-        spec = json.loads(out.read_text())["spectrum"]
-        assert path.read_text() == "index,eigenvalue,residual\n" + "".join(
-            "%d,%.17g,%.17g\n" % row for row in
-            zip(range(3), spec["eigenvalues"], spec["residuals"]))
 
 
 class TestShiftedSolver:

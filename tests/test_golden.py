@@ -1,4 +1,4 @@
-"""Golden `verify`, `identities` and `bs-scan` reports under --no-embed-timings.
+"""Golden `verify` and `bs-scan` reports under --no-embed-timings.
 
 Every float is compared under the rtol/atol recorded inside its fixture;
 every other value (verdicts, counts, flags, the config block, key sets)
@@ -16,7 +16,9 @@ import pytest
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 sys.path.insert(0, GOLDEN)
 
-from make_golden import run_case  # noqa: E402
+from make_golden import CASES, fixture_name, run_case  # noqa: E402
+
+from curvspec import cli  # noqa: E402
 
 FIXTURES = sorted(glob.glob(os.path.join(GOLDEN, "*.json")))
 
@@ -51,7 +53,12 @@ def mismatches(got, want, rtol, atol, path="report"):
 
 
 def test_fixtures_present():
-    assert len(FIXTURES) == 19
+    # exactly one fixture per case, each of a command that still exists
+    assert {os.path.basename(p) for p in FIXTURES} == {
+        fixture_name(*case) for case in CASES}
+    for path in FIXTURES:
+        with open(path, encoding="utf-8") as fh:
+            assert json.load(fh)["argv"][0] in cli._COMMANDS, path
 
 
 @pytest.mark.parametrize("path", FIXTURES, ids=os.path.basename)

@@ -133,11 +133,6 @@ class TestLemma:
 
 
 class TestConfig:
-    def test_explicit_tol_overrides_factor(self):
-        cfg = verify.VerifyConfig(tol_sphere=0.5)
-        rep = verify_theorem(get_mesh("ellipsoid", 3), 0, cfg)
-        assert rep.tol_sphere == 0.5
-
     def test_factor_scales_with_potential(self):
         mesh = get_mesh("sphere", 3)
         loose = verify_theorem(mesh, 0, verify.VerifyConfig(tol_sphere_factor=0.5))
