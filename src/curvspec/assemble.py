@@ -71,9 +71,9 @@ def assemble_pencil(mesh, field):
     )
 
 
-def spectral_scale(pencil):
-    """Area-weighted mean of W^2; sets the unit for verdict thresholds."""
-    return float(pencil.mass @ pencil.w**2) / float(pencil.mass.sum())
+def spectral_scale(mass, w):
+    """Mass-weighted mean of W^2; sets the unit for verdict thresholds."""
+    return float(mass @ w**2) / float(mass.sum())
 
 
 def pencil_floor_shift(max_w2):
@@ -97,7 +97,7 @@ def shift_ladder(pencil):
     takes the first that factors.  With W constant it is the floor alone.
     """
     floor = pencil_floor_shift(float(np.max(pencil.w**2)))
-    rungs = [-2.0 * spectral_scale(pencil)]
+    rungs = [-2.0 * spectral_scale(pencil.mass, pencil.w)]
     while floor < rungs[-1] < 0.0:
         rungs.append(2.0 * rungs[-1])
     return rungs[:-1] + [floor]

@@ -7,15 +7,20 @@ spells, placed before the command line's own: explicit flags win, and a
 file value passes its flag's type and choices checks.  A flag or config
 key that the command does not take exits 64.  --help prints and returns 0.
 
+Both analysis commands compute the curvature field once, in _run.  verify
+hands it to verify.run; bs-scan assembles the pencil and then runs the
+scan.  Each timings key counts its own stage alone: the field and the
+pencil assembly go to curvature_s, never to a later stage.
+
 Reports are JSON with a fixed top-level key set (config, mesh_stats,
 curvature_summary, identities, spectrum, birman_schwinger, verdicts,
 timings, schema_version); keys a command does not compute are null.  A
 block is the fields of the report dataclass that fills it (verify's
 TheoremReport, the identities module's IdentityReport, mesh's
-ValidationReport, ...),
-serialized by one converter.  Every judged numeric travels with the
-threshold it was judged against, and the resolved configuration is
-embedded verbatim so a report is reproducible from itself.
+ValidationReport, ...), serialized by one converter.  Every judged
+numeric travels with the threshold it was judged against, and the
+resolved configuration is embedded verbatim so a report is reproducible
+from itself.
 
 Exit codes: 0 success, 2 theorem-violation tripwire, 3 precondition or
 pipeline failure (with a JSON error block), 64 usage, an output path that
@@ -42,9 +47,11 @@ import time
 import numpy as np
 
 from . import birman, surfaces, verify
-from .curvature import mean_curvature
+from .assemble import assemble_pencil, spectral_scale
+from .curvature import compute_curvature, mean_curvature
 from .errors import CurvSpecError
 from .mesh import load_mesh, validate, write_off
+from .verify import _stopwatch
 
 SCHEMA_VERSION = "1"
 
@@ -113,7 +120,7 @@ def _acquire_mesh(args, timings):
 def _curvature_summary(field, mesh):
     """The summary block, from the field and the vertex areas alone: the
     pencil is not built for it."""
-    k, w, a = field.vertex_kappas, field.w, mesh.vertex_areas
+    k, w = field.vertex_kappas, field.w
     return {
         "r": field.r,
         "kappa_min": float(k.min()),
@@ -125,7 +132,7 @@ def _curvature_summary(field, mesh):
         "w_min": float(w.min()),
         "w_max": float(w.max()),
         # the pencil's spectral_scale: its mass is the vertex areas
-        "w_mean_sq": float(a @ w**2) / float(a.sum()),
+        "w_mean_sq": spectral_scale(mesh.vertex_areas, w),
     }
 
 
@@ -225,31 +232,29 @@ def _run(args, command, body):
     """Shared frame of the analysis commands.
 
     Refuses an output path in a missing directory, acquires the mesh,
-    builds one verify.Analysis and its curvature summary, then lets
-    ``body(analysis, report, timings)`` fill the rest of the report and
-    return an exit code.  A CurvSpecError becomes a JSON error block and
-    exit code 3; the report is emitted either way.
+    computes the order-r curvature field (timed as curvature_s) and its
+    summary, then lets ``body(mesh, field, report, timings)`` fill the
+    rest of the report and return an exit code.  A CurvSpecError becomes
+    a JSON error block and exit code 3; the report is emitted either way.
     """
     _check_outputs(args)
     timings = {}
     report = {"config": _config_block(args, command)}
     t_all = time.perf_counter()
-    analysis = error = None
+    error = None
     try:
         mesh = _acquire_mesh(args, timings)
         report["mesh_stats"] = validate(mesh)
-        analysis = verify.Analysis(mesh, args.r, _verify_config(args))
-        report["curvature_summary"] = _curvature_summary(analysis.field,
-                                                         mesh)
-        code = body(analysis, report, timings)
+        with _stopwatch(timings, "curvature_s"):
+            field = compute_curvature(mesh, r=args.r)
+        report["curvature_summary"] = _curvature_summary(field, mesh)
+        code = body(mesh, field, report, timings)
     except CurvSpecError as exc:
         # keep the message, not the exception: its traceback would pin
         # every frame's arrays (the mesh among them) until a gc pass
         error = str(exc)
         report["error"] = {"type": type(exc).__name__, "message": error}
         code = 3
-    if analysis is not None:
-        timings.update(analysis.timings)
     timings["total_s"] = time.perf_counter() - t_all
     _emit(report, args, timings)
     if error is not None:
@@ -258,20 +263,20 @@ def _run(args, command, body):
 
 
 def cmd_verify(args):
-    def body(analysis, report, timings):
-        theorem = analysis.theorem()
-        lemma = analysis.lemma()
-        corollary = analysis.corollary()
-        spec = analysis.spectrum
-        report["identities"] = analysis.identities()
+    def body(mesh, field, report, timings):
+        config = _verify_config(args)
+        done = verify.run(mesh, field, config, timings)
+        spec = done.spectrum
+        report["identities"] = done.identities
         report["spectrum"] = {"eigenvalues": spec.eigenvalues,
                               "residuals": spec.residuals,
                               "shift": spec.shift,
-                              "k": analysis.config.k,
-                              "seed": analysis.config.seed}
-        report["verdicts"] = {"theorem": theorem, "corollary": corollary,
-                              "lemma": lemma}
-        return 2 if theorem.verdict == verify.VIOLATION else 0
+                              "k": config.k,
+                              "seed": config.seed}
+        report["verdicts"] = {"theorem": done.theorem,
+                              "corollary": done.corollary,
+                              "lemma": done.lemma}
+        return 2 if done.theorem.verdict == verify.VIOLATION else 0
 
     code = _run(args, "verify", body)
     if code == 2:
@@ -284,20 +289,21 @@ def cmd_bs_scan(args):
             and args.mu_min >= args.mu_max:
         raise UsageError("empty mu range: need mu-min < mu-max")
 
-    def body(analysis, report, timings):
+    def body(mesh, field, report, timings):
         # the window needs only W, so a bad one is refused before the
         # pencil is assembled
         try:
-            mu_min, mu_max = birman.mu_window(analysis.field.w, args.mu_min,
+            mu_min, mu_max = birman.mu_window(field.w, args.mu_min,
                                               args.mu_max)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        t0 = time.perf_counter()
-        scan = birman.scan_crossings(
-            analysis.pencil, mu_min=mu_min, mu_max=mu_max, steps=args.steps,
-            k=args.scan_k, seed=args.seed,
-        )
-        timings["scan_s"] = time.perf_counter() - t0
+        with _stopwatch(timings, "curvature_s"):
+            pencil = assemble_pencil(mesh, field)
+        with _stopwatch(timings, "scan_s"):
+            scan = birman.scan_crossings(
+                pencil, mu_min=mu_min, mu_max=mu_max, steps=args.steps,
+                k=args.scan_k, seed=args.seed,
+            )
         report["birman_schwinger"] = scan
         if args.csv:
             header = ["mu"] + [f"top_{j + 1}" for j in range(args.scan_k)]

@@ -60,7 +60,6 @@ class Spectrum:
     eigenvalues: np.ndarray   # (k,)
     eigenvectors: np.ndarray  # (V, k), columns
     residuals: np.ndarray     # (k,) of ||A x - lambda M x|| / ||M x||
-    seed: int
     shift: float              # the shift-invert target the solve used
 
     @property
@@ -337,8 +336,7 @@ def smallest_eigenpairs(a_mat, mass, k, sigma, tol=1e-10, seed=0,
     vals, vecs = sigma + 1.0 / nu[:k], vecs[:, :k]
     return Spectrum(
         eigenvalues=vals, eigenvectors=vecs,
-        residuals=_residuals(a_mat, mass, vals, vecs), seed=seed,
-        shift=float(sigma),
+        residuals=_residuals(a_mat, mass, vals, vecs), shift=float(sigma),
     )
 
 

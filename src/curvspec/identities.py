@@ -20,10 +20,11 @@ again.  Each reads the order r, H_{r+1} and W_r from the one curvature
 field, which curvature.compute_curvature builds whole and which already
 holds H_{r+1} > 0 and H_1 > 0 for r >= 1, so no check gates them again.
 c_r and H_r come from curvature's n = 2 closed forms, C_R and
-mean_curvature.  verify.Analysis holds the d quantities, computed once,
-and builds the IdentityReport.  The zero-mean resolvent R0 is K grounded
-at one vertex, Cholesky-factored once; its answer is shifted to zero
-M-mean.  That one factor serves the three d_i solves.
+mean_curvature.  identity_report runs every check once into the
+IdentityReport that verify.run reports and whose d_i its theorem and
+lemma read.  The zero-mean resolvent R0 is K grounded at one vertex,
+Cholesky-factored once; its answer is shifted to zero M-mean.  That one
+factor serves the three d_i solves.
 """
 
 from dataclasses import dataclass
@@ -39,8 +40,7 @@ __all__ = [
     "minkowski_residual",
     "test_functions",
     "zero_mean_resolvent",
-    "d_quantities",
-    "DQuantities",
+    "identity_report",
 ]
 
 
@@ -51,14 +51,6 @@ class IdentityReport:
     orthogonality_raw: np.ndarray      # (3,) before projection, O(h^2) diagnostic
     d: np.ndarray                      # (3,)
     d_sum: float
-    chain_residual: float
-
-
-@dataclass(frozen=True, eq=False)
-class DQuantities:
-    d: np.ndarray
-    d_sum: float
-    orthogonality_raw: np.ndarray
     chain_residual: float
 
 
@@ -108,11 +100,13 @@ def zero_mean_resolvent(pencil):
                            layout=pencil.layout)
 
 
-def d_quantities(pencil, f, r0):
-    """d_i = <R0(W f_i), W f_i>_M - ||f_i||_M^2, orthogonality_raw and the
+def identity_report(mesh, field, pencil, f, r0):
+    """Every identity check once: the position and Minkowski residuals,
+    d_i = <R0(W f_i), W f_i>_M - ||f_i||_M^2, orthogonality_raw and the
     chain residual.
 
-    ``r0`` is zero_mean_resolvent(pencil).  The resolvent argument W f_i is
+    ``f`` holds the test functions as columns and ``r0`` is
+    zero_mean_resolvent(pencil).  The resolvent argument W f_i is
     projected to zero M-mean before the solve; the raw integral int f_i W
     (identical to <f_i, W>_M since the weight is shared) is reported before
     projection, where it decays like O(h^2) under refinement.  The chain
@@ -133,6 +127,8 @@ def d_quantities(pencil, f, r0):
     total = float(pairing.sum())
     energy = float(np.sum(phi.T * (pencil.k_stiff @ phi.T)))
     chain = abs(total - energy) / max(abs(total), 1e-300)
-    return DQuantities(d=d, d_sum=float(d.sum()),
-                       orthogonality_raw=np.abs(a @ wf) / scale,
-                       chain_residual=chain)
+    return IdentityReport(
+        lr_position_residual=lr_position_residual(mesh, field, pencil),
+        minkowski_residual=minkowski_residual(mesh, field),
+        orthogonality_raw=np.abs(a @ wf) / scale,
+        d=d, d_sum=float(d.sum()), chain_residual=chain)

@@ -92,19 +92,26 @@ def kernel_top(pencil, mu, k=3, seed=0, w_perp=False):
                                     w_perp=w_perp)[0][:k]
 
 
+def verify_run(mesh, r, config=None):
+    """verify.run on a fresh order-r field of ``mesh``, at the default
+    VerifyConfig unless one is given."""
+    field = curvature.compute_curvature(mesh, r=r)
+    return verify.run(mesh, field, config or verify.VerifyConfig(), {})
+
+
 def verify_theorem(mesh, r, config=None):
-    """TheoremReport of a fresh Analysis; see verify.Analysis.theorem."""
-    return verify.Analysis(mesh, r, config).theorem()
+    """TheoremReport of a fresh verify_run."""
+    return verify_run(mesh, r, config).theorem
 
 
 def verify_corollary(mesh, r, config=None):
-    """CorollaryReport of a fresh Analysis; see verify.Analysis.corollary."""
-    return verify.Analysis(mesh, r, config).corollary()
+    """CorollaryReport of a fresh verify_run."""
+    return verify_run(mesh, r, config).corollary
 
 
 def lemma_two_negative(mesh, r, config=None):
-    """LemmaReport of a fresh Analysis; see verify.Analysis.lemma."""
-    return verify.Analysis(mesh, r, config).lemma()
+    """LemmaReport of a fresh verify_run."""
+    return verify_run(mesh, r, config).lemma
 
 
 @pytest.fixture(scope="session")

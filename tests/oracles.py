@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from curvspec import birman, curvature, eigen
+from curvspec import birman, curvature, eigen, verify
 from curvspec.assemble import OperatorPencil, shift_ladder, spectral_scale
 from curvspec.errors import BoundViolationError
 from curvspec.mesh import TriMesh
@@ -103,7 +103,7 @@ def dense_shifted_solve(a_mat, mass, shift, b, zero_mean=False):
 
 def kernel_shift(pencil):
     """Shift-invert target for the PSD stiffness: just below 0."""
-    return -KERNEL_SHIFT_FRACTION * spectral_scale(pencil)
+    return -KERNEL_SHIFT_FRACTION * spectral_scale(pencil.mass, pencil.w)
 
 
 def shifted_lam1(pencil, seed=0):
@@ -135,15 +135,14 @@ def with_potential_squared(pencil, w_squared):
     )
 
 
-def t_r_spectrum(analysis, k=2):
-    """(T_r pencil, its k smallest eigenpairs) for a verify.Analysis.
+def t_r_spectrum(field, pencil, config=verify.VerifyConfig(), k=2):
+    """(T_r pencil, its k smallest eigenpairs) for the pencil of ``field``.
 
-    T_r is the pencil with W^2 replaced by the analysis's t_potential,
+    T_r is the pencil with W^2 replaced by verify.t_potential(field),
     solved by shift-invert on the first rung of its own shift_ladder that
-    factors, with the analysis's tolerance and seed.
+    factors, with the config's tolerance and seed.
     """
-    t_pencil = with_potential_squared(analysis.pencil, analysis.t_potential)
-    config = analysis.config
+    t_pencil = with_potential_squared(pencil, verify.t_potential(field))
     return t_pencil, eigen.smallest_eigenpairs(
         t_pencil.a_matrix(), t_pencil.mass, k, sigma=shift_ladder(t_pencil),
         tol=config.eig_tol, seed=config.seed, layout=t_pencil.layout,

@@ -9,6 +9,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from curvspec import birman, cli, eigen, identities, verify
+from curvspec import assemble, birman, cli, eigen, identities, verify
 from curvspec.mesh import TriMesh, load_mesh, write_off
 
 from conftest import get_mesh
@@ -164,12 +165,14 @@ class TestVerifyCommand:
         assert blob["verdicts"]["theorem"]["lambda_2"] < 0
 
     def test_violation_exit_2(self, tmp_path, monkeypatch):
-        real = verify.Analysis.theorem
+        real = verify.run
 
-        def doctored(analysis):
-            return dataclasses.replace(real(analysis), verdict=verify.VIOLATION)
+        def doctored(*args):
+            done = real(*args)
+            return dataclasses.replace(done, theorem=dataclasses.replace(
+                done.theorem, verdict=verify.VIOLATION))
 
-        monkeypatch.setattr(verify.Analysis, "theorem", doctored)
+        monkeypatch.setattr(verify, "run", doctored)
         out = tmp_path / "rep.json"
         code = run([
             "verify", "--shape", "sphere", "--subdiv", "1", "--r", "0",
@@ -199,6 +202,23 @@ class TestRefusals:
         out = tmp_path / "ok.json"
         assert run([*argv, "--k", "11", "-o", str(out)]) == 0
         assert len(json.loads(out.read_text())["spectrum"]["eigenvalues"]) == 11
+
+    @pytest.mark.parametrize("argv,error,filled", [
+        # refused by the curvature gate: no field, so no summary
+        (["--shape", "torus", "--subdiv", "1", "--r", "1"],
+         "CurvaturePositivityError", {"mesh_stats"}),
+        # refused by the pencil eigensolve: the summary is made before it
+        (["--shape", "sphere", "--subdiv", "0", "--k", "12"],
+         "EigenSolveError", {"mesh_stats", "curvature_summary"}),
+    ], ids=["curvature", "eigensolve"])
+    def test_refused_report_shape(self, tmp_path, argv, error, filled):
+        out = tmp_path / "rep.json"
+        assert run(["verify", *argv, "--no-embed-timings", "-o", str(out)]) == 3
+        blob = json.loads(out.read_text())
+        assert blob["error"]["type"] == error
+        blocks = ("mesh_stats", "curvature_summary", "spectrum",
+                  "identities", "verdicts", "birman_schwinger", "timings")
+        assert {key for key in blocks if blob[key] is not None} == filled
 
     def test_tetrahedron_default_k(self, tmp_path):
         off = tmp_path / "tet.off"
@@ -348,12 +368,10 @@ class TestBadInput:
         assert err.startswith(f"usage error: argument --{flag}: must be ")
 
     # each command takes only the flags it reads; these in-range values
-    # are refused because the command would ignore them (no command takes
-    # --tol-sphere)
+    # are refused because the command would ignore them
     @pytest.mark.parametrize("via", ["flag", "config"])
     @pytest.mark.parametrize("command,flag,value", [
         ("bs-scan", "k", "3"), ("bs-scan", "eig-tol", "1e-8"),
-        ("bs-scan", "tol-sphere", "0.1"),
         ("bs-scan", "tol-sphere-factor", "0.1"),
         ("bs-scan", "tol-identity", "0.1"),
     ])
@@ -379,7 +397,7 @@ class TestBadInput:
         """Exit 64 with no curvature computed and no report written; returns
         the one stderr line."""
         calls = []
-        monkeypatch.setattr(verify, "compute_curvature",
+        monkeypatch.setattr(cli, "compute_curvature",
                             lambda *a, **k: calls.append(a))
         out = tmp_path / "rep.json"
         assert run([command, "--shape", "sphere", "--subdiv", "1", *extra,
@@ -406,7 +424,7 @@ class TestUnwritableOutput:
     def test_exit_64(self, tmp_path, capsys, monkeypatch, argv):
         # refused before the mesh is analyzed, not after the whole run
         calls = []
-        monkeypatch.setattr(verify, "compute_curvature",
+        monkeypatch.setattr(cli, "compute_curvature",
                             lambda *a, **k: calls.append(a))
         missing = tmp_path / "missing"
         assert run([a.format(missing=missing) for a in argv]) == 64
@@ -428,7 +446,7 @@ class TestUnwritableOutput:
     def test_directory_exit_64(self, tmp_path, capsys, monkeypatch, argv):
         # an output path that is an existing directory is refused up front
         calls = []
-        monkeypatch.setattr(verify, "compute_curvature",
+        monkeypatch.setattr(cli, "compute_curvature",
                             lambda *a, **k: calls.append(a))
         assert run([a.format(dir=tmp_path) for a in argv]) == 64
         assert calls == []
@@ -533,15 +551,41 @@ class TestDeterminism:
         assert blob["timings"] and blob["timings"]["total_s"] > 0
 
 
-    def test_timings_split_by_stage(self, tmp_path):
+    @staticmethod
+    def split_timings(tmp_path, monkeypatch, command, *extra):
+        """Run ``command`` on the subdiv-1 sphere with a pencil assembly
+        slowed by 0.2 s; return the report's timings."""
+        def slow_pencil(*args, _fn=assemble.assemble_pencil, **kwargs):
+            time.sleep(0.2)
+            return _fn(*args, **kwargs)
+
+        for module in (cli, verify):
+            monkeypatch.setattr(module, "assemble_pencil", slow_pencil)
         out = tmp_path / "rep.json"
-        run(["verify", "--shape", "sphere", "--subdiv", "1", "--r", "0", "-o", str(out)])
-        timings = json.loads(out.read_text())["timings"]
-        assert set(timings) == {
-            "mesh_s", "curvature_s", "spectrum_s", "corollary_s", "lemma_s",
-            "identities_s", "total_s",
-        }
-        assert sum(v for k, v in timings.items() if k != "total_s") <= timings["total_s"]
+        assert run([command, "--shape", "sphere", "--subdiv", "1", "--r", "0",
+                    *extra, "-o", str(out)]) == 0
+        return json.loads(out.read_text())["timings"]
+
+    @staticmethod
+    def assert_split(timings, stages):
+        # the keys are the README table's for the command, and each counts
+        # its own stage alone: the slow pencil assembly lands in curvature_s
+        assert set(timings) == {"mesh_s", "curvature_s", "total_s"} | stages
+        assert timings["curvature_s"] >= 0.2
+        assert all(timings[key] < 0.2 for key in stages | {"mesh_s"})
+        assert sum(v for k, v in timings.items() if k != "total_s") \
+            <= timings["total_s"]
+
+    def test_timings_split_by_stage(self, tmp_path, monkeypatch):
+        self.assert_split(
+            self.split_timings(tmp_path, monkeypatch, "verify"),
+            {"spectrum_s", "corollary_s", "lemma_s", "identities_s"})
+
+    def test_bs_scan_timings_split_by_stage(self, tmp_path, monkeypatch):
+        self.assert_split(
+            self.split_timings(tmp_path, monkeypatch, "bs-scan",
+                               "--steps", "4"),
+            {"scan_s"})
 
 
 class TestWorkCounts:
@@ -600,8 +644,8 @@ class TestWorkCounts:
             return CountedR0(solve)
 
         arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
-        monkeypatch.setattr(verify, "compute_curvature",
-                            counted("curvature", verify.compute_curvature))
+        monkeypatch.setattr(cli, "compute_curvature",
+                            counted("curvature", cli.compute_curvature))
         monkeypatch.setattr(spla, "eigsh", eigsh)
         monkeypatch.setattr(sla, "cholesky_banded", cholesky_banded)
         monkeypatch.setattr(eigen, "reverse_cuthill_mckee",
@@ -775,7 +819,7 @@ class TestOtherCommands:
         # the default bound on the other side comes from max(W^2), so the
         # window is checked on the curvature field, before assembly
         calls = []
-        monkeypatch.setattr(verify, "assemble_pencil",
+        monkeypatch.setattr(cli, "assemble_pencil",
                             lambda *a, **k: calls.append(a))
         out = tmp_path / "rep.json"
         assert run(["bs-scan", "--shape", "sphere", "--subdiv", "1",

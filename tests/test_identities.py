@@ -12,8 +12,9 @@ import oracles
 from conftest import get_mesh, get_pipeline, kernel_shift
 
 
-def dq_of(pencil, f):
-    return idn.d_quantities(pencil, f, idn.zero_mean_resolvent(pencil))
+def report_of(mesh, field, pencil, f):
+    return idn.identity_report(mesh, field, pencil, f,
+                               idn.zero_mean_resolvent(pencil))
 
 
 class TestPositionIdentity:
@@ -90,7 +91,7 @@ class TestDQuantities:
     def test_sphere_d_vanishes(self):
         mesh, field, pencil = get_pipeline("sphere", 3, 0)
         f = idn.test_functions(mesh, field)
-        dq = dq_of(pencil, f)
+        dq = report_of(mesh, field, pencil, f)
         norms = np.einsum("vi,v,vi->i", f, pencil.mass, f)
         assert np.max(np.abs(dq.d) / norms) < 1e-4
 
@@ -98,7 +99,7 @@ class TestDQuantities:
         for r in (0, 1):
             mesh, field, pencil = get_pipeline("ellipsoid", 3, r)
             f = idn.test_functions(mesh, field)
-            dq = dq_of(pencil, f)
+            dq = report_of(mesh, field, pencil, f)
             assert dq.d[0] > 1.0          # stretched axis needs lower energy
             assert dq.d_sum == pytest.approx(np.sum(dq.d))
 
@@ -106,15 +107,16 @@ class TestDQuantities:
         # the bumped sphere has no symmetry to cancel the raw pairing
         mesh, field, pencil = get_pipeline("bumped", 3, 1)
         f = idn.test_functions(mesh, field)
-        dq = dq_of(pencil, f)
+        dq = report_of(mesh, field, pencil, f)
         assert np.max(np.abs(dq.orthogonality_raw)) > 1e-8
         # yet d_i reads only the zero-mean part of W f_i: shifting W f_i by
         # a constant leaves the pairing <R0(W f_i), W f_i>, and moves d_i
         # by exactly the change of ||f_i||^2
         shifted = f + np.array([0.3, -1.0, 2.0]) / pencil.w[:, None]
         a = pencil.mass
-        np.testing.assert_allclose(dq_of(pencil, shifted).d + a @ shifted**2,
-                                   dq.d + a @ f**2, rtol=1e-12)
+        moved = report_of(mesh, field, pencil, shifted)
+        np.testing.assert_allclose(moved.d + a @ shifted**2, dq.d + a @ f**2,
+                                   rtol=1e-12)
 
     def test_bump_dsum_grows_quadratically(self):
         # r = 1 only: at r = 0 the gap closes identically (H_0 = 1 turns
@@ -123,7 +125,7 @@ class TestDQuantities:
         for kind in ("bumped", "bumped_half"):
             mesh, field, pencil = get_pipeline(kind, 4, 1)
             f = idn.test_functions(mesh, field)
-            sums.append(dq_of(pencil, f).d_sum)
+            sums.append(report_of(mesh, field, pencil, f).d_sum)
         assert sums[0] > 0.0 and sums[1] > 0.0
         assert 3.0 < sums[0] / sums[1] < 5.0
 
@@ -188,7 +190,7 @@ class TestResolvent:
     def test_chain_residual_tiny(self):
         mesh, field, pencil = get_pipeline("ellipsoid", 3, 1)
         f = idn.test_functions(mesh, field)
-        assert dq_of(pencil, f).chain_residual < 1e-8
+        assert report_of(mesh, field, pencil, f).chain_residual < 1e-8
 
     def test_r0_discards_constant_shift_of_load(self):
         # R0 b and R0 (b + c M 1) agree: the constant part of a load is
@@ -202,21 +204,25 @@ class TestResolvent:
 
 
 class TestFullReport:
-    """verify.Analysis.identities: every check once, on the shared d
-    quantities."""
+    """verify.run's identities: every check once, and the theorem and the
+    lemma read its d quantities."""
 
     def test_fields_cross_check(self):
-        analysis = verify.Analysis(get_mesh("ellipsoid", 3), 0)
-        rep = analysis.identities()
-        dq = analysis.dq
-        assert rep.d is dq.d and rep.d_sum == dq.d_sum
-        assert rep.orthogonality_raw is dq.orthogonality_raw
-        assert rep.chain_residual == dq.chain_residual
-        assert rep.chain_residual < 1e-8
+        mesh, field, pencil = get_pipeline("ellipsoid", 3, 0)
+        done = verify.run(mesh, field, verify.VerifyConfig(), {})
+        rep = done.identities
+        assert done.lemma.d is rep.d and done.theorem.d_sum == rep.d_sum
+        alone = report_of(mesh, field, pencil, idn.test_functions(mesh, field))
+        for name in ("lr_position_residual", "orthogonality_raw", "d"):
+            np.testing.assert_array_equal(getattr(rep, name),
+                                          getattr(alone, name))
+        assert rep.minkowski_residual == alone.minkowski_residual
+        assert rep.chain_residual == alone.chain_residual < 1e-8
 
     def test_report_deterministic(self):
         config = verify.VerifyConfig(seed=5)
-        a, b = (verify.Analysis(get_mesh("sphere", 2), 0, config).identities()
+        mesh, field, _ = get_pipeline("sphere", 2, 0)
+        a, b = (verify.run(mesh, field, config, {}).identities
                 for _ in range(2))
         np.testing.assert_array_equal(a.d, b.d)
         assert a.chain_residual == b.chain_residual

@@ -11,22 +11,22 @@ from curvspec.assemble import assemble_pencil, shift_ladder
 from curvspec.errors import BoundViolationError, CurvaturePositivityError
 
 from conftest import (floor_shift, get_mesh, get_pipeline, lemma_two_negative,
-                      verify_corollary, verify_theorem)
+                      verify_corollary, verify_run, verify_theorem)
 from oracles import t_r_spectrum
 
 
 class TestSphereCase:
     @pytest.mark.parametrize("r", [0, 1])
     def test_unit_sphere_is_sphere_like(self, r):
-        analysis = verify.Analysis(get_mesh("sphere", 3), r)
-        rep = analysis.theorem()
+        done = verify_run(get_mesh("sphere", 3), r)
+        rep = done.theorem
         assert rep.verdict == verify.SPHERE_LIKE
         assert rep.lambda_1 == pytest.approx(-2.0, abs=0.05)
         assert abs(rep.lambda_2) <= rep.tol_sphere
         assert rep.multiplicity == 3
         assert rep.cluster_position_alignment > 0.99
         assert rep.sphere_distance < 1e-10
-        assert len(analysis.spectrum.eigenvalues) == 5
+        assert len(done.spectrum.eigenvalues) == 5
 
     @pytest.mark.parametrize("radius_kind,radius", [("sphere_small", 0.5), ("sphere_big", 2.0)])
     def test_scaled_spheres_detected(self, radius_kind, radius):
@@ -106,8 +106,8 @@ class TestCorollary:
         assert rep.lambda_2_t_upper == pytest.approx(0.0, abs=0.05)
 
     def test_domination_gate_refuses_before_any_d_solve(self, monkeypatch):
-        # with c_r = 0 the T_r potential cannot dominate W^2, and theorem()
-        # must refuse on it before the zero-mean factor of the d_i is made
+        # with c_r = 0 the T_r potential cannot dominate W^2, and run must
+        # refuse on it before the zero-mean factor of the d_i is made
         def no_d_solve(pencil):
             pytest.fail("zero-mean factor made before the domination gate")
 
@@ -115,7 +115,7 @@ class TestCorollary:
         monkeypatch.setattr(verify, "zero_mean_resolvent", no_d_solve)
         with pytest.raises(BoundViolationError,
                            match="potential domination fails at vertex"):
-            verify.Analysis(get_mesh("ellipsoid", 2), 1).theorem()
+            verify_run(get_mesh("ellipsoid", 2), 1)
 
 
 class TestLemma:
@@ -142,10 +142,10 @@ class TestConfig:
 
     def test_reports_deterministic(self):
         mesh = get_mesh("ellipsoid", 3)
-        a, b = verify.Analysis(mesh, 1), verify.Analysis(mesh, 1)
-        ra, rb = a.theorem(), b.theorem()
+        a, b = verify_run(mesh, 1), verify_run(mesh, 1)
         assert np.array_equal(a.spectrum.eigenvalues, b.spectrum.eigenvalues)
-        assert ra.verdict == rb.verdict and ra.d_sum == rb.d_sum
+        assert a.theorem.verdict == b.theorem.verdict
+        assert a.theorem.d_sum == b.theorem.d_sum
 
 
 # convex shapes at r = 0 and r = 1; the torus only at r = 0, where no
@@ -162,10 +162,11 @@ class TestCorollaryBound:
         # exact lambda_2(T_r) <= its Ritz bound <= lambda_2 + COROLLARY_TOL;
         # where T_r is the pencil (the spheres) the bound and the exact
         # solve agree to the eigensolve's tolerance
-        analysis = verify.Analysis(get_mesh(kind, subdiv), r)
-        rep = analysis.corollary()
-        exact = t_r_spectrum(analysis)[1].eigenvalues[1]
-        slack = analysis.config.eig_tol * max(abs(exact), 1.0)
+        mesh, field, _ = get_pipeline(kind, subdiv, r)
+        done = verify.run(mesh, field, verify.VerifyConfig(), {})
+        rep = done.corollary
+        exact = t_r_spectrum(field, done.pencil)[1].eigenvalues[1]
+        slack = verify.VerifyConfig().eig_tol * max(abs(exact), 1.0)
         assert exact <= rep.lambda_2_t_upper + slack
         assert rep.lambda_2_t_upper <= rep.lambda_2_pencil + verify.COROLLARY_TOL
         assert rep.comparison_ok
@@ -180,12 +181,13 @@ class TestCertifiedShifts:
     def spectra(kind, subdiv, r):
         """(pencil, its spectrum, the floor-shift oracle solve at the
         spectrum's k) for the pencil and for T_r."""
-        analysis = verify.Analysis(get_mesh(kind, subdiv), r)
+        mesh, field, _ = get_pipeline(kind, subdiv, r)
+        done = verify.run(mesh, field, verify.VerifyConfig(), {})
         return [(pencil, spec, eigen.smallest_eigenpairs(
                     pencil.a_matrix(), pencil.mass, spec.k,
                     sigma=floor_shift(pencil), layout=pencil.layout))
-                for pencil, spec in ((analysis.pencil, analysis.spectrum),
-                                     t_r_spectrum(analysis))]
+                for pencil, spec in ((done.pencil, done.spectrum),
+                                     t_r_spectrum(field, done.pencil))]
 
     @pytest.mark.parametrize("kind,subdiv,r", CERTIFIED)
     def test_ladder_matches_the_floor_shift(self, kind, subdiv, r):
@@ -212,25 +214,25 @@ class TestCertifiedShifts:
         assert spec.shift == ladder[1] > ladder[-1]
 
     def test_each_refused_rung_is_logged(self, caplog):
-        analysis = verify.Analysis(get_mesh("ellipsoid", 4), 1)
         with caplog.at_level(logging.DEBUG, logger="curvspec.eigen"):
-            analysis.corollary()
+            done = verify_run(get_mesh("ellipsoid", 4), 1)
         refused = [r.getMessage() for r in caplog.records
                    if "refused" in r.getMessage()]
-        sigma = shift_ladder(analysis.pencil)[0]
+        sigma = shift_ladder(done.pencil)[0]
         assert refused == [
             f"pencil eigensolve: shift {sigma:.17g} refused, not below "
             f"the spectrum"]
 
     def test_nested_stage_time_is_charged_once(self, monkeypatch):
-        # the pencil is assembled inside the spectrum's scope, on first
-        # use, and its time is still charged to curvature_s alone
+        # verify.run assembles the pencil before the spectrum's stage, and
+        # its time is charged to curvature_s alone
         def slow_pencil(*args, **kwargs):
             time.sleep(0.2)
             return assemble_pencil(*args, **kwargs)
 
         monkeypatch.setattr(verify, "assemble_pencil", slow_pencil)
-        analysis = verify.Analysis(get_mesh("ellipsoid", 2), 1)
-        analysis.spectrum
-        assert analysis.timings["curvature_s"] >= 0.2
-        assert analysis.timings["spectrum_s"] < 0.2
+        mesh, field, _ = get_pipeline("ellipsoid", 2, 1)
+        timings = {}
+        verify.run(mesh, field, verify.VerifyConfig(), timings)
+        assert timings["curvature_s"] >= 0.2
+        assert timings["spectrum_s"] < 0.2
