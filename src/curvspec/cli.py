@@ -87,16 +87,12 @@ def _resolve_out(path):
 
 
 def _generate_mesh(args):
-    """The --shape mesh; a descriptor, subdivision or grid the generator
+    """The --shape mesh, its descriptor's fields read from the flags of
+    the same names; a descriptor, subdivision or grid the generator
     refuses is a usage error."""
-    params = {
-        "sphere": {"radius": args.radius},
-        "ellipsoid": {"a": args.a, "b": args.b, "c": args.c},
-        "torus": {"major_radius": args.major_radius,
-                  "minor_radius": args.minor_radius},
-        "bumped": {"radius": args.radius, "amplitude": args.amplitude,
-                   "frequency": args.frequency},
-    }[args.shape]
+    given = vars(args)
+    params = {f.name: given[f.name]
+              for f in dataclasses.fields(surfaces._KINDS[args.shape])}
     try:
         surf = surfaces.from_params(args.shape, **params)
     except (ValueError, TypeError) as exc:
@@ -111,10 +107,9 @@ def _generate_mesh(args):
 def _acquire_mesh(args, timings):
     if bool(args.mesh) == bool(args.shape):
         raise UsageError("provide exactly one of --mesh and --shape")
-    t0 = time.perf_counter()
-    mesh = load_mesh(args.mesh) if args.mesh else _generate_mesh(args)
-    timings["mesh_s"] = time.perf_counter() - t0
-    return mesh
+    # timed whether or not the load is refused
+    with _stopwatch(timings, "mesh_s"):
+        return load_mesh(args.mesh) if args.mesh else _generate_mesh(args)
 
 
 def _curvature_summary(field, mesh):

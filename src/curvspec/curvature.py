@@ -1,8 +1,8 @@
 """Discrete shape operators and derived curvature fields on a TriMesh.
 
 The estimator is a per-face finite-difference fit: along each edge of a face
-the difference of the vertex unit normals (Max's weighting, see
-mesh.vertex_measures) approximates the shape operator applied to the edge
+the difference of the vertex unit normals (Max's weighting, see the
+mesh module) approximates the shape operator applied to the edge
 vector, both projected into the face tangent plane.  Three edges give six
 equations for the three unknowns of a symmetric 2x2 matrix, solved in
 least squares face by face, in closed form.  Per-vertex operators are the
@@ -30,7 +30,9 @@ builds every field at once: the vertex principal curvatures, the Newton
 transform P_r per face, and the vertex samples of H_{r+1} and W_r.  For
 r >= 1 it is also the one gate of the standing assumption H_{r+1} > 0 and
 of the outward orientation H_1 > 0, so every consumer reads a field that
-already holds both.
+already holds both.  Before any of that the estimator runs mesh.check,
+the one mesh gate, so a mesh that is open, non-manifold, misoriented,
+degenerate or disconnected gets no field, whether generated or loaded.
 """
 
 from dataclasses import dataclass
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CurvaturePositivityError, DegenerateGeometryError
-from .mesh import vertex_measures
+from .mesh import check
 
 __all__ = ["C_R", "CurvatureField", "compute_curvature", "mean_curvature",
            "shape_norm"]
@@ -85,9 +87,10 @@ def estimate_shape_operators(mesh):
     """Per-face symmetric shape operators as (ops, basis).
 
     ops are 2x2 symmetric matrices (F, 2, 2) in the orthonormal face basis
-    ``basis`` (F, 2, 3), whose rows are t1, t2.
+    ``basis`` (F, 2, 3), whose rows are t1, t2.  The mesh gate,
+    mesh.check, runs first.
     """
-    vertex_measures(mesh)  # raises on degenerate geometry
+    check(mesh)
     v, f = mesh.vertices, mesh.faces
     vn = mesh.vertex_normals
     fn = mesh.face_normals

@@ -15,16 +15,20 @@ check convergence instead of trusting it.
 
 This module is the only one that orders, factors or solves with a matrix,
 calls ARPACK or runs a dense eigensolve.  Every symmetric matrix the
-package factors (K, K - M_W, each plus s*M) is positive definite
-at the shifts it takes and has K's sparsity pattern, so the factorization
-is split as George-Liu (Computer Solution of Large Sparse Positive Definite
-Systems, 1981) split it.  The symbolic half, a BandLayout of K's pattern in reverse Cuthill-McKee
-order (Cuthill-McKee 1969), is built once per mesh and held on the pencil.
+package factors (K - M_W or K plus s*M, and K plus one diagonal term) is
+positive definite at the shifts it takes and has K's sparsity pattern,
+so the factorization is split as George-Liu (Computer Solution of Large
+Sparse Positive Definite Systems, 1981) split it.  The symbolic half, a
+BandLayout of K's pattern in reverse Cuthill-McKee order (Cuthill-McKee
+1969), is built once per mesh and held on the pencil.
 The numeric half fills a fresh band from the matrix's entries and the
 shifted diagonal and factors it by LAPACK pbtrf; solves call pbtrs.  A
 shift that does not lie below the spectrum is refused instead of factored.
-The zero-mean resolvent R0 factors the same band with K grounded at its
-last vertex.  ARPACK makes no factorization and gets no OPinv or mass
+The zero-mean resolvent R0 (identities.zero_mean_resolvent) is one more
+such matrix, K grounded at the last vertex of the band order, and needs
+no handling here: the mesh gate (mesh.check) has already refused a mesh
+that is not connected, where K would have more than the constants in its
+kernel.  ARPACK makes no factorization and gets no OPinv or mass
 matrix: the pencil solve and the Birman-Schwinger kernel are both the
 symmetric operator z -> S A^(-1) S z (A factored here, S = sqrt(M) times
 a diagonal weight) applied in the band's order, through one ARPACK call,
@@ -43,7 +47,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import EigenSolveError
 
@@ -83,7 +87,6 @@ class BandLayout:
     src: np.ndarray
     dst: np.ndarray
     nnz: int          # stored entries of the pattern
-    components: int   # connected components of its graph
 
     @property
     def band_bytes(self):
@@ -112,7 +115,6 @@ def band_layout(a):
     layout = BandLayout(
         order=order, inverse=inverse, bw=bw, src=src,
         dst=bw + row - col + (bw + 1) * col, nnz=a.nnz,
-        components=int(connected_components(a, directed=False)[0]),
     )
     log.debug("band layout: V=%d bw=%d band=%d bytes", nv, bw,
               layout.band_bytes)
@@ -122,26 +124,16 @@ def band_layout(a):
 class _BandSolver:
     """One banded Cholesky factor: call it to solve in vertex order."""
 
-    def __init__(self, factor, layout, mass, zero_mean):
+    def __init__(self, factor, layout):
         self.layout = layout
         self._factor = factor
         self.pbtrs, = sla.get_lapack_funcs(("pbtrs",), (factor,))
-        self._mass = mass[layout.order]
-        self._area = float(mass.sum())
-        self._zero_mean = zero_mean
 
     def in_band_order(self, b):
-        """Solve for b in the layout's order, by one pbtrs; overwrites b.
-        R0 projects b and its answer there too, grounding the last vertex."""
-        if self._zero_mean:
-            b -= float(b.sum()) / self._area * self._mass
-            b = b[:-1]
+        """Solve for b in the layout's order, by one pbtrs; overwrites b."""
         x, info = self.pbtrs(self._factor, b, overwrite_b=True)
         if info != 0:
             raise EigenSolveError(f"banded solve failed: pbtrs info={info}")
-        if self._zero_mean:
-            x = np.append(x, 0.0)
-            x -= float(self._mass @ x) / self._area
         return x
 
     def __call__(self, b):
@@ -151,44 +143,33 @@ class _BandSolver:
         return y
 
 
-def _shifted_solver(a, mass, shift, zero_mean=False, layout=None):
-    """Factor a + shift*M once; return a _BandSolver, ``solve(b)`` for loads b.
+def _shifted_solver(a, d, shift, layout=None):
+    """Factor a + shift*diag(d) once; return a _BandSolver, ``solve(b)``
+    for loads b.
 
     The package's one factorization: the a - sigma*M of every shift-invert
-    eigensolve (a = K - M_W) and the K + mu*M of the
-    Birman-Schwinger kernel.  ``layout`` is the mesh's one
-    BandLayout (pencil.layout), and ``a`` must have the pattern it was built
-    from; without one, a layout of ``a`` is built for this call.  A fresh
-    Fortran-ordered (bw+1, V) band is filled from a's strict upper entries
-    and the diagonal a_ii + shift*m_i, then Cholesky-factored in place by
-    pbtrf, so the band is the only dense copy made and no factor outlives
-    the returned solver.  A matrix that is not positive definite (a shift
-    not below the spectrum, a singular a) raises EigenSolveError.
-
-    ``zero_mean`` (a = K, shift 0) gives the zero-mean resolvent: y with
-    M-mean zero and K y = b - c m, m = M 1 and c = sum(b) / sum(m) the
-    constant part of b, which K cannot reach.  K with the last vertex of
-    the ordering removed, the band without its last column, is positive
-    definite on a connected mesh, and a mesh that is not connected is
-    refused; y is solved with 0 at that vertex, then its M-mean is
-    subtracted.
+    eigensolve (a = K - M_W, d the mass), the K + mu*M of the
+    Birman-Schwinger kernel and the grounded K of the zero-mean resolvent
+    (identities.zero_mean_resolvent, d one diagonal term).  ``layout`` is
+    the mesh's one BandLayout (pencil.layout), and ``a`` must have the
+    pattern it was built from; without one, a layout of ``a`` is built for
+    this call.  A fresh Fortran-ordered (bw+1, V) band is filled from a's
+    strict upper entries and the diagonal a_ii + shift*d_i, then
+    Cholesky-factored in place by pbtrf, so the band is the only dense copy
+    made and no factor outlives the returned solver.  A matrix that is not
+    positive definite (a shift not below the spectrum, a singular a)
+    raises EigenSolveError.
     """
     a = sp.csr_matrix(a)
     if layout is None:
         layout = band_layout(a)
     elif a.shape != (len(layout.order),) * 2 or a.nnz != layout.nnz:
         raise ValueError("matrix does not have the band layout's pattern")
-    if zero_mean and layout.components > 1:
-        raise EigenSolveError(
-            "zero-mean resolvent: the mesh is not connected, so K has more "
-            "than the constants in its kernel")
-    log.debug("factor a + %.17g*M", shift)
+    log.debug("factor a + %.17g*D", shift)
     bw = layout.bw
     band = np.zeros((bw + 1, len(layout.order)), order="F")
     band.reshape(-1, order="F")[layout.dst] = a.data[layout.src]
-    band[bw] = (a.diagonal() + shift * mass)[layout.order]
-    if zero_mean:
-        band = band[:, :-1]   # still Fortran-contiguous
+    band[bw] = (a.diagonal() + shift * d)[layout.order]
     try:
         factor = sla.cholesky_banded(band, overwrite_ab=True,
                                      check_finite=False)
@@ -196,7 +177,7 @@ def _shifted_solver(a, mass, shift, zero_mean=False, layout=None):
         raise EigenSolveError(
             f"factorization of a + {shift:.6g}*M failed: not positive "
             f"definite, so the shift does not lie below the spectrum") from exc
-    return _BandSolver(factor, layout, mass, zero_mean)
+    return _BandSolver(factor, layout)
 
 
 def _kernel_eigenpairs(solve, mass, weight, k, seed, what, w_perp=False,

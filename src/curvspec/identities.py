@@ -23,8 +23,9 @@ c_r and H_r come from curvature's n = 2 closed forms, C_R and
 mean_curvature.  identity_report runs every check once into the
 IdentityReport that verify.run reports and whose d_i its theorem and
 lemma read.  The zero-mean resolvent R0 is K grounded at one vertex,
-Cholesky-factored once; its answer is shifted to zero M-mean.  That one
-factor serves the three d_i solves.
+defined because the mesh gate (mesh.check) has made the mesh connected,
+and factored once by eigen._shifted_solver like every other matrix; that
+one factor serves the three d_i solves.
 """
 
 from dataclasses import dataclass
@@ -94,10 +95,24 @@ def test_functions(mesh, field):
 
 
 def zero_mean_resolvent(pencil):
-    """R0 b: the y of zero M-mean with K y = b - c m, c the constant part
-    of b, which K cannot reach (eigen._shifted_solver with zero_mean)."""
-    return _shifted_solver(pencil.k_stiff, pencil.mass, 0.0, zero_mean=True,
-                           layout=pencil.layout)
+    """R0 as a function of loads b: the y of zero M-mean with K y = b - c m,
+    m = M 1 and c = sum(b) / sum(m), the constant part K cannot reach.
+
+    The mesh is connected, so K + k_gg e_g e_g^T, g the last vertex of the
+    band order, is definite; on a zero-sum load it solves K y = b with
+    y_g = 0 (Bochev-Lehoucq, SIAM Rev. 2005).
+    """
+    mass, k = pencil.mass, pencil.k_stiff
+    area = float(mass.sum())
+    g = pencil.layout.order[-1]
+    ground = np.zeros(len(mass))
+    ground[g] = k[g, g]
+    solve = _shifted_solver(k, ground, 1.0, pencil.layout)
+
+    def r0(b):
+        y = solve(b - float(b.sum()) / area * mass)
+        return y - float(mass @ y) / area
+    return r0
 
 
 def identity_report(mesh, field, pencil, f, r0):

@@ -18,6 +18,11 @@ is only first order accurate on projected subdivision meshes, which would
 stall the curvature estimator.
 Faces are counter-clockwise as seen from outside, which makes a round
 sphere carry principal curvature +1/R downstream.
+
+A TriMesh may be open, degenerate or in pieces; check is the one gate
+that refuses such a mesh, with a typed error.  load_mesh runs it on every
+file and the curvature estimator on every mesh, so no solve ever sees a
+mesh that failed it.
 """
 
 import itertools
@@ -46,7 +51,7 @@ __all__ = [
     "validate",
     "load_mesh",
     "write_off",
-    "vertex_measures",
+    "check",
     "refine",
 ]
 
@@ -278,13 +283,16 @@ def validate(mesh):
     )
 
 
-def _degenerate_face_error(mesh):
-    face = mesh.degenerate_faces[0]
-    kind = "(near-)zero" if np.isfinite(mesh.face_areas[face]) else "non-finite"
-    return DegenerateGeometryError(f"face {face} has {kind} area", face=face)
+def check(mesh):
+    """The mesh gate: raise unless ``mesh`` is closed, manifold, oriented,
+    nondegenerate and connected.
 
-
-def _raise_if_invalid(mesh):
+    The first fault found is named, in this order: a non-manifold, a
+    boundary or a misoriented edge, a face of zero or non-finite area, a
+    vertex whose weighted normal cancelled to zero, and last more than one
+    connected component, which would put more than the constants in K's
+    kernel.
+    """
     if mesh.nonmanifold_edges:
         edge, count = mesh.nonmanifold_edges[0]
         raise NonManifoldEdgeError(edge, count)
@@ -294,7 +302,15 @@ def _raise_if_invalid(mesh):
         row = mesh._misoriented[0]   # misoriented_edges[0], and only it
         raise OrientationError(row[:2], row[2:])
     if mesh.degenerate_faces:
-        raise _degenerate_face_error(mesh)
+        face = mesh.degenerate_faces[0]
+        kind = ("(near-)zero" if np.isfinite(mesh.face_areas[face])
+                else "non-finite")
+        raise DegenerateGeometryError(f"face {face} has {kind} area",
+                                      face=face)
+    if mesh._unnormalizable_vertices:
+        vertex = mesh._unnormalizable_vertices[0]
+        raise DegenerateGeometryError(
+            f"vertex {vertex} has a zero weighted normal", vertex=vertex)
     nv, e = mesh.n_vertices, mesh.edges
     graph = sp.coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(nv, nv))
     components = connected_components(graph, directed=False)[0]
@@ -328,7 +344,7 @@ def load_mesh(path):
         mesh = TriMesh(v, f)
     except (ValueError, OverflowError) as exc:   # an index beyond int64
         raise MeshLoadError(str(exc), path=path) from exc
-    _raise_if_invalid(mesh)
+    check(mesh)
     return mesh
 
 
@@ -524,26 +540,6 @@ def write_off(mesh, path):
                  % tuple(mesh.vertices.ravel().tolist()))
         fh.write("3 %d %d %d\n" * mesh.n_faces
                  % tuple(mesh.faces.ravel().tolist()))
-
-
-def vertex_measures(mesh):
-    """Barycentric vertex areas and unit vertex normals.
-
-    The normals carry Max's weights (J. Graphics Tools, 1999), which are
-    exact on a sphere.
-
-    The areas partition the surface area exactly.  Raises on degenerate
-    incident geometry (zero-area faces or a vertex whose weighted normal
-    cancelled to zero).
-    """
-    if mesh.degenerate_faces:
-        raise _degenerate_face_error(mesh)
-    if mesh._unnormalizable_vertices:
-        raise DegenerateGeometryError(
-            f"vertex {mesh._unnormalizable_vertices[0]} has a zero weighted normal",
-            vertex=mesh._unnormalizable_vertices[0],
-        )
-    return mesh.vertex_areas, mesh.vertex_normals
 
 
 def subdivide_project(mesh, target=None):

@@ -220,6 +220,29 @@ class TestRefusals:
                   "identities", "verdicts", "birman_schwinger", "timings")
         assert {key for key in blocks if blob[key] is not None} == filled
 
+    @pytest.mark.parametrize("fault,error", [
+        ("non-utf8", "MeshLoadError"), ("zero-normal", "DegenerateGeometryError"),
+    ])
+    def test_refused_load_report_shape(self, tmp_path, fault, error):
+        # refused by load_mesh: no mesh, so no mesh_stats, but the load
+        # that ran is timed
+        off = tmp_path / "bad.off"
+        if fault == "non-utf8":
+            off.write_bytes(b"OFF\n4 4 6\n\xff\n")
+        else:
+            # a flat triangle, front and back: every weighted normal cancels
+            write_off(TriMesh([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]],
+                              [[0, 1, 2], [0, 2, 1]]), off)
+        out = tmp_path / "rep.json"
+        assert run(["verify", "--mesh", str(off), "-o", str(out)]) == 3
+        blob = json.loads(out.read_text())
+        assert blob["error"]["type"] == error
+        blocks = ("mesh_stats", "curvature_summary", "spectrum",
+                  "identities", "verdicts", "birman_schwinger")
+        assert all(blob[key] is None for key in blocks)
+        assert set(blob["timings"]) == {"mesh_s", "total_s"}
+        assert blob["timings"]["mesh_s"] <= blob["timings"]["total_s"]
+
     def test_tetrahedron_default_k(self, tmp_path):
         off = tmp_path / "tet.off"
         off.write_text("OFF\n4 4 6\n1 1 1\n1 -1 -1\n-1 1 -1\n-1 -1 1\n"
@@ -625,23 +648,9 @@ class TestWorkCounts:
             return _fn(spla.LinearOperator(op.shape, matvec=matvec,
                                            dtype=op.dtype), **kwargs)
 
-        class CountedR0:
-            def __init__(self, solve):
-                self._solve = solve
-
-            def __call__(self, b):
-                counts["r0_solves"] += 1
-                return self._solve(b)
-
-            def __getattr__(self, name):
-                return getattr(self._solve, name)
-
-        def shifted_solver(a, mass, shift, zero_mean=False, layout=None):
-            solve = eigen._shifted_solver(a, mass, shift, zero_mean, layout)
-            if not zero_mean:
-                return solve
+        def zero_mean_resolvent(pencil, _fn=identities.zero_mean_resolvent):
             counts["r0_factors"] += 1
-            return CountedR0(solve)
+            return counted("r0_solves", _fn(pencil))
 
         arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
         monkeypatch.setattr(cli, "compute_curvature",
@@ -653,7 +662,7 @@ class TestWorkCounts:
                                     eigen.reverse_cuthill_mckee))
         # the LU eigsh(sigma=...) would make for itself when given no OPinv
         monkeypatch.setattr(arpack, "splu", counted("arpack_splu", arpack.splu))
-        monkeypatch.setattr(identities, "_shifted_solver", shifted_solver)
+        monkeypatch.setattr(verify, "zero_mean_resolvent", zero_mean_resolvent)
         return counts, applications
 
     VERIFY_ELLIPSOID_S4_R1 = [

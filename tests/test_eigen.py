@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import glob
+import inspect
 import os
 import tracemalloc
 
@@ -11,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from curvspec import eigen
+from curvspec import eigen, identities
 from curvspec.assemble import pencil_floor_shift
 from curvspec.errors import EigenSolveError
 
@@ -189,7 +190,7 @@ class TestShiftedSolver:
         # and y comes back with zero M-mean
         p = sphere_pencil
         b = np.random.default_rng(6).normal(size=p.n_vertices) + 3.0
-        y = eigen._shifted_solver(p.k_stiff, p.mass, 0.0, zero_mean=True)(b)
+        y = identities.zero_mean_resolvent(p)(b)
         assert abs(p.mass @ y) < 1e-10 * np.linalg.norm(p.mass * y)
         load = b - b.sum() / p.mass.sum() * p.mass
         resid = p.k_stiff @ y - load
@@ -213,7 +214,7 @@ class TestShiftedSolver:
         _, _, p = get_pipeline("torus", 1, 0)
         assert np.any(p.k_stiff.data == 0.0)
         b = np.random.default_rng(8).normal(size=p.n_vertices) + 3.0
-        own = eigen._shifted_solver(p.k_stiff, p.mass, 0.0, zero_mean=True)(b)
+        own = identities.zero_mean_resolvent(p)(b)
         ref = oracles.dense_shifted_solve(p.k_stiff, p.mass, 0.0, b,
                                           zero_mean=True)
         assert np.linalg.norm(own - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -242,16 +243,6 @@ class TestShiftedSolver:
             eigen.smallest_eigenpairs(a, p.mass, 3, sigma=lam1 + 0.5)
         with pytest.raises(EigenSolveError, match="not positive definite"):
             eigen._shifted_solver(p.k_stiff, p.mass, -1.0)
-
-    def test_zero_mean_resolvent_refuses_a_disconnected_mesh(self, sphere_pencil):
-        # two copies of the sphere: grounding one vertex leaves the other
-        # component's constants in the kernel, so the solve is refused
-        # rather than left to the sign of a round-off pivot
-        p = sphere_pencil
-        k_two = sp.block_diag((p.k_stiff, p.k_stiff), format="csr")
-        with pytest.raises(EigenSolveError, match="not connected"):
-            eigen._shifted_solver(k_two, np.tile(p.mass, 2), 0.0,
-                                  zero_mean=True)
 
     def test_band_factor_is_made_without_a_copy(self):
         # the (bw+1, V) band is the one large allocation: it is factored in
@@ -397,6 +388,22 @@ def test_one_factor_and_one_arpack_call_site():
     # scipy.linalg's eigh, given both matrices of the pencil
     assert eigh_calls == [("sla.eigh", 2)]
     assert not {"M", "sigma", "OPinv", "mode"} & set(eigsh_keywords)
+
+
+def test_shifted_solver_has_one_mode():
+    # every factor, R0's grounded K included, is a + shift*diag(d) on the
+    # band: no mode switch, and no connectivity count in eigen, whose
+    # meshes have all passed the mesh gate
+    assert list(inspect.signature(eigen._shifted_solver).parameters) == [
+        "a", "d", "shift", "layout"]
+    with open(eigen.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "connected_components" not in names
 
 
 def test_every_exported_name_is_used_in_src():

@@ -134,10 +134,9 @@ class TestResolvent:
     """The zero-mean resolvent and the shifted solves, through eigen's factor."""
 
     def test_constrained_solve(self):
-        # the grounded factor at shift 0 is R0: any load, mean-zero answer
+        # the grounded factor is R0: any load, mean-zero answer
         _, _, pencil = get_pipeline("ellipsoid", 3, 1)
-        r0 = eigen._shifted_solver(pencil.k_stiff, pencil.mass, 0.0,
-                                   zero_mean=True)
+        r0 = idn.zero_mean_resolvent(pencil)
         rng = np.random.default_rng(1)
         g = rng.normal(size=pencil.n_vertices)
         y = r0(pencil.mass * g)

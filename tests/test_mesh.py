@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvspec import mesh as mesh_mod, surfaces
+from curvspec import curvature, mesh as mesh_mod, surfaces
 from curvspec.errors import (
     CurvSpecError,
     DegenerateGeometryError,
@@ -22,7 +22,6 @@ from curvspec.mesh import (
     load_mesh,
     subdivide_project,
     validate,
-    vertex_measures,
     write_off,
 )
 
@@ -85,12 +84,6 @@ class TestTriMesh:
         assert np.array_equal(mesh.vertex_areas, areas)
         assert np.array_equal(mesh.vertex_normals, normals)
 
-    def test_vertex_measures_match_attributes(self, sphere3):
-        areas, normals = vertex_measures(sphere3)
-        assert np.array_equal(areas, sphere3.vertex_areas)
-        assert np.array_equal(normals, sphere3.vertex_normals)
-        assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-12)
-
     def test_arrays_read_only(self, sphere3):
         with pytest.raises(ValueError):
             sphere3.vertices[0, 0] = 99.0
@@ -149,18 +142,21 @@ class TestTriMesh:
             load_mesh(path)
         fresh = TriMesh(mesh.vertices, mesh.faces)
         with pytest.raises(OrientationError):
-            mesh_mod._raise_if_invalid(fresh)
+            mesh_mod.check(fresh)
         assert not fresh.is_oriented and "misoriented_edges" not in vars(fresh)
         assert (err.value.edge, err.value.faces) == fresh.misoriented_edges[0]
         assert fresh.misoriented_edges == oracles.misoriented_edges_loop(mesh)
 
     def test_degenerate_face_reported(self):
+        # a closed, oriented tetrahedron whose face 0 is collinear, so the
+        # gate gets past its earlier refusals to the degenerate face
         v = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0]])
-        mesh = TriMesh(v, [[0, 1, 2], [0, 2, 3]])   # first face collinear
+        mesh = TriMesh(v, TETRA_F)
         rep = validate(mesh)
+        assert rep.closed and rep.oriented
         assert 0 in mesh.degenerate_faces and not rep.passed
-        with pytest.raises(DegenerateGeometryError):
-            vertex_measures(mesh)
+        with pytest.raises(DegenerateGeometryError, match="face 0 has"):
+            mesh_mod.check(mesh)
 
     def test_overflowing_area_is_degenerate(self):
         # a vertex whose coordinates make cross products overflow leaves
@@ -175,7 +171,7 @@ class TestTriMesh:
         assert 0 < len(bad) < mesh.n_faces
         assert mesh.degenerate_faces == tuple(bad)
         with pytest.raises(DegenerateGeometryError, match="non-finite") as err:
-            vertex_measures(mesh)
+            mesh_mod.check(mesh)
         assert err.value.face == bad[0]
         with np.errstate(over="ignore", invalid="ignore"):
             assert not validate(mesh).passed
@@ -354,6 +350,50 @@ class TestFileFormats:
         with pytest.raises(OrientationError) as err:
             load_mesh(path)
         assert 3 in err.value.faces
+
+
+def _icosphere_faults():
+    """Name -> (TriMesh, error type) of meshes the gate refuses, each
+    built from the subdivision-1 icosphere or a flat triangle."""
+    ico = get_mesh("sphere", 1)
+    v, f = ico.vertices, ico.faces
+    flipped = f.copy()
+    flipped[0] = flipped[0][::-1]
+    a, b = f[0, :2]
+    fin = np.vstack([v, 2.0 * (v[a] + v[b])])   # a third face on edge (a, b)
+    return {
+        "open": (TriMesh(v, f[1:]), OpenBoundaryError),
+        "nonmanifold": (TriMesh(fin, np.vstack([f, [[b, a, len(v)]]])),
+                        NonManifoldEdgeError),
+        "misoriented": (TriMesh(v, flipped), OrientationError),
+        # closed and oriented, but K's kernel holds one constant per
+        # component, so the zero-mean resolvent would not be defined
+        "disconnected": (TriMesh(np.vstack([v, v + [3.0, 0.0, 0.0]]),
+                                 np.vstack([f, f + len(v)])),
+                         DisconnectedMeshError),
+        # a flat triangle, front and back: each vertex's two weighted face
+        # normals cancel exactly
+        "zero-normal": (TriMesh(TETRA_V[:3], [[0, 1, 2], [0, 2, 1]]),
+                        DegenerateGeometryError),
+    }
+
+
+class TestCheck:
+    """mesh.check, the one gate, on meshes built in memory."""
+
+    @pytest.mark.parametrize("fault", ["open", "nonmanifold", "misoriented",
+                                       "disconnected", "zero-normal"])
+    def test_in_memory_mesh_refused_as_loaded(self, tmp_path, fault):
+        # the curvature estimator refuses the mesh, before any field or
+        # pencil exists, with the error load_mesh gives it as a file
+        mesh, error = _icosphere_faults()[fault]
+        path = tmp_path / "bad.off"
+        write_off(mesh, path)
+        with pytest.raises(error) as loaded:
+            load_mesh(path)
+        with pytest.raises(error) as built:
+            curvature.compute_curvature(mesh, r=0)
+        assert str(built.value) == str(loaded.value)
 
 
 def _token_lines(fmt):
