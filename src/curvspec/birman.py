@@ -9,12 +9,15 @@ resolvent applications alone.
 
 K_mu g = beta g is the pencil M_W y = beta (K + mu M) y with
 y = (K + mu M)^(-1) M W g.  The scan factors K + mu M only at a few
-snapshot values of mu and keeps the y of the top kernel eigenvectors
-there; every grid point is then a dense Rayleigh-Ritz problem on their
-span (Ruhe's rational Krylov, 1984 and 1994; the reduced-basis eigenvalue
+snapshot values of mu.  At mu_min, ARPACK gives the top kernel
+eigenvectors and their y start a basis; at each later snapshot the top
+Ritz vectors of that basis take two rational Krylov steps
+y <- (K + mu M)^(-1) M_W y on the snapshot's factor, and both blocks join
+it (Ruhe, Linear Algebra Appl. 1984 and 1994).  Every grid point is then
+a dense Rayleigh-Ritz problem on the basis (the reduced-basis eigenvalue
 method of Machiels-Maday-Oliveira-Patera-Rovas, C. R. Acad. Sci. Paris
 2000).  The grid tops are therefore Ritz values: lower bounds on the true
-tops by Courant-Fischer, exact at the snapshots.  Each crossing is located
+tops by Courant-Fischer, exact at mu_min.  Each crossing is located
 by safeguarded Newton on the reduced pencil inside its grid cell, then
 confirmed on the full operator: one factorization at the reduced root, and
 full Newton steps while |top - 1| exceeds 1e-12.  Both operators answer
@@ -70,8 +73,8 @@ class Crossing:
 @dataclass(frozen=True, eq=False)
 class BSScanResult:
     mu_grid: np.ndarray          # (S,) ascending
-    top_eigenvalues: np.ndarray  # (S, k) Ritz values, descending per row
-    snapshots: np.ndarray        # grid indices whose rows are exact
+    top_eigenvalues: np.ndarray  # (S, k) Ritz values, descending; row 0 exact
+    snapshots: np.ndarray        # grid indices where K + mu M is factored
     basis_size: int              # columns of the reduced basis
     crossings: tuple
     top_w_perp: float            # W-restricted top eigenvalue at mu_min
@@ -134,6 +137,47 @@ def _newton_root(fn, lo, hi, f_lo, f_hi, tol=1e-12, maxiter=50, label="",
             mu, kind = 0.5 * (lo + hi), "bisect"
 
 
+def _reduced_pencil(pencil, snapshots, k, seed):
+    """The scan's reduced pencil, grown at the snapshot values of mu.
+
+    At mu_min, ARPACK gives the top min(k + 2, V - 1) kernel pairs and the
+    basis starts as their y; the same factor gives top_w_perp.  At each
+    later snapshot mu_s, the top min(k + 2, p) Ritz vectors of the current
+    basis (p columns) take two rational Krylov steps
+    y <- (K + mu_s M)^(-1) M_W y on that snapshot's factor, and both blocks
+    join the basis.  Returns (reduced pencil, top_w_perp, warnings), the
+    warning when ARPACK's (k + 1)-th top at mu_min already exceeds 1, so
+    a branch the scan does not follow crosses inside the window.
+    """
+    mass, w = pencil.mass, pencil.w
+    mu = snapshots[0]
+    solve = _shifted_solver(pencil.k_stiff, mass, mu, layout=pencil.layout)
+    what = f"kernel eigensolve at mu={mu:.6g}"
+    vals, g = _kernel_eigenpairs(solve, mass, w, k, seed, what)
+    top_w_perp = float(_kernel_eigenpairs(
+        solve, mass, w, 1, seed, what, w_perp=True)[0][0])
+    warnings = []
+    if len(vals) > k and vals[k] > 1.0:
+        warnings.append(
+            f"top {k + 1} at mu={mu:.6g} is {vals[k]:.6g} > 1: branches "
+            f"beyond the top {k} cross uncounted; raise --scan-k")
+    reduced = _ReducedPencil(pencil.k_stiff, pencil.potential, mass)
+    reduced.extend(solve(mass[:, None] * w[:, None] * g))
+    del solve   # no factor outlives its mu
+    for mu in snapshots[1:]:
+        solve = _shifted_solver(pencil.k_stiff, mass, mu,
+                                layout=pencil.layout)
+        y = [reduced.vectors(mu, min(k + 2, reduced.size))]
+        for _ in range(2):
+            y.append(solve(pencil.potential[:, None] * y[-1]))
+        del solve
+        reduced.extend(np.hstack(y[1:]))
+    # top() reads the projections alone, so the V x p basis is not kept
+    # through the confirmations' factorizations and the pencil match
+    reduced.q = None
+    return reduced, top_w_perp, warnings
+
+
 def mu_window(w, mu_min=None, mu_max=None):
     """The scan's (mu_min, mu_max) for the potential samples ``w``.
 
@@ -158,19 +202,18 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
     The window is mu_window's, by default [1e-3, 10] times max(W^2).  The
     SNAPSHOTS grid points at indices round(linspace(0, steps - 1, n)),
     mu_min and mu_max among them (every point when steps is smaller), each
-    factor K + mu M once and keep y for the top min(k + 2, V - 1) kernel
-    eigenvectors; mu_min's factor also serves the W-restricted top,
-    top_w_perp, and no factor outlives its snapshot.  Each grid row is the
-    top k Ritz values on the span of all the y.  A branch that crosses 1
-    inside a cell is followed by safeguarded Newton on the reduced pencil,
-    and the root is confirmed on the full operator, one factorization per
-    evaluation: its |top_j - 1| is the crossing's eig_error.  Several
-    branches may cross 1 inside one cell: K_mu falls in the Loewner order
-    as mu grows, so by Courant-Fischer its j-th largest eigenvalue
-    decreases, and Newton on branch j finds that branch's own crossing.
-    Every detected unit crossing is matched against the directly computed
-    pencil spectrum (match_error); a Newton run that stops short surfaces
-    in the warnings list.
+    factor K + mu M once and grow the reduced basis as _reduced_pencil
+    describes; no factor outlives its snapshot.  Each grid row is the top
+    k Ritz values on that basis.  A branch that crosses 1 inside a cell is
+    followed by safeguarded Newton on the reduced pencil, and the root is
+    confirmed on the full operator, one factorization per evaluation: its
+    |top_j - 1| is the crossing's eig_error.  Several branches may cross 1
+    inside one cell: K_mu falls in the Loewner order as mu grows, so by
+    Courant-Fischer its j-th largest eigenvalue decreases, and Newton on
+    branch j finds that branch's own crossing.  Every detected unit
+    crossing is matched against the directly computed pencil spectrum
+    (match_error).  A Newton run that stops short, and a (k + 1)-th top
+    above 1 at mu_min, surface in the warnings list.
     """
     mu_min, mu_max = mu_window(pencil.w, mu_min, mu_max)
     if steps < 2:
@@ -180,27 +223,13 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
     snapshots = np.round(
         np.linspace(0, steps - 1, min(SNAPSHOTS, steps))).astype(int)
 
-    mass, w = pencil.mass, pencil.w
-    columns = []
-    for s in snapshots:
-        mu = grid[s]
-        what = f"kernel eigensolve at mu={mu:.6g}"
-        solve = _shifted_solver(pencil.k_stiff, mass, mu, layout=pencil.layout)
-        g = _kernel_eigenpairs(solve, mass, w, k, seed, what)[1]
-        columns.append(solve(mass[:, None] * w[:, None] * g))
-        if s == 0:
-            top_w_perp = float(_kernel_eigenpairs(
-                solve, mass, w, 1, seed, what, w_perp=True)[0][0])
-    del solve   # no factor outlives its mu
-    reduced = _ReducedPencil(np.hstack(columns), pencil.k_stiff,
-                             pencil.potential, mass)
-    del columns
+    reduced, top_w_perp, warnings = _reduced_pencil(pencil, grid[snapshots],
+                                                    k, seed)
     tops = np.array([reduced.top(mu, k)[0] for mu in grid])
 
     def full(mu, k):
         return _kernel_top(pencil, mu, k, seed)
 
-    warnings = []
     crossings = []
     for j in range(k):
         f = tops[:, j] - 1.0

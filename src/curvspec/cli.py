@@ -92,7 +92,7 @@ def _generate_mesh(args):
     refuses is a usage error."""
     given = vars(args)
     params = {f.name: given[f.name]
-              for f in dataclasses.fields(surfaces._KINDS[args.shape])}
+              for f in dataclasses.fields(surfaces.surface_class(args.shape))}
     try:
         surf = surfaces.from_params(args.shape, **params)
     except (ValueError, TypeError) as exc:

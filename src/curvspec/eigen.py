@@ -35,9 +35,10 @@ a diagonal weight) applied in the band's order, through one ARPACK call,
 _kernel_eigenpairs, that sets the k range, the padding, the seeded start
 vector and the non-convergence error, and that both call directly.
 Every dense eigensolve is one generalized LAPACK eigh (_ritz), a
-Rayleigh-Ritz problem on a few columns: the Birman-Schwinger scan between
-its snapshots (_ReducedPencil, of size at most V) and ritz_values, the
-corollary's bound on T_r from the pencil's own eigenvectors.
+Rayleigh-Ritz problem on a few columns: the Birman-Schwinger scan on its
+incrementally grown basis (_ReducedPencil, of size at most V) and
+ritz_values, the corollary's bound on T_r from the pencil's own
+eigenvectors.
 """
 
 import logging
@@ -249,34 +250,74 @@ def ritz_values(a_mat, mass, basis):
 
 
 class _ReducedPencil:
-    """The pencil D y = beta (A + mu M) y on the span of a block of columns.
+    """The pencil D y = beta (A + mu M) y on a growing span of columns.
 
     D = diag(``d``) >= 0, M = diag(``mass``) > 0 and A symmetric positive
-    semidefinite; mu > 0.  The columns are orthonormalized once by
-    Householder QR into Q, V x p with p the column count capped at V, and
-    only the three p x p projections Q^T D Q, Q^T A Q and Q^T M Q are held.  Each value of mu is
-    then one dense generalized eigh.  Q^T (A + mu M) Q is positive definite,
-    so by Courant-Fischer each Ritz value is a lower bound on the pencil
-    eigenvalue of the same rank, and it is exact at a mu whose eigenvectors
-    Q spans (Rayleigh-Ritz; Parlett, The Symmetric Eigenvalue Problem, 1980,
-    ch. 11).
+    semidefinite; mu > 0.  The span starts empty and extend() appends
+    blocks to it.  Its orthonormal basis ``q`` (Q, V x p, p capped at V)
+    is the one copy kept, with the three p x p projections Q^T D Q,
+    Q^T A Q and Q^T M Q, each grown by the new rows and columns only; once
+    no block is to come, q may be set to None, since top() reads the
+    projections alone.  Each value of mu is one dense generalized eigh.
+    Q^T (A + mu M) Q is positive definite, so by Courant-Fischer each Ritz
+    value is a lower bound on the pencil eigenvalue of the same rank, and
+    it is exact at a mu whose eigenvectors Q spans (Rayleigh-Ritz; Parlett,
+    The Symmetric Eigenvalue Problem, 1980, ch. 11).
     """
 
-    def __init__(self, columns, a, d, mass):
-        q = np.linalg.qr(columns)[0]
-        self.size = q.shape[1]
-        self._d = q.T @ (d[:, None] * q)
-        self._a = q.T @ (a @ q)
-        self._m = q.T @ (mass[:, None] * q)
+    def __init__(self, a, d, mass):
+        self._full = a, d, mass
+        self.q = np.empty((len(mass), 0))
+        self._proj = [np.empty((0, 0))] * 3    # Q^T D Q, Q^T A Q, Q^T M Q
+
+    @property
+    def size(self):
+        return len(self._proj[0])
+
+    def extend(self, block):
+        """Append the directions of ``block``'s columns that Q lacks.
+
+        Each column is scaled to unit norm and orthogonalized against Q by
+        block classical Gram-Schmidt, twice (Giraud-Langou-Rozloznik,
+        Comput. Math. Appl. 2005).  Between the two passes a pivoted QR
+        orthonormalizes the block and drops each direction it leaves at
+        most V eps long (numpy's matrix_rank tolerance), which Q spans up
+        to round-off, and any beyond V columns; the kept ones are
+        orthonormalized again after the second pass.
+        """
+        a, d, mass = self._full
+        q = self.q
+        x = block / np.linalg.norm(block, axis=0)
+        x -= q @ (q.T @ x)
+        x, r = sla.qr(x, mode="economic", pivoting=True)[:2]
+        eps = np.finfo(float).eps
+        rank = np.count_nonzero(np.abs(np.diag(r)) > len(mass) * eps)
+        x = x[:, :min(rank, len(mass) - q.shape[1])]
+        x = sla.qr(x - q @ (q.T @ x), mode="economic")[0]
+        self._proj = [
+            np.block([[old, q.T @ image], [image.T @ q, x.T @ image]])
+            for old, image in zip(self._proj, (d[:, None] * x, a @ x,
+                                               mass[:, None] * x))]
+        self.q = np.hstack((q, x))
+
+    def _pairs(self, mu, k):
+        """The k largest Ritz values at mu, descending, and their
+        (Q^T (A + mu M) Q)-normalized vectors c."""
+        d_r, a_r, m_r = self._proj
+        p = self.size
+        vals, c = _ritz(d_r, a_r + mu * m_r, p - k, p - 1)
+        return vals[::-1], c[:, ::-1]
 
     def top(self, mu, k):
         """The k largest Ritz values at mu, descending, and the d/dmu of
-        each: -beta c^T (Q^T M Q) c for its (Q^T (A + mu M) Q)-normalized
-        vector c (Hellmann-Feynman on the reduced pencil)."""
-        p = self.size
-        vals, c = _ritz(self._d, self._a + mu * self._m, p - k, p - 1)
-        vals, c = vals[::-1], c[:, ::-1]
-        return vals, -vals * np.einsum("ij,ij->j", c, self._m @ c)
+        each: -beta c^T (Q^T M Q) c (Hellmann-Feynman on the reduced
+        pencil)."""
+        vals, c = self._pairs(mu, k)
+        return vals, -vals * np.einsum("ij,ij->j", c, self._proj[2] @ c)
+
+    def vectors(self, mu, k):
+        """The Ritz vectors Q c of the k largest Ritz values at mu."""
+        return self.q @ self._pairs(mu, k)[1]
 
 
 def smallest_eigenpairs(a_mat, mass, k, sigma, tol=1e-10, seed=0,

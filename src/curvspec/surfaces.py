@@ -24,6 +24,7 @@ __all__ = [
     "Torus",
     "from_params",
     "generate",
+    "surface_class",
     "icosahedron",
 ]
 
@@ -162,13 +163,17 @@ _KINDS = {
 }
 
 
-def from_params(kind, **params):
-    """Build a surface descriptor from a CLI-style kind string and parameters."""
+def surface_class(kind):
+    """The descriptor class of a CLI-style kind string; ValueError if none."""
     try:
-        cls = _KINDS[kind.lower()]
+        return _KINDS[kind.lower()]
     except KeyError:
         raise ValueError(f"unknown surface kind {kind!r}") from None
-    return cls(**params)
+
+
+def from_params(kind, **params):
+    """Build a surface descriptor from a CLI-style kind string and parameters."""
+    return surface_class(kind)(**params)
 
 
 def icosahedron():

@@ -140,9 +140,9 @@ class TestNewtonRoot:
         assert x == seen[-1] and err == abs(1.0 - x**3) > 1e-12
 
     def test_maxiter_exit_warns_in_scan(self, ellipsoid_pencil, monkeypatch):
-        # a basis from the window's two ends alone puts the reduced roots
-        # far from the true ones, and the full refinement, the Newton run
-        # started from a reduced root, is capped at one evaluation
+        # a basis grown at the window's two ends alone puts the reduced
+        # roots far from the true ones, and the full refinement, the Newton
+        # run started from a reduced root, is capped at one evaluation
         newton = birman._newton_root
 
         def capped(*args, start=None, **kwargs):
@@ -153,7 +153,8 @@ class TestNewtonRoot:
         monkeypatch.setattr(birman, "SNAPSHOTS", 2)
         monkeypatch.setattr(birman, "_newton_root", capped)
         res = birman.scan_crossings(ellipsoid_pencil, steps=32, k=3, seed=0)
-        assert res.basis_size == 2 * (3 + 2)
+        # mu_min's k + 2 = 5 kernel vectors and two Krylov blocks at mu_max
+        assert res.basis_size == 3 * (3 + 2)
         stopped = [w for w in res.warnings if "stopped at |eig-1|=" in w]
         assert len(stopped) == len(res.crossings) == 2
         assert all("refine the grid" in w for w in stopped)
@@ -255,10 +256,11 @@ class TestScan:
                                              monkeypatch):
         # the W-restricted top is read at the bottom of the window alone,
         # on the factor the grid builds there
-        restricted = []
+        restricted, calls = [], []
         kernel = birman._kernel_eigenpairs
 
         def counted(solve, mass, weight, k, seed, what, w_perp=False):
+            calls.append(what)
             if w_perp:
                 restricted.append(what)
             return kernel(solve, mass, weight, k, seed, what, w_perp)
@@ -266,6 +268,10 @@ class TestScan:
         monkeypatch.setattr(birman, "_kernel_eigenpairs", counted)
         res = birman.scan_crossings(ellipsoid_pencil, steps=32, k=3, seed=0)
         assert restricted == [f"kernel eigensolve at mu={res.mu_grid[0]:.6g}"]
+        # ARPACK runs at mu_min alone, twice, and once per full evaluation;
+        # the later snapshots take Krylov steps on the reduced pencil
+        assert len(calls) == 2 + sum(c.evaluations for c in res.crossings)
+        assert calls[:2] == restricted * 2
         assert isinstance(res.top_w_perp, float)
         # it lies between the first two full-kernel tops (Cauchy interlacing)
         assert res.top_eigenvalues[0][1] - 1e-8 <= res.top_w_perp \
@@ -283,22 +289,30 @@ class TestReducedBasis:
     """The reduced-basis scan against the full ARPACK grid of the oracle."""
 
     @staticmethod
-    def compare(pencil, steps, mu_rtol=1e-12):
+    def compare(pencil, steps, mu_rtol=1e-12, uncounted=False):
         res = birman.scan_crossings(pencil, steps=steps, k=3, seed=0)
         grid, tops, crossings = oracles.full_grid_scan(pencil, steps=steps,
                                                        k=3, seed=0)
         np.testing.assert_array_equal(res.mu_grid, grid)
         # Courant-Fischer: every Ritz value lies below the true top
         assert np.all(res.top_eigenvalues <= tops * (1.0 + 1e-12))
-        # and the basis holds the snapshots' own eigenvectors
-        np.testing.assert_allclose(res.top_eigenvalues[res.snapshots],
-                                   tops[res.snapshots], rtol=1e-12, atol=0)
+        # and the basis holds mu_min's own eigenvectors
+        np.testing.assert_allclose(res.top_eigenvalues[0], tops[0],
+                                   rtol=1e-12, atol=0)
         assert len(res.crossings) == len(crossings)
-        for c, (mu0, branch, _, _) in zip(res.crossings, crossings):
+        # branch by branch: a double eigenvalue's two crossings sit at one
+        # mu0 up to round-off, in either order
+        for c, (mu0, branch, _, _) in zip(
+                sorted(res.crossings, key=lambda x: (x.branch, x.mu0)),
+                sorted(crossings, key=lambda x: (x[1], x[0]))):
             assert c.branch == branch
             assert c.mu0 == pytest.approx(mu0, rel=mu_rtol, abs=0)
             assert c.eig_error <= 1e-12
-        assert res.warnings == ()
+        # the s1 torus has 7 pencil eigenvalues in the window, and its 4th
+        # top at mu_min, 2.235, says so
+        assert len(res.warnings) == uncounted
+        assert all("cross uncounted; raise --scan-k" in w
+                   for w in res.warnings)
         return res, tops
 
     @pytest.mark.parametrize("shape,subdiv,r", [
@@ -306,32 +320,59 @@ class TestReducedBasis:
         ("torus", 1, 0)])
     def test_matches_full_grid(self, shape, subdiv, r):
         _, _, pencil = get_pipeline(shape, subdiv, r)
-        res, _ = self.compare(pencil, 32)
+        res, tops = self.compare(pencil, 32, uncounted=shape == "torus")
+        np.testing.assert_allclose(res.top_eigenvalues, tops, rtol=1e-6,
+                                   atol=0)
         assert len(res.snapshots) == birman.SNAPSHOTS
         assert res.snapshots[0] == 0 and res.snapshots[-1] == 31
-        # 8 snapshots of the top k + 2 = 5 vectors each
-        assert res.basis_size == 40
+        # mu_min's top k + 2 = 5 kernel vectors, then two Krylov blocks of
+        # 5 at each of the 7 later snapshots; on the sphere, W is constant
+        # and those 5 span an invariant subspace, and on the torus some
+        # Krylov directions lie in the span up to round-off
+        if shape == "ellipsoid":
+            assert res.basis_size == 5 + 7 * 10
+        elif shape == "sphere":
+            assert res.basis_size == 5
+        else:
+            assert 5 + 10 <= res.basis_size <= 5 + 7 * 10
 
     @pytest.mark.parametrize("steps", [2, 5])
     @pytest.mark.parametrize("shape,subdiv,r", [
         ("ellipsoid", 3, 1), ("torus", 1, 0)])
     def test_short_grid_is_all_snapshots(self, shape, subdiv, r, steps):
         _, _, pencil = get_pipeline(shape, subdiv, r)
-        res, _ = self.compare(pencil, steps)
+        res, _ = self.compare(pencil, steps, uncounted=shape == "torus")
         assert res.snapshots.tolist() == list(range(steps))
-        assert res.basis_size == 5 * steps
+        assert res.basis_size == 5 + 10 * (steps - 1)
 
     @pytest.mark.parametrize("shape", ["sphere", "ellipsoid"])
     def test_basis_capped_at_vertex_count(self, shape):
-        # on the icosahedron 8 (k + 2) = 40 columns exceed V = 12: the basis
-        # is all of R^V and every row is exact.  The ellipsoid's lowest
-        # crossing sits at mu = 0.0032 with slope -0.96, where a round-off
-        # |top - 1| of 4e-14 moves mu0 by 1e-11 relative
+        # on the icosahedron the ellipsoid's Krylov blocks fill all of
+        # R^V, V = 12, and the sphere's first 5 columns already span an
+        # invariant subspace: either way every row is exact.  The
+        # ellipsoid's lowest crossing sits at mu = 0.0032 with slope
+        # -0.96, where a round-off |top - 1| of 4e-14 moves mu0 by 1e-11
+        # relative
         _, _, pencil = get_pipeline(shape, 0, 1 if shape == "ellipsoid" else 0)
         res, tops = self.compare(pencil, 32, mu_rtol=1e-10)
-        assert res.basis_size == pencil.n_vertices == 12
+        assert res.basis_size == (pencil.n_vertices if shape == "ellipsoid"
+                                  else 5)
+        assert pencil.n_vertices == 12
         np.testing.assert_allclose(res.top_eigenvalues, tops, rtol=1e-12,
                                    atol=0)
+
+    def test_uncounted_branches_warn(self):
+        # the s1 torus has 7 pencil eigenvalues in [-mu_max, -mu_min]; at
+        # k = 3 the 4th top at mu_min says a 4th branch crosses, and at
+        # k = 7 every crossing is counted and the 8th top lies below 1
+        _, _, pencil = get_pipeline("torus", 1, 0)
+        res = birman.scan_crossings(pencil, steps=32, k=3, seed=0)
+        assert len(res.crossings) == 3
+        warning, = res.warnings
+        assert warning.startswith(
+            f"top 4 at mu={res.mu_grid[0]:.6g} is 2.2352 > 1")
+        res = birman.scan_crossings(pencil, steps=32, k=7, seed=0)
+        assert len(res.crossings) == 7 and res.warnings == ()
 
 
 class TestSerialization:
@@ -354,7 +395,7 @@ class TestSerialization:
         assert set(blob) >= {"mu_grid", "top_eigenvalues", "crossings", "top_w_perp", "warnings",
                              "snapshots", "basis_size"}
         assert blob["snapshots"] == [0, 4, 9, 13, 18, 22, 27, 31]
-        assert blob["basis_size"] == 40
+        assert blob["basis_size"] == 75
         assert len(blob["crossings"]) == 2
         assert all(isinstance(c["mu0"], float) for c in blob["crossings"])
         assert [c["evaluations"] for c in blob["crossings"]] == [

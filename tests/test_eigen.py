@@ -350,6 +350,49 @@ class TestSmallMeshes:
         self.check(p.k_stiff, p.mass, 5, kernel_shift(p))
 
 
+class TestReducedPencil:
+    """The incrementally grown reduced basis of the Birman-Schwinger scan."""
+
+    @staticmethod
+    def grown(pencil, blocks):
+        reduced = eigen._ReducedPencil(pencil.k_stiff, pencil.potential,
+                                       pencil.mass)
+        for block in blocks:
+            reduced.extend(block)
+        return reduced
+
+    def test_projections_grow_by_borders(self):
+        # three blocks, the last half made of combinations of the first
+        # two: the basis stays orthonormal, drops what it already spans,
+        # and its bordered projections equal the ones formed at once
+        _, _, p = get_pipeline("ellipsoid", 2, 1)
+        rng = np.random.default_rng(0)
+        one, two = rng.standard_normal((2, p.n_vertices, 4))
+        mixed = np.hstack((one @ rng.standard_normal((4, 2))
+                           + two @ rng.standard_normal((4, 2)),
+                           rng.standard_normal((p.n_vertices, 2))))
+        reduced = self.grown(p, [one, two, mixed])
+        q = reduced.q
+        assert reduced.size == q.shape[1] == 4 + 4 + 2
+        np.testing.assert_allclose(q.T @ q, np.eye(10), rtol=0, atol=1e-14)
+        for held, full in zip(reduced._proj,
+                              (q.T @ (p.potential[:, None] * q),
+                               q.T @ (p.k_stiff @ q),
+                               q.T @ (p.mass[:, None] * q))):
+            np.testing.assert_allclose(held, full, rtol=0, atol=1e-12)
+
+    def test_capped_at_vertex_count(self):
+        # on the icosahedron, 3 blocks of 5 fill R^12 and stop there; every
+        # Ritz value is then the pencil's own
+        _, _, p = get_pipeline("ellipsoid", 0, 1)
+        rng = np.random.default_rng(1)
+        reduced = self.grown(p, rng.standard_normal((3, 12, 5)))
+        assert reduced.size == 12
+        mu = 0.5
+        ref = oracles.dense_K_mu_eigenpairs(p, mu, 3)[0]
+        np.testing.assert_allclose(reduced.top(mu, 3)[0], ref, rtol=1e-12)
+
+
 def test_one_factor_and_one_arpack_call_site():
     # every ordering, factorization, banded solve, ARPACK run and dense
     # eigensolve goes through eigen's helpers; a second

@@ -238,6 +238,12 @@ class TestGenerate:
         with pytest.raises(ValueError):
             surfaces.from_params("moebius")
 
+    def test_surface_class(self):
+        # the one kind lookup, read by from_params and by the CLI
+        assert surfaces.surface_class("Torus") is surfaces.Torus
+        with pytest.raises(ValueError, match="moebius"):
+            surfaces.surface_class("moebius")
+
     def test_fields_round_trip_through_from_params(self):
         # a descriptor's own fields are the parameters from_params takes
         e = surfaces.Ellipsoid(2.0, 1.0, 0.5)
