@@ -172,9 +172,6 @@ def _reduced_pencil(pencil, snapshots, k, seed):
             y.append(solve(pencil.potential[:, None] * y[-1]))
         del solve
         reduced.extend(np.hstack(y[1:]))
-    # top() reads the projections alone, so the V x p basis is not kept
-    # through the confirmations' factorizations and the pencil match
-    reduced.q = None
     return reduced, top_w_perp, warnings
 
 
@@ -200,10 +197,12 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
     """Scan the top-k K_mu eigenvalues on a geometric grid, locate crossings.
 
     The window is mu_window's, by default [1e-3, 10] times max(W^2).  The
-    SNAPSHOTS grid points at indices round(linspace(0, steps - 1, n)),
-    mu_min and mu_max among them (every point when steps is smaller), each
-    factor K + mu M once and grow the reduced basis as _reduced_pencil
-    describes; no factor outlives its snapshot.  Each grid row is the top
+    SNAPSHOTS grid points at indices round(linspace(0, steps - 1,
+    SNAPSHOTS)), mu_min and mu_max among them, each factor K + mu M once
+    and grow the reduced basis as _reduced_pencil describes; no factor
+    outlives its snapshot.  A grid of fewer points takes the SNAPSHOTS-point
+    grid's points instead, of which it holds only its two ends, so its rows
+    are as close to the true tops as a long grid's.  Each grid row is the top
     k Ritz values on that basis.  A branch that crosses 1 inside a cell is
     followed by safeguarded Newton on the reduced pencil, and the root is
     confirmed on the full operator, one factorization per evaluation: its
@@ -220,11 +219,15 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
         raise ValueError("need at least 2 grid points")
 
     grid = np.geomspace(mu_min, mu_max, steps)
-    snapshots = np.round(
-        np.linspace(0, steps - 1, min(SNAPSHOTS, steps))).astype(int)
+    # a grid shorter than SNAPSHOTS still grows the basis at SNAPSHOTS
+    # points, those of the SNAPSHOTS-point grid, which shares its two ends
+    basis_mu = np.geomspace(mu_min, mu_max, max(steps, SNAPSHOTS))
+    basis_mu = basis_mu[np.round(
+        np.linspace(0, len(basis_mu) - 1, SNAPSHOTS)).astype(int)]
+    snapshots = np.flatnonzero(np.isin(grid, basis_mu))
 
-    reduced, top_w_perp, warnings = _reduced_pencil(pencil, grid[snapshots],
-                                                    k, seed)
+    reduced, top_w_perp, warnings = _reduced_pencil(pencil, basis_mu, k,
+                                                    seed)
     tops = np.array([reduced.top(mu, k)[0] for mu in grid])
 
     def full(mu, k):

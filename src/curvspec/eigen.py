@@ -256,9 +256,8 @@ class _ReducedPencil:
     semidefinite; mu > 0.  The span starts empty and extend() appends
     blocks to it.  Its orthonormal basis ``q`` (Q, V x p, p capped at V)
     is the one copy kept, with the three p x p projections Q^T D Q,
-    Q^T A Q and Q^T M Q, each grown by the new rows and columns only; once
-    no block is to come, q may be set to None, since top() reads the
-    projections alone.  Each value of mu is one dense generalized eigh.
+    Q^T A Q and Q^T M Q, each grown by the new rows and columns only.
+    Each value of mu is one dense generalized eigh.
     Q^T (A + mu M) Q is positive definite, so by Courant-Fischer each Ritz
     value is a lower bound on the pencil eigenvalue of the same rank, and
     it is exact at a mu whose eigenvectors Q spans (Rayleigh-Ritz; Parlett,
