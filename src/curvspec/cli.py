@@ -372,10 +372,8 @@ _COMMANDS = {
     "verify": (cmd_verify, "classify lambda_2, with the checks that back it",
                _INPUT_FLAGS + (
         _flag("--k", _at_least(2), _DEFAULTS.k),
-        _flag("--eig-tol", _NONNEGATIVE, _DEFAULTS.eig_tol),
         _flag("--tol-sphere-factor", _NONNEGATIVE,
-              _DEFAULTS.tol_sphere_factor),
-        _flag("--tol-identity", _NONNEGATIVE, _DEFAULTS.tol_identity))),
+              _DEFAULTS.tol_sphere_factor))),
     "bs-scan": (cmd_bs_scan, "the Birman-Schwinger crossing scan",
                 _INPUT_FLAGS + (
         _flag("--csv"),

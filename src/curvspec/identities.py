@@ -9,11 +9,10 @@ vertex sums so the continuum equalities close discretely where they should.
 The position residual compares the assembled operator against geometric
 curvature samples, so it carries the discretization's consistency error:
 O(h) at r = 0, while at r = 1 it does not fall with refinement (the
-README gives both series).  No threshold judges it.  The chain residual,
-computed in the same pass as the d_i, compares the pairing
-<R0(W f_i), W f_i> with the K-energy of R0(W f_i); the two are equal in
-exact arithmetic, so the gap measures the constrained solve, not the
-geometry.
+README gives both series).  No threshold judges it.  The pairing
+<R0(W f_i), W f_i> in d_i equals the K-energy of R0(W f_i) in exact
+arithmetic; their gap is round-off, so it is a test of R0
+(tests/test_identities.py), not a reported number.
 
 The checks take what they share as arguments and compute none of it
 again.  Each reads the order r, H_{r+1} and W_r from the one curvature
@@ -52,7 +51,6 @@ class IdentityReport:
     orthogonality_raw: np.ndarray      # (3,) before projection, O(h^2) diagnostic
     d: np.ndarray                      # (3,)
     d_sum: float
-    chain_residual: float
 
 
 def lr_position_residual(mesh, field, pencil):
@@ -117,18 +115,13 @@ def zero_mean_resolvent(pencil):
 
 def identity_report(mesh, field, pencil, f, r0):
     """Every identity check once: the position and Minkowski residuals,
-    d_i = <R0(W f_i), W f_i>_M - ||f_i||_M^2, orthogonality_raw and the
-    chain residual.
+    d_i = <R0(W f_i), W f_i>_M - ||f_i||_M^2 and orthogonality_raw.
 
     ``f`` holds the test functions as columns and ``r0`` is
     zero_mean_resolvent(pencil).  The resolvent argument W f_i is
     projected to zero M-mean before the solve; the raw integral int f_i W
     (identical to <f_i, W>_M since the weight is shared) is reported before
-    projection, where it decays like O(h^2) under refinement.  The chain
-    residual is the relative gap between sum_i <phi_i, W f_i>_M and the
-    K-energy sum_i phi_i^T K phi_i of the phi_i = R0(W f_i): equal in exact
-    arithmetic, so it measures solver and projection quality only and
-    should sit at round-off level.
+    projection, where it decays like O(h^2) under refinement.
     """
     f = np.asarray(f, dtype=float)
     a = pencil.mass
@@ -137,13 +130,9 @@ def identity_report(mesh, field, pencil, f, r0):
     scale = area * np.maximum(np.abs(wf).max(axis=0), 1e-300)
     load = a[:, None] * (wf - (a @ wf) / area)
     phi = np.array([r0(load[:, i]) for i in range(3)])
-    pairing = np.sum(phi.T * load, axis=0)
-    d = pairing - a @ f**2
-    total = float(pairing.sum())
-    energy = float(np.sum(phi.T * (pencil.k_stiff @ phi.T)))
-    chain = abs(total - energy) / max(abs(total), 1e-300)
+    d = np.sum(phi.T * load, axis=0) - a @ f**2
     return IdentityReport(
         lr_position_residual=lr_position_residual(mesh, field, pencil),
         minkowski_residual=minkowski_residual(mesh, field),
         orthogonality_raw=np.abs(a @ wf) / scale,
-        d=d, d_sum=float(d.sum()), chain_residual=chain)
+        d=d, d_sum=float(d.sum()))

@@ -140,12 +140,12 @@ def t_r_spectrum(field, pencil, config=verify.VerifyConfig(), k=2):
 
     T_r is the pencil with W^2 replaced by verify.t_potential(field),
     solved by shift-invert on the first rung of its own shift_ladder that
-    factors, with the config's tolerance and seed.
+    factors, at the eigensolver's default tolerance and the config's seed.
     """
     t_pencil = with_potential_squared(pencil, verify.t_potential(field))
     return t_pencil, eigen.smallest_eigenpairs(
         t_pencil.a_matrix(), t_pencil.mass, k, sigma=shift_ladder(t_pencil),
-        tol=config.eig_tol, seed=config.seed, layout=t_pencil.layout,
+        seed=config.seed, layout=t_pencil.layout,
         what="T_r eigensolve")
 
 

@@ -19,7 +19,7 @@ from curvspec.errors import CurvaturePositivityError
 import oracles
 from conftest import (floor_shift, get_mesh, get_pipeline, kernel_top,
                       lemma_two_negative, newton_eigenvalues, verify_corollary,
-                      verify_theorem)
+                      verify_run, verify_theorem)
 
 
 def report(n, ok, detail):
@@ -230,10 +230,11 @@ def test_criterion_10_corollary_domination():
     worst_slack = np.inf
     for kind in ("sphere", "sphere_small", "sphere_big", "ellipsoid", "ellipsoid_mild", "bumped"):
         for r in (0, 1):
-            rep = verify_corollary(get_mesh(kind, 3), r)
+            done = verify_run(get_mesh(kind, 3), r)
+            rep = done.corollary
             worst_slack = min(worst_slack, rep.domination_min_slack)
             assert rep.domination_min_slack >= -1e-10
-            assert rep.lambda_2_t_upper <= rep.lambda_2_pencil + 1e-8
+            assert rep.lambda_2_t_upper <= done.theorem.lambda_2 + 1e-12
     sphere_t = verify_corollary(get_mesh("sphere", 3), 1).lambda_2_t_upper
     assert sphere_t == pytest.approx(0.0, abs=0.05)
     report(

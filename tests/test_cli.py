@@ -84,9 +84,8 @@ class TestVerifyCommand:
         assert blob["config"]["command"] == "verify"
         # every judged number sits next to the threshold it was judged by
         assert "tol_sphere" in blob["verdicts"]["theorem"]
-        assert "sphere_distance_ceiling" in blob["verdicts"]["theorem"]
-        assert "tol" in blob["verdicts"]["corollary"]
-        assert "domination_floor" in blob["verdicts"]["corollary"]
+        assert set(blob["verdicts"]["corollary"]) == {
+            "lambda_2_t_upper", "domination_min_slack", "domination_floor"}
         assert "thresholds" in blob["verdicts"]["lemma"]
         # the pencil solve's residuals, and the certified rung it ran at,
         # which lies below lambda_1
@@ -365,8 +364,6 @@ class TestBadInput:
         ("verify", "seed", "-1"),
         ("verify", "tol-sphere-factor", "-1"),
         ("verify", "tol-sphere-factor", "nan"),
-        ("verify", "tol-identity", "-1"), ("verify", "tol-identity", "nan"),
-        ("verify", "eig-tol", "-1"), ("verify", "eig-tol", "nan"),
         ("bs-scan", "mu-min", "0"), ("bs-scan", "mu-min", "nan"),
         ("bs-scan", "mu-max", "inf"), ("bs-scan", "mu-max", "nan"),
         ("bs-scan", "steps", "1"),
@@ -391,12 +388,14 @@ class TestBadInput:
         assert err.startswith(f"usage error: argument --{flag}: must be ")
 
     # each command takes only the flags it reads; these in-range values
-    # are refused because the command would ignore them
+    # are refused because the command would ignore them, and verify reads
+    # no solver tolerance and no lemma threshold
     @pytest.mark.parametrize("via", ["flag", "config"])
     @pytest.mark.parametrize("command,flag,value", [
         ("bs-scan", "k", "3"), ("bs-scan", "eig-tol", "1e-8"),
         ("bs-scan", "tol-sphere-factor", "0.1"),
         ("bs-scan", "tol-identity", "0.1"),
+        ("verify", "eig-tol", "1e-8"), ("verify", "tol-identity", "0.1"),
     ])
     def test_unread_flag_refused_before_any_work(
             self, tmp_path, capsys, monkeypatch, command, flag, value, via):
