@@ -30,9 +30,8 @@ builds every field at once: the vertex principal curvatures, the Newton
 transform P_r per face, and the vertex samples of H_{r+1} and W_r.  For
 r >= 1 it is also the one gate of the standing assumption H_{r+1} > 0 and
 of the outward orientation H_1 > 0, so every consumer reads a field that
-already holds both.  Before any of that the estimator runs mesh.check,
-the one mesh gate, so a mesh that is open, non-manifold, misoriented,
-degenerate or disconnected gets no field, whether generated or loaded.
+already holds both.  The mesh needs no gate here: a TriMesh is closed,
+manifold, oriented, nondegenerate and connected, or it was never built.
 """
 
 from dataclasses import dataclass
@@ -40,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CurvaturePositivityError, DegenerateGeometryError
-from .mesh import check
 
 __all__ = ["C_R", "CurvatureField", "compute_curvature", "mean_curvature",
            "shape_norm"]
@@ -87,10 +85,8 @@ def estimate_shape_operators(mesh):
     """Per-face symmetric shape operators as (ops, basis).
 
     ops are 2x2 symmetric matrices (F, 2, 2) in the orthonormal face basis
-    ``basis`` (F, 2, 3), whose rows are t1, t2.  The mesh gate,
-    mesh.check, runs first.
+    ``basis`` (F, 2, 3), whose rows are t1, t2.
     """
-    check(mesh)
     v, f = mesh.vertices, mesh.faces
     vn = mesh.vertex_normals
     fn = mesh.face_normals

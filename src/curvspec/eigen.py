@@ -26,7 +26,7 @@ shifted diagonal and factors it by LAPACK pbtrf; solves call pbtrs.  A
 shift that does not lie below the spectrum is refused instead of factored.
 The zero-mean resolvent R0 (identities.zero_mean_resolvent) is one more
 such matrix, K grounded at the last vertex of the band order, and needs
-no handling here: the mesh gate (mesh.check) has already refused a mesh
+no handling here: the TriMesh constructor has already refused a mesh
 that is not connected, where K would have more than the constants in its
 kernel.  ARPACK makes no factorization and gets no OPinv or mass
 matrix: the pencil solve and the Birman-Schwinger kernel are both the
@@ -276,7 +276,9 @@ class _ReducedPencil:
     def extend(self, block):
         """Append the directions of ``block``'s columns that Q lacks.
 
-        Each column is scaled to unit norm and orthogonalized against Q by
+        A column of zero norm (a Krylov step at a huge mu can underflow
+        to zero) spans nothing and is dropped.  Each other column is
+        scaled to unit norm and orthogonalized against Q by
         block classical Gram-Schmidt, twice (Giraud-Langou-Rozloznik,
         Comput. Math. Appl. 2005).  Between the two passes a pivoted QR
         orthonormalizes the block and drops each direction it leaves at
@@ -286,7 +288,8 @@ class _ReducedPencil:
         """
         a, d, mass = self._full
         q = self.q
-        x = block / np.linalg.norm(block, axis=0)
+        norm = np.linalg.norm(block, axis=0)
+        x = block[:, norm > 0.0] / norm[norm > 0.0]
         x -= q @ (q.T @ x)
         x, r = sla.qr(x, mode="economic", pivoting=True)[:2]
         eps = np.finfo(float).eps

@@ -22,7 +22,7 @@ c_r and H_r come from curvature's n = 2 closed forms, C_R and
 mean_curvature.  identity_report runs every check once into the
 IdentityReport that verify.run reports and whose d_i its theorem and
 lemma read.  The zero-mean resolvent R0 is K grounded at one vertex,
-defined because the mesh gate (mesh.check) has made the mesh connected,
+defined because a TriMesh is connected (its constructor refuses one that is not),
 and factored once by eigen._shifted_solver like every other matrix; that
 one factor serves the three d_i solves.
 """

@@ -1,13 +1,9 @@
 """Closed oriented triangle meshes.
 
-The TriMesh type is the single geometry carrier for the whole package.  It is
-immutable after construction.  The constructor builds the face and vertex
-geometry (areas, normals), the edge table and the connectivity diagnostics
-as arrays, and marks them read-only, so instances can be shared freely
-between threads.  The one diagnostic built on first read is the tuple of
-misoriented edges: construction keeps them as an array of rows, which
-is_oriented and the orientation refusal read, so a refusal converts one
-row instead of every misoriented edge.
+The TriMesh type is the single geometry carrier for the whole package.  It
+is immutable after construction: the constructor builds the edge table and
+the face and vertex geometry (areas, normals) as arrays and marks them
+read-only, so instances can be shared freely between threads.
 
 Vertex area is the barycentric third of the incident face areas.  The vertex
 normal is a weighted average of incident face normals, each weighted by the
@@ -19,17 +15,21 @@ stall the curvature estimator.
 Faces are counter-clockwise as seen from outside, which makes a round
 sphere carry principal curvature +1/R downstream.
 
-A TriMesh may be open, degenerate or in pieces; check is the one gate
-that refuses such a mesh, with a typed error.  load_mesh runs it on every
-file and the curvature estimator on every mesh, so no solve ever sees a
-mesh that failed it.
+The constructor is the one mesh gate: a TriMesh exists only if it is
+closed, manifold, oriented, nondegenerate and connected, so no solve ever
+sees a mesh that is not, whether it was generated or read by load_mesh.
+The first fault found is raised as a typed error, in this order: a
+non-manifold, a boundary or a misoriented edge (found from the edge table
+alone, before any geometry is built), a face of zero or non-finite area,
+a vertex whose weighted normal cancelled to zero, and last more than one
+connected component, which would put more than the constants in K's
+kernel.
 """
 
 import itertools
 import os
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,7 +51,6 @@ __all__ = [
     "validate",
     "load_mesh",
     "write_off",
-    "check",
     "refine",
 ]
 
@@ -69,8 +68,28 @@ def _edge_table(faces, nv):
     return np.stack([keys // nv, keys % nv], axis=1), inv, counts
 
 
+def _refuse_edge_faults(faces, edges, inv, counts):
+    """Raise on the first non-manifold edge, else the first boundary edge,
+    else the first misoriented edge, in edge order.  An edge is misoriented
+    when its two faces traverse it in the same direction; the refusal
+    names them in face order."""
+    if np.any(counts > 2):
+        e = int(np.argmax(counts > 2))
+        raise NonManifoldEdgeError(edges[e], counts[e])
+    if np.any(counts == 1):
+        raise OpenBoundaryError(edges[int(np.argmax(counts == 1))])
+    # +1 where directed edge j runs from its lower to its higher vertex
+    direction = np.where(faces < faces[:, [1, 2, 0]], 1, -1).ravel()
+    osum = np.bincount(inv, weights=direction, minlength=len(edges))
+    if np.any(osum != 0):
+        e = int(np.argmax(osum != 0))
+        # directed edge j lies on face j // 3
+        raise OrientationError(edges[e], np.flatnonzero(inv == e) // 3)
+
+
 class TriMesh:
-    """Indexed triangle surface with cached derived geometry."""
+    """Indexed closed oriented triangle surface with its derived geometry;
+    the constructor refuses any other (see the module docstring)."""
 
     def __init__(self, vertices, faces):
         v = np.array(vertices, dtype=float)
@@ -91,12 +110,21 @@ class TriMesh:
             )
         self.vertices = v
         self.faces = f
+        self.edges, inv, counts = _edge_table(f, len(v))
+        _refuse_edge_faults(f, self.edges, inv, counts)
         # coordinates whose products overflow give NaN or inf areas, which
-        # degenerate_faces names; numpy need not warn about them as well
+        # the degenerate-face refusal names; numpy need not warn as well
         with np.errstate(over="ignore", invalid="ignore"):
             self._build_face_geometry()
             self._build_vertex_geometry()
-        self._scan_connectivity()
+        e = self.edges
+        graph = sp.coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])),
+                              shape=(len(v), len(v)))
+        components = connected_components(graph, directed=False)[0]
+        if components > 1:
+            raise DisconnectedMeshError(f"mesh has {components} connected "
+                                        f"components; a single connected "
+                                        f"surface is required")
         for arr in (
             self.vertices,
             self.faces,
@@ -105,7 +133,6 @@ class TriMesh:
             self.vertex_areas,
             self.vertex_normals,
             self.edges,
-            self._misoriented,
         ):
             arr.flags.writeable = False
 
@@ -116,17 +143,17 @@ class TriMesh:
         cr = np.cross(e1, e2)
         nn = np.linalg.norm(cr, axis=1)
         self.face_areas = 0.5 * nn
-        ok = nn > 0.0
-        normals = np.zeros_like(cr)
-        normals[ok] = cr[ok] / nn[ok, None]
-        self.face_normals = normals
         # a NaN or inf area (coordinates whose products overflow) is
         # degenerate too; the floor is a share of the finite areas' mean
         finite = np.isfinite(self.face_areas)
         mean_area = self.face_areas[finite].mean() if finite.any() else 0.0
-        self.degenerate_faces = tuple(
-            int(i) for i in np.nonzero(~finite | (self.face_areas <= _AREA_FLOOR_REL * mean_area))[0]
-        )
+        bad = ~finite | (self.face_areas <= _AREA_FLOOR_REL * mean_area)
+        if np.any(bad):
+            face = int(np.argmax(bad))
+            kind = "(near-)zero" if finite[face] else "non-finite"
+            raise DegenerateGeometryError(f"face {face} has {kind} area",
+                                          face=face)
+        self.face_normals = cr / nn[:, None]
 
     def _build_vertex_geometry(self):
         # bincount adds the weights in input order, starting from zero, as
@@ -154,37 +181,11 @@ class TriMesh:
                        for k in range(3)], axis=1)
         norms = np.linalg.norm(vn, axis=1)
         ok = norms > 0.0
-        vn[ok] /= norms[ok, None]
-        self.vertex_normals = vn
-        self._unnormalizable_vertices = tuple(int(i) for i in np.nonzero(~ok)[0])
-
-    def _scan_connectivity(self):
-        f = self.faces
-        edges, inv, counts = _edge_table(f, len(self.vertices))
-        self.edges = edges
-        # +1 where directed edge j runs from its lower to its higher vertex
-        direction = np.where(f < f[:, [1, 2, 0]], 1, -1).ravel()
-        osum = np.bincount(inv, weights=direction, minlength=len(edges))
-        self.boundary_edges = tuple(map(tuple, edges[counts == 1].tolist()))
-        many = counts > 2
-        self.nonmanifold_edges = tuple(
-            (tuple(e), c)
-            for e, c in zip(edges[many].tolist(), counts[many].tolist())
-        )
-        # directed edges of misoriented edges, grouped by edge in one stable
-        # sort: each group is a pair in face order, directed edge j on face j//3
-        mis = (counts == 2) & (np.abs(osum) == 2)
-        on_mis = np.nonzero(mis[inv])[0]
-        on_mis = on_mis[np.argsort(inv[on_mis], kind="stable")]
-        # one row (a, b, face, face) per misoriented edge, in edge order
-        self._misoriented = np.hstack([edges[mis], (on_mis // 3).reshape(-1, 2)])
-
-    @cached_property
-    def misoriented_edges(self):
-        """((a, b), (face, face)) per misoriented edge, built on first read
-        from one flat list of Python ints, read four at a time."""
-        flat = iter(self._misoriented.ravel().tolist())
-        return tuple(((a, b), (c, d)) for a, b, c, d in zip(flat, flat, flat, flat))
+        if not np.all(ok):
+            vertex = int(np.argmin(ok))
+            raise DegenerateGeometryError(
+                f"vertex {vertex} has a zero weighted normal", vertex=vertex)
+        self.vertex_normals = vn / norms[:, None]
 
     @property
     def n_vertices(self):
@@ -205,14 +206,6 @@ class TriMesh:
     @property
     def total_area(self):
         return float(self.face_areas.sum())
-
-    @property
-    def is_closed(self):
-        return not self.boundary_edges and not self.nonmanifold_edges
-
-    @property
-    def is_oriented(self):
-        return not len(self._misoriented)
 
     def hat_gradients(self):
         """Per-face constant gradients of the three hat functions, (F, 3, 3).
@@ -242,87 +235,38 @@ class ValidationReport:
     n_edges: int
     n_faces: int
     euler_characteristic: int
-    closed: bool
-    oriented: bool
     total_area: float
     min_face_area: float
     max_face_area: float
     mean_face_area: float
     max_aspect_ratio: float
-    passed: bool
 
 
 def validate(mesh):
-    """Structural report for a TriMesh; never raises, failures are flags.
-
-    Its fields are the mesh_stats block of a CLI report.  The offending
-    edges and faces themselves stay on the mesh (boundary_edges,
-    nonmanifold_edges, misoriented_edges, degenerate_faces).
+    """Size and shape statistics of a TriMesh, the mesh_stats block of a
+    CLI report.  Being a TriMesh, the mesh is closed, oriented and
+    nondegenerate, so the statistics report nothing to refuse.
 
     Aspect ratio is the longest edge over the triangle height on that edge,
     so an equilateral triangle scores 2/sqrt(3).
     """
     v, f = mesh.vertices, mesh.faces
     emax = np.linalg.norm(v[f[:, [1, 2, 0]]] - v[f], axis=2).max(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        aspect = np.where(mesh.face_areas > 0, emax**2 / (2.0 * mesh.face_areas), np.inf)
-    passed = mesh.is_closed and mesh.is_oriented and not mesh.degenerate_faces
     return ValidationReport(
         n_vertices=mesh.n_vertices,
         n_edges=mesh.n_edges,
         n_faces=mesh.n_faces,
         euler_characteristic=mesh.euler_characteristic,
-        closed=mesh.is_closed,
-        oriented=mesh.is_oriented,
         total_area=mesh.total_area,
         min_face_area=float(mesh.face_areas.min()),
         max_face_area=float(mesh.face_areas.max()),
         mean_face_area=float(mesh.face_areas.mean()),
-        max_aspect_ratio=float(aspect.max()),
-        passed=passed,
+        max_aspect_ratio=float((emax**2 / (2.0 * mesh.face_areas)).max()),
     )
 
 
-def check(mesh):
-    """The mesh gate: raise unless ``mesh`` is closed, manifold, oriented,
-    nondegenerate and connected.
-
-    The first fault found is named, in this order: a non-manifold, a
-    boundary or a misoriented edge, a face of zero or non-finite area, a
-    vertex whose weighted normal cancelled to zero, and last more than one
-    connected component, which would put more than the constants in K's
-    kernel.
-    """
-    if mesh.nonmanifold_edges:
-        edge, count = mesh.nonmanifold_edges[0]
-        raise NonManifoldEdgeError(edge, count)
-    if mesh.boundary_edges:
-        raise OpenBoundaryError(mesh.boundary_edges[0])
-    if not mesh.is_oriented:
-        row = mesh._misoriented[0]   # misoriented_edges[0], and only it
-        raise OrientationError(row[:2], row[2:])
-    if mesh.degenerate_faces:
-        face = mesh.degenerate_faces[0]
-        kind = ("(near-)zero" if np.isfinite(mesh.face_areas[face])
-                else "non-finite")
-        raise DegenerateGeometryError(f"face {face} has {kind} area",
-                                      face=face)
-    if mesh._unnormalizable_vertices:
-        vertex = mesh._unnormalizable_vertices[0]
-        raise DegenerateGeometryError(
-            f"vertex {vertex} has a zero weighted normal", vertex=vertex)
-    nv, e = mesh.n_vertices, mesh.edges
-    graph = sp.coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(nv, nv))
-    components = connected_components(graph, directed=False)[0]
-    if components > 1:
-        raise DisconnectedMeshError(f"mesh has {components} connected "
-                                    f"components; a single connected "
-                                    f"surface is required")
-
-
 def load_mesh(path):
-    """Read an OFF or OBJ file, told apart by extension, into a validated
-    TriMesh.
+    """Read an OFF or OBJ file, told apart by extension, into a TriMesh.
 
     Polygonal faces are fan-triangulated.  OFF indices are zero-based, OBJ
     one-based.  An OFF file's vertex and face blocks are read as arrays by
@@ -332,8 +276,8 @@ def load_mesh(path):
     arrays or the error with its line.  An OBJ file of plain ``v x y z``
     and ``f i j k`` records is read as arrays too, and any other OBJ file
     line by line.  Raises MeshLoadError on parse problems (with the line
-    number) and the specific connectivity error otherwise; a mesh with
-    more than one connected component is refused last.
+    number) and otherwise the TriMesh constructor's typed refusal of a
+    mesh that is not a closed surface.
     """
     ext = os.path.splitext(str(path))[1].lower()
     parse = {".off": _parse_off, ".obj": _parse_obj}.get(ext)
@@ -341,11 +285,9 @@ def load_mesh(path):
         raise MeshLoadError(f"cannot infer format from extension {ext!r}", path=path)
     v, f = parse(path)
     try:
-        mesh = TriMesh(v, f)
+        return TriMesh(v, f)
     except (ValueError, OverflowError) as exc:   # an index beyond int64
         raise MeshLoadError(str(exc), path=path) from exc
-    check(mesh)
-    return mesh
 
 
 def _meaningful(lines):

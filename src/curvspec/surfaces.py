@@ -25,7 +25,6 @@ __all__ = [
     "from_params",
     "generate",
     "surface_class",
-    "icosahedron",
 ]
 
 
@@ -178,6 +177,10 @@ def from_params(kind, **params):
 
 def icosahedron():
     """Regular icosahedron with unit circumradius, outward orientation."""
+    return TriMesh(*_icosahedron_arrays())
+
+
+def _icosahedron_arrays():
     t = (1.0 + math.sqrt(5.0)) / 2.0
     verts = np.array(
         [
@@ -197,7 +200,7 @@ def icosahedron():
         ],
         dtype=np.int64,
     )
-    return TriMesh(verts, faces)
+    return verts, faces
 
 
 def _torus_grid(surface, nu, nv):
@@ -236,9 +239,10 @@ def generate(surface, subdiv=0, nu=None, nv=None):
         scale = 2**subdiv
         return _torus_grid(surface, 16 * scale if nu is None else nu,
                            8 * scale if nv is None else nv)
-    # refine the arrays and build one TriMesh, for the finest level only
-    base = icosahedron()
-    v, f = surface.project(base.vertices), base.faces
+    # refine the arrays and build one TriMesh, for the finest level only,
+    # so a generated mesh passes the TriMesh gate once
+    v, f = _icosahedron_arrays()
+    v = surface.project(v)
     for _ in range(subdiv):
         v, f = refine(v, f, target=surface)
     return TriMesh(v, f)

@@ -43,6 +43,14 @@ def get_pipeline(kind, subdiv, r):
     return mesh, field, pencil
 
 
+def raw_off(vertices, faces):
+    """OFF text of vertex and face arrays that need not make a TriMesh, so
+    a mesh the constructor refuses can still be written as a file."""
+    return ("OFF\n%d %d 0\n" % (len(vertices), len(faces))
+            + "".join("%.17g %.17g %.17g\n" % tuple(p) for p in vertices)
+            + "".join("3 %d %d %d\n" % tuple(f) for f in faces))
+
+
 def rotation(theta):
     """2x2 rotations by the angles theta (...,), shape (..., 2, 2)."""
     c, s = np.cos(theta), np.sin(theta)

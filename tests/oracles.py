@@ -418,15 +418,16 @@ def stiffness_einsum(mesh, p_r_face):
                          shape=(nv, nv)).tocsr()
 
 
-def misoriented_edges_loop(mesh):
-    """Misoriented edges found with one boolean mask per edge (quadratic).
+def misoriented_edges_loop(faces):
+    """Misoriented edges of the (F, 3) ``faces`` found with one boolean
+    mask per edge (quadratic).
 
     An interior edge is misoriented when both incident faces traverse it in
     the same direction; each entry is (sorted edge, faces in face order).
     """
-    fe = mesh.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    edges, inv, counts = edge_table_rows(mesh.faces)
-    face_of = np.repeat(np.arange(mesh.n_faces), 3)
+    fe = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    edges, inv, counts = edge_table_rows(faces)
+    face_of = np.repeat(np.arange(len(faces)), 3)
     out = []
     for eid in range(len(edges)):
         if counts[eid] != 2:

@@ -17,10 +17,10 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from curvspec import assemble, birman, cli, eigen, identities, verify
+from curvspec import assemble, birman, cli, eigen, identities, mesh as mesh_mod, verify
 from curvspec.mesh import TriMesh, load_mesh, write_off
 
-from conftest import get_mesh
+from conftest import get_mesh, raw_off
 
 
 def run(argv):
@@ -56,6 +56,17 @@ class TestGenerate:
         for old in ("--R", "--r"):
             assert run(["generate", "--shape", "torus", old, "1",
                         "-o", str(out)]) == 64
+
+    def test_refused_mesh_exits_3_without_a_file(self, tmp_path, capsys):
+        # a bump this large pinches a face of the subdiv-2 mesh to zero
+        # area; generate refuses it as verify --mesh would refuse the file
+        out = tmp_path / "g.off"
+        assert run(["generate", "--shape", "bumped", "--amplitude", "1",
+                    "--frequency", "2", "--subdiv", "2", "-o", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: face 16 has (near-)zero area"]
+        assert not out.exists()
 
     def test_requires_shape_and_output(self, tmp_path, capsys):
         assert run(["generate", "-o", str(tmp_path / "x.off")]) == 64
@@ -230,8 +241,8 @@ class TestRefusals:
             off.write_bytes(b"OFF\n4 4 6\n\xff\n")
         else:
             # a flat triangle, front and back: every weighted normal cancels
-            write_off(TriMesh([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]],
-                              [[0, 1, 2], [0, 2, 1]]), off)
+            off.write_text(raw_off([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]],
+                                   [[0, 1, 2], [0, 2, 1]]))
         out = tmp_path / "rep.json"
         assert run(["verify", "--mesh", str(off), "-o", str(out)]) == 3
         blob = json.loads(out.read_text())
@@ -269,9 +280,9 @@ class TestRefusals:
         # component: every command stops at load, before any check
         ico = get_mesh("sphere", 1)
         off = tmp_path / "pair.off"
-        write_off(TriMesh(
+        off.write_text(raw_off(
             np.vstack([ico.vertices, ico.vertices + [3.0, 0.0, 0.0]]),
-            np.vstack([ico.faces, ico.faces + ico.n_vertices])), off)
+            np.vstack([ico.faces, ico.faces + ico.n_vertices])))
         err = self.refused([command, "--mesh", str(off), "--r", "0"], tmp_path)
         assert err == {"type": "DisconnectedMeshError",
                        "message": "mesh has 2 connected components; a single "
@@ -286,7 +297,7 @@ class TestRefusals:
         vertices = ico.vertices.copy()
         vertices[0] *= 1e155
         off = tmp_path / "big.off"
-        write_off(TriMesh(vertices, ico.faces), off)
+        off.write_text(raw_off(vertices, ico.faces))
         face = int(np.nonzero((ico.faces == 0).any(axis=1))[0][0])
         proc = subprocess.run(
             [sys.executable, "-m", "curvspec", "verify", "--mesh", str(off),
@@ -477,6 +488,28 @@ class TestUnwritableOutput:
         err = captured.err.splitlines()
         assert err == [f"usage error: cannot write output: {str(tmp_path)!r} "
                        "is a directory"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("output,csv", [
+        ("same.out", "same.out"),
+        ("same.out", "./same.out"),
+        ("{dir}/same.out", "same.out"),
+    ], ids=["equal", "dot-slash", "absolute-and-rebased"])
+    def test_json_and_csv_on_one_file_exit_64(self, tmp_path, capsys,
+                                              monkeypatch, output, csv):
+        # the JSON would overwrite the CSV; both paths are compared after
+        # CURVSPEC_OUTDIR rebases them, before any work
+        monkeypatch.setenv("CURVSPEC_OUTDIR", str(tmp_path))
+        calls = []
+        monkeypatch.setattr(cli, "compute_curvature",
+                            lambda *a, **k: calls.append(a))
+        assert run(["bs-scan", *self.SHAPE, "--steps", "4",
+                    "-o", output.format(dir=tmp_path), "--csv", csv]) == 64
+        assert calls == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("usage error: cannot write output: -o and "
+                                 "--csv both name ")
         assert list(tmp_path.iterdir()) == []
 
 
@@ -686,6 +719,24 @@ class TestWorkCounts:
             "r0_solves": 3,         # one per test function, read by every check
         }
 
+    @pytest.mark.parametrize("source", ["mesh", "shape"])
+    def test_mesh_gate_runs_once(self, tmp_path, monkeypatch, source):
+        # the TriMesh constructor is the one gate, and its last step, the
+        # connectivity count, runs once per command, loaded or generated
+        off = tmp_path / "s.off"
+        write_off(get_mesh("sphere", 2), off)
+        calls = []
+
+        def counted(*args, _fn=mesh_mod.connected_components, **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mesh_mod, "connected_components", counted)
+        given = (["--mesh", str(off)] if source == "mesh"
+                 else ["--shape", "sphere", "--subdiv", "2"])
+        assert run(["verify", *given, "-o", str(tmp_path / "rep.json")]) == 0
+        assert len(calls) == 1
+
     def test_certified_shifts_cut_the_applications(self, tmp_path,
                                                    monkeypatch):
         # at the floor shift the pencil solve took 92 operator applications
@@ -838,6 +889,22 @@ class TestOtherCommands:
         assert len(err) == 1
         assert err[0].startswith("usage error: need 0 < mu_min < mu_max, got ")
         assert not out.exists()
+
+    def test_bs_scan_huge_mu_max(self, tmp_path):
+        # at mu_max = 1e80 the Krylov steps at the top snapshots underflow
+        # to zero columns; they span nothing, and the crossings are those
+        # of the default window
+        base = ["bs-scan", "--shape", "ellipsoid", "--a", "2", "--subdiv", "2"]
+        mu0 = {}
+        for mu_max in (None, "1e80", "1e300"):
+            out = tmp_path / f"{mu_max}.json"
+            extra = [] if mu_max is None else ["--mu-max", mu_max]
+            assert run(base + extra + ["-o", str(out)]) == 0
+            scan = json.loads(out.read_text())["birman_schwinger"]
+            mu0[mu_max] = [c["mu0"] for c in scan["crossings"]]
+        assert len(mu0[None]) == 2
+        for mu_max in ("1e80", "1e300"):
+            np.testing.assert_allclose(mu0[mu_max], mu0[None], rtol=1e-12)
 
     def test_bs_scan_empty_window(self, capsys, tmp_path):
         code = run([

@@ -381,6 +381,17 @@ class TestReducedPencil:
                                q.T @ (p.mass[:, None] * q))):
             np.testing.assert_allclose(held, full, rtol=0, atol=1e-12)
 
+    def test_zero_columns_span_nothing(self):
+        # a Krylov step at a huge mu can underflow to a zero column: it is
+        # dropped, not normalized to NaN, and a block of them adds nothing
+        _, _, p = get_pipeline("ellipsoid", 2, 1)
+        rng = np.random.default_rng(2)
+        block = rng.standard_normal((p.n_vertices, 3))
+        block[:, 1] = 0.0
+        reduced = self.grown(p, [block, np.zeros((p.n_vertices, 2))])
+        assert reduced.size == 2
+        assert all(np.all(np.isfinite(m)) for m in (reduced.q, *reduced._proj))
+
     def test_capped_at_vertex_count(self):
         # on the icosahedron, 3 blocks of 5 fill R^12 and stop there; every
         # Ritz value is then the pencil's own

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from curvspec import curvature, eigen, verify
+from curvspec import curvature, eigen, surfaces, verify
 from curvspec import identities as idn
 from curvspec.errors import BoundViolationError, CurvaturePositivityError
 from curvspec.mesh import TriMesh
@@ -61,6 +61,21 @@ class TestMinkowski:
             vals.append(abs(idn.minkowski_residual(mesh, field)))
         assert vals[0] < 0.05
         assert vals[1] < vals[0]
+
+    @pytest.mark.parametrize("surface", [
+        surfaces.Ellipsoid(2.0, 1.0, 1.0), surfaces.BumpedSphere(1.0, 0.05, 3),
+    ], ids=["ellipsoid", "bumped"])
+    @pytest.mark.parametrize("r", [0, 1])
+    def test_falls_under_refinement(self, surface, r):
+        # measured, each level divides the residual by 2.5 to 4.8 from
+        # subdiv 2 to 5 (the ellipsoid's 2.5 at r = 1 from 2 to 3): a
+        # first-order quadrature would halve it at most
+        vals = []
+        for sub in (2, 3, 4, 5):
+            mesh = surfaces.generate(surface, subdiv=sub)
+            field = curvature.compute_curvature(mesh, r=r)
+            vals.append(abs(idn.minkowski_residual(mesh, field)))
+        assert all(coarse >= 2.4 * fine for coarse, fine in zip(vals, vals[1:]))
 
     def test_flipped_orientation_rejected(self):
         # reversed faces turn the normals inward: both curvatures go

@@ -2,12 +2,14 @@
 
 from unittest import mock
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvspec import curvature, mesh as mesh_mod, surfaces
+from curvspec import mesh as mesh_mod, surfaces
 from curvspec.errors import (
     CurvSpecError,
     DegenerateGeometryError,
@@ -26,7 +28,7 @@ from curvspec.mesh import (
 )
 
 import oracles
-from conftest import get_mesh, make_surface
+from conftest import get_mesh, make_surface, raw_off
 
 # oriented tetrahedron over the standard simplex corners
 TETRA_V = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -34,12 +36,13 @@ TETRA_F = np.array([[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2]])
 
 
 def _half_flipped(subdiv):
-    """The unit sphere with a seeded half of its faces reversed."""
+    """Vertices and faces of the unit sphere with a seeded half of its
+    faces reversed: arrays, since the TriMesh constructor refuses them."""
     sphere = surfaces.generate(surfaces.Sphere(1.0), subdiv=subdiv)
     faces = sphere.faces.copy()
     flip = np.random.default_rng(0).permutation(len(faces))[: len(faces) // 2]
     faces[flip] = faces[flip][:, ::-1]
-    return TriMesh(sphere.vertices, faces)
+    return sphere.vertices, faces
 
 
 def _jittered_sphere():
@@ -54,13 +57,14 @@ class TestTriMesh:
         mesh = surfaces.icosahedron()
         assert (mesh.n_vertices, mesh.n_faces, mesh.n_edges) == (12, 20, 30)
         assert mesh.euler_characteristic == 2
-        assert mesh.is_closed and mesh.is_oriented
-        assert validate(mesh).passed
+        # every face is equilateral
+        assert validate(mesh).max_aspect_ratio == pytest.approx(2 / np.sqrt(3))
 
     def test_tetra_is_valid(self):
-        mesh = TriMesh(TETRA_V, TETRA_F)
-        rep = validate(mesh)
-        assert rep.passed and rep.euler_characteristic == 2
+        rep = validate(TriMesh(TETRA_V, TETRA_F))
+        assert rep.euler_characteristic == 2
+        # three right triangles of legs 1 and the equilateral sqrt(2) face
+        assert rep.total_area == pytest.approx(1.5 + np.sqrt(3) / 2)
 
     def test_area_partition(self):
         mesh = surfaces.generate(surfaces.Sphere(1.0), subdiv=2)
@@ -75,8 +79,7 @@ class TestTriMesh:
         lambda: get_mesh("bumped", 3),
         lambda: get_mesh("torus", 1),
         _jittered_sphere,
-        lambda: _half_flipped(4),
-    ], ids=["sphere", "ellipsoid", "bumped", "torus", "jittered", "flipped"])
+    ], ids=["sphere", "ellipsoid", "bumped", "torus", "jittered"])
     def test_vertex_measures_match_add_at_oracle(self, build):
         # the bincount sums add what np.add.at added, in its order
         mesh = build()
@@ -101,81 +104,77 @@ class TestTriMesh:
             TriMesh(TETRA_V, [[0, 1, 7], [0, 2, 1]])
 
     def test_open_boundary_reported(self):
-        mesh = TriMesh(TETRA_V, TETRA_F[:2])
-        rep = validate(mesh)
-        assert not rep.closed and not rep.passed
-        assert len(mesh.boundary_edges) > 0
+        # of the two faces' edges only (0, 1) is shared; (0, 2) is the
+        # first of the others in edge order
+        with pytest.raises(OpenBoundaryError) as err:
+            TriMesh(TETRA_V, TETRA_F[:2])
+        assert err.value.edge == (0, 2)
 
     def test_nonmanifold_reported(self):
         v = np.vstack([TETRA_V, [[1.0, 1, 1]]])
         f = [[0, 1, 2], [1, 0, 3], [0, 1, 4]]
-        mesh = TriMesh(v, f)
-        assert not validate(mesh).closed
-        assert mesh.nonmanifold_edges
-        edge, count = mesh.nonmanifold_edges[0]
-        assert tuple(sorted(edge)) == (0, 1) and count == 3
-        assert all(type(i) is int for i in (*edge, count))
+        with pytest.raises(NonManifoldEdgeError) as err:
+            TriMesh(v, f)
+        assert (err.value.edge, err.value.count) == ((0, 1), 3)
+        assert all(type(i) is int for i in (*err.value.edge, err.value.count))
 
     def test_misorientation_reported(self):
         f = TETRA_F.copy()
         f[3] = f[3][::-1]
-        mesh = TriMesh(TETRA_V, f)
-        rep = validate(mesh)
-        assert rep.closed and not rep.oriented
-        assert mesh.misoriented_edges
+        with pytest.raises(OrientationError) as err:
+            TriMesh(TETRA_V, f)
+        assert 3 in err.value.faces
 
     def test_misoriented_edges_match_loop_oracle(self):
-        mesh = _half_flipped(3)
-        expected = oracles.misoriented_edges_loop(mesh)
+        # the refusal names the first misoriented edge in edge order, with
+        # its two faces in face order
+        v, f = _half_flipped(3)
+        expected = oracles.misoriented_edges_loop(f)
         assert len(expected) > 100
-        assert mesh.misoriented_edges == expected
-        assert all(type(i) is int
-                   for edge, pair in mesh.misoriented_edges for i in edge + pair)
+        with pytest.raises(OrientationError) as err:
+            TriMesh(v, f)
+        assert (err.value.edge, err.value.faces) == expected[0]
+        assert all(type(i) is int for i in err.value.edge + err.value.faces)
 
     def test_refusal_names_first_misoriented_edge(self, tmp_path):
-        # the refusal converts one row, and it is misoriented_edges[0];
-        # the tuple of all of them is built on its first read only
-        mesh = _half_flipped(3)
+        # the file and the arrays are refused alike
+        v, f = _half_flipped(3)
         path = tmp_path / "flip.off"
-        write_off(mesh, path)
-        with pytest.raises(OrientationError) as err:
+        path.write_text(raw_off(v, f))
+        with pytest.raises(OrientationError) as loaded:
             load_mesh(path)
-        fresh = TriMesh(mesh.vertices, mesh.faces)
-        with pytest.raises(OrientationError):
-            mesh_mod.check(fresh)
-        assert not fresh.is_oriented and "misoriented_edges" not in vars(fresh)
-        assert (err.value.edge, err.value.faces) == fresh.misoriented_edges[0]
-        assert fresh.misoriented_edges == oracles.misoriented_edges_loop(mesh)
+        with pytest.raises(OrientationError) as built:
+            TriMesh(v, f)
+        assert str(loaded.value) == str(built.value)
+        assert ((loaded.value.edge, loaded.value.faces)
+                == oracles.misoriented_edges_loop(f)[0])
 
     def test_degenerate_face_reported(self):
         # a closed, oriented tetrahedron whose face 0 is collinear, so the
-        # gate gets past its earlier refusals to the degenerate face
+        # gate gets past its edge refusals to the degenerate face
         v = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0]])
-        mesh = TriMesh(v, TETRA_F)
-        rep = validate(mesh)
-        assert rep.closed and rep.oriented
-        assert 0 in mesh.degenerate_faces and not rep.passed
-        with pytest.raises(DegenerateGeometryError, match="face 0 has"):
-            mesh_mod.check(mesh)
+        with pytest.raises(DegenerateGeometryError,
+                           match=r"^face 0 has \(near-\)zero area$") as err:
+            TriMesh(v, TETRA_F)
+        assert err.value.face == 0
 
     def test_overflowing_area_is_degenerate(self):
         # a vertex whose coordinates make cross products overflow leaves
-        # NaN or inf areas on some of its faces; those faces, and only
-        # those, are degenerate, so validate() does not pass the mesh
+        # NaN or inf areas on some of its faces; the refusal names the
+        # first of them, and numpy warns of none of it
         sphere = surfaces.generate(surfaces.Sphere(1.0), subdiv=1)
-        v = sphere.vertices.copy()
+        v, f = sphere.vertices.copy(), sphere.faces
         v[-1] *= 1e155
         with np.errstate(over="ignore", invalid="ignore"):
-            mesh = TriMesh(v, sphere.faces)
-        bad = np.nonzero(~np.isfinite(mesh.face_areas))[0]
-        assert 0 < len(bad) < mesh.n_faces
-        assert mesh.degenerate_faces == tuple(bad)
-        with pytest.raises(DegenerateGeometryError, match="non-finite") as err:
-            mesh_mod.check(mesh)
+            cross = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+            bad = np.flatnonzero(~np.isfinite(np.linalg.norm(cross, axis=1)))
+        assert 0 < len(bad) < len(f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateGeometryError,
+                               match="non-finite") as err:
+                TriMesh(v, f)
         assert err.value.face == bad[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert not validate(mesh).passed
-            assert validate(sphere).passed
 
 
 class TestHatGradients:
@@ -234,7 +233,7 @@ class TestFileFormats:
         )
         mesh = load_mesh(path)
         assert mesh.n_faces == 6
-        assert mesh.is_closed and mesh.is_oriented
+        assert mesh.euler_characteristic == 2
 
     def test_off_bad_face_names_line(self, tmp_path):
         path = tmp_path / "bad.off"
@@ -284,7 +283,6 @@ class TestFileFormats:
         mesh = load_mesh(path)
         assert mesh.n_vertices == 8
         assert mesh.n_faces == 12
-        assert mesh.is_closed and mesh.is_oriented
         assert abs(mesh.total_area - 24.0) < 1e-12
 
     def test_obj_negative_index_rejected(self, tmp_path):
@@ -325,17 +323,14 @@ class TestFileFormats:
         ico = surfaces.icosahedron()
         v = np.vstack([ico.vertices, ico.vertices + [5.0, 0, 0]])
         f = np.vstack([ico.faces, ico.faces + ico.n_vertices])
-        pair = TriMesh(v, f)
-        assert pair.is_closed and pair.is_oriented
-        assert pair.euler_characteristic == 4
         path = tmp_path / "pair.off"
-        write_off(pair, path)
+        path.write_text(raw_off(v, f))
         with pytest.raises(DisconnectedMeshError,
                            match="2 connected components"):
             load_mesh(path)
         # the earlier refusals win: flip one face of the second copy
         f[-1] = f[-1][::-1]
-        write_off(TriMesh(v, f), path)
+        path.write_text(raw_off(v, f))
         with pytest.raises(OrientationError):
             load_mesh(path)
 
@@ -353,8 +348,8 @@ class TestFileFormats:
 
 
 def _icosphere_faults():
-    """Name -> (TriMesh, error type) of meshes the gate refuses, each
-    built from the subdivision-1 icosphere or a flat triangle."""
+    """Name -> (vertices, faces, error type) of meshes the gate refuses,
+    each built from the subdivision-1 icosphere or a flat triangle."""
     ico = get_mesh("sphere", 1)
     v, f = ico.vertices, ico.faces
     flipped = f.copy()
@@ -362,37 +357,36 @@ def _icosphere_faults():
     a, b = f[0, :2]
     fin = np.vstack([v, 2.0 * (v[a] + v[b])])   # a third face on edge (a, b)
     return {
-        "open": (TriMesh(v, f[1:]), OpenBoundaryError),
-        "nonmanifold": (TriMesh(fin, np.vstack([f, [[b, a, len(v)]]])),
+        "open": (v, f[1:], OpenBoundaryError),
+        "nonmanifold": (fin, np.vstack([f, [[b, a, len(v)]]]),
                         NonManifoldEdgeError),
-        "misoriented": (TriMesh(v, flipped), OrientationError),
+        "misoriented": (v, flipped, OrientationError),
         # closed and oriented, but K's kernel holds one constant per
         # component, so the zero-mean resolvent would not be defined
-        "disconnected": (TriMesh(np.vstack([v, v + [3.0, 0.0, 0.0]]),
-                                 np.vstack([f, f + len(v)])),
-                         DisconnectedMeshError),
+        "disconnected": (np.vstack([v, v + [3.0, 0.0, 0.0]]),
+                         np.vstack([f, f + len(v)]), DisconnectedMeshError),
         # a flat triangle, front and back: each vertex's two weighted face
         # normals cancel exactly
-        "zero-normal": (TriMesh(TETRA_V[:3], [[0, 1, 2], [0, 2, 1]]),
+        "zero-normal": (TETRA_V[:3], np.array([[0, 1, 2], [0, 2, 1]]),
                         DegenerateGeometryError),
     }
 
 
 class TestCheck:
-    """mesh.check, the one gate, on meshes built in memory."""
+    """The TriMesh constructor, the one gate, on arrays built in memory."""
 
     @pytest.mark.parametrize("fault", ["open", "nonmanifold", "misoriented",
                                        "disconnected", "zero-normal"])
     def test_in_memory_mesh_refused_as_loaded(self, tmp_path, fault):
-        # the curvature estimator refuses the mesh, before any field or
-        # pencil exists, with the error load_mesh gives it as a file
-        mesh, error = _icosphere_faults()[fault]
+        # the arrays make no TriMesh, so no field or pencil can exist, and
+        # the refusal is the one load_mesh gives them as a file
+        v, f, error = _icosphere_faults()[fault]
         path = tmp_path / "bad.off"
-        write_off(mesh, path)
+        path.write_text(raw_off(v, f))
         with pytest.raises(error) as loaded:
             load_mesh(path)
         with pytest.raises(error) as built:
-            curvature.compute_curvature(mesh, r=0)
+            TriMesh(v, f)
         assert str(built.value) == str(loaded.value)
 
 
@@ -673,4 +667,3 @@ class TestSubdivision:
 
     def test_torus_euler(self, torus1):
         assert torus1.euler_characteristic == 0
-        assert torus1.is_closed and torus1.is_oriented
