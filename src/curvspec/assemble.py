@@ -12,6 +12,7 @@ the one band layout of that pattern (eigen.band_layout), built once at
 assembly.
 """
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,8 @@ __all__ = [
     "pencil_floor_shift",
     "shift_ladder",
 ]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +89,7 @@ def pencil_floor_shift(max_w2):
     return -1.1 * max_w2 - 0.1 * (max_w2 + 1.0)
 
 
-def shift_ladder(pencil):
+def shift_ladder(pencil, lambda_1_upper=None):
     """Shift-invert targets for the pencil, nearest first.
 
     lambda_1 lies in [-max W^2, -mean W^2] (the constants have Rayleigh
@@ -95,9 +98,20 @@ def shift_ladder(pencil):
     1980).  So the rungs are -2^(j+1) mean W^2, j = 0, 1, ..., while they
     lie above the floor, and then the floor; eigen.smallest_eigenpairs
     takes the first that factors.  With W constant it is the floor alone.
+    ``lambda_1_upper``, an upper bound on lambda_1 such as a Ritz value
+    (Courant-Fischer), drops each rung at or above it, which would not
+    factor, and logs it; the floor lies below lambda_1 and always stays.
     """
     floor = pencil_floor_shift(float(np.max(pencil.w**2)))
     rungs = [-2.0 * spectral_scale(pencil.mass, pencil.w)]
     while floor < rungs[-1] < 0.0:
         rungs.append(2.0 * rungs[-1])
-    return rungs[:-1] + [floor]
+    rungs = rungs[:-1]
+    if lambda_1_upper is not None:
+        # the rungs descend, so the dropped ones lead
+        dropped = [sigma for sigma in rungs if sigma >= lambda_1_upper]
+        for sigma in dropped:
+            log.debug("shift %.17g dropped, not below the Ritz bound "
+                      "%.17g on lambda_1", sigma, lambda_1_upper)
+        rungs = rungs[len(dropped):]
+    return rungs + [floor]

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CurvaturePositivityError, DegenerateGeometryError
+from .mesh import _cross, _dot, _edge_vectors
 
 __all__ = ["C_R", "CurvatureField", "compute_curvature", "mean_curvature",
            "shape_norm"]
@@ -89,19 +90,20 @@ def estimate_shape_operators(mesh):
     """
     v, f = mesh.vertices, mesh.faces
     vn = mesh.vertex_normals
-    fn = mesh.face_normals
-    t1 = v[f[:, 1]] - v[f[:, 0]]
-    t1 = t1 / np.linalg.norm(t1, axis=1)[:, None]
-    t2 = np.cross(fn, t1)
-    basis = np.stack([t1, t2], axis=1)  # (F, 2, 3)
+    # the basis is built component-first; einsum reads its rows below
+    e = _edge_vectors(np.ascontiguousarray(v.T), f, 0, 1)
+    t1 = e / np.sqrt(_dot(e, e))
+    t2 = _cross(np.ascontiguousarray(mesh.face_normals.T), t1)
+    basis = np.stack([np.stack(t, axis=1) for t in (t1, t2)], axis=1)
+    t1, t2 = basis[:, 0], basis[:, 1]
 
     # rows (eu, ev, 0) and (0, eu, ev) for unknowns (s11, s12, s22) give
     # the normal matrix [[a, b, 0], [b, a + c, b], [0, b, c]] with
     # a = sum eu^2, b = sum eu ev, c = sum ev^2
     a = b = c = r0 = r1 = r2 = 0.0
     for i, j in ((0, 1), (1, 2), (2, 0)):
-        e = v[f[:, j]] - v[f[:, i]]
-        dn = vn[f[:, j]] - vn[f[:, i]]
+        e = v.take(f[:, j], axis=0) - v.take(f[:, i], axis=0)
+        dn = vn.take(f[:, j], axis=0) - vn.take(f[:, i], axis=0)
         eu = np.einsum("ij,ij->i", e, t1)
         ev = np.einsum("ij,ij->i", e, t2)
         du = np.einsum("ij,ij->i", dn, t1)
@@ -150,15 +152,16 @@ def _to_world(ops, basis):
     return out
 
 
-def _cross(a, b):
-    """Cross product of vectors stored component-first, (3, N) or triples."""
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
-
-
-def _dot(a, b):
-    """Row-wise dot product of vectors stored component-first."""
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+def _tangent_frame(n):
+    """An orthonormal tangent frame (u1, u2) at each unit normal of ``n``,
+    all component-first (3, V): u1 is n crossed with the coordinate axis
+    along which n is smallest, normalized, and u2 = n x u1."""
+    helper = np.zeros_like(n)
+    helper[np.argmin(np.abs(n), axis=0), np.arange(n.shape[1])] = 1.0
+    u1 = _cross(n, helper)
+    norm = np.sqrt(_dot(u1, u1))
+    u1 = [c / norm for c in u1]
+    return u1, _cross(n, u1)
 
 
 def vertex_principal_curvatures(ops, basis, mesh):
@@ -174,15 +177,11 @@ def vertex_principal_curvatures(ops, basis, mesh):
     entries of a symmetric 2x2 form.
     """
     nv = mesh.n_vertices
-    n = mesh.vertex_normals
-    helper = np.zeros_like(n)
-    helper[np.arange(nv), np.argmin(np.abs(n), axis=1)] = 1.0
-    u1 = np.cross(n, helper)
-    u1 /= np.linalg.norm(u1, axis=1)[:, None]
-    u2 = np.cross(n, u1)                          # (u1, u2) tangent frame
     # vectors component-first, so each product runs on contiguous rows
-    n, u1, u2, fn, t1, t2 = (np.ascontiguousarray(x.T) for x in (
-        n, u1, u2, mesh.face_normals, basis[:, 0], basis[:, 1]))
+    n = np.ascontiguousarray(mesh.vertex_normals.T)
+    u1, u2 = _tangent_frame(n)
+    fn, t1, t2 = (np.ascontiguousarray(x.T) for x in (
+        mesh.face_normals, basis[:, 0], basis[:, 1]))
     s11, s12, s22 = ops[:, 0, 0], ops[:, 0, 1], ops[:, 1, 1]
     forms = np.empty((3, 3, mesh.n_faces))   # (entry, corner, face)
     for corner, vid in enumerate(mesh.faces.T):

@@ -6,7 +6,9 @@ strictly below the bottom of the spectrum, so the smallest pencil
 eigenvalues come back first.  How fast it converges is set by how well
 1/(lambda - sigma) separates the wanted eigenvalues (ARPACK Users' Guide,
 Lehoucq-Sorensen-Yang 1998), so the caller derives shifts from what it
-knows of the spectrum, nearest first, and the first that factors is used.
+knows of the spectrum, nearest first, and the first that factors is used;
+an upper bound on lambda_1 drops beforehand the shifts that could not
+factor (assemble.shift_ladder).
 The operator is symmetric, so ARPACK's Ritz vectors z are orthonormal by
 construction and x = z / sqrt(M) is M-orthonormal to round-off with no
 cleanup pass (|X^T M X - I| below 1e-14 on the test surfaces, degenerate
@@ -36,9 +38,11 @@ _kernel_eigenpairs, that sets the k range, the padding, the seeded start
 vector and the non-convergence error, and that both call directly.
 Every dense eigensolve is one generalized LAPACK eigh (_ritz), a
 Rayleigh-Ritz problem on a few columns: the Birman-Schwinger scan on its
-incrementally grown basis (_ReducedPencil, of size at most V) and
-ritz_values, the corollary's bound on T_r from the pencil's own
-eigenvectors.
+incrementally grown basis (_ReducedPencil, of size at most V), whose
+projections also bound lambda_1 for its crossing match
+(_ReducedPencil.lambda_1_upper), and ritz_values: the corollary's bound
+on T_r from the pencil's own eigenvectors, and verify's bound on
+lambda_1 from four Krylov columns, which _new_directions orthonormalizes.
 """
 
 import logging
@@ -249,6 +253,26 @@ def ritz_values(a_mat, mass, basis):
                  0, basis.shape[1] - 1)[0]
 
 
+def _new_directions(block, q=None):
+    """Orthonormal columns for the directions of ``block``'s columns that
+    the orthonormal columns of ``q`` (none if None) lack, by one pass.
+
+    A column of zero norm spans nothing and is dropped.  Each other
+    column is scaled to unit norm and, given q, orthogonalized against it
+    by classical Gram-Schmidt; a pivoted QR then orthonormalizes the
+    block and drops each direction it leaves at most V eps long (numpy's
+    matrix_rank tolerance), which q or the other columns span up to
+    round-off.
+    """
+    norm = np.linalg.norm(block, axis=0)
+    x = block[:, norm > 0.0] / norm[norm > 0.0]
+    if q is not None:
+        x -= q @ (q.T @ x)
+    x, r = sla.qr(x, mode="economic", pivoting=True)[:2]
+    eps = np.finfo(float).eps
+    return x[:, :np.count_nonzero(np.abs(np.diag(r)) > len(x) * eps)]
+
+
 class _ReducedPencil:
     """The pencil D y = beta (A + mu M) y on a growing span of columns.
 
@@ -256,8 +280,8 @@ class _ReducedPencil:
     semidefinite; mu > 0.  The span starts empty and extend() appends
     blocks to it.  Its orthonormal basis ``q`` (Q, V x p, p capped at V)
     is the one copy kept, with the three p x p projections Q^T D Q,
-    Q^T A Q and Q^T M Q, each grown by the new rows and columns only.
-    Each value of mu is one dense generalized eigh.
+    Q^T A Q and Q^T M Q, each grown by the new rows only, which its new
+    columns mirror.  Each value of mu is one dense generalized eigh.
     Q^T (A + mu M) Q is positive definite, so by Courant-Fischer each Ritz
     value is a lower bound on the pencil eigenvalue of the same rank, and
     it is exact at a mu whose eigenvectors Q spans (Rayleigh-Ritz; Parlett,
@@ -276,31 +300,32 @@ class _ReducedPencil:
     def extend(self, block):
         """Append the directions of ``block``'s columns that Q lacks.
 
-        A column of zero norm (a Krylov step at a huge mu can underflow
-        to zero) spans nothing and is dropped.  Each other column is
-        scaled to unit norm and orthogonalized against Q by
-        block classical Gram-Schmidt, twice (Giraud-Langou-Rozloznik,
-        Comput. Math. Appl. 2005).  Between the two passes a pivoted QR
-        orthonormalizes the block and drops each direction it leaves at
-        most V eps long (numpy's matrix_rank tolerance), which Q spans up
-        to round-off, and any beyond V columns; the kept ones are
-        orthonormalized again after the second pass.
+        _new_directions takes them by one pass of block classical
+        Gram-Schmidt against Q and a pivoted QR (a Krylov step at a huge
+        mu can underflow to a zero column, which it drops); any beyond V
+        columns are dropped, and the rest are orthogonalized against Q a
+        second time, which is enough (Giraud-Langou-Rozloznik, Comput.
+        Math. Appl. 2005), and orthonormalized again.
         """
         a, d, mass = self._full
         q = self.q
-        norm = np.linalg.norm(block, axis=0)
-        x = block[:, norm > 0.0] / norm[norm > 0.0]
-        x -= q @ (q.T @ x)
-        x, r = sla.qr(x, mode="economic", pivoting=True)[:2]
-        eps = np.finfo(float).eps
-        rank = np.count_nonzero(np.abs(np.diag(r)) > len(mass) * eps)
-        x = x[:, :min(rank, len(mass) - q.shape[1])]
+        x = _new_directions(block, q)[:, :len(mass) - q.shape[1]]
         x = sla.qr(x - q @ (q.T @ x), mode="economic")[0]
-        self._proj = [
-            np.block([[old, q.T @ image], [image.T @ q, x.T @ image]])
-            for old, image in zip(self._proj, (d[:, None] * x, a @ x,
-                                               mass[:, None] * x))]
+        proj = []
+        for old, image in zip(self._proj, (d[:, None] * x, a @ x,
+                                           mass[:, None] * x)):
+            low = image.T @ q   # the new rows; the new columns mirror them
+            proj.append(np.block([[old, low.T], [low, x.T @ image]]))
+        self._proj = proj
         self.q = np.hstack((q, x))
+
+    def lambda_1_upper(self):
+        """The smallest Ritz value of (A - D) x = lambda M x on the span:
+        by Courant-Fischer an upper bound on that pencil's smallest
+        eigenvalue, which with A = K and D = M_W is the penalized pencil's
+        lambda_1.  One p x p eigh of the projections held, no solve."""
+        d_r, a_r, m_r = self._proj
+        return float(_ritz(a_r - d_r, m_r, 0, 0)[0][0])
 
     def _pairs(self, mu, k):
         """The k largest Ritz values at mu, descending, and their

@@ -24,7 +24,8 @@ IdentityReport that verify.run reports and whose d_i its theorem and
 lemma read.  The zero-mean resolvent R0 is K grounded at one vertex,
 defined because a TriMesh is connected (its constructor refuses one that is not),
 and factored once by eigen._shifted_solver like every other matrix; that
-one factor serves the three d_i solves.
+one factor serves the three d_i solves and the two solves of verify's
+Ritz bound on lambda_1.
 """
 
 from dataclasses import dataclass

@@ -63,9 +63,31 @@ def _edge_table(faces, nv):
     edge's face count.  Edge (i, j), i < j, is keyed as i*nv + j, so one
     1-D unique sorts the edges as a row-wise unique would."""
     fe = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    keys, inv, counts = np.unique(fe.min(axis=1) * nv + fe.max(axis=1),
+    lo, hi = fe[:, 0], fe[:, 1]
+    keys, inv, counts = np.unique(np.minimum(lo, hi) * nv + np.maximum(lo, hi),
                                   return_inverse=True, return_counts=True)
     return np.stack([keys // nv, keys % nv], axis=1), inv, counts
+
+
+def _cross(a, b):
+    """Cross product of vectors stored component-first, (3, N) or triples:
+    the products and differences np.cross forms, so the same bits."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _dot(a, b):
+    """Row-wise dot product of vectors stored component-first, summed in
+    np.linalg.norm's order: sqrt(_dot(x, x)) is its row norm, bit for
+    bit."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _edge_vectors(vt, f, i, j):
+    """x_j - x_i of every face's corners i and j, (3, F), from the
+    component-first coordinates ``vt`` (3, V).  take gathers the same
+    entries as fancy indexing, a few times faster."""
+    return vt.take(f[:, j], axis=1) - vt.take(f[:, i], axis=1)
 
 
 def _refuse_edge_faults(faces, edges, inv, counts):
@@ -137,11 +159,10 @@ class TriMesh:
             arr.flags.writeable = False
 
     def _build_face_geometry(self):
-        v, f = self.vertices, self.faces
-        e1 = v[f[:, 1]] - v[f[:, 0]]
-        e2 = v[f[:, 2]] - v[f[:, 0]]
-        cr = np.cross(e1, e2)
-        nn = np.linalg.norm(cr, axis=1)
+        # component-first, so each product runs on contiguous rows
+        vt, f = np.ascontiguousarray(self.vertices.T), self.faces
+        cr = _cross(_edge_vectors(vt, f, 0, 1), _edge_vectors(vt, f, 0, 2))
+        nn = np.sqrt(_dot(cr, cr))
         self.face_areas = 0.5 * nn
         # a NaN or inf area (coordinates whose products overflow) is
         # degenerate too; the floor is a share of the finite areas' mean
@@ -153,7 +174,7 @@ class TriMesh:
             kind = "(near-)zero" if finite[face] else "non-finite"
             raise DegenerateGeometryError(f"face {face} has {kind} area",
                                           face=face)
-        self.face_normals = cr / nn[:, None]
+        self.face_normals = np.stack([c / nn for c in cr], axis=1)
 
     def _build_vertex_geometry(self):
         # bincount adds the weights in input order, starting from zero, as
@@ -164,10 +185,10 @@ class TriMesh:
             f.ravel(), weights=np.repeat(self.face_areas / 3.0, 3), minlength=nv)
         # each face's weighted normal at corner a, corner-major, so each
         # vertex sums its corner-0 faces, then corner 1, then corner 2
-        corner = np.empty((3, len(f), 3))
+        corner = np.empty((3, 3, len(f)))   # (corner, component, face)
         for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            u = v[f[:, b]] - v[f[:, a]]
-            w = v[f[:, c]] - v[f[:, a]]
+            u = v.take(f[:, b], axis=0) - v.take(f[:, a], axis=0)
+            w = v.take(f[:, c], axis=0) - v.take(f[:, a], axis=0)
             # cross(u, w) = 2 * area * face normal; dividing by the
             # squared edge lengths gives the sphere-exact weighting
             d1 = np.einsum("ij,ij->i", u, u)
@@ -175,17 +196,20 @@ class TriMesh:
             good = (d1 > 0.0) & (d2 > 0.0)
             wt = np.zeros(len(f))
             wt[good] = 1.0 / (d1[good] * d2[good])
-            corner[a] = wt[:, None] * np.cross(u, w)
+            # the rows stay (F, 3) for einsum's sums; the cross product
+            # reads them component-first, as np.cross does
+            for k, cr in enumerate(_cross(u.T, w.T)):
+                corner[a, k] = wt * cr
         at = f.T.ravel()
-        vn = np.stack([np.bincount(at, weights=corner[..., k].ravel(), minlength=nv)
-                       for k in range(3)], axis=1)
-        norms = np.linalg.norm(vn, axis=1)
+        vn = [np.bincount(at, weights=corner[:, k].ravel(), minlength=nv)
+              for k in range(3)]
+        norms = np.sqrt(_dot(vn, vn))
         ok = norms > 0.0
         if not np.all(ok):
             vertex = int(np.argmin(ok))
             raise DegenerateGeometryError(
                 f"vertex {vertex} has a zero weighted normal", vertex=vertex)
-        self.vertex_normals = vn / norms[:, None]
+        self.vertex_normals = np.stack([c / norms for c in vn], axis=1)
 
     @property
     def n_vertices(self):
@@ -214,12 +238,13 @@ class TriMesh:
         (b, c); the three gradients of a face sum to zero and live in the
         face plane.
         """
-        v, f = self.vertices, self.faces
+        vt, f = np.ascontiguousarray(self.vertices.T), self.faces
         g = np.empty((len(f), 3, 3))
-        n = self.face_normals
+        n = np.ascontiguousarray(self.face_normals.T)
         inv2a = 1.0 / (2.0 * self.face_areas)
         for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            g[:, a, :] = np.cross(n, v[f[:, c]] - v[f[:, b]]) * inv2a[:, None]
+            for k, cr in enumerate(_cross(n, _edge_vectors(vt, f, b, c))):
+                g[:, a, k] = cr * inv2a
         return g
 
     def __repr__(self):
@@ -250,8 +275,11 @@ def validate(mesh):
     Aspect ratio is the longest edge over the triangle height on that edge,
     so an equilateral triangle scores 2/sqrt(3).
     """
-    v, f = mesh.vertices, mesh.faces
-    emax = np.linalg.norm(v[f[:, [1, 2, 0]]] - v[f], axis=2).max(axis=1)
+    vt, f = np.ascontiguousarray(mesh.vertices.T), mesh.faces
+    emax = 0.0
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        e = _edge_vectors(vt, f, i, j)
+        emax = np.maximum(emax, np.sqrt(_dot(e, e)))
     return ValidationReport(
         n_vertices=mesh.n_vertices,
         n_edges=mesh.n_edges,

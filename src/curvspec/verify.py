@@ -11,10 +11,12 @@ broken.  Thresholds travel inside every report; nothing is judged against
 an undisclosed constant.
 
 run makes every check on one curvature field in one written order, each
-shared object once: the pencil, its spectrum (on the first target of
-assemble.shift_ladder that factors), the T_r domination gate, the test
-functions with the identity checks on one zero-mean factor, and then the
-theorem, lemma and corollary reports.  T_r is never solved: the
+shared object once: the pencil, the T_r domination gate, the test
+functions with the identity checks on one zero-mean factor R0, a Ritz
+bound on lambda_1 from two more R0 solves, which drops the rungs of
+assemble.shift_ladder that could not factor, the spectrum (on the first
+remaining rung that factors), and then the theorem, lemma and corollary
+reports.  T_r is never solved: the
 corollary bounds lambda_2(T_r) by a Ritz value on the pencil's own
 eigenvectors, which min-max puts at or below lambda_2, so the bound is
 reported and nothing compares it.  The field comes whole from
@@ -34,7 +36,8 @@ import scipy.sparse as sp
 from .assemble import (OperatorPencil, assemble_pencil, shift_ladder,
                        spectral_scale)
 from .curvature import C_R, mean_curvature, shape_norm
-from .eigen import Spectrum, ritz_values, smallest_eigenpairs
+from .eigen import (Spectrum, _new_directions, ritz_values,
+                    smallest_eigenpairs)
 from .errors import BoundViolationError
 from .identities import (IdentityReport, identity_report, test_functions,
                          zero_mean_resolvent)
@@ -176,26 +179,30 @@ def run(mesh, field, config, timings):
     each shared object made once; returns the Verification.
 
     Adds each stage's wall time to ``timings``: the assembly to
-    curvature_s, then spectrum_s, corollary_s, identities_s and lemma_s.
-    A refusal raises at its stage: the pencil eigensolve, the T_r
-    domination gate, the zero-mean factor R0, then the lemma.
+    curvature_s, then corollary_s, identities_s, spectrum_s and lemma_s.
+    A refusal raises at its stage: the T_r domination gate, the zero-mean
+    factor R0, the pencil eigensolve, then the lemma.  R0 serves the d_i
+    and the bound on lambda_1 that drops the shift rungs which would not
+    factor; its band is freed before the pencil's is filled.
     """
     with _stopwatch(timings, "curvature_s"):
         pencil = assemble_pencil(mesh, field)
-    with _stopwatch(timings, "spectrum_s"):
-        spectrum = smallest_eigenpairs(
-            pencil.a_matrix(), pencil.mass, k=config.k, seed=config.seed,
-            sigma=shift_ladder(pencil), layout=pencil.layout,
-            what="pencil eigensolve")
     with _stopwatch(timings, "corollary_s"):
         t_pot = t_potential(field)
     with _stopwatch(timings, "identities_s"):
         f = test_functions(mesh, field)
-        # R0 is made after the pencil eigensolve's factor is freed, and is
-        # freed on return, before any other band
-        identities = identity_report(mesh, field, pencil, f,
-                                     zero_mean_resolvent(pencil))
+        r0 = zero_mean_resolvent(pencil)
+        identities = identity_report(mesh, field, pencil, f, r0)
     with _stopwatch(timings, "spectrum_s"):
+        a_mat = pencil.a_matrix()
+        ladder = shift_ladder(
+            pencil, lambda_1_upper=_lambda_1_upper(pencil, a_mat, r0))
+        # R0's band is freed just before the pencil's is filled, with
+        # nothing sizable allocated between, so one band is live at a time
+        del r0
+        spectrum = smallest_eigenpairs(
+            a_mat, pencil.mass, k=config.k, seed=config.seed, sigma=ladder,
+            layout=pencil.layout, what="pencil eigensolve")
         scale = spectral_scale(pencil.mass, pencil.w)
         tol = config.tol_sphere_factor * scale
         theorem = _theorem(mesh, field, pencil, spectrum, identities.d_sum,
@@ -207,6 +214,22 @@ def run(mesh, field, config, timings):
     return Verification(pencil=pencil, spectrum=spectrum, theorem=theorem,
                         corollary=corollary, lemma=lemma,
                         identities=identities)
+
+
+def _lambda_1_upper(pencil, a_mat, r0):
+    """The smallest Ritz value of (``a_mat``, M), a_mat = K - M_W, on
+    span{1, W^2, y_1, y_2}, y_1 = R0(M_W W^2) and y_2 = R0(M_W y_1), the
+    Birman-Schwinger Krylov space at mu = 0; by Courant-Fischer an upper
+    bound on lambda_1 (Parlett 1980, ch. 11).  Zero and dependent
+    columns are dropped: on a sphere W is constant, so W^2 lies along 1
+    and y_1, y_2 vanish up to round-off.  Any subspace gives an upper
+    bound, so a round-off direction that stays does no harm.  ``r0`` is
+    zero_mean_resolvent(pencil)."""
+    w2 = pencil.w**2
+    y1 = r0(pencil.potential * w2)
+    y2 = r0(pencil.potential * y1)
+    basis = _new_directions(np.column_stack((np.ones_like(w2), w2, y1, y2)))
+    return float(ritz_values(a_mat, pencil.mass, basis)[0])
 
 
 def t_potential(field):

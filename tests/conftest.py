@@ -23,6 +23,7 @@ def make_surface(kind):
         "sphere_big": lambda: surfaces.Sphere(2.0),
         "ellipsoid": lambda: surfaces.Ellipsoid(2.0, 1.0, 1.0),
         "ellipsoid_mild": lambda: surfaces.Ellipsoid(1.2, 1.0, 1.0),
+        "ellipsoid_long": lambda: surfaces.Ellipsoid(5.0, 1.0, 1.0),
         "bumped": lambda: surfaces.BumpedSphere(1.0, 0.04, 3),
         "bumped_half": lambda: surfaces.BumpedSphere(1.0, 0.02, 3),
         "torus": lambda: surfaces.Torus(2.0, 0.5),

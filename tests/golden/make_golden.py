@@ -2,10 +2,13 @@
 
 Run from the root of a checkout:
 
-    PYTHONPATH=src python tests/golden/make_golden.py [COMMAND ...]
+    PYTHONPATH=src python tests/golden/make_golden.py [--out DIR] [COMMAND ...]
 
 With no arguments every fixture under tests/golden/ is rewritten; naming
-commands (for example `bs-scan`) rewrites only theirs.
+commands (for example `bs-scan`) rewrites only theirs.  `--out DIR` writes
+the fixtures to DIR instead, so two checkouts' reports can be compared
+byte for byte: run this script against each checkout's `src` with its own
+DIR, then `diff -r` the two.
 
 Each fixture holds the argv it was made with, the exit code, the report
 (written with --no-embed-timings --seed 0) and the tolerance that
@@ -14,6 +17,7 @@ compared exactly.  Regenerating a fixture is a behaviour change and must be
 recorded in CHANGES.md.
 """
 
+import argparse
 import json
 import os
 import sys
@@ -84,7 +88,7 @@ def run_case(argv, workdir):
         return code, json.load(fh)
 
 
-def main(commands=()):
+def main(commands=(), out=HERE):
     with tempfile.TemporaryDirectory() as workdir:
         for command, shape, subdiv, r in CASES:
             if commands and command not in commands:
@@ -93,7 +97,7 @@ def main(commands=()):
             code, report = run_case(argv, workdir)
             blob = {"argv": argv, "exit_code": code, "rtol": RTOL,
                     "atol": ATOL, "report": report}
-            path = os.path.join(HERE, fixture_name(command, shape, subdiv, r))
+            path = os.path.join(out, fixture_name(command, shape, subdiv, r))
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(blob, fh, indent=2, sort_keys=True)
                 fh.write("\n")
@@ -101,4 +105,11 @@ def main(commands=()):
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("commands", nargs="*", metavar="COMMAND",
+                        help="rewrite only these commands' fixtures")
+    parser.add_argument("--out", default=HERE,
+                        help="directory to write to (default: %(default)s)")
+    args = parser.parse_args()
+    os.makedirs(args.out, exist_ok=True)
+    main(args.commands, args.out)

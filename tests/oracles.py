@@ -297,6 +297,53 @@ def vertex_measures_add_at(mesh):
     return areas, normals
 
 
+def face_geometry_rows(mesh):
+    """Face areas and unit normals by np.cross and np.linalg.norm on (F, 3)
+    rows: the reference of TriMesh's component-first face geometry."""
+    v, f = mesh.vertices, mesh.faces
+    cr = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+    nn = np.linalg.norm(cr, axis=1)
+    return 0.5 * nn, cr / nn[:, None]
+
+
+def hat_gradients_rows(mesh):
+    """TriMesh.hat_gradients by np.cross on (F, 3) rows."""
+    v, f = mesh.vertices, mesh.faces
+    g = np.empty((len(f), 3, 3))
+    inv2a = 1.0 / (2.0 * mesh.face_areas)
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        g[:, a, :] = np.cross(mesh.face_normals,
+                              v[f[:, c]] - v[f[:, b]]) * inv2a[:, None]
+    return g
+
+
+def max_aspect_ratio_rows(mesh):
+    """validate's max_aspect_ratio from the (F, 3, 3) edge vectors'
+    np.linalg.norm and a row max."""
+    v, f = mesh.vertices, mesh.faces
+    emax = np.linalg.norm(v[f[:, [1, 2, 0]]] - v[f], axis=2).max(axis=1)
+    return float((emax**2 / (2.0 * mesh.face_areas)).max())
+
+
+def shape_basis_rows(mesh):
+    """The face basis of curvature.estimate_shape_operators, (F, 2, 3), by
+    np.cross and np.linalg.norm on rows."""
+    v, f = mesh.vertices, mesh.faces
+    t1 = v[f[:, 1]] - v[f[:, 0]]
+    t1 = t1 / np.linalg.norm(t1, axis=1)[:, None]
+    return np.stack([t1, np.cross(mesh.face_normals, t1)], axis=1)
+
+
+def tangent_frame_rows(normals):
+    """The vertex tangent frame (u1, u2), each (V, 3), of
+    curvature.vertex_principal_curvatures by np.cross on rows."""
+    helper = np.zeros_like(normals)
+    helper[np.arange(len(normals)), np.argmin(np.abs(normals), axis=1)] = 1.0
+    u1 = np.cross(normals, helper)
+    u1 /= np.linalg.norm(u1, axis=1)[:, None]
+    return u1, np.cross(normals, u1)
+
+
 def edge_table_rows(faces):
     """(edges, inverse, counts) by a row-wise unique of the sorted directed
     edges 01, 12, 20 of every face: the edge table's reference."""

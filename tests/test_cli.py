@@ -709,15 +709,29 @@ class TestWorkCounts:
         assert counts == {
             "curvature": 1,
             "eigsh": 1,             # the pencil; T_r is bounded, not solved
-            # the pencil's first rung (refused: it is not below lambda_1)
-            # and its second, and R0
-            "cholesky_banded": 3,
-            "refused": 1,
+            # R0 and the pencil's second rung: the first lies above
+            # lambda_1, and R0's Ritz bound drops it unfactored
+            "cholesky_banded": 2,
+            "refused": 0,
             "reverse_cuthill_mckee": 1,   # one band layout, shared by all
             "arpack_splu": 0,       # ARPACK runs on the package's own factors
-            "r0_factors": 1,        # one R0 serves the d_i
-            "r0_solves": 3,         # one per test function, read by every check
+            "r0_factors": 1,        # one R0 serves the d_i and the bound
+            # one per test function, read by every check, and the two
+            # Krylov vectors of the bound on lambda_1
+            "r0_solves": 5,
         }
+
+    def test_bs_scan_bound_drops_the_refused_rung(self, tmp_path,
+                                                  monkeypatch):
+        # the crossing-match solve's first rung lies above lambda_1 here;
+        # the reduced pencil's Ritz bound drops it, so nothing is refused
+        counts, _ = self.counters(monkeypatch)
+        argv = ["bs-scan", *self.VERIFY_ELLIPSOID_S4_R1[1:],
+                "-o", str(tmp_path / "rep.json")]
+        assert run(argv) == 0
+        assert json.loads((tmp_path / "rep.json").read_text())[
+            "birman_schwinger"]["crossings"]
+        assert counts["refused"] == 0
 
     @pytest.mark.parametrize("source", ["mesh", "shape"])
     def test_mesh_gate_runs_once(self, tmp_path, monkeypatch, source):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvspec import mesh as mesh_mod, surfaces
+from curvspec import curvature, mesh as mesh_mod, surfaces
 from curvspec.errors import (
     CurvSpecError,
     DegenerateGeometryError,
@@ -52,6 +52,16 @@ def _jittered_sphere():
     return TriMesh(v, get_mesh("sphere", 3).faces)
 
 
+ORACLE_MESHES = [
+    lambda: get_mesh("sphere", 3),
+    lambda: get_mesh("ellipsoid", 3),
+    lambda: get_mesh("bumped", 3),
+    lambda: get_mesh("torus", 1),
+    _jittered_sphere,
+]
+ORACLE_IDS = ["sphere", "ellipsoid", "bumped", "torus", "jittered"]
+
+
 class TestTriMesh:
     def test_icosahedron_counts(self):
         mesh = surfaces.icosahedron()
@@ -73,19 +83,33 @@ class TestTriMesh:
             mesh.vertex_areas, oracles.lumped_vertex_areas(mesh), rtol=1e-12
         )
 
-    @pytest.mark.parametrize("build", [
-        lambda: get_mesh("sphere", 3),
-        lambda: get_mesh("ellipsoid", 3),
-        lambda: get_mesh("bumped", 3),
-        lambda: get_mesh("torus", 1),
-        _jittered_sphere,
-    ], ids=["sphere", "ellipsoid", "bumped", "torus", "jittered"])
+    @pytest.mark.parametrize("build", ORACLE_MESHES, ids=ORACLE_IDS)
     def test_vertex_measures_match_add_at_oracle(self, build):
         # the bincount sums add what np.add.at added, in its order
         mesh = build()
         areas, normals = oracles.vertex_measures_add_at(mesh)
         assert np.array_equal(mesh.vertex_areas, areas)
         assert np.array_equal(mesh.vertex_normals, normals)
+
+    @pytest.mark.parametrize("build", ORACLE_MESHES, ids=ORACLE_IDS)
+    def test_component_first_kernels_match_row_oracles(self, build):
+        # the (3, N) cross products and norms form np.cross's products and
+        # np.linalg.norm's sums on (N, 3) rows, in their order
+        mesh = build()
+        areas, normals = oracles.face_geometry_rows(mesh)
+        assert np.array_equal(mesh.face_areas, areas)
+        assert np.array_equal(mesh.face_normals, normals)
+        assert np.array_equal(mesh.hat_gradients(),
+                              oracles.hat_gradients_rows(mesh))
+        assert validate(mesh).max_aspect_ratio == \
+            oracles.max_aspect_ratio_rows(mesh)
+        assert np.array_equal(curvature.estimate_shape_operators(mesh)[1],
+                              oracles.shape_basis_rows(mesh))
+        frame = curvature._tangent_frame(
+            np.ascontiguousarray(mesh.vertex_normals.T))
+        for got, want in zip(frame, oracles.tangent_frame_rows(
+                mesh.vertex_normals)):
+            assert np.array_equal(np.transpose(got), want)
 
     def test_arrays_read_only(self, sphere3):
         with pytest.raises(ValueError):

@@ -8,7 +8,9 @@ import pytest
 
 from curvspec import eigen, verify
 from curvspec.assemble import assemble_pencil, shift_ladder
-from curvspec.errors import BoundViolationError, CurvaturePositivityError
+from curvspec.errors import (BoundViolationError, CurvaturePositivityError,
+                             EigenSolveError)
+from curvspec.identities import zero_mean_resolvent
 
 from conftest import (floor_shift, get_mesh, get_pipeline, lemma_two_negative,
                       verify_corollary, verify_run, verify_theorem)
@@ -222,14 +224,44 @@ class TestCertifiedShifts:
         assert spec.shift == ladder[1] > ladder[-1]
 
     def test_each_refused_rung_is_logged(self, caplog):
-        with caplog.at_level(logging.DEBUG, logger="curvspec.eigen"):
+        # the first rung lies above lambda_1 here, and the Ritz bound drops
+        # it before it is factored, so none is refused
+        with caplog.at_level(logging.DEBUG, logger="curvspec"):
             done = verify_run(get_mesh("ellipsoid", 4), 1)
-        refused = [r.getMessage() for r in caplog.records
-                   if "refused" in r.getMessage()]
+        messages = [r.getMessage() for r in caplog.records]
         sigma = shift_ladder(done.pencil)[0]
-        assert refused == [
-            f"pencil eigensolve: shift {sigma:.17g} refused, not below "
-            f"the spectrum"]
+        dropped = [m for m in messages if "dropped" in m]
+        assert len(dropped) == 1
+        assert dropped[0].startswith(
+            f"shift {sigma:.17g} dropped, not below the Ritz bound ")
+        assert not [m for m in messages if "refused" in m]
+
+    @pytest.mark.parametrize("kind,subdiv,r,k", [
+        *[(*case, 5) for case in CERTIFIED],
+        ("ellipsoid_long", 4, 0, 5), ("ellipsoid_long", 4, 1, 5),
+        ("sphere", 0, 0, 11)])
+    def test_bound_never_costs_a_rung(self, kind, subdiv, r, k):
+        # theta_1 >= lambda_1 (equal up to round-off on the spheres, where
+        # the constants are the first eigenvector), so the bounded ladder
+        # drops exactly the rungs of the full one that would be refused
+        mesh, field, _ = get_pipeline(kind, subdiv, r)
+        done = verify.run(mesh, field, verify.VerifyConfig(k=k), {})
+        pencil, a_mat = done.pencil, done.pencil.a_matrix()
+        theta = verify._lambda_1_upper(pencil, a_mat,
+                                       zero_mean_resolvent(pencil))
+        lam1 = done.spectrum.eigenvalues[0]
+        assert theta >= lam1 - 1e-12 * abs(lam1)
+        full = shift_ladder(pencil)
+        refused = 0
+        for sigma in full:
+            try:
+                eigen._shifted_solver(a_mat, pencil.mass, -sigma,
+                                      layout=pencil.layout)
+                break
+            except EigenSolveError:
+                refused += 1
+        assert done.spectrum.shift == full[refused]
+        assert len(full) - len(shift_ladder(pencil, theta)) == refused
 
     def test_nested_stage_time_is_charged_once(self, monkeypatch):
         # verify.run assembles the pencil before the spectrum's stage, and
