@@ -2,7 +2,11 @@
 
 The weak form of the divergence operator with a face-constant anisotropy is
 u^T K v = sum_f area_f * <P(f) grad u|_f, grad v|_f> over piecewise-linear
-hat functions; K is symmetric and kills constants.  The mass matrix is the
+hat functions; K is symmetric and kills constants.  A hat gradient is the
+opposite side e_a turned a quarter turn J in the face plane over 2 area_f,
+and J^T P J = adj(P), so K_ab = e_a^T adj(P_r) e_b / (4 area_f) in the face
+fit's basis, with adj(P_0) = I and adj(tr(S) I - S) = S.  The mesh's edge
+table gives K's canonical CSR pattern.  The mass matrix is the
 lumped (diagonal) barycentric one and the potential enters as the diagonal
 M_W = diag(area_v * W(v)^2), so multiplication by W stays an exact diagonal
 operation downstream.  The eigenproblem of the penalized operator is the
@@ -19,6 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .eigen import BandLayout, band_layout
+from .mesh import _dot, _edge_vectors
 
 __all__ = [
     "OperatorPencil",
@@ -55,23 +60,44 @@ class OperatorPencil:
 
 def assemble_pencil(mesh, field):
     """Assemble (K_r, M, M_W) from an order-r curvature field."""
-    grads = mesh.hat_gradients()
-    local = mesh.face_areas[:, None, None] * (
-        grads @ field.p_r_face @ grads.transpose(0, 2, 1))
-    local = 0.5 * (local + local.transpose(0, 2, 1))
-    rows = np.broadcast_to(mesh.faces[:, :, None], local.shape)
-    cols = np.broadcast_to(mesh.faces[:, None, :], local.shape)
+    q = _newton_adjugate(field)
+    vt, f = np.ascontiguousarray(mesh.vertices.T), mesh.faces
+    t1, t2 = np.ascontiguousarray(field.face_basis.transpose(1, 2, 0))
+    # e_a = x_c - x_b, the side opposite corner a, in the face basis (3, F)
+    sides = [_edge_vectors(vt, f, b, c) for b, c in ((1, 2), (2, 0), (0, 1))]
+    u, v = (np.array([_dot(e, t) for e in sides]) for t in (t1, t2))
+    # e_a^T q e_b / (4 area) for b = a, then for b = a + 1 mod 3, whose
+    # corner pairs lie on the sides 01, 12, 20 that face_edges lists
+    diag, off = ((q[:, 0, 0] * u * u[b] + q[:, 0, 1] * (u * v[b] + v * u[b])
+                  + q[:, 1, 1] * v * v[b]) / (4.0 * mesh.face_areas)
+                 for b in ([0, 1, 2], [1, 2, 0]))
+    off = np.bincount(mesh.face_edges.T.ravel(), weights=off.ravel(),
+                      minlength=mesh.n_edges)
     nv = mesh.n_vertices
-    k = sp.coo_matrix(
-        (local.ravel(), (rows.ravel(), cols.ravel())), shape=(nv, nv)
-    ).tocsr()
-    k.sum_duplicates()
+    diag = np.bincount(f.T.ravel(), weights=diag.ravel(), minlength=nv)
+    # K's entries (j, i), (i, i), (i, j) for the edges (i, j), i < j, of the
+    # lexicographic table: each row's columns already ascend, so a stable
+    # sort by row alone gives the canonical CSR
+    lo, hi, at = mesh.edges[:, 0], mesh.edges[:, 1], np.arange(nv)
+    rows = np.concatenate([hi, at, lo])
+    order = np.argsort(rows, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nv))])
+    k = sp.csr_matrix((np.concatenate([off, diag, off])[order],
+                       np.concatenate([lo, at, hi])[order], indptr),
+                      shape=(nv, nv))
     mass = np.array(mesh.vertex_areas)
     w = np.array(field.w)
     return OperatorPencil(
         k_stiff=k, mass=mass, w=w, potential=mass * w * w,
         layout=band_layout(k), r=field.r,
     )
+
+
+def _newton_adjugate(field):
+    """adj(P_r) of each face in its fit's basis, (F, 2, 2): adj(I) = I
+    at r = 0 and adj(tr(S) I - S) = S, the face operator, at r = 1."""
+    return field.face_ops if field.r else np.broadcast_to(
+        np.eye(2), field.face_ops.shape)
 
 
 def spectral_scale(mass, w):

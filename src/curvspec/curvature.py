@@ -20,14 +20,15 @@ pair kappa_1 <= kappa_2 is written in closed form:
 * The Newton transform P_r has eigenvalue S_r of the other curvature
   along each principal direction: 1 for r = 0, and S_1 - kappa_i, the
   other kappa, for r = 1.  Of a face operator S that is P_0 = I and
-  P_1 = tr(S) I - S, with no eigendecomposition.
+  P_1 = tr(S) I - S; the stiffness reads only their adjugates, I and S
+  (assemble), so P_r itself is never formed.
 * c_r = (n - r) C(n, r) is 2 for both r = 0 and r = 1 (C_R).
 * W_r = sqrt(c_r H_{r+1}^{(r+2)/(r+1)}): W_0 = sqrt(2 H_1^2) needs no sign
   assumption, W_1 = sqrt(2 H_2^{3/2}) needs H_2 > 0.
 
 compute_curvature(mesh, r) is the one way to build a CurvatureField, and it
-builds every field at once: the vertex principal curvatures, the Newton
-transform P_r per face, and the vertex samples of H_{r+1} and W_r.  For
+builds every field at once: the vertex principal curvatures, the face fit
+(S in each face's own basis) and the vertex samples of H_{r+1} and W_r.  For
 r >= 1 it is also the one gate of the standing assumption H_{r+1} > 0 and
 of the outward orientation H_1 > 0, so every consumer reads a field that
 already holds both.  The mesh needs no gate here: a TriMesh is closed,
@@ -52,14 +53,16 @@ C_R = 2.0
 class CurvatureField:
     """The per-vertex curvatures and the order-r fields built on them.
 
-    vertex_kappas are the sorted principal curvatures (V, 2); p_r_face is
-    the Newton transform P_r per face as a world-frame 3x3 tangential
-    matrix; h_next and w hold the vertex samples of H_{r+1} and W_r.
+    vertex_kappas are the sorted principal curvatures (V, 2); face_ops
+    (F, 2, 2) and face_basis (F, 2, 3) are the face fit of
+    estimate_shape_operators, each face's operator in the basis whose rows
+    are its t1, t2; h_next and w hold the vertex samples of H_{r+1} and W_r.
     """
 
     vertex_kappas: np.ndarray
     r: int
-    p_r_face: np.ndarray
+    face_ops: np.ndarray
+    face_basis: np.ndarray
     h_next: np.ndarray
     w: np.ndarray
 
@@ -137,21 +140,6 @@ def estimate_shape_operators(mesh):
     return ops, basis
 
 
-def _to_world(ops, basis):
-    """Face-basis symmetric 2x2 forms as world-frame 3x3 ones,
-    basis^T ops basis, written out entry by entry as
-    sum_ab ops_ab t_a t_b^T over the basis rows t_1, t_2."""
-    t1, t2 = np.ascontiguousarray(basis.transpose(1, 2, 0))   # (3, F) each
-    n11, n12, n22 = ops[:, 0, 0], ops[:, 0, 1], ops[:, 1, 1]
-    out = np.empty((len(ops), 3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            out[:, i, j] = out[:, j, i] = (
-                n11 * (t1[i] * t1[j]) + n12 * (t1[i] * t2[j] + t2[i] * t1[j])
-                + n22 * (t2[i] * t2[j]))
-    return out
-
-
 def _tangent_frame(n):
     """An orthonormal tangent frame (u1, u2) at each unit normal of ``n``,
     all component-first (3, V): u1 is n crossed with the coordinate axis
@@ -170,11 +158,12 @@ def vertex_principal_curvatures(ops, basis, mesh):
     Incident face operators are parallel-transported into the vertex tangent
     plane (the minimal rotation taking the face normal to the vertex normal)
     and averaged with face-area weights.  Only the two face-basis vectors
-    are rotated, by Rodrigues' formula: with w = a x b and c = a . b for
-    unit normals a, b, a vector x goes to x + w x x + w x (w x x) / (1 + c).
-    With C the 2x2 matrix of the rotated basis in the vertex frame, the
-    moved operator there is C ops C^T, so each vertex accumulates the three
-    entries of a symmetric 2x2 form.
+    are rotated, and only read in the vertex frame: the minimal rotation
+    taking the unit normal a to b is R = I - (a + b)(a + b)^T / (1 + a . b)
+    + 2 b a^T, so u . R t = u . t - (b . t)(u . a) / (1 + a . b) for t
+    perpendicular to a and u to b.  With C the 2x2 matrix of the rotated
+    basis in the vertex frame, the moved operator there is C ops C^T, so
+    each vertex accumulates the three entries of a symmetric 2x2 form.
     """
     nv = mesh.n_vertices
     # vectors component-first, so each product runs on contiguous rows
@@ -187,19 +176,15 @@ def vertex_principal_curvatures(ops, basis, mesh):
     for corner, vid in enumerate(mesh.faces.T):
         vn, e1, e2 = ([x[vid] for x in y] for y in (n, u1, u2))
         # nearly antiparallel normals cannot occur between a face and one of
-        # its vertices on a sane closed mesh; w = 0 keeps the identity there
+        # its vertices on a sane closed mesh; factor = 0 keeps R = I there
         denom = 1.0 + _dot(fn, vn)
         safe = denom > 1e-8
-        w = [np.where(safe, wk, 0.0) for wk in _cross(fn, vn)]
-        factor = 1.0 / np.where(safe, denom, 1.0)
-        moved = []
-        for t in (t1, t2):
-            wt = _cross(w, t)
-            moved.append([tk + wtk + factor * wwtk
-                          for tk, wtk, wwtk in zip(t, wt, _cross(w, wt))])
+        factor = np.where(safe, 1.0 / np.where(safe, denom, 1.0), 0.0)
+        s1, s2 = (factor * _dot(vn, t) for t in (t1, t2))
         # row i of C: u_i against R t_1 and R t_2
-        (p1, p2), (q1, q2) = ((_dot(e, moved[0]), _dot(e, moved[1]))
-                              for e in (e1, e2))
+        (p1, p2), (q1, q2) = (
+            (_dot(e, t1) - _dot(e, fn) * s1, _dot(e, t2) - _dot(e, fn) * s2)
+            for e in (e1, e2))
         forms[0, corner] = s11 * p1 * p1 + 2.0 * s12 * p1 * p2 + s22 * p2 * p2
         forms[1, corner] = (s11 * p1 * q1 + s12 * (p1 * q2 + p2 * q1)
                             + s22 * p2 * q2)
@@ -217,8 +202,6 @@ def vertex_principal_curvatures(ops, basis, mesh):
 def compute_curvature(mesh, r):
     """The whole order-r CurvatureField of a mesh, r in {0, 1}.
 
-    The Newton transform of a face operator S is written out: P_0 = I and
-    P_1 = tr(S) I - S, each taken to the world frame as basis^T P basis.
     For r = 1 a nonpositive vertex H_2 violates the standing
     curvature assumption and raises, naming the worst vertex; then so does
     a nonpositive H_1, which with H_2 > 0 means the faces run inside out.
@@ -227,10 +210,6 @@ def compute_curvature(mesh, r):
         raise ValueError("the mesh pipeline supports r in {0, 1}")
     ops, basis = estimate_shape_operators(mesh)
     kappas = vertex_principal_curvatures(ops, basis, mesh)
-    if r == 0:
-        p2 = np.broadcast_to(np.eye(2), ops.shape)
-    else:
-        p2 = np.trace(ops, axis1=1, axis2=2)[:, None, None] * np.eye(2) - ops
     h = mean_curvature(kappas, r + 1)
     if r == 1:
         for j, h_j in ((2, h), (1, mean_curvature(kappas, 1))):
@@ -238,5 +217,5 @@ def compute_curvature(mesh, r):
                 raise CurvaturePositivityError(r, j, h_value=h_j.min(),
                                                vertex=int(np.argmin(h_j)))
     w = np.sqrt(C_R * h * h) if r == 0 else np.sqrt(C_R * h**1.5)
-    return CurvatureField(vertex_kappas=kappas, r=r,
-                          p_r_face=_to_world(p2, basis), h_next=h, w=w)
+    return CurvatureField(vertex_kappas=kappas, r=r, face_ops=ops,
+                          face_basis=basis, h_next=h, w=w)

@@ -148,7 +148,7 @@ class _BandSolver:
         return y
 
 
-def _shifted_solver(a, d, shift, layout=None):
+def _shifted_solver(a, d, shift, layout):
     """Factor a + shift*diag(d) once; return a _BandSolver, ``solve(b)``
     for loads b.
 
@@ -157,18 +157,15 @@ def _shifted_solver(a, d, shift, layout=None):
     Birman-Schwinger kernel and the grounded K of the zero-mean resolvent
     (identities.zero_mean_resolvent, d one diagonal term).  ``layout`` is
     the mesh's one BandLayout (pencil.layout), and ``a`` must have the
-    pattern it was built from; without one, a layout of ``a`` is built for
-    this call.  A fresh Fortran-ordered (bw+1, V) band is filled from a's
-    strict upper entries and the diagonal a_ii + shift*d_i, then
-    Cholesky-factored in place by pbtrf, so the band is the only dense copy
-    made and no factor outlives the returned solver.  A matrix that is not
-    positive definite (a shift not below the spectrum, a singular a)
+    pattern it was built from.  A fresh Fortran-ordered (bw+1, V) band is
+    filled from a's strict upper entries and the diagonal a_ii + shift*d_i,
+    then Cholesky-factored in place by pbtrf, so the band is the only dense
+    copy made and no factor outlives the returned solver.  A matrix that is
+    not positive definite (a shift not below the spectrum, a singular a)
     raises EigenSolveError.
     """
     a = sp.csr_matrix(a)
-    if layout is None:
-        layout = band_layout(a)
-    elif a.shape != (len(layout.order),) * 2 or a.nnz != layout.nnz:
+    if a.shape != (len(layout.order),) * 2 or a.nnz != layout.nnz:
         raise ValueError("matrix does not have the band layout's pattern")
     log.debug("factor a + %.17g*D", shift)
     bw = layout.bw
@@ -359,9 +356,10 @@ def smallest_eigenpairs(a_mat, mass, k, sigma, tol=1e-10, seed=0,
     one is logged, and a refused last one raises EigenSolveError.  With
     S = sqrt(M), ARPACK finds the largest nu of the symmetric
     z -> S (A - sigma M)^(-1) S z on that factor, made on ``layout`` (the
-    pencil's, for a matrix with K's pattern) as _shifted_solver describes;
-    then lambda = sigma + 1/nu and x = z / sqrt(M).  ``k`` must lie in
-    [1, V - 1].  ``what`` names the solve in the log and in errors.
+    pencil's, for a matrix with K's pattern; by default one built for this
+    call) as _shifted_solver describes; then lambda = sigma + 1/nu and
+    x = z / sqrt(M).  ``k`` must lie in [1, V - 1].  ``what`` names the
+    solve in the log and in errors.
     Raises EigenSolveError when ARPACK fails to converge.
     """
     mass = np.asarray(mass, dtype=float)
@@ -370,6 +368,8 @@ def smallest_eigenpairs(a_mat, mass, k, sigma, tol=1e-10, seed=0,
         raise ValueError("matrix and mass vector sizes disagree")
     if np.any(mass <= 0.0):
         raise ValueError("mass diagonal must be strictly positive")
+    if layout is None:
+        layout = band_layout(a_mat)
 
     ladder = np.atleast_1d(sigma)
     for j, sigma in enumerate(ladder):

@@ -134,6 +134,7 @@ class TriMesh:
         self.faces = f
         self.edges, inv, counts = _edge_table(f, len(v))
         _refuse_edge_faults(f, self.edges, inv, counts)
+        self.face_edges = inv.reshape(-1, 3)   # the edges of sides 01, 12, 20
         # coordinates whose products overflow give NaN or inf areas, which
         # the degenerate-face refusal names; numpy need not warn as well
         with np.errstate(over="ignore", invalid="ignore"):
@@ -155,6 +156,7 @@ class TriMesh:
             self.vertex_areas,
             self.vertex_normals,
             self.edges,
+            self.face_edges,
         ):
             arr.flags.writeable = False
 
@@ -230,22 +232,6 @@ class TriMesh:
     @property
     def total_area(self):
         return float(self.face_areas.sum())
-
-    def hat_gradients(self):
-        """Per-face constant gradients of the three hat functions, (F, 3, 3).
-
-        grad phi_a = n x (x_c - x_b) / (2 area) for the corner opposite edge
-        (b, c); the three gradients of a face sum to zero and live in the
-        face plane.
-        """
-        vt, f = np.ascontiguousarray(self.vertices.T), self.faces
-        g = np.empty((len(f), 3, 3))
-        n = np.ascontiguousarray(self.face_normals.T)
-        inv2a = 1.0 / (2.0 * self.face_areas)
-        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            for k, cr in enumerate(_cross(n, _edge_vectors(vt, f, b, c))):
-                g[:, a, k] = cr * inv2a
-        return g
 
     def __repr__(self):
         return (

@@ -61,6 +61,10 @@ VIOLATION = "Violation"
 # the lemma's d_i threshold over ||f_i||_M^2
 LEMMA_TOL = 0.05
 
+# margins within this share of max |d_i| of the largest tie with it, so
+# round-off cannot pick the witness between equal d_i (the torus's d_0, d_1)
+WITNESS_TIE_REL = 1e-9
+
 # least c_r |A|^(r+2) - W^2 accepted at a vertex: below it the T_r
 # potential does not dominate and t_potential refuses
 DOMINATION_FLOOR = -1e-10
@@ -282,16 +286,20 @@ def _lemma(mass, eigenvalues, f, d, tol_neg):
 
     Conditions: each W f_i integrates to zero (arranged by projection,
     the raw gap is reported by the identity checks), and some d_i
-    exceeds its scale LEMMA_TOL * ||f_i||^2.  When a witness exists
-    the pencil must show at least two eigenvalues below -tol_neg; on a
-    sphere no witness exists and the report comes back not-applicable
-    with a single negative mode.
+    exceeds its scale LEMMA_TOL * ||f_i||^2.  The witness is the first
+    i whose margin d_i - LEMMA_TOL * ||f_i||^2 ties the largest (within
+    WITNESS_TIE_REL * max |d_i|).  When a witness exists the pencil must
+    show at least two eigenvalues below -tol_neg; on a sphere no witness
+    exists and the report comes back not-applicable with a single
+    negative mode.
     """
     norms2 = np.array([float(f[:, i] @ (mass * f[:, i])) for i in range(3)])
     thresholds = LEMMA_TOL * norms2
-    over = d > thresholds
-    applicable = bool(over.any())
-    witness = int(np.argmax(d - thresholds)) if applicable else -1
+    margin = d - thresholds
+    applicable = bool(margin.max() > 0.0)
+    tied = (margin > 0.0) & (
+        margin >= margin.max() - WITNESS_TIE_REL * np.abs(d).max())
+    witness = int(np.argmax(tied)) if applicable else -1
     negative_count = int(np.sum(eigenvalues < -tol_neg))
     if applicable and negative_count < 2:
         raise BoundViolationError(

@@ -64,8 +64,9 @@ def field_of_kappas(kappas, r, face_kappas=None, theta=0.0):
     Vertex v reads the curvature pair kappas[v] (V, 2) and owns face v,
     whose operator has the curvatures face_kappas[v] (default kappas[v])
     along the x and y axes turned by theta.  The face basis is the x and
-    y axes, so p_r_face[:, :2, :2] is P_r in that frame.  H_{r+1}, W_r and
-    the r = 1 gate read the vertex pairs only, P_r the face operators only.
+    y axes, so newton_transform(field) is P_r in that frame.  H_{r+1}, W_r
+    and the r = 1 gate read the vertex pairs only, P_r the face operators
+    only.
     """
     kappas = np.asarray(kappas, dtype=float)
     face = kappas if face_kappas is None else np.asarray(face_kappas, dtype=float)
@@ -79,11 +80,28 @@ def field_of_kappas(kappas, r, face_kappas=None, theta=0.0):
         return curvature.compute_curvature(None, r)
 
 
+def newton_transform(field):
+    """P_r per face in its fit's basis, (F, 2, 2): the adjugate of the
+    form assemble_pencil puts between the face sides, adj(adj(P)) = P for
+    a 2x2 P."""
+    q = assemble._newton_adjugate(field)
+    p = np.empty(q.shape)
+    p[:, 0, 0], p[:, 1, 1] = q[:, 1, 1], q[:, 0, 0]
+    p[:, 0, 1] = p[:, 1, 0] = -q[:, 0, 1]
+    return p
+
+
+def newton_transform_world(field):
+    """P_r per face as a world-frame 3x3 matrix, basis^T P_r basis."""
+    basis = field.face_basis
+    return np.einsum("fai,fab,fbj->fij", basis, newton_transform(field), basis)
+
+
 def newton_eigenvalues(face_kappas, r):
     """P_r's eigenvalue along each principal direction of each face, in
     the order of face_kappas (F, 2), from compute_curvature."""
     field = field_of_kappas(np.ones_like(face_kappas), r, face_kappas)
-    return np.diagonal(field.p_r_face[:, :2, :2], axis1=1, axis2=2)
+    return np.diagonal(newton_transform(field), axis1=1, axis2=2)
 
 
 def floor_shift(pencil):

@@ -3,12 +3,16 @@
 Run from the root of a checkout:
 
     PYTHONPATH=src python tests/golden/make_golden.py [--out DIR] [COMMAND ...]
+    python tests/golden/make_golden.py --compare OLD_DIR NEW_DIR
 
 With no arguments every fixture under tests/golden/ is rewritten; naming
 commands (for example `bs-scan`) rewrites only theirs.  `--out DIR` writes
-the fixtures to DIR instead, so two checkouts' reports can be compared
-byte for byte: run this script against each checkout's `src` with its own
-DIR, then `diff -r` the two.
+the fixtures to DIR instead, so two checkouts' reports can be compared:
+run this script against each checkout's `src` with its own DIR, then
+`--compare` the two.  It prints every float that moved by more than
+REPORT_REL relative, with both values, and every other difference (an
+integer, a string, a flag, a list length, a key set or a missing
+fixture), and exits 1 if there is one of the latter.
 
 Each fixture holds the argv it was made with, the exit code, the report
 (written with --no-embed-timings --seed 0) and the tolerance that
@@ -31,6 +35,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 # BLAS-threading and ARPACK start-vector noise
 RTOL = 1e-10
 ATOL = 1e-12
+
+# --compare prints the floats that moved by more than this, relative
+REPORT_REL = 1e-14
 
 SHAPES = {
     "sphere": ["--shape", "sphere"],
@@ -104,12 +111,62 @@ def main(commands=(), out=HERE):
             print(f"wrote {path} (exit {code})", file=sys.stderr)
 
 
+def differences(old, new, path):
+    """(path, old, new, rel) of each leaf of two JSON values that differs:
+    rel is the relative difference of two floats, None for any other
+    difference (a value, a type, a list length or a key set)."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        if set(old) != set(new):
+            yield f"{path} keys", sorted(old), sorted(new), None
+        for key in sorted(set(old) & set(new)):
+            yield from differences(old[key], new[key], f"{path}.{key}")
+    elif (isinstance(old, list) and isinstance(new, list)
+          and len(old) == len(new)):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from differences(a, b, f"{path}[{i}]")
+    elif type(old) is float and type(new) is float:
+        if old != new:
+            yield path, old, new, abs(old - new) / max(abs(old), abs(new))
+    elif type(old) is not type(new) or old != new:
+        yield path, old, new, None
+
+
+def compare(old_dir, new_dir):
+    """Print how the fixtures of new_dir differ from old_dir's; the exit
+    code, 1 if anything but a float differs."""
+    names = sorted({name for d in (old_dir, new_dir) for name in os.listdir(d)
+                    if name.endswith(".json")})
+    code = 0
+    for name in names:
+        paths = [os.path.join(d, name) for d in (old_dir, new_dir)]
+        missing = [path for path in paths if not os.path.exists(path)]
+        if missing:
+            print(f"{name}: no {missing[0]}")
+            code = 1
+            continue
+        blobs = []
+        for path in paths:
+            with open(path, encoding="utf-8") as fh:
+                blobs.append(json.load(fh))
+        for path, old, new, rel in differences(*blobs, name):
+            if rel is None:
+                print(f"{path}: {old!r} -> {new!r}")
+                code = 1
+            elif rel > REPORT_REL:
+                print(f"{path}: {old!r} -> {new!r} (rel {rel:.2e})")
+    return code
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("commands", nargs="*", metavar="COMMAND",
                         help="rewrite only these commands' fixtures")
     parser.add_argument("--out", default=HERE,
                         help="directory to write to (default: %(default)s)")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD_DIR", "NEW_DIR"),
+                        help="compare two --out directories instead")
     args = parser.parse_args()
+    if args.compare:
+        sys.exit(compare(*args.compare))
     os.makedirs(args.out, exist_ok=True)
     main(args.commands, args.out)

@@ -307,7 +307,9 @@ def face_geometry_rows(mesh):
 
 
 def hat_gradients_rows(mesh):
-    """TriMesh.hat_gradients by np.cross on (F, 3) rows."""
+    """The P1 hat gradients of each face, (F, 3, 3), by np.cross on (F, 3)
+    rows: grad phi_a = n x (x_c - x_b) / (2 area) for the corner a
+    opposite the side (b, c)."""
     v, f = mesh.vertices, mesh.faces
     g = np.empty((len(f), 3, 3))
     inv2a = 1.0 / (2.0 * mesh.face_areas)
@@ -406,7 +408,8 @@ def face_ops_world_einsum(ops, basis):
 
 def newton_transform_einsum(ops, basis, r):
     """World-frame P_r per face by einsum over the face operator's
-    eigenbasis: the reference of CurvatureField.p_r_face."""
+    eigenbasis: the reference of the Newton transform whose adjugate
+    assemble_pencil reads."""
     evals, evecs = np.linalg.eigh(ops)
     newt = np.array([newton_eigenvalues_deleteone(e, r) for e in evals])
     p2 = np.einsum("fia,fa,fja->fij", evecs, newt, evecs)
@@ -452,11 +455,14 @@ def vertex_kappas_einsum(ops, basis, mesh):
     return np.stack([0.5 * (a + d) - disc, 0.5 * (a + d) + disc], axis=1)
 
 
-def stiffness_einsum(mesh, p_r_face):
-    """K from the einsum over face areas, hat gradients and P_r."""
-    grads = mesh.hat_gradients()
-    local = np.einsum("f,fai,fij,fbj->fab", mesh.face_areas, grads,
-                      p_r_face, grads)
+def stiffness_einsum(mesh, field):
+    """K from the einsum over face areas, hat gradients and the
+    world-frame P_r, summed from 9F triplets: the reference of
+    assemble_pencil's face-edge form."""
+    grads = hat_gradients_rows(mesh)
+    p_r = newton_transform_einsum(field.face_ops, field.face_basis, field.r)
+    local = np.einsum("f,fai,fij,fbj->fab", mesh.face_areas, grads, p_r,
+                      grads)
     local = 0.5 * (local + local.transpose(0, 2, 1))
     rows = np.broadcast_to(mesh.faces[:, :, None], local.shape)
     cols = np.broadcast_to(mesh.faces[:, None, :], local.shape)

@@ -13,7 +13,7 @@ from curvspec.mesh import TriMesh
 import oracles
 from oracles import (apply_operator, box_mesh, export_coo,
                      with_potential_squared)
-from conftest import get_mesh, get_pipeline
+from conftest import get_mesh, get_pipeline, newton_transform_world
 
 
 def dense(a):
@@ -31,13 +31,20 @@ class TestStiffness:
             scale = np.abs(ora.data).max()
             assert np.max(np.abs(dense(pencil.k_stiff) - dense(ora))) < 1e-13 * scale
 
-    @pytest.mark.parametrize("kind,subdiv,r", [("ellipsoid", 3, 1),
-                                               ("bumped", 3, 1), ("torus", 1, 0)])
+    @pytest.mark.parametrize("kind,subdiv,r", [
+        ("ellipsoid", 3, 1), ("bumped", 3, 1), ("torus", 1, 0),
+        ("sphere", 3, 0), ("sphere", 3, 1), ("ellipsoid", 3, 0),
+        ("bumped", 3, 0), ("ellipsoid", 5, 1)])
     def test_matches_einsum_assembly(self, kind, subdiv, r):
+        # the face-edge form against the world-frame hat-gradient one: the
+        # same values to round-off, on the same canonical pattern
         mesh, field, pencil = get_pipeline(kind, subdiv, r)
-        ora = oracles.stiffness_einsum(mesh, field.p_r_face)
-        scale = np.abs(ora.data).max()
-        assert np.max(np.abs(dense(pencil.k_stiff - ora))) <= 1e-13 * scale
+        ora = oracles.stiffness_einsum(mesh, field)
+        k = pencil.k_stiff
+        assert k.has_canonical_format and ora.has_canonical_format
+        assert np.array_equal(k.indptr, ora.indptr)
+        assert np.array_equal(k.indices, ora.indices)
+        assert np.max(np.abs(k.data - ora.data)) <= 1e-13 * np.abs(ora.data).max()
 
     def test_symmetric_psd_constants_in_kernel(self, sphere3):
         _, _, pencil = get_pipeline("sphere", 3, 1)
@@ -100,13 +107,14 @@ class TestStiffness:
         # same quadratic form assembled twice: sparse matrix vs a plain
         # python loop over faces with explicit hat gradients
         mesh, field, pencil = get_pipeline("ellipsoid", 2, 1)
-        grads = mesh.hat_gradients()
+        grads = oracles.hat_gradients_rows(mesh)
+        p_r = newton_transform_world(field)
         rng = np.random.default_rng(3)
         x = rng.normal(size=pencil.n_vertices)
         loop = 0.0
         for f in range(mesh.n_faces):
             gx = sum(x[mesh.faces[f, c]] * grads[f, c] for c in range(3))
-            loop += mesh.face_areas[f] * (gx @ field.p_r_face[f] @ gx)
+            loop += mesh.face_areas[f] * (gx @ p_r[f] @ gx)
         loop -= float((pencil.mass * pencil.w**2) @ (x * x))
         direct = float(x @ apply_operator(pencil, x))
         assert direct == pytest.approx(loop, rel=1e-10)

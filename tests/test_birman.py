@@ -61,7 +61,7 @@ class TestKernelOperator:
         # kernel built by columns and fully diagonalized
         _, _, p = get_pipeline("ellipsoid", subdiv, 1)
         for mu in (0.5, 2.0):
-            solve = eigen._shifted_solver(p.k_stiff, p.mass, mu)
+            solve = eigen._shifted_solver(p.k_stiff, p.mass, mu, p.layout)
             vals, g = eigen._kernel_eigenpairs(solve, p.mass, p.w, 3, 0,
                                                "kernel", **restrict)
             # the three asked for and ARPACK's two padding pairs

@@ -12,7 +12,8 @@ from curvspec.curvature import C_R, mean_curvature, shape_norm
 from curvspec.errors import CurvaturePositivityError
 
 import oracles
-from conftest import field_of_kappas, newton_eigenvalues, rotation
+from conftest import (field_of_kappas, newton_eigenvalues, newton_transform,
+                      rotation)
 
 kappa = st.floats(min_value=-50, max_value=50, allow_nan=False,
                   allow_infinity=False)
@@ -94,7 +95,7 @@ class TestNewton:
         eig = np.array([oracles.newton_eigenvalues_deleteone(row, r)
                         for row in kappas])
         want = rot @ (eig[:, :, None] * np.eye(2)) @ rot.transpose(0, 2, 1)
-        assert np.allclose(field.p_r_face[:, :2, :2], want, rtol=0,
+        assert np.allclose(newton_transform(field), want, rtol=0,
                            atol=1e-10 * scale(kappas, r)[:, None, None])
 
     @given(pairs, orders)

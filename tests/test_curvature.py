@@ -5,12 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from curvspec import curvature, surfaces
+from curvspec import assemble, curvature, surfaces
 from curvspec.errors import CurvaturePositivityError, DegenerateGeometryError
 from curvspec.mesh import TriMesh
 
 import oracles
-from conftest import get_mesh, get_pipeline
+from conftest import get_mesh, get_pipeline, newton_transform_world
 
 
 class TestShapeOperators:
@@ -123,25 +123,31 @@ class TestVertexCurvatures:
 
 
 class TestBuildFields:
+    # P_r enters K only through adj(P_r) in each face's fit basis
+    # (assemble._newton_adjugate); these read P_r back from it
+
     def test_p0_is_tangential_projector(self, sphere3):
         field = curvature.compute_curvature(sphere3, r=0)
-        _, basis = curvature.estimate_shape_operators(sphere3)
-        proj = np.einsum("fai,faj->fij", basis, basis)
-        assert np.max(np.abs(field.p_r_face - proj)) < 1e-12
+        n = sphere3.face_normals
+        proj = np.eye(3) - np.einsum("fi,fj->fij", n, n)
+        assert np.max(np.abs(newton_transform_world(field) - proj)) < 1e-12
 
     def test_p1_trace_is_s1(self, sphere3):
+        # tr adj(Q) = tr Q for a 2x2 Q, and adj(P_1) = S
         field = curvature.compute_curvature(sphere3, r=1)
         ops, _ = curvature.estimate_shape_operators(sphere3)
-        tr = np.trace(field.p_r_face, axis1=1, axis2=2)
         s1 = np.trace(ops, axis1=1, axis2=2)
-        assert np.max(np.abs(tr - s1)) < 1e-12
+        for p in (newton_transform_world(field),
+                  assemble._newton_adjugate(field)):
+            assert np.max(np.abs(np.trace(p, axis1=1, axis2=2) - s1)) < 1e-12
 
     def test_p_r_kills_normal(self, sphere3):
         field = curvature.compute_curvature(sphere3, r=1)
         corners = sphere3.vertices[sphere3.faces]
         n = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
         n /= np.linalg.norm(n, axis=1)[:, None]
-        assert np.max(np.abs(np.einsum("fij,fj->fi", field.p_r_face, n))) < 1e-12
+        p_r = newton_transform_world(field)
+        assert np.max(np.abs(np.einsum("fij,fj->fi", p_r, n))) < 1e-12
 
     def test_sphere_potential(self):
         # Sphere(2): H_1 = 0.5 and H_2 = 0.25, so W_0^2 = 2 H_1^2 = 0.5
@@ -164,15 +170,14 @@ class TestBuildFields:
 
     def test_p_r_elliptic_on_convex_meshes(self, sphere3):
         # P_r must be positive definite on the tangent plane wherever every
-        # H_r stays positive, or L_r loses ellipticity
+        # H_r stays positive, or L_r loses ellipticity; a 2x2 P is positive
+        # definite exactly when adj(P), the form K reads, is
         ell = surfaces.generate(surfaces.Ellipsoid(2.0, 1.0, 1.0), subdiv=3)
         for mesh in (sphere3, ell):
-            _, b = curvature.estimate_shape_operators(mesh)
             for r in (0, 1):
                 field = curvature.compute_curvature(mesh, r=r)
-                tang = np.einsum("fai,fij,fbj->fab", b, field.p_r_face, b)
-                ev = np.linalg.eigvalsh(tang)
-                assert np.min(ev) > 0.0
+                q = assemble._newton_adjugate(field)
+                assert np.min(np.linalg.eigvalsh(q)) > 0.0
 
     def test_unsupported_order(self, sphere3):
         with pytest.raises(ValueError):
@@ -191,16 +196,18 @@ class TestBuildFields:
     ("ellipsoid", 3, 0), ("sphere", 3, 1), ("bumped", 3, 0),
 ])
 def test_batched_kernels_match_einsum(kind, subdiv, r):
-    # the closed-form fit against least squares face by face, and the
-    # batched products and bincount scatters against the einsum and
-    # np.add.at forms, which sum in another order
+    # the closed-form fit against least squares face by face, the
+    # transported vertex forms against the einsum and np.add.at ones,
+    # which sum in another order, and P_r read back from the adjugate K
+    # takes against the Newton transform by eigendecomposition
     mesh, field, _ = get_pipeline(kind, subdiv, r)
     ops, basis = curvature.estimate_shape_operators(mesh)
+    assert np.array_equal(field.face_ops, ops)
+    assert np.array_equal(field.face_basis, basis)
     for got, want in (
         (ops, oracles.shape_operators_lstsq(mesh, basis)),
-        (curvature._to_world(ops, basis),
-         oracles.face_ops_world_einsum(ops, basis)),
         (field.vertex_kappas, oracles.vertex_kappas_einsum(ops, basis, mesh)),
-        (field.p_r_face, oracles.newton_transform_einsum(ops, basis, r)),
+        (newton_transform_world(field),
+         oracles.newton_transform_einsum(ops, basis, r)),
     ):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -181,7 +181,7 @@ class TestShiftedSolver:
     def test_positive_shift_solves_shifted_system(self, sphere_pencil):
         p = sphere_pencil
         b = np.random.default_rng(5).normal(size=p.n_vertices)
-        y = eigen._shifted_solver(p.k_stiff, p.mass, 2.0)(b)
+        y = eigen._shifted_solver(p.k_stiff, p.mass, 2.0, p.layout)(b)
         resid = p.k_stiff @ y + 2.0 * p.mass * y - b
         assert np.linalg.norm(resid) < 1e-10 * np.linalg.norm(b)
 
@@ -202,7 +202,7 @@ class TestShiftedSolver:
         p = sphere_pencil
         a, sigma = p.a_matrix(), floor_shift(p)
         b = np.random.default_rng(7).normal(size=p.n_vertices)
-        own = eigen._shifted_solver(a, p.mass, -sigma)(b)
+        own = eigen._shifted_solver(a, p.mass, -sigma, p.layout)(b)
         ref = oracles.dense_shifted_solve(a, p.mass, -sigma, b)
         assert np.linalg.norm(own - ref) <= 1e-12 * np.linalg.norm(ref)
         resid = a @ own - sigma * p.mass * own - b
@@ -228,7 +228,7 @@ class TestShiftedSolver:
         # the eigensolve that would factor it
         a = sp.diags([1.0, 2.0, 3.0]).tocsr()
         with pytest.raises(EigenSolveError, match="factorization"):
-            eigen._shifted_solver(a, np.ones(3), -2.0)
+            eigen._shifted_solver(a, np.ones(3), -2.0, eigen.band_layout(a))
         with pytest.raises(EigenSolveError, match="factorization"):
             eigen.smallest_eigenpairs(a, np.ones(3), 1, sigma=2.0)
 
@@ -242,7 +242,7 @@ class TestShiftedSolver:
         with pytest.raises(EigenSolveError, match="not positive definite"):
             eigen.smallest_eigenpairs(a, p.mass, 3, sigma=lam1 + 0.5)
         with pytest.raises(EigenSolveError, match="not positive definite"):
-            eigen._shifted_solver(p.k_stiff, p.mass, -1.0)
+            eigen._shifted_solver(p.k_stiff, p.mass, -1.0, p.layout)
 
     def test_band_factor_is_made_without_a_copy(self):
         # the (bw+1, V) band is the one large allocation: it is factored in

@@ -178,7 +178,8 @@ class TestResolvent:
 
     def test_shifted_solve(self):
         _, _, pencil = get_pipeline("sphere", 3, 0)
-        solve = eigen._shifted_solver(pencil.k_stiff, pencil.mass, 2.5)
+        solve = eigen._shifted_solver(pencil.k_stiff, pencil.mass, 2.5,
+                                      pencil.layout)
         rng = np.random.default_rng(3)
         g = rng.normal(size=pencil.n_vertices)
         g -= (pencil.mass @ g) / pencil.mass.sum()
@@ -200,7 +201,8 @@ class TestResolvent:
         spec = eigen.smallest_eigenpairs(pencil.k_stiff, pencil.mass, 5,
                                          sigma=kernel_shift(pencil))
         lam1 = spec.eigenvalues[1]
-        solve = eigen._shifted_solver(pencil.k_stiff, pencil.mass, 1.0)
+        solve = eigen._shifted_solver(pencil.k_stiff, pencil.mass, 1.0,
+                                      pencil.layout)
 
         def margin(g):
             norm = lambda x: float(np.sqrt((pencil.mass * x) @ x))

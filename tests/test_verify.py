@@ -143,6 +143,36 @@ class TestLemma:
         assert rep.negative_count == 1
         assert np.all(rep.d <= rep.thresholds)
 
+    # the s1 torus's d_0 and d_1, equal up to round-off (0 is the larger by
+    # 4.8e-13), over thresholds equal to the last bit
+    TORUS_D = (8.86700931342661, 8.867009313426127, -19.60418336604723)
+
+    @staticmethod
+    def lemma_of(d):
+        # unit mass and f_i = e_i, so every threshold is LEMMA_TOL
+        return verify._lemma(np.ones(3), np.array([-3.0, -2.0, -1.0]),
+                             np.eye(3), np.asarray(d), 0.1)
+
+    @pytest.mark.parametrize("eps", [-1e-13, 0.0, 1e-13])
+    def test_witness_ties_round_off(self, eps):
+        # margins within round-off of the largest tie, and the first wins
+        rep = self.lemma_of([8.867, 8.867 + eps, -19.6])
+        assert rep.applicable and rep.witness == 0
+        rep = self.lemma_of([-19.6, 8.867 + eps, 8.867])
+        assert rep.applicable and rep.witness == 1
+
+    def test_witness_is_largest_margin_beyond_round_off(self):
+        assert self.lemma_of([1.0, 2.0, -1.0]).witness == 1
+        assert self.lemma_of([1.0, 1.0 + 1e-6, 0.5]).witness == 1
+        assert self.lemma_of([-1.0, -2.0, 0.0]).witness == -1
+
+    def test_torus_witness(self, torus1):
+        for d in (self.TORUS_D, self.TORUS_D[1::-1] + self.TORUS_D[2:]):
+            assert self.lemma_of(d).witness == 0
+        rep = lemma_two_negative(torus1, 0)
+        assert rep.d[0] == pytest.approx(rep.d[1], rel=1e-12)
+        assert rep.applicable and rep.witness == 0
+
 
 class TestConfig:
     def test_factor_scales_with_potential(self):
