@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .eigen import BandLayout, band_layout
+from .eigen import BandLayout, _new_directions, band_layout, ritz_values
 from .mesh import _dot, _edge_vectors
 
 __all__ = [
@@ -115,7 +115,7 @@ def pencil_floor_shift(max_w2):
     return -1.1 * max_w2 - 0.1 * (max_w2 + 1.0)
 
 
-def shift_ladder(pencil, lambda_1_upper=None):
+def shift_ladder(pencil):
     """Shift-invert targets for the pencil, nearest first.
 
     lambda_1 lies in [-max W^2, -mean W^2] (the constants have Rayleigh
@@ -124,20 +124,27 @@ def shift_ladder(pencil, lambda_1_upper=None):
     1980).  So the rungs are -2^(j+1) mean W^2, j = 0, 1, ..., while they
     lie above the floor, and then the floor; eigen.smallest_eigenpairs
     takes the first that factors.  With W constant it is the floor alone.
-    ``lambda_1_upper``, an upper bound on lambda_1 such as a Ritz value
-    (Courant-Fischer), drops each rung at or above it, which would not
-    factor, and logs it; the floor lies below lambda_1 and always stays.
+    A rung at or above lambda_1 would not factor, so each rung at or above
+    the smallest Ritz value of (K - M_W, M) on span{1, W, W^2, W^4}, by
+    Courant-Fischer an upper bound on lambda_1 (Parlett 1980, ch. 11), is
+    dropped and logged; it takes no solve.  _new_directions drops the
+    dependent columns: on a sphere W is constant, so the span is the
+    constants up to round-off, and a round-off direction that stays does
+    no harm, since any subspace gives an upper bound.  The floor lies
+    below lambda_1 and always stays.
     """
-    floor = pencil_floor_shift(float(np.max(pencil.w**2)))
-    rungs = [-2.0 * spectral_scale(pencil.mass, pencil.w)]
+    w = pencil.w
+    floor = pencil_floor_shift(float(np.max(w**2)))
+    rungs = [-2.0 * spectral_scale(pencil.mass, w)]
     while floor < rungs[-1] < 0.0:
         rungs.append(2.0 * rungs[-1])
     rungs = rungs[:-1]
-    if lambda_1_upper is not None:
-        # the rungs descend, so the dropped ones lead
-        dropped = [sigma for sigma in rungs if sigma >= lambda_1_upper]
-        for sigma in dropped:
-            log.debug("shift %.17g dropped, not below the Ritz bound "
-                      "%.17g on lambda_1", sigma, lambda_1_upper)
-        rungs = rungs[len(dropped):]
-    return rungs + [floor]
+    basis = _new_directions(np.column_stack((np.ones_like(w), w, w**2,
+                                             w**4)))
+    bound = float(ritz_values(pencil.a_matrix(), pencil.mass, basis)[0])
+    # the rungs descend, so the dropped ones lead
+    dropped = [sigma for sigma in rungs if sigma >= bound]
+    for sigma in dropped:
+        log.debug("shift %.17g dropped, not below the Ritz bound "
+                  "%.17g on lambda_1", sigma, bound)
+    return rungs[len(dropped):] + [floor]

@@ -211,10 +211,9 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
     Courant-Fischer its j-th largest eigenvalue decreases, and Newton on
     branch j finds that branch's own crossing.  Every detected unit
     crossing is matched against the directly computed pencil spectrum
-    (match_error), whose shift ladder drops the rungs at or above the
-    reduced pencil's Ritz bound on lambda_1.  A Newton run that stops
-    short, and a (k + 1)-th top above 1 at mu_min, surface in the
-    warnings list.
+    (match_error), on the first rung of its shift ladder that factors.
+    A Newton run that stops short, and a (k + 1)-th top above 1 at
+    mu_min, surface in the warnings list.
     """
     mu_min, mu_max = mu_window(pencil.w, mu_min, mu_max)
     if steps < 2:
@@ -264,8 +263,7 @@ def scan_crossings(pencil, mu_min=None, mu_max=None, steps=32, k=3, seed=0):
         want = min(pencil.n_vertices - 1, len(crossings) + 3)
         pencil_eigs = smallest_eigenpairs(
             pencil.a_matrix(), pencil.mass, k=want, seed=seed,
-            sigma=shift_ladder(pencil,
-                               lambda_1_upper=reduced.lambda_1_upper()),
+            sigma=shift_ladder(pencil),
             layout=pencil.layout, what="crossing-match eigensolve",
         ).eigenvalues
         for mu0, j, err, evals in sorted(crossings):

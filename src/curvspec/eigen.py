@@ -38,11 +38,10 @@ _kernel_eigenpairs, that sets the k range, the padding, the seeded start
 vector and the non-convergence error, and that both call directly.
 Every dense eigensolve is one generalized LAPACK eigh (_ritz), a
 Rayleigh-Ritz problem on a few columns: the Birman-Schwinger scan on its
-incrementally grown basis (_ReducedPencil, of size at most V), whose
-projections also bound lambda_1 for its crossing match
-(_ReducedPencil.lambda_1_upper), and ritz_values: the corollary's bound
-on T_r from the pencil's own eigenvectors, and verify's bound on
-lambda_1 from four Krylov columns, which _new_directions orthonormalizes.
+incrementally grown basis (_ReducedPencil, of size at most V), and
+ritz_values: the corollary's bound on T_r from the pencil's own
+eigenvectors, and assemble.shift_ladder's bound on lambda_1 from the
+powers 1, W, W^2, W^4, which _new_directions orthonormalizes.
 """
 
 import logging
@@ -315,14 +314,6 @@ class _ReducedPencil:
             proj.append(np.block([[old, low.T], [low, x.T @ image]]))
         self._proj = proj
         self.q = np.hstack((q, x))
-
-    def lambda_1_upper(self):
-        """The smallest Ritz value of (A - D) x = lambda M x on the span:
-        by Courant-Fischer an upper bound on that pencil's smallest
-        eigenvalue, which with A = K and D = M_W is the penalized pencil's
-        lambda_1.  One p x p eigh of the projections held, no solve."""
-        d_r, a_r, m_r = self._proj
-        return float(_ritz(a_r - d_r, m_r, 0, 0)[0][0])
 
     def _pairs(self, mu, k):
         """The k largest Ritz values at mu, descending, and their

@@ -23,9 +23,9 @@ mean_curvature.  identity_report runs every check once into the
 IdentityReport that verify.run reports and whose d_i its theorem and
 lemma read.  The zero-mean resolvent R0 is K grounded at one vertex,
 defined because a TriMesh is connected (its constructor refuses one that is not),
-and factored once by eigen._shifted_solver like every other matrix; that
-one factor serves the three d_i solves and the two solves of verify's
-Ritz bound on lambda_1.
+and factored once by eigen._shifted_solver like every other matrix;
+identity_report makes that one factor, makes the three d_i solves on it
+and drops it, so no other caller holds it.
 """
 
 from dataclasses import dataclass
@@ -114,12 +114,13 @@ def zero_mean_resolvent(pencil):
     return r0
 
 
-def identity_report(mesh, field, pencil, f, r0):
+def identity_report(mesh, field, pencil, f):
     """Every identity check once: the position and Minkowski residuals,
     d_i = <R0(W f_i), W f_i>_M - ||f_i||_M^2 and orthogonality_raw.
 
-    ``f`` holds the test functions as columns and ``r0`` is
-    zero_mean_resolvent(pencil).  The resolvent argument W f_i is
+    ``f`` holds the test functions as columns.  R0 is
+    zero_mean_resolvent(pencil), made here for the three d_i solves and
+    freed on return.  The resolvent argument W f_i is
     projected to zero M-mean before the solve; the raw integral int f_i W
     (identical to <f_i, W>_M since the weight is shared) is reported before
     projection, where it decays like O(h^2) under refinement.
@@ -130,6 +131,7 @@ def identity_report(mesh, field, pencil, f, r0):
     wf = pencil.w[:, None] * f
     scale = area * np.maximum(np.abs(wf).max(axis=0), 1e-300)
     load = a[:, None] * (wf - (a @ wf) / area)
+    r0 = zero_mean_resolvent(pencil)
     phi = np.array([r0(load[:, i]) for i in range(3)])
     d = np.sum(phi.T * load, axis=0) - a @ f**2
     return IdentityReport(

@@ -175,11 +175,6 @@ def from_params(kind, **params):
     return surface_class(kind)(**params)
 
 
-def icosahedron():
-    """Regular icosahedron with unit circumradius, outward orientation."""
-    return TriMesh(*_icosahedron_arrays())
-
-
 def _icosahedron_arrays():
     t = (1.0 + math.sqrt(5.0)) / 2.0
     verts = np.array(

@@ -11,15 +11,15 @@ broken.  Thresholds travel inside every report; nothing is judged against
 an undisclosed constant.
 
 run makes every check on one curvature field in one written order, each
-shared object once: the pencil, the T_r domination gate, the test
-functions with the identity checks on one zero-mean factor R0, a Ritz
-bound on lambda_1 from two more R0 solves, which drops the rungs of
-assemble.shift_ladder that could not factor, the spectrum (on the first
-remaining rung that factors), and then the theorem, lemma and corollary
-reports.  T_r is never solved: the
+shared object once: the pencil, the test functions with the identity
+checks, whose zero-mean factor R0 serves the d_i alone, the spectrum (on
+the first rung of assemble.shift_ladder that factors), and then the
+theorem, lemma and corollary reports.  T_r is never solved: the
 corollary bounds lambda_2(T_r) by a Ritz value on the pencil's own
 eigenvectors, which min-max puts at or below lambda_2, so the bound is
-reported and nothing compares it.  The field comes whole from
+reported and nothing compares it.  T_r's potential dominates W^2 at
+every vertex by an inequality of means, so nothing checks that at run
+time; the tests do.  The field comes whole from
 curvature.compute_curvature, the one gate of H_{r+1} > 0 and H_1 > 0 for
 r >= 1, which the caller runs, so a refused mesh stops before any solve.
 H_1, c_r and the shape norm of T_r's potential are curvature's n = 2
@@ -36,11 +36,9 @@ import scipy.sparse as sp
 from .assemble import (OperatorPencil, assemble_pencil, shift_ladder,
                        spectral_scale)
 from .curvature import C_R, mean_curvature, shape_norm
-from .eigen import (Spectrum, _new_directions, ritz_values,
-                    smallest_eigenpairs)
+from .eigen import Spectrum, ritz_values, smallest_eigenpairs
 from .errors import BoundViolationError
-from .identities import (IdentityReport, identity_report, test_functions,
-                         zero_mean_resolvent)
+from .identities import IdentityReport, identity_report, test_functions
 
 __all__ = [
     "run",
@@ -64,10 +62,6 @@ LEMMA_TOL = 0.05
 # margins within this share of max |d_i| of the largest tie with it, so
 # round-off cannot pick the witness between equal d_i (the torus's d_0, d_1)
 WITNESS_TIE_REL = 1e-9
-
-# least c_r |A|^(r+2) - W^2 accepted at a vertex: below it the T_r
-# potential does not dominate and t_potential refuses
-DOMINATION_FLOOR = -1e-10
 
 
 @dataclass(frozen=True)
@@ -100,12 +94,9 @@ class TheoremReport:
 class CorollaryReport:
     """lambda_2_t_upper is T_r's second Ritz value on the pencil's
     eigenvectors, an upper bound on lambda_2(T_r) that lies at or below
-    the theorem's lambda_2 by min-max; domination_min_slack is the least
-    c_r |A|^(r+2) - W^2 that gives it, judged against domination_floor."""
+    the theorem's lambda_2 by min-max."""
 
     lambda_2_t_upper: float
-    domination_min_slack: float
-    domination_floor: float = DOMINATION_FLOOR
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,30 +174,21 @@ def run(mesh, field, config, timings):
     each shared object made once; returns the Verification.
 
     Adds each stage's wall time to ``timings``: the assembly to
-    curvature_s, then corollary_s, identities_s, spectrum_s and lemma_s.
-    A refusal raises at its stage: the T_r domination gate, the zero-mean
-    factor R0, the pencil eigensolve, then the lemma.  R0 serves the d_i
-    and the bound on lambda_1 that drops the shift rungs which would not
-    factor; its band is freed before the pencil's is filled.
+    curvature_s, then identities_s, spectrum_s, lemma_s and corollary_s.
+    A refusal raises at its stage: the zero-mean factor R0, the pencil
+    eigensolve, then the lemma.  identity_report frees R0 before the
+    pencil's band is filled, so one band is live at a time.
     """
     with _stopwatch(timings, "curvature_s"):
         pencil = assemble_pencil(mesh, field)
-    with _stopwatch(timings, "corollary_s"):
-        t_pot = t_potential(field)
     with _stopwatch(timings, "identities_s"):
         f = test_functions(mesh, field)
-        r0 = zero_mean_resolvent(pencil)
-        identities = identity_report(mesh, field, pencil, f, r0)
+        identities = identity_report(mesh, field, pencil, f)
     with _stopwatch(timings, "spectrum_s"):
-        a_mat = pencil.a_matrix()
-        ladder = shift_ladder(
-            pencil, lambda_1_upper=_lambda_1_upper(pencil, a_mat, r0))
-        # R0's band is freed just before the pencil's is filled, with
-        # nothing sizable allocated between, so one band is live at a time
-        del r0
         spectrum = smallest_eigenpairs(
-            a_mat, pencil.mass, k=config.k, seed=config.seed, sigma=ladder,
-            layout=pencil.layout, what="pencil eigensolve")
+            pencil.a_matrix(), pencil.mass, k=config.k, seed=config.seed,
+            sigma=shift_ladder(pencil), layout=pencil.layout,
+            what="pencil eigensolve")
         scale = spectral_scale(pencil.mass, pencil.w)
         tol = config.tol_sphere_factor * scale
         theorem = _theorem(mesh, field, pencil, spectrum, identities.d_sum,
@@ -214,45 +196,24 @@ def run(mesh, field, config, timings):
     with _stopwatch(timings, "lemma_s"):
         lemma = _lemma(pencil.mass, spectrum.eigenvalues, f, identities.d, tol)
     with _stopwatch(timings, "corollary_s"):
-        corollary = _corollary(pencil, spectrum, t_pot)
+        corollary = _corollary(pencil, spectrum, t_potential(field))
     return Verification(pencil=pencil, spectrum=spectrum, theorem=theorem,
                         corollary=corollary, lemma=lemma,
                         identities=identities)
 
 
-def _lambda_1_upper(pencil, a_mat, r0):
-    """The smallest Ritz value of (``a_mat``, M), a_mat = K - M_W, on
-    span{1, W^2, y_1, y_2}, y_1 = R0(M_W W^2) and y_2 = R0(M_W y_1), the
-    Birman-Schwinger Krylov space at mu = 0; by Courant-Fischer an upper
-    bound on lambda_1 (Parlett 1980, ch. 11).  Zero and dependent
-    columns are dropped: on a sphere W is constant, so W^2 lies along 1
-    and y_1, y_2 vanish up to round-off.  Any subspace gives an upper
-    bound, so a round-off direction that stays does no harm.  ``r0`` is
-    zero_mean_resolvent(pencil)."""
-    w2 = pencil.w**2
-    y1 = r0(pencil.potential * w2)
-    y2 = r0(pencil.potential * y1)
-    basis = _new_directions(np.column_stack((np.ones_like(w2), w2, y1, y2)))
-    return float(ritz_values(a_mat, pencil.mass, basis)[0])
-
-
 def t_potential(field):
     """C_R |A|^(r+2), |A| the shape norm, the T_r potential of the order-r
-    ``field``; raises unless it dominates W^2.
+    ``field``.
 
-    A domination failure on a convex mesh means the norm convention is
-    wrong, which must not produce a silently weaker operator.
+    It dominates W^2 at every vertex, by an inequality of means: at
+    r = 0, 2|A|^2 - 2 H_1^2 = (kappa_1 - kappa_2)^2 / 2, and at r = 1,
+    |A|^2 = (kappa_1^2 + kappa_2^2) / 2 >= kappa_1 kappa_2 = H_2 > 0, which
+    the field holds, so 2|A|^3 >= 2 H_2^(3/2) = W^2.  The slack vanishes
+    at umbilic points, so on a sphere the computed slack is round-off on
+    the scale of W^2; no run-time check judges it.
     """
-    pot2 = C_R * shape_norm(field.vertex_kappas) ** (field.r + 2)
-    slack = pot2 - field.w**2
-    if slack.min() < DOMINATION_FLOOR:
-        v = int(np.argmin(slack))
-        raise BoundViolationError(
-            f"potential domination fails at vertex {v}: "
-            f"c_r*|A|^(r+2) - W^2 = {slack[v]:.3e}",
-            margin=float(slack[v]),
-        )
-    return pot2
+    return C_R * shape_norm(field.vertex_kappas) ** (field.r + 2)
 
 
 def _theorem(mesh, field, pencil, spectrum, d_sum, scale, tol):
@@ -330,8 +291,5 @@ def _corollary(pencil, spectrum, t_pot):
     with lambda_2 is reported: on the same eigenvectors it cannot fail.
     """
     t_mat = pencil.k_stiff - sp.diags(pencil.mass * t_pot)
-    return CorollaryReport(
-        lambda_2_t_upper=float(ritz_values(t_mat, pencil.mass,
-                                           spectrum.eigenvectors)[1]),
-        domination_min_slack=float((t_pot - pencil.w**2).min()),
-    )
+    return CorollaryReport(lambda_2_t_upper=float(
+        ritz_values(t_mat, pencil.mass, spectrum.eigenvectors)[1]))

@@ -30,9 +30,9 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 # floats are compared with |got - want| <= atol + rtol * |want|; atol covers
-# values that sit at round-off (the sphere's Minkowski residual and
-# domination slack, and the symmetric axes' raw orthogonality), rtol the
-# BLAS-threading and ARPACK start-vector noise
+# values that sit at round-off (the sphere's Minkowski residual and the
+# symmetric axes' raw orthogonality), rtol the BLAS-threading and ARPACK
+# start-vector noise
 RTOL = 1e-10
 ATOL = 1e-12
 

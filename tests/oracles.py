@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from curvspec import birman, curvature, eigen, verify
+from curvspec import birman, curvature, eigen, surfaces, verify
 from curvspec.assemble import OperatorPencil, shift_ladder, spectral_scale
 from curvspec.errors import BoundViolationError
 from curvspec.mesh import TriMesh
@@ -547,6 +547,12 @@ def maclaurin_gap(kappas):
     """
     k = np.asarray(kappas, dtype=float)
     return curvature.mean_curvature(k, 1) - np.sqrt(curvature.mean_curvature(k, 2))
+
+
+def icosahedron():
+    """Regular icosahedron with unit circumradius, outward orientation:
+    generate's base mesh before any projection or refinement."""
+    return TriMesh(*surfaces._icosahedron_arrays())
 
 
 def box_mesh(n=4, half_width=1.0):

@@ -95,8 +95,7 @@ class TestVerifyCommand:
         assert blob["config"]["command"] == "verify"
         # every judged number sits next to the threshold it was judged by
         assert "tol_sphere" in blob["verdicts"]["theorem"]
-        assert set(blob["verdicts"]["corollary"]) == {
-            "lambda_2_t_upper", "domination_min_slack", "domination_floor"}
+        assert set(blob["verdicts"]["corollary"]) == {"lambda_2_t_upper"}
         assert "thresholds" in blob["verdicts"]["lemma"]
         # the pencil solve's residuals, and the certified rung it ran at,
         # which lies below lambda_1
@@ -694,7 +693,8 @@ class TestWorkCounts:
                                     eigen.reverse_cuthill_mckee))
         # the LU eigsh(sigma=...) would make for itself when given no OPinv
         monkeypatch.setattr(arpack, "splu", counted("arpack_splu", arpack.splu))
-        monkeypatch.setattr(verify, "zero_mean_resolvent", zero_mean_resolvent)
+        monkeypatch.setattr(identities, "zero_mean_resolvent",
+                            zero_mean_resolvent)
         return counts, applications
 
     VERIFY_ELLIPSOID_S4_R1 = [
@@ -710,21 +710,19 @@ class TestWorkCounts:
             "curvature": 1,
             "eigsh": 1,             # the pencil; T_r is bounded, not solved
             # R0 and the pencil's second rung: the first lies above
-            # lambda_1, and R0's Ritz bound drops it unfactored
+            # lambda_1, and the ladder's Ritz bound drops it unfactored
             "cholesky_banded": 2,
             "refused": 0,
             "reverse_cuthill_mckee": 1,   # one band layout, shared by all
             "arpack_splu": 0,       # ARPACK runs on the package's own factors
-            "r0_factors": 1,        # one R0 serves the d_i and the bound
-            # one per test function, read by every check, and the two
-            # Krylov vectors of the bound on lambda_1
-            "r0_solves": 5,
+            "r0_factors": 1,        # one R0 serves the d_i alone
+            "r0_solves": 3,         # one per test function, read by every check
         }
 
     def test_bs_scan_bound_drops_the_refused_rung(self, tmp_path,
                                                   monkeypatch):
         # the crossing-match solve's first rung lies above lambda_1 here;
-        # the reduced pencil's Ritz bound drops it, so nothing is refused
+        # the ladder's Ritz bound drops it, so nothing is refused
         counts, _ = self.counters(monkeypatch)
         argv = ["bs-scan", *self.VERIFY_ELLIPSOID_S4_R1[1:],
                 "-o", str(tmp_path / "rep.json")]

@@ -12,11 +12,6 @@ import oracles
 from conftest import get_mesh, get_pipeline, kernel_shift
 
 
-def report_of(mesh, field, pencil, f):
-    return idn.identity_report(mesh, field, pencil, f,
-                               idn.zero_mean_resolvent(pencil))
-
-
 class TestPositionIdentity:
     def test_sphere_within_tolerance(self):
         mesh, field, pencil = get_pipeline("sphere", 3, 1)
@@ -106,7 +101,7 @@ class TestDQuantities:
     def test_sphere_d_vanishes(self):
         mesh, field, pencil = get_pipeline("sphere", 3, 0)
         f = idn.test_functions(mesh, field)
-        dq = report_of(mesh, field, pencil, f)
+        dq = idn.identity_report(mesh, field, pencil, f)
         norms = np.einsum("vi,v,vi->i", f, pencil.mass, f)
         assert np.max(np.abs(dq.d) / norms) < 1e-4
 
@@ -114,7 +109,7 @@ class TestDQuantities:
         for r in (0, 1):
             mesh, field, pencil = get_pipeline("ellipsoid", 3, r)
             f = idn.test_functions(mesh, field)
-            dq = report_of(mesh, field, pencil, f)
+            dq = idn.identity_report(mesh, field, pencil, f)
             assert dq.d[0] > 1.0          # stretched axis needs lower energy
             assert dq.d_sum == pytest.approx(np.sum(dq.d))
 
@@ -122,14 +117,14 @@ class TestDQuantities:
         # the bumped sphere has no symmetry to cancel the raw pairing
         mesh, field, pencil = get_pipeline("bumped", 3, 1)
         f = idn.test_functions(mesh, field)
-        dq = report_of(mesh, field, pencil, f)
+        dq = idn.identity_report(mesh, field, pencil, f)
         assert np.max(np.abs(dq.orthogonality_raw)) > 1e-8
         # yet d_i reads only the zero-mean part of W f_i: shifting W f_i by
         # a constant leaves the pairing <R0(W f_i), W f_i>, and moves d_i
         # by exactly the change of ||f_i||^2
         shifted = f + np.array([0.3, -1.0, 2.0]) / pencil.w[:, None]
         a = pencil.mass
-        moved = report_of(mesh, field, pencil, shifted)
+        moved = idn.identity_report(mesh, field, pencil, shifted)
         np.testing.assert_allclose(moved.d + a @ shifted**2, dq.d + a @ f**2,
                                    rtol=1e-12)
 
@@ -141,7 +136,8 @@ class TestDQuantities:
         def raw(kind, subdiv):
             mesh, field, pencil = get_pipeline(kind, subdiv, r)
             f = idn.test_functions(mesh, field)
-            return report_of(mesh, field, pencil, f).orthogonality_raw.max()
+            return idn.identity_report(
+                mesh, field, pencil, f).orthogonality_raw.max()
 
         bumped = [raw("bumped", s) for s in (2, 3, 4)]
         assert bumped[1] <= bumped[0] / 3 and bumped[2] <= bumped[1] / 3
@@ -155,7 +151,7 @@ class TestDQuantities:
         for kind in ("bumped", "bumped_half"):
             mesh, field, pencil = get_pipeline(kind, 4, 1)
             f = idn.test_functions(mesh, field)
-            sums.append(report_of(mesh, field, pencil, f).d_sum)
+            sums.append(idn.identity_report(mesh, field, pencil, f).d_sum)
         assert sums[0] > 0.0 and sums[1] > 0.0
         assert 3.0 < sums[0] / sums[1] < 5.0
 
@@ -254,7 +250,8 @@ class TestFullReport:
         done = verify.run(mesh, field, verify.VerifyConfig(), {})
         rep = done.identities
         assert done.lemma.d is rep.d and done.theorem.d_sum == rep.d_sum
-        alone = report_of(mesh, field, pencil, idn.test_functions(mesh, field))
+        alone = idn.identity_report(mesh, field, pencil,
+                                    idn.test_functions(mesh, field))
         for name in ("lr_position_residual", "orthogonality_raw", "d"):
             np.testing.assert_array_equal(getattr(rep, name),
                                           getattr(alone, name))

@@ -64,7 +64,7 @@ ORACLE_IDS = ["sphere", "ellipsoid", "bumped", "torus", "jittered"]
 
 class TestTriMesh:
     def test_icosahedron_counts(self):
-        mesh = surfaces.icosahedron()
+        mesh = oracles.icosahedron()
         assert (mesh.n_vertices, mesh.n_faces, mesh.n_edges) == (12, 20, 30)
         assert mesh.euler_characteristic == 2
         # every face is equilateral
@@ -344,7 +344,7 @@ class TestFileFormats:
     def test_two_components_refused(self, tmp_path):
         # disjoint union of two icosahedra: closed and oriented with chi 4,
         # but K's kernel would hold one constant per component
-        ico = surfaces.icosahedron()
+        ico = oracles.icosahedron()
         v = np.vstack([ico.vertices, ico.vertices + [5.0, 0, 0]])
         f = np.vstack([ico.faces, ico.faces + ico.n_vertices])
         path = tmp_path / "pair.off"
@@ -416,7 +416,7 @@ class TestCheck:
 
 def _token_lines(fmt):
     """The icosahedron as token lists, one list per line of an OFF/OBJ file."""
-    ico = surfaces.icosahedron()
+    ico = oracles.icosahedron()
     coords = [["%.17g" % c for c in p] for p in ico.vertices]
     if fmt == "off":
         return ([["OFF"], [str(ico.n_vertices), str(ico.n_faces), "30"]]
@@ -650,21 +650,21 @@ class TestAdversarialInput:
 
 class TestSubdivision:
     def test_counts(self):
-        ico = surfaces.icosahedron()
+        ico = oracles.icosahedron()
         fine = subdivide_project(ico)
         assert fine.n_vertices == ico.n_vertices + ico.n_edges
         assert fine.n_faces == 4 * ico.n_faces
         assert fine.euler_characteristic == 2
 
     def test_projection_target(self):
-        ico = surfaces.icosahedron()
+        ico = oracles.icosahedron()
         fine = subdivide_project(ico, target=surfaces.Sphere(1.0))
         radii = np.linalg.norm(fine.vertices, axis=1)
         assert np.allclose(radii, 1.0, atol=1e-12)
 
     def test_planar_split_preserves_area(self):
         # without a projection target each flat face splits in place
-        ico = surfaces.icosahedron()
+        ico = oracles.icosahedron()
         fine = subdivide_project(ico)
         assert abs(fine.total_area - ico.total_area) < 1e-12
         assert fine.euler_characteristic == 2

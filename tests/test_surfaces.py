@@ -171,7 +171,7 @@ class TestGenerate:
         assert abs((target - errs[3]) - 12.55) < 0.01
 
     def test_icosahedron_normals_are_radial(self):
-        mesh = surfaces.icosahedron()
+        mesh = oracles.icosahedron()
         radial = mesh.vertices / np.linalg.norm(mesh.vertices, axis=1)[:, None]
         assert np.max(np.abs(mesh.vertex_normals - radial)) < 1e-12
 
@@ -192,7 +192,7 @@ class TestGenerate:
     @pytest.mark.parametrize("kind", ["sphere", "ellipsoid", "bumped"])
     def test_matches_subdivide_project_chain(self, kind):
         surface = make_surface(kind)
-        ico = surfaces.icosahedron()
+        ico = oracles.icosahedron()
         chain = TriMesh(surface.project(ico.vertices), ico.faces)
         for subdiv in range(5):
             mesh = surfaces.generate(surface, subdiv=subdiv)
@@ -218,7 +218,7 @@ class TestGenerate:
         with pytest.raises(ProjectionError) as got:
             surfaces.generate(FailsOnCall(), subdiv=3)
         target = FailsOnCall()
-        ico = surfaces.icosahedron()
+        ico = oracles.icosahedron()
         chain = TriMesh(target.project(ico.vertices), ico.faces)
         with pytest.raises(ProjectionError) as want:
             for _ in range(3):
